@@ -30,13 +30,13 @@ race:
 
 # fuzz-short gives each decoder-facing fuzz target a brief budget: the
 # record decoders the resurrection scan aims at the dead kernel's bytes,
-# the flight-recorder parser that reads rings wild writes may have hit,
-# the block-layer crash model's torn-write/rollback/orphan machinery, and
+# the crash-tail frame salvage behind the trace ring, candidate index and
+# metrics segment (which wild writes may have hit), the block-layer crash model's torn-write/rollback/orphan machinery, and
 # the span builder that must stay total over corrupted/truncated rings.
 # Long exploratory runs stay manual (go test -fuzz=<target> <pkg>).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/layout
-	$(GO) test -run '^$$' -fuzz FuzzTraceParse -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzFrameSalvage -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s ./internal/disk
 	$(GO) test -run '^$$' -fuzz FuzzSpanBuild -fuzztime 10s ./internal/spans
 

@@ -578,21 +578,22 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 		return nil, nil, fmt.Errorf("table 6: %w", err)
 	}
 	for _, r := range rows {
-		snap.Benchmarks = append(snap.Benchmarks, benchEntry{
-			Name: "table6/" + r.App,
-			Metrics: map[string]float64{
-				"boot-s":                       r.BootTime.Seconds(),
-				"interruption-serial-s":        r.Interruption.Seconds(),
-				"interruption-parallel-s":      r.ParallelInterruption.Seconds(),
-				"interruption-lazy-serial-s":   r.LazyInterruption.Seconds(),
-				"interruption-lazy-parallel-s": r.LazyParallelInterruption.Seconds(),
-				// Schema /6: the lazy run's first-touch stall percentiles.
-				"first-touch-n":      float64(r.FirstTouchSamples),
-				"first-touch-p50-us": float64(r.P50FirstTouch.Microseconds()),
-				"first-touch-p95-us": float64(r.P95FirstTouch.Microseconds()),
-				"first-touch-p99-us": float64(r.P99FirstTouch.Microseconds()),
-			},
-		})
+		m := map[string]float64{
+			"boot-s":                       r.BootTime.Seconds(),
+			"interruption-serial-s":        r.Interruption.Seconds(),
+			"interruption-parallel-s":      r.ParallelInterruption.Seconds(),
+			"interruption-lazy-serial-s":   r.LazyInterruption.Seconds(),
+			"interruption-lazy-parallel-s": r.LazyParallelInterruption.Seconds(),
+			// Schema /6: the lazy run's first-touch stall percentiles.
+			"first-touch-n": float64(r.FirstTouchSamples),
+		}
+		// No samples means the percentiles are unknown, not zero.
+		if r.FirstTouchSamples > 0 {
+			m["first-touch-p50-us"] = float64(r.P50FirstTouch.Microseconds())
+			m["first-touch-p95-us"] = float64(r.P95FirstTouch.Microseconds())
+			m["first-touch-p99-us"] = float64(r.P99FirstTouch.Microseconds())
+		}
+		snap.Benchmarks = append(snap.Benchmarks, benchEntry{Name: "table6/" + r.App, Metrics: m})
 	}
 
 	msnap := m.MetricsSnapshot()

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"otherworld/internal/metrics"
@@ -297,6 +298,21 @@ func TestBuildSnapshotV7(t *testing.T) {
 		lazy["first-touch-p95-us"] <= lazy["first-touch-p99-us"]) {
 		t.Fatalf("first-touch percentiles out of order: p50=%v p95=%v p99=%v",
 			lazy["first-touch-p50-us"], lazy["first-touch-p95-us"], lazy["first-touch-p99-us"])
+	}
+	// A Table 6 row without first-touch samples has unknown percentiles:
+	// they must be absent, never 0. Apache/PHP runs no lazy stall.
+	if t6 := byName["table6/Apache/PHP"]; t6 == nil || t6["first-touch-n"] != 0 {
+		t.Fatalf("table6/Apache/PHP = %+v, want an entry with first-touch-n 0", t6)
+	}
+	for name, m := range byName {
+		if !strings.HasPrefix(name, "table6/") || m["first-touch-n"] > 0 {
+			continue
+		}
+		for _, k := range []string{"first-touch-p50-us", "first-touch-p95-us", "first-touch-p99-us"} {
+			if v, ok := m[k]; ok {
+				t.Errorf("%s reports %s = %v with no samples", name, k, v)
+			}
+		}
 	}
 	camp := byName["campaign-parallel/vi"]
 	if camp == nil {

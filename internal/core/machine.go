@@ -136,19 +136,15 @@ type Machine struct {
 	// protected image.
 	slots     [2]phys.Region
 	imageSlot int
-	// traceFrames is the tail of each slot given to the flight-recorder
-	// ring; the protected image occupies the rest.
-	traceFrames int
+	// tail is the tail table: the frames each plane takes at the end of
+	// every slot, in slot order; the protected image occupies the rest.
+	tail [numTailParts]int
 	// tracer is the current main kernel's flight recorder (nil if off).
 	tracer *trace.Ring
-	// indexFrames is the candidate-index tail between the ring and the
-	// metrics segment; candIndex is the current main kernel's index
-	// writer (nil when the index is off).
-	indexFrames int
-	candIndex   *layout.IndexWriter
-	// metricsFrames is the metrics-segment tail behind the ring; metrics
-	// is the machine-lifetime registry (nil when the plane is off).
-	metricsFrames    int
+	// candIndex is the current main kernel's index writer (nil when the
+	// index is off).
+	candIndex *layout.IndexWriter
+	// metrics is the machine-lifetime registry (nil when the plane is off).
 	metrics          *metrics.Registry
 	metricsFlushErrs int64
 	metricsDropped   int64
@@ -274,28 +270,18 @@ func NewMachine(opts Options) (*Machine, error) {
 	m.slots[0] = phys.Region{Start: total - 2*crashFrames, Frames: crashFrames}
 	m.slots[1] = phys.Region{Start: total - crashFrames, Frames: crashFrames}
 	m.imageSlot = 1
-	// The flight-recorder ring takes the tail of each slot; the protected
-	// image must keep the (much larger) rest.
-	m.traceFrames = trace.FramesFor(opts.TraceEvents)
-	if m.traceFrames > crashFrames/2 {
-		m.traceFrames = crashFrames / 2
-	}
-	// The metrics segment sits behind the ring; together they may take at
-	// most three quarters of a slot so the image keeps the rest.
-	m.metricsFrames = opts.MetricsPages
-	if m.metricsFrames > crashFrames/4 {
-		m.metricsFrames = crashFrames / 4
-	}
-	// The candidate index sits between the ring and the metrics segment;
-	// like them it is bounded so the image keeps the bulk of the slot.
+	// Each plane's share of the tail is clamped so the protected image
+	// keeps the bulk of the slot.
+	indexFrames := 0
 	if opts.CandidateIndexSlots > 0 {
-		idxBytes := (opts.CandidateIndexSlots + 1) * layout.IndexSlotSize
-		m.indexFrames = (idxBytes + phys.PageSize - 1) / phys.PageSize
-		if m.indexFrames > crashFrames/8 {
-			m.indexFrames = crashFrames / 8
-		}
+		indexFrames = ((opts.CandidateIndexSlots+1)*layout.IndexSlotSize + phys.PageSize - 1) / phys.PageSize
 	}
-	if m.metricsFrames > 0 {
+	m.tail = [numTailParts]int{
+		tailRing:    min(trace.FramesFor(opts.TraceEvents), crashFrames/2),
+		tailIndex:   min(indexFrames, crashFrames/8),
+		tailMetrics: max(0, min(opts.MetricsPages, crashFrames/4)),
+	}
+	if m.tail[tailMetrics] > 0 {
 		m.metrics = metrics.NewRegistry()
 	}
 
@@ -324,83 +310,97 @@ func NewMachine(opts Options) (*Machine, error) {
 	if err := k.LoadCrashImage(); err != nil {
 		return nil, fmt.Errorf("core: load crash image: %w", err)
 	}
-	m.attachTracer(k)
-	m.attachIndex(k)
-	m.attachMetrics()
+	if err := m.attachTail(k, nil); err != nil {
+		return nil, err
+	}
+	m.FlushMetrics()
 	return m, nil
 }
 
 // DiskModel returns the block-layer crash model (nil when disabled).
 func (m *Machine) DiskModel() *disk.CrashModel { return m.diskModel }
 
+// tailPart names one plane in the crash slot's unprotected tail, in slot
+// order: the tail runs image | ring | index | metrics and ends at the slot's
+// end.
+type tailPart int
+
+const (
+	tailRing tailPart = iota
+	tailIndex
+	tailMetrics
+	numTailParts
+)
+
 // imageRegion is the write-protected crash-image part of a slot: the slot
-// minus the unprotected ring and metrics tails.
+// minus its tail.
 func (m *Machine) imageRegion(slot phys.Region) phys.Region {
-	return phys.Region{Start: slot.Start, Frames: slot.Frames - m.traceFrames - m.indexFrames - m.metricsFrames}
+	frames := slot.Frames
+	for _, n := range m.tail {
+		frames -= n
+	}
+	return phys.Region{Start: slot.Start, Frames: frames}
 }
 
-// ringRegion is the unprotected flight-recorder tail of a slot. The ring
-// must stay writable by the running kernel, so it cannot live under the
-// image's hardware protection — but like the image it sits inside the
-// reservation, above every frame the allocators hand out.
-func (m *Machine) ringRegion(slot phys.Region) phys.Region {
-	if m.traceFrames == 0 {
+// tailRegion is one plane's part of a slot's tail (zero region when the
+// plane is off). Like the image, the tail sits inside the reservation,
+// above every frame the allocators hand out.
+func (m *Machine) tailRegion(slot phys.Region, p tailPart) phys.Region {
+	if m.tail[p] == 0 {
 		return phys.Region{}
 	}
-	img := m.imageRegion(slot)
-	return phys.Region{Start: img.End(), Frames: m.traceFrames}
+	start := m.imageRegion(slot).End()
+	for _, n := range m.tail[:p] {
+		start += n
+	}
+	return phys.Region{Start: start, Frames: m.tail[p]}
 }
 
-// indexRegion is the unprotected candidate-index tail of a slot, between
-// the flight-recorder ring and the metrics segment.
-func (m *Machine) indexRegion(slot phys.Region) phys.Region {
-	if m.indexFrames == 0 {
-		return phys.Region{}
+// attachTail claims the active slot's tail for kernel k and gives it fresh
+// planes there. Every tail frame is unprotected, so the running kernel can
+// write it and wild writes land on it, and tagged FrameReserved, so no
+// allocator ever hands it out; after a morph the new kernel owns all
+// memory, so alloc claims the frames too. The metrics segment gets its
+// first flush from the caller, once the machine has switched kernels.
+func (m *Machine) attachTail(k *kernel.Kernel, alloc *phys.FrameAllocator) error {
+	slot := m.slots[m.imageSlot]
+	for f := m.imageRegion(slot).End(); f < slot.End(); f++ {
+		if alloc != nil {
+			if err := alloc.Claim(f, phys.FrameReserved); err != nil {
+				return fmt.Errorf("core: reserve crash slot tail: %w", err)
+			}
+		}
+		_ = m.HW.Mem.Protect(f, false)              //owvet:allow errdrop: slot regions are validated at machine construction
+		_ = m.HW.Mem.SetKind(f, phys.FrameReserved) //owvet:allow errdrop: same validated frame as the line above
 	}
-	img := m.imageRegion(slot)
-	return phys.Region{Start: img.End() + m.traceFrames, Frames: m.indexFrames}
+	m.attachTracer(k)
+	m.attachIndex(k)
+	return nil
 }
 
 // IndexRegion returns the physical region of the active candidate index
 // (zero region when the index is off), for tests and tools that want to
 // inspect or corrupt it.
 func (m *Machine) IndexRegion() phys.Region {
-	return m.indexRegion(m.slots[m.imageSlot])
-}
-
-// metricsRegion is the unprotected metrics-segment tail of a slot,
-// directly behind the flight-recorder ring.
-func (m *Machine) metricsRegion(slot phys.Region) phys.Region {
-	if m.metricsFrames == 0 {
-		return phys.Region{}
-	}
-	return phys.Region{Start: slot.End() - m.metricsFrames, Frames: m.metricsFrames}
+	return m.tailRegion(m.slots[m.imageSlot], tailIndex)
 }
 
 // TraceRegion returns the physical region of the active flight-recorder
 // ring (zero region when tracing is off), for tests and tools that want to
 // inspect or corrupt it.
 func (m *Machine) TraceRegion() phys.Region {
-	return m.ringRegion(m.slots[m.imageSlot])
+	return m.tailRegion(m.slots[m.imageSlot], tailRing)
 }
 
 // Tracer returns the current main kernel's flight recorder (nil if off).
 func (m *Machine) Tracer() *trace.Ring { return m.tracer }
 
-// attachTracer gives kernel k a fresh ring over the active slot's tail and
-// stamps the new generation's boot event. Ring frames are tagged
-// FrameReserved so no allocator ever hands them out.
+// attachTracer gives kernel k a fresh ring over the active slot's ring
+// part and stamps the new generation's boot event.
 func (m *Machine) attachTracer(k *kernel.Kernel) {
-	if m.traceFrames == 0 {
-		return
-	}
-	ring := trace.NewRing(m.HW.Mem, m.ringRegion(m.slots[m.imageSlot]))
+	ring := trace.NewRing(m.HW.Mem, m.TraceRegion(), uint32(m.kernelSeq))
 	if ring == nil {
 		return
-	}
-	for f := ring.Region().Start; f < ring.Region().End(); f++ {
-		_ = m.HW.Mem.Protect(f, false)              //owvet:allow errdrop: ring region was bounds-checked by NewRing
-		_ = m.HW.Mem.SetKind(f, phys.FrameReserved) //owvet:allow errdrop: same validated frame as the line above
 	}
 	ring.Reset()
 	ring.Record(trace.Event{Kind: trace.KindBoot, A: uint64(k.Globals.BootCount)})
@@ -411,20 +411,15 @@ func (m *Machine) attachTracer(k *kernel.Kernel) {
 // attachIndex gives kernel k a fresh candidate index over the active
 // slot's index tail and repopulates it from the kernel's live processes
 // (after a morph the resurrected processes were created before the new
-// index existed). Index frames are tagged FrameReserved so no allocator
-// ever hands them out. Generation is the kernel sequence number, so a
-// stale index from an earlier generation can never masquerade as current.
+// index existed). Generation is the kernel sequence number, so a stale
+// index from an earlier generation can never masquerade as current.
 func (m *Machine) attachIndex(k *kernel.Kernel) {
-	if m.indexFrames == 0 {
+	reg := m.IndexRegion()
+	if reg.Frames == 0 {
 		return
 	}
-	reg := m.indexRegion(m.slots[m.imageSlot])
-	for f := reg.Start; f < reg.End(); f++ {
-		_ = m.HW.Mem.Protect(f, false)              //owvet:allow errdrop: index region was bounds-checked at machine construction
-		_ = m.HW.Mem.SetKind(f, phys.FrameReserved) //owvet:allow errdrop: same validated frame as the line above
-	}
 	slots := reg.Frames * phys.PageSize / layout.IndexSlotSize
-	w, err := layout.NewIndexWriter(m.HW.Mem, phys.FrameAddr(reg.Start), slots, uint64(m.kernelSeq))
+	w, err := layout.NewIndexWriter(m.HW.Mem, phys.FrameAddr(reg.Start), slots, uint32(m.kernelSeq))
 	if err != nil {
 		// An unwritable index is strictly a lost optimization: the next
 		// crash falls back to the full process-list walk.
@@ -502,11 +497,12 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	// step can disturb the bytes; a failed transfer then still leaves
 	// post-mortem context behind.
 	img := m.slots[m.imageSlot]
-	if m.traceFrames > 0 {
-		out.Trace = trace.Parse(m.HW.Mem, m.ringRegion(img))
+	ring, index, seg := m.tailRegion(img, tailRing), m.tailRegion(img, tailIndex), m.tailRegion(img, tailMetrics)
+	if ring.Frames > 0 {
+		out.Trace = trace.Parse(m.HW.Mem, ring)
 	}
-	if m.metricsFrames > 0 {
-		out.DeadMetrics = metrics.ParseSegment(m.HW.Mem, m.metricsRegion(img))
+	if seg.Frames > 0 {
+		out.DeadMetrics = metrics.ParseSegment(m.HW.Mem, seg)
 	}
 	out.Transfer = m.K.AttemptTransfer()
 	if !out.Transfer.OK {
@@ -575,8 +571,8 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	engine.MapPages = m.opts.MapPagesResurrection
 	engine.ResurrectIPC = m.opts.ResurrectIPC
 	engine.LazyInstall = m.opts.LazyInstall
-	engine.TraceRegion = m.ringRegion(img)
-	engine.IndexRegion = m.indexRegion(img)
+	engine.TraceRegion = ring
+	engine.IndexRegion = index
 	engine.Metrics = m.metrics
 	out.Report = engine.Run(m.opts.Resurrection)
 
@@ -586,7 +582,7 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 
 	// Morph (Section 3.6): reclaim all memory, reserve the other slot,
 	// load a fresh crash image, become the main kernel. The new slot is
-	// split like the old one: protected image plus flight-recorder tail.
+	// split like the old one: protected image plus the planes' tail.
 	if err := crashK.AdoptAllMemory(); err != nil {
 		return nil, fmt.Errorf("core: morph: %w", err)
 	}
@@ -597,17 +593,13 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 			return nil, fmt.Errorf("core: reserve next crash slot: %w", err)
 		}
 	}
-	for f := nextImg.End(); f < nextSlot.End(); f++ {
-		if err := crashK.Alloc.Claim(f, phys.FrameReserved); err != nil {
-			return nil, fmt.Errorf("core: reserve next trace ring: %w", err)
-		}
-	}
 	crashK.P.CrashRegion = nextImg
 	if err := crashK.LoadCrashImage(); err != nil {
 		return nil, fmt.Errorf("core: load fresh crash image: %w", err)
 	}
-	m.attachTracer(crashK)
-	m.attachIndex(crashK)
+	if err := m.attachTail(crashK, crashK.Alloc); err != nil {
+		return nil, err
+	}
 	if out.DiskCrash != nil && crashK.Tracer != nil {
 		crashK.Tracer.Record(trace.Event{
 			Kind: trace.KindDiskCrash,
@@ -618,8 +610,8 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	}
 
 	// Sockets died with the main kernel: drop undelivered inbound data.
-	// (attachMetrics runs below, after m.K and the reboot count are
-	// updated, so the first post-morph flush already reflects them.)
+	// (The first post-morph metrics flush runs below, after m.K and the
+	// reboot count are updated, so it already reflects them.)
 	m.Net.FlushInbound()
 
 	m.K = crashK
@@ -635,7 +627,7 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 		out.SerialInterruption = out.Interruption
 	}
 	m.LastOutcome = out
-	m.attachMetrics()
+	m.FlushMetrics()
 	return out, nil
 }
 
@@ -737,9 +729,10 @@ func (m *Machine) ColdReboot() error {
 	if err := k.LoadCrashImage(); err != nil {
 		return err
 	}
-	m.attachTracer(k)
-	m.attachIndex(k)
-	m.attachMetrics()
+	if err := m.attachTail(k, nil); err != nil {
+		return err
+	}
+	m.FlushMetrics()
 	return nil
 }
 

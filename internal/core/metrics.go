@@ -17,7 +17,7 @@ func (m *Machine) Metrics() *metrics.Registry { return m.metrics }
 // MetricsRegion returns the physical region of the active slot's metrics
 // segment (zero region when the plane is disabled).
 func (m *Machine) MetricsRegion() phys.Region {
-	return m.metricsRegion(m.slots[m.imageSlot])
+	return m.tailRegion(m.slots[m.imageSlot], tailMetrics)
 }
 
 // collectMetrics publishes every machine-level collector into the
@@ -92,29 +92,13 @@ func (m *Machine) MetricsSnapshot() *metrics.Snapshot {
 // tallied and surface as metrics on the next collect; they never take the
 // machine down.
 func (m *Machine) FlushMetrics() {
-	if m.metrics == nil || m.metricsFrames == 0 {
+	if m.metrics == nil {
 		return
 	}
 	snap := m.MetricsSnapshot()
-	region := m.MetricsRegion()
-	_, dropped, err := metrics.WriteSegment(m.HW.Mem, region, snap)
+	_, dropped, err := metrics.WriteSegment(m.HW.Mem, m.MetricsRegion(), uint32(m.kernelSeq), snap)
 	m.metricsDropped += int64(dropped)
 	if err != nil {
 		m.metricsFlushErrs++
 	}
-}
-
-// attachMetrics claims the active slot's metrics tail for the new kernel
-// generation — unprotected and FrameReserved, like the ring — and flushes
-// a first snapshot so the segment is never stale across a morph.
-func (m *Machine) attachMetrics() {
-	if m.metrics == nil || m.metricsFrames == 0 {
-		return
-	}
-	region := m.MetricsRegion()
-	for f := region.Start; f < region.End(); f++ {
-		_ = m.HW.Mem.Protect(f, false)              //owvet:allow errdrop: slot regions are validated at machine construction
-		_ = m.HW.Mem.SetKind(f, phys.FrameReserved) //owvet:allow errdrop: same validated frame as the line above
-	}
-	m.FlushMetrics()
 }

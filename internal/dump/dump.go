@@ -59,7 +59,7 @@ func Parse(data []byte) (*Image, error) {
 // Frames returns the number of captured frames.
 func (img *Image) Frames() int { return len(img.frames) }
 
-// ReadAt implements layout.MemoryAccessor over the sparse image.
+// ReadAt implements layout.Reader over the sparse image.
 func (img *Image) ReadAt(addr uint64, buf []byte) error {
 	for i := range buf {
 		a := addr + uint64(i)

@@ -8,10 +8,10 @@ import (
 	"sync"
 	"time"
 
-	"otherworld/internal/core"
 	"otherworld/internal/kernel"
 	"otherworld/internal/metrics"
 	"otherworld/internal/resurrect"
+	"otherworld/internal/sched"
 	"otherworld/internal/spans"
 )
 
@@ -397,7 +397,7 @@ func notifyProgress(cfg CampaignConfig, app string, protection bool, t *tally, w
 const CanonicalCampaignWorkers = 4
 
 // CampaignStats summarizes the campaign pool's modeled schedule: every
-// committed experiment's virtual duration fed through core.PoolSchedule.
+// committed experiment's virtual duration fed through poolSchedule.
 // All published fields are quoted at CanonicalCampaignWorkers (plus the
 // serial baseline), so they are identical at any live pool width.
 type CampaignStats struct {
@@ -420,7 +420,21 @@ type CampaignStats struct {
 
 // ScheduleAt models the campaign wall clock at a hypothetical pool width.
 func (s *CampaignStats) ScheduleAt(workers int) time.Duration {
-	return core.PoolSchedule(s.spans, workers)
+	makespan, _ := poolSchedule(s.spans, workers)
+	return makespan
+}
+
+// poolSchedule models the campaign worker pool, never wider than the span
+// set: spans in commit order, each to the earliest-free worker
+// (sched.Pipeline with no commit cursor). It returns the makespan and the
+// occupancy; a pure function of its arguments, so campaign timing quotes
+// replay from the seed on any host.
+func poolSchedule(spans []time.Duration, workers int) (time.Duration, float64) {
+	if len(spans) > 0 && workers > len(spans) {
+		workers = len(spans)
+	}
+	_, makespan, busy := sched.Pipeline(spans, nil, workers)
+	return makespan, sched.Occupancy(busy, makespan)
 }
 
 // SpeedupAt is the modeled serial-over-parallel ratio at a width.
@@ -510,9 +524,8 @@ func RunTable5Campaign(cfg CampaignConfig) ([]Table5Row, *CampaignStats) {
 	for _, s := range stats.spans {
 		stats.TotalWork += s
 	}
-	stats.SerialMakespan = core.PoolSchedule(stats.spans, 1)
-	stats.Makespan = core.PoolSchedule(stats.spans, CanonicalCampaignWorkers)
-	stats.Occupancy = core.PoolOccupancy(stats.spans, CanonicalCampaignWorkers)
+	stats.SerialMakespan = stats.ScheduleAt(1)
+	stats.Makespan, stats.Occupancy = poolSchedule(stats.spans, CanonicalCampaignWorkers)
 	canon := metrics.Labels{"workers": fmt.Sprint(CanonicalCampaignWorkers)}
 	cfg.Metrics.Gauge("campaign_pool_occupancy",
 		"fraction of pool worker-time the modeled schedule keeps busy, at the canonical width", canon).

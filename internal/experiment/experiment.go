@@ -190,7 +190,7 @@ type Result struct {
 	// Duration is the experiment machine's virtual clock when the
 	// experiment finished: the modeled cost of the whole run (boot, warmup,
 	// failure, recovery, verification). The campaign pool's schedule model
-	// (core.PoolSchedule) consumes these spans; like every other field it
+	// (poolSchedule) consumes these spans; like every other field it
 	// is a pure function of the seed.
 	Duration time.Duration
 	// DataChecked is true when the driver audited the application's on-disk

@@ -7,24 +7,24 @@ import (
 
 // Candidate index
 //
-// The main kernel maintains a compact, CRC-framed candidate index in the
-// crash reservation next to the trace ring: one header slot plus one entry
-// slot per live process, each sealed with the standard record framing. The
-// crash kernel salvages the index to seed resurrection scanners directly,
-// instead of walking the dead kernel's whole process list record by record
-// — the discovery step that dominates the prologue at fleet scale. The
-// index is strictly an accelerator: every entry still points at the
-// authoritative process descriptor, which the scanner re-reads and
-// validates, and a missing or corrupt index degrades to the full walk.
+// The main kernel maintains a compact candidate index in the crash
+// reservation's tail, between the trace ring and the metrics segment: one
+// header slot plus one entry slot per live process, each a tail frame
+// (frame.go). The crash kernel salvages the index to seed resurrection
+// scanners directly, instead of walking the dead kernel's whole process
+// list record by record — the discovery step that dominates the prologue at
+// fleet scale. The index is strictly an accelerator: every entry still
+// points at the authoritative process descriptor, which the scanner
+// re-reads and validates, and a missing or corrupt index degrades to the
+// full walk.
 //
-// Slot states are distinguished without extra bookkeeping in the dead
-// image: an all-zero slot prefix is "never used", a sealed TypeIndexEntry
-// with the dead flag is a tombstone, anything else that fails validation
-// is corruption (skipped and counted by ParseIndex).
+// The header names the index's generation; entries of any other generation
+// are stale. An entry frame with the dead flag is a tombstone. The index is
+// a sparse span: empty slots cost a two-byte read.
 
 // IndexSlotSize is the fixed byte size of every index slot, header
-// included. An entry payload is at most 4+8+8+3*(1+maxNameLen) = 215
-// bytes framed to 227, so the worst case fits with headroom.
+// included. An entry payload is at most 4+8+3*(1+maxIndexString) = 207
+// bytes framed to 221, so the worst case fits with headroom.
 const IndexSlotSize = 256
 
 // IndexVersion is the header format version.
@@ -33,7 +33,7 @@ const IndexVersion = 1
 // indexFlagDead marks a tombstoned entry slot (process exited).
 const indexFlagDead = 1
 
-// maxIndexString bounds each entry string so the framed record always fits
+// maxIndexString bounds each entry string so the framed entry always fits
 // its 256-byte slot (and the 1-byte length prefix cannot wrap). Matches the
 // kernel's own process-name limit.
 const maxIndexString = 64
@@ -41,49 +41,42 @@ const maxIndexString = 64
 // IndexHeader is the decoded slot-0 header.
 type IndexHeader struct {
 	Version    uint16
-	Generation uint64
+	Generation uint32
 	Slots      uint32
 }
 
 // IndexEntry is one decoded candidate pointer.
 type IndexEntry struct {
-	PID  uint32
-	Addr uint64 // physical address of the TypeProc descriptor record
-	Gen  uint64 // generation the entry was written under
-	Name string
+	PID       uint32
+	Addr      uint64 // physical address of the TypeProc descriptor record
+	Gen       uint32 // generation the entry was written under
+	Name      string
 	Program   string
 	CrashProc string
 }
 
 func (h *IndexHeader) encode() []byte {
-	buf := make([]byte, 2+8+4)
+	buf := make([]byte, 2+4)
 	binary.LittleEndian.PutUint16(buf[0:], h.Version)
-	binary.LittleEndian.PutUint64(buf[2:], h.Generation)
-	binary.LittleEndian.PutUint32(buf[10:], h.Slots)
+	binary.LittleEndian.PutUint32(buf[2:], h.Slots)
 	return buf
 }
 
-func decodeIndexHeader(p []byte) (*IndexHeader, error) {
-	if len(p) < 14 {
-		return nil, fmt.Errorf("short index header payload (%d bytes)", len(p))
+func decodeIndexHeader(f Frame) (IndexHeader, bool) {
+	if len(f.Payload) < 6 {
+		return IndexHeader{}, false
 	}
-	return &IndexHeader{
-		Version:    binary.LittleEndian.Uint16(p[0:]),
-		Generation: binary.LittleEndian.Uint64(p[2:]),
-		Slots:      binary.LittleEndian.Uint32(p[10:]),
-	}, nil
+	return IndexHeader{
+		Version:    binary.LittleEndian.Uint16(f.Payload[0:]),
+		Generation: f.Gen,
+		Slots:      binary.LittleEndian.Uint32(f.Payload[2:]),
+	}, true
 }
 
 func (e *IndexEntry) encode() []byte {
-	buf := make([]byte, 0, 4+8+8+3*(1+64))
-	var u32 [4]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint32(u32[:], e.PID)
-	buf = append(buf, u32[:]...)
-	binary.LittleEndian.PutUint64(u64[:], e.Addr)
-	buf = append(buf, u64[:]...)
-	binary.LittleEndian.PutUint64(u64[:], e.Gen)
-	buf = append(buf, u64[:]...)
+	buf := make([]byte, 0, 4+8+3*(1+maxIndexString))
+	buf = binary.LittleEndian.AppendUint32(buf, e.PID)
+	buf = binary.LittleEndian.AppendUint64(buf, e.Addr)
 	for _, s := range []string{e.Name, e.Program, e.CrashProc} {
 		buf = append(buf, byte(len(s)))
 		buf = append(buf, s...)
@@ -91,29 +84,32 @@ func (e *IndexEntry) encode() []byte {
 	return buf
 }
 
-func decodeIndexEntry(p []byte) (*IndexEntry, error) {
-	if len(p) < 20 {
-		return nil, fmt.Errorf("short index entry payload (%d bytes)", len(p))
+// indexSlot is one decoded entry slot: an entry or its tombstone.
+type indexSlot struct {
+	IndexEntry
+	dead bool
+}
+
+func decodeIndexEntry(f Frame) (indexSlot, bool) {
+	p := f.Payload
+	if len(p) < 12 {
+		return indexSlot{}, false
 	}
-	e := &IndexEntry{
+	e := indexSlot{dead: f.Flags&indexFlagDead != 0, IndexEntry: IndexEntry{
 		PID:  binary.LittleEndian.Uint32(p[0:]),
 		Addr: binary.LittleEndian.Uint64(p[4:]),
-		Gen:  binary.LittleEndian.Uint64(p[12:]),
-	}
-	off := 20
+		Gen:  f.Gen,
+	}}
+	off := 12
 	for _, dst := range []*string{&e.Name, &e.Program, &e.CrashProc} {
-		if off >= len(p) {
-			return nil, fmt.Errorf("truncated index entry string at offset %d", off)
+		if off >= len(p) || off+1+int(p[off]) > len(p) {
+			return indexSlot{}, false
 		}
 		n := int(p[off])
-		off++
-		if off+n > len(p) {
-			return nil, fmt.Errorf("index entry string overruns payload")
-		}
-		*dst = string(p[off : off+n])
-		off += n
+		*dst = string(p[off+1 : off+1+n])
+		off += 1 + n
 	}
-	return e, nil
+	return e, true
 }
 
 // IndexWriter maintains the candidate index in a fixed region of simulated
@@ -125,7 +121,7 @@ type IndexWriter struct {
 	mem   MemoryAccessor
 	base  uint64
 	slots int
-	gen   uint64
+	gen   uint32
 	byPID map[uint32]int // pid -> occupied entry slot
 	used  []bool         // slot occupancy; slot 0 is the header
 }
@@ -133,7 +129,7 @@ type IndexWriter struct {
 // NewIndexWriter initialises a writer over [base, base+slots*IndexSlotSize)
 // and seals a fresh header, zeroing every entry slot (the reservation may
 // hold a previous generation's bytes).
-func NewIndexWriter(m MemoryAccessor, base uint64, slots int, gen uint64) (*IndexWriter, error) {
+func NewIndexWriter(m MemoryAccessor, base uint64, slots int, gen uint32) (*IndexWriter, error) {
 	if slots < 2 {
 		return nil, fmt.Errorf("layout: index needs at least 2 slots, got %d", slots)
 	}
@@ -145,22 +141,25 @@ func NewIndexWriter(m MemoryAccessor, base uint64, slots int, gen uint64) (*Inde
 			return nil, err
 		}
 	}
-	hdr := &IndexHeader{Version: IndexVersion, Generation: gen, Slots: uint32(slots)}
-	if err := WriteRecord(m, base, TypeIndexHeader, 0, hdr.encode()); err != nil {
+	hdr := &IndexHeader{Version: IndexVersion, Slots: uint32(slots)}
+	if err := w.seal(0, KindIndexHeader, 0, hdr.encode()); err != nil {
 		return nil, err
 	}
 	w.used[0] = true
 	return w, nil
 }
 
-// Generation returns the generation stamped into the header.
-func (w *IndexWriter) Generation() uint64 { return w.gen }
-
 // Capacity returns the number of entry slots.
 func (w *IndexWriter) Capacity() int { return w.slots - 1 }
 
 func (w *IndexWriter) slotAddr(i int) uint64 {
 	return w.base + uint64(i)*IndexSlotSize
+}
+
+// seal writes one slot's frame, trimmed to its framed bytes.
+func (w *IndexWriter) seal(slot int, kind FrameKind, flags uint8, payload []byte) error {
+	img := SealFrame(kind, flags, w.gen, IndexSlotSize, payload)
+	return w.mem.WriteAt(w.slotAddr(slot), img[:FrameOverhead+len(payload)])
 }
 
 // Put records (or refreshes) the index entry for a process. When the index
@@ -186,9 +185,8 @@ func (w *IndexWriter) Put(pid uint32, addr uint64, name, program, crashProc stri
 			return ErrIndexFull
 		}
 	}
-	e := &IndexEntry{PID: pid, Addr: addr, Gen: w.gen,
-		Name: name, Program: program, CrashProc: crashProc}
-	if err := WriteRecord(w.mem, w.slotAddr(slot), TypeIndexEntry, 0, e.encode()); err != nil {
+	e := &IndexEntry{PID: pid, Addr: addr, Name: name, Program: program, CrashProc: crashProc}
+	if err := w.seal(slot, KindIndexEntry, 0, e.encode()); err != nil {
 		return err
 	}
 	w.used[slot] = true
@@ -203,8 +201,8 @@ func (w *IndexWriter) Delete(pid uint32) error {
 	if !ok {
 		return nil
 	}
-	e := &IndexEntry{PID: pid, Gen: w.gen}
-	if err := WriteRecord(w.mem, w.slotAddr(slot), TypeIndexEntry, indexFlagDead, e.encode()); err != nil {
+	e := &IndexEntry{PID: pid}
+	if err := w.seal(slot, KindIndexEntry, indexFlagDead, e.encode()); err != nil {
 		return err
 	}
 	delete(w.byPID, pid)
@@ -230,52 +228,30 @@ type IndexSalvage struct {
 // ParseIndex decodes the candidate index at [base, base+size). A header
 // failure is fatal (the caller falls back to the full process-list walk);
 // entry-slot damage is skipped and counted.
-func ParseIndex(m MemoryAccessor, base uint64, size int, verifyCRC bool) (*IndexSalvage, error) {
+func ParseIndex(m Reader, base uint64, size int, verifyCRC bool) (*IndexSalvage, error) {
 	if size < 2*IndexSlotSize {
 		return nil, fmt.Errorf("layout: index region too small (%d bytes)", size)
 	}
-	payload, _, err := ReadRecord(m, base, TypeIndexHeader, verifyCRC)
-	if err != nil {
-		return nil, err
+	span := Span{Base: base, Count: 1, Size: IndexSlotSize, Kind: KindIndexHeader, Sparse: true}
+	hdrs, _ := SalvageFrames(m, span, verifyCRC, decodeIndexHeader)
+	if len(hdrs) != 1 {
+		return nil, fmt.Errorf("layout: candidate index header at %#x is damaged", base)
 	}
-	hdr, err := decodeIndexHeader(payload)
-	if err != nil {
-		return nil, &CorruptionError{Addr: base, Want: TypeIndexHeader, Reason: err.Error()}
-	}
+	hdr := hdrs[0]
 	if hdr.Version != IndexVersion {
-		return nil, &CorruptionError{Addr: base, Want: TypeIndexHeader,
-			Reason: fmt.Sprintf("unsupported index version %d", hdr.Version)}
+		return nil, fmt.Errorf("layout: candidate index header at %#x: unsupported version %d", base, hdr.Version)
 	}
 	slots := int(hdr.Slots)
 	if slots < 2 || slots*IndexSlotSize > size {
-		return nil, &CorruptionError{Addr: base, Want: TypeIndexHeader,
-			Reason: fmt.Sprintf("slot count %d does not fit region", hdr.Slots)}
+		return nil, fmt.Errorf("layout: candidate index header at %#x: slot count %d does not fit region", base, hdr.Slots)
 	}
-	sal := &IndexSalvage{Header: *hdr}
-	var prefix [2]byte
-	for i := 1; i < slots; i++ {
-		addr := base + uint64(i)*IndexSlotSize
-		if err := m.ReadAt(addr, prefix[:]); err != nil {
-			sal.Skipped++
-			continue
+	span.Base, span.Count, span.Kind, span.Gen = base+IndexSlotSize, slots-1, KindIndexEntry, hdr.Generation
+	entries, s := SalvageFrames(m, span, verifyCRC, decodeIndexEntry)
+	sal := &IndexSalvage{Header: hdr, Skipped: s.Damaged + s.Stale}
+	for _, e := range entries {
+		if !e.dead { // a tombstone of the current generation is clean
+			sal.Entries = append(sal.Entries, e.IndexEntry)
 		}
-		if prefix[0] == 0 && prefix[1] == 0 {
-			continue // never used
-		}
-		payload, flags, err := ReadRecord(m, addr, TypeIndexEntry, verifyCRC)
-		if err != nil {
-			sal.Skipped++
-			continue
-		}
-		e, err := decodeIndexEntry(payload)
-		if err != nil || e.Gen != hdr.Generation {
-			sal.Skipped++
-			continue
-		}
-		if flags&indexFlagDead != 0 {
-			continue // clean tombstone of the current generation
-		}
-		sal.Entries = append(sal.Entries, *e)
 	}
 	return sal, nil
 }

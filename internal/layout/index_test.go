@@ -21,7 +21,7 @@ func newIdxMem(slots int) *idxMem {
 	return &idxMem{b: make([]byte, (slots+1)*IndexSlotSize)}
 }
 
-func mustWriter(t *testing.T, m *idxMem, slots int, gen uint64) *IndexWriter {
+func mustWriter(t *testing.T, m *idxMem, slots int, gen uint32) *IndexWriter {
 	t.Helper()
 	w, err := NewIndexWriter(m, 0, slots+1, gen)
 	if err != nil {
@@ -151,7 +151,7 @@ func TestIndexEntryCorruptionSkipsAndCounts(t *testing.T) {
 		}
 	}
 	// Flip payload bytes inside entry slot 2 (slot 0 is the header).
-	m.b[2*IndexSlotSize+HeaderSize+2] ^= 0xff
+	m.b[2*IndexSlotSize+FrameHeaderSize+2] ^= 0xff
 	sal, err := ParseIndex(m, 0, len(m.b), true)
 	if err != nil {
 		t.Fatalf("entry damage must not be fatal: %v", err)
@@ -170,7 +170,7 @@ func TestIndexHeaderCorruptionIsFatal(t *testing.T) {
 	if err := w.Put(1, 0x1000, "proc", "sh", ""); err != nil {
 		t.Fatal(err)
 	}
-	m.b[3] ^= 0xff // header record damage
+	m.b[3] ^= 0xff // header frame damage
 	if _, err := ParseIndex(m, 0, len(m.b), true); err == nil {
 		t.Fatalf("corrupt header must reject the whole index")
 	}
@@ -185,13 +185,8 @@ func TestIndexStaleGenerationSkipped(t *testing.T) {
 	// A newer writer over the same memory does what a kernel generation
 	// bump does: reuses the region, re-stamps the header. Entry slots it
 	// never rewrites must parse as stale, skip-and-count.
-	entAddr := uint64(1 * IndexSlotSize)
-	ent := IndexEntry{PID: 1, Addr: 0x1000, Gen: 1, Name: "stale", Program: "sh"}
-	if err := WriteRecord(m, entAddr, TypeIndexEntry, 0, ent.encode()); err != nil {
-		t.Fatal(err)
-	}
-	hdr := IndexHeader{Version: IndexVersion, Generation: 2, Slots: 4}
-	if err := WriteRecord(m, 0, TypeIndexHeader, 0, hdr.encode()); err != nil {
+	hdr := IndexHeader{Version: IndexVersion, Slots: 4}
+	if err := m.WriteAt(0, SealFrame(KindIndexHeader, 0, 2, IndexSlotSize, hdr.encode())); err != nil {
 		t.Fatal(err)
 	}
 	sal, err := ParseIndex(m, 0, len(m.b), true)

@@ -64,20 +64,12 @@ const (
 	TypeSocket
 	// TypeCachePage is one page-cache entry (file offset, frame, dirty).
 	TypeCachePage
-	// TypeIndexHeader is the candidate-index header slot the main kernel
-	// maintains in the crash reservation so the crash kernel can seed
-	// resurrection scanners without walking the whole dead heap.
-	TypeIndexHeader
-	// TypeIndexEntry is one candidate-index slot: a compact pointer to a
-	// live process descriptor (PID, record address, generation, names).
-	TypeIndexEntry
 	typeMax
 )
 
 var typeNames = [...]string{
 	"invalid", "globals", "proc", "memregion", "file", "swaptable",
 	"terminal", "signals", "shm", "pipe", "socket", "cachepage",
-	"indexheader", "indexentry",
 }
 
 func (t Type) String() string {
@@ -110,15 +102,26 @@ func IsCorruption(err error) bool {
 	return errors.As(err, &ce)
 }
 
+// Reader is the read-only memory surface every crash-kernel decoder needs.
+// *phys.Mem satisfies it, as do the resurrection engine's byte-counting
+// accessor and *dump.Image, which is how owstat and owdump salvage a dead
+// kernel's structures from a raw dump file.
+type Reader interface {
+	ReadAt(addr uint64, buf []byte) error
+}
+
 // MemoryAccessor is the slice of physical memory behaviour the codec needs.
 // Both kernels satisfy it with *phys.Mem; the resurrection engine wraps it
 // with a byte-counting accessor to produce Table 4.
 type MemoryAccessor interface {
-	ReadAt(addr uint64, buf []byte) error
+	Reader
 	WriteAt(addr uint64, buf []byte) error
 }
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// CRCTable is the Castagnoli (CRC-32C) table behind every checksum the
+// simulated kernels write: records, tail frames, and the resurrection
+// engine's page validation.
+var CRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Seal frames a payload into a complete record image ready to be written to
 // memory.
@@ -129,7 +132,7 @@ func Seal(t Type, flags uint8, payload []byte) []byte {
 	buf[3] = flags
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
 	copy(buf[HeaderSize:], payload)
-	crc := crc32.Checksum(buf[:HeaderSize+len(payload)], crcTable)
+	crc := crc32.Checksum(buf[:HeaderSize+len(payload)], CRCTable)
 	binary.LittleEndian.PutUint32(buf[HeaderSize+len(payload):], crc)
 	return buf
 }
@@ -170,8 +173,8 @@ func ReadRecord(m MemoryAccessor, addr uint64, want Type, verifyCRC bool) (paylo
 	payload = body[:n]
 	if verifyCRC {
 		stored := binary.LittleEndian.Uint32(body[n:])
-		crc := crc32.Checksum(hdr[:], crcTable)
-		crc = crc32.Update(crc, crcTable, payload)
+		crc := crc32.Checksum(hdr[:], CRCTable)
+		crc = crc32.Update(crc, CRCTable, payload)
 		if stored != crc {
 			return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: "checksum mismatch"}
 		}

@@ -252,7 +252,7 @@ func (e *Engine) classifyLazy(pl *plan, cost sim.CostModel) *trace.Event {
 			continue
 		}
 		pg.speculated = true
-		pg.crc = crc32.ChecksumIEEE(pg.data)
+		pg.crc = crc32.Checksum(pg.data, layout.CRCTable)
 		speculated++
 		deferred += int64(len(pg.data))
 		dur += cost.SpecMapCost

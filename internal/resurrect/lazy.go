@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"otherworld/internal/kernel"
+	"otherworld/internal/layout"
 	"otherworld/internal/metrics"
 	"otherworld/internal/phys"
 )
@@ -184,7 +185,7 @@ func (ls *lazyState) resolveEntry(p *kernel.Process, ent *specEntry, trigger str
 	e.specCounter("resurrect_spec_read_bytes_total",
 		"dead-kernel bytes re-read to validate speculated pages", nil).Add(pageBytes)
 	e.K.M.Clock.Advance(cost.SpecValidateCost)
-	if rerr != nil || crc32.ChecksumIEEE(buf) != ent.crc {
+	if rerr != nil || crc32.Checksum(buf, layout.CRCTable) != ent.crc {
 		reason := fmt.Sprintf("crc: page %#x of pid %d failed first-touch validation", ent.va, p.PID)
 		if rerr != nil {
 			reason = fmt.Sprintf("crc: speculated frame %d for page %#x unreadable: %v", ent.deadFrame, ent.va, rerr)

@@ -13,7 +13,7 @@ import (
 )
 
 // parseFuzzRing lands arbitrary bytes in a one-frame ring region and parses
-// it, the same corruption surface FuzzTraceParse exercises.
+// it, the same corruption surface FuzzFrameSalvage exercises.
 func parseFuzzRing(t *testing.T, data []byte) *trace.Parsed {
 	t.Helper()
 	mem := phys.NewMem(2 * phys.PageSize)

@@ -11,42 +11,38 @@
 // injected and had manifested, and the most recent scheduler decisions and
 // syscall/pagefault counter snapshots.
 //
-// Events are CRC-framed exactly like internal/layout records
-// (magic | kind | flags | length | payload | crc32), one event per
-// fixed-size slot, so the parser can tolerate arbitrary corruption of the
-// ring itself: a damaged slot is skipped and counted, never a parse abort.
-// Wild writes land on the ring like on any other memory — the recorder is
-// part of the experiment, not outside it.
+// Each event is one tail frame of the crash reservation (internal/layout's
+// frame codec, shared with the candidate index and the metrics segment),
+// one event per fixed-size slot, stamped with the writing kernel's
+// generation. The parser therefore tolerates arbitrary corruption of the
+// ring itself: a damaged or stale slot is skipped and counted, never a
+// parse abort. Wild writes land on the ring like on any other memory — the
+// recorder is part of the experiment, not outside it.
 package trace
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
+	"otherworld/internal/layout"
 	"otherworld/internal/phys"
 )
-
-// Magic marks a trace slot; deliberately distinct from layout.Magic so a
-// trace slot can never be confused with a kernel record.
-const Magic uint16 = 0x0D7C
 
 // SlotSize is the fixed size of one ring slot in bytes. A frame holds
 // exactly PageSize/SlotSize slots.
 const SlotSize = 128
 
-// Slot framing, mirroring internal/layout records:
-//
-//	magic(2) | kind(1) | flags(1) | payload length(4) | payload | crc32(4)
-const (
-	headerSize  = 8
-	trailerSize = 4
-	maxPayload  = SlotSize - headerSize - trailerSize
-)
-
 // MaxNote bounds the free-text note so an event always fits one slot.
 const MaxNote = 72
+
+// Event payload, inside the slot's tail frame:
+//
+//	kind(1) | seq(8) | cpu(1) | pid(4) | pc(8) | a(8) | b(8) | note length(1) | note
+const (
+	eventFixed = 39
+	maxPayload = eventFixed + MaxNote
+)
 
 // Kind classifies a trace event.
 type Kind uint8
@@ -167,71 +163,45 @@ func UnpackCounters(b uint64) (pageFaults, swapIns uint64) {
 	return b & 0xFFFFFFFF, b >> 32
 }
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// encodeSlot seals an event into a SlotSize-byte image.
-func encodeSlot(ev Event) []byte {
+// encodeEvent writes an event's payload into p and returns its length.
+func encodeEvent(p *[maxPayload]byte, ev Event) int {
 	note := ev.Note
 	if len(note) > MaxNote {
 		note = note[:MaxNote]
 	}
-	payLen := 38 + len(note)
-	buf := make([]byte, SlotSize)
-	binary.LittleEndian.PutUint16(buf[0:], Magic)
-	buf[2] = uint8(ev.Kind)
-	buf[3] = 0 // flags, reserved
-	binary.LittleEndian.PutUint32(buf[4:], uint32(payLen))
-	p := buf[headerSize:]
-	binary.LittleEndian.PutUint64(p[0:], ev.Seq)
-	p[8] = ev.CPU
-	binary.LittleEndian.PutUint32(p[9:], ev.PID)
-	binary.LittleEndian.PutUint64(p[13:], ev.PC)
-	binary.LittleEndian.PutUint64(p[21:], ev.A)
-	binary.LittleEndian.PutUint64(p[29:], ev.B)
-	p[37] = uint8(len(note))
-	copy(p[38:], note)
-	crc := crc32.Checksum(buf[:headerSize+payLen], crcTable)
-	binary.LittleEndian.PutUint32(buf[headerSize+payLen:], crc)
-	return buf
+	p[0] = uint8(ev.Kind)
+	binary.LittleEndian.PutUint64(p[1:], ev.Seq)
+	p[9] = ev.CPU
+	binary.LittleEndian.PutUint32(p[10:], ev.PID)
+	binary.LittleEndian.PutUint64(p[14:], ev.PC)
+	binary.LittleEndian.PutUint64(p[22:], ev.A)
+	binary.LittleEndian.PutUint64(p[30:], ev.B)
+	p[38] = uint8(len(note))
+	return eventFixed + copy(p[eventFixed:], note)
 }
 
-// decodeSlot validates and decodes one slot image. It returns ok=false for
-// anything that fails validation; the caller decides whether the slot was
-// empty or damaged.
-func decodeSlot(buf []byte) (Event, bool) {
-	var ev Event
-	if len(buf) < SlotSize {
-		return ev, false
+// decodeEvent decodes one sound slot frame; ok=false means its payload
+// does not form an event.
+func decodeEvent(f layout.Frame) (Event, bool) {
+	p := f.Payload
+	if len(p) < eventFixed {
+		return Event{}, false
 	}
-	if binary.LittleEndian.Uint16(buf[0:]) != Magic {
-		return ev, false
+	kind := Kind(p[0])
+	noteLen := int(p[38])
+	if kind == KindInvalid || kind >= kindMax || eventFixed+noteLen > len(p) {
+		return Event{}, false
 	}
-	kind := Kind(buf[2])
-	if kind == KindInvalid || kind >= kindMax {
-		return ev, false
-	}
-	payLen := binary.LittleEndian.Uint32(buf[4:])
-	if payLen < 38 || payLen > maxPayload {
-		return ev, false
-	}
-	stored := binary.LittleEndian.Uint32(buf[headerSize+payLen:])
-	if crc32.Checksum(buf[:headerSize+payLen], crcTable) != stored {
-		return ev, false
-	}
-	p := buf[headerSize:]
-	ev.Kind = kind
-	ev.Seq = binary.LittleEndian.Uint64(p[0:])
-	ev.CPU = p[8]
-	ev.PID = binary.LittleEndian.Uint32(p[9:])
-	ev.PC = binary.LittleEndian.Uint64(p[13:])
-	ev.A = binary.LittleEndian.Uint64(p[21:])
-	ev.B = binary.LittleEndian.Uint64(p[29:])
-	noteLen := int(p[37])
-	if 38+noteLen > int(payLen) {
-		return ev, false
-	}
-	ev.Note = string(p[38 : 38+noteLen])
-	return ev, true
+	return Event{
+		Kind: kind,
+		Seq:  binary.LittleEndian.Uint64(p[1:]),
+		CPU:  p[9],
+		PID:  binary.LittleEndian.Uint32(p[10:]),
+		PC:   binary.LittleEndian.Uint64(p[14:]),
+		A:    binary.LittleEndian.Uint64(p[22:]),
+		B:    binary.LittleEndian.Uint64(p[30:]),
+		Note: string(p[eventFixed : eventFixed+noteLen]),
+	}, true
 }
 
 // Ring is the writer side of the flight recorder: the main kernel holds one
@@ -242,6 +212,7 @@ type Ring struct {
 	mem    *phys.Mem
 	region phys.Region
 	slots  int
+	gen    uint32
 	seq    uint64
 	// Dropped counts events whose slot write failed (e.g. the region was
 	// protected by mistake); the recorder must never take the kernel down.
@@ -261,13 +232,14 @@ func FramesFor(maxEvents int) int {
 	return (maxEvents*SlotSize + phys.PageSize - 1) / phys.PageSize
 }
 
-// NewRing prepares a writer over region. The capacity is the number of
-// slots that fit; a zero-frame region yields a nil ring (tracing off).
-func NewRing(mem *phys.Mem, region phys.Region) *Ring {
+// NewRing prepares a writer over region for kernel generation gen. The
+// capacity is the number of slots that fit; a zero-frame region yields a nil
+// ring (tracing off).
+func NewRing(mem *phys.Mem, region phys.Region, gen uint32) *Ring {
 	if region.Frames <= 0 || CapacityOf(region) == 0 {
 		return nil
 	}
-	return &Ring{mem: mem, region: region, slots: CapacityOf(region)}
+	return &Ring{mem: mem, region: region, slots: CapacityOf(region), gen: gen}
 }
 
 // Region returns the physical region backing the ring.
@@ -305,7 +277,9 @@ func (r *Ring) Record(ev Event) {
 	r.seq++
 	slot := int(ev.Seq % uint64(r.slots))
 	addr := phys.FrameAddr(r.region.Start) + uint64(slot*SlotSize)
-	if err := r.mem.WriteAt(addr, encodeSlot(ev)); err != nil {
+	var p [maxPayload]byte
+	n := encodeEvent(&p, ev)
+	if err := r.mem.WriteAt(addr, layout.SealFrame(layout.KindTrace, 0, r.gen, SlotSize, p[:n])); err != nil {
 		r.Dropped++
 	}
 }
@@ -325,13 +299,6 @@ func (r *Ring) Reset() {
 	r.Dropped = 0
 }
 
-// MemoryReader is the read-only slice of memory behaviour parsing needs;
-// *phys.Mem satisfies it, as does the resurrection engine's byte-counting
-// accessor.
-type MemoryReader interface {
-	ReadAt(addr uint64, buf []byte) error
-}
-
 // Parsed is the reader side: the ring recovered from raw physical memory
 // after a failure.
 type Parsed struct {
@@ -346,30 +313,14 @@ type Parsed struct {
 	Capacity int
 }
 
-// Parse scans a ring region slot by slot, tolerating corruption: a slot
-// that is not all-zero and does not validate is counted as damaged and
-// skipped. Parse never fails; an unreadable region yields an empty result
-// with every slot counted damaged.
-func Parse(m MemoryReader, region phys.Region) *Parsed {
-	p := &Parsed{Capacity: CapacityOf(region)}
-	buf := make([]byte, SlotSize)
-	base := phys.FrameAddr(region.Start)
-	for i := 0; i < p.Capacity; i++ {
-		if err := m.ReadAt(base+uint64(i*SlotSize), buf); err != nil {
-			p.Damaged++
-			continue
-		}
-		if allZero(buf) {
-			p.Empty++
-			continue
-		}
-		ev, ok := decodeSlot(buf)
-		if !ok {
-			p.Damaged++
-			continue
-		}
-		p.Events = append(p.Events, ev)
-	}
+// Parse salvages a ring region slot by slot, tolerating corruption: a slot
+// that is not all-zero and does not hold a valid event of the ring's
+// generation is counted as damaged and skipped. Parse never fails; an
+// unreadable region yields an empty result with every slot counted damaged.
+func Parse(m layout.Reader, region phys.Region) *Parsed {
+	span := layout.Span{Base: phys.FrameAddr(region.Start), Count: CapacityOf(region), Size: SlotSize, Kind: layout.KindTrace}
+	events, s := layout.SalvageFrames(m, span, true, decodeEvent)
+	p := &Parsed{Events: events, Capacity: span.Count, Empty: s.Empty, Damaged: s.Damaged + s.Stale}
 	sort.Slice(p.Events, func(i, j int) bool { return p.Events[i].Seq < p.Events[j].Seq })
 	return p
 }
@@ -415,15 +366,6 @@ func eventLess(a, b *Event) bool {
 	default:
 		return a.Note < b.Note
 	}
-}
-
-func allZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // LastOfKind returns the most recent event of kind k, or nil.

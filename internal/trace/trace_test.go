@@ -12,7 +12,7 @@ import (
 func newTestRing(t *testing.T, frames int) (*phys.Mem, *Ring) {
 	t.Helper()
 	mem := phys.NewMem((frames + 2) * phys.PageSize)
-	r := NewRing(mem, phys.Region{Start: 1, Frames: frames})
+	r := NewRing(mem, phys.Region{Start: 1, Frames: frames}, 1)
 	if r == nil {
 		t.Fatal("NewRing returned nil for a non-empty region")
 	}
@@ -135,7 +135,7 @@ func TestNilRingIsSafe(t *testing.T) {
 	if r.Capacity() != 0 || r.Seq() != 0 {
 		t.Fatal("nil ring reported non-zero state")
 	}
-	if got := NewRing(phys.NewMem(phys.PageSize), phys.Region{}); got != nil {
+	if got := NewRing(phys.NewMem(phys.PageSize), phys.Region{}, 1); got != nil {
 		t.Fatal("empty region should yield nil ring")
 	}
 }
@@ -279,5 +279,15 @@ func TestMergeFullTieBreakAcrossShards(t *testing.T) {
 			t.Fatalf("merge order depends on sharding at %d:\n  width8: %+v\n  width1: %+v",
 				i, width8[i], width1[i])
 		}
+	}
+}
+
+// TestRecordAllocatesOnlyTheSlotImage keeps the recorder's hot path lean:
+// sealing an event costs one allocation, the slot image itself.
+func TestRecordAllocatesOnlyTheSlotImage(t *testing.T) {
+	_, r := newTestRing(t, 1)
+	ev := Event{Kind: KindSched, PID: 7, PC: 41, Note: "sched"}
+	if n := testing.AllocsPerRun(100, func() { r.Record(ev) }); n > 1 {
+		t.Fatalf("Record allocates %v times per event, want at most 1", n)
 	}
 }
