@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build test vet lint race fuzz-short owstat-smoke wal-check verify bench bench-diff campaign
+.PHONY: build fmt test vet lint race fuzz-short owstat-smoke wal-check verify bench bench-diff campaign
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails if any Go file is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 # lint runs owvet, the repo's own static-analysis suite (see DESIGN.md
 # "Enforced invariants"): cross-kernel memory discipline, campaign
@@ -60,11 +64,12 @@ wal-check:
 	$(GO) test -run TestWALInvariantCampaign -v ./internal/experiment
 	$(GO) test -run TestWALCrashPointSweep ./internal/workload
 
-# verify is the pre-merge gate: build, vet, owvet lint, full tests, race
-# pass, a short fuzz burst over the crash-kernel decoder surface, the
-# owstat metrics smoke check, the WAL data-survival campaign gate and the
-# fleet-recovery smoke (streaming resurrection over a small population).
-verify: build vet lint test race fuzz-short owstat-smoke wal-check fleet-smoke
+# verify is the pre-merge gate: build, the gofmt check, vet, owvet lint,
+# full tests, race pass, a short fuzz burst over the crash-kernel decoder
+# surface, the owstat metrics smoke check, the WAL data-survival campaign
+# gate and the fleet-recovery smoke (streaming resurrection over a small
+# population).
+verify: build fmt vet lint test race fuzz-short owstat-smoke wal-check fleet-smoke
 
 # A small-population fleet recovery end to end: index-assisted discovery,
 # tier admission, pipelined commit, per-tier table.

@@ -42,13 +42,13 @@ func benchMachine(b *testing.B, seed int64, mutate func(*core.Options)) *core.Ma
 // --- Table 3: overhead of user memory space protection ---------------------
 
 func benchTable3(b *testing.B, app string) {
-	row, err := experiment.MeasureTable3(app, 300, 20100413)
-	if err != nil {
-		b.Fatal(err)
-	}
+	var row experiment.Table3Row
 	for i := 0; i < b.N; i++ {
-		// The measurement above is deterministic; the loop satisfies the
-		// benchmark contract without re-running minutes of simulation.
+		r, err := experiment.MeasureTable3(app, 300, 20100413)
+		if err != nil {
+			b.Fatal(err)
+		}
+		row = r
 	}
 	b.ReportMetric(100*row.TLBMissIncrease, "tlb-miss-increase-%")
 	b.ReportMetric(100*row.Overhead, "overhead-%")
@@ -348,34 +348,6 @@ func BenchmarkRecoveryModes(b *testing.B) {
 		}[r.Mode]
 		b.ReportMetric(r.Interruption.Seconds(), name)
 	}
-}
-
-// --- DESIGN.md ablation: one-record open files vs file/inode/dentry --------
-
-// BenchmarkFileRecordLayouts contrasts the paper's Section 3.1 kernel
-// modification (everything needed to reopen a file in ONE record) against
-// the stock layout where the crash kernel would chase file -> dentry ->
-// inode. Three records mean three validated parses and three corruption
-// opportunities per open file.
-func BenchmarkFileRecordLayouts(b *testing.B) {
-	m := benchMachine(b, 7, nil)
-	d := workload.NewEditorDriver("vi", "vi", 7)
-	if err := d.Start(m); err != nil {
-		b.Fatal(err)
-	}
-	workload.RunUntilIdle(m, d, 50, 2000)
-	_ = m.K.InjectOops("bench")
-	out, err := m.HandleFailure()
-	if err != nil || out.Result != core.ResultRecovered {
-		b.Fatalf("recover: %v %v", out, err)
-	}
-	for i := 0; i < b.N; i++ {
-		// Deterministic measurement outside the loop.
-	}
-	oneRecordParses := float64(1)
-	splitLayoutParses := float64(3) // file + dentry + inode
-	b.ReportMetric(oneRecordParses, "parses/openfile-otherworld")
-	b.ReportMetric(splitLayoutParses, "parses/openfile-stock")
 }
 
 // --- Section 2 comparison: periodic checkpointing overhead vs Otherworld ---

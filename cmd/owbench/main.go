@@ -259,42 +259,13 @@ func fleetCompareMode(population int, seed int64, resWorkers int, lazy bool) err
 
 // --- Perf snapshot (-json): the benchmark trajectory ------------------------
 
+// benchSchemaV7 is the snapshot schema owbench writes; readSnapshot accepts
+// no other.
+const benchSchemaV7 = "otherworld-bench/7"
+
 // benchSnapshot is the BENCH_N.json schema (documented in EXPERIMENTS.md).
 // Every number is derived from the deterministic simulation, so the file is
 // a pure function of the seed and worker knobs.
-//
-// Schema history: otherworld-bench/1 had no Metrics field; /2 embeds the
-// bench scenario's final otherworld-metrics/1 snapshot; /3 adds the
-// campaign-worker sweep benchmark, the campaign_workers knob and the
-// install-phase fast-path counters (pages elided/deduped, flush extents) on
-// the resurrection scenario; /4 adds the demand-paged resurrection entry
-// (resurrect-lazy/mysql-x8), the lazy interruption columns on the table6
-// entries, and changes fastpath-saved-KB from a page-granular estimate to
-// the actual bytes the fast path avoided copying (partial tail pages of
-// non-page-multiple regions no longer overcount); /5 adds the WAL
-// data-survival entry (wal-survival/walkv): both WAL protocol variants run
-// under the block-layer crash model with cold-reboot recovery, reporting
-// post-crash disk audits and recovery-invariant violations per variant; /6
-// adds the span-plane percentile layer: interruption p50/p95/p99 on the
-// campaign entries (nearest-rank over successful recoveries, serial model)
-// and first-touch stall percentiles on the lazy resurrection and table6
-// entries; /7 adds the fleet-scale streaming resurrection pair
-// (fleet-stream/mixed-256 and fleet-batch/mixed-256): per-SLO-tier
-// time-to-first-resume and interruption percentiles at the canonical width,
-// the index-assisted vs full-walk discovery prologue, and the modeled
-// open-loop requests lost per tier.
-// readSnapshot accepts all seven, so older checked-in BENCH_N.json
-// baselines stay readable.
-const (
-	benchSchemaV1 = "otherworld-bench/1"
-	benchSchemaV2 = "otherworld-bench/2"
-	benchSchemaV3 = "otherworld-bench/3"
-	benchSchemaV4 = "otherworld-bench/4"
-	benchSchemaV5 = "otherworld-bench/5"
-	benchSchemaV6 = "otherworld-bench/6"
-	benchSchemaV7 = "otherworld-bench/7"
-)
-
 type benchSnapshot struct {
 	Schema string `json:"schema"`
 	Seed   int64  `json:"seed"`
@@ -304,32 +275,30 @@ type benchSnapshot struct {
 	ResurrectWorkers int `json:"resurrect_workers"`
 	// CanonicalWorkers is the fixed width parallel columns render at.
 	CanonicalWorkers int `json:"canonical_workers"`
-	// CampaignWorkers is the -campaign-workers knob (schema /3); like
-	// ResurrectWorkers it cannot change any metric below — the campaign
-	// sweep is quoted from the modeled schedule, not the live pool.
+	// CampaignWorkers is the -campaign-workers knob; like ResurrectWorkers
+	// it cannot change any metric below — the campaign sweep is quoted
+	// from the modeled schedule, not the live pool.
 	CampaignWorkers int          `json:"campaign_workers,omitempty"`
 	Benchmarks      []benchEntry `json:"benchmarks"`
-	// Metrics is the bench scenario machine's final metrics snapshot
-	// (schema /2 and later). Its logical_now_ns is normalized to zero —
-	// the one worker-schedule-dependent field, excluded here for the same
-	// reason Fingerprint excludes it: the file must stay a pure function
-	// of the seed at any -resurrect-workers width.
+	// Metrics is the bench scenario machine's final metrics snapshot. Its
+	// logical_now_ns is normalized to zero — the one
+	// worker-schedule-dependent field, excluded here for the same reason
+	// Fingerprint excludes it: the file must stay a pure function of the
+	// seed at any -resurrect-workers width.
 	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 }
 
-// readSnapshot decodes a BENCH_N.json file, accepting every schema version
-// this binary has ever written.
+// readSnapshot decodes a BENCH_N.json file of the schema this binary
+// writes.
 func readSnapshot(data []byte) (*benchSnapshot, error) {
 	var s benchSnapshot
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, err
 	}
-	switch s.Schema {
-	case benchSchemaV1, benchSchemaV2, benchSchemaV3, benchSchemaV4, benchSchemaV5, benchSchemaV6, benchSchemaV7:
-		return &s, nil
-	default:
+	if s.Schema != benchSchemaV7 {
 		return nil, fmt.Errorf("unknown bench snapshot schema %q", s.Schema)
 	}
+	return &s, nil
 }
 
 type benchEntry struct {

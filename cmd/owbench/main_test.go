@@ -1,223 +1,18 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"otherworld/internal/metrics"
 )
 
-// TestReadSnapshotCompatV1 pins backward compatibility: the checked-in
-// BENCH_3.json predates the metrics embedding (schema /1) and must keep
-// decoding after the bumps to /2 and /3.
-func TestReadSnapshotCompatV1(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_3.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := readSnapshot(data)
-	if err != nil {
-		t.Fatalf("v1 snapshot no longer decodes: %v", err)
-	}
-	if s.Schema != benchSchemaV1 {
-		t.Fatalf("schema = %q, want %q", s.Schema, benchSchemaV1)
-	}
-	if s.Metrics != nil {
-		t.Fatalf("v1 file decoded with a metrics snapshot: %+v", s.Metrics)
-	}
-	if len(s.Benchmarks) == 0 || s.Seed != 20100413 {
-		t.Fatalf("v1 payload mangled: seed %d, %d benchmarks", s.Seed, len(s.Benchmarks))
-	}
-	if s.Benchmarks[0].Name != "resurrect-parallel/mysql-x8" {
-		t.Fatalf("benchmark order changed: %q", s.Benchmarks[0].Name)
-	}
-}
-
+// TestReadSnapshotRejectsUnknownSchema pins the decoder to the one schema
+// it writes: a future schema and every retired one are refused.
 func TestReadSnapshotRejectsUnknownSchema(t *testing.T) {
-	if _, err := readSnapshot([]byte(`{"schema":"otherworld-bench/99"}`)); err == nil {
-		t.Fatal("unknown schema accepted")
-	}
-}
-
-// TestReadSnapshotCompatV2 pins the /2 shape: an embedded metrics snapshot
-// but no campaign_workers knob and no campaign sweep entry. Files written
-// by the previous binary must keep decoding after the bump to /3.
-func TestReadSnapshotCompatV2(t *testing.T) {
-	v2 := []byte(`{
-		"schema": "otherworld-bench/2",
-		"seed": 20100413,
-		"resurrect_workers": 2,
-		"canonical_workers": 4,
-		"benchmarks": [
-			{"name": "resurrect-parallel/mysql-x8",
-			 "metrics": {"serial-s": 56.0, "sched-4w-s": 14.0}}
-		],
-		"metrics": {
-			"schema": "otherworld-metrics/1",
-			"logical_now_ns": 0,
-			"metrics": [
-				{"name": "resurrect_runs_total", "kind": "counter", "value": 1}
-			]
-		}
-	}`)
-	s, err := readSnapshot(v2)
-	if err != nil {
-		t.Fatalf("v2 snapshot no longer decodes: %v", err)
-	}
-	if s.Schema != benchSchemaV2 || s.CampaignWorkers != 0 {
-		t.Fatalf("schema=%q campaign_workers=%d, want /2 with zero knob",
-			s.Schema, s.CampaignWorkers)
-	}
-	if s.Metrics == nil || s.Metrics.LogicalNowNS != 0 {
-		t.Fatalf("v2 embedded metrics mangled: %+v", s.Metrics)
-	}
-	if p := s.Metrics.Get("resurrect_runs_total", nil); p == nil || p.Value != 1 {
-		t.Fatalf("resurrect_runs_total = %+v", p)
-	}
-	if len(s.Benchmarks) != 1 || s.Benchmarks[0].Metrics["serial-s"] != 56.0 {
-		t.Fatalf("v2 benchmarks mangled: %+v", s.Benchmarks)
-	}
-}
-
-// TestReadSnapshotCompatV3 pins the /3 shape: the campaign_workers knob and
-// the campaign sweep entry, but no lazy resurrection entry. Files written by
-// the previous binary must keep decoding after the bump to /4.
-func TestReadSnapshotCompatV3(t *testing.T) {
-	v3 := []byte(`{
-		"schema": "otherworld-bench/3",
-		"seed": 20100413,
-		"resurrect_workers": 2,
-		"canonical_workers": 4,
-		"campaign_workers": 4,
-		"benchmarks": [
-			{"name": "resurrect-parallel/mysql-x8",
-			 "metrics": {"serial-s": 56.0, "pages-elided": 500, "fastpath-saved-KB": 2000}},
-			{"name": "campaign-parallel/vi",
-			 "metrics": {"serial-s": 120.0, "experiments": 8}}
-		]
-	}`)
-	s, err := readSnapshot(v3)
-	if err != nil {
-		t.Fatalf("v3 snapshot no longer decodes: %v", err)
-	}
-	if s.Schema != benchSchemaV3 || s.CampaignWorkers != 4 {
-		t.Fatalf("schema=%q campaign_workers=%d, want /3 with knob 4",
-			s.Schema, s.CampaignWorkers)
-	}
-	if len(s.Benchmarks) != 2 || s.Benchmarks[1].Name != "campaign-parallel/vi" {
-		t.Fatalf("v3 benchmarks mangled: %+v", s.Benchmarks)
-	}
-	for _, b := range s.Benchmarks {
-		if _, lazy := b.Metrics["pages-speculated"]; lazy {
-			t.Fatalf("v3 file grew a /4 metric on decode: %+v", b)
-		}
-	}
-}
-
-// TestReadSnapshotCompatV4 pins the /4 shape against the checked-in
-// BENCH_6.json baseline: the lazy resurrection entry and lazy table6
-// columns, but no wal-survival entry. Files written by the previous binary
-// must keep decoding (and keep driving -bench-diff) after the bump to /5.
-func TestReadSnapshotCompatV4(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_6.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := readSnapshot(data)
-	if err != nil {
-		t.Fatalf("v4 snapshot no longer decodes: %v", err)
-	}
-	if s.Schema != benchSchemaV4 {
-		t.Fatalf("schema = %q, want %q", s.Schema, benchSchemaV4)
-	}
-	var sawLazy bool
-	for _, b := range s.Benchmarks {
-		if b.Name == "resurrect-lazy/mysql-x8" {
-			sawLazy = true
-		}
-		if b.Name == "wal-survival/walkv" {
-			t.Fatalf("v4 file grew a /5 entry on decode: %+v", b)
-		}
-	}
-	if !sawLazy {
-		t.Fatalf("v4 payload mangled: no lazy entry in %d benchmarks", len(s.Benchmarks))
-	}
-}
-
-// TestReadSnapshotCompatV5 pins the /5 shape: the wal-survival entry is
-// present but none of the /6 span-plane percentile metrics are. Files
-// written by the previous binary must keep decoding (and keep driving
-// -bench-diff) after the bump to /6.
-func TestReadSnapshotCompatV5(t *testing.T) {
-	v5 := []byte(`{
-		"schema": "otherworld-bench/5",
-		"seed": 20100413,
-		"resurrect_workers": 2,
-		"canonical_workers": 4,
-		"campaign_workers": 4,
-		"benchmarks": [
-			{"name": "resurrect-lazy/mysql-x8",
-			 "metrics": {"serial-s": 9.5, "pages-speculated": 900, "collapse-x": 6.0}},
-			{"name": "wal-survival/walkv",
-			 "metrics": {"audits-fixed": 24, "audits-buggy": 24,
-			             "violations-fixed": 0, "violations-buggy": 5, "serial-s": 3.0}}
-		]
-	}`)
-	s, err := readSnapshot(v5)
-	if err != nil {
-		t.Fatalf("v5 snapshot no longer decodes: %v", err)
-	}
-	if s.Schema != benchSchemaV5 {
-		t.Fatalf("schema = %q, want %q", s.Schema, benchSchemaV5)
-	}
-	var sawWAL bool
-	for _, b := range s.Benchmarks {
-		if b.Name == "wal-survival/walkv" {
-			sawWAL = true
-		}
-		if _, grew := b.Metrics["first-touch-p99-us"]; grew {
-			t.Fatalf("v5 file grew a /6 metric on decode: %+v", b)
-		}
-	}
-	if !sawWAL {
-		t.Fatalf("v5 payload mangled: no wal-survival entry in %d benchmarks", len(s.Benchmarks))
-	}
-}
-
-// TestReadSnapshotCompatV6 pins the /6 shape: the span-plane percentile
-// metrics are present but no fleet entries. Files written by the previous
-// binary must keep decoding (and keep driving -bench-diff) after /7.
-func TestReadSnapshotCompatV6(t *testing.T) {
-	v6 := []byte(`{
-		"schema": "otherworld-bench/6",
-		"seed": 20100413,
-		"resurrect_workers": 2,
-		"canonical_workers": 4,
-		"campaign_workers": 4,
-		"benchmarks": [
-			{"name": "resurrect-lazy/mysql-x8",
-			 "metrics": {"serial-s": 9.5, "first-touch-n": 500,
-			             "first-touch-p50-us": 3, "first-touch-p99-us": 12}},
-			{"name": "campaign-parallel/vi",
-			 "metrics": {"serial-s": 120.0, "interruption-p50-s": 14.0,
-			             "interruption-p99-s": 20.0}}
-		]
-	}`)
-	s, err := readSnapshot(v6)
-	if err != nil {
-		t.Fatalf("v6 snapshot no longer decodes: %v", err)
-	}
-	if s.Schema != benchSchemaV6 {
-		t.Fatalf("schema = %q, want %q", s.Schema, benchSchemaV6)
-	}
-	for _, b := range s.Benchmarks {
-		if _, grew := b.Metrics["tier0-first-resume-s"]; grew {
-			t.Fatalf("v6 file grew a /7 metric on decode: %+v", b)
-		}
-		if b.Name == "fleet-stream/mixed-256" {
-			t.Fatalf("v6 file grew a /7 entry on decode: %+v", b)
+	for _, schema := range []string{"otherworld-bench/99", "otherworld-bench/6", "otherworld-bench/1"} {
+		if _, err := readSnapshot([]byte(`{"schema":"` + schema + `"}`)); err == nil {
+			t.Fatalf("schema %q accepted", schema)
 		}
 	}
 }

@@ -136,8 +136,8 @@ type FlowIndex struct {
 	pkgs    []*Package
 	byTypes map[*types.Package]*Package
 
-	funcs    map[*types.Func]*flowFunc
-	pkgFns   map[*Package][]*flowFunc
+	funcs  map[*types.Func]*flowFunc
+	pkgFns map[*Package][]*flowFunc
 	// summaries is the function-summary cache, keyed by package: a
 	// package's map is computed once (imports first, worklist to fixpoint
 	// within the package) and then only read.

@@ -60,7 +60,7 @@ type Table5Row struct {
 	// FirstTouchSamples counts demand-fault stalls observed across the
 	// unprotected pass's successful recoveries (lazy campaigns only); the
 	// percentiles below summarize them.
-	FirstTouchSamples int
+	FirstTouchSamples                           int
 	P50FirstTouch, P95FirstTouch, P99FirstTouch time.Duration
 	// Attributions tallies every non-success failure mode, aggregated by
 	// structured attribution (stage, resurrection phase, panic kind,

@@ -12,8 +12,8 @@ import (
 	"otherworld/internal/trace"
 )
 
-// The install-phase memory fast path, run as a serial classification pass
-// between the parallel scan and the serial install:
+// The install-phase memory fast path, run as each candidate's commit
+// classifies its scanned plan just before installing it:
 //
 //   - all-zero pages are elided: instead of copying 4 KB out of the dead
 //     kernel, the install maps a freshly zero-filled frame
@@ -26,22 +26,22 @@ import (
 //     the canonical copy, so a page mutated by one resurrected process can
 //     never leak into another candidate's address space.
 //
-// With the lazy install enabled (Engine.LazyInstall) the pass additionally
-// decides, per candidate, whether the demand-paged path is safe: a read-only
-// validation checks that every frame the candidate would speculate is an
-// adoptable dead user frame no other speculation has claimed. Candidates
-// that pass keep their non-zero resident pages speculated — mapped
-// copy-on-access, CRC-stamped here so the first touch can validate the
-// frame — while candidates that fail fall back to the eager classification
-// above, with the refusal recorded as structured attribution
-// (plan.fallbackReason → ProcReport.SpecFallback).
+// With the lazy install enabled (Engine.LazyInstall) the classification
+// additionally decides, per candidate, whether the demand-paged path is
+// safe: a read-only validation checks that every frame the candidate would
+// speculate is an adoptable dead user frame no other speculation has
+// claimed. Candidates that pass keep their non-zero resident pages
+// speculated — mapped copy-on-access, CRC-stamped here so the first touch
+// can validate the frame — while candidates that fail fall back to the
+// eager classification above, with the refusal recorded as structured
+// attribution (plan.fallbackReason → ProcReport.SpecFallback).
 //
-// Classification is serial and in stable candidate order, so which page is
-// canonical, which frame is speculated — and therefore every charged
-// duration, counter and trace event — is a pure function of the candidate
-// set, never of the scan pool's width or timing. The scan defers the
-// resident-copy bandwidth charge to this pass (see scanPages); byte
-// *accounting* is unchanged, since the scan still reads every frame to
+// Classification runs inside the serialized commit, in commit order, so
+// which page is canonical, which frame is speculated — and therefore every
+// charged duration, counter and trace event — is a pure function of the
+// candidate order, never of the scan pool's width or timing. The scan
+// defers the resident-copy bandwidth charge to this step (see scanPages);
+// byte *accounting* is unchanged, since the scan still reads every frame to
 // classify it.
 
 // pageHash is FNV-1a over the page contents: fast, deterministic and good
@@ -77,31 +77,13 @@ func pageLiveBytes(regions []*layout.MemRegion, va uint64) int64 {
 	return int64(end - va)
 }
 
-// classifyPlans mutates each plan's resident pages in place — marking
-// zero-elided, deduplicated or (lazy install) speculated pages — and charges
-// the deferred page-copy time to the plan's PhasePageCopy duration and
-// scanDur. It returns one trace event per classified candidate (Seq is
-// candidate-local logical time, so the merged trace is identical at any
-// scan-pool width): "fastpath" for eager candidates, "speculate" for lazy
-// ones.
-func (e *Engine) classifyPlans(plans []*plan) []trace.Event {
-	ctx := e.newClassifyCtx()
-	var events []trace.Event
-	for _, pl := range plans {
-		if ev := e.classifyPlan(pl, ctx); ev != nil {
-			events = append(events, *ev)
-		}
-	}
-	return events
-}
-
 // classifyCtx is the cross-candidate classification state: the dedup
 // cache's canonical copies and the dead frames already promised to an
 // earlier candidate's speculation (two page tables referencing one frame
 // — COW sharing — cannot both adopt it, so the later candidate falls
-// back). The streaming pass shares one ctx across its pipelined commits,
-// which run in strict admission order, so which copy is canonical stays a
-// pure function of the admission sequence at any worker width.
+// back). The pass shares one ctx across its commits, which run in strict
+// commit order, so which copy is canonical stays a pure function of the
+// candidate order at any worker width.
 type classifyCtx struct {
 	cost     sim.CostModel
 	cache    map[uint64][]byte
@@ -116,9 +98,13 @@ func (e *Engine) newClassifyCtx() *classifyCtx {
 	}
 }
 
-// classifyPlan classifies one plan against the shared context; see
-// classifyPlans for the batch loop and the streaming commit for the
-// per-candidate pipelined call site.
+// classifyPlan mutates one plan's resident pages in place — marking
+// zero-elided, deduplicated or (lazy install) speculated pages — and
+// charges the deferred page-copy time to the plan's PhasePageCopy duration
+// and scanDur. It returns the candidate's trace event, nil when it had no
+// resident page to classify (Seq is candidate-local logical time, so the
+// merged trace is identical at any scan-pool width): "fastpath" for eager
+// candidates, "speculate" for lazy ones.
 func (e *Engine) classifyPlan(pl *plan, ctx *classifyCtx) *trace.Event {
 	if e.LazyInstall {
 		if reason := e.vetSpeculation(pl, ctx.proposed); reason == "" {
@@ -135,10 +121,14 @@ func (e *Engine) classifyPlan(pl *plan, ctx *classifyCtx) *trace.Event {
 
 // vetSpeculation is the lazy install's read-only safety check: it returns ""
 // when every frame the candidate would speculate is inside physical memory,
-// still tagged as a dead user frame, adoptable by the crash kernel's
-// allocator and not yet promised to an earlier speculation — and records the
-// passing frames in proposed. Any scan-side error also refuses speculation,
-// so a failing candidate replays the eager engine's exact branching.
+// not yet promised to an earlier speculation, still tagged as a dead user
+// frame and adoptable by the crash kernel's allocator — and records the
+// passing frames in proposed. The proposed check comes before the tag and
+// adopt checks: by the time a candidate commits, an earlier candidate's
+// install has already adopted the frames it speculated, and the refusal
+// must still name the earlier speculation. Any scan-side error also refuses
+// speculation, so a failing candidate replays the eager engine's exact
+// branching.
 func (e *Engine) vetSpeculation(pl *plan, proposed map[int]bool) string {
 	if pl.parseErr != nil || pl.regionsErr != nil || pl.pagesErr != nil ||
 		pl.shmErr != nil || (pl.filesErr != nil && !layout.IsCorruption(pl.filesErr)) {
@@ -153,13 +143,13 @@ func (e *Engine) vetSpeculation(pl *plan, proposed map[int]bool) string {
 		switch {
 		case pg.frame < 0 || pg.frame >= e.K.M.Mem.NumFrames():
 			return fmt.Sprintf("frame-validation: page %#x references frame %d beyond memory", pg.va, pg.frame)
+		case proposed[pg.frame]:
+			return fmt.Sprintf("frame-validation: page %#x frame %d already speculated by an earlier candidate", pg.va, pg.frame)
 		case e.K.M.Mem.Kind(pg.frame) != phys.FrameUser:
 			return fmt.Sprintf("frame-validation: page %#x frame %d is %v, not a dead user frame",
 				pg.va, pg.frame, e.K.M.Mem.Kind(pg.frame))
 		case !e.K.Alloc.CanAdopt(pg.frame):
 			return fmt.Sprintf("frame-validation: page %#x frame %d already managed by the crash kernel", pg.va, pg.frame)
-		case proposed[pg.frame]:
-			return fmt.Sprintf("frame-validation: page %#x frame %d already speculated by an earlier candidate", pg.va, pg.frame)
 		}
 		mine = append(mine, pg.frame)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // installOne rebuilds a single process from its scanned plan. It runs
-// serially, in stable candidate order, and is the only place the crash
+// serially, in the pass's commit order, and is the only place the crash
 // kernel is mutated — so PIDs, frame allocation, FS contents and crash
 // procedure effects are identical no matter how many workers scanned.
 //

@@ -408,6 +408,89 @@ func TestLazyValidationFallbackMatchesEager(t *testing.T) {
 	}
 }
 
+// ptePhysAddr returns the physical address of p's page-table entry for va
+// in the (dead) image the process's page directory points into.
+func ptePhysAddr(t *testing.T, m *core.Machine, p *kernel.Process, va uint64) uint64 {
+	t.Helper()
+	dir, table, _, ok := layout.VirtSplit(va)
+	if !ok {
+		t.Fatalf("va %#x outside the mappable range", va)
+	}
+	dirEnt, err := m.HW.Mem.ReadU64(p.D.PageDir + uint64(dir)*layout.PTESize)
+	if err != nil || dirEnt == 0 {
+		t.Fatalf("pid %d: no page table for %#x (%v)", p.PID, va, err)
+	}
+	return dirEnt + uint64(table)*layout.PTESize
+}
+
+// TestLazySharedFrameRefusedInEitherPass aliases the second fp-prog's
+// pattern-page PTE onto the first one's frame in the dead image, so two lazy
+// candidates' plans name the same dead frame. Whichever candidate commits
+// first speculates the frame, and its install adopts it (tagging it
+// FrameSpeculated) before the second candidate is classified. The second must
+// still be refused for the earlier speculation — not for the frame's new tag
+// — in both the batch and the streamed pass.
+func TestLazySharedFrameRefusedInEitherPass(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		name := "batch"
+		if stream {
+			name = "stream"
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := core.DefaultOptions()
+			opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
+			opts.CrashRegionMB = 16
+			opts.Seed = 31
+			opts.LazyInstall = true
+			opts.Resurrection.Stream = stream
+			m, err := core.NewMachine(opts)
+			if err != nil {
+				t.Fatalf("NewMachine: %v", err)
+			}
+			pa, err := m.Start("fp-a", "fp-prog")
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := m.Start("fp-b", "fp-prog")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run(20)
+			if err := m.K.InjectOops("shared frame"); err == nil {
+				t.Fatal("InjectOops returned nil")
+			}
+			pte, err := m.HW.Mem.ReadU64(ptePhysAddr(t, m, pa, fpVA))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.HW.Mem.WriteU64(ptePhysAddr(t, m, pb, fpVA), pte); err != nil {
+				t.Fatal(err)
+			}
+			out, err := m.HandleFailure()
+			if err != nil {
+				t.Fatalf("HandleFailure: %v", err)
+			}
+			if out.Result != core.ResultRecovered || len(out.Report.Procs) != 2 {
+				t.Fatalf("result %v with %d procs", out.Result, len(out.Report.Procs))
+			}
+			first, second := out.Report.Procs[0], out.Report.Procs[1]
+			if first.SpecFallback != "" || first.PagesSpeculated != 2 {
+				t.Fatalf("first pid %d: speculated %d, fallback %q; want 2 and none",
+					first.Candidate.PID, first.PagesSpeculated, first.SpecFallback)
+			}
+			const want = "already speculated by an earlier candidate"
+			if !strings.Contains(second.SpecFallback, want) {
+				t.Fatalf("second pid %d SpecFallback = %q, want %q",
+					second.Candidate.PID, second.SpecFallback, want)
+			}
+			if second.PagesSpeculated != 0 || second.Outcome != resurrect.OutcomeContinued {
+				t.Fatalf("second pid %d: speculated %d, outcome %v (err %v)",
+					second.Candidate.PID, second.PagesSpeculated, second.Outcome, second.Err)
+			}
+		})
+	}
+}
+
 // specCorrupt wires the mid-resume corruption crash procedure to the test:
 // the procedure runs inside the install phase, smashes every speculated
 // frame through raw physical memory, then touches its own page — the CRC

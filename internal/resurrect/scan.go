@@ -18,13 +18,14 @@ import (
 //
 //   - scan (this file): per-candidate, read-only decoding of the dead
 //     kernel's structures into a plan. Scans never touch the crash kernel's
-//     state, so a pool of workers can run them concurrently — each worker
+//     state, so a pool of workers can run them concurrently — each scan
 //     owns its own counting reader, Accounting shard and virtual-time
 //     ledger.
-//   - install (install.go): serial, in stable candidate order, consuming
-//     the plans. All crash-kernel mutation (PID allocation, frame installs,
-//     FS writes, crash procedures) happens here, so the new kernel's state
-//     is byte-identical no matter how many workers scanned.
+//   - install (install.go): one candidate at a time, in the pass's commit
+//     order (stream.go), consuming each plan once its scan is done. All
+//     crash-kernel mutation (PID allocation, frame installs, FS writes,
+//     crash procedures) happens here, so the new kernel's state is
+//     byte-identical no matter how many workers scanned.
 
 // phaseScan is the scan-side metric bundle for one timeline phase: bytes
 // read from the dead kernel, pages handled, and ledger time spent.
@@ -134,8 +135,8 @@ type plan struct {
 	// installs eagerly, through the ordinary full-copy classification.
 	fallbackReason string
 	// resumeClock is the scratch-clock instant the process became runnable
-	// (context installed). Run seeds it with -1; eager installs leave it
-	// there, meaning the candidate blocked until its install finished.
+	// (context installed). The commit seeds it with -1; eager installs leave
+	// it there, meaning the candidate blocked until its install finished.
 	resumeClock time.Duration
 }
 

@@ -76,17 +76,14 @@ func (t *Tree) WriteTraceEvents(w io.Writer) error {
 }
 
 // usec renders nanoseconds as microseconds with a fixed three-digit
-// fraction ("1234.567", "-0.500") — plain integer math, no floats.
+// fraction ("1234.567", "-0.500") — plain integer math, no floats. The
+// magnitude is unsigned so math.MinInt64 renders too.
 func usec(ns int64) string {
-	neg := ns < 0
-	if neg {
-		ns = -ns
+	sign, mag := "", uint64(ns)
+	if ns < 0 {
+		sign, mag = "-", -mag
 	}
-	s := fmt.Sprintf("%d.%03d", ns/1000, ns%1000)
-	if neg {
-		return "-" + s
-	}
-	return s
+	return fmt.Sprintf("%s%d.%03d", sign, mag/1000, mag%1000)
 }
 
 // jsonString renders s as a JSON string literal via encoding/json, which is

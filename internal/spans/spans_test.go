@@ -3,6 +3,7 @@ package spans
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -183,14 +184,19 @@ func TestPercentileNearestRank(t *testing.T) {
 
 // FuzzSpanBuild feeds arbitrary bytes through the flight-recorder parser
 // into the span builder, alongside a synthetic report whose schedule inputs
-// and timelines the fuzzer also skews. The builder's contract is total:
-// skip-and-count, never a panic or an abort, and the critical-path shares
-// still sum exactly to the interruption.
+// and timelines the fuzzer also skews — for a streamed report too, whose
+// scan/install split and tiers it sizes independently of the candidates.
+// Build's contract is total: skip-and-count, never a panic or an abort,
+// and the critical-path shares still sum exactly to the interruption.
 func FuzzSpanBuild(f *testing.F) {
-	f.Add([]byte{}, uint8(2), int64(1e6), int64(5e7))
-	f.Add([]byte{0x7C, 0x0D, 1, 0}, uint8(9), int64(-5), int64(0))
-	f.Add(make([]byte, 300), uint8(0), int64(1e9), int64(-1))
-	f.Fuzz(func(t *testing.T, ring []byte, nCand uint8, spanNS, interruptNS int64) {
+	f.Add([]byte{}, uint8(2), int64(1e6), int64(5e7), false, int64(0), uint8(0))
+	f.Add([]byte{0x7C, 0x0D, 1, 0}, uint8(9), int64(-5), int64(0), false, int64(0), uint8(0))
+	f.Add(make([]byte, 300), uint8(0), int64(1e9), int64(-1), false, int64(0), uint8(0))
+	f.Add([]byte{}, uint8(6), int64(3e6), int64(8e7), true, int64(1e6), uint8(6))
+	f.Add([]byte{}, uint8(7), int64(math.MaxInt64), int64(1), true, int64(-7), uint8(0x2B))
+	f.Add([]byte{}, uint8(5), int64(2e6), int64(0), true, int64(math.MaxInt64), uint8(5))
+	f.Fuzz(func(t *testing.T, ring []byte, nCand uint8, spanNS, interruptNS int64,
+		streamed bool, scanNS int64, split uint8) {
 		parsed := parseFuzzRing(t, ring)
 
 		rep := &resurrect.Report{
@@ -214,6 +220,28 @@ func FuzzSpanBuild(f *testing.F) {
 		rep.Duration = rep.Prologue
 		for _, d := range rep.PerCandidate {
 			rep.Duration += d
+		}
+		if streamed {
+			// The split matches the candidates unless a bit of split says
+			// otherwise; scanNS may exceed the candidate span, and the tiers
+			// run out of range.
+			rep.Streamed = true
+			nScan, nInstall := len(rep.PerCandidate), len(rep.PerCandidate)
+			if split&1 != 0 {
+				nScan = int(split>>2) % 8
+			}
+			if split&2 != 0 {
+				nInstall = int(split>>5) % 8
+			}
+			for i := 0; i < nScan; i++ {
+				rep.PerScan = append(rep.PerScan, time.Duration(scanNS))
+			}
+			for i := 0; i < nInstall; i++ {
+				rep.PerInstall = append(rep.PerInstall, time.Duration(spanNS-scanNS))
+			}
+			for i := 0; i < int(split%9); i++ {
+				rep.Tiers = append(rep.Tiers, int(scanNS%5)-1)
+			}
 		}
 
 		tree, err := Build(Input{
