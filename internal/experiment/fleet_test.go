@@ -165,7 +165,9 @@ func TestFleetStreamingTier0FirstResume(t *testing.T) {
 // TestFleetWidthDeterminism is the 1-vs-8 golden: every fingerprinted
 // observable of the fleet recovery — resurrection report, per-tier table,
 // span tree — must be byte-identical when only the live worker widths
-// change. Eager and lazy, against committed goldens.
+// change. Eager and lazy, against committed goldens. Each recovery's
+// critical path must also read the streamed pass's own schedule
+// (checkCriticalPath).
 func TestFleetWidthDeterminism(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		name := "eager"
@@ -188,6 +190,7 @@ func TestFleetWidthDeterminism(t *testing.T) {
 				}
 				print := res.Outcome.Report.Fingerprint() + res.RenderFleetTable() + tree.Fingerprint()
 				prints = append(prints, print)
+				checkCriticalPath(t, res.Machine, res.Outcome, "fleet", cfg.Seed, lazy)
 			}
 			if prints[0] != prints[1] {
 				t.Fatalf("fleet observables differ between 1 and 8 workers:\n--- w=1\n%s\n--- w=8\n%s",

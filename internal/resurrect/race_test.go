@@ -1,11 +1,15 @@
 package resurrect_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"otherworld/internal/core"
 	"otherworld/internal/hw"
+	"otherworld/internal/kernel"
+	"otherworld/internal/layout"
+	"otherworld/internal/phys"
 	"otherworld/internal/resurrect"
 )
 
@@ -76,6 +80,91 @@ func TestWorkerPoolCorruptedPageTable(t *testing.T) {
 	// The failure handling itself must stay deterministic across widths.
 	if fp1, fp4 := run(1).Fingerprint(), rep4.Fingerprint(); fp1 != fp4 {
 		t.Fatalf("corrupted-candidate fingerprint differs between Workers=1 and Workers=4")
+	}
+}
+
+// TestBatchScanBarrier aims the second candidate's dead PTE at the frame the
+// first candidate's install allocates, with marker bytes in that frame. A
+// batch pass finishes every scan before the first install, so the second
+// candidate must come back with the dead frame's marker, not the first
+// install's page, and the report must not depend on the pool width.
+func TestBatchScanBarrier(t *testing.T) {
+	crash := func(workers int) (*core.Machine, []*kernel.Process) {
+		opts := core.DefaultOptions()
+		opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
+		opts.CrashRegionMB = 16
+		opts.Seed = 31
+		opts.Resurrection.Workers = workers
+		m, err := core.NewMachine(opts)
+		if err != nil {
+			t.Fatalf("NewMachine: %v", err)
+		}
+		var procs []*kernel.Process
+		for _, name := range []string{"fp-a", "fp-b"} {
+			p, err := m.Start(name, "fp-prog")
+			if err != nil {
+				t.Fatal(err)
+			}
+			procs = append(procs, p)
+		}
+		m.Run(20)
+		if err := m.K.InjectOops("scan barrier"); err == nil {
+			t.Fatal("InjectOops returned nil")
+		}
+		return m, procs
+	}
+	recoverAll := func(m *core.Machine) *resurrect.Report {
+		out, err := m.HandleFailure()
+		if err != nil {
+			t.Fatalf("HandleFailure: %v", err)
+		}
+		if out.Result != core.ResultRecovered || len(out.Report.Procs) != 2 {
+			t.Fatalf("result %v with %d procs", out.Result, len(out.Report.Procs))
+		}
+		return out.Report
+	}
+
+	// A clean pass names the frame the first install fills with its
+	// pattern page.
+	m, _ := crash(1)
+	first := recoverAll(m).Procs[0]
+	pte, err := m.HW.Mem.ReadU64(ptePhysAddr(t, m, m.K.Lookup(first.NewPID), fpVA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := layout.PTE(pte).Frame()
+
+	marker := bytes.Repeat([]byte("dead"), phys.PageSize/4)
+	run := func(workers int) *resurrect.Report {
+		m, procs := crash(workers)
+		victim := procs[0]
+		if victim.PID == first.Candidate.PID {
+			victim = procs[1]
+		}
+		if err := m.HW.Mem.WriteAt(phys.FrameAddr(frame), marker); err != nil {
+			t.Fatal(err)
+		}
+		wild := uint64(layout.MakePresentPTE(frame, true))
+		if err := m.HW.Mem.WriteU64(ptePhysAddr(t, m, victim, fpVA+phys.PageSize), wild); err != nil {
+			t.Fatal(err)
+		}
+		rep := recoverAll(m)
+		second := rep.Procs[1]
+		if second.Candidate.PID != victim.PID {
+			t.Fatalf("workers=%d: second candidate pid %d, want %d", workers, second.Candidate.PID, victim.PID)
+		}
+		got := make([]byte, phys.PageSize)
+		if err := m.K.ReadVM(m.K.Lookup(second.NewPID), fpVA+phys.PageSize, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, marker) {
+			t.Errorf("workers=%d: second candidate's page reads %q..., want the dead frame's %q...",
+				workers, got[:8], marker[:8])
+		}
+		return rep
+	}
+	if fp1, fp8 := run(1).Fingerprint(), run(8).Fingerprint(); fp1 != fp8 {
+		t.Fatalf("fingerprint differs between Workers=1 and Workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s", fp1, fp8)
 	}
 }
 
