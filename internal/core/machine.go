@@ -565,7 +565,7 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	// outside the alternate slot, which must stay clear for the next
 	// crash image (the "extra page descriptors" of Section 3.2).
 	nextSlot := m.slots[1-m.imageSlot]
-	crashK.Alloc.AddFreeFrames(m.HW.Mem, phys.Region{Start: 0, Frames: nextSlot.Start})
+	crashK.Alloc.AddFreeFrames(phys.Region{Start: 0, Frames: nextSlot.Start})
 
 	engine := resurrect.NewEngine(crashK, kernel.GlobalsAddr, m.opts.VerifyCRC)
 	engine.MapPages = m.opts.MapPagesResurrection

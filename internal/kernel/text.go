@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
 
 	"otherworld/internal/phys"
@@ -17,12 +18,21 @@ import (
 // The text bytes are a deterministic pattern derived from the kernel seed,
 // so corruption is detectable by comparison — the simulator's stand-in for
 // "the CPU decoded a clobbered instruction", not a kernel integrity check.
+//
+// A Text is used by one goroutine at a time (its kernel's); decided and
+// live are unsynchronized.
 type Text struct {
 	mem   *phys.Mem
 	base  uint64
 	size  int
 	seed  int64
 	funcs [funcCount]TextFunc
+	// pristine is the whole region as NewText wrote it: CheckExecute
+	// compares the bytes it reads against it.
+	pristine []byte
+	// live receives CheckExecute's read of a function's bytes; it is as
+	// long as the largest function.
+	live []byte
 	// decided remembers the behaviour assigned to each corrupted byte the
 	// first time it executes: a real clobbered instruction misbehaves the
 	// same way every time it runs.
@@ -142,24 +152,26 @@ func NewText(mem *phys.Mem, alloc *phys.FrameAllocator, region phys.Region, seed
 		seed:    seed,
 		decided: make(map[uint64]Misbehavior),
 	}
-	off := 0
+	off, longest := 0, 0
 	for id := FuncID(0); id < funcCount; id++ {
 		t.funcs[id] = TextFunc{Name: funcNames[id], Start: off, Len: funcSizes[id]}
 		off += funcSizes[id]
+		longest = max(longest, funcSizes[id])
 	}
 	if off > t.size {
 		return nil, fmt.Errorf("kernel: text functions exceed region")
 	}
-	buf := make([]byte, phys.PageSize)
-	for f := start; f < start+TextFrames; f++ {
-		if err := alloc.Claim(f, phys.FrameKernelText); err != nil {
+	t.pristine = make([]byte, t.size)
+	for i := range t.pristine {
+		t.pristine[i] = t.expected(t.base + uint64(i))
+	}
+	t.live = make([]byte, longest)
+	for i := 0; i < TextFrames; i++ {
+		if err := alloc.Claim(start+i, phys.FrameKernelText); err != nil {
 			return nil, err
 		}
-		base := phys.FrameAddr(f)
-		for i := range buf {
-			buf[i] = t.expected(base + uint64(i))
-		}
-		if err := mem.WriteAt(base, buf); err != nil {
+		page := t.pristine[i*phys.PageSize : (i+1)*phys.PageSize]
+		if err := mem.WriteAt(phys.FrameAddr(start+i), page); err != nil {
 			return nil, err
 		}
 	}
@@ -214,28 +226,61 @@ func (t *Text) decideBehavior(roll float64) Misbehavior {
 // CheckExecute scans fn's text for corrupted bytes and returns the resulting
 // misbehaviour for this execution. rollFn supplies randomness so the caller
 // (the kernel) keeps everything on one seeded stream.
+//
+// The contract the mid-flight injection model relies on (DESIGN §3, §10):
+//   - one counted Mem.ReadAt of the whole function per call;
+//   - corrupted bytes are visited in ascending address order, with one
+//     rollFn draw for each not yet in decided, stopping at the first that
+//     does not behave benignly — whose behaviour is returned;
+//   - a decided entry whose byte reads pristine again (repaired or rolled
+//     back) is forgotten only if it lies before the byte that stopped the
+//     walk: an early return leaves later repaired entries in place.
 func (t *Text) CheckExecute(fn FuncID, rollFn func() float64) Misbehavior {
 	f := t.funcs[fn]
-	buf := make([]byte, f.Len)
-	if err := t.mem.ReadAt(t.base+uint64(f.Start), buf); err != nil {
+	lo := t.base + uint64(f.Start)
+	live := t.live[:f.Len]
+	if err := t.mem.ReadAt(lo, live); err != nil {
 		return BehaveFailStop
 	}
-	for i, b := range buf {
-		addr := t.base + uint64(f.Start) + uint64(i)
-		if b == t.expected(addr) {
-			delete(t.decided, addr) // repaired or rolled back
-			continue
-		}
+	want := t.pristine[f.Start : f.Start+f.Len]
+	result, stop := BehaveBenign, len(live)
+	for i := nextDiff(live, want, 0); i < len(live); i = nextDiff(live, want, i+1) {
+		addr := lo + uint64(i)
 		behave, ok := t.decided[addr]
 		if !ok {
 			behave = t.decideBehavior(rollFn())
 			t.decided[addr] = behave
 		}
 		if behave != BehaveBenign {
-			return behave
+			result, stop = behave, i
+			break
 		}
 	}
-	return BehaveBenign
+	for addr := range t.decided {
+		if addr >= lo && addr < lo+uint64(stop) && live[addr-lo] == want[addr-lo] {
+			delete(t.decided, addr) // repaired or rolled back
+		}
+	}
+	return result
+}
+
+// nextDiff returns the first index at or after i where a and b differ, or
+// len(a). An equal tail costs one bytes.Equal; otherwise equal 64-byte
+// chunks are skipped before the differing chunk is walked byte by byte.
+func nextDiff(a, b []byte, i int) int {
+	if bytes.Equal(a[i:], b[i:]) {
+		return len(a)
+	}
+	for ; ; i += 64 {
+		end := min(i+64, len(a))
+		if !bytes.Equal(a[i:end], b[i:end]) {
+			break
+		}
+	}
+	for a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // Settle downgrades every corrupted byte in fn currently decided as the

@@ -40,18 +40,20 @@ func (r Region) String() string {
 // mirroring the paper's startup-code change that pre-allocates extra page
 // descriptors for memory the crash kernel will only own later.
 type FrameAllocator struct {
-	mem     *Mem
-	free    []int // stack of free frame numbers
-	inSet   map[int]bool
-	claimed map[int]bool
+	mem  *Mem
+	free []int // stack of free frame numbers
+	// inSet and claimed are indexed by frame number and cover every frame
+	// of mem; a frame outside [0, mem.NumFrames()) is never in either.
+	inSet   []bool
+	claimed []bool
 }
 
 // NewFrameAllocator creates an allocator over mem managing the given region.
 func NewFrameAllocator(mem *Mem, r Region) *FrameAllocator {
 	a := &FrameAllocator{
 		mem:     mem,
-		inSet:   make(map[int]bool),
-		claimed: make(map[int]bool),
+		inSet:   make([]bool, mem.NumFrames()),
+		claimed: make([]bool, mem.NumFrames()),
 	}
 	a.AddRegion(r)
 	return a
@@ -61,7 +63,7 @@ func NewFrameAllocator(mem *Mem, r Region) *FrameAllocator {
 // managed are ignored.
 func (a *FrameAllocator) AddRegion(r Region) {
 	for f := r.End() - 1; f >= r.Start; f-- {
-		if f < 0 || f >= a.mem.NumFrames() || a.inSet[f] {
+		if !a.CanAdopt(f) {
 			continue
 		}
 		a.inSet[f] = true
@@ -109,10 +111,10 @@ func (a *FrameAllocator) AllocN(n int, k FrameKind) ([]int, error) {
 // Free returns frame f to the allocator. Freeing an unclaimed or unmanaged
 // frame is a no-op, which keeps teardown code simple.
 func (a *FrameAllocator) Free(f int) {
-	if !a.claimed[f] {
+	if f < 0 || f >= len(a.claimed) || !a.claimed[f] {
 		return
 	}
-	delete(a.claimed, f)
+	a.claimed[f] = false
 	//owvet:allow errdrop: f was in claimed, so it is inside the managed frame set
 	_ = a.mem.SetKind(f, FrameFree)
 	a.free = append(a.free, f)
@@ -123,7 +125,7 @@ func (a *FrameAllocator) Free(f int) {
 // kernel text). It fails if the frame is outside the managed set or already
 // claimed.
 func (a *FrameAllocator) Claim(f int, k FrameKind) error {
-	if !a.inSet[f] {
+	if !a.Manages(f) {
 		return fmt.Errorf("phys: frame %d not managed by allocator", f)
 	}
 	if a.claimed[f] {
@@ -138,13 +140,10 @@ func (a *FrameAllocator) Claim(f int, k FrameKind) error {
 // it to obtain working memory for resurrection copies without clobbering
 // the dead kernel's state (the paper's pre-allocated "extra page
 // descriptors", Section 3.2).
-func (a *FrameAllocator) AddFreeFrames(mem *Mem, r Region) int {
+func (a *FrameAllocator) AddFreeFrames(r Region) int {
 	added := 0
 	for f := r.End() - 1; f >= r.Start; f-- {
-		if f < 0 || f >= mem.NumFrames() || a.inSet[f] {
-			continue
-		}
-		if mem.Kind(f) != FrameFree {
+		if !a.CanAdopt(f) || a.mem.Kind(f) != FrameFree {
 			continue
 		}
 		a.inSet[f] = true
@@ -158,14 +157,14 @@ func (a *FrameAllocator) AddFreeFrames(mem *Mem, r Region) int {
 // already manage, resetting its tag and write protection — the morph step
 // where the crash kernel reclaims the dead main kernel's memory
 // (Section 3.6). It returns the number of frames adopted.
-func (a *FrameAllocator) AdoptUnmanaged(mem *Mem, r Region) int {
+func (a *FrameAllocator) AdoptUnmanaged(r Region) int {
 	adopted := 0
 	for f := r.End() - 1; f >= r.Start; f-- {
-		if f < 0 || f >= mem.NumFrames() || a.inSet[f] {
+		if !a.CanAdopt(f) {
 			continue
 		}
-		_ = mem.Protect(f, false)     //owvet:allow errdrop: f is bounds-checked against mem.NumFrames above
-		_ = mem.SetKind(f, FrameFree) //owvet:allow errdrop: same bounds-checked frame as the line above
+		_ = a.mem.Protect(f, false)     //owvet:allow errdrop: CanAdopt bounds-checked f against mem.NumFrames
+		_ = a.mem.SetKind(f, FrameFree) //owvet:allow errdrop: same bounds-checked frame as the line above
 		a.inSet[f] = true
 		a.free = append(a.free, f)
 		adopted++
@@ -198,7 +197,9 @@ func (a *FrameAllocator) CanAdopt(f int) bool {
 }
 
 // Manages reports whether frame f is part of the allocator's frame set.
-func (a *FrameAllocator) Manages(f int) bool { return a.inSet[f] }
+func (a *FrameAllocator) Manages(f int) bool {
+	return f >= 0 && f < len(a.inSet) && a.inSet[f]
+}
 
 // FreeFrames returns how many frames are currently allocatable.
 func (a *FrameAllocator) FreeFrames() int {
@@ -210,6 +211,3 @@ func (a *FrameAllocator) FreeFrames() int {
 	}
 	return n
 }
-
-// ClaimedFrames returns how many frames are currently allocated.
-func (a *FrameAllocator) ClaimedFrames() int { return len(a.claimed) }

@@ -260,9 +260,7 @@ func (m *Mem) Zero(f int) error {
 	m.writeOps.Add(1)
 	m.writeBytes.Add(int64(PageSize))
 	base := FrameAddr(f)
-	for i := base; i < base+PageSize; i++ {
-		m.data[i] = 0
-	}
+	clear(m.data[base : base+PageSize])
 	return nil
 }
 

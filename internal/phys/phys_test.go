@@ -2,6 +2,7 @@ package phys
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -204,7 +205,7 @@ func TestAllocatorAddFreeFrames(t *testing.T) {
 	// Mark frames 4,5 as used by "another kernel".
 	_ = m.SetKind(4, FrameKernelHeap)
 	_ = m.SetKind(5, FrameUser)
-	added := a.AddFreeFrames(m, Region{Start: 2, Frames: 6})
+	added := a.AddFreeFrames(Region{Start: 2, Frames: 6})
 	if added != 4 { // frames 2,3,6,7 are free-tagged
 		t.Fatalf("added = %d, want 4", added)
 	}
@@ -224,7 +225,7 @@ func TestAllocatorAdoptUnmanaged(t *testing.T) {
 	a := NewFrameAllocator(m, Region{Start: 0, Frames: 2})
 	_ = m.SetKind(4, FrameKernelHeap)
 	_ = m.Protect(4, true)
-	adopted := a.AdoptUnmanaged(m, Region{Start: 0, Frames: 8})
+	adopted := a.AdoptUnmanaged(Region{Start: 0, Frames: 8})
 	if adopted != 6 {
 		t.Fatalf("adopted = %d, want 6", adopted)
 	}
@@ -288,5 +289,86 @@ func TestMemStats(t *testing.T) {
 	want := Stats{ReadOps: 1, ReadBytes: 40, WriteOps: 2, WriteBytes: 100 + PageSize, ProtFaults: 1}
 	if s != want {
 		t.Fatalf("stats = %+v, want %+v", s, want)
+	}
+}
+
+// TestAllocatorOutOfRangeFrames passes the frame numbers just outside
+// memory to every allocator call that takes one: none may panic, fail to
+// refuse, or change the allocator or memory.
+func TestAllocatorOutOfRangeFrames(t *testing.T) {
+	m := NewMem(8 * PageSize)
+	a := NewFrameAllocator(m, Region{Start: 0, Frames: 4})
+	if _, err := a.Alloc(FrameUser); err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		free           []int
+		inSet, claimed []bool
+		kinds          []FrameKind
+		prot           []bool
+		stats          Stats
+	}
+	snapshot := func() state {
+		return state{
+			free:    append([]int(nil), a.free...),
+			inSet:   append([]bool(nil), a.inSet...),
+			claimed: append([]bool(nil), a.claimed...),
+			kinds:   append([]FrameKind(nil), m.kind...),
+			prot:    append([]bool(nil), m.prot...),
+			stats:   m.Stats(),
+		}
+	}
+	before := snapshot()
+	for _, f := range []int{-1, m.NumFrames()} {
+		if a.Manages(f) {
+			t.Errorf("Manages(%d) = true", f)
+		}
+		if a.CanAdopt(f) {
+			t.Errorf("CanAdopt(%d) = true", f)
+		}
+		a.Free(f)
+		if err := a.Claim(f, FrameKernelText); err == nil {
+			t.Errorf("Claim(%d) succeeded", f)
+		}
+		if err := a.AdoptFrame(f, FrameSpeculated); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("AdoptFrame(%d) = %v, want ErrOutOfRange", f, err)
+		}
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("state changed:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+var (
+	benchFrame int
+	benchAlloc *FrameAllocator
+)
+
+// BenchmarkFrameAllocFree times one Alloc (which zeroes the frame) and the
+// Free that returns it, on a 256 MiB memory.
+func BenchmarkFrameAllocFree(b *testing.B) {
+	m := NewMem(256 << 20)
+	a := NewFrameAllocator(m, Region{Start: 0, Frames: m.NumFrames()})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := a.Alloc(FrameUser)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a.Free(f)
+		benchFrame = f
+	}
+}
+
+// BenchmarkAllocatorAddRegion times building an allocator over all of a
+// 256 MiB memory, as every kernel boot does.
+func BenchmarkAllocatorAddRegion(b *testing.B) {
+	m := NewMem(256 << 20)
+	all := Region{Start: 0, Frames: m.NumFrames()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchAlloc = NewFrameAllocator(m, all)
 	}
 }
