@@ -37,8 +37,11 @@ race:
 # the crash-tail frame salvage behind the trace ring, candidate index and
 # metrics segment (which wild writes may have hit), the block-layer crash model's torn-write/rollback/orphan machinery, and
 # the span builder that must stay total over corrupted/truncated rings.
+# FuzzMemOps checks the sparse physical memory under all of them against
+# a flat byte-array reference model.
 # Long exploratory runs stay manual (go test -fuzz=<target> <pkg>).
 fuzz-short:
+	$(GO) test -run '^$$' -fuzz FuzzMemOps -fuzztime 10s ./internal/phys
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzFrameSalvage -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s ./internal/disk

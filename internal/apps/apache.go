@@ -347,7 +347,7 @@ func (a *Apache) loadSessions(env *kernel.Env) error {
 	if err != nil {
 		return nil // nothing saved
 	}
-	data := make([]byte, 0, apShmCap)
+	var data []byte
 	chunk := make([]byte, 4096)
 	for {
 		n, rerr := env.ReadFile(fd, chunk)

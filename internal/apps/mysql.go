@@ -423,7 +423,7 @@ func (s *MySQL) loadRecovery(env *kernel.Env) error {
 	if err != nil {
 		return nil // no recovery image: fresh start
 	}
-	data := make([]byte, 0, 1<<20)
+	var data []byte
 	chunk := make([]byte, 4096)
 	for {
 		n, rerr := env.ReadFile(fd, chunk)

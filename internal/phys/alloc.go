@@ -3,6 +3,7 @@ package phys
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrNoFrames is returned when an allocation cannot be satisfied.
@@ -62,6 +63,7 @@ func NewFrameAllocator(mem *Mem, r Region) *FrameAllocator {
 // AddRegion makes the frames of r available for allocation. Frames already
 // managed are ignored.
 func (a *FrameAllocator) AddRegion(r Region) {
+	a.free = slices.Grow(a.free, max(r.Frames, 0))
 	for f := r.End() - 1; f >= r.Start; f-- {
 		if !a.CanAdopt(f) {
 			continue
@@ -142,6 +144,7 @@ func (a *FrameAllocator) Claim(f int, k FrameKind) error {
 // descriptors", Section 3.2).
 func (a *FrameAllocator) AddFreeFrames(r Region) int {
 	added := 0
+	a.free = slices.Grow(a.free, max(r.Frames, 0))
 	for f := r.End() - 1; f >= r.Start; f-- {
 		if !a.CanAdopt(f) || a.mem.Kind(f) != FrameFree {
 			continue
@@ -159,6 +162,10 @@ func (a *FrameAllocator) AddFreeFrames(r Region) int {
 // (Section 3.6). It returns the number of frames adopted.
 func (a *FrameAllocator) AdoptUnmanaged(r Region) int {
 	adopted := 0
+	// No capacity is reserved here, unlike AddRegion and AddFreeFrames: at
+	// the morph r is all of memory and nearly all of it is already
+	// managed, so reserving r.Frames would make room for every frame when
+	// only the dead kernel's in-use frames are pushed.
 	for f := r.End() - 1; f >= r.Start; f-- {
 		if !a.CanAdopt(f) {
 			continue

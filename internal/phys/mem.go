@@ -1,6 +1,8 @@
-// Package phys models the machine's physical memory: a flat byte array
-// divided into fixed-size frames with per-frame write protection and
-// ownership tags.
+// Package phys models the machine's physical memory: fixed-size frames
+// with per-frame write protection and ownership tags. Memory is sparse: a
+// frame gets its storage the first time it is written or aliased, and a
+// frame never written reads as zeros, so a machine boot costs its frame
+// table rather than its whole RAM.
 //
 // Everything that matters for Otherworld lives here as raw bytes — the main
 // kernel's heap records, page tables, kernel stacks, user pages, the page
@@ -101,14 +103,17 @@ type Stats struct {
 
 // Mem is the machine's physical memory.
 type Mem struct {
-	data []byte
-	prot []bool
-	kind []FrameKind
+	// frames holds each frame's storage, allocated by page on first write
+	// or alias; a nil entry has never been written and reads as zeros.
+	frames []*[PageSize]byte
+	prot   []bool
+	kind   []FrameKind
 
 	// Access counters are atomics so the resurrection scan pool's
-	// concurrent readers can count without a lock. Frame() aliasing
-	// deliberately bypasses them: it is a kernel-internal fast path, and
-	// the counters model the explicit memory bus traffic only.
+	// concurrent readers can count without a lock. They count the bytes
+	// each call asks for, whether or not its frames have storage. Frame()
+	// aliasing deliberately bypasses them: it is a kernel-internal fast
+	// path, and the counters model the explicit memory bus traffic only.
 	readOps    atomic.Int64
 	readBytes  atomic.Int64
 	writeOps   atomic.Int64
@@ -124,17 +129,17 @@ func NewMem(size int) *Mem {
 		frames = 1
 	}
 	return &Mem{
-		data: make([]byte, frames*PageSize),
-		prot: make([]bool, frames),
-		kind: make([]FrameKind, frames),
+		frames: make([]*[PageSize]byte, frames),
+		prot:   make([]bool, frames),
+		kind:   make([]FrameKind, frames),
 	}
 }
 
 // Size returns the installed physical memory in bytes.
-func (m *Mem) Size() int { return len(m.data) }
+func (m *Mem) Size() int { return len(m.frames) * PageSize }
 
 // NumFrames returns the number of installed frames.
-func (m *Mem) NumFrames() int { return len(m.prot) }
+func (m *Mem) NumFrames() int { return len(m.frames) }
 
 // FrameOf returns the frame number containing addr.
 func FrameOf(addr uint64) int { return int(addr / PageSize) }
@@ -142,27 +147,58 @@ func FrameOf(addr uint64) int { return int(addr / PageSize) }
 // FrameAddr returns the physical address of the first byte of frame f.
 func FrameAddr(f int) uint64 { return uint64(f) * PageSize }
 
-// ReadAt copies len(buf) bytes starting at addr into buf.
+// page returns frame f's storage, allocating it zeroed on first use. A
+// frame's storage is never replaced or dropped, so the slice Frame returns
+// stays an alias of the frame for the Mem's lifetime.
+//
+// The check-then-set takes no lock because a Mem has one writer at a time.
+// Only writes and Frame reach page; ReadAt never does. During a streamed
+// resurrection pass the scan workers only read, and the commits, the only
+// writers, run one at a time under the pass's mutex. The campaign pool
+// gives each worker its own machine.
+func (m *Mem) page(f int) *[PageSize]byte {
+	p := m.frames[f]
+	if p == nil {
+		p = new([PageSize]byte)
+		m.frames[f] = p
+	}
+	return p
+}
+
+// ReadAt copies len(buf) bytes starting at addr into buf. Bytes of frames
+// never written read as zeros.
 func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
 	}
 	m.readOps.Add(1)
 	m.readBytes.Add(int64(len(buf)))
-	copy(buf, m.data[addr:])
+	for len(buf) > 0 {
+		f, off := FrameOf(addr), int(addr%PageSize)
+		var n int
+		if p := m.frames[f]; p != nil {
+			n = copy(buf, p[off:])
+		} else {
+			n = min(len(buf), PageSize-off)
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		addr += uint64(n)
+	}
 	return nil
 }
 
 // WriteAt copies buf into memory at addr, honoring write protection: if any
 // touched frame is protected the write is not performed and a
-// *ProtectionFault is returned.
+// *ProtectionFault is returned. A zero-length write touches the frame that
+// holds addr, if there is one.
 func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
 	}
 	first, last := FrameOf(addr), FrameOf(addr+uint64(len(buf))-1)
 	if len(buf) == 0 {
-		last = first
+		last = min(first, m.NumFrames()-1)
 	}
 	for f := first; f <= last; f++ {
 		if m.prot[f] {
@@ -172,7 +208,11 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	}
 	m.writeOps.Add(1)
 	m.writeBytes.Add(int64(len(buf)))
-	copy(m.data[addr:], buf)
+	for len(buf) > 0 {
+		n := copy(m.page(FrameOf(addr))[addr%PageSize:], buf)
+		buf = buf[n:]
+		addr += uint64(n)
+	}
 	return nil
 }
 
@@ -193,14 +233,14 @@ func (m *Mem) WriteU64(addr uint64, v uint64) error {
 }
 
 // Frame returns the memory of frame f as a slice aliasing the underlying
-// storage. Mutating the slice bypasses protection; it is intended for
-// kernel-internal fast paths that have already checked ownership.
+// storage, allocating that storage if the frame was never written. Mutating
+// the slice bypasses protection; it is intended for kernel-internal fast
+// paths that have already checked ownership.
 func (m *Mem) Frame(f int) ([]byte, error) {
 	if f < 0 || f >= m.NumFrames() {
 		return nil, ErrOutOfRange
 	}
-	base := FrameAddr(f)
-	return m.data[base : base+PageSize : base+PageSize], nil
+	return m.page(f)[:], nil
 }
 
 // Protect sets or clears write protection on frame f.
@@ -248,7 +288,8 @@ func (m *Mem) CountKind(k FrameKind) int {
 	return n
 }
 
-// Zero clears frame f, honoring protection.
+// Zero clears frame f, honoring protection. A frame never written is
+// already zero and keeps no storage.
 func (m *Mem) Zero(f int) error {
 	if f < 0 || f >= m.NumFrames() {
 		return ErrOutOfRange
@@ -259,8 +300,9 @@ func (m *Mem) Zero(f int) error {
 	}
 	m.writeOps.Add(1)
 	m.writeBytes.Add(int64(PageSize))
-	base := FrameAddr(f)
-	clear(m.data[base : base+PageSize])
+	if p := m.frames[f]; p != nil {
+		clear(p[:])
+	}
 	return nil
 }
 
@@ -297,7 +339,8 @@ func (m *Mem) Stats() Stats {
 }
 
 func (m *Mem) check(addr uint64, n int) error {
-	if n < 0 || addr > uint64(len(m.data)) || addr+uint64(n) > uint64(len(m.data)) {
+	size := uint64(m.Size())
+	if n < 0 || addr > size || addr+uint64(n) > size {
 		return ErrOutOfRange
 	}
 	return nil

@@ -1,0 +1,370 @@
+package phys
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"testing"
+)
+
+// flatMem is the reference model FuzzMemOps replays every op on: one flat
+// byte array, with Mem's protection, error and counter rules written out
+// directly.
+type flatMem struct {
+	data  []byte
+	prot  []bool
+	stats Stats
+}
+
+func newFlatMem(frames int) *flatMem {
+	return &flatMem{data: make([]byte, frames*PageSize), prot: make([]bool, frames)}
+}
+
+func (r *flatMem) check(addr uint64, n int) error {
+	if n < 0 || addr > uint64(len(r.data)) || addr+uint64(n) > uint64(len(r.data)) {
+		return ErrOutOfRange
+	}
+	return nil
+}
+
+func (r *flatMem) readAt(addr uint64, buf []byte) error {
+	if err := r.check(addr, len(buf)); err != nil {
+		return err
+	}
+	r.stats.ReadOps++
+	r.stats.ReadBytes += int64(len(buf))
+	copy(buf, r.data[addr:])
+	return nil
+}
+
+// writeAt refuses the whole write if any frame it touches is protected,
+// naming the first one. An empty write touches the frame holding addr, and
+// none when addr is the end of memory.
+func (r *flatMem) writeAt(addr uint64, buf []byte) error {
+	if err := r.check(addr, len(buf)); err != nil {
+		return err
+	}
+	end := addr + uint64(max(len(buf), 1))
+	for f := FrameOf(addr); f < len(r.prot) && FrameAddr(f) < end; f++ {
+		if r.prot[f] {
+			r.stats.ProtFaults++
+			return &ProtectionFault{Addr: addr, Frame: f}
+		}
+	}
+	r.stats.WriteOps++
+	r.stats.WriteBytes += int64(len(buf))
+	copy(r.data[addr:], buf)
+	return nil
+}
+
+func (r *flatMem) zero(f int) error {
+	if f < 0 || f >= len(r.prot) {
+		return ErrOutOfRange
+	}
+	if r.prot[f] {
+		r.stats.ProtFaults++
+		return &ProtectionFault{Addr: FrameAddr(f), Frame: f}
+	}
+	r.stats.WriteOps++
+	r.stats.WriteBytes += PageSize
+	clear(r.frame(f))
+	return nil
+}
+
+func (r *flatMem) protect(f int, readOnly bool) error {
+	if f < 0 || f >= len(r.prot) {
+		return ErrOutOfRange
+	}
+	r.prot[f] = readOnly
+	return nil
+}
+
+func (r *flatMem) frame(f int) []byte {
+	return r.data[FrameAddr(f) : FrameAddr(f)+PageSize]
+}
+
+// The FuzzMemOps op codes.
+const (
+	opReadAt = iota
+	opWriteAt
+	opReadU64
+	opWriteU64
+	opZero
+	opProtect
+	opTakeAlias
+	opAliasWrite
+	numMemOps
+)
+
+// memOpSize is the input bytes one op decodes from.
+const memOpSize = 8
+
+const (
+	fuzzFrames  = 4
+	aliasSlots  = 4
+	hugeAddrBit = 0x80
+)
+
+// memOp is one decoded op. Addresses reach a frame past the end of memory
+// (or far beyond it), lengths reach three frames, and frame numbers reach
+// one past each end.
+type memOp struct {
+	code int
+	addr uint64
+	n    int
+	pat  byte
+	f    int
+	arg  int // alias slot, or the Protect flag in bit 0
+}
+
+func decodeMemOps(data []byte) []memOp {
+	var ops []memOp
+	for ; len(data) >= memOpSize; data = data[memOpSize:] {
+		op := memOp{
+			code: int(data[0]&^hugeAddrBit) % numMemOps,
+			addr: uint64(binary.LittleEndian.Uint16(data[1:])) % (fuzzFrames*PageSize + PageSize + 1),
+			n:    int(binary.LittleEndian.Uint16(data[3:])) % (3*PageSize + 1),
+			pat:  data[5],
+			f:    int(data[6])%(fuzzFrames+2) - 1,
+			arg:  int(data[7]),
+		}
+		if data[0]&hugeAddrBit != 0 {
+			op.addr |= 1 << 63
+		}
+		ops = append(ops, op)
+	}
+	return ops
+}
+
+// encodeMemOp is decodeMemOps' inverse for the seed corpus.
+func encodeMemOp(code int, addr uint64, n int, pat byte, f, arg int) []byte {
+	b := make([]byte, memOpSize)
+	b[0] = byte(code)
+	if addr >= 1<<63 {
+		b[0] |= hugeAddrBit
+	}
+	binary.LittleEndian.PutUint16(b[1:], uint16(addr))
+	binary.LittleEndian.PutUint16(b[3:], uint16(n))
+	b[5], b[6], b[7] = pat, byte(f+1), byte(arg)
+	return b
+}
+
+// fill writes a pattern seeded by pat into b; pat 0 writes zeros.
+func fill(b []byte, pat byte) {
+	for i := range b {
+		if pat != 0 {
+			b[i] = pat ^ byte(i*31)
+		} else {
+			b[i] = 0
+		}
+	}
+}
+
+func sameMemErr(got, want error) bool {
+	if want == nil || got == nil {
+		return got == nil && want == nil
+	}
+	var gpf, wpf *ProtectionFault
+	if errors.As(want, &wpf) {
+		return errors.As(got, &gpf) && *gpf == *wpf
+	}
+	return errors.Is(got, want)
+}
+
+// mayGainStorage reports whether a successful op may give frame f
+// storage: only writes that touch f's bytes and Frame(f) may.
+func mayGainStorage(op memOp, f int) bool {
+	lo, hi := FrameAddr(f), FrameAddr(f)+PageSize
+	switch op.code {
+	case opWriteAt:
+		return op.n > 0 && op.addr < hi && op.addr+uint64(op.n) > lo
+	case opWriteU64:
+		return op.addr < hi && op.addr+8 > lo
+	case opTakeAlias:
+		return op.f == f
+	}
+	return false
+}
+
+// contents returns m's bytes without going through the counted accessors.
+func contents(m *Mem) []byte {
+	out := make([]byte, m.Size())
+	for f, p := range m.frames {
+		if p != nil {
+			copy(out[FrameAddr(f):], p[:])
+		}
+	}
+	return out
+}
+
+// replayMemOps runs ops on a fresh Mem and on the flat reference model and
+// fails at the first op after which their errors, read bytes, memory,
+// protection, aliases or Stats differ. It also checks the sparse storage
+// itself: no op replaces or drops a frame's storage, and only a successful
+// write or Frame call gives a frame storage, and only to frames it touches.
+func replayMemOps(t *testing.T, ops []memOp) {
+	t.Helper()
+	m, ref := NewMem(fuzzFrames*PageSize), newFlatMem(fuzzFrames)
+	var aliases, refAliases [aliasSlots][]byte
+	for i, op := range ops {
+		var got, want error
+		var gotBuf, wantBuf []byte
+		before := append([]*[PageSize]byte(nil), m.frames...)
+		switch op.code {
+		case opReadAt:
+			// Stale bytes in the buffers show a read that skips untouched frames.
+			gotBuf, wantBuf = make([]byte, op.n), make([]byte, op.n)
+			fill(gotBuf, 0xee)
+			fill(wantBuf, 0xee)
+			got, want = m.ReadAt(op.addr, gotBuf), ref.readAt(op.addr, wantBuf)
+		case opWriteAt:
+			buf := make([]byte, op.n)
+			fill(buf, op.pat)
+			got, want = m.WriteAt(op.addr, buf), ref.writeAt(op.addr, buf)
+		case opReadU64:
+			var v uint64
+			v, got = m.ReadU64(op.addr)
+			gotBuf = binary.LittleEndian.AppendUint64(nil, v)
+			wantBuf = make([]byte, 8)
+			if want = ref.readAt(op.addr, wantBuf); want != nil {
+				clear(wantBuf)
+			}
+		case opWriteU64:
+			v := uint64(op.pat)*0x0101010101010101 ^ op.addr
+			got = m.WriteU64(op.addr, v)
+			want = ref.writeAt(op.addr, binary.LittleEndian.AppendUint64(nil, v))
+		case opZero:
+			got, want = m.Zero(op.f), ref.zero(op.f)
+		case opProtect:
+			got, want = m.Protect(op.f, op.arg&1 == 1), ref.protect(op.f, op.arg&1 == 1)
+		case opTakeAlias:
+			var alias []byte
+			alias, got = m.Frame(op.f)
+			if op.f < 0 || op.f >= fuzzFrames {
+				want = ErrOutOfRange
+			} else {
+				aliases[op.arg%aliasSlots], refAliases[op.arg%aliasSlots] = alias, ref.frame(op.f)
+			}
+		case opAliasWrite:
+			slot := op.arg % aliasSlots
+			if aliases[slot] == nil {
+				continue
+			}
+			off := int(op.addr % PageSize)
+			n := min(op.n, PageSize-off)
+			fill(aliases[slot][off:off+n], op.pat)
+			fill(refAliases[slot][off:off+n], op.pat)
+		}
+		if !sameMemErr(got, want) {
+			t.Fatalf("op %d %+v: error %v, reference %v", i, op, got, want)
+		}
+		if !bytes.Equal(gotBuf, wantBuf) {
+			t.Fatalf("op %d %+v: read %x, reference %x", i, op, gotBuf, wantBuf)
+		}
+		if !bytes.Equal(contents(m), ref.data) {
+			t.Fatalf("op %d %+v: memory differs from the reference", i, op)
+		}
+		for f := -1; f <= fuzzFrames; f++ {
+			if m.Protected(f) != (f >= 0 && f < fuzzFrames && ref.prot[f]) {
+				t.Fatalf("op %d %+v: Protected(%d) = %v", i, op, f, m.Protected(f))
+			}
+		}
+		for s := range aliases {
+			if !bytes.Equal(aliases[s], refAliases[s]) {
+				t.Fatalf("op %d %+v: alias %d no longer shows its frame", i, op, s)
+			}
+		}
+		if m.Stats() != ref.stats {
+			t.Fatalf("op %d %+v: stats %+v, reference %+v", i, op, m.Stats(), ref.stats)
+		}
+		for f, p := range m.frames {
+			switch {
+			case before[f] != nil && p != before[f]:
+				t.Fatalf("op %d %+v: frame %d's storage was replaced or dropped", i, op, f)
+			case before[f] == nil && p != nil && (got != nil || !mayGainStorage(op, f)):
+				t.Fatalf("op %d %+v: frame %d gained storage", i, op, f)
+			}
+		}
+	}
+}
+
+// FuzzMemOps replays decoded ReadAt/WriteAt/ReadU64/WriteU64/Zero/Protect
+// sequences and writes through Frame aliases on a four-frame Mem and on a
+// flat byte-array reference model, and requires identical results after
+// every op. The seed corpus runs as a unit test.
+func FuzzMemOps(f *testing.F) {
+	const end = fuzzFrames * PageSize
+	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
+	// Reads and writes spanning frame boundaries, into untouched frames.
+	f.Add(seq(
+		encodeMemOp(opWriteAt, PageSize-100, 200, 0x5a, 0, 0),
+		encodeMemOp(opReadAt, PageSize-150, 2*PageSize+300, 0, 0, 0),
+		encodeMemOp(opWriteAt, 0, end, 0x11, 0, 0),
+		encodeMemOp(opReadAt, 0, end, 0, 0, 0),
+		encodeMemOp(opWriteAt, 3*PageSize+1, PageSize-1, 0, 0, 0),
+	))
+	// Zero-length and out-of-range accesses, including an empty write at
+	// the end of memory and addresses far past it.
+	f.Add(seq(
+		encodeMemOp(opReadAt, 0, 0, 0, 0, 0),
+		encodeMemOp(opWriteAt, PageSize, 0, 0x22, 0, 0),
+		encodeMemOp(opReadAt, end, 0, 0, 0, 0),
+		encodeMemOp(opWriteAt, end, 0, 0x22, 0, 0),
+		encodeMemOp(opReadAt, end+1, 0, 0, 0, 0),
+		encodeMemOp(opWriteAt, end-8, 16, 0x22, 0, 0),
+		encodeMemOp(opReadAt, end-8, 16, 0, 0, 0),
+		encodeMemOp(opReadAt, 1<<63|5, 4, 0, 0, 0),
+		encodeMemOp(opWriteAt, 1<<63|5, 4, 0x22, 0, 0),
+		encodeMemOp(opReadU64, end-4, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, end-4, 0, 0x33, 0, 0),
+	))
+	// Words straddling a frame boundary, then Zero of written, untouched
+	// and out-of-range frames.
+	f.Add(seq(
+		encodeMemOp(opWriteU64, PageSize-4, 0, 0x44, 0, 0),
+		encodeMemOp(opReadU64, PageSize-4, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, 2*PageSize-4, 0, 0, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, PageSize-4, 0, 0, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 2, 0),
+		encodeMemOp(opZero, 0, 0, 0, -1, 0),
+		encodeMemOp(opZero, 0, 0, 0, fuzzFrames, 0),
+	))
+	// Protection: spanning writes name the first protected frame, empty
+	// writes into a protected frame fault, Zero faults, unprotect heals.
+	f.Add(seq(
+		encodeMemOp(opProtect, 0, 0, 0, 2, 1),
+		encodeMemOp(opWriteAt, PageSize+10, 2*PageSize, 0x55, 0, 0),
+		encodeMemOp(opWriteAt, 2*PageSize+7, 0, 0x55, 0, 0),
+		encodeMemOp(opWriteU64, 3*PageSize-4, 0, 0x55, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 2, 0),
+		encodeMemOp(opProtect, 0, 0, 0, 1, 1),
+		encodeMemOp(opWriteAt, PageSize-1, 2*PageSize, 0x55, 0, 0),
+		encodeMemOp(opProtect, 0, 0, 0, -1, 1),
+		encodeMemOp(opProtect, 0, 0, 0, fuzzFrames, 1),
+		encodeMemOp(opProtect, 0, 0, 0, 2, 0),
+		encodeMemOp(opProtect, 0, 0, 0, 1, 0),
+		encodeMemOp(opWriteAt, PageSize+10, 2*PageSize, 0x55, 0, 0),
+	))
+	// Aliases taken before and after writes keep showing their frame, and
+	// writes through them are seen by reads.
+	f.Add(seq(
+		encodeMemOp(opTakeAlias, 0, 0, 0, 3, 0),
+		encodeMemOp(opTakeAlias, 0, 0, 0, 3, 1),
+		encodeMemOp(opWriteAt, 3*PageSize+100, 50, 0x66, 0, 0),
+		encodeMemOp(opAliasWrite, 200, 300, 0x77, 0, 0),
+		encodeMemOp(opReadAt, 3*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 3, 0),
+		encodeMemOp(opAliasWrite, PageSize-10, 100, 0x78, 0, 1),
+		encodeMemOp(opWriteAt, 0, 2*PageSize, 0x79, 0, 0),
+		encodeMemOp(opTakeAlias, 0, 0, 0, 1, 2),
+		encodeMemOp(opAliasWrite, 0, PageSize, 0, 0, 2),
+		encodeMemOp(opReadAt, PageSize-5, 10, 0, 0, 0),
+		encodeMemOp(opTakeAlias, 0, 0, 0, -1, 3),
+		encodeMemOp(opTakeAlias, 0, 0, 0, fuzzFrames, 3),
+		encodeMemOp(opAliasWrite, 0, 10, 0x7a, 0, 3),
+	))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		replayMemOps(t, decodeMemOps(data))
+	})
+}

@@ -3,6 +3,7 @@ package phys
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -339,10 +340,130 @@ func TestAllocatorOutOfRangeFrames(t *testing.T) {
 	}
 }
 
+// TestNewMemIsSparse installs 256 MiB and requires the boot to allocate
+// only the frame table, not the memory.
+func TestNewMemIsSparse(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewMem(256 << 20)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("NewMem(256 MiB) allocated %d bytes, want under 1 MiB", got)
+	}
+	if m.Size() != 256<<20 || m.NumFrames() != 256<<20/PageSize {
+		t.Fatalf("size %d, frames %d", m.Size(), m.NumFrames())
+	}
+}
+
+// TestUntouchedFramesDoNotAllocate reads, zeroes and allocates frames never
+// written, a different one each run, and requires no allocation: reading or
+// zeroing a frame must not give it storage.
+func TestUntouchedFramesDoNotAllocate(t *testing.T) {
+	m := NewMem(256 << 20)
+	buf := make([]byte, 64)
+	f := 0
+	if n := testing.AllocsPerRun(100, func() {
+		f++
+		if err := m.ReadAt(FrameAddr(f)+PageSize-32, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadAt of untouched frames: %v allocs/op", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		f++
+		if err := m.Zero(f); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Zero of untouched frames: %v allocs/op", n)
+	}
+	a := NewFrameAllocator(NewMem(256<<20), Region{Start: 0, Frames: 256 << 20 / PageSize})
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := a.Alloc(FrameUser); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FrameAllocator.Alloc on fresh memory: %v allocs/op", n)
+	}
+}
+
+// TestFrameAliasSeesWrites takes a Frame alias of a frame never written
+// and requires it to keep aliasing the frame through later writes and
+// Zero, in both directions, without counting as bus traffic.
+func TestFrameAliasSeesWrites(t *testing.T) {
+	m := NewMem(8 * PageSize)
+	alias, err := m.Frame(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alias) != PageSize || cap(alias) != PageSize {
+		t.Fatalf("alias len %d cap %d", len(alias), cap(alias))
+	}
+	if m.Stats() != (Stats{}) {
+		t.Fatalf("Frame counted as traffic: %+v", m.Stats())
+	}
+	if err := m.WriteAt(FrameAddr(5)+PageSize-2, []byte{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if alias[PageSize-2] != 1 || alias[PageSize-1] != 2 {
+		t.Fatalf("alias misses WriteAt: % x", alias[PageSize-2:])
+	}
+	if err := m.Zero(5); err != nil {
+		t.Fatal(err)
+	}
+	if !PageIsZero(alias) {
+		t.Fatal("alias misses Zero")
+	}
+	alias[100] = 7
+	var b [1]byte
+	if err := m.ReadAt(FrameAddr(5)+100, b[:]); err != nil || b[0] != 7 {
+		t.Fatalf("ReadAt misses a write through the alias: %d %v", b[0], err)
+	}
+	again, err := m.Frame(5)
+	if err != nil || &again[0] != &alias[0] {
+		t.Fatalf("second Frame(5) is not the same storage: %v", err)
+	}
+}
+
 var (
 	benchFrame int
 	benchAlloc *FrameAllocator
+	benchMem   *Mem
+	benchWord  uint64
 )
+
+// BenchmarkNewMem times installing 256 MiB of physical memory, as every
+// machine boot does.
+func BenchmarkNewMem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchMem = NewMem(256 << 20)
+	}
+}
+
+// BenchmarkMemReadU64 times the counted 8-byte read kernel.walk makes for
+// every page-table lookup, over a written page-table frame of a 256 MiB
+// memory.
+func BenchmarkMemReadU64(b *testing.B) {
+	m := NewMem(256 << 20)
+	base := FrameAddr(1234)
+	for i := uint64(0); i < PageSize/8; i++ {
+		if err := m.WriteU64(base+8*i, i<<12|1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := m.ReadU64(base + uint64(i%(PageSize/8))*8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchWord = v
+	}
+}
 
 // BenchmarkFrameAllocFree times one Alloc (which zeroes the frame) and the
 // Free that returns it, on a 256 MiB memory.
