@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet lint race fuzz-short owstat-smoke wal-check verify bench bench-diff campaign
+.PHONY: build fmt test vet lint race fuzz-short owstat-smoke wal-check verify bench bench-test bench-diff campaign
 
 build:
 	$(GO) build ./...
@@ -37,11 +37,13 @@ race:
 # the crash-tail frame salvage behind the trace ring, candidate index and
 # metrics segment (which wild writes may have hit), the block-layer crash model's torn-write/rollback/orphan machinery, and
 # the span builder that must stay total over corrupted/truncated rings.
-# FuzzMemOps checks the sparse physical memory under all of them against
-# a flat byte-array reference model.
+# FuzzMemOps checks the sparse physical memory and its counting views
+# under all of them against a flat byte-array reference model, and
+# FuzzTLBOps checks the indexed TLB against the map-based one it replaced.
 # Long exploratory runs stay manual (go test -fuzz=<target> <pkg>).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzMemOps -fuzztime 10s ./internal/phys
+	$(GO) test -run '^$$' -fuzz FuzzTLBOps -fuzztime 10s ./internal/hw
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzFrameSalvage -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s ./internal/disk
@@ -70,9 +72,9 @@ wal-check:
 # verify is the pre-merge gate: build, the gofmt check, vet, owvet lint,
 # full tests, race pass, a short fuzz burst over the crash-kernel decoder
 # surface, the owstat metrics smoke check, the WAL data-survival campaign
-# gate and the fleet-recovery smoke (streaming resurrection over a small
-# population).
-verify: build fmt vet lint test race fuzz-short owstat-smoke wal-check fleet-smoke
+# gate, the fleet-recovery smoke (streaming resurrection over a small
+# population) and the benchmark module's tests.
+verify: build fmt vet lint test race fuzz-short owstat-smoke wal-check fleet-smoke bench-test
 
 # A small-population fleet recovery end to end: index-assisted discovery,
 # tier admission, pipelined commit, per-tier table.
@@ -81,6 +83,12 @@ fleet-smoke:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# bench-test runs the tests of the two-clock benchmark (bench/, a module of
+# its own that imports core, phys and experiment, so `go test ./...` never
+# compiles it): every workload shrunk to two cycles, outputs checked.
+bench-test:
+	cd bench && $(GO) test .
 
 # bench-diff re-measures the perf-trajectory scenarios at the checked-in
 # snapshot's seed and fails on any modeled-time metric regressing more

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -74,12 +75,26 @@ func TestTLBWorkingSetProperty(t *testing.T) {
 	}
 }
 
-func TestTLBMissRate(t *testing.T) {
-	tlb := NewTLB(2)
-	tlb.Access(1)
-	tlb.Access(1)
-	if got := tlb.MissRate(); got != 0.5 {
-		t.Fatalf("miss rate = %v", got)
+var benchHit bool
+
+// BenchmarkTLBAccess times one translation in a 64-entry TLB under a
+// seeded uniform working set of 72 pages, a little larger than the TLB as
+// the workloads' access patterns are, so some accesses miss and evict.
+func BenchmarkTLBAccess(b *testing.B) {
+	const entries, pages = 64, 72
+	rng := rand.New(rand.NewSource(1))
+	vpns := make([]uint64, 4096)
+	for i := range vpns {
+		vpns[i] = 0x210 + uint64(rng.Intn(pages))
+	}
+	tlb := NewTLB(entries)
+	for _, v := range vpns {
+		tlb.Access(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchHit = tlb.Access(vpns[i%len(vpns)])
 	}
 }
 

@@ -9,10 +9,16 @@ package hw
 // the paper measures in Table 3: "overhead mainly due to TLB flush
 // operations that occur on every page table switch".
 type TLB struct {
-	size    int
-	slots   []uint64
-	present map[uint64]bool
-	rng     uint64
+	size  int
+	slots []uint64
+	// index is an open-addressed, linearly probed table over slots: each
+	// entry is a slot number plus one, 0 marks an empty entry, and a
+	// cached vpn's entry lies at or after its home, with no empty entry
+	// in between. Its length is a power of two at least twice size, so
+	// it is never more than half full.
+	index []int32
+	shift uint
+	rng   uint64
 
 	// Counters are cumulative since power-on or the last ResetStats.
 	Hits    uint64
@@ -25,11 +31,16 @@ func NewTLB(entries int) *TLB {
 	if entries < 1 {
 		entries = 1
 	}
+	bits := uint(1)
+	for 1<<bits < 2*entries {
+		bits++
+	}
 	return &TLB{
-		size:    entries,
-		slots:   make([]uint64, 0, entries),
-		present: make(map[uint64]bool, entries),
-		rng:     0x9E3779B97F4A7C15,
+		size:  entries,
+		slots: make([]uint64, 0, entries),
+		index: make([]int32, 1<<bits),
+		shift: 64 - bits,
+		rng:   0x9E3779B97F4A7C15,
 	}
 }
 
@@ -41,6 +52,38 @@ func (t *TLB) rand() uint64 {
 	return t.rng
 }
 
+// home is vpn's first index entry: the top bits of a Fibonacci hash, so
+// neighbouring pages and pages with equal low bits spread out.
+func (t *TLB) home(vpn uint64) int {
+	return int(vpn * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// lookup returns the index entry holding vpn, or the empty entry where
+// its probe ends.
+func (t *TLB) lookup(vpn uint64) int {
+	mask := len(t.index) - 1
+	i := t.home(vpn)
+	for t.index[i] != 0 && t.slots[t.index[i]-1] != vpn {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// unindex deletes the entry at i by backward shift: each later entry of
+// the probe run moves into the hole unless the hole lies before its home,
+// so every remaining vpn stays reachable without tombstones.
+func (t *TLB) unindex(i int) {
+	mask := len(t.index) - 1
+	for j := (i + 1) & mask; t.index[j] != 0; j = (j + 1) & mask {
+		h := t.home(t.slots[t.index[j]-1])
+		if (j-h)&mask >= (j-i)&mask {
+			t.index[i] = t.index[j]
+			i = j
+		}
+	}
+	t.index[i] = 0
+}
+
 // Size returns the entry capacity.
 func (t *TLB) Size() int { return t.size }
 
@@ -48,19 +91,23 @@ func (t *TLB) Size() int { return t.size }
 // on a hit. Misses install the translation, evicting a random victim when
 // full.
 func (t *TLB) Access(vpn uint64) bool {
-	if t.present[vpn] {
+	i := t.lookup(vpn)
+	if t.index[i] != 0 {
 		t.Hits++
 		return true
 	}
 	t.Misses++
-	if len(t.slots) < t.size {
+	slot := len(t.slots)
+	if slot < t.size {
 		t.slots = append(t.slots, vpn)
 	} else {
-		victim := int(t.rand() % uint64(t.size))
-		delete(t.present, t.slots[victim])
-		t.slots[victim] = vpn
+		slot = int(t.rand() % uint64(t.size))
+		t.unindex(t.lookup(t.slots[slot]))
+		t.slots[slot] = vpn
+		// The deletion may have emptied an entry on vpn's probe run.
+		i = t.lookup(vpn)
 	}
-	t.present[vpn] = true
+	t.index[i] = int32(slot + 1)
 	return false
 }
 
@@ -68,9 +115,7 @@ func (t *TLB) Access(vpn uint64) bool {
 func (t *TLB) Flush() {
 	t.Flushes++
 	t.slots = t.slots[:0]
-	for k := range t.present {
-		delete(t.present, k)
-	}
+	clear(t.index)
 }
 
 // ResetStats clears the counters without touching the entries, so a
@@ -79,13 +124,4 @@ func (t *TLB) ResetStats() {
 	t.Hits = 0
 	t.Misses = 0
 	t.Flushes = 0
-}
-
-// MissRate returns misses / accesses, or 0 with no accesses.
-func (t *TLB) MissRate() float64 {
-	total := t.Hits + t.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(t.Misses) / float64(total)
 }

@@ -8,7 +8,7 @@ import (
 	"otherworld/internal/layout"
 )
 
-func envFor(t *testing.T, k *Kernel) *Env {
+func envFor(t testing.TB, k *Kernel) *Env {
 	t.Helper()
 	p, err := k.CreateProcess("t", "test-prog")
 	if err != nil {

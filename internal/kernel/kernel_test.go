@@ -22,7 +22,7 @@ func init() {
 
 // bootTestKernel brings up a kernel on a small machine with one swap
 // partition and the whole of memory except a top reservation.
-func bootTestKernel(t *testing.T, mutate func(*Params)) *Kernel {
+func bootTestKernel(t testing.TB, mutate func(*Params)) *Kernel {
 	t.Helper()
 	m := hw.NewMachine(hw.Config{MemoryBytes: 64 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true})
 	m.Bus.Attach(disk.NewBlockDevice("/dev/swap0", 2048))

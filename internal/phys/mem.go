@@ -13,9 +13,9 @@
 package phys
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // PageSize is the frame size in bytes, matching the x86 4 KiB page the
@@ -101,24 +101,24 @@ type Stats struct {
 	ProtFaults int64
 }
 
-// Mem is the machine's physical memory.
+// Mem is the machine's physical memory, or a View of it.
 type Mem struct {
 	// frames holds each frame's storage, allocated by page on first write
 	// or alias; a nil entry has never been written and reads as zeros.
+	// A View shares all three slices with its parent.
 	frames []*[PageSize]byte
 	prot   []bool
 	kind   []FrameKind
 
-	// Access counters are atomics so the resurrection scan pool's
-	// concurrent readers can count without a lock. They count the bytes
-	// each call asks for, whether or not its frames have storage. Frame()
-	// aliasing deliberately bypasses them: it is a kernel-internal fast
-	// path, and the counters model the explicit memory bus traffic only.
-	readOps    atomic.Int64
-	readBytes  atomic.Int64
-	writeOps   atomic.Int64
-	writeBytes atomic.Int64
-	protFaults atomic.Int64
+	// stats counts the bytes each call asks for, whether or not its
+	// frames have storage. Frame() aliasing deliberately bypasses it: it
+	// is a kernel-internal fast path, and the counters model the explicit
+	// memory bus traffic only. The counters are plain fields with the
+	// frame table's one-writer rule: only the goroutine that owns the
+	// machine, or a resurrection commit holding the pass's mutex, counts
+	// here. Each resurrection scan worker counts in its own View, which
+	// the pass folds back with Absorb in commit order.
+	stats Stats
 }
 
 // NewMem installs size bytes of physical memory. Size is rounded down to a
@@ -147,15 +147,36 @@ func FrameOf(addr uint64) int { return int(addr / PageSize) }
 // FrameAddr returns the physical address of the first byte of frame f.
 func FrameAddr(f int) uint64 { return uint64(f) * PageSize }
 
+// View returns a Mem that shares m's frames, protection and kinds, in both
+// directions, but owns its counters, which start at zero. A resurrection
+// scan worker reads the dead image through a view so that it counts
+// without atomics and without racing the commits; Absorb folds the counts
+// back.
+func (m *Mem) View() *Mem {
+	return &Mem{frames: m.frames, prot: m.prot, kind: m.kind}
+}
+
+// Absorb adds v's counters to m's and zeroes v's, so a view absorbed twice
+// counts its traffic once. The caller must own both counter sets: the
+// view's worker has finished with it.
+func (m *Mem) Absorb(v *Mem) {
+	m.stats.ReadOps += v.stats.ReadOps
+	m.stats.ReadBytes += v.stats.ReadBytes
+	m.stats.WriteOps += v.stats.WriteOps
+	m.stats.WriteBytes += v.stats.WriteBytes
+	m.stats.ProtFaults += v.stats.ProtFaults
+	v.stats = Stats{}
+}
+
 // page returns frame f's storage, allocating it zeroed on first use. A
 // frame's storage is never replaced or dropped, so the slice Frame returns
 // stays an alias of the frame for the Mem's lifetime.
 //
-// The check-then-set takes no lock because a Mem has one writer at a time.
-// Only writes and Frame reach page; ReadAt never does. During a streamed
-// resurrection pass the scan workers only read, and the commits, the only
-// writers, run one at a time under the pass's mutex. The campaign pool
-// gives each worker its own machine.
+// The check-then-set takes no lock because a Mem and its views have one
+// writer at a time. Only writes and Frame reach page; reads never do.
+// During a streamed resurrection pass the scan workers only read, and the
+// commits, the only writers, run one at a time under the pass's mutex. The
+// campaign pool gives each worker its own machine.
 func (m *Mem) page(f int) *[PageSize]byte {
 	p := m.frames[f]
 	if p == nil {
@@ -171,8 +192,8 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
 	}
-	m.readOps.Add(1)
-	m.readBytes.Add(int64(len(buf)))
+	m.stats.ReadOps++
+	m.stats.ReadBytes += int64(len(buf))
 	for len(buf) > 0 {
 		f, off := FrameOf(addr), int(addr%PageSize)
 		var n int
@@ -202,12 +223,12 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	}
 	for f := first; f <= last; f++ {
 		if m.prot[f] {
-			m.protFaults.Add(1)
+			m.stats.ProtFaults++
 			return &ProtectionFault{Addr: addr, Frame: f}
 		}
 	}
-	m.writeOps.Add(1)
-	m.writeBytes.Add(int64(len(buf)))
+	m.stats.WriteOps++
+	m.stats.WriteBytes += int64(len(buf))
 	for len(buf) > 0 {
 		n := copy(m.page(FrameOf(addr))[addr%PageSize:], buf)
 		buf = buf[n:]
@@ -216,20 +237,51 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	return nil
 }
 
-// ReadU64 reads a little-endian 64-bit word.
+// ReadU64 reads a little-endian 64-bit word, counted as one 8-byte ReadAt.
+// An aligned word lies in one frame and is read there directly; only an
+// unaligned one goes through ReadAt.
 func (m *Mem) ReadU64(addr uint64) (uint64, error) {
-	var b [8]byte
-	if err := m.ReadAt(addr, b[:]); err != nil {
-		return 0, err
+	if addr%8 != 0 {
+		var b [8]byte
+		if err := m.ReadAt(addr, b[:]); err != nil {
+			return 0, err
+		}
+		return binary.LittleEndian.Uint64(b[:]), nil
 	}
-	return leU64(b[:]), nil
+	f := addr / PageSize
+	if f >= uint64(len(m.frames)) {
+		return 0, ErrOutOfRange
+	}
+	m.stats.ReadOps++
+	m.stats.ReadBytes += 8
+	p := m.frames[f]
+	if p == nil {
+		return 0, nil
+	}
+	return binary.LittleEndian.Uint64(p[addr%PageSize:]), nil
 }
 
-// WriteU64 writes a little-endian 64-bit word, honoring protection.
+// WriteU64 writes a little-endian 64-bit word, honoring protection and
+// counted as one 8-byte WriteAt. An aligned word lies in one frame and is
+// written there directly; only an unaligned one goes through WriteAt.
 func (m *Mem) WriteU64(addr uint64, v uint64) error {
-	var b [8]byte
-	putLeU64(b[:], v)
-	return m.WriteAt(addr, b[:])
+	if addr%8 != 0 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		return m.WriteAt(addr, b[:])
+	}
+	f := addr / PageSize
+	if f >= uint64(len(m.frames)) {
+		return ErrOutOfRange
+	}
+	if m.prot[f] {
+		m.stats.ProtFaults++
+		return &ProtectionFault{Addr: addr, Frame: int(f)}
+	}
+	m.stats.WriteOps++
+	m.stats.WriteBytes += 8
+	binary.LittleEndian.PutUint64(m.page(int(f))[addr%PageSize:], v)
+	return nil
 }
 
 // Frame returns the memory of frame f as a slice aliasing the underlying
@@ -295,11 +347,11 @@ func (m *Mem) Zero(f int) error {
 		return ErrOutOfRange
 	}
 	if m.prot[f] {
-		m.protFaults.Add(1)
+		m.stats.ProtFaults++
 		return &ProtectionFault{Addr: FrameAddr(f), Frame: f}
 	}
-	m.writeOps.Add(1)
-	m.writeBytes.Add(int64(PageSize))
+	m.stats.WriteOps++
+	m.stats.WriteBytes += PageSize
 	if p := m.frames[f]; p != nil {
 		clear(p[:])
 	}
@@ -325,18 +377,11 @@ func PageIsZero(b []byte) bool {
 	return true
 }
 
-// Stats returns a point-in-time copy of the access counters. Because the
-// scan pool issues an identical read set at any worker count, every field
-// is itself deterministic across pool widths.
-func (m *Mem) Stats() Stats {
-	return Stats{
-		ReadOps:    m.readOps.Load(),
-		ReadBytes:  m.readBytes.Load(),
-		WriteOps:   m.writeOps.Load(),
-		WriteBytes: m.writeBytes.Load(),
-		ProtFaults: m.protFaults.Load(),
-	}
-}
+// Stats returns a point-in-time copy of the access counters; a view's
+// traffic shows once it is absorbed. Because the scan pool issues an
+// identical read set at any worker count, every field is itself
+// deterministic across pool widths.
+func (m *Mem) Stats() Stats { return m.stats }
 
 func (m *Mem) check(addr uint64, n int) error {
 	size := uint64(m.Size())
@@ -344,20 +389,4 @@ func (m *Mem) check(addr uint64, n int) error {
 		return ErrOutOfRange
 	}
 	return nil
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLeU64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

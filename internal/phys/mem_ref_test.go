@@ -93,6 +93,8 @@ const (
 	opProtect
 	opTakeAlias
 	opAliasWrite
+	opView   // later ops go through a fresh View of the Mem
+	opAbsorb // the Mem absorbs the newest view; later ops go to the one before
 	numMemOps
 )
 
@@ -197,19 +199,38 @@ func contents(m *Mem) []byte {
 	return out
 }
 
+// sumStats returns the field-wise sum of ss.
+func sumStats(ss ...Stats) Stats {
+	var out Stats
+	for _, s := range ss {
+		out.ReadOps += s.ReadOps
+		out.ReadBytes += s.ReadBytes
+		out.WriteOps += s.WriteOps
+		out.WriteBytes += s.WriteBytes
+		out.ProtFaults += s.ProtFaults
+	}
+	return out
+}
+
 // replayMemOps runs ops on a fresh Mem and on the flat reference model and
 // fails at the first op after which their errors, read bytes, memory,
-// protection, aliases or Stats differ. It also checks the sparse storage
-// itself: no op replaces or drops a frame's storage, and only a successful
-// write or Frame call gives a frame storage, and only to frames it touches.
+// protection, aliases or Stats differ. Ops after opView go through a stack
+// of views, which share storage and protection with the Mem both ways, so
+// the Mem and the current view must both show the reference's memory and
+// protection, and the Mem's Stats plus every unabsorbed view's must sum to
+// the reference's. It also checks the sparse storage itself: no op
+// replaces or drops a frame's storage, and only a successful write or
+// Frame call gives a frame storage, and only to frames it touches.
 func replayMemOps(t *testing.T, ops []memOp) {
 	t.Helper()
-	m, ref := NewMem(fuzzFrames*PageSize), newFlatMem(fuzzFrames)
+	root, ref := NewMem(fuzzFrames*PageSize), newFlatMem(fuzzFrames)
+	m := root // the Mem or view the next op goes through
+	var views []*Mem
 	var aliases, refAliases [aliasSlots][]byte
 	for i, op := range ops {
 		var got, want error
 		var gotBuf, wantBuf []byte
-		before := append([]*[PageSize]byte(nil), m.frames...)
+		before := append([]*[PageSize]byte(nil), root.frames...)
 		switch op.code {
 		case opReadAt:
 			// Stale bytes in the buffers show a read that skips untouched frames.
@@ -254,6 +275,19 @@ func replayMemOps(t *testing.T, ops []memOp) {
 			n := min(op.n, PageSize-off)
 			fill(aliases[slot][off:off+n], op.pat)
 			fill(refAliases[slot][off:off+n], op.pat)
+		case opView:
+			views = append(views, root.View())
+			m = views[len(views)-1]
+		case opAbsorb:
+			if len(views) == 0 {
+				continue
+			}
+			root.Absorb(views[len(views)-1])
+			views = views[:len(views)-1]
+			m = root
+			if len(views) > 0 {
+				m = views[len(views)-1]
+			}
 		}
 		if !sameMemErr(got, want) {
 			t.Fatalf("op %d %+v: error %v, reference %v", i, op, got, want)
@@ -261,12 +295,14 @@ func replayMemOps(t *testing.T, ops []memOp) {
 		if !bytes.Equal(gotBuf, wantBuf) {
 			t.Fatalf("op %d %+v: read %x, reference %x", i, op, gotBuf, wantBuf)
 		}
-		if !bytes.Equal(contents(m), ref.data) {
-			t.Fatalf("op %d %+v: memory differs from the reference", i, op)
-		}
-		for f := -1; f <= fuzzFrames; f++ {
-			if m.Protected(f) != (f >= 0 && f < fuzzFrames && ref.prot[f]) {
-				t.Fatalf("op %d %+v: Protected(%d) = %v", i, op, f, m.Protected(f))
+		for _, mv := range []*Mem{root, m} {
+			if !bytes.Equal(contents(mv), ref.data) {
+				t.Fatalf("op %d %+v: memory differs from the reference", i, op)
+			}
+			for f := -1; f <= fuzzFrames; f++ {
+				if mv.Protected(f) != (f >= 0 && f < fuzzFrames && ref.prot[f]) {
+					t.Fatalf("op %d %+v: Protected(%d) = %v", i, op, f, mv.Protected(f))
+				}
 			}
 		}
 		for s := range aliases {
@@ -274,10 +310,14 @@ func replayMemOps(t *testing.T, ops []memOp) {
 				t.Fatalf("op %d %+v: alias %d no longer shows its frame", i, op, s)
 			}
 		}
-		if m.Stats() != ref.stats {
-			t.Fatalf("op %d %+v: stats %+v, reference %+v", i, op, m.Stats(), ref.stats)
+		all := []Stats{root.Stats()}
+		for _, v := range views {
+			all = append(all, v.Stats())
 		}
-		for f, p := range m.frames {
+		if sumStats(all...) != ref.stats {
+			t.Fatalf("op %d %+v: stats %+v, reference %+v", i, op, all, ref.stats)
+		}
+		for f, p := range root.frames {
 			switch {
 			case before[f] != nil && p != before[f]:
 				t.Fatalf("op %d %+v: frame %d's storage was replaced or dropped", i, op, f)
@@ -289,9 +329,9 @@ func replayMemOps(t *testing.T, ops []memOp) {
 }
 
 // FuzzMemOps replays decoded ReadAt/WriteAt/ReadU64/WriteU64/Zero/Protect
-// sequences and writes through Frame aliases on a four-frame Mem and on a
-// flat byte-array reference model, and requires identical results after
-// every op. The seed corpus runs as a unit test.
+// sequences, writes through Frame aliases and View/Absorb on a four-frame
+// Mem and on a flat byte-array reference model, and requires identical
+// results after every op. The seed corpus runs as a unit test.
 func FuzzMemOps(f *testing.F) {
 	const end = fuzzFrames * PageSize
 	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
@@ -363,6 +403,55 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opTakeAlias, 0, 0, 0, -1, 3),
 		encodeMemOp(opTakeAlias, 0, 0, 0, fuzzFrames, 3),
 		encodeMemOp(opAliasWrite, 0, 10, 0x7a, 0, 3),
+	))
+	// Aligned words on the one-frame path: the last word of a frame and of
+	// memory, Size() and far past it, a never-written frame (reads 0, gains
+	// no storage) and a protected one (the fault counts, no storage).
+	f.Add(seq(
+		encodeMemOp(opReadU64, PageSize-8, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, PageSize-8, 0, 0x81, 0, 0),
+		encodeMemOp(opReadU64, PageSize-8, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, PageSize, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, end-8, 0, 0x82, 0, 0),
+		encodeMemOp(opReadU64, end-8, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, end, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, end, 0, 0x83, 0, 0),
+		encodeMemOp(opReadU64, 1<<63|8, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 1<<63|8, 0, 0x83, 0, 0),
+		encodeMemOp(opReadU64, 2*PageSize+64, 0, 0, 0, 0),
+		encodeMemOp(opProtect, 0, 0, 0, 1, 1),
+		encodeMemOp(opWriteU64, PageSize+16, 0, 0x84, 0, 0),
+		encodeMemOp(opReadU64, PageSize+16, 0, 0, 0, 0),
+		encodeMemOp(opProtect, 0, 0, 0, 1, 0),
+		encodeMemOp(opWriteU64, PageSize+16, 0, 0x85, 0, 0),
+	))
+	// Views: every counter moves through two stacked views and is absorbed
+	// back; writes, protection and aliases cross between the Mem and its
+	// views both ways; an absorb with no view is a no-op.
+	f.Add(seq(
+		encodeMemOp(opAbsorb, 0, 0, 0, 0, 0),
+		encodeMemOp(opWriteAt, 10, 20, 0x91, 0, 0),
+		encodeMemOp(opView, 0, 0, 0, 0, 0),
+		encodeMemOp(opReadAt, 0, 40, 0, 0, 0),
+		encodeMemOp(opReadU64, 8, 0, 0, 0, 0),
+		encodeMemOp(opWriteAt, PageSize-3, 9, 0x92, 0, 0),
+		encodeMemOp(opWriteU64, 2*PageSize, 0, 0x93, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 3, 0),
+		encodeMemOp(opProtect, 0, 0, 0, 2, 1),
+		encodeMemOp(opWriteU64, 2*PageSize+8, 0, 0x94, 0, 0),
+		encodeMemOp(opTakeAlias, 0, 0, 0, 2, 0),
+		encodeMemOp(opView, 0, 0, 0, 0, 0),
+		encodeMemOp(opAliasWrite, 100, 8, 0x95, 0, 0),
+		encodeMemOp(opReadU64, 2*PageSize+104, 0, 0, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 2, 0),
+		encodeMemOp(opWriteAt, 3*PageSize, 8, 0x96, 0, 0),
+		encodeMemOp(opAbsorb, 0, 0, 0, 0, 0),
+		encodeMemOp(opProtect, 0, 0, 0, 2, 0),
+		encodeMemOp(opReadAt, 2*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opAbsorb, 0, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, 2*PageSize, 0, 0, 0, 0),
+		encodeMemOp(opView, 0, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 3*PageSize-8, 0, 0x97, 0, 0),
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayMemOps(t, decodeMemOps(data))

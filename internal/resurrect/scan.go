@@ -168,14 +168,15 @@ type scanner struct {
 }
 
 // newScanner builds a worker-local scanner with its own counting reader
-// and Accounting shard.
-func (e *Engine) newScanner(shard *Accounting, mainSwap *disk.BlockDevice) *scanner {
+// over view, a phys.Mem view the pass absorbs after the scan, and its own
+// Accounting shard.
+func (e *Engine) newScanner(shard *Accounting, view *phys.Mem, mainSwap *disk.BlockDevice) *scanner {
 	return &scanner{
-		rd:           reader{mem: e.K.M.Mem, acct: shard},
+		rd:           reader{mem: view, acct: shard},
 		acct:         shard,
 		cost:         e.K.Cost(),
-		memSize:      uint64(e.K.M.Mem.Size()),
-		numFrames:    e.K.M.Mem.NumFrames(),
+		memSize:      uint64(view.Size()),
+		numFrames:    view.NumFrames(),
 		verifyCRC:    e.VerifyCRC,
 		mapPages:     e.MapPages,
 		resurrectIPC: e.ResurrectIPC,

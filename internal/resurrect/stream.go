@@ -136,14 +136,15 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 	e.K.M.Clock = scratch
 
 	// Workers claim candidates in order through the cursor and scan
-	// concurrently (read-only, per-candidate accounting shard and event
-	// ledger). Each plan is then committed — classified and installed — in
-	// strict commit order. The commit is the only serialized section, and
-	// it is serialized *in a fixed order*, so every mutation of the new
-	// kernel and every shared classification decision is a pure function
-	// of the candidate order.
+	// concurrently (read-only, per-candidate accounting shard, phys.Mem
+	// view and event ledger). Each plan is then committed — classified and
+	// installed — in strict commit order. The commit is the only
+	// serialized section, and it is serialized *in a fixed order*, so
+	// every mutation of the new kernel and every shared classification
+	// decision is a pure function of the candidate order.
 	plans := make([]*plan, n)
 	accts := make([]*Accounting, n)
+	views := make([]*phys.Mem, n)
 	evs := make([][]trace.Event, n)
 	procs := make([]ProcReport, n)
 	perScan := make([]time.Duration, n)
@@ -193,7 +194,8 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 				mu.Unlock()
 
 				accts[i] = &Accounting{ByCategory: make(map[string]int64)}
-				sc := e.newScanner(accts[i], mainSwap)
+				views[i] = e.K.M.Mem.View()
+				sc := e.newScanner(accts[i], views[i], mainSwap)
 				plans[i] = sc.scanOne(order[i])
 				evs[i] = sc.events
 				if !rep.Streamed {
@@ -223,10 +225,12 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 	}
 
 	// Deterministic reduction in commit order: per-candidate shards fold
-	// with saturating adds, per-candidate event ledgers merge by
-	// candidate-local logical time.
-	for _, sh := range accts {
+	// with saturating adds, phys.Mem views fold into the machine's bus
+	// counters, per-candidate event ledgers merge by candidate-local
+	// logical time.
+	for i, sh := range accts {
 		e.acct.absorb(sh)
+		e.K.M.Mem.Absorb(views[i])
 	}
 	rep.ScanTrace = trace.Merge(evs...)
 	rep.Procs = append(rep.Procs, procs...)
