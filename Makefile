@@ -40,10 +40,13 @@ race:
 # FuzzMemOps checks the sparse physical memory and its counting views
 # under all of them against a flat byte-array reference model, and
 # FuzzTLBOps checks the indexed TLB against the map-based one it replaced.
+# FuzzReadRecord holds the shared record reader to ReadRecord through
+# reused buffers of every capacity.
 # Long exploratory runs stay manual (go test -fuzz=<target> <pkg>).
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzMemOps -fuzztime 10s ./internal/phys
 	$(GO) test -run '^$$' -fuzz FuzzTLBOps -fuzztime 10s ./internal/hw
+	$(GO) test -run '^$$' -fuzz FuzzReadRecord -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzFrameSalvage -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s ./internal/disk

@@ -217,16 +217,20 @@ func (s *WALKV) loadLog(env *kernel.Env) ([]byte, error) {
 		return nil, nil // no log yet: fresh store
 	}
 	data := make([]byte, 0, 1<<16)
-	chunk := make([]byte, WALRecordSize)
 	for {
-		n, rerr := env.ReadFile(fd, chunk)
+		if cap(data)-len(data) < WALRecordSize {
+			grown := make([]byte, len(data), 2*cap(data))
+			copy(grown, data)
+			data = grown
+		}
+		n, rerr := env.ReadFile(fd, data[len(data):len(data)+WALRecordSize])
 		if rerr != nil {
 			return nil, rerr
 		}
 		if n == 0 {
 			break
 		}
-		data = append(data, chunk[:n]...)
+		data = data[:len(data)+n]
 	}
 	if err := env.Close(fd); err != nil {
 		return nil, err

@@ -239,19 +239,29 @@ func Run(cfg Config) Result {
 // DiskFingerprint hashes a disk image: every file path, size and content in
 // the file system's sorted order. Two runs with the same seed must produce
 // identical fingerprints at any campaign or resurrection worker width.
+// Contents stream through one fixed buffer rather than a copy of each
+// file, so f must not change while it runs.
 func DiskFingerprint(f *fs.FlatFS) string {
 	h := sha256.New()
 	var n [8]byte
+	buf := make([]byte, 32<<10)
 	for _, path := range f.List() {
-		data, err := f.ReadFile(path)
+		size, err := f.Size(path)
 		if err != nil {
 			continue
 		}
 		h.Write([]byte(path))
 		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(n[:], uint64(len(data)))
+		binary.LittleEndian.PutUint64(n[:], uint64(size))
 		h.Write(n[:])
-		h.Write(data)
+		for off := int64(0); off < size; {
+			k, err := f.ReadAt(path, off, buf[:min(int64(len(buf)), size-off)])
+			if err != nil || k == 0 {
+				break
+			}
+			h.Write(buf[:k])
+			off += int64(k)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

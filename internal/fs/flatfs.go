@@ -113,11 +113,8 @@ func (f *FlatFS) WriteAt(path string, off int64, buf []byte, create bool) (int, 
 	if off < 0 {
 		return 0, fmt.Errorf("fs: negative offset %d", off)
 	}
-	end := off + int64(len(buf))
-	if end > int64(len(fl.data)) {
-		// Grow with append's amortized doubling: sequential appends (log
-		// writers, crash dumps) must not be quadratic.
-		fl.data = append(fl.data, make([]byte, end-int64(len(fl.data)))...)
+	if end := off + int64(len(buf)); end > int64(len(fl.data)) {
+		fl.data = extend(fl.data, end)
 	}
 	copy(fl.data[off:], buf)
 	f.writeBytes += int64(len(buf))
@@ -139,10 +136,25 @@ func (f *FlatFS) Truncate(path string, n int64) error {
 		fl.data = fl.data[:n]
 		return nil
 	}
-	grown := make([]byte, n)
-	copy(grown, fl.data)
-	fl.data = grown
+	fl.data = extend(fl.data, n)
 	return nil
+}
+
+// extend lengthens data to n bytes of which the new ones read as zeros.
+// When it must reallocate, capacity at least doubles, so sequential
+// appends (log writers, crash dumps) copy each byte O(1) times. Spare
+// capacity may still hold bytes from before a shrinking Truncate, so a
+// reslice clears the extension explicitly.
+func extend(data []byte, n int64) []byte {
+	if n > int64(cap(data)) {
+		grown := make([]byte, n, max(n, 2*int64(cap(data))))
+		copy(grown, data)
+		return grown
+	}
+	old := len(data)
+	data = data[:n]
+	clear(data[old:])
+	return data
 }
 
 // Remove deletes the file at path.

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -149,5 +150,53 @@ func TestBytesWritten(t *testing.T) {
 	_, _ = f.WriteAt("/a", 0, make([]byte, 50), false)
 	if got := f.BytesWritten(); got != 150 {
 		t.Fatalf("bytes written = %d", got)
+	}
+}
+
+// TestWriteAtAfterShrinkZeroFills: a shrinking Truncate keeps the old bytes
+// in spare capacity, so a write past the new end must zero the gap rather
+// than reslice over them.
+func TestWriteAtAfterShrinkZeroFills(t *testing.T) {
+	f := New()
+	if _, err := f.WriteAt("/a", 0, []byte("hello world"), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate("/a", 5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt("/a", 9, []byte("!"), false); err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.ReadFile("/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte("hello\x00\x00\x00\x00!"); !bytes.Equal(got, want) {
+		t.Fatalf("file = %q, want %q", got, want)
+	}
+}
+
+// TestSequentialAppendsDouble: appending a file page by page reallocates
+// it with doubling capacity, so the bytes allocated stay within a small
+// multiple of the final size (append's 1.25x growth costs about 5x here).
+func TestSequentialAppendsDouble(t *testing.T) {
+	const pages, pageSize = 256, 4096
+	f := New()
+	page := bytes.Repeat([]byte{0x77}, pageSize)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pages; i++ {
+		if _, err := f.WriteAt("/log", int64(i*pageSize), page, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	final := uint64(pages * pageSize)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 3*final {
+		t.Fatalf("%d appends allocated %d bytes for a %d-byte file (%.2fx), want < 3x",
+			pages, got, final, float64(got)/float64(final))
+	}
+	if size, err := f.Size("/log"); err != nil || size != int64(final) {
+		t.Fatalf("size = %d %v, want %d", size, err, final)
 	}
 }

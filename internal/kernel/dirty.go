@@ -31,13 +31,13 @@ func (k *Kernel) DirtyPages() []disk.DirtyPage {
 			if err != nil {
 				break
 			}
+			var page layout.CachePage
 			cp := rec.CachePages
 			for chops := 0; cp != 0; chops++ {
 				if chops > 65536 {
 					break
 				}
-				page, perr := layout.ReadCachePage(k.M.Mem, cp, k.P.VerifyCRC)
-				if perr != nil {
+				if perr := k.readCachePage(cp, &page); perr != nil {
 					break
 				}
 				if page.Dirty && page.Bytes > 0 && page.Bytes <= phys.PageSize {

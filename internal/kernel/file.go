@@ -155,13 +155,13 @@ func (k *Kernel) readFileAt(rec *layout.FileRec, off int64, buf []byte) (int, er
 	}
 	// Overlay any cached pages (they may be dirtier than the disk). Also
 	// extend n if cached pages lie beyond the on-disk size.
+	var cp layout.CachePage
 	cur := rec.CachePages
 	for hops := 0; cur != 0; hops++ {
 		if hops > 65536 {
 			return 0, k.oopsf(OopsBadStructure, "page cache list loop for %q", rec.Path)
 		}
-		cp, cerr := layout.ReadCachePage(k.M.Mem, cur, k.P.VerifyCRC)
-		if cerr != nil {
+		if cerr := k.readCachePage(cur, &cp); cerr != nil {
 			return 0, k.oopsf(OopsBadStructure, "page cache record: %v", cerr)
 		}
 		pageStart := int64(cp.FileOff)
@@ -176,12 +176,10 @@ func (k *Kernel) readFileAt(rec *layout.FileRec, off int64, buf []byte) (int, er
 			if to > readEnd {
 				to = readEnd
 			}
-			frameData := make([]byte, to-from)
 			src := cp.Frame*phys.PageSize + uint64(from-pageStart)
-			if err := k.M.Mem.ReadAt(src, frameData); err != nil {
+			if err := k.M.Mem.ReadAt(src, buf[from-off:to-off]); err != nil {
 				return 0, k.oopsf(OopsBadPageTable, "page cache frame read: %v", err)
 			}
-			copy(buf[from-off:], frameData)
 			if int(to-off) > n {
 				n = int(to - off)
 			}
@@ -223,7 +221,7 @@ func (k *Kernel) writeFile(p *Process, fd uint32, data []byte) (int, error) {
 		if uint32(inPage+n) > cp.Bytes {
 			cp.Bytes = uint32(inPage + n)
 		}
-		if werr := layout.WriteCachePage(k.M.Mem, cpAddr, cp); werr != nil {
+		if werr := layout.WriteCachePage(k.M.Mem, cpAddr, &cp); werr != nil {
 			return written, werr
 		}
 		written += n
@@ -243,15 +241,15 @@ func (k *Kernel) writeFile(p *Process, fd uint32, data []byte) (int, error) {
 
 // cachePageFor finds or creates the cache page covering fileOff (which must
 // be page aligned), filling new pages from disk.
-func (k *Kernel) cachePageFor(rec *layout.FileRec, recAddr uint64, fileOff uint64) (uint64, *layout.CachePage, error) {
+func (k *Kernel) cachePageFor(rec *layout.FileRec, recAddr uint64, fileOff uint64) (uint64, layout.CachePage, error) {
+	var cp layout.CachePage
 	cur := rec.CachePages
 	for hops := 0; cur != 0; hops++ {
 		if hops > 65536 {
-			return 0, nil, k.oopsf(OopsBadStructure, "page cache list loop for %q", rec.Path)
+			return 0, cp, k.oopsf(OopsBadStructure, "page cache list loop for %q", rec.Path)
 		}
-		cp, err := layout.ReadCachePage(k.M.Mem, cur, k.P.VerifyCRC)
-		if err != nil {
-			return 0, nil, k.oopsf(OopsBadStructure, "page cache record: %v", err)
+		if err := k.readCachePage(cur, &cp); err != nil {
+			return 0, cp, k.oopsf(OopsBadStructure, "page cache record: %v", err)
 		}
 		if cp.FileOff == fileOff {
 			return cur, cp, nil
@@ -260,15 +258,17 @@ func (k *Kernel) cachePageFor(rec *layout.FileRec, recAddr uint64, fileOff uint6
 	}
 	frame, err := k.allocFrame(phys.FramePageCache)
 	if err != nil {
-		return 0, nil, err
+		return 0, cp, err
 	}
-	// Fill from disk so partial-page writes preserve surrounding bytes.
-	fill := make([]byte, phys.PageSize)
+	// Fill from disk so partial-page writes preserve surrounding bytes;
+	// the rest of the page is zeros, whatever the buffer last held.
+	fill := k.pageBuffer(phys.PageSize)
 	valid, _ := k.FS.ReadAt(rec.Path, int64(fileOff), fill)
+	clear(fill[valid:])
 	if err := k.M.Mem.WriteAt(phys.FrameAddr(frame), fill); err != nil {
-		return 0, nil, k.oopsf(OopsBadPageTable, "page cache fill: %v", err)
+		return 0, cp, k.oopsf(OopsBadPageTable, "page cache fill: %v", err)
 	}
-	cp := &layout.CachePage{
+	cp = layout.CachePage{
 		FileOff: fileOff,
 		Frame:   uint64(frame),
 		Bytes:   uint32(valid),
@@ -276,30 +276,51 @@ func (k *Kernel) cachePageFor(rec *layout.FileRec, recAddr uint64, fileOff uint6
 	}
 	cpAddr, _, err := k.Heap.WriteNewRecord(layout.TypeCachePage, cp.EncodePayload())
 	if err != nil {
-		return 0, nil, err
+		return 0, cp, err
 	}
 	rec.CachePages = cpAddr
 	if err := k.writeFileRec(recAddr, rec); err != nil {
-		return 0, nil, err
+		return 0, cp, err
 	}
 	return cpAddr, cp, nil
+}
+
+// cachePageRecordSize is the framed size of every page-cache record; the
+// payload is fixed-width, so freeing one needs no re-encode.
+var cachePageRecordSize = layout.RecordSize(len((&layout.CachePage{}).EncodePayload()))
+
+// readCachePage decodes the page-cache entry at addr into *cp through the
+// kernel's record buffer: two counted reads, no allocation.
+func (k *Kernel) readCachePage(addr uint64, cp *layout.CachePage) error {
+	return layout.ReadCachePageInto(k.M.Mem, addr, k.P.VerifyCRC, cp, &k.cacheRec)
+}
+
+// pageBuffer returns n bytes of the kernel's page buffer, growing it when
+// n exceeds its capacity (a corrupt Bytes field under the no-CRC ablation
+// asks for more than a page). The bytes are stale; callers overwrite them.
+func (k *Kernel) pageBuffer(n int) []byte {
+	if cap(k.cachePage) < n {
+		k.cachePage = make([]byte, n)
+	}
+	return k.cachePage[:n]
 }
 
 // flushFile writes the file's dirty cache pages to disk and clears their
 // dirty flags — the fsync path, and the operation the crash kernel repeats
 // during resurrection.
 func (k *Kernel) flushFile(rec *layout.FileRec, recAddr uint64) error {
+	var cp layout.CachePage
 	cur := rec.CachePages
 	for hops := 0; cur != 0; hops++ {
 		if hops > 65536 {
 			return k.oopsf(OopsBadStructure, "page cache list loop for %q", rec.Path)
 		}
-		cp, err := layout.ReadCachePage(k.M.Mem, cur, k.P.VerifyCRC)
-		if err != nil {
+		if err := k.readCachePage(cur, &cp); err != nil {
 			return k.oopsf(OopsBadStructure, "page cache record: %v", err)
 		}
 		if cp.Dirty && cp.Bytes > 0 {
-			buf := make([]byte, cp.Bytes)
+			// Both diskWrite paths copy buf before returning.
+			buf := k.pageBuffer(int(cp.Bytes))
 			if rerr := k.M.Mem.ReadAt(cp.Frame*phys.PageSize, buf); rerr != nil {
 				return k.oopsf(OopsBadPageTable, "page cache frame read: %v", rerr)
 			}
@@ -308,7 +329,7 @@ func (k *Kernel) flushFile(rec *layout.FileRec, recAddr uint64) error {
 			}
 			k.M.Clock.Advance(k.cost.DiskWriteCost(int64(cp.Bytes)))
 			cp.Dirty = false
-			if werr := layout.WriteCachePage(k.M.Mem, cur, cp); werr != nil {
+			if werr := layout.WriteCachePage(k.M.Mem, cur, &cp); werr != nil {
 				return werr
 			}
 		}
@@ -329,17 +350,17 @@ func (k *Kernel) diskWrite(path string, off int64, buf []byte) (int, error) {
 
 // freeCachePages releases a closed file's cache frames and records.
 func (k *Kernel) freeCachePages(rec *layout.FileRec, recAddr uint64) error {
+	var cp layout.CachePage
 	cur := rec.CachePages
 	for hops := 0; cur != 0; hops++ {
 		if hops > 65536 {
 			return k.oopsf(OopsBadStructure, "page cache list loop for %q", rec.Path)
 		}
-		cp, err := layout.ReadCachePage(k.M.Mem, cur, k.P.VerifyCRC)
-		if err != nil {
+		if err := k.readCachePage(cur, &cp); err != nil {
 			return k.oopsf(OopsBadStructure, "page cache record: %v", err)
 		}
 		k.Alloc.Free(int(cp.Frame))
-		k.Heap.Free(cur, layout.RecordSize(len(cp.EncodePayload())))
+		k.Heap.Free(cur, cachePageRecordSize)
 		cur = cp.Next
 	}
 	rec.CachePages = 0

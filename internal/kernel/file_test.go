@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"otherworld/internal/layout"
+	"otherworld/internal/phys"
 )
 
 func envFor(t testing.TB, k *Kernel) *Env {
@@ -211,5 +212,132 @@ func TestManyOpenFilesWalk(t *testing.T) {
 		if i%2 == 1 && err != nil {
 			t.Fatalf("open fd %d lost: %v", fd, err)
 		}
+	}
+}
+
+// cachedChain writes a file of pages pages through one descriptor and
+// fsyncs it, leaving a clean page-cache chain of that many entries. It
+// returns the file's record and address.
+func cachedChain(t testing.TB, pages int) (*Kernel, *layout.FileRec, uint64) {
+	t.Helper()
+	k := bootTestKernel(t, nil)
+	env := envFor(t, k)
+	fd, err := env.Open("/data/wal", layout.FlagWrite|layout.FlagCreate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.WriteFile(fd, bytes.Repeat([]byte{0x5A}, pages*phys.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Fsync(fd); err != nil {
+		t.Fatal(err)
+	}
+	rec, addr, err := k.lookupFile(env.P, fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, rec, addr
+}
+
+// TestPageCacheWalksAllocateNothing: a clean fsync and a page-cache hit on
+// the chain's last entry walk all 64 entries of a file's chain. Each entry
+// costs exactly two counted reads (the 8-byte header, then payload plus
+// CRC) and no heap allocation.
+func TestPageCacheWalksAllocateNothing(t *testing.T) {
+	const pages = 64
+	k, rec, addr := cachedChain(t, pages)
+	entry := layout.RecordSize(len((&layout.CachePage{}).EncodePayload()))
+	walks := []struct {
+		name string
+		op   func() error
+	}{
+		{"flushFile", func() error { return k.flushFile(rec, addr) }},
+		{"cachePageFor", func() error {
+			// Pages are pushed at the head, so offset 0 is the last entry.
+			_, cp, err := k.cachePageFor(rec, addr, 0)
+			if err == nil && (cp.FileOff != 0 || cp.Next != 0 || cp.Dirty) {
+				t.Errorf("cachePageFor(0) = %+v, want the clean last entry", cp)
+			}
+			return err
+		}},
+	}
+	for _, w := range walks {
+		before := k.M.Mem.Stats()
+		if err := w.op(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		after := k.M.Mem.Stats()
+		if ops := after.ReadOps - before.ReadOps; ops != 2*pages {
+			t.Errorf("%s: %d counted reads, want %d", w.name, ops, 2*pages)
+		}
+		if n := after.ReadBytes - before.ReadBytes; n != int64(pages*entry) {
+			t.Errorf("%s: %d bytes read, want %d", w.name, n, pages*entry)
+		}
+		if after.WriteOps != before.WriteOps {
+			t.Errorf("%s: wrote %d times to a clean chain", w.name, after.WriteOps-before.WriteOps)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = w.op() }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per walk, want 0", w.name, allocs)
+		}
+	}
+}
+
+// BenchmarkPageCacheWalk walks a clean 64-page chain: a lookup that hits
+// the last entry and an fsync with nothing to flush.
+func BenchmarkPageCacheWalk(b *testing.B) {
+	k, rec, addr := cachedChain(b, 64)
+	b.Run("lookup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := k.cachePageFor(rec, addr, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("flush", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := k.flushFile(rec, addr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestCacheFillZeroesPastDisk: a page filled from a short file is zero
+// past the disk's bytes, even when the kernel's page buffer last held
+// another file's data.
+func TestCacheFillZeroesPastDisk(t *testing.T) {
+	k := bootTestKernel(t, nil)
+	env := envFor(t, k)
+	if err := k.FS.WriteFile("/data/full", bytes.Repeat([]byte{0xEE}, phys.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	full, err := env.Open("/data/full", layout.FlagWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.WriteFile(full, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	empty, err := env.Open("/data/empty", layout.FlagWrite|layout.FlagCreate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Seek(empty, 100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.WriteFile(empty, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Fsync(empty); err != nil {
+		t.Fatal(err)
+	}
+	got, err := k.FS.ReadFile("/data/empty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(make([]byte, 100), 'x'); !bytes.Equal(got, want) {
+		t.Fatalf("flushed %x, want 100 zero bytes then 'x'", got)
 	}
 }

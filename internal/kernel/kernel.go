@@ -176,6 +176,14 @@ type Kernel struct {
 	// isCrashKernel is true from crash-kernel boot until the morph.
 	isCrashKernel bool
 
+	// cacheRec and cachePage are the page-cache walks' reusable buffers:
+	// the record decode buffer and the frame bytes of one page. Like the
+	// frame table they have one writer at a time (the kernel's goroutine,
+	// or a commit holding the pass's mutex), and each walk copies out what
+	// it needs before the next one starts.
+	cacheRec  []byte
+	cachePage []byte
+
 	// Tracer is the crash-surviving flight recorder: a ring of binary
 	// events in an unprotected sub-region of the crash reservation that
 	// the crash kernel parses after a failure (package trace). It is

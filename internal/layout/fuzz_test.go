@@ -2,12 +2,34 @@ package layout
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
+// junkCapacities returns reusable buffers for the buffered record readers,
+// filled with junk up to their capacity: empty, one header, exactly the
+// record data's header announces, and larger than that, each once at full
+// length and once resliced to length zero.
+func junkCapacities(data []byte) [][]byte {
+	exact := RecordSize(0)
+	if len(data) >= HeaderSize {
+		if n := binary.LittleEndian.Uint32(data[4:]); n <= MaxPayload {
+			exact = RecordSize(int(n))
+		}
+	}
+	var out [][]byte
+	for _, c := range []int{0, HeaderSize, exact, exact + 64} {
+		junk := bytes.Repeat([]byte{0xA5}, c)
+		out = append(out, junk, bytes.Clone(junk)[:0])
+	}
+	return out
+}
+
 // FuzzReadRecord drives the record parser with arbitrary bytes; it must
-// never panic and must round-trip records it sealed itself. Run the seed
-// corpus with go test, or explore with go test -fuzz=FuzzReadRecord.
+// never panic, must round-trip records it sealed itself, and must give the
+// same answer through a reused buffer of any capacity and contents.
+// Run the seed corpus with go test, or explore with go test
+// -fuzz=FuzzReadRecord.
 func FuzzReadRecord(f *testing.F) {
 	f.Add([]byte{}, uint8(1), true)
 	f.Add(Seal(TypeProc, 0, []byte("payload")), uint8(2), true)
@@ -16,12 +38,36 @@ func FuzzReadRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, wantType uint8, crc bool) {
 		m := &memBuf{data: make([]byte, len(data)+64)}
 		copy(m.data, data)
-		payload, _, err := ReadRecord(m, 0, Type(wantType%uint8(typeMax)), crc)
+		want := Type(wantType % uint8(typeMax))
+		payload, flags, err := ReadRecord(m, 0, want, crc)
 		if err == nil && payload == nil && len(data) > HeaderSize {
 			// nil payload is only legal for zero-length records.
 			n := int(uint32(data[4]) | uint32(data[5])<<8 | uint32(data[6])<<16 | uint32(data[7])<<24)
 			if n != 0 {
 				t.Fatalf("nil payload for length %d", n)
+			}
+		}
+		if err == nil && crc {
+			if img := Seal(want, flags, payload); !bytes.Equal(img, m.data[:len(img)]) {
+				t.Fatalf("validated record does not re-seal to its bytes:\n%x\n%x", img, m.data[:len(img)])
+			}
+		}
+		if len(data) <= MaxPayload {
+			sealed := &memBuf{data: Seal(want, 5, data)}
+			p, fl, e := ReadRecord(sealed, 0, want, true)
+			if e != nil || fl != 5 || !bytes.Equal(p, data) {
+				t.Fatalf("sealed %x read back as %x flags %d: %v", data, p, fl, e)
+			}
+		}
+		for _, buf := range junkCapacities(data) {
+			for pass := 0; pass < 2; pass++ {
+				p, fl, e := readRecord(m, 0, want, crc, &buf)
+				if (e == nil) != (err == nil) || (e != nil && e.Error() != err.Error()) {
+					t.Fatalf("cap %d pass %d: error %v, ReadRecord gave %v", cap(buf), pass, e, err)
+				}
+				if e == nil && (fl != flags || !bytes.Equal(p, payload)) {
+					t.Fatalf("cap %d pass %d: payload %x flags %d, ReadRecord gave %x %d", cap(buf), pass, p, fl, payload, flags)
+				}
 			}
 		}
 	})
@@ -81,6 +127,14 @@ func FuzzRecordDecode(f *testing.F) {
 	}
 	f.Add([]byte{}, uint8(TypeProc), true)
 	f.Add(bytes.Repeat([]byte{0xFF}, 96), uint8(TypeShm), false)
+	// Page-cache records that frame correctly but decode wrong, and one
+	// whose checksum no longer matches: the buffered decoder's error paths.
+	body := cp.EncodePayload()
+	f.Add(Seal(TypeCachePage, 0, body[:len(body)-1]), uint8(TypeCachePage), true)
+	f.Add(Seal(TypeCachePage, 0, append(body, 0)), uint8(TypeCachePage), false)
+	flipped := Seal(TypeCachePage, 0, body)
+	flipped[HeaderSize] ^= 1
+	f.Add(flipped, uint8(TypeCachePage), true)
 	f.Fuzz(func(t *testing.T, data []byte, typeSel uint8, crc bool) {
 		m := &memBuf{data: make([]byte, len(data)+64)}
 		copy(m.data, data)
@@ -106,7 +160,7 @@ func FuzzRecordDecode(f *testing.F) {
 		case TypeSocket:
 			_, _ = ReadSocket(m, 0, crc)
 		case TypeCachePage:
-			_, _ = ReadCachePage(m, 0, crc)
+			checkCachePageInto(t, m, data, crc)
 		}
 	})
 }
@@ -121,4 +175,30 @@ func FuzzProcDecode(f *testing.F) {
 		var q Proc
 		_ = q.decode(0, payload)
 	})
+}
+
+// checkCachePageInto decodes the page-cache entry at 0 with ReadCachePage
+// and with ReadCachePageInto through reused junk-filled buffers of every
+// capacity junkCapacities offers: both must give the same entry or the
+// same error, and a failed decode must leave the destination untouched.
+func checkCachePageInto(t *testing.T, m *memBuf, data []byte, crc bool) {
+	t.Helper()
+	want, werr := ReadCachePage(m, 0, crc)
+	junk := CachePage{FileOff: 0xDEAD, Frame: 0xBEEF, Dirty: true, Bytes: 7, Next: 0xF00D}
+	for _, buf := range junkCapacities(data) {
+		for pass := 0; pass < 2; pass++ {
+			got := junk
+			err := ReadCachePageInto(m, 0, crc, &got, &buf)
+			switch {
+			case (err == nil) != (werr == nil):
+				t.Fatalf("cap %d pass %d: error %v, ReadCachePage gave %v", cap(buf), pass, err, werr)
+			case err != nil && err.Error() != werr.Error():
+				t.Fatalf("cap %d pass %d: error %q, ReadCachePage gave %q", cap(buf), pass, err, werr)
+			case err != nil && got != junk:
+				t.Fatalf("cap %d pass %d: failed decode wrote %+v", cap(buf), pass, got)
+			case err == nil && got != *want:
+				t.Fatalf("cap %d pass %d: entry %+v, ReadCachePage gave %+v", cap(buf), pass, got, *want)
+			}
+		}
+	}
 }

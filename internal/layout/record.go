@@ -149,10 +149,25 @@ func WriteRecord(m MemoryAccessor, addr uint64, t Type, flags uint8, payload []b
 // and flags. If verifyCRC is false the checksum is not checked — the
 // Section 4 ablation — but structural validation (magic, type, length)
 // still applies, modelling the "data integrity rules" checks that need no
-// checksums.
+// checksums. The payload is fresh storage the caller owns.
 func ReadRecord(m MemoryAccessor, addr uint64, want Type, verifyCRC bool) (payload []byte, flags uint8, err error) {
-	var hdr [HeaderSize]byte
-	if err := m.ReadAt(addr, hdr[:]); err != nil {
+	var buf []byte
+	return readRecord(m, addr, want, verifyCRC, &buf)
+}
+
+// readRecord is ReadRecord reading through *buf, which it grows when the
+// record does not fit: the header lands in buf[:HeaderSize] and the payload
+// and CRC after it, so the returned payload aliases *buf. It makes exactly
+// two ReadAt calls on a readable record (the header, then payload plus CRC),
+// whatever *buf held before.
+func readRecord(m MemoryAccessor, addr uint64, want Type, verifyCRC bool, buf *[]byte) (payload []byte, flags uint8, err error) {
+	b := *buf
+	if cap(b) < HeaderSize {
+		b = make([]byte, HeaderSize)
+		*buf = b
+	}
+	hdr := b[:HeaderSize]
+	if err := m.ReadAt(addr, hdr); err != nil {
 		return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: "header unreadable: " + err.Error()}
 	}
 	if binary.LittleEndian.Uint16(hdr[0:]) != Magic {
@@ -166,20 +181,24 @@ func ReadRecord(m MemoryAccessor, addr uint64, want Type, verifyCRC bool) (paylo
 	if n > MaxPayload {
 		return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: fmt.Sprintf("payload length %d exceeds limit", n)}
 	}
-	body := make([]byte, int(n)+TrailerSize)
-	if err := m.ReadAt(addr+HeaderSize, body); err != nil {
+	size := RecordSize(int(n))
+	if cap(b) < size {
+		b = make([]byte, size)
+		copy(b, hdr)
+		*buf = b
+	}
+	b = b[:size]
+	if err := m.ReadAt(addr+HeaderSize, b[HeaderSize:]); err != nil {
 		return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: "payload unreadable: " + err.Error()}
 	}
-	payload = body[:n]
+	payload = b[HeaderSize : HeaderSize+n]
 	if verifyCRC {
-		stored := binary.LittleEndian.Uint32(body[n:])
-		crc := crc32.Checksum(hdr[:], CRCTable)
-		crc = crc32.Update(crc, CRCTable, payload)
-		if stored != crc {
+		stored := binary.LittleEndian.Uint32(b[HeaderSize+n:])
+		if stored != crc32.Checksum(b[:HeaderSize+n], CRCTable) {
 			return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: "checksum mismatch"}
 		}
 	}
-	return payload, hdr[3], nil
+	return payload, b[3], nil
 }
 
 // PeekType returns the record type stored at addr without validation, used

@@ -718,13 +718,29 @@ func WriteCachePage(m MemoryAccessor, addr uint64, c *CachePage) error {
 
 // ReadCachePage loads and validates a page-cache entry.
 func ReadCachePage(m MemoryAccessor, addr uint64, verifyCRC bool) (*CachePage, error) {
-	payload, _, err := ReadRecord(m, addr, TypeCachePage, verifyCRC)
-	if err != nil {
-		return nil, err
-	}
 	var c CachePage
-	if err := c.decode(addr, payload); err != nil {
+	var buf []byte
+	if err := ReadCachePageInto(m, addr, verifyCRC, &c, &buf); err != nil {
 		return nil, err
 	}
 	return &c, nil
+}
+
+// ReadCachePageInto is ReadCachePage for page-cache walks: it decodes the
+// entry at addr into *c, reading the record through *buf, a buffer the
+// caller owns and reuses across calls. It grows *buf when a record does
+// not fit; a successful decode through a big enough *buf allocates nothing.
+// The reads, checks and errors are ReadCachePage's; *c is written only on
+// success.
+func ReadCachePageInto(m MemoryAccessor, addr uint64, verifyCRC bool, c *CachePage, buf *[]byte) error {
+	payload, _, err := readRecord(m, addr, TypeCachePage, verifyCRC, buf)
+	if err != nil {
+		return err
+	}
+	var v CachePage
+	if err := v.decode(addr, payload); err != nil {
+		return err
+	}
+	*c = v
+	return nil
 }

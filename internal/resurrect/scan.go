@@ -505,11 +505,9 @@ func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 			if n <= 0 {
 				break
 			}
-			buf := make([]byte, n)
-			if err := s.rd.at(CatUserData).ReadAt(f*phys.PageSize, buf); err != nil {
+			if err := s.rd.at(CatUserData).ReadAt(f*phys.PageSize, contents[off:off+n]); err != nil {
 				return out, err
 			}
-			copy(contents[off:], buf)
 		}
 		out = append(out, shmPlan{seg: seg, contents: contents})
 		s.charge(s.cost.CopyCost(int64(len(contents))))
