@@ -20,10 +20,12 @@ const BlockSize = 4096
 // ErrNoDevice is returned when opening an unknown device name.
 var ErrNoDevice = errors.New("disk: no such device")
 
-// BlockDevice is a fixed-capacity array of blocks addressed by index.
+// BlockDevice is a fixed-capacity array of blocks addressed by index. A
+// block gets its storage on its first write; until then it reads as zeros,
+// so an unused partition costs one pointer per block.
 type BlockDevice struct {
 	name   string
-	blocks [][]byte
+	blocks []*[BlockSize]byte
 
 	mu     sync.Mutex
 	reads  int64
@@ -32,7 +34,7 @@ type BlockDevice struct {
 
 // NewBlockDevice creates a device with the given number of blocks.
 func NewBlockDevice(name string, blocks int) *BlockDevice {
-	return &BlockDevice{name: name, blocks: make([][]byte, blocks)}
+	return &BlockDevice{name: name, blocks: make([]*[BlockSize]byte, blocks)}
 }
 
 // Name returns the symbolic device name (e.g. "/dev/sdb1").
@@ -51,11 +53,14 @@ func (d *BlockDevice) ReadBlock(i int) ([]byte, error) {
 	defer d.mu.Unlock()
 	d.reads++
 	buf := make([]byte, BlockSize)
-	copy(buf, d.blocks[i])
+	if b := d.blocks[i]; b != nil {
+		copy(buf, b[:])
+	}
 	return buf, nil
 }
 
-// WriteBlock stores data (at most BlockSize bytes) into block i.
+// WriteBlock stores data (at most BlockSize bytes) into block i; the rest of
+// the block reads as zeros.
 func (d *BlockDevice) WriteBlock(i int, data []byte) error {
 	if i < 0 || i >= len(d.blocks) {
 		return fmt.Errorf("disk %s: block %d out of range", d.name, i)
@@ -66,9 +71,12 @@ func (d *BlockDevice) WriteBlock(i int, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.writes++
-	buf := make([]byte, BlockSize)
-	copy(buf, data)
-	d.blocks[i] = buf
+	b := d.blocks[i]
+	if b == nil {
+		b = new([BlockSize]byte)
+		d.blocks[i] = b
+	}
+	clear(b[copy(b[:], data):])
 	return nil
 }
 

@@ -32,6 +32,44 @@ func TestBlockDeviceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlockDeviceShortWriteThenOverwrite writes a full block, overwrites it
+// with a short write and then a shorter one, and requires each read to show
+// exactly the last write followed by zeros, in a fresh buffer each time.
+func TestBlockDeviceShortWriteThenOverwrite(t *testing.T) {
+	d := NewBlockDevice("/dev/sda", 4)
+	full := bytes.Repeat([]byte{0xaa}, BlockSize)
+	if err := d.WriteBlock(1, full); err != nil {
+		t.Fatal(err)
+	}
+	var prev []byte
+	for _, data := range [][]byte{bytes.Repeat([]byte{0xbb}, 100), []byte("cc"), nil} {
+		if err := d.WriteBlock(1, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.ReadBlock(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, BlockSize)
+		copy(want, data)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after a %d-byte write the block reads % x…", len(data), got[:min(len(data)+8, BlockSize)])
+		}
+		if prev != nil && &prev[0] == &got[0] {
+			t.Fatal("ReadBlock returned the same buffer twice")
+		}
+		got[0] = 0xff // a caller's buffer must not alias the block
+		prev = got
+	}
+	again, err := d.ReadBlock(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, make([]byte, BlockSize)) {
+		t.Fatal("writing into a ReadBlock buffer changed the block")
+	}
+}
+
 func TestBlockDeviceBounds(t *testing.T) {
 	d := NewBlockDevice("/dev/sda", 2)
 	if _, err := d.ReadBlock(2); err == nil {

@@ -8,6 +8,11 @@ import (
 
 func TestProgramRegistryDuplicatePanics(t *testing.T) {
 	RegisterProgram("registry-dup-test", func() Program { return testProg{} })
+	t.Cleanup(func() {
+		registryMu.Lock()
+		defer registryMu.Unlock()
+		delete(programs, "registry-dup-test")
+	})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration should panic")

@@ -1,8 +1,9 @@
 // Package phys models the machine's physical memory: fixed-size frames
 // with per-frame write protection and ownership tags. Memory is sparse: a
-// frame gets its storage the first time it is written or aliased, and a
-// frame never written reads as zeros, so a machine boot costs its frame
-// table rather than its whole RAM.
+// frame gets its storage the first time a write puts a non-zero byte on it
+// or it is aliased, and a frame without storage reads as zeros, so a
+// machine boot costs its frame table rather than its whole RAM, and a page
+// that only ever held zeros costs nothing.
 //
 // Everything that matters for Otherworld lives here as raw bytes — the main
 // kernel's heap records, page tables, kernel stacks, user pages, the page
@@ -13,6 +14,7 @@
 package phys
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -103,8 +105,9 @@ type Stats struct {
 
 // Mem is the machine's physical memory, or a View of it.
 type Mem struct {
-	// frames holds each frame's storage, allocated by page on first write
-	// or alias; a nil entry has never been written and reads as zeros.
+	// frames holds each frame's storage, allocated by page on the first
+	// write that puts a non-zero byte on the frame, or on its first alias;
+	// a nil entry has only ever been written zeros and reads as zeros.
 	// A View shares all three slices with its parent.
 	frames []*[PageSize]byte
 	prot   []bool
@@ -173,7 +176,8 @@ func (m *Mem) Absorb(v *Mem) {
 // stays an alias of the frame for the Mem's lifetime.
 //
 // The check-then-set takes no lock because a Mem and its views have one
-// writer at a time. Only writes and Frame reach page; reads never do.
+// writer at a time. Only writes with a non-zero byte for f, and Frame, reach
+// page; reads never do.
 // During a streamed resurrection pass the scan workers only read, and the
 // commits, the only writers, run one at a time under the pass's mutex. The
 // campaign pool gives each worker its own machine.
@@ -187,7 +191,7 @@ func (m *Mem) page(f int) *[PageSize]byte {
 }
 
 // ReadAt copies len(buf) bytes starting at addr into buf. Bytes of frames
-// never written read as zeros.
+// without storage read as zeros.
 func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -212,7 +216,9 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 // WriteAt copies buf into memory at addr, honoring write protection: if any
 // touched frame is protected the write is not performed and a
 // *ProtectionFault is returned. A zero-length write touches the frame that
-// holds addr, if there is one.
+// holds addr, if there is one. The part of buf that lands on a frame without
+// storage gives it storage only if it holds a non-zero byte; all zeros there
+// change nothing, yet the write counts in full.
 func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -230,7 +236,11 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	m.stats.WriteOps++
 	m.stats.WriteBytes += int64(len(buf))
 	for len(buf) > 0 {
-		n := copy(m.page(FrameOf(addr))[addr%PageSize:], buf)
+		f, off := FrameOf(addr), int(addr%PageSize)
+		n := min(len(buf), PageSize-off)
+		if m.frames[f] != nil || !PageIsZero(buf[:n]) {
+			copy(m.page(f)[off:], buf[:n])
+		}
 		buf = buf[n:]
 		addr += uint64(n)
 	}
@@ -263,7 +273,8 @@ func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 
 // WriteU64 writes a little-endian 64-bit word, honoring protection and
 // counted as one 8-byte WriteAt. An aligned word lies in one frame and is
-// written there directly; only an unaligned one goes through WriteAt.
+// written there directly; only an unaligned one goes through WriteAt. Like
+// WriteAt, a zero word gives a frame without storage none.
 func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	if addr%8 != 0 {
 		var b [8]byte
@@ -280,7 +291,9 @@ func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	}
 	m.stats.WriteOps++
 	m.stats.WriteBytes += 8
-	binary.LittleEndian.PutUint64(m.page(int(f))[addr%PageSize:], v)
+	if v != 0 || m.frames[f] != nil {
+		binary.LittleEndian.PutUint64(m.page(int(f))[addr%PageSize:], v)
+	}
 	return nil
 }
 
@@ -340,8 +353,8 @@ func (m *Mem) CountKind(k FrameKind) int {
 	return n
 }
 
-// Zero clears frame f, honoring protection. A frame never written is
-// already zero and keeps no storage.
+// Zero clears frame f, honoring protection. A frame without storage is
+// already zero and keeps none.
 func (m *Mem) Zero(f int) error {
 	if f < 0 || f >= m.NumFrames() {
 		return ErrOutOfRange
@@ -358,21 +371,21 @@ func (m *Mem) Zero(f int) error {
 	return nil
 }
 
-// PageIsZero reports whether every byte of b is zero — the resurrection
-// fast path's elision test. It compares in word-sized chunks the way a real
-// kernel's zero-detect loop would; a partially-zero page (any nonzero byte,
-// even the last one) is not elidable.
+// zeroPage is the all-zero frame PageIsZero compares against.
+var zeroPage [PageSize]byte
+
+// PageIsZero reports whether every byte of b is zero: the resurrection
+// scan's elision test and WriteAt's no-storage test. It compares PageSize
+// chunks against a static zero page, so the comparison runs at memcmp
+// speed; a partially-zero page (any nonzero byte, even the last one) is not
+// elidable.
 func PageIsZero(b []byte) bool {
-	i := 0
-	for ; i+8 <= len(b); i += 8 {
-		if b[i]|b[i+1]|b[i+2]|b[i+3]|b[i+4]|b[i+5]|b[i+6]|b[i+7] != 0 {
+	for len(b) > 0 {
+		n := min(len(b), PageSize)
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
 			return false
 		}
-	}
-	for ; i < len(b); i++ {
-		if b[i] != 0 {
-			return false
-		}
+		b = b[n:]
 	}
 	return true
 }

@@ -173,17 +173,32 @@ func sameMemErr(got, want error) bool {
 	return errors.Is(got, want)
 }
 
+// wordOf is the value opWriteU64 writes: zero for pattern 0, like fill.
+func wordOf(op memOp) uint64 {
+	if op.pat == 0 {
+		return 0
+	}
+	return uint64(op.pat)*0x0101010101010101 ^ op.addr
+}
+
 // mayGainStorage reports whether a successful op may give frame f
-// storage: only writes that touch f's bytes and Frame(f) may.
+// storage: only Frame(f), and a write that puts a non-zero byte on f.
 func mayGainStorage(op memOp, f int) bool {
-	lo, hi := FrameAddr(f), FrameAddr(f)+PageSize
+	var buf []byte
 	switch op.code {
 	case opWriteAt:
-		return op.n > 0 && op.addr < hi && op.addr+uint64(op.n) > lo
+		buf = make([]byte, op.n)
+		fill(buf, op.pat)
 	case opWriteU64:
-		return op.addr < hi && op.addr+8 > lo
+		buf = binary.LittleEndian.AppendUint64(nil, wordOf(op))
 	case opTakeAlias:
 		return op.f == f
+	}
+	lo, hi := FrameAddr(f), FrameAddr(f)+PageSize
+	for i, c := range buf {
+		if a := op.addr + uint64(i); c != 0 && a >= lo && a < hi {
+			return true
+		}
 	}
 	return false
 }
@@ -219,8 +234,8 @@ func sumStats(ss ...Stats) Stats {
 // the Mem and the current view must both show the reference's memory and
 // protection, and the Mem's Stats plus every unabsorbed view's must sum to
 // the reference's. It also checks the sparse storage itself: no op
-// replaces or drops a frame's storage, and only a successful write or
-// Frame call gives a frame storage, and only to frames it touches.
+// replaces or drops a frame's storage, and only a Frame call, or a
+// successful write that puts a non-zero byte on a frame, gives it storage.
 func replayMemOps(t *testing.T, ops []memOp) {
 	t.Helper()
 	root, ref := NewMem(fuzzFrames*PageSize), newFlatMem(fuzzFrames)
@@ -251,7 +266,7 @@ func replayMemOps(t *testing.T, ops []memOp) {
 				clear(wantBuf)
 			}
 		case opWriteU64:
-			v := uint64(op.pat)*0x0101010101010101 ^ op.addr
+			v := wordOf(op)
 			got = m.WriteU64(op.addr, v)
 			want = ref.writeAt(op.addr, binary.LittleEndian.AppendUint64(nil, v))
 		case opZero:
@@ -452,6 +467,27 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opReadU64, 2*PageSize, 0, 0, 0, 0),
 		encodeMemOp(opView, 0, 0, 0, 0, 0),
 		encodeMemOp(opWriteU64, 3*PageSize-8, 0, 0x97, 0, 0),
+	))
+	// Zero writes give no storage: a zero WriteAt and zero words (aligned
+	// and not) onto never-written frames; a zero write straddling a frame
+	// with storage and one without; a zero write, then a partial non-zero
+	// one; a zero write, then a Frame alias written through.
+	f.Add(seq(
+		encodeMemOp(opWriteAt, PageSize+100, 300, 0, 0, 0),
+		encodeMemOp(opWriteU64, 0, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 2*PageSize+4, 0, 0, 0, 0),
+		encodeMemOp(opReadAt, 0, 3*PageSize, 0, 0, 0),
+		encodeMemOp(opWriteAt, 2*PageSize-50, 20, 0x31, 0, 0),
+		encodeMemOp(opWriteAt, 2*PageSize-40, PageSize, 0, 0, 0),
+		encodeMemOp(opReadAt, 2*PageSize-60, 100, 0, 0, 0),
+		encodeMemOp(opWriteAt, 3*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opWriteAt, 3*PageSize+1000, 10, 0x32, 0, 0),
+		encodeMemOp(opReadAt, 3*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opWriteAt, 0, PageSize, 0, 0, 0),
+		encodeMemOp(opTakeAlias, 0, 0, 0, 0, 0),
+		encodeMemOp(opAliasWrite, 8, 8, 0x33, 0, 0),
+		encodeMemOp(opReadU64, 8, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 16, 0, 0, 0, 0),
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayMemOps(t, decodeMemOps(data))

@@ -356,9 +356,10 @@ func TestNewMemIsSparse(t *testing.T) {
 	}
 }
 
-// TestUntouchedFramesDoNotAllocate reads, zeroes and allocates frames never
-// written, a different one each run, and requires no allocation: reading or
-// zeroing a frame must not give it storage.
+// TestUntouchedFramesDoNotAllocate reads, zeroes, writes zeros to and
+// allocates frames never written, a different one each run, and requires no
+// allocation: reading a frame, zeroing it or writing zeros to it must not
+// give it storage.
 func TestUntouchedFramesDoNotAllocate(t *testing.T) {
 	m := NewMem(256 << 20)
 	buf := make([]byte, 64)
@@ -378,6 +379,19 @@ func TestUntouchedFramesDoNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("Zero of untouched frames: %v allocs/op", n)
+	}
+	zeros := make([]byte, PageSize+64)
+	if n := testing.AllocsPerRun(100, func() {
+		f++
+		if err := m.WriteAt(FrameAddr(f)+PageSize-32, zeros); err != nil {
+			t.Fatal(err)
+		}
+		f++
+		if err := m.WriteU64(FrameAddr(f)+8, 0); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("zero writes to untouched frames: %v allocs/op", n)
 	}
 	a := NewFrameAllocator(NewMem(256<<20), Region{Start: 0, Frames: 256 << 20 / PageSize})
 	if n := testing.AllocsPerRun(100, func() {
@@ -470,7 +484,7 @@ func BenchmarkMemReadU64(b *testing.B) {
 func BenchmarkMemWriteU64(b *testing.B) {
 	m := NewMem(256 << 20)
 	base := FrameAddr(1234)
-	if err := m.WriteU64(base, 0); err != nil {
+	if err := m.WriteU64(base, 1); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -508,5 +522,73 @@ func BenchmarkAllocatorAddRegion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchAlloc = NewFrameAllocator(m, all)
+	}
+}
+
+// zeroPositions returns the byte positions TestPageIsZeroBoundary sets in
+// an n-byte buffer: every one up to 300 bytes, then both ends, the word
+// edges and each side of every PageSize chunk boundary.
+func zeroPositions(n int) []int {
+	if n <= 300 {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	var out []int
+	for _, i := range []int{0, 7, 8, n / 2, PageSize - 1, PageSize, PageSize + 1, 2*PageSize - 1, 2 * PageSize, n - 1} {
+		if i < n {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestPageIsZeroBoundary checks PageIsZero at every length from 0 to 300
+// and at PageSize-1, PageSize, PageSize+1 and 2·PageSize+1, each all zero
+// and with one byte set at each position of interest, including past the
+// first PageSize chunk.
+func TestPageIsZeroBoundary(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, PageSize-1, PageSize, PageSize+1, 2*PageSize+1)
+	for _, n := range lengths {
+		b := make([]byte, n)
+		if !PageIsZero(b) {
+			t.Fatalf("%d zero bytes reported non-zero", n)
+		}
+		for _, i := range zeroPositions(n) {
+			b[i] = 0x80
+			if PageIsZero(b) {
+				t.Fatalf("%d bytes with byte %d set reported zero", n, i)
+			}
+			b[i] = 0
+		}
+	}
+}
+
+var benchZero bool
+
+// BenchmarkPageIsZero times the zero test the resurrection scan makes on
+// every resident page it reads: an all-zero page (the whole page compared),
+// a page whose first byte is set, and one whose last byte is set.
+func BenchmarkPageIsZero(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		set  int
+	}{{"zero", -1}, {"first", 0}, {"last", PageSize - 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			page := make([]byte, PageSize)
+			if bc.set >= 0 {
+				page[bc.set] = 1
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchZero = PageIsZero(page)
+			}
+		})
 	}
 }

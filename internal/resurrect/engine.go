@@ -406,6 +406,8 @@ type Engine struct {
 	// (registered as K.Spec) so post-resume touches and the scheduler's
 	// sweeper can keep resolving pages.
 	lazy *lazyState
+	// shmBuf is the commits' shared-memory assembly buffer (installShm).
+	shmBuf []byte
 }
 
 // NewEngine prepares an engine over the crash kernel k.

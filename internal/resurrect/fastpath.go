@@ -15,8 +15,9 @@ import (
 // The install-phase memory fast path, run as each candidate's commit
 // classifies its scanned plan just before installing it:
 //
-//   - all-zero pages are elided: instead of copying 4 KB out of the dead
-//     kernel, the install maps a freshly zero-filled frame
+//   - all-zero pages are elided: the scan, which reads every frame, marks
+//     them zero and keeps no copy, and instead of copying 4 KB out of the
+//     dead kernel the install maps a freshly zero-filled frame
 //     (kernel.InstallZeroPage) and pays ZeroFillCost;
 //   - identical page contents shared across candidates (shared libraries,
 //     COW children — the 8×MySQL workload is dominated by these) are
@@ -40,9 +41,9 @@ import (
 // which page is canonical, which frame is speculated — and therefore every
 // charged duration, counter and trace event — is a pure function of the
 // candidate order, never of the scan pool's width or timing. The scan
-// defers the resident-copy bandwidth charge to this step (see scanPages);
-// byte *accounting* is unchanged, since the scan still reads every frame to
-// classify it.
+// decides zero-ness where it reads each frame but defers the resident-copy
+// bandwidth charge, and the elision counts, to this step (see scanPages);
+// byte *accounting* stays with the scan's reads.
 
 // pageHash is FNV-1a over the page contents: fast, deterministic and good
 // enough to make collisions (which are then caught by bytes.Equal and
@@ -137,7 +138,7 @@ func (e *Engine) vetSpeculation(pl *plan, proposed map[int]bool) string {
 	var mine []int
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped || pg.mapped || pg.data == nil || phys.PageIsZero(pg.data) {
+		if pg.swapped || pg.mapped || pg.zero {
 			continue
 		}
 		switch {
@@ -168,13 +169,11 @@ func (e *Engine) classifyEager(pl *plan, cost sim.CostModel, cache map[uint64][]
 	var dur time.Duration
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped || pg.mapped || pg.data == nil {
+		if pg.swapped || pg.mapped {
 			continue
 		}
 		examined++
-		if phys.PageIsZero(pg.data) {
-			pg.zero = true
-			pg.data = nil
+		if pg.zero {
 			pg.saved = pageLiveBytes(pl.regions, pg.va)
 			saved += pg.saved
 			elided++
@@ -230,13 +229,11 @@ func (e *Engine) classifyLazy(pl *plan, cost sim.CostModel) *trace.Event {
 	var dur time.Duration
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped || pg.mapped || pg.data == nil {
+		if pg.swapped || pg.mapped {
 			continue
 		}
 		examined++
-		if phys.PageIsZero(pg.data) {
-			pg.zero = true
-			pg.data = nil
+		if pg.zero {
 			pg.saved = pageLiveBytes(pl.regions, pg.va)
 			dur += cost.ZeroFillCost
 			continue

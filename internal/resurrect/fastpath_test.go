@@ -166,28 +166,3 @@ func TestFastPathZeroAndBoundaryPages(t *testing.T) {
 		}
 	}
 }
-
-// TestPageIsZeroBoundary unit-tests the classifier's zero check on the
-// chunked scan's edge cases.
-func TestPageIsZeroBoundary(t *testing.T) {
-	page := make([]byte, phys.PageSize)
-	if !phys.PageIsZero(page) {
-		t.Fatal("all-zero page reported non-zero")
-	}
-	for _, idx := range []int{0, 7, 8, 4093, int(phys.PageSize) - 1} {
-		page[idx] = 1
-		if phys.PageIsZero(page) {
-			t.Fatalf("byte %d set but page reported zero", idx)
-		}
-		page[idx] = 0
-	}
-	// Short odd-length buffers exercise the non-8-aligned tail.
-	if !phys.PageIsZero(make([]byte, 13)) {
-		t.Fatal("zero 13-byte buffer reported non-zero")
-	}
-	odd := make([]byte, 13)
-	odd[12] = 0xFF
-	if phys.PageIsZero(odd) {
-		t.Fatal("tail byte set but buffer reported zero")
-	}
-}

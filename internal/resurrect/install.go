@@ -6,6 +6,7 @@ import (
 	"otherworld/internal/disk"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
+	"otherworld/internal/phys"
 )
 
 // installOne rebuilds a single process from its scanned plan. It runs
@@ -210,7 +211,7 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 		return fail(PhaseShm, fmt.Errorf("restore shm: %w", pl.shmErr))
 	}
 	for _, sp := range pl.shm {
-		if err := e.K.InstallShm(np, sp.seg, sp.contents); err != nil {
+		if err := e.installShm(np, sp); err != nil {
 			return fail(PhaseShm, fmt.Errorf("restore shm: %w", err))
 		}
 	}
@@ -303,4 +304,22 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 	}
 	step(PhasePolicy, 0, pr.Err)
 	return pr
+}
+
+// installShm recreates one scanned segment through a single InstallShm
+// call. It assembles the segment's bytes in the engine's commit buffer:
+// cleared, then each frame the scan kept copied to its offset (an all-zero
+// frame kept nothing). Commits run one at a time and InstallShm copies out
+// of the buffer, so one buffer serves every segment of the pass.
+func (e *Engine) installShm(np *kernel.Process, sp shmPlan) error {
+	size := int(sp.seg.Size)
+	if cap(e.shmBuf) < size {
+		e.shmBuf = make([]byte, size)
+	}
+	buf := e.shmBuf[:size]
+	clear(buf)
+	for i, fr := range sp.frames {
+		copy(buf[i*phys.PageSize:], fr)
+	}
+	return e.K.InstallShm(np, sp.seg, buf)
 }

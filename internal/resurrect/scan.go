@@ -50,17 +50,18 @@ type filePlan struct {
 
 // pagePlan is one user page to install: a resident copy, an in-place
 // mapping (footnote-3 mode), or a swapped page read raw off the dead
-// kernel's partition. The fast-path classification pass (fastpath.go) may
-// mark a resident copy zero-elided (data dropped, install zero-fills) or
-// deduplicated (data re-pointed at the canonical cached copy); the lazy
-// install's classification may instead mark it speculated (mapped
-// copy-on-access from the dead frame, validated by crc on first touch,
-// with data kept as the scan-time snapshot the fallback installs).
+// kernel's partition. The scan marks an all-zero resident page zero and
+// keeps no copy of it (the install zero-fills). The fast-path
+// classification (fastpath.go) charges that elision and may mark a
+// non-zero copy deduplicated (data re-pointed at the canonical cached
+// copy); the lazy install's classification may instead mark it speculated
+// (mapped copy-on-access from the dead frame, validated by crc on first
+// touch, with data kept as the scan-time snapshot the fallback installs).
 type pagePlan struct {
 	va         uint64
 	swapped    bool
 	mapped     bool
-	zero       bool // all-zero page: install a zero-filled frame instead
+	zero       bool // all-zero page: no data, install a zero-filled frame
 	deduped    bool // data aliases the dedup cache's canonical copy
 	speculated bool // lazy install: map copy-on-access from the dead frame
 	frame      int  // the dead kernel's frame holding the page contents
@@ -71,10 +72,12 @@ type pagePlan struct {
 	dirty      bool
 }
 
-// shmPlan is one decoded shared-memory segment with its page contents.
+// shmPlan is one decoded shared-memory segment with its page contents:
+// one slice per frame read, nil when the frame was all zero. The commit
+// assembles them into the segment's bytes (Engine.installShm).
 type shmPlan struct {
-	seg      *layout.Shm
-	contents []byte
+	seg    *layout.Shm
+	frames [][]byte
 }
 
 // pipePlan is one decoded pipe with its buffer page.
@@ -400,10 +403,12 @@ func (s *scanner) scanRegions(old *layout.Proc) ([]*layout.MemRegion, error) {
 // scanPages walks the dead process's hardware page tables and captures
 // every touched page: resident pages are copied out of the dead frame (or
 // noted for in-place mapping), swapped pages are read raw off the dead
-// kernel's swap partition. Swap re-stage bandwidth is charged to the
-// worker's ledger here; resident-copy bandwidth is deferred to the serial
-// fast-path classification (fastpath.go), which knows whether each page
-// elides, dedups or pays the full copy.
+// kernel's swap partition. Each resident page is read into a buffer reused
+// until a non-zero page keeps it, so an all-zero page is marked zero and
+// costs no memory. Swap re-stage bandwidth is charged to the worker's
+// ledger here; resident-copy bandwidth is deferred to the serial fast-path
+// classification (fastpath.go), which knows whether each page elides,
+// dedups or pays the full copy.
 func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan, error) {
 	if old.PageDir%phys.PageSize != 0 || old.PageDir >= s.memSize {
 		return nil, fmt.Errorf("page directory address %#x implausible", old.PageDir)
@@ -415,6 +420,7 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 
 	var out []pagePlan
 	ptPage := make([]byte, phys.PageSize)
+	var buf []byte // the next resident page's buffer, nil once a page kept it
 	for dir := 0; dir < layout.DirEntries; dir++ {
 		dirEnt := leU64(dirPage[dir*8:])
 		if dirEnt == 0 {
@@ -448,11 +454,17 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 					pp.mapped = true
 					s.charge(s.cost.RecordParseOverhead)
 				} else {
-					buf := make([]byte, phys.PageSize)
+					if buf == nil {
+						buf = make([]byte, phys.PageSize)
+					}
 					if err := s.rd.at(CatUserData).ReadAt(phys.FrameAddr(frame), buf); err != nil {
 						return out, err
 					}
-					pp.data = buf
+					if phys.PageIsZero(buf) {
+						pp.zero = true
+					} else {
+						pp.data, buf = buf, nil
+					}
 					// The copy bandwidth is NOT charged here: the serial
 					// fast-path classification (fastpath.go) charges
 					// CopyCost, DedupHitCost or ZeroFillCost per page once
@@ -479,9 +491,12 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 	return out, nil
 }
 
-// scanShm decodes each shared-memory segment and copies its page contents.
+// scanShm decodes each shared-memory segment and copies its page contents,
+// frame by frame, through a buffer reused until a non-zero frame keeps it:
+// an all-zero frame costs no memory.
 func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 	var out []shmPlan
+	var buf []byte // the next frame's buffer, nil once a frame kept it
 	cur := old.Shm
 	for hops := 0; cur != 0; hops++ {
 		if hops > 4096 {
@@ -492,25 +507,30 @@ func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 			return out, err
 		}
 		s.parseTime()
-		contents := make([]byte, seg.Size)
+		var frames [][]byte
 		for i, f := range seg.Frames {
 			if f >= uint64(s.numFrames) {
 				return out, fmt.Errorf("shm frame %d beyond memory", f)
 			}
-			off := i * phys.PageSize
-			n := phys.PageSize
-			if off+n > len(contents) {
-				n = len(contents) - off
-			}
-			if n <= 0 {
+			off := uint64(i) * phys.PageSize
+			if off >= seg.Size {
 				break
 			}
-			if err := s.rd.at(CatUserData).ReadAt(f*phys.PageSize, contents[off:off+n]); err != nil {
+			n := min(seg.Size-off, phys.PageSize)
+			if buf == nil {
+				buf = make([]byte, phys.PageSize)
+			}
+			if err := s.rd.at(CatUserData).ReadAt(f*phys.PageSize, buf[:n]); err != nil {
 				return out, err
 			}
+			var kept []byte
+			if !phys.PageIsZero(buf[:n]) {
+				kept, buf = buf[:n], nil
+			}
+			frames = append(frames, kept)
 		}
-		out = append(out, shmPlan{seg: seg, contents: contents})
-		s.charge(s.cost.CopyCost(int64(len(contents))))
+		out = append(out, shmPlan{seg: seg, frames: frames})
+		s.charge(s.cost.CopyCost(int64(seg.Size)))
 		cur = seg.Next
 	}
 	return out, nil

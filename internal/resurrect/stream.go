@@ -220,6 +220,7 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 		}
 	}
 	e.K.M.Clock = liveClock
+	e.shmBuf = nil // a lazy engine outlives the pass; its commit buffer need not
 	if e.lazy != nil {
 		e.lazy.installing = false
 	}
