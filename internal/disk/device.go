@@ -21,11 +21,13 @@ const BlockSize = 4096
 var ErrNoDevice = errors.New("disk: no such device")
 
 // BlockDevice is a fixed-capacity array of blocks addressed by index. A
-// block gets its storage on its first write; until then it reads as zeros,
-// so an unused partition costs one pointer per block.
+// block gets its storage on its first write; until then it reads as zeros.
+// The slot table, one pointer per block, is allocated by the device's first
+// write, so a partition never written costs nothing per block.
 type BlockDevice struct {
 	name   string
-	blocks []*[BlockSize]byte
+	n      int
+	blocks []*[BlockSize]byte // nil until the first write
 
 	mu     sync.Mutex
 	reads  int64
@@ -34,27 +36,27 @@ type BlockDevice struct {
 
 // NewBlockDevice creates a device with the given number of blocks.
 func NewBlockDevice(name string, blocks int) *BlockDevice {
-	return &BlockDevice{name: name, blocks: make([]*[BlockSize]byte, blocks)}
+	return &BlockDevice{name: name, n: blocks}
 }
 
 // Name returns the symbolic device name (e.g. "/dev/sdb1").
 func (d *BlockDevice) Name() string { return d.name }
 
 // Blocks returns the device capacity in blocks.
-func (d *BlockDevice) Blocks() int { return len(d.blocks) }
+func (d *BlockDevice) Blocks() int { return d.n }
 
 // ReadBlock copies block i into a fresh BlockSize buffer. Unwritten blocks
 // read as zeroes.
 func (d *BlockDevice) ReadBlock(i int) ([]byte, error) {
-	if i < 0 || i >= len(d.blocks) {
+	if i < 0 || i >= d.n {
 		return nil, fmt.Errorf("disk %s: block %d out of range", d.name, i)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.reads++
 	buf := make([]byte, BlockSize)
-	if b := d.blocks[i]; b != nil {
-		copy(buf, b[:])
+	if d.blocks != nil && d.blocks[i] != nil {
+		copy(buf, d.blocks[i][:])
 	}
 	return buf, nil
 }
@@ -62,7 +64,7 @@ func (d *BlockDevice) ReadBlock(i int) ([]byte, error) {
 // WriteBlock stores data (at most BlockSize bytes) into block i; the rest of
 // the block reads as zeros.
 func (d *BlockDevice) WriteBlock(i int, data []byte) error {
-	if i < 0 || i >= len(d.blocks) {
+	if i < 0 || i >= d.n {
 		return fmt.Errorf("disk %s: block %d out of range", d.name, i)
 	}
 	if len(data) > BlockSize {
@@ -71,6 +73,9 @@ func (d *BlockDevice) WriteBlock(i int, data []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.writes++
+	if d.blocks == nil {
+		d.blocks = make([]*[BlockSize]byte, d.n)
+	}
 	b := d.blocks[i]
 	if b == nil {
 		b = new([BlockSize]byte)

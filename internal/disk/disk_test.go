@@ -32,6 +32,46 @@ func TestBlockDeviceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnwrittenDeviceHasNoSlotTable reads every block of a fresh device,
+// directly, through ReadRaw and through a swap device over it, and frees a
+// slot never allocated: none of it may allocate the slot tables, and the
+// capacities must still be reported. The first write then gives the device
+// its table and the swap device its bitmap.
+func TestUnwrittenDeviceHasNoSlotTable(t *testing.T) {
+	d := NewBlockDevice("/dev/swap0", 64)
+	s := NewSwapDevice(d)
+	reads := []func(int) ([]byte, error){
+		d.ReadBlock,
+		s.Read,
+		func(i int) ([]byte, error) { return ReadRaw(d, i) },
+	}
+	for i := 0; i < d.Blocks(); i++ {
+		for _, read := range reads {
+			b, err := read(i)
+			if err != nil || !bytes.Equal(b, make([]byte, BlockSize)) {
+				t.Fatalf("block %d: err %v, not all zero", i, err)
+			}
+		}
+	}
+	s.Free(3)
+	if d.blocks != nil || s.used != nil {
+		t.Fatal("reading an unwritten device allocated its slot table")
+	}
+	if d.Blocks() != 64 || s.Slots() != 64 || s.FreeSlots() != 64 {
+		t.Fatalf("blocks %d, slots %d, free %d; want 64 each", d.Blocks(), s.Slots(), s.FreeSlots())
+	}
+	if _, err := d.ReadBlock(64); err == nil {
+		t.Fatal("read past the end of an unwritten device succeeded")
+	}
+	slot, err := s.Alloc([]byte("page"))
+	if err != nil || slot != 0 || d.blocks == nil || s.used == nil || s.FreeSlots() != 63 {
+		t.Fatalf("first Alloc: slot %d err %v, free %d", slot, err, s.FreeSlots())
+	}
+	if got, _ := d.ReadBlock(0); !bytes.HasPrefix(got, []byte("page")) {
+		t.Fatalf("block 0 reads %q…", got[:8])
+	}
+}
+
 // TestBlockDeviceShortWriteThenOverwrite writes a full block, overwrites it
 // with a short write and then a shorter one, and requires each read to show
 // exactly the last write followed by zeros, in a fresh buffer each time.

@@ -15,31 +15,30 @@ var ErrSwapFull = errors.New("disk: swap device full")
 // swapped pages back out of the dead partition.
 type SwapDevice struct {
 	dev  *BlockDevice
-	used []bool
+	used []bool // nil until the first Alloc
 	free int
 }
 
 // NewSwapDevice initializes swap management over dev with a fresh (empty)
-// allocation bitmap.
+// allocation bitmap, allocated by the first Alloc.
 func NewSwapDevice(dev *BlockDevice) *SwapDevice {
-	return &SwapDevice{
-		dev:  dev,
-		used: make([]bool, dev.Blocks()),
-		free: dev.Blocks(),
-	}
+	return &SwapDevice{dev: dev, free: dev.Blocks()}
 }
 
 // Device returns the underlying block device.
 func (s *SwapDevice) Device() *BlockDevice { return s.dev }
 
 // Slots returns the device capacity in page slots.
-func (s *SwapDevice) Slots() int { return len(s.used) }
+func (s *SwapDevice) Slots() int { return s.dev.Blocks() }
 
 // FreeSlots returns the number of unallocated slots.
 func (s *SwapDevice) FreeSlots() int { return s.free }
 
 // Alloc reserves a slot and writes the page into it.
 func (s *SwapDevice) Alloc(page []byte) (int, error) {
+	if s.used == nil {
+		s.used = make([]bool, s.dev.Blocks())
+	}
 	for i, u := range s.used {
 		if u {
 			continue

@@ -183,6 +183,9 @@ type Kernel struct {
 	// it needs before the next one starts.
 	cacheRec  []byte
 	cachePage []byte
+	// stackBuf is the kernel-stack pattern scratch (stackBuffer), under
+	// the same one-writer rule.
+	stackBuf []byte
 
 	// Tracer is the crash-surviving flight recorder: a ring of binary
 	// events in an unprotected sub-region of the crash reservation that

@@ -88,9 +88,19 @@ func (k *Kernel) patternByte(addr uint64) byte {
 	return byte(x)
 }
 
+// stackBuffer returns n bytes of the kernel's stack scratch buffer, which
+// fillStackPattern and stackRangeIntact share; it grows when n exceeds its
+// capacity. The bytes are stale; callers overwrite them.
+func (k *Kernel) stackBuffer(n int) []byte {
+	if cap(k.stackBuf) < n {
+		k.stackBuf = make([]byte, n)
+	}
+	return k.stackBuf[:n]
+}
+
 // fillStackPattern writes the pristine pattern over a kernel-stack range.
 func (k *Kernel) fillStackPattern(kstack uint64, from, to int) error {
-	buf := make([]byte, to-from)
+	buf := k.stackBuffer(to - from)
 	for i := range buf {
 		buf[i] = k.patternByte(kstack + uint64(from+i))
 	}
@@ -100,7 +110,7 @@ func (k *Kernel) fillStackPattern(kstack uint64, from, to int) error {
 // stackRangeIntact compares a kernel-stack range against the pristine
 // pattern, reporting the first corrupted offset.
 func (k *Kernel) stackRangeIntact(kstack uint64, from, to int) (int, bool) {
-	buf := make([]byte, to-from)
+	buf := k.stackBuffer(to - from)
 	if err := k.M.Mem.ReadAt(kstack+uint64(from), buf); err != nil {
 		return from, false
 	}

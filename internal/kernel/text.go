@@ -27,7 +27,8 @@ type Text struct {
 	size  int
 	seed  int64
 	funcs [funcCount]TextFunc
-	// pristine is the whole region as NewText wrote it: CheckExecute
+	// pristine is the functions' bytes as NewText wrote them, from the
+	// region's start to the end of the last function: CheckExecute
 	// compares the bytes it reads against it.
 	pristine []byte
 	// live receives CheckExecute's read of a function's bytes; it is as
@@ -161,17 +162,23 @@ func NewText(mem *phys.Mem, alloc *phys.FrameAllocator, region phys.Region, seed
 	if off > t.size {
 		return nil, fmt.Errorf("kernel: text functions exceed region")
 	}
-	t.pristine = make([]byte, t.size)
-	for i := range t.pristine {
-		t.pristine[i] = t.expected(t.base + uint64(i))
-	}
+	// The functions span the start of the region; pristine keeps only
+	// those bytes, and page builds each frame's bytes in turn.
+	t.pristine = make([]byte, off)
 	t.live = make([]byte, longest)
+	page := make([]byte, phys.PageSize)
 	for i := 0; i < TextFrames; i++ {
 		if err := alloc.Claim(start+i, phys.FrameKernelText); err != nil {
 			return nil, err
 		}
-		page := t.pristine[i*phys.PageSize : (i+1)*phys.PageSize]
-		if err := mem.WriteAt(phys.FrameAddr(start+i), page); err != nil {
+		addr := phys.FrameAddr(start + i)
+		for j := range page {
+			page[j] = t.expected(addr + uint64(j))
+		}
+		if lo := i * phys.PageSize; lo < len(t.pristine) {
+			copy(t.pristine[lo:], page)
+		}
+		if err := mem.WriteAt(addr, page); err != nil {
 			return nil, err
 		}
 	}

@@ -152,7 +152,53 @@ func TestCheckExecutePristineDoesNotAllocate(t *testing.T) {
 	}
 }
 
-var benchBehave Misbehavior
+// TestNewTextWritesEveryByte requires NewText to write the pattern over
+// all of its text frames while keeping a pristine copy of only the bytes
+// its functions span.
+func TestNewTextWritesEveryByte(t *testing.T) {
+	text := newTestText(t, 7)
+	last := text.Func(funcCount - 1)
+	if span := last.Start + last.Len; len(text.pristine) != span {
+		t.Fatalf("pristine copy is %d bytes, want the functions' %d", len(text.pristine), span)
+	}
+	got := make([]byte, text.Size())
+	if err := text.mem.ReadAt(text.Base(), got); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range got {
+		addr := text.Base() + uint64(i)
+		if want := text.expected(addr); b != want {
+			t.Fatalf("text byte %d reads %#x, want %#x", i, b, want)
+		}
+		if i < len(text.pristine) && text.pristine[i] != b {
+			t.Fatalf("pristine byte %d is %#x, memory holds %#x", i, text.pristine[i], b)
+		}
+	}
+}
+
+var (
+	benchBehave Misbehavior
+	benchText   *Text
+)
+
+// BenchmarkNewText times laying out a kernel's text, as every boot does:
+// claiming the frames, writing the pattern and keeping the pristine copy.
+// The frames already have storage, so only NewText's own bytes count.
+func BenchmarkNewText(b *testing.B) {
+	mem := phys.NewMem((3 + TextFrames) * phys.PageSize)
+	region := phys.Region{Start: 0, Frames: mem.NumFrames()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		alloc := phys.NewFrameAllocator(mem, region)
+		b.StartTimer()
+		text, err := NewText(mem, alloc, region, int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchText = text
+	}
+}
 
 // BenchmarkCheckExecute times the scheduler's text check, the one every
 // scheduling step pays: on pristine text and with one corrupted byte

@@ -50,14 +50,23 @@ const (
 // FrameOverhead.
 func SealFrame(kind FrameKind, flags uint8, gen uint32, size int, payload []byte) []byte {
 	buf := make([]byte, size)
-	binary.LittleEndian.PutUint16(buf[0:], FrameMagic)
-	buf[2] = uint8(kind)
-	buf[3] = flags
-	binary.LittleEndian.PutUint32(buf[4:], gen)
-	binary.LittleEndian.PutUint16(buf[8:], uint16(len(payload)))
-	end := FrameHeaderSize + copy(buf[FrameHeaderSize:], payload)
-	binary.LittleEndian.PutUint32(buf[end:], crc32.Checksum(buf[:end], CRCTable))
+	SealFrameInto(buf, kind, flags, gen, payload)
 	return buf
+}
+
+// SealFrameInto is SealFrame into an image the caller owns, a frame long:
+// every byte of dst is written, so an image reused for the next frame keeps
+// nothing of the last one. The payload must fit: len(payload) <= len(dst) -
+// FrameOverhead.
+func SealFrameInto(dst []byte, kind FrameKind, flags uint8, gen uint32, payload []byte) {
+	binary.LittleEndian.PutUint16(dst[0:], FrameMagic)
+	dst[2] = uint8(kind)
+	dst[3] = flags
+	binary.LittleEndian.PutUint32(dst[4:], gen)
+	binary.LittleEndian.PutUint16(dst[8:], uint16(len(payload)))
+	end := FrameHeaderSize + copy(dst[FrameHeaderSize:], payload)
+	binary.LittleEndian.PutUint32(dst[end:], crc32.Checksum(dst[:end], CRCTable))
+	clear(dst[end+TrailerSize:])
 }
 
 // Span locates one plane's frames: Count frames of Size bytes from Base,

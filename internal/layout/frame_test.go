@@ -1,6 +1,9 @@
 package layout
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // countingMem is an in-memory Reader that tallies the bytes read, the way
 // the resurrection engine's accessor charges Table 4.
@@ -72,5 +75,21 @@ func TestSalvageSparseReadsOnlyFramedBytes(t *testing.T) {
 	}
 	if want := 2*2 + FrameOverhead + len(payload); m.read != want {
 		t.Fatalf("read %d bytes, want %d", m.read, want)
+	}
+}
+
+// TestSealFrameIntoOverwritesEveryByte seals frames of shrinking payloads
+// into one image that starts out all 0xff and requires each to equal
+// SealFrame's fresh image byte for byte: no header, payload, CRC or padding
+// byte of the previous frame may survive.
+func TestSealFrameIntoOverwritesEveryByte(t *testing.T) {
+	const size = 64
+	img := bytes.Repeat([]byte{0xff}, size)
+	for _, n := range []int{size - FrameOverhead, 30, 7, 1, 0} {
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		SealFrameInto(img, KindMetrics, 3, uint32(n), payload)
+		if want := SealFrame(KindMetrics, 3, uint32(n), size, payload); !bytes.Equal(img, want) {
+			t.Fatalf("%d-byte payload:\ngot  % x\nwant % x", n, img, want)
+		}
 	}
 }

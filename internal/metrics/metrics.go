@@ -22,6 +22,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -70,18 +71,17 @@ type labelPair struct{ k, v string }
 // place a map is ranged, immediately followed by the sort that makes the
 // result order-independent.
 func canonLabels(ls Labels) []labelPair {
-	if len(ls) == 0 {
-		return nil
+	return canonLabelsInto(nil, ls)
+}
+
+// canonLabelsInto is canonLabels into buf's storage, which it reuses when
+// it is large enough.
+func canonLabelsInto(buf []labelPair, ls Labels) []labelPair {
+	out := buf[:0]
+	for k, v := range ls {
+		out = append(out, labelPair{k, v})
 	}
-	keys := make([]string, 0, len(ls))
-	for k := range ls {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]labelPair, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, labelPair{k, ls[k]})
-	}
+	slices.SortFunc(out, func(a, b labelPair) int { return strings.Compare(a.k, b.k) })
 	return out
 }
 

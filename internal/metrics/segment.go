@@ -45,11 +45,12 @@ type MemoryWriter interface {
 	WriteAt(addr uint64, buf []byte) error
 }
 
-// encodePoint serializes one point, or nil if it cannot fit a page.
-func encodePoint(p Point) []byte {
-	pairs := canonLabels(p.Labels)
+// appendPoint appends one point's record to dst, given its labels in
+// canonical order. It reports false for a point the record format cannot
+// hold; the caller then drops whatever it appended.
+func appendPoint(dst []byte, p Point, pairs []labelPair) ([]byte, bool) {
 	if len(p.Name) > math.MaxUint16 || len(pairs) > math.MaxUint8 {
-		return nil
+		return dst, false
 	}
 	var kind Kind
 	switch p.Kind {
@@ -60,44 +61,40 @@ func encodePoint(p Point) []byte {
 	case "histogram":
 		kind = KindHistogram
 	default:
-		return nil
+		return dst, false
 	}
-	buf := make([]byte, 0, 64)
-	buf = append(buf, byte(kind))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Name)))
-	buf = append(buf, p.Name...)
-	buf = append(buf, byte(len(pairs)))
+	dst = append(dst, byte(kind))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.Name)))
+	dst = append(dst, p.Name...)
+	dst = append(dst, byte(len(pairs)))
 	for _, lp := range pairs {
 		if len(lp.k) > math.MaxUint16 || len(lp.v) > math.MaxUint16 {
-			return nil
+			return dst, false
 		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(lp.k)))
-		buf = append(buf, lp.k...)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(lp.v)))
-		buf = append(buf, lp.v...)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(lp.k)))
+		dst = append(dst, lp.k...)
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(lp.v)))
+		dst = append(dst, lp.v...)
 	}
 	switch kind {
 	case KindCounter:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Value))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Value))
 	case KindGauge:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Gauge))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(p.Gauge))
 	case KindHistogram:
 		if len(p.Buckets) > math.MaxUint16 {
-			return nil
+			return dst, false
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Sum))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Count))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Overflow))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Buckets)))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Sum))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Count))
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(p.Overflow))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(p.Buckets)))
 		for _, bk := range p.Buckets {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(bk.Le))
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(bk.Count))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(bk.Le))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(bk.Count))
 		}
 	}
-	if len(buf) > SegPayloadCap {
-		return nil
-	}
-	return buf
+	return dst, true
 }
 
 // decodePoints parses every record in a payload; any malformed byte fails
@@ -191,6 +188,10 @@ func decodePoints(payload []byte) ([]Point, error) {
 // pages written and how many points were dropped for lack of room. The
 // first write error aborts (the region is supposed to be unprotected; a
 // protection fault here is a real bug the caller must see).
+//
+// Records are appended straight to one payload buffer and every page is
+// sealed into one reused image, so a flush allocates the same few buffers
+// however many points and pages it writes.
 func WriteSegment(mem MemoryWriter, region phys.Region, gen uint32, s *Snapshot) (pages, dropped int, err error) {
 	if region.Frames <= 0 {
 		if s != nil {
@@ -198,45 +199,50 @@ func WriteSegment(mem MemoryWriter, region phys.Region, gen uint32, s *Snapshot)
 		}
 		return 0, dropped, nil
 	}
-	payload := binary.LittleEndian.AppendUint64(nil, uint64(s.LogicalNowNS))
-	flush := func() error {
-		if pages >= region.Frames {
-			return nil
-		}
-		img := layout.SealFrame(layout.KindMetrics, 0, gen, phys.PageSize, payload)
+	img := make([]byte, phys.PageSize)
+	// The payload holds a full page's records and the next record, at
+	// most a page long, that did not fit.
+	payload := make([]byte, stampSize, 2*phys.PageSize)
+	binary.LittleEndian.PutUint64(payload, uint64(s.LogicalNowNS))
+	flush := func(n int) error {
+		layout.SealFrameInto(img, layout.KindMetrics, 0, gen, payload[:n])
 		if werr := mem.WriteAt(phys.FrameAddr(region.Start+pages), img); werr != nil {
 			return werr
 		}
 		pages++
-		payload = payload[:stampSize]
 		return nil
 	}
+	pairs := make([]labelPair, 0, 8)
 	for _, p := range s.Points {
-		rec := encodePoint(p)
-		if rec == nil {
+		pairs = canonLabelsInto(pairs, p.Labels)
+		rec := len(payload)
+		var ok bool
+		if payload, ok = appendPoint(payload, p, pairs); !ok || len(payload)-rec > SegPayloadCap {
+			payload = payload[:rec]
 			dropped++
 			continue
 		}
-		if len(payload)-stampSize+len(rec) > SegPayloadCap {
+		if len(payload)-stampSize > SegPayloadCap {
 			if pages == region.Frames-1 {
 				// No room for another page; everything else drops.
+				payload = payload[:rec]
 				dropped++
 				continue
 			}
-			if err = flush(); err != nil {
+			if err = flush(rec); err != nil {
 				return pages, dropped, err
 			}
+			payload = payload[:stampSize+copy(payload[stampSize:], payload[rec:])]
 		}
-		payload = append(payload, rec...)
 	}
 	if len(payload) > stampSize || pages == 0 {
-		if err = flush(); err != nil {
+		if err = flush(len(payload)); err != nil {
 			return pages, dropped, err
 		}
 	}
-	zero := make([]byte, phys.PageSize)
+	clear(img)
 	for f := region.Start + pages; f < region.End(); f++ {
-		if werr := mem.WriteAt(phys.FrameAddr(f), zero); werr != nil {
+		if werr := mem.WriteAt(phys.FrameAddr(f), img); werr != nil {
 			return pages, dropped, werr
 		}
 	}

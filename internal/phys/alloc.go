@@ -3,7 +3,7 @@ package phys
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // ErrNoFrames is returned when an allocation cannot be satisfied.
@@ -41,47 +41,90 @@ func (r Region) String() string {
 // mirroring the paper's startup-code change that pre-allocates extra page
 // descriptors for memory the crash kernel will only own later.
 type FrameAllocator struct {
-	mem  *Mem
-	free []int // stack of free frame numbers
-	// inSet and claimed are indexed by frame number and cover every frame
-	// of mem; a frame outside [0, mem.NumFrames()) is never in either.
-	inSet   []bool
-	claimed []bool
+	mem *Mem
+	// free is the free stack as runs of consecutive frames, top run last.
+	// Run {lo, hi} stands for the entries hi, hi-1, …, lo with lo on top,
+	// and pushing f onto a run whose lo is f+1 extends that run, so the
+	// runs hold a stack of frame numbers' entries in its order and a
+	// boot's whole region is one run. A frame can be on the stack twice
+	// (claimed while free, then freed); Alloc skips claimed entries.
+	free []frameRun
+	// inSet and claimed are bitsets over every frame of mem; a frame
+	// outside [0, mem.NumFrames()) is never in either.
+	inSet   bitset
+	claimed bitset
 }
+
+// frameRun is the free-stack entries hi down to lo, lo on top.
+type frameRun struct{ lo, hi int32 }
+
+// bitset is one bit per frame; callers pass frames already range-checked.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) has(f int) bool { return b[uint(f)/64]&(1<<(uint(f)%64)) != 0 }
+func (b bitset) set(f int)      { b[uint(f)/64] |= 1 << (uint(f) % 64) }
+func (b bitset) clear(f int)    { b[uint(f)/64] &^= 1 << (uint(f) % 64) }
 
 // NewFrameAllocator creates an allocator over mem managing the given region.
 func NewFrameAllocator(mem *Mem, r Region) *FrameAllocator {
 	a := &FrameAllocator{
 		mem:     mem,
-		inSet:   make([]bool, mem.NumFrames()),
-		claimed: make([]bool, mem.NumFrames()),
+		inSet:   newBitset(mem.NumFrames()),
+		claimed: newBitset(mem.NumFrames()),
 	}
 	a.AddRegion(r)
 	return a
 }
 
+// push puts f on top of the free stack.
+func (a *FrameAllocator) push(f int) {
+	if n := len(a.free); n > 0 && int(a.free[n-1].lo) == f+1 {
+		a.free[n-1].lo--
+		return
+	}
+	a.free = append(a.free, frameRun{lo: int32(f), hi: int32(f)})
+}
+
+// pop takes the top entry off the free stack.
+func (a *FrameAllocator) pop() (int, bool) {
+	n := len(a.free)
+	if n == 0 {
+		return 0, false
+	}
+	top := &a.free[n-1]
+	f := int(top.lo)
+	if top.lo == top.hi {
+		a.free = a.free[:n-1]
+	} else {
+		top.lo++
+	}
+	return f, true
+}
+
 // AddRegion makes the frames of r available for allocation. Frames already
 // managed are ignored.
 func (a *FrameAllocator) AddRegion(r Region) {
-	a.free = slices.Grow(a.free, max(r.Frames, 0))
 	for f := r.End() - 1; f >= r.Start; f-- {
 		if !a.CanAdopt(f) {
 			continue
 		}
-		a.inSet[f] = true
-		a.free = append(a.free, f)
+		a.inSet.set(f)
+		a.push(f)
 	}
 }
 
 // Alloc returns a zeroed frame tagged with kind k.
 func (a *FrameAllocator) Alloc(k FrameKind) (int, error) {
-	for len(a.free) > 0 {
-		f := a.free[len(a.free)-1]
-		a.free = a.free[:len(a.free)-1]
-		if a.claimed[f] {
+	for {
+		f, ok := a.pop()
+		if !ok {
+			return 0, ErrNoFrames
+		}
+		if a.claimed.has(f) {
 			continue
 		}
-		a.claimed[f] = true
+		a.claimed.set(f)
 		if err := a.mem.Zero(f); err != nil {
 			return 0, err
 		}
@@ -90,7 +133,6 @@ func (a *FrameAllocator) Alloc(k FrameKind) (int, error) {
 		}
 		return f, nil
 	}
-	return 0, ErrNoFrames
 }
 
 // AllocN allocates n frames, returning them in order. On failure any frames
@@ -113,13 +155,13 @@ func (a *FrameAllocator) AllocN(n int, k FrameKind) ([]int, error) {
 // Free returns frame f to the allocator. Freeing an unclaimed or unmanaged
 // frame is a no-op, which keeps teardown code simple.
 func (a *FrameAllocator) Free(f int) {
-	if f < 0 || f >= len(a.claimed) || !a.claimed[f] {
+	if f < 0 || f >= a.mem.NumFrames() || !a.claimed.has(f) {
 		return
 	}
-	a.claimed[f] = false
+	a.claimed.clear(f)
 	//owvet:allow errdrop: f was in claimed, so it is inside the managed frame set
 	_ = a.mem.SetKind(f, FrameFree)
-	a.free = append(a.free, f)
+	a.push(f)
 }
 
 // Claim marks a specific frame as allocated with kind k, used when a kernel
@@ -130,10 +172,10 @@ func (a *FrameAllocator) Claim(f int, k FrameKind) error {
 	if !a.Manages(f) {
 		return fmt.Errorf("phys: frame %d not managed by allocator", f)
 	}
-	if a.claimed[f] {
+	if a.claimed.has(f) {
 		return fmt.Errorf("phys: frame %d already claimed", f)
 	}
-	a.claimed[f] = true
+	a.claimed.set(f)
 	return a.mem.SetKind(f, k)
 }
 
@@ -144,13 +186,12 @@ func (a *FrameAllocator) Claim(f int, k FrameKind) error {
 // descriptors", Section 3.2).
 func (a *FrameAllocator) AddFreeFrames(r Region) int {
 	added := 0
-	a.free = slices.Grow(a.free, max(r.Frames, 0))
 	for f := r.End() - 1; f >= r.Start; f-- {
 		if !a.CanAdopt(f) || a.mem.Kind(f) != FrameFree {
 			continue
 		}
-		a.inSet[f] = true
-		a.free = append(a.free, f)
+		a.inSet.set(f)
+		a.push(f)
 		added++
 	}
 	return added
@@ -162,18 +203,14 @@ func (a *FrameAllocator) AddFreeFrames(r Region) int {
 // (Section 3.6). It returns the number of frames adopted.
 func (a *FrameAllocator) AdoptUnmanaged(r Region) int {
 	adopted := 0
-	// No capacity is reserved here, unlike AddRegion and AddFreeFrames: at
-	// the morph r is all of memory and nearly all of it is already
-	// managed, so reserving r.Frames would make room for every frame when
-	// only the dead kernel's in-use frames are pushed.
 	for f := r.End() - 1; f >= r.Start; f-- {
 		if !a.CanAdopt(f) {
 			continue
 		}
 		_ = a.mem.Protect(f, false)     //owvet:allow errdrop: CanAdopt bounds-checked f against mem.NumFrames
 		_ = a.mem.SetKind(f, FrameFree) //owvet:allow errdrop: same bounds-checked frame as the line above
-		a.inSet[f] = true
-		a.free = append(a.free, f)
+		a.inSet.set(f)
+		a.push(f)
 		adopted++
 	}
 	return adopted
@@ -187,11 +224,11 @@ func (a *FrameAllocator) AdoptFrame(f int, k FrameKind) error {
 	if f < 0 || f >= a.mem.NumFrames() {
 		return ErrOutOfRange
 	}
-	if a.inSet[f] {
+	if a.inSet.has(f) {
 		return fmt.Errorf("phys: frame %d already managed", f)
 	}
-	a.inSet[f] = true
-	a.claimed[f] = true
+	a.inSet.set(f)
+	a.claimed.set(f)
 	return a.mem.SetKind(f, k)
 }
 
@@ -200,21 +237,21 @@ func (a *FrameAllocator) AdoptFrame(f int, k FrameKind) error {
 // validates every speculation candidate with it before committing to a
 // copy-on-access mapping.
 func (a *FrameAllocator) CanAdopt(f int) bool {
-	return f >= 0 && f < a.mem.NumFrames() && !a.inSet[f]
+	return f >= 0 && f < a.mem.NumFrames() && !a.inSet.has(f)
 }
 
 // Manages reports whether frame f is part of the allocator's frame set.
 func (a *FrameAllocator) Manages(f int) bool {
-	return f >= 0 && f < len(a.inSet) && a.inSet[f]
+	return f >= 0 && f < a.mem.NumFrames() && a.inSet.has(f)
 }
 
-// FreeFrames returns how many frames are currently allocatable.
+// FreeFrames returns how many frames are currently allocatable: those in
+// the set and not claimed, each counted once however often it sits on the
+// free stack.
 func (a *FrameAllocator) FreeFrames() int {
 	n := 0
-	for _, f := range a.free {
-		if !a.claimed[f] {
-			n++
-		}
+	for i, w := range a.inSet {
+		n += bits.OnesCount64(w &^ a.claimed[i])
 	}
 	return n
 }

@@ -155,6 +155,30 @@ func TestAllocatorBasics(t *testing.T) {
 	}
 }
 
+// TestFreeFramesCountsEachFrameOnce claims a frame that is still on the
+// free stack and frees it, so it sits on the stack twice: FreeFrames must
+// still count what Alloc can hand out.
+func TestFreeFramesCountsEachFrameOnce(t *testing.T) {
+	m := NewMem(8 * PageSize)
+	a := NewFrameAllocator(m, Region{Start: 0, Frames: 4})
+	if err := a.Claim(2, FrameKernelText); err != nil {
+		t.Fatal(err)
+	}
+	a.Free(2)
+	if got := a.FreeFrames(); got != 4 {
+		t.Fatalf("FreeFrames = %d, want 4", got)
+	}
+	n := 0
+	for ; ; n++ {
+		if _, err := a.Alloc(FrameUser); err != nil {
+			break
+		}
+	}
+	if n != 4 || a.FreeFrames() != 0 {
+		t.Fatalf("Alloc handed out %d frames, FreeFrames now %d; want 4 and 0", n, a.FreeFrames())
+	}
+}
+
 func TestAllocatorZeroesFrames(t *testing.T) {
 	m := NewMem(4 * PageSize)
 	a := NewFrameAllocator(m, Region{Start: 0, Frames: 4})
@@ -303,17 +327,17 @@ func TestAllocatorOutOfRangeFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	type state struct {
-		free           []int
-		inSet, claimed []bool
+		free           []frameRun
+		inSet, claimed bitset
 		kinds          []FrameKind
 		prot           []bool
 		stats          Stats
 	}
 	snapshot := func() state {
 		return state{
-			free:    append([]int(nil), a.free...),
-			inSet:   append([]bool(nil), a.inSet...),
-			claimed: append([]bool(nil), a.claimed...),
+			free:    append([]frameRun(nil), a.free...),
+			inSet:   append(bitset(nil), a.inSet...),
+			claimed: append(bitset(nil), a.claimed...),
 			kinds:   append([]FrameKind(nil), m.kind...),
 			prot:    append([]bool(nil), m.prot...),
 			stats:   m.Stats(),
@@ -522,6 +546,32 @@ func BenchmarkAllocatorAddRegion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchAlloc = NewFrameAllocator(m, all)
+	}
+}
+
+// BenchmarkAllocatorMorph times a crash kernel's allocator over a 256 MiB
+// memory from its boot in a 2048-frame slot through the grant of the dead
+// main kernel's free frames to the morph (NewFrameAllocator, AddFreeFrames,
+// AdoptUnmanaged). The dead kernel used 4000 frames and freed three.
+func BenchmarkAllocatorMorph(b *testing.B) {
+	const frames = 256 << 20 / PageSize
+	m := NewMem(frames * PageSize)
+	slot := Region{Start: frames - 2048, Frames: 2048}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for f := 0; f < frames; f++ {
+			k := FrameFree
+			if f < 4000 && f != 100 && f != 2000 && f != 3999 {
+				k = FrameUser
+			}
+			_ = m.SetKind(f, k)
+		}
+		b.StartTimer()
+		a := NewFrameAllocator(m, slot)
+		a.AddFreeFrames(Region{Start: 0, Frames: slot.Start - slot.Frames})
+		a.AdoptUnmanaged(Region{Start: 0, Frames: frames})
+		benchAlloc = a
 	}
 }
 
