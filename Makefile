@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet lint race fuzz-short owstat-smoke wal-check verify bench bench-test bench-diff campaign
+.PHONY: build fmt test vet lint race fuzz-short owstat-smoke wal-check verify bench-test bench-diff campaign
 
 build:
 	$(GO) build ./...
@@ -86,9 +86,6 @@ verify: build fmt vet lint test race fuzz-short owstat-smoke wal-check fleet-smo
 # tier admission, pipelined commit, per-tier table.
 fleet-smoke:
 	$(GO) test -run 'TestFleetRecoverySmoke|TestFleetCorruptIndexFallsBack' ./internal/experiment
-
-bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # bench-test runs the tests of the two-clock benchmark (bench/, a module of
 # its own that imports core, phys and experiment, so `go test ./...` never

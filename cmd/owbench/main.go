@@ -202,7 +202,7 @@ func main() {
 	}
 	if *all || *scaling {
 		fmt.Println("== Footprint scaling (Section 4): crash-kernel read set vs process size")
-		rows, err := experiment.MeasureScaling(*seed, false)
+		rows, err := experiment.MeasureScaling(*seed)
 		if err != nil {
 			fatal(err)
 		}

@@ -6,7 +6,7 @@
 //
 //	owcampaign [-n perApp] [-seed n] [-apps csv] [-hardening on|off]
 //	           [-nocrc] [-noprotected] [-campaign-workers n]
-//	           [-workers n] [-resurrect-workers n] [-lazy-install]
+//	           [-resurrect-workers n] [-lazy-install]
 //	           [-stream] [-index-slots n] [-disk-crash] [-baseline]
 //	           [-trace] [-trace-json f] [-metrics] [-metrics-json f]
 //
@@ -40,8 +40,7 @@ func main() {
 	hardening := flag.String("hardening", "on", "Section 6 hardening fixes: on or off")
 	nocrc := flag.Bool("nocrc", false, "disable record checksums (Section 4 ablation)")
 	noprotected := flag.Bool("noprotected", false, "skip the protected-mode corruption pass")
-	workers := flag.Int("workers", 0, "parallel workers (0 = NumCPU); older spelling of -campaign-workers")
-	campaignWorkers := flag.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = -workers, then NumCPU); the table, attributions and metrics are bit-identical at any width")
+	campaignWorkers := flag.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = NumCPU); the table, attributions and metrics are bit-identical at any width")
 	resWorkers := flag.Int("resurrect-workers", 0, "per-experiment resurrection pipeline workers (0 = NumCPU); changes only the modeled interruption time")
 	lazyInstall := flag.Bool("lazy-install", false, "demand-paged resurrection in every experiment: resume at context install, CRC-validated copy-on-access pages")
 	stream := flag.Bool("stream", false, "streaming resurrection in every experiment: SLO-tier admission and pipelined install commit instead of the batch pass")
@@ -57,7 +56,6 @@ func main() {
 	flag.Parse()
 
 	cfg := experiment.DefaultCampaign(*n, *seed)
-	cfg.Workers = *workers
 	cfg.CampaignWorkers = *campaignWorkers
 	cfg.ResurrectWorkers = *resWorkers
 	cfg.LazyInstall = *lazyInstall
@@ -117,6 +115,10 @@ func main() {
 	// over successful recoveries — the span-plane aggregation layer.
 	fmt.Println("\ninterruption percentiles (p50/p95/p99, serial | parallel):")
 	for _, row := range rows {
+		if row.Success == 0 {
+			fmt.Printf("  %-12s n/a\n", row.App)
+			continue
+		}
 		fmt.Printf("  %-12s %v/%v/%v | %v/%v/%v",
 			row.App,
 			row.P50Interruption.Round(time.Millisecond),

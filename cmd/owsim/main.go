@@ -45,7 +45,6 @@ func main() {
 	noharden := flag.Bool("noharden", false, "disable the Section 6 hardening fixes")
 	resWorkers := flag.Int("resurrect-workers", 0, "resurrection pipeline workers (0 = NumCPU); changes only the modeled interruption time")
 	lazyInstall := flag.Bool("lazy-install", false, "demand-paged resurrection: resume at context install, CRC-validated copy-on-access pages, background sweeper")
-	flag.Int("campaign-workers", 0, "accepted for flag parity with owcampaign/owbench sweep scripts; a single narrated run has no campaign pool")
 	fleet := flag.Int("fleet", 0, "run the fleet-recovery demo at this population instead of the single-app demo (streaming resurrection with index-assisted discovery)")
 	tierSpec := flag.String("tiers", "", "fleet tier overrides merged onto the defaults: program=tier pairs, e.g. sh=1 (default mysqld=0, apache-php=1, volano=1, sh=2)")
 	fleetBatch := flag.Bool("fleet-batch", false, "fleet demo only: classic batch resurrection without the candidate index, for comparison against the streaming pass")

@@ -6,7 +6,8 @@
 // crash procedures, the Rio/Nooks fault injector, and the full evaluation
 // harness reproducing every table in the paper.
 //
-// The root package holds only the benchmark harness (bench_test.go); the
-// implementation lives under internal/ and the runnable entry points under
-// cmd/ and examples/. Start with README.md, DESIGN.md and EXPERIMENTS.md.
+// The root package holds only this documentation; the implementation lives
+// under internal/, the runnable entry points under cmd/ and examples/, and
+// the evaluation's tables come from cmd/owbench. Start with README.md,
+// DESIGN.md and EXPERIMENTS.md.
 package otherworld

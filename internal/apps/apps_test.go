@@ -3,6 +3,7 @@ package apps
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"otherworld/internal/core"
 	"otherworld/internal/hw"
@@ -280,6 +281,48 @@ func TestBLCRCheckpointsPeriodically(t *testing.T) {
 	}
 	if snap.CkptSeq == 0 || !snap.CkptValid {
 		t.Fatalf("checkpoint seq=%d valid=%v", snap.CkptSeq, snap.CkptValid)
+	}
+}
+
+// TestBLCRCheckpointCostsVirtualTime prices the periodic checkpointing
+// that Otherworld makes unnecessary (Section 2): each quantum in which BLCR
+// copies its 8 MiB image into the in-memory checkpoint costs more than a
+// thousand times the dearest ordinary quantum.
+func TestBLCRCheckpointCostsVirtualTime(t *testing.T) {
+	m := newMachine(t, 3)
+	if _, err := m.Start("blcr", ProgBLCR); err != nil {
+		t.Fatal(err)
+	}
+	env := envOf(t, m, ProgBLCR)
+	var ckpts []time.Duration
+	var ordinary time.Duration
+	for q := 0; q <= 2*BLCRCheckpointEvery; q++ {
+		before, err := SnapshotBLCR(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := m.HW.Clock.Now()
+		if res := m.K.Run(1); res.Steps != 1 || res.Panic != nil {
+			t.Fatalf("quantum %d: %+v", q, res)
+		}
+		dur := m.HW.Clock.Since(start)
+		after, err := SnapshotBLCR(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.CkptSeq != before.CkptSeq {
+			ckpts = append(ckpts, dur)
+		} else {
+			ordinary = max(ordinary, dur)
+		}
+	}
+	if len(ckpts) != 2 {
+		t.Fatalf("%d checkpoints in %d quanta, want 2", len(ckpts), 2*BLCRCheckpointEvery+1)
+	}
+	for _, d := range ckpts {
+		if d <= 1000*ordinary {
+			t.Fatalf("checkpoint quantum %v, ordinary quanta up to %v: want over 1000x", d, ordinary)
+		}
 	}
 }
 

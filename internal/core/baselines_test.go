@@ -2,11 +2,14 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	_ "otherworld/internal/apps" // register the paper's applications
 
+	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
+	"otherworld/internal/sim"
 )
 
 // lockPipeRecord flips the Locked flag on the first process's pipe record,
@@ -63,8 +66,11 @@ func TestHotUpdatePreservesProcesses(t *testing.T) {
 	}
 }
 
+// TestFastCrashBootShrinksInterruption: the Section 7 initialization
+// optimizations save exactly the crash kernel's extra startup work, two
+// thirds of its kernel init and the probes of re-probeable devices.
 func TestFastCrashBootShrinksInterruption(t *testing.T) {
-	measure := func(fast bool) float64 {
+	measure := func(fast bool) time.Duration {
 		m := newTestMachine(t, func(o *Options) { o.FastCrashBoot = fast })
 		_, _ = m.Start("counter", "counter")
 		m.Run(20)
@@ -73,15 +79,15 @@ func TestFastCrashBootShrinksInterruption(t *testing.T) {
 		if err != nil || out.Result != ResultRecovered {
 			t.Fatalf("recover: %v %v", out, err)
 		}
-		return out.Interruption.Seconds()
+		return out.Interruption
 	}
 	slow := measure(false)
 	fast := measure(true)
-	if fast >= slow {
-		t.Fatalf("fast boot (%vs) should beat stock (%vs)", fast, slow)
-	}
-	if slow-fast < 20 {
-		t.Fatalf("optimization too small: %vs vs %vs", fast, slow)
+	c := sim.DefaultCostModel()
+	devs := hw.DefaultDevices()
+	want := c.CrashExtra + c.KernelInit - c.KernelInit/3 + hw.ProbeAll(devs) - hw.ProbeChangedOnly(devs)
+	if slow-fast != want {
+		t.Fatalf("fast boot %v, stock %v: saved %v, want %v", fast, slow, slow-fast, want)
 	}
 }
 

@@ -66,7 +66,7 @@ func TestBookkeepingScalesWithUse(t *testing.T) {
 	})
 	t.Run("unwritten swap partition", func(t *testing.T) {
 		got := leastAllocated(func() func() {
-			return func() { bookkeepingSink = disk.NewSwapDevice(newSwapPartition("/dev/swap0", 16384)) }
+			return func() { bookkeepingSink = disk.NewSwapDevice(newSwapPartition("/dev/swap0")) }
 		})
 		if got > 1<<10 {
 			t.Fatalf("an unwritten 16384-block swap partition allocated %d bytes, want at most 1 KiB", got)

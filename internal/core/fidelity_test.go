@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 
 	"otherworld/internal/kernel"
@@ -55,29 +56,40 @@ func regionsOf(t *testing.T, m *Machine, p *kernel.Process) []*layout.MemRegion 
 	return out
 }
 
-// pageTouched reports whether the page has a non-zero PTE (resident or
-// swapped), via a read-only page-table walk through raw memory.
+// pageTouched reports whether the page has a non-zero PTE (resident,
+// swapped or speculated).
 func pageTouched(t *testing.T, m *Machine, p *kernel.Process, va uint64) bool {
 	t.Helper()
+	return pteOf(m, p, va) != 0
+}
+
+// pteOf reads the page's PTE through a read-only page-table walk over raw
+// memory; 0 when no page table covers va.
+func pteOf(m *Machine, p *kernel.Process, va uint64) layout.PTE {
 	dir, table, _, ok := layout.VirtSplit(va)
 	if !ok {
-		return false
+		return 0
 	}
 	dirEnt, err := m.HW.Mem.ReadU64(p.D.PageDir + uint64(dir)*layout.PTESize)
 	if err != nil || dirEnt == 0 {
-		return false
+		return 0
 	}
 	raw, err := m.HW.Mem.ReadU64(dirEnt + uint64(table)*layout.PTESize)
-	return err == nil && raw != 0
+	if err != nil {
+		return 0
+	}
+	return layout.PTE(raw)
 }
 
 // TestResurrectionIsByteExact is the fidelity property behind everything
 // else: after a microreboot, every touched page of the address space —
-// resident or swapped — is byte-for-byte identical, for both the copy and
-// the map-pages engines.
+// resident or swapped — is byte-for-byte identical, for both the eager
+// install and the lazy one, which maps the dead frames in place (the
+// paper's footnote 3). The lazy case also writes to a page still mapped
+// from its dead frame: the write lands and the rest of the page survives.
 func TestResurrectionIsByteExact(t *testing.T) {
-	for _, mapPages := range []bool{false, true} {
-		m := newTestMachine(t, func(o *Options) { o.MapPagesResurrection = mapPages })
+	for _, lazy := range []bool{false, true} {
+		m := newTestMachine(t, func(o *Options) { o.LazyInstall = lazy })
 		p, err := m.Start("big", "big-prog")
 		if err != nil {
 			t.Fatal(err)
@@ -100,15 +112,41 @@ func TestResurrectionIsByteExact(t *testing.T) {
 		if err != nil || out.Result != ResultRecovered {
 			t.Fatalf("recover: %v %v", out, err)
 		}
-		np := m.K.Lookup(out.Report.Procs[0].NewPID)
+		pr := out.Report.Procs[0]
+		np := m.K.Lookup(pr.NewPID)
+		if lazy {
+			if pr.PagesSpeculated == 0 {
+				t.Fatal("lazy: no page speculated")
+			}
+			// big-prog page i holds the word i*7+1 and zeros after it.
+			written := false
+			for i := 0; i < bigPages && !written; i++ {
+				va := bigVA + uint64(i)*phys.PageSize
+				if !pteOf(m, np, va).Speculated() {
+					continue
+				}
+				env := &kernel.Env{K: m.K, P: np}
+				if err := env.WriteU64(va+8, 424242); err != nil {
+					t.Fatalf("lazy: write to speculated page %#x: %v", va, err)
+				}
+				want := make([]byte, phys.PageSize)
+				binary.LittleEndian.PutUint64(want, uint64(i)*7+1)
+				binary.LittleEndian.PutUint64(want[8:], 424242)
+				before[va] = sha256.Sum256(want)
+				written = true
+			}
+			if !written {
+				t.Fatal("lazy: no big-prog page left speculated")
+			}
+		}
 		after := snapshotAddressSpace(t, m, np)
 
 		if len(after) != len(before) {
-			t.Fatalf("mapPages=%v: touched pages %d -> %d", mapPages, len(before), len(after))
+			t.Fatalf("lazy=%v: touched pages %d -> %d", lazy, len(before), len(after))
 		}
 		for va, h := range before {
 			if after[va] != h {
-				t.Fatalf("mapPages=%v: page %#x differs after resurrection", mapPages, va)
+				t.Fatalf("lazy=%v: page %#x differs after resurrection", lazy, va)
 			}
 		}
 	}

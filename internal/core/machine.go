@@ -41,20 +41,15 @@ type Options struct {
 	Resurrection resurrect.Config
 	// Seed drives all simulated nondeterminism.
 	Seed int64
-	// SwapSlotsPerPartition sizes each of the two swap partitions.
-	SwapSlotsPerPartition int
-	// MapPagesResurrection enables the footnote-3 optimization: the crash
-	// kernel maps resident pages in place instead of copying them.
-	MapPagesResurrection bool
 	// ResurrectIPC enables the Section 7 future-work extension: sockets
 	// and (unlocked) pipes are resurrected instead of reported missing.
 	ResurrectIPC bool
-	// LazyInstall enables the demand-paged resurrection install: validated
-	// candidates map their resident pages copy-on-access from the dead
-	// kernel's frames and resume as soon as their resurrection-critical
-	// records parse; each page is CRC-validated on first touch (or by the
-	// scheduler's background sweeper) and a corrupt speculation falls the
-	// whole candidate back to the eager full copy.
+	// LazyInstall enables the demand-paged resurrection install, the paper's
+	// footnote-3 map-in-place: validated candidates map their resident pages
+	// copy-on-access from the dead kernel's frames and resume as soon as their
+	// resurrection-critical records parse; each page is CRC-validated on first
+	// touch (or by the scheduler's background sweeper) and a corrupt speculation
+	// falls the whole candidate back to the eager full copy.
 	LazyInstall bool
 	// FastCrashBoot enables the Section 7 initialization optimizations:
 	// part of the crash kernel's init runs when it is installed, and it
@@ -89,13 +84,10 @@ type Options struct {
 // (internal/disk.CrashModel): a bounded volatile write cache under the page
 // cache that can roll back at a kernel crash, a torn in-flight sector
 // write, and a seeded undefined-order flush of dirty pages resurrection did
-// not rescue.
+// not rescue. The write cache holds disk.DefaultCacheDepth acked writes.
 type DiskCrashOptions struct {
 	// Enabled turns the model on.
 	Enabled bool
-	// CacheDepth bounds the volatile write cache (acked-but-unbarriered
-	// block writes); 0 selects disk.DefaultCacheDepth.
-	CacheDepth int
 }
 
 // DefaultOptions returns the paper's experimental configuration: 1 GB VM,
@@ -103,14 +95,13 @@ type DiskCrashOptions struct {
 // user-space protection off (the zero-overhead default mode).
 func DefaultOptions() Options {
 	return Options{
-		HW:                    hw.DefaultConfig(),
-		CrashRegionMB:         64,
-		VerifyCRC:             true,
-		Hardening:             kernel.FullHardening(),
-		Resurrection:          resurrect.Config{All: true},
-		SwapSlotsPerPartition: 16384, // 64 MB per partition
-		TraceEvents:           512,
-		MetricsPages:          4,
+		HW:            hw.DefaultConfig(),
+		CrashRegionMB: 64,
+		VerifyCRC:     true,
+		Hardening:     kernel.FullHardening(),
+		Resurrection:  resurrect.Config{All: true},
+		TraceEvents:   512,
+		MetricsPages:  4,
 	}
 }
 
@@ -250,9 +241,6 @@ func NewMachine(opts Options) (*Machine, error) {
 	if opts.CrashRegionMB <= 0 {
 		opts.CrashRegionMB = 64
 	}
-	if opts.SwapSlotsPerPartition <= 0 {
-		opts.SwapSlotsPerPartition = 16384
-	}
 	m := &Machine{
 		HW:       hw.NewMachine(opts.HW),
 		FS:       fs.New(),
@@ -286,7 +274,7 @@ func NewMachine(opts Options) (*Machine, error) {
 	}
 
 	for _, name := range swapDevNames {
-		m.HW.Bus.Attach(newSwapPartition(name, opts.SwapSlotsPerPartition))
+		m.HW.Bus.Attach(newSwapPartition(name))
 	}
 
 	// The BIOS and boot loader run before the kernel (Table 6 cold-boot
@@ -294,7 +282,7 @@ func NewMachine(opts Options) (*Machine, error) {
 	m.HW.Clock.Advance(m.cost.BIOS + m.cost.BootLoader)
 
 	if opts.DiskCrash.Enabled {
-		m.diskModel = disk.NewCrashModel(m.FS, opts.Seed^0xD15CC4A5, opts.DiskCrash.CacheDepth)
+		m.diskModel = disk.NewCrashModel(m.FS, opts.Seed^0xD15CC4A5, disk.DefaultCacheDepth)
 	}
 
 	k, err := kernel.Boot(m.HW, m.FS, m.kernelParams(), kernel.BootOptions{
@@ -568,7 +556,6 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	crashK.Alloc.AddFreeFrames(phys.Region{Start: 0, Frames: nextSlot.Start})
 
 	engine := resurrect.NewEngine(crashK, kernel.GlobalsAddr, m.opts.VerifyCRC)
-	engine.MapPages = m.opts.MapPagesResurrection
 	engine.ResurrectIPC = m.opts.ResurrectIPC
 	engine.LazyInstall = m.opts.LazyInstall
 	engine.TraceRegion = ring

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"otherworld/internal/hw"
+	"otherworld/internal/kernel"
 )
 
 func TestNewMachineRejectsOversizedCrashRegion(t *testing.T) {
@@ -85,4 +86,39 @@ func TestSystemDownPathLeavesMachineRecoverable(t *testing.T) {
 	if res := m.Run(10); res.Panic != nil {
 		t.Fatalf("panic after recovery: %v", res.Panic)
 	}
+}
+
+// TestKernelsRunWithMachineSettings: the cold-booted kernel, the crash
+// kernel that HandleFailure morphs into the main kernel, and the kernel a
+// ColdReboot boots all run with the machine's CRC, protection and hardening
+// settings, each set away from its DefaultOptions value.
+func TestKernelsRunWithMachineSettings(t *testing.T) {
+	hard := kernel.Hardening{WatchdogNMI: true, NoTrustCurrent: true}
+	m := newTestMachine(t, func(o *Options) {
+		o.VerifyCRC = false
+		o.UserSpaceProtection = true
+		o.Hardening = hard
+	})
+	check := func(stage string) {
+		t.Helper()
+		if p := m.K.P; p.VerifyCRC || !p.UserSpaceProtection || p.Hardening != hard {
+			t.Fatalf("%s: kernel runs with VerifyCRC=%v UserSpaceProtection=%v Hardening=%+v, want false, true, %+v",
+				stage, p.VerifyCRC, p.UserSpaceProtection, p.Hardening, hard)
+		}
+	}
+	check("cold boot")
+	if _, err := m.Start("c", "counter"); err != nil {
+		t.Fatal(err)
+	}
+	m.Run(10)
+	_ = m.K.InjectOops("settings")
+	out, err := m.HandleFailure()
+	if err != nil || out.Result != ResultRecovered {
+		t.Fatalf("recover: %v %v", out, err)
+	}
+	check("morphed crash kernel")
+	if err := m.ColdReboot(); err != nil {
+		t.Fatal(err)
+	}
+	check("cold reboot")
 }

@@ -89,14 +89,11 @@ type CampaignConfig struct {
 	// this).
 	VerifyCRC bool
 	// CampaignWorkers bounds campaign-level parallelism: how many whole
-	// experiments run concurrently (0 falls back to Workers, then NumCPU).
+	// experiments run concurrently (0 = NumCPU).
 	// Every tallied result, metrics increment and progress tick is
 	// bit-identical at any width: the pool speculates ahead but commits
 	// strictly in seed order.
 	CampaignWorkers int
-	// Workers is the older name for the same knob, kept for callers that
-	// predate CampaignWorkers; it applies only when CampaignWorkers is 0.
-	Workers int
 	// ResurrectWorkers is the per-experiment resurrection pipeline width
 	// (0 = NumCPU). It only changes each experiment's modeled parallel
 	// interruption; every tallied outcome is identical at any width.
@@ -116,8 +113,6 @@ type CampaignConfig struct {
 	Baseline bool
 	// SkipProtected skips the protected-mode corruption sub-campaign.
 	SkipProtected bool
-	// MemoryMB sizes experiment machines.
-	MemoryMB int
 	// Progress, when set, is called after every finished experiment (from
 	// the collecting goroutine's lock, so it must be quick) — the live
 	// campaign ticker in cmd/owcampaign.
@@ -151,7 +146,6 @@ func DefaultCampaign(perApp int, seed int64) CampaignConfig {
 		Seed:      seed,
 		Hardening: kernel.FullHardening(),
 		VerifyCRC: true,
-		MemoryMB:  256,
 	}
 }
 
@@ -202,9 +196,6 @@ func passSeedSalt(appIdx, pass, passCount int) int64 {
 // campaignWorkers resolves the effective campaign pool width.
 func (cfg CampaignConfig) campaignWorkers() int {
 	w := cfg.CampaignWorkers
-	if w <= 0 {
-		w = cfg.Workers
-	}
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
@@ -292,9 +283,6 @@ func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, 
 				ecfg.IndexSlots = cfg.IndexSlots
 				ecfg.DiskCrash = cfg.DiskCrash
 				ecfg.Baseline = cfg.Baseline
-				if cfg.MemoryMB > 0 {
-					ecfg.MemoryMB = cfg.MemoryMB
-				}
 				res := runOne(ecfg)
 
 				mu.Lock()
@@ -564,17 +552,17 @@ func RenderTable5(rows []Table5Row) string {
 	}
 	b.WriteString("\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-11s %12.2f%% %16.2f%% %20.2f%% %14.2f%% / %.2f%% %14.0fs / %.0fs",
+		fmt.Fprintf(&b, "%-11s %12.2f%% %16.2f%% %20.2f%% %14.2f%% / %.2f%%",
 			r.App, 100*r.Success, 100*r.BootFailure, 100*r.ResurrectFail,
-			100*r.CorruptProt, 100*r.CorruptNoProt,
-			r.MeanInterruption.Seconds(), r.MeanParallelInterruption.Seconds())
+			100*r.CorruptProt, 100*r.CorruptNoProt)
 		if r.Success > 0 {
-			fmt.Fprintf(&b, " %11.0f/%.0f/%.0fs",
+			fmt.Fprintf(&b, " %14.0fs / %.0fs %11.0f/%.0f/%.0fs",
+				r.MeanInterruption.Seconds(), r.MeanParallelInterruption.Seconds(),
 				r.P50Interruption.Seconds(), r.P95Interruption.Seconds(), r.P99Interruption.Seconds())
 		} else {
-			// No successful recoveries: a percentile over zero samples is
-			// not 0s, so don't fake a "0/0/0s" cell.
-			fmt.Fprintf(&b, " %15s", "n/a")
+			// No successful recoveries: a mean or percentile over zero
+			// samples is unknown, not 0s.
+			fmt.Fprintf(&b, " %20s %15s", "n/a", "n/a")
 		}
 		if withData {
 			if r.DataChecked > 0 {

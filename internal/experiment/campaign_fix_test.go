@@ -2,9 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"otherworld/internal/kernel"
 )
 
 // TestPassSeedSpacesDisjoint proves the campaign's seed-space claim: the
@@ -50,7 +53,7 @@ func TestCampaignSeedsDisjoint(t *testing.T) {
 	seen := make(map[int64]string) // seed -> pass that used it
 	cfg := DefaultCampaign(5, 12345)
 	cfg.Apps = []string{"vi", "JOE"}
-	cfg.Workers = 2
+	cfg.CampaignWorkers = 2
 	cfg.runExperiment = func(ecfg Config) Result {
 		pass := fmt.Sprintf("%s/prot=%v", ecfg.App, ecfg.Protection)
 		mu.Lock()
@@ -84,7 +87,7 @@ func TestCampaignUndershootReported(t *testing.T) {
 	var mu sync.Mutex
 	cfg := DefaultCampaign(4, 99)
 	cfg.Apps = []string{"vi"}
-	cfg.Workers = 1
+	cfg.CampaignWorkers = 1
 	cfg.runExperiment = func(ecfg Config) Result {
 		mu.Lock()
 		calls++
@@ -169,7 +172,7 @@ func TestCampaignAttributionAggregation(t *testing.T) {
 	var mu sync.Mutex
 	cfg := DefaultCampaign(6, 7)
 	cfg.Apps = []string{"vi"}
-	cfg.Workers = 1
+	cfg.CampaignWorkers = 1
 	cfg.SkipProtected = true
 	cfg.runExperiment = func(Config) Result {
 		mu.Lock()
@@ -214,5 +217,75 @@ func TestWarmupOpsNonNegativeSeed(t *testing.T) {
 	// Congruent seeds must warm up identically regardless of sign wrap.
 	if warmupOps(-97) != warmupOps(0) || warmupOps(-1) != warmupOps(96) {
 		t.Error("warmupOps not congruent mod 97 across signs")
+	}
+}
+
+// TestCampaignForwardsEveryKnob: every knob the campaign forwards reaches
+// each experiment's Config. Each is set away from its default, so a
+// dropped forward leaves the default behind and the configs differ.
+func TestCampaignForwardsEveryKnob(t *testing.T) {
+	hard := kernel.Hardening{DoubleFaultMicroreboot: true, NoTrustCurrent: true}
+	cfg := DefaultCampaign(3, 7)
+	cfg.Apps = []string{"vi", "MySQL"}
+	cfg.CampaignWorkers = 2
+	cfg.Hardening = hard
+	cfg.VerifyCRC = false
+	cfg.ResurrectWorkers = 3
+	cfg.LazyInstall = true
+	cfg.Stream = true
+	cfg.IndexSlots = 64
+	cfg.DiskCrash = true
+	cfg.Baseline = true
+	var mu sync.Mutex
+	passes := make(map[string]bool)
+	cfg.runExperiment = func(ecfg Config) Result {
+		want := Config{App: ecfg.App, Seed: ecfg.Seed, Protection: ecfg.Protection,
+			Hardening: hard, ResurrectWorkers: 3, LazyInstall: true, Stream: true,
+			IndexSlots: 64, DiskCrash: true, Baseline: true}
+		if !reflect.DeepEqual(ecfg, want) {
+			t.Errorf("experiment config:\n got %+v\nwant %+v", ecfg, want)
+		}
+		mu.Lock()
+		passes[fmt.Sprintf("%s/prot=%v", ecfg.App, ecfg.Protection)] = true
+		mu.Unlock()
+		return Result{Outcome: OutcomeSuccess}
+	}
+	RunTable5(cfg)
+	for _, app := range cfg.Apps {
+		for _, prot := range []bool{false, true} {
+			if pass := fmt.Sprintf("%s/prot=%v", app, prot); !passes[pass] {
+				t.Errorf("%s ran no experiment", pass)
+			}
+		}
+	}
+}
+
+// TestCampaignProgressTicks: Progress sees one tick per committed
+// experiment, in commit order, ending at the pass's quota.
+func TestCampaignProgressTicks(t *testing.T) {
+	cfg := DefaultCampaign(3, 5)
+	cfg.Apps = []string{"vi"}
+	cfg.SkipProtected = true
+	cfg.CampaignWorkers = 2
+	cfg.runExperiment = func(ecfg Config) Result {
+		if ecfg.Seed%2 == 0 {
+			return Result{Outcome: OutcomeNoKernelFault}
+		}
+		return Result{Outcome: OutcomeSuccess}
+	}
+	var ticks []ProgressUpdate // Progress runs under the pass's commit lock
+	cfg.Progress = func(u ProgressUpdate) { ticks = append(ticks, u) }
+	rows := RunTable5(cfg)
+	for i, u := range ticks {
+		if u.App != "vi" || u.Protected || u.Want != 3 || u.Attempted != i+1 ||
+			u.Faulted+u.Discarded != u.Attempted {
+			t.Fatalf("tick %d = %+v", i, u)
+		}
+	}
+	if len(ticks) == 0 {
+		t.Fatal("no progress ticks")
+	}
+	if last := ticks[len(ticks)-1]; last.Faulted != 3 || last.Discarded != rows[0].Discarded {
+		t.Fatalf("last tick %+v, row discarded %d", last, rows[0].Discarded)
 	}
 }

@@ -107,10 +107,6 @@ type Config struct {
 	Hardening kernel.Hardening
 	// VerifyCRC enables record checksums.
 	VerifyCRC bool
-	// FaultsPerRun is the injection burst size (the paper uses 30).
-	FaultsPerRun int
-	// MemoryMB sizes the experiment machine.
-	MemoryMB int
 	// ResurrectWorkers is the resurrection pipeline's worker-pool width
 	// (0 = NumCPU). The pool only changes the modeled interruption time;
 	// every other result field is byte-identical at any width.
@@ -143,15 +139,17 @@ type Config struct {
 	BuildSpans bool
 }
 
+// faultsPerRun is the injection burst size: the paper injects 30 faults
+// per experiment.
+const faultsPerRun = 30
+
 // DefaultConfig returns the paper's experiment parameters.
 func DefaultConfig(app string, seed int64) Config {
 	return Config{
-		App:          app,
-		Seed:         seed,
-		Hardening:    kernel.FullHardening(),
-		VerifyCRC:    true,
-		FaultsPerRun: 30,
-		MemoryMB:     256,
+		App:       app,
+		Seed:      seed,
+		Hardening: kernel.FullHardening(),
+		VerifyCRC: true,
 	}
 }
 
@@ -266,19 +264,12 @@ func DiskFingerprint(f *fs.FlatFS) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runBody is Run without the duration stamp; it publishes the experiment
-// machine through mp as soon as one exists so Run can read the final
-// virtual clock on every exit path.
-func runBody(cfg Config, mp **core.Machine) Result {
-	if cfg.FaultsPerRun <= 0 {
-		cfg.FaultsPerRun = 30
-	}
-	if cfg.MemoryMB <= 0 {
-		cfg.MemoryMB = 256
-	}
+// machineOptions maps the experiment's knobs onto the options of its
+// 256 MB, two-CPU machine.
+func (cfg Config) machineOptions() core.Options {
 	opts := core.DefaultOptions()
 	opts.HW = hw.Config{
-		MemoryBytes:     cfg.MemoryMB << 20,
+		MemoryBytes:     256 << 20,
 		NumCPUs:         2,
 		TLBEntries:      64,
 		WatchdogEnabled: true,
@@ -293,8 +284,14 @@ func runBody(cfg Config, mp **core.Machine) Result {
 	opts.LazyInstall = cfg.LazyInstall
 	opts.CandidateIndexSlots = cfg.IndexSlots
 	opts.DiskCrash.Enabled = cfg.DiskCrash
+	return opts
+}
 
-	m, err := core.NewMachine(opts)
+// runBody is Run without the duration stamp; it publishes the experiment
+// machine through mp as soon as one exists so Run can read the final
+// virtual clock on every exit path.
+func runBody(cfg Config, mp **core.Machine) Result {
+	m, err := core.NewMachine(cfg.machineOptions())
 	if err != nil {
 		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
 			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
@@ -329,7 +326,7 @@ func runBody(cfg Config, mp **core.Machine) Result {
 		d.Pump(m, 24)
 		m.Run(1 + r.Intn(120))
 	}
-	if _, err := inj.InjectBurst(m.K, cfg.FaultsPerRun); err != nil {
+	if _, err := inj.InjectBurst(m.K, faultsPerRun); err != nil {
 		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
 			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
 	}

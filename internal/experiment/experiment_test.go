@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"otherworld/internal/core"
+	"otherworld/internal/hw"
+	"otherworld/internal/kernel"
 	"otherworld/internal/metrics"
 )
 
@@ -76,6 +81,47 @@ func TestSmallCampaignAggregates(t *testing.T) {
 	}
 }
 
+// TestRenderTable5UnknownIsNotZero: a row with no successful recovery has
+// no interruption samples, so its mean and percentile cells read n/a, never
+// "0s / 0s" or "0/0/0s".
+func TestRenderTable5UnknownIsNotZero(t *testing.T) {
+	rows := []Table5Row{
+		{App: "vi", N: 1, BootFailure: 1},
+		{App: "MySQL", N: 2, Success: 1, MeanInterruption: 53 * time.Second,
+			MeanParallelInterruption: 45 * time.Second, P50Interruption: 53 * time.Second,
+			P95Interruption: 54 * time.Second, P99Interruption: 54 * time.Second},
+	}
+	lines := strings.Split(RenderTable5(rows), "\n")
+	vi, mysql := lines[2], lines[3]
+	if strings.Contains(vi, "0s") || strings.Count(vi, "n/a") != 2 {
+		t.Fatalf("zero-success row %q: want n/a in the mean and percentile cells", vi)
+	}
+	if !strings.Contains(mysql, "53s / 45s") || !strings.Contains(mysql, "53/54/54s") {
+		t.Fatalf("successful row %q lost its interruption cells", mysql)
+	}
+}
+
+// TestBuildSpansAttachesTree: Config.BuildSpans is what puts the causal
+// span tree on a recovered experiment's result (owstat timeline sets it);
+// campaigns leave it off and get no tree.
+func TestBuildSpansAttachesTree(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		cfg := DefaultConfig("vi", seed)
+		cfg.BuildSpans = true
+		if res := Run(cfg); res.Outcome != OutcomeSuccess {
+			continue
+		} else if res.Spans == nil {
+			t.Fatalf("seed %d: recovered with BuildSpans but no span tree", seed)
+		}
+		cfg.BuildSpans = false
+		if res := Run(cfg); res.Spans != nil {
+			t.Fatalf("seed %d: span tree built without BuildSpans", seed)
+		}
+		return
+	}
+	t.Fatal("no seed in 1..20 recovered")
+}
+
 func TestTable6ShellMatchesCostModel(t *testing.T) {
 	row, err := MeasureTable6("shell", 1)
 	if err != nil {
@@ -128,8 +174,9 @@ func TestRenderTable1Mentions(t *testing.T) {
 }
 
 // TestProtectionNeverFaster is the directional property behind Table 3:
-// user-space protection can only add TLB misses and cycles, never remove
-// them, for every benchmark workload.
+// user-space protection adds TLB misses and cycles for every benchmark
+// workload. Both must be strictly positive, so a protected machine that
+// silently ran unprotected fails.
 func TestProtectionNeverFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("protection sweep in -short mode")
@@ -139,11 +186,35 @@ func TestProtectionNeverFaster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
-		if row.Overhead < 0 {
-			t.Fatalf("%s: negative overhead %v", app, row.Overhead)
+		if row.Overhead <= 0 {
+			t.Fatalf("%s: protection overhead %v, want > 0", app, row.Overhead)
 		}
-		if row.TLBMissIncrease < 0 {
-			t.Fatalf("%s: protection reduced TLB misses (%v)", app, row.TLBMissIncrease)
+		if row.TLBMissIncrease <= 0 {
+			t.Fatalf("%s: protection TLB-miss increase %v, want > 0", app, row.TLBMissIncrease)
 		}
+	}
+}
+
+// TestMachineOptionsForwardEveryKnob: every experiment knob that shapes
+// the machine reaches core.Options. Each is set away from its default, so
+// a dropped forward leaves the default behind and the options differ.
+func TestMachineOptionsForwardEveryKnob(t *testing.T) {
+	hard := kernel.Hardening{WatchdogNMI: true, NoStackPrintRecursion: true}
+	cfg := Config{App: "vi", Seed: 77, Protection: true, Hardening: hard,
+		ResurrectWorkers: 3, LazyInstall: true, Stream: true, IndexSlots: 64, DiskCrash: true}
+	want := core.DefaultOptions()
+	want.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
+	want.CrashRegionMB = 16
+	want.VerifyCRC = false
+	want.UserSpaceProtection = true
+	want.Hardening = hard
+	want.Seed = 77
+	want.Resurrection.Workers = 3
+	want.Resurrection.Stream = true
+	want.LazyInstall = true
+	want.CandidateIndexSlots = 64
+	want.DiskCrash.Enabled = true
+	if got := cfg.machineOptions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("machine options:\n got %+v\nwant %+v", got, want)
 	}
 }

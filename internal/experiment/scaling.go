@@ -66,14 +66,13 @@ type ScalingRow struct {
 
 // MeasureScaling resurrects one process per footprint and reports how the
 // crash kernel's read set grows.
-func MeasureScaling(seed int64, mapPages bool) ([]ScalingRow, error) {
+func MeasureScaling(seed int64) ([]ScalingRow, error) {
 	rows := make([]ScalingRow, 0, len(ScaleSizes))
 	for _, pages := range ScaleSizes {
 		opts := core.DefaultOptions()
 		opts.HW = hw.Config{MemoryBytes: 512 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
 		opts.CrashRegionMB = 16
 		opts.Seed = seed
-		opts.MapPagesResurrection = mapPages
 		m, err := core.NewMachine(opts)
 		if err != nil {
 			return nil, err

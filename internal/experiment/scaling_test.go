@@ -6,7 +6,7 @@ import "testing"
 // with footprint, page tables dominate increasingly, and the kernel-data /
 // footprint ratio stays far below 1% (the paper's 0.13% bound).
 func TestScalingShape(t *testing.T) {
-	rows, err := MeasureScaling(3, false)
+	rows, err := MeasureScaling(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,23 +33,5 @@ func TestScalingShape(t *testing.T) {
 	// mirroring Table 4's 60% -> 83% progression.
 	if rows[len(rows)-1].PageTableFraction <= rows[0].PageTableFraction {
 		t.Fatalf("page-table share not growing: %v", rows)
-	}
-}
-
-// TestScalingMapPagesFaster: the footnote-3 fast path wins and its lead
-// grows with footprint.
-func TestScalingMapPagesFaster(t *testing.T) {
-	slow, err := MeasureScaling(3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := MeasureScaling(3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := len(slow) - 1
-	if fast[last].ResurrectionTime >= slow[last].ResurrectionTime {
-		t.Fatalf("map pages (%v) should beat copy (%v) at %v MB",
-			fast[last].ResurrectionTime, slow[last].ResurrectionTime, slow[last].FootprintMB)
 	}
 }

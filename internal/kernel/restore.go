@@ -126,34 +126,13 @@ func (k *Kernel) InstallZeroPage(p *Process, va uint64, writable, dirty bool) er
 	return k.setPTE(pteAddr, pte)
 }
 
-// InstallResidentPageMapped is the paper's footnote-3 optimization: instead
-// of copying the dead kernel's page, the crash kernel maps the physical
-// frame itself into the resurrected process, adopting it from the dead
-// kernel. Resurrection of large processes becomes proportional to page
-// count, not bytes.
-func (k *Kernel) InstallResidentPageMapped(p *Process, va uint64, frame int, writable, dirty bool) error {
-	pteAddr, _, err := k.walk(p, va, true)
-	if err != nil {
-		return err
-	}
-	if err := k.Alloc.AdoptFrame(frame, phys.FrameUser); err != nil {
-		return err
-	}
-	pte := layout.MakePresentPTE(frame, writable)
-	if dirty {
-		pte = pte.WithDirty()
-	}
-	return k.setPTE(pteAddr, pte)
-}
-
-// InstallSpeculatedPage is the lazy install's copy-on-access case: instead
-// of copying the dead kernel's page (or adopting it permanently, as the
-// footnote-3 map mode does), the crash kernel writes a speculated PTE whose
-// frame bits name the dead frame, and adopts that frame as FrameSpeculated
-// so the morph cannot recycle it while the speculation is outstanding. The
-// first touch — or the background sweeper — validates the contents and
-// replaces the entry with the resident private copy an eager install would
-// have produced.
+// InstallSpeculatedPage is the lazy install's copy-on-access case, the
+// paper's footnote-3 mapping: instead of copying the dead kernel's page, the
+// crash kernel writes a speculated PTE whose frame bits name the dead frame,
+// and adopts that frame as FrameSpeculated so the morph cannot recycle it
+// while the speculation is outstanding. The first touch — or the background
+// sweeper — validates the contents and replaces the entry with the resident
+// private copy an eager install would have produced.
 func (k *Kernel) InstallSpeculatedPage(p *Process, va uint64, deadFrame int, writable, dirty bool) error {
 	pteAddr, _, err := k.walk(p, va, true)
 	if err != nil {

@@ -217,9 +217,9 @@ func (a *FrameAllocator) AdoptUnmanaged(r Region) int {
 }
 
 // AdoptFrame takes ownership of a specific unmanaged frame as an already-
-// claimed allocation tagged k. The crash kernel's map-pages resurrection
-// fast path (the paper's footnote 3) uses it to keep a dead kernel's user
-// page in place instead of copying it.
+// claimed allocation tagged k. The crash kernel's lazy resurrection install
+// (the paper's footnote 3) uses it to map a dead kernel's user page in place
+// until the page is validated and copied out.
 func (a *FrameAllocator) AdoptFrame(f int, k FrameKind) error {
 	if f < 0 || f >= a.mem.NumFrames() {
 		return ErrOutOfRange

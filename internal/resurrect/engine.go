@@ -324,10 +324,6 @@ type Report struct {
 	// the only worker-count-dependent block in the report and is
 	// excluded from Fingerprint.
 	Parallel ParallelStats
-	// ScanTrace is the merged per-worker scan event sequence (one event
-	// per candidate phase), ordered by candidate-local logical time with
-	// ties broken on candidate PID — identical at any worker count.
-	ScanTrace []trace.Event
 	// FirstTouch collects each demand-fault stall a resumed process paid on
 	// first touch of a speculated page (lazy install only), in touch order.
 	// Touches happen on the serial post-resume execution path, so the slice
@@ -361,10 +357,6 @@ type Engine struct {
 	// VerifyCRC enables checksum validation while parsing the dead
 	// kernel's records (Section 4's integrity hardening).
 	VerifyCRC bool
-	// MapPages enables the footnote-3 optimization: resident pages are
-	// mapped in place instead of copied, "which would significantly
-	// increase the speed of resurrection of large processes".
-	MapPages bool
 	// ResurrectIPC enables the Section 7 future-work extension: pipes
 	// (when their semaphore was free at failure time) and sockets are
 	// restored instead of reported as missing. The paper's prototype did
@@ -620,9 +612,6 @@ func (r *Report) Fingerprint() string {
 			fmt.Fprintf(&b, "admit[%d] tier=%d scan=%v install=%v\n",
 				i, tier, r.PerScan[i], r.PerInstall[i])
 		}
-	}
-	for _, ev := range r.ScanTrace {
-		fmt.Fprintf(&b, "ev %v\n", ev)
 	}
 	return b.String()
 }

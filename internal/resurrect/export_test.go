@@ -34,7 +34,6 @@ type ScannedPage struct {
 	VA      uint64
 	Frame   int
 	Swapped bool
-	Mapped  bool
 	Zero    bool
 	Data    []byte
 }
@@ -54,7 +53,7 @@ func (s ScannedPlan) Pages() []ScannedPage {
 	out := make([]ScannedPage, len(s.pl.pages))
 	for i, pg := range s.pl.pages {
 		out[i] = ScannedPage{VA: pg.va, Frame: pg.frame, Swapped: pg.swapped,
-			Mapped: pg.mapped, Zero: pg.zero, Data: pg.data}
+			Zero: pg.zero, Data: pg.data}
 	}
 	return out
 }

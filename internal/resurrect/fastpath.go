@@ -9,7 +9,6 @@ import (
 	"otherworld/internal/layout"
 	"otherworld/internal/phys"
 	"otherworld/internal/sim"
-	"otherworld/internal/trace"
 )
 
 // The install-phase memory fast path, run as each candidate's commit
@@ -39,9 +38,9 @@ import (
 //
 // Classification runs inside the serialized commit, in commit order, so
 // which page is canonical, which frame is speculated — and therefore every
-// charged duration, counter and trace event — is a pure function of the
-// candidate order, never of the scan pool's width or timing. The scan
-// decides zero-ness where it reads each frame but defers the resident-copy
+// charged duration and counter — is a pure function of the candidate
+// order, never of the scan pool's width or timing. The scan decides
+// zero-ness where it reads each frame but defers the resident-copy
 // bandwidth charge, and the elision counts, to this step (see scanPages);
 // byte *accounting* stays with the scan's reads.
 
@@ -102,11 +101,8 @@ func (e *Engine) newClassifyCtx() *classifyCtx {
 // classifyPlan mutates one plan's resident pages in place — marking
 // zero-elided, deduplicated or (lazy install) speculated pages — and
 // charges the deferred page-copy time to the plan's PhasePageCopy duration
-// and scanDur. It returns the candidate's trace event, nil when it had no
-// resident page to classify (Seq is candidate-local logical time, so the
-// merged trace is identical at any scan-pool width): "fastpath" for eager
-// candidates, "speculate" for lazy ones.
-func (e *Engine) classifyPlan(pl *plan, ctx *classifyCtx) *trace.Event {
+// and scanDur.
+func (e *Engine) classifyPlan(pl *plan, ctx *classifyCtx) {
 	if e.LazyInstall {
 		if reason := e.vetSpeculation(pl, ctx.proposed); reason == "" {
 			pl.lazy = true
@@ -115,9 +111,10 @@ func (e *Engine) classifyPlan(pl *plan, ctx *classifyCtx) *trace.Event {
 		}
 	}
 	if pl.lazy {
-		return e.classifyLazy(pl, ctx.cost)
+		e.classifyLazy(pl, ctx.cost)
+	} else {
+		e.classifyEager(pl, ctx.cost, ctx.cache)
 	}
-	return e.classifyEager(pl, ctx.cost, ctx.cache)
 }
 
 // vetSpeculation is the lazy install's read-only safety check: it returns ""
@@ -138,7 +135,7 @@ func (e *Engine) vetSpeculation(pl *plan, proposed map[int]bool) string {
 	var mine []int
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped || pg.mapped || pg.zero {
+		if pg.swapped || pg.zero {
 			continue
 		}
 		switch {
@@ -162,21 +159,16 @@ func (e *Engine) vetSpeculation(pl *plan, proposed map[int]bool) string {
 
 // classifyEager is the full-copy classification: zero elision plus
 // cross-candidate dedup, charging CopyCost / DedupHitCost / ZeroFillCost per
-// page. The event's B field carries the actual copy bytes avoided.
-func (e *Engine) classifyEager(pl *plan, cost sim.CostModel, cache map[uint64][]byte) *trace.Event {
-	examined, elided, deduped := 0, 0, 0
-	var saved int64
+// page and recording each elided or deduplicated page's copy bytes avoided.
+func (e *Engine) classifyEager(pl *plan, cost sim.CostModel, cache map[uint64][]byte) {
 	var dur time.Duration
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped || pg.mapped {
+		if pg.swapped {
 			continue
 		}
-		examined++
 		if pg.zero {
 			pg.saved = pageLiveBytes(pl.regions, pg.va)
-			saved += pg.saved
-			elided++
 			dur += cost.ZeroFillCost
 			continue
 		}
@@ -186,8 +178,6 @@ func (e *Engine) classifyEager(pl *plan, cost sim.CostModel, cache map[uint64][]
 				pg.data = canon
 				pg.deduped = true
 				pg.saved = pageLiveBytes(pl.regions, pg.va)
-				saved += pg.saved
-				deduped++
 				dur += cost.DedupHitCost
 				continue
 			}
@@ -199,19 +189,7 @@ func (e *Engine) classifyEager(pl *plan, cost sim.CostModel, cache map[uint64][]
 		cache[h] = pg.data
 		dur += cost.CopyCost(int64(len(pg.data)))
 	}
-	if examined == 0 {
-		return nil
-	}
 	pl.chargePageCopy(dur)
-	return &trace.Event{
-		Seq:  uint64(pl.scanDur),
-		Kind: trace.KindResurrect,
-		PID:  pl.cand.PID,
-		PC:   uint64(pl.scanDur),
-		A:    uint64(PhasePageCopy),
-		B:    uint64(saved),
-		Note: "fastpath",
-	}
 }
 
 // classifyLazy is the demand-paged classification: all-zero pages still
@@ -223,16 +201,13 @@ func (e *Engine) classifyEager(pl *plan, cost sim.CostModel, cache map[uint64][]
 // speculation degrades to exactly the eager result. Lazy candidates never
 // enter the dedup cache: their frames stay shared-by-mapping until
 // resolution copies them out.
-func (e *Engine) classifyLazy(pl *plan, cost sim.CostModel) *trace.Event {
-	examined, speculated := 0, 0
-	var deferred int64
+func (e *Engine) classifyLazy(pl *plan, cost sim.CostModel) {
 	var dur time.Duration
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped || pg.mapped {
+		if pg.swapped {
 			continue
 		}
-		examined++
 		if pg.zero {
 			pg.saved = pageLiveBytes(pl.regions, pg.va)
 			dur += cost.ZeroFillCost
@@ -240,23 +215,9 @@ func (e *Engine) classifyLazy(pl *plan, cost sim.CostModel) *trace.Event {
 		}
 		pg.speculated = true
 		pg.crc = crc32.Checksum(pg.data, layout.CRCTable)
-		speculated++
-		deferred += int64(len(pg.data))
 		dur += cost.SpecMapCost
 	}
-	if examined == 0 {
-		return nil
-	}
 	pl.chargePageCopy(dur)
-	return &trace.Event{
-		Seq:  uint64(pl.scanDur),
-		Kind: trace.KindResurrect,
-		PID:  pl.cand.PID,
-		PC:   uint64(pl.scanDur),
-		A:    uint64(PhasePageCopy),
-		B:    uint64(deferred),
-		Note: "speculate",
-	}
 }
 
 // chargePageCopy adds the classification's deferred page-install time to the

@@ -143,8 +143,6 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 		case pg.swapped:
 			swapSeen = true
 			ierr = e.K.InstallSwappedPage(np, pg.va, pg.data, pg.writable)
-		case pg.mapped:
-			ierr = e.K.InstallResidentPageMapped(np, pg.va, pg.frame, pg.writable, pg.dirty)
 		case pg.zero:
 			ierr = e.K.InstallZeroPage(np, pg.va, pg.writable, pg.dirty)
 		case pg.speculated:

@@ -76,8 +76,8 @@ func init() {
 
 // TestSavedBytesPartialTailPage is the saved-bytes regression test: elision
 // of the 100-byte tail page of a non-page-multiple region must be accounted
-// as 100 bytes avoided, not a frame-sized 4096. The counter, the per-process
-// report and the fast-path trace event must all agree on the actual figure.
+// as 100 bytes avoided, not a frame-sized 4096. The counter and the
+// per-process report must agree on the actual figure.
 func TestSavedBytesPartialTailPage(t *testing.T) {
 	m := newMachine(t)
 	if _, err := m.Start("sb", "sb-prog"); err != nil {
@@ -102,18 +102,6 @@ func TestSavedBytesPartialTailPage(t *testing.T) {
 	}
 	if got := counterVal(m.MetricsSnapshot(), "resurrect_fastpath_saved_bytes_total", nil); got != wantSaved {
 		t.Fatalf("resurrect_fastpath_saved_bytes_total = %d, want %d", got, wantSaved)
-	}
-	found := false
-	for _, ev := range out.Report.ScanTrace {
-		if ev.Note == "fastpath" && ev.PID == pr.Candidate.PID {
-			found = true
-			if ev.B != wantSaved {
-				t.Fatalf("fastpath event B = %d, want %d", ev.B, wantSaved)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no fastpath event in the scan trace")
 	}
 }
 
@@ -261,9 +249,9 @@ func lazyMySQLMachine(t *testing.T, workers int) *core.Machine {
 }
 
 // TestLazyDeterminismAcrossWorkers extends the tentpole invariant to the
-// demand-paged install: the Report fingerprint, the Table 4 accounting, the
-// merged scan trace and the full metrics snapshot must be bit-identical at
-// Workers=1 and Workers=8 with -lazy-install. The Workers=1 fingerprint is
+// demand-paged install: the Report fingerprint, the Table 4 accounting and
+// the full metrics snapshot must be bit-identical at Workers=1 and
+// Workers=8 with -lazy-install. The Workers=1 fingerprint is
 // golden-pinned separately from the eager one.
 func TestLazyDeterminismAcrossWorkers(t *testing.T) {
 	m1 := lazyMySQLMachine(t, 1)
@@ -286,9 +274,6 @@ func TestLazyDeterminismAcrossWorkers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep1.Acct.ByCategory, rep8.Acct.ByCategory) {
 		t.Fatalf("accounting differs:\nw1: %v\nw8: %v", rep1.Acct.ByCategory, rep8.Acct.ByCategory)
-	}
-	if !reflect.DeepEqual(rep1.ScanTrace, rep8.ScanTrace) {
-		t.Fatalf("merged scan trace differs (%d vs %d events)", len(rep1.ScanTrace), len(rep8.ScanTrace))
 	}
 	if mfp1, mfp8 := m1.MetricsSnapshot().Fingerprint(), m8.MetricsSnapshot().Fingerprint(); mfp1 != mfp8 {
 		t.Fatalf("metrics fingerprint differs between Workers=1 and Workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s", mfp1, mfp8)

@@ -10,7 +10,6 @@ import (
 	"otherworld/internal/metrics"
 	"otherworld/internal/phys"
 	"otherworld/internal/sim"
-	"otherworld/internal/trace"
 )
 
 // The resurrection pipeline is split into a read side and a write side so
@@ -48,19 +47,17 @@ type filePlan struct {
 	dirty []dirtyPage
 }
 
-// pagePlan is one user page to install: a resident copy, an in-place
-// mapping (footnote-3 mode), or a swapped page read raw off the dead
-// kernel's partition. The scan marks an all-zero resident page zero and
-// keeps no copy of it (the install zero-fills). The fast-path
-// classification (fastpath.go) charges that elision and may mark a
-// non-zero copy deduplicated (data re-pointed at the canonical cached
-// copy); the lazy install's classification may instead mark it speculated
-// (mapped copy-on-access from the dead frame, validated by crc on first
-// touch, with data kept as the scan-time snapshot the fallback installs).
+// pagePlan is one user page to install: a resident copy or a swapped page read
+// raw off the dead kernel's partition. The scan marks an all-zero resident page
+// zero and keeps no copy of it (the install zero-fills). The fast-path
+// classification (fastpath.go) charges that elision and may mark a non-zero
+// copy deduplicated (data re-pointed at the canonical cached copy); the lazy
+// install's classification may instead mark it speculated (mapped
+// copy-on-access from the dead frame, validated by crc on first touch, with
+// data kept as the scan-time snapshot the fallback installs).
 type pagePlan struct {
 	va         uint64
 	swapped    bool
-	mapped     bool
 	zero       bool // all-zero page: no data, install a zero-filled frame
 	deduped    bool // data aliases the dedup cache's canonical copy
 	speculated bool // lazy install: map copy-on-access from the dead frame
@@ -154,7 +151,6 @@ type scanner struct {
 	memSize      uint64
 	numFrames    int
 	verifyCRC    bool
-	mapPages     bool
 	resurrectIPC bool
 	mainSwap     *disk.BlockDevice
 	// metrics is the shared registry; scan-side writes are counter adds
@@ -165,9 +161,6 @@ type scanner struct {
 
 	// led is the worker's virtual-time ledger.
 	led time.Duration
-	// events is the worker's trace sequence; logical event time is
-	// candidate-local so the merged order cannot depend on worker count.
-	events []trace.Event
 }
 
 // newScanner builds a worker-local scanner with its own counting reader
@@ -181,7 +174,6 @@ func (e *Engine) newScanner(shard *Accounting, view *phys.Mem, mainSwap *disk.Bl
 		memSize:      uint64(view.Size()),
 		numFrames:    view.NumFrames(),
 		verifyCRC:    e.VerifyCRC,
-		mapPages:     e.MapPages,
 		resurrectIPC: e.ResurrectIPC,
 		mainSwap:     mainSwap,
 		metrics:      e.Metrics,
@@ -202,7 +194,7 @@ func (s *scanner) parseTime() { s.charge(s.cost.RecordParseOverhead) }
 
 // scanOne decodes one candidate into a plan, stopping at the first fatal
 // structure (exactly where the serial engine stopped reading) and recording
-// per-phase metrics plus one trace event per phase.
+// per-phase metrics.
 func (s *scanner) scanOne(cand Candidate) *plan {
 	pl := &plan{cand: cand, phase: make(map[Phase]phaseScan)}
 	start := s.led
@@ -218,18 +210,6 @@ func (s *scanner) scanOne(cand Candidate) *plan {
 		pl.phase[ph] = ps
 		bytesMark += ps.bytes
 		ledMark = s.led
-		// Logical event time is the offset inside this candidate's own
-		// scan: a pure function of the candidate, not of which worker ran
-		// it or what ran before it on the same worker.
-		s.events = append(s.events, trace.Event{
-			Seq:  uint64(s.led - start),
-			Kind: trace.KindResurrect,
-			PID:  cand.PID,
-			PC:   uint64(s.led - start),
-			A:    uint64(ph),
-			B:    uint64(ps.bytes),
-			Note: ph.String(),
-		})
 	}
 	done := func() *plan {
 		pl.scanDur = s.led - start
@@ -297,15 +277,6 @@ func (s *scanner) scanOne(cand Candidate) *plan {
 	pl.phase[PhaseSwapRestage] = phaseScan{pages: restaged, bytes: pl.swapBytes}
 	bytesMark += pagesDelta
 	ledMark = s.led
-	s.events = append(s.events, trace.Event{
-		Seq:  uint64(s.led - start),
-		Kind: trace.KindResurrect,
-		PID:  cand.PID,
-		PC:   uint64(s.led - start),
-		A:    uint64(PhasePageCopy),
-		B:    uint64(pagesDelta),
-		Note: PhasePageCopy.String(),
-	})
 	if pl.pagesErr != nil {
 		return done()
 	}
@@ -400,14 +371,13 @@ func (s *scanner) scanRegions(old *layout.Proc) ([]*layout.MemRegion, error) {
 	return out, nil
 }
 
-// scanPages walks the dead process's hardware page tables and captures
-// every touched page: resident pages are copied out of the dead frame (or
-// noted for in-place mapping), swapped pages are read raw off the dead
-// kernel's swap partition. Each resident page is read into a buffer reused
-// until a non-zero page keeps it, so an all-zero page is marked zero and
-// costs no memory. Swap re-stage bandwidth is charged to the worker's
-// ledger here; resident-copy bandwidth is deferred to the serial fast-path
-// classification (fastpath.go), which knows whether each page elides,
+// scanPages walks the dead process's hardware page tables and captures every
+// touched page: resident pages are copied out of the dead frame, swapped pages
+// are read raw off the dead kernel's swap partition. Each resident page is read
+// into a buffer reused until a non-zero page keeps it, so an all-zero page is
+// marked zero and costs no memory. Swap re-stage bandwidth is charged to the
+// worker's ledger here; resident-copy bandwidth is deferred to the serial
+// fast-path classification (fastpath.go), which knows whether each page elides,
 // dedups or pays the full copy.
 func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan, error) {
 	if old.PageDir%phys.PageSize != 0 || old.PageDir >= s.memSize {
@@ -449,28 +419,22 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 					return out, fmt.Errorf("PTE for %#x references frame %d beyond memory", va, frame)
 				}
 				pp := pagePlan{va: va, frame: frame, writable: pte.Writable(), dirty: pte.Dirty()}
-				if s.mapPages {
-					// Footnote-3 fast path: adopt the frame in place.
-					pp.mapped = true
-					s.charge(s.cost.RecordParseOverhead)
-				} else {
-					if buf == nil {
-						buf = make([]byte, phys.PageSize)
-					}
-					if err := s.rd.at(CatUserData).ReadAt(phys.FrameAddr(frame), buf); err != nil {
-						return out, err
-					}
-					if phys.PageIsZero(buf) {
-						pp.zero = true
-					} else {
-						pp.data, buf = buf, nil
-					}
-					// The copy bandwidth is NOT charged here: the serial
-					// fast-path classification (fastpath.go) charges
-					// CopyCost, DedupHitCost or ZeroFillCost per page once
-					// it knows which of the three the page needs. Byte
-					// accounting stays here with the read.
+				if buf == nil {
+					buf = make([]byte, phys.PageSize)
 				}
+				if err := s.rd.at(CatUserData).ReadAt(phys.FrameAddr(frame), buf); err != nil {
+					return out, err
+				}
+				if phys.PageIsZero(buf) {
+					pp.zero = true
+				} else {
+					pp.data, buf = buf, nil
+				}
+				// The copy bandwidth is NOT charged here: the serial
+				// fast-path classification (fastpath.go) charges CopyCost,
+				// DedupHitCost or ZeroFillCost per page once it knows which
+				// of the three the page needs. Byte accounting stays here
+				// with the read.
 				out = append(out, pp)
 				*copied++
 			case pte.Swapped():

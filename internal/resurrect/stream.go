@@ -29,7 +29,6 @@ import (
 	"otherworld/internal/phys"
 	"otherworld/internal/sched"
 	"otherworld/internal/sim"
-	"otherworld/internal/trace"
 )
 
 // discoverCandidates lists the dead kernel's resurrection candidates:
@@ -136,16 +135,15 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 	e.K.M.Clock = scratch
 
 	// Workers claim candidates in order through the cursor and scan
-	// concurrently (read-only, per-candidate accounting shard, phys.Mem
-	// view and event ledger). Each plan is then committed — classified and
-	// installed — in strict commit order. The commit is the only
-	// serialized section, and it is serialized *in a fixed order*, so
-	// every mutation of the new kernel and every shared classification
-	// decision is a pure function of the candidate order.
+	// concurrently (read-only, per-candidate accounting shard and phys.Mem
+	// view). Each plan is then committed — classified and installed — in
+	// strict commit order. The commit is the only serialized section, and
+	// it is serialized *in a fixed order*, so every mutation of the new
+	// kernel and every shared classification decision is a pure function
+	// of the candidate order.
 	plans := make([]*plan, n)
 	accts := make([]*Accounting, n)
 	views := make([]*phys.Mem, n)
-	evs := make([][]trace.Event, n)
 	procs := make([]ProcReport, n)
 	perScan := make([]time.Duration, n)
 	perInstall := make([]time.Duration, n)
@@ -153,9 +151,7 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 	ctx := e.newClassifyCtx()
 	commitOne := func(i int) {
 		pl := plans[i]
-		if ev := e.classifyPlan(pl, ctx); ev != nil {
-			evs[i] = append(evs[i], *ev)
-		}
+		e.classifyPlan(pl, ctx)
 		m0 := scratch.Now()
 		pl.resumeClock = -1
 		procs[i] = e.installOne(pl)
@@ -197,7 +193,6 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 				views[i] = e.K.M.Mem.View()
 				sc := e.newScanner(accts[i], views[i], mainSwap)
 				plans[i] = sc.scanOne(order[i])
-				evs[i] = sc.events
 				if !rep.Streamed {
 					continue
 				}
@@ -226,14 +221,12 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 	}
 
 	// Deterministic reduction in commit order: per-candidate shards fold
-	// with saturating adds, phys.Mem views fold into the machine's bus
-	// counters, per-candidate event ledgers merge by candidate-local
-	// logical time.
+	// with saturating adds and phys.Mem views fold into the machine's bus
+	// counters.
 	for i, sh := range accts {
 		e.acct.absorb(sh)
 		e.K.M.Mem.Absorb(views[i])
 	}
-	rep.ScanTrace = trace.Merge(evs...)
 	rep.Procs = append(rep.Procs, procs...)
 	rep.Acct = e.acct
 	rep.PerCandidate = perCand

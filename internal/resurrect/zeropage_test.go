@@ -118,7 +118,7 @@ func TestScanKeepsNoZeroBuffers(t *testing.T) {
 	}
 	zero, nonZero := 0, 0
 	for _, pg := range sp.Pages() {
-		if pg.Swapped || pg.Mapped {
+		if pg.Swapped {
 			continue
 		}
 		what := fmt.Sprintf("page %#x", pg.VA)

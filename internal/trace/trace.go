@@ -68,10 +68,8 @@ const (
 	// KindPanic is the kernel failure context: CPU, PID, PC of the
 	// failing thread, A/B packed via PackPanic, Note = panic reason.
 	KindPanic
-	// KindResurrect is a crash-kernel resurrection phase event: PID is the
-	// dead process being scanned, Seq/PC its candidate-local logical time
-	// (the worker ledger offset), A = the resurrect.Phase, B = bytes read
-	// in that phase, Note = the phase name.
+	// KindResurrect is reserved and never written: it keeps the later
+	// kinds' numbers in the ring format.
 	KindResurrect
 	// KindDiskCrash records the block-layer crash model firing at a kernel
 	// failure (A = rolled-back writes, B = orphan pages flushed, Note = the
@@ -323,49 +321,6 @@ func Parse(m layout.Reader, region phys.Region) *Parsed {
 	p := &Parsed{Events: events, Capacity: span.Count, Empty: s.Empty, Damaged: s.Damaged + s.Stale}
 	sort.Slice(p.Events, func(i, j int) bool { return p.Events[i].Seq < p.Events[j].Seq })
 	return p
-}
-
-// Merge combines per-worker event sequences into one deterministic stream,
-// ordered by logical time (Seq) with a tie-break on candidate PID and then
-// on full event content (Kind, CPU, PC, A, B, Note). The final content
-// tie-break matters: two distinct events can legitimately share Seq and PID
-// (e.g. a candidate's scan event and its classifier event at the same
-// ledger offset), and which shard each lands in depends on the worker
-// count. A stable sort alone would keep such ties in input order — a
-// shard-schedule leak. With full content ordering the merged stream is
-// independent of how the sequences were sharded across workers — the
-// property the resurrection engine's determinism golden relies on.
-func Merge(seqs ...[]Event) []Event {
-	var out []Event
-	for _, s := range seqs {
-		out = append(out, s...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return eventLess(&out[i], &out[j]) })
-	return out
-}
-
-// eventLess is Merge's total order: logical time, then PID, then the
-// remaining event fields. Only fully identical events compare equal, so no
-// ordering decision can depend on shard arrival order.
-func eventLess(a, b *Event) bool {
-	switch {
-	case a.Seq != b.Seq:
-		return a.Seq < b.Seq
-	case a.PID != b.PID:
-		return a.PID < b.PID
-	case a.Kind != b.Kind:
-		return a.Kind < b.Kind
-	case a.CPU != b.CPU:
-		return a.CPU < b.CPU
-	case a.PC != b.PC:
-		return a.PC < b.PC
-	case a.A != b.A:
-		return a.A < b.A
-	case a.B != b.B:
-		return a.B < b.B
-	default:
-		return a.Note < b.Note
-	}
 }
 
 // LastOfKind returns the most recent event of kind k, or nil.

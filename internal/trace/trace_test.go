@@ -197,91 +197,6 @@ func TestFramesFor(t *testing.T) {
 	}
 }
 
-func TestMergeOrdersByLogicalTimeThenPID(t *testing.T) {
-	// Two workers' sequences, already internally ordered by logical time.
-	w0 := []Event{
-		{Seq: 0, PID: 1, Kind: KindResurrect, Note: "parse"},
-		{Seq: 10, PID: 1, Kind: KindResurrect, Note: "page-copy"},
-		{Seq: 0, PID: 3, Kind: KindResurrect, Note: "parse"},
-	}
-	w1 := []Event{
-		{Seq: 0, PID: 2, Kind: KindResurrect, Note: "parse"},
-		{Seq: 10, PID: 2, Kind: KindResurrect, Note: "page-copy"},
-	}
-	got := Merge(w0, w1)
-	want := []struct {
-		seq uint64
-		pid uint32
-	}{{0, 1}, {0, 2}, {0, 3}, {10, 1}, {10, 2}}
-	if len(got) != len(want) {
-		t.Fatalf("merged %d events, want %d", len(got), len(want))
-	}
-	for i, w := range want {
-		if got[i].Seq != w.seq || got[i].PID != w.pid {
-			t.Fatalf("merged[%d] = seq %d pid %d, want seq %d pid %d",
-				i, got[i].Seq, got[i].PID, w.seq, w.pid)
-		}
-	}
-	// Sharding the same events differently cannot change the merge.
-	if alt := Merge(w1, w0); len(alt) != len(got) {
-		t.Fatal("merge depends on shard order")
-	} else {
-		for i := range alt {
-			if alt[i] != got[i] {
-				t.Fatalf("merge depends on shard order at %d", i)
-			}
-		}
-	}
-}
-
-// TestMergeFullTieBreakAcrossShards pins the regression where two distinct
-// events sharing Seq AND PID — a candidate's scan event and its classifier
-// event at the same ledger offset — were ordered by shard arrival: the old
-// comparator stopped at (Seq, PID), so sort.SliceStable preserved input
-// order and an 8-way sharding could legally interleave the pair either way.
-// The fixture builds the same event set under a width-8 round-robin sharding
-// and under the serial width-1 sharding; the merges must be identical.
-func TestMergeFullTieBreakAcrossShards(t *testing.T) {
-	// Eight candidates; each emits two events at the same logical time with
-	// the same PID, distinguishable only by content (A and Note).
-	var all []Event
-	for pid := uint32(1); pid <= 8; pid++ {
-		all = append(all,
-			Event{Seq: 100, PID: pid, Kind: KindResurrect, A: 4, Note: "page-copy"},
-			Event{Seq: 100, PID: pid, Kind: KindResurrect, A: 4, B: 8192, Note: "fastpath"},
-		)
-	}
-
-	// Width 8: candidate i's events land in shard i%8. Emit the "fastpath"
-	// twin first inside each shard, the order an engine whose classifier
-	// runs before a late worker's scan events arrive would present.
-	shards := make([][]Event, 8)
-	for i := 0; i < 8; i++ {
-		shards[i] = []Event{all[2*i+1], all[2*i]}
-	}
-	width8 := Merge(shards...)
-
-	// Width 1: one shard, scan events first, classifier events after.
-	var serial []Event
-	for i := 0; i < 8; i++ {
-		serial = append(serial, all[2*i])
-	}
-	for i := 0; i < 8; i++ {
-		serial = append(serial, all[2*i+1])
-	}
-	width1 := Merge(serial)
-
-	if len(width8) != len(width1) {
-		t.Fatalf("merged lengths differ: %d vs %d", len(width8), len(width1))
-	}
-	for i := range width8 {
-		if width8[i] != width1[i] {
-			t.Fatalf("merge order depends on sharding at %d:\n  width8: %+v\n  width1: %+v",
-				i, width8[i], width1[i])
-		}
-	}
-}
-
 // TestRecordAllocatesOnlyTheSlotImage keeps the recorder's hot path lean:
 // sealing an event costs one allocation, the slot image itself.
 func TestRecordAllocatesOnlyTheSlotImage(t *testing.T) {
