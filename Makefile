@@ -41,7 +41,8 @@ race:
 # under all of them against a flat byte-array reference model, and
 # FuzzTLBOps checks the indexed TLB against the map-based one it replaced,
 # and FuzzFrameAllocOps the run-stack frame allocator against the
-# stack-of-ints one it replaced.
+# stack-of-ints one it replaced, and FuzzFlatFSOps the sector-table file
+# store against the flat-slice one it replaced.
 # FuzzReadRecord holds the shared record reader to ReadRecord through
 # reused buffers of every capacity.
 # Long exploratory runs stay manual (go test -fuzz=<target> <pkg>).
@@ -49,6 +50,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzMemOps -fuzztime 10s ./internal/phys
 	$(GO) test -run '^$$' -fuzz FuzzTLBOps -fuzztime 10s ./internal/hw
 	$(GO) test -run '^$$' -fuzz FuzzFrameAllocOps -fuzztime 10s ./internal/phys
+	$(GO) test -run '^$$' -fuzz FuzzFlatFSOps -fuzztime 10s ./internal/fs
 	$(GO) test -run '^$$' -fuzz FuzzReadRecord -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/layout
 	$(GO) test -run '^$$' -fuzz FuzzFrameSalvage -fuzztime 10s ./internal/layout

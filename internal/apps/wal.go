@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"strings"
 	"time"
 
@@ -140,6 +141,10 @@ type WALKV struct {
 	// losing this stamp across a crash merely drops that one sample.
 	txnAppendAt time.Duration
 	txnTimed    bool
+	// page is the record page every append builds its record in; the
+	// append copies it into the page cache. The registry's factory makes
+	// one WALKV per process, so no two processes share it.
+	page [WALRecordSize]byte
 }
 
 // walLatencyBounds buckets the commit-to-durable latency histogram
@@ -158,11 +163,10 @@ func (s *WALKV) Boot(env *kernel.Env) error {
 	if err := env.MapAnon(walBufVA, 4096, rw); err != nil {
 		return err
 	}
-	data, err := s.loadLog(env)
+	scan, size, err := s.loadLog(env)
 	if err != nil {
 		return err
 	}
-	scan := ParseWAL(data)
 	if err := env.WriteU64(walHdrVA+walMagicOff, walMagic); err != nil {
 		return err
 	}
@@ -193,7 +197,7 @@ func (s *WALKV) Boot(env *kernel.Env) error {
 	}
 	// Resume appending at the next page boundary: a torn tail stays in
 	// place as an invalid slot the scan skips.
-	end := (uint64(len(data)) + WALRecordSize - 1) / WALRecordSize * WALRecordSize
+	end := (uint64(size) + WALRecordSize - 1) / WALRecordSize * WALRecordSize
 	if err := env.Seek(fd, end); err != nil {
 		return err
 	}
@@ -210,32 +214,37 @@ func (s *WALKV) Boot(env *kernel.Env) error {
 // transaction from the phase word.
 func (s *WALKV) Rehydrate(env *kernel.Env) error { return nil }
 
-// loadLog reads the whole log file (empty slice if absent).
-func (s *WALKV) loadLog(env *kernel.Env) ([]byte, error) {
+// loadLog streams the log file through a scan and returns it with the
+// log's length (an empty scan and 0 if there is no log yet). Every read asks
+// for one slot; bytes past the last whole slot carry over to the next read,
+// so the scan sees the slots a concatenation of the reads would hold.
+func (s *WALKV) loadLog(env *kernel.Env) (WALScan, int, error) {
+	var scan WALScan
 	fd, err := env.Open(WALPath, layout.FlagRead)
 	if err != nil {
-		return nil, nil // no log yet: fresh store
+		return scan, 0, nil // no log yet: fresh store
 	}
-	data := make([]byte, 0, 1<<16)
+	var buf [2 * WALRecordSize]byte
+	size, fill := 0, 0
 	for {
-		if cap(data)-len(data) < WALRecordSize {
-			grown := make([]byte, len(data), 2*cap(data))
-			copy(grown, data)
-			data = grown
-		}
-		n, rerr := env.ReadFile(fd, data[len(data):len(data)+WALRecordSize])
+		n, rerr := env.ReadFile(fd, buf[fill:fill+WALRecordSize])
 		if rerr != nil {
-			return nil, rerr
+			return scan, 0, rerr
 		}
 		if n == 0 {
 			break
 		}
-		data = data[:len(data)+n]
+		size += n
+		if fill += n; fill >= WALRecordSize {
+			scan.Add(buf[:WALRecordSize])
+			fill = copy(buf[:], buf[WALRecordSize:fill])
+		}
 	}
 	if err := env.Close(fd); err != nil {
-		return nil, err
+		return scan, 0, err
 	}
-	return data, nil
+	scan.Close(fill)
+	return scan, size, nil
 }
 
 // Step advances the transaction state machine by exactly one phase.
@@ -278,13 +287,10 @@ func (s *WALKV) Step(env *kernel.Env) error {
 
 	switch phase {
 	case WALPhaseRec1, WALPhaseRec2, WALPhaseRec3:
-		seq := phase - WALPhaseRec1 + 1
-		payload, perr := s.pendingPayload(env)
-		if perr != nil {
-			return perr
+		rec, rerr := s.dataRecord(env, txn, phase-WALPhaseRec1+1)
+		if rerr != nil {
+			return rerr
 		}
-		rec := BuildWALRecord(WALKindRecord, txn, uint64(seq),
-			[]byte(fmt.Sprintf("%s#%d", payload, seq)))
 		if werr := s.appendRecord(env, fd, rec); werr != nil {
 			return werr
 		}
@@ -303,8 +309,7 @@ func (s *WALKV) Step(env *kernel.Env) error {
 		}
 		return env.WriteU64(walHdrVA+walPhaseOff, WALPhaseCommit)
 	case WALPhaseCommit:
-		rec := BuildWALRecord(WALKindCommit, txn, 0, nil)
-		if werr := s.appendRecord(env, fd, rec); werr != nil {
+		if werr := s.appendRecord(env, fd, s.record(WALKindCommit, txn, 0, 0)); werr != nil {
 			return werr
 		}
 		return env.WriteU64(walHdrVA+walPhaseOff, WALPhaseSyncCommit)
@@ -361,20 +366,39 @@ func (s *WALKV) beginTxn(env *kernel.Env, req string) error {
 	return env.WriteU64(walHdrVA+walPhaseOff, WALPhaseRec1)
 }
 
-// pendingPayload reads the in-flight request payload from the buffer page.
-func (s *WALKV) pendingPayload(env *kernel.Env) (string, error) {
+// dataRecord builds data record seq of txn in the record page: the
+// in-flight request payload, read from the buffer page straight into the
+// payload field, then "#seq".
+func (s *WALKV) dataRecord(env *kernel.Env, txn, seq uint64) ([]byte, error) {
 	n, err := env.ReadU64(walHdrVA + walPendingLenOff)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > WALPayloadCap {
-		return "", fmt.Errorf("walkv: corrupt pending length %d", n)
+		return nil, fmt.Errorf("walkv: corrupt pending length %d", n)
 	}
-	buf := make([]byte, n)
-	if err := env.Read(walBufVA, buf); err != nil {
-		return "", err
+	payload := s.page[walRecPayloadOff : walRecPayloadOff+n]
+	if err := env.Read(walBufVA, payload); err != nil {
+		return nil, err
 	}
-	return string(buf), nil
+	// The appends land in the page itself: payload's capacity runs to its end.
+	payload = strconv.AppendUint(append(payload, '#'), seq, 10)
+	return s.record(WALKindRecord, txn, seq, len(payload)), nil
+}
+
+// record completes the record in the record page around the n payload
+// bytes already in place: the header, zeros up to the checksum, and the
+// checksum of everything before it.
+func (s *WALKV) record(kind, txn, seq uint64, n int) []byte {
+	rec := s.page[:]
+	binary.LittleEndian.PutUint64(rec[walRecMagicOff:], walRecMagic)
+	binary.LittleEndian.PutUint64(rec[walRecKindOff:], kind)
+	binary.LittleEndian.PutUint64(rec[walRecTxnOff:], txn)
+	binary.LittleEndian.PutUint64(rec[walRecSeqOff:], seq)
+	binary.LittleEndian.PutUint64(rec[walRecLenOff:], uint64(n))
+	clear(rec[walRecPayloadOff+n : walCRCOff])
+	binary.LittleEndian.PutUint32(rec[walCRCOff:], crc32.ChecksumIEEE(rec[:walCRCOff]))
+	return rec
 }
 
 // appendRecord writes one page-sized record at the tracked append position.
@@ -440,19 +464,6 @@ func WALHeaderMagicOK(env *kernel.Env) error {
 	return nil
 }
 
-// BuildWALRecord assembles one page-sized record with its trailing CRC.
-func BuildWALRecord(kind, txn, seq uint64, payload []byte) []byte {
-	rec := make([]byte, WALRecordSize)
-	binary.LittleEndian.PutUint64(rec[walRecMagicOff:], walRecMagic)
-	binary.LittleEndian.PutUint64(rec[walRecKindOff:], kind)
-	binary.LittleEndian.PutUint64(rec[walRecTxnOff:], txn)
-	binary.LittleEndian.PutUint64(rec[walRecSeqOff:], seq)
-	binary.LittleEndian.PutUint64(rec[walRecLenOff:], uint64(len(payload)))
-	copy(rec[walRecPayloadOff:], payload)
-	binary.LittleEndian.PutUint32(rec[walCRCOff:], crc32.ChecksumIEEE(rec[:walCRCOff]))
-	return rec
-}
-
 // WALScan is the result of parsing a log image slot by slot.
 type WALScan struct {
 	// Slots counts page-sized slots examined; InvalidSlots of them failed
@@ -471,48 +482,59 @@ type WALScan struct {
 // skipped, not fatal: after a torn write the log legitimately contains
 // garbage slots between valid ones.
 func ParseWAL(data []byte) WALScan {
-	scan := WALScan{
-		Commits: make(map[uint64]bool),
-		Records: make(map[uint64]map[uint64]bool),
+	var scan WALScan
+	for ; len(data) >= WALRecordSize; data = data[WALRecordSize:] {
+		scan.Add(data[:WALRecordSize])
 	}
-	for off := 0; off+WALRecordSize <= len(data); off += WALRecordSize {
-		scan.Slots++
-		slot := data[off : off+WALRecordSize]
-		if binary.LittleEndian.Uint64(slot[walRecMagicOff:]) != walRecMagic {
-			scan.InvalidSlots++
-			continue
-		}
-		if crc32.ChecksumIEEE(slot[:walCRCOff]) != binary.LittleEndian.Uint32(slot[walCRCOff:]) {
-			scan.InvalidSlots++
-			continue
-		}
-		kind := binary.LittleEndian.Uint64(slot[walRecKindOff:])
-		txn := binary.LittleEndian.Uint64(slot[walRecTxnOff:])
-		seq := binary.LittleEndian.Uint64(slot[walRecSeqOff:])
-		if txn > scan.MaxTxn {
-			scan.MaxTxn = txn
-		}
-		switch kind {
-		case WALKindCommit:
-			scan.Commits[txn] = true
-		case WALKindRecord:
-			if seq < 1 || seq > WALRecsPerTxn {
-				scan.InvalidSlots++
-				continue
-			}
-			if scan.Records[txn] == nil {
-				scan.Records[txn] = make(map[uint64]bool)
-			}
-			scan.Records[txn][seq] = true
-		default:
-			scan.InvalidSlots++
-		}
-	}
-	if tail := len(data) % WALRecordSize; tail != 0 {
-		scan.Slots++
-		scan.InvalidSlots++ // a torn tail is by definition invalid
-	}
+	scan.Close(len(data))
 	return scan
+}
+
+// Add scans the log's next WALRecordSize slot, so a log can be scanned as
+// it streams past; the zero WALScan has seen no slot.
+func (s *WALScan) Add(slot []byte) {
+	s.Slots++
+	if binary.LittleEndian.Uint64(slot[walRecMagicOff:]) != walRecMagic ||
+		crc32.ChecksumIEEE(slot[:walCRCOff]) != binary.LittleEndian.Uint32(slot[walCRCOff:]) {
+		s.InvalidSlots++
+		return
+	}
+	kind := binary.LittleEndian.Uint64(slot[walRecKindOff:])
+	txn := binary.LittleEndian.Uint64(slot[walRecTxnOff:])
+	seq := binary.LittleEndian.Uint64(slot[walRecSeqOff:])
+	if txn > s.MaxTxn {
+		s.MaxTxn = txn
+	}
+	switch kind {
+	case WALKindCommit:
+		if s.Commits == nil {
+			s.Commits = make(map[uint64]bool)
+		}
+		s.Commits[txn] = true
+	case WALKindRecord:
+		if seq < 1 || seq > WALRecsPerTxn {
+			s.InvalidSlots++
+			return
+		}
+		if s.Records == nil {
+			s.Records = make(map[uint64]map[uint64]bool)
+		}
+		if s.Records[txn] == nil {
+			s.Records[txn] = make(map[uint64]bool)
+		}
+		s.Records[txn][seq] = true
+	default:
+		s.InvalidSlots++
+	}
+}
+
+// Close ends the scan with the tail bytes the log holds past its last
+// whole slot; a torn tail is by definition one more, invalid slot.
+func (s *WALScan) Close(tail int) {
+	if tail != 0 {
+		s.Slots++
+		s.InvalidSlots++
+	}
 }
 
 // Complete reports whether txn has all of its data records.

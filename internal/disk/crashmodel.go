@@ -1,17 +1,20 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 
 	"otherworld/internal/fs"
+	"otherworld/internal/phys"
 	"otherworld/internal/sim"
 )
 
-// SectorSize is the atomic write unit of the modeled platter. A power cut
-// mid-write leaves whole sectors before the failure point intact and the
-// in-flight sector partially written — the torn write FIRST's SIGKILL-based
-// harness cannot model and this simulated disk can.
-const SectorSize = 512
+// SectorSize is the atomic write unit of the modeled platter, the file
+// store's sector. A power cut mid-write leaves whole sectors before the
+// failure point intact and the in-flight sector partially written — the
+// torn write FIRST's SIGKILL-based harness cannot model and this simulated
+// disk can.
+const SectorSize = fs.SectorSize
 
 // DefaultCacheDepth bounds the volatile write cache: this many acked block
 // writes may still be in drive RAM (not on the platter) at any moment.
@@ -78,6 +81,9 @@ type CrashModel struct {
 
 	depth int
 	log   []logEntry
+	// pre is the buffer each write's preimage is read into; only a
+	// preimage with a non-zero byte is copied out of it.
+	pre []byte
 
 	armTear     bool
 	armRollback bool
@@ -88,10 +94,12 @@ type CrashModel struct {
 
 // logEntry is one un-barriered write: enough preimage to undo it exactly.
 type logEntry struct {
-	path     string
-	off      int64
-	length   int
-	preimage []byte // prior contents of the overlapped range
+	path   string
+	off    int64
+	length int
+	// preimage is the prior contents of the overlapped range. An all-zero
+	// one is a slice of zeroPage, shared and never written.
+	preimage []byte
 	// sizeBefore is the file length before the write; -1 means the write
 	// created the file.
 	sizeBefore int64
@@ -137,8 +145,8 @@ func (m *CrashModel) Write(path string, off int64, data []byte) (int, error) {
 				end = size
 			}
 			if end > off {
-				pre := make([]byte, end-off)
-				if _, rerr := m.fs.ReadAt(path, off, pre); rerr != nil {
+				pre, rerr := m.preimage(path, off, int(end-off))
+				if rerr != nil {
 					return 0, rerr
 				}
 				ent.preimage = pre
@@ -155,6 +163,31 @@ func (m *CrashModel) Write(path string, off int64, data []byte) (int, error) {
 		m.log = append([]logEntry(nil), m.log[len(m.log)-m.depth:]...)
 	}
 	return n, nil
+}
+
+// zeroPage backs every all-zero preimage up to a page long. Nothing writes
+// to it: undo and tear only pass preimages to the file store, which copies.
+var zeroPage [phys.PageSize]byte
+
+// preimage reads the n bytes at off into the model's buffer and returns
+// them: a copy when they hold a non-zero byte, else shared zeros. A page
+// cache fsync writes its newest page first, extending the file over a hole
+// the next writes fill, so about half of the WAL's writes overwrite zeros.
+func (m *CrashModel) preimage(path string, off int64, n int) ([]byte, error) {
+	if cap(m.pre) < n {
+		m.pre = make([]byte, n)
+	}
+	buf := m.pre[:n]
+	if _, err := m.fs.ReadAt(path, off, buf); err != nil {
+		return nil, err
+	}
+	if !phys.PageIsZero(buf) {
+		return bytes.Clone(buf), nil
+	}
+	if n > len(zeroPage) {
+		return make([]byte, n), nil
+	}
+	return zeroPage[:n:n], nil
 }
 
 // Barrier drains the volatile cache: everything written so far is durable.

@@ -343,3 +343,165 @@ func FuzzTornWrite(f *testing.F) {
 		}
 	})
 }
+
+// walPage is a WAL-shaped page: a header and a trailing checksum with
+// zeros between them.
+func walPage(tag byte) []byte {
+	p := make([]byte, 4096)
+	copy(p, bytes.Repeat([]byte{tag}, 48))
+	copy(p[len(p)-4:], []byte{tag, tag, tag, tag})
+	return p
+}
+
+// TestCrashModelZeroHolePreimage: an fsync writes the page cache's newest
+// page first, extending the file over a hole the next writes fill. Those
+// writes keep no copy of their all-zero preimage, only the shared zero
+// page, yet rollback and tear still put the zeros back; a non-zero
+// preimage is still copied out of the model's buffer.
+func TestCrashModelZeroHolePreimage(t *testing.T) {
+	const page = 4096
+	writes := []struct {
+		off  int64
+		data []byte
+	}{
+		{3 * page, walPage('d')}, // extends the file over the hole [page, 3*page)
+		{page, walPage('b')},     // fills it: all-zero preimage
+		{2 * page, walPage('c')}, // fills it: all-zero preimage
+		{0, walPage('A')},        // overwrites durable data
+	}
+	sawPartial, sawTear := false, false
+	for seed := int64(0); seed < 40; seed++ {
+		f := fs.New()
+		m := NewCrashModel(f, seed, 8)
+		if _, err := m.Write("wal", 0, walPage('a')); err != nil {
+			t.Fatal(err)
+		}
+		m.Barrier()
+		states := [][]byte{histState(f, "wal")}
+		for _, w := range writes {
+			if _, err := m.Write("wal", w.off, w.data); err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, histState(f, "wal"))
+		}
+		for i, ent := range m.log {
+			shared := len(ent.preimage) > 0 && &ent.preimage[0] == &zeroPage[0]
+			switch {
+			case (i == 1 || i == 2) && !shared:
+				t.Fatalf("write %d over a zero hole kept its own preimage", i)
+			case i == 3 && (shared || &ent.preimage[0] == &m.pre[0] || !bytes.Equal(ent.preimage, walPage('a'))):
+				t.Fatalf("the overwrite's preimage is not a copy of the old page")
+			}
+		}
+		m.Arm(seed%2 == 0, true, false)
+		rep, err := m.CrashNow()
+		if err != nil {
+			t.Fatal(err)
+		}
+		survived := len(writes) - rep.RolledBack
+		want := bytes.Clone(states[survived])
+		if rep.Torn {
+			// The newest surviving write keeps its first TearPoint bytes;
+			// the rest reverts to what the state before it held there.
+			w := writes[survived-1]
+			prev := states[survived-1]
+			for i := rep.TearPoint; i < len(w.data); i++ {
+				if at := w.off + int64(i); at < int64(len(prev)) {
+					want[at] = prev[at]
+				} else {
+					want = want[:at]
+					break
+				}
+			}
+			if survived == 2 || survived == 3 {
+				sawTear = true
+			}
+		} else if survived == 1 || survived == 2 {
+			sawPartial = true
+		}
+		if got := histState(f, "wal"); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: %d rolled back, torn=%v at %d: platter diverges from the expected state",
+				seed, rep.RolledBack, rep.Torn, rep.TearPoint)
+		}
+	}
+	if !sawPartial || !sawTear {
+		t.Fatalf("seeds never rolled back to, or tore, a hole-filling write (rollback %v, tear %v)", sawPartial, sawTear)
+	}
+	if !bytes.Equal(zeroPage[:], make([]byte, len(zeroPage))) {
+		t.Fatal("the shared zero page was written")
+	}
+}
+
+// BenchmarkCrashModel times the crash model's three jobs over WAL-shaped
+// pages: the WAL's fsync pattern, a crash that rolls back and tears, and
+// the orphan flush after one.
+func BenchmarkCrashModel(b *testing.B) {
+	const page = 4096
+	b.Run("write-barrier", func(b *testing.B) {
+		// Three pages written newest first, a barrier, one page, a barrier:
+		// the first write extends the file over a hole the next two fill.
+		f := fs.New()
+		if err := f.Create("wal"); err != nil {
+			b.Fatal(err)
+		}
+		m := NewCrashModel(f, 1, 0)
+		pg := walPage('r')
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := f.Truncate("wal", 0); err != nil {
+				b.Fatal(err)
+			}
+			for _, off := range []int64{2 * page, page, 0} {
+				if _, err := m.Write("wal", off, pg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m.Barrier()
+			if _, err := m.Write("wal", 3*page, pg); err != nil {
+				b.Fatal(err)
+			}
+			m.Barrier()
+		}
+	})
+	b.Run("rollback-tear", func(b *testing.B) {
+		// 32 unbarriered writes over 16 durable pages, newest first: an
+		// extension, 15 fills of its hole and 16 overwrites. Then a crash
+		// armed to roll back and tear.
+		f := fs.New()
+		m := NewCrashModel(f, 1, 0)
+		base := bytes.Repeat(walPage('a'), 16)
+		pg := walPage('w')
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := f.WriteFile("wal", base); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for p := 31; p >= 0; p-- {
+				if _, err := m.Write("wal", int64(p)*page, pg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			m.Arm(true, true, false)
+			if _, err := m.CrashNow(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("orphan-flush", func(b *testing.B) {
+		f := fs.New()
+		m := NewCrashModel(f, 1, 0)
+		pages := make([]DirtyPage, 64)
+		for i := range pages {
+			pages[i] = DirtyPage{Path: fmt.Sprintf("f%d", i%4), Off: int64(i/4) * page, Data: walPage(byte('A' + i%26))}
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Arm(false, false, true)
+			if _, err := m.OrphanFlush(pages); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

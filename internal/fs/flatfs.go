@@ -3,11 +3,18 @@
 // ... mount the same file systems at the same mount points"). File contents
 // survive kernel crashes; only in-memory state — open-file offsets and the
 // page cache — dies with the main kernel and is rebuilt by resurrection.
+//
+// A file is a length plus a table of SectorSize sectors. A sector gets
+// storage only when a write puts a non-zero byte on it, and one without
+// storage reads as zeros, so a hole, a zero-filled tail or the zero gap
+// between a log record's header and its checksum costs the host nothing.
 package fs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -20,8 +27,13 @@ var (
 	ErrBadPath  = errors.New("fs: invalid path")
 )
 
+// SectorSize is the storage unit of a file and the atomic write unit of
+// the modeled platter: the block-layer crash model tears an in-flight write
+// inside one of these, so the two cannot drift apart.
+const SectorSize = 512
+
 // FlatFS is a flat-namespace file system: paths are opaque strings, files
-// are byte arrays. It stands in for the ext3 file systems of the paper's
+// are sector tables. It stands in for the ext3 file systems of the paper's
 // testbed; hierarchy is irrelevant to resurrection, which only needs to
 // reopen files by recorded name.
 type FlatFS struct {
@@ -32,9 +44,16 @@ type FlatFS struct {
 	writeBytes int64
 }
 
+// file is size bytes held in sectors, one pointer per SectorSize bytes of
+// the file. A nil sector reads as zeros. Every byte of the last sector past
+// size is zero, so growing the file needs no clearing.
 type file struct {
-	data []byte
+	size    int64
+	sectors []*[SectorSize]byte
 }
+
+// zeroSector is what a sector without storage holds.
+var zeroSector [SectorSize]byte
 
 // New returns an empty file system.
 func New() *FlatFS {
@@ -73,7 +92,7 @@ func (f *FlatFS) Size(path string) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
-	return int64(len(fl.data)), nil
+	return fl.size, nil
 }
 
 // ReadAt copies up to len(buf) bytes from the file starting at off,
@@ -88,17 +107,18 @@ func (f *FlatFS) ReadAt(path string, off int64, buf []byte) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("fs: negative offset %d", off)
 	}
-	if off >= int64(len(fl.data)) {
-		return 0, nil
-	}
-	return copy(buf, fl.data[off:]), nil
+	return fl.read(off, buf), nil
 }
 
 // WriteAt stores buf into the file at off, extending it with zeroes if off
-// is past the current end. The file is created if absent and create is true.
+// is past the current end. The file is created if absent and create is true;
+// a refused write creates nothing.
 func (f *FlatFS) WriteAt(path string, off int64, buf []byte, create bool) (int, error) {
 	if !ValidPath(path) {
 		return 0, fmt.Errorf("%w: %q", ErrBadPath, path)
+	}
+	if off < 0 {
+		return 0, fmt.Errorf("fs: negative offset %d", off)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -110,13 +130,10 @@ func (f *FlatFS) WriteAt(path string, off int64, buf []byte, create bool) (int, 
 		fl = &file{}
 		f.files[path] = fl
 	}
-	if off < 0 {
-		return 0, fmt.Errorf("fs: negative offset %d", off)
+	if end := off + int64(len(buf)); end > fl.size {
+		fl.resize(end)
 	}
-	if end := off + int64(len(buf)); end > int64(len(fl.data)) {
-		fl.data = extend(fl.data, end)
-	}
-	copy(fl.data[off:], buf)
+	fl.write(off, buf)
 	f.writeBytes += int64(len(buf))
 	return len(buf), nil
 }
@@ -132,29 +149,71 @@ func (f *FlatFS) Truncate(path string, n int64) error {
 	if n < 0 {
 		return fmt.Errorf("fs: negative size %d", n)
 	}
-	if n <= int64(len(fl.data)) {
-		fl.data = fl.data[:n]
-		return nil
-	}
-	fl.data = extend(fl.data, n)
+	fl.resize(n)
 	return nil
 }
 
-// extend lengthens data to n bytes of which the new ones read as zeros.
-// When it must reallocate, capacity at least doubles, so sequential
-// appends (log writers, crash dumps) copy each byte O(1) times. Spare
-// capacity may still hold bytes from before a shrinking Truncate, so a
-// reslice clears the extension explicitly.
-func extend(data []byte, n int64) []byte {
-	if n > int64(cap(data)) {
-		grown := make([]byte, n, max(n, 2*int64(cap(data))))
-		copy(grown, data)
-		return grown
+// resize sets the file's length to n. Growing extends only the sector
+// table, with sectors that read as zeros. Shrinking drops the whole sectors
+// past n and clears the tail of the partial one, so a later growth reads
+// zeros there.
+func (fl *file) resize(n int64) {
+	old, need := len(fl.sectors), int((n+SectorSize-1)/SectorSize)
+	if need > old {
+		fl.sectors = slices.Grow(fl.sectors, need-old)[:need]
+	} else {
+		// Clearing the dropped pointers frees their sectors and keeps the
+		// spare capacity nil for a later growth to reslice over.
+		clear(fl.sectors[need:])
+		fl.sectors = fl.sectors[:need]
+		if tail := n % SectorSize; n < fl.size && tail != 0 && fl.sectors[need-1] != nil {
+			clear(fl.sectors[need-1][tail:])
+		}
 	}
-	old := len(data)
-	data = data[:n]
-	clear(data[old:])
-	return data
+	fl.size = n
+}
+
+// write copies buf into the file at off; the file already covers
+// off+len(buf). A sector without storage gets it only if the part of buf
+// that lands on it holds a non-zero byte. A sector with storage takes every
+// byte, zeros included.
+func (fl *file) write(off int64, buf []byte) {
+	for len(buf) > 0 {
+		i, o := off/SectorSize, int(off%SectorSize)
+		n := min(len(buf), SectorSize-o)
+		s := fl.sectors[i]
+		if s == nil && !bytes.Equal(buf[:n], zeroSector[:n]) {
+			s = new([SectorSize]byte)
+			fl.sectors[i] = s
+		}
+		if s != nil {
+			copy(s[o:], buf[:n])
+		}
+		buf = buf[n:]
+		off += int64(n)
+	}
+}
+
+// read copies the file's bytes from off into buf, up to EOF, and returns
+// how many it copied. A sector without storage reads as zeros.
+func (fl *file) read(off int64, buf []byte) int {
+	if off >= fl.size {
+		return 0
+	}
+	buf = buf[:min(int64(len(buf)), fl.size-off)]
+	total := len(buf)
+	for len(buf) > 0 {
+		i, o := off/SectorSize, int(off%SectorSize)
+		n := min(len(buf), SectorSize-o)
+		if s := fl.sectors[i]; s != nil {
+			copy(buf, s[o:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		off += int64(n)
+	}
+	return total
 }
 
 // Remove deletes the file at path.
@@ -188,8 +247,8 @@ func (f *FlatFS) ReadFile(path string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotExist, path)
 	}
-	out := make([]byte, len(fl.data))
-	copy(out, fl.data)
+	out := make([]byte, fl.size)
+	fl.read(0, out)
 	return out, nil
 }
 
@@ -200,9 +259,10 @@ func (f *FlatFS) WriteFile(path string, data []byte) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	f.files[path] = &file{data: cp}
+	fl := &file{}
+	fl.resize(int64(len(data)))
+	fl.write(0, data)
+	f.files[path] = fl
 	f.writeBytes += int64(len(data))
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
+	"otherworld/internal/fs"
 	"otherworld/internal/sim"
 )
 
@@ -166,11 +167,7 @@ func (d *WALDriver) Verify(m *core.Machine) error {
 // three recovery invariants against the remote log of acknowledged
 // transactions. It implements DataInvariantChecker.
 func (d *WALDriver) CheckDataInvariants(m *core.Machine) error {
-	data, err := m.FS.ReadFile(apps.WALPath)
-	if err != nil {
-		data = nil // no log on disk yet: only a problem if anything was acked
-	}
-	scan := apps.ParseWAL(data)
+	scan := scanPlatterLog(m.FS)
 	var violations []string
 
 	// 1. committed-implies-complete.
@@ -212,4 +209,24 @@ func (d *WALDriver) CheckDataInvariants(m *core.Machine) error {
 			d.Name(), strings.Join(violations, "; "))
 	}
 	return nil
+}
+
+// scanPlatterLog scans the log on the platter one slot at a time through a
+// single buffer, as DiskFingerprint streams the disk, so an audit never
+// holds more than one slot of the log. A missing log scans as empty: only
+// a problem if anything was acked.
+func scanPlatterLog(f *fs.FlatFS) apps.WALScan {
+	var scan apps.WALScan
+	var slot [apps.WALRecordSize]byte
+	for off := int64(0); ; off += apps.WALRecordSize {
+		n, err := f.ReadAt(apps.WALPath, off, slot[:])
+		if err != nil {
+			n = 0 // no log on disk yet
+		}
+		if n < len(slot) {
+			scan.Close(n)
+			return scan
+		}
+		scan.Add(slot[:])
+	}
 }
