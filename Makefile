@@ -37,25 +37,28 @@ race:
 # the crash-tail frame salvage behind the trace ring, candidate index and
 # metrics segment (which wild writes may have hit), the block-layer crash model's torn-write/rollback/orphan machinery, and
 # the span builder that must stay total over corrupted/truncated rings.
-# FuzzMemOps checks the sparse physical memory and its counting views
-# under all of them against a flat byte-array reference model, and
+# FuzzMemOps checks the sector-table physical memory and its counting
+# views under all of them against a flat byte-array reference model, and
 # FuzzTLBOps checks the indexed TLB against the map-based one it replaced,
 # and FuzzFrameAllocOps the run-stack frame allocator against the
 # stack-of-ints one it replaced, and FuzzFlatFSOps the sector-table file
 # store against the flat-slice one it replaced.
 # FuzzReadRecord holds the shared record reader to ReadRecord through
 # reused buffers of every capacity.
+# Each new interesting input is minimized for at most 1 s: Go's default
+# minimization budget is 60 s an input, which left exec counts flat for
+# most of a 10 s run.
 # Long exploratory runs stay manual (go test -fuzz=<target> <pkg>).
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz FuzzMemOps -fuzztime 10s ./internal/phys
-	$(GO) test -run '^$$' -fuzz FuzzTLBOps -fuzztime 10s ./internal/hw
-	$(GO) test -run '^$$' -fuzz FuzzFrameAllocOps -fuzztime 10s ./internal/phys
-	$(GO) test -run '^$$' -fuzz FuzzFlatFSOps -fuzztime 10s ./internal/fs
-	$(GO) test -run '^$$' -fuzz FuzzReadRecord -fuzztime 10s ./internal/layout
-	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s ./internal/layout
-	$(GO) test -run '^$$' -fuzz FuzzFrameSalvage -fuzztime 10s ./internal/layout
-	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s ./internal/disk
-	$(GO) test -run '^$$' -fuzz FuzzSpanBuild -fuzztime 10s ./internal/spans
+	$(GO) test -run '^$$' -fuzz FuzzMemOps -fuzztime 10s -fuzzminimizetime 1s ./internal/phys
+	$(GO) test -run '^$$' -fuzz FuzzTLBOps -fuzztime 10s -fuzzminimizetime 1s ./internal/hw
+	$(GO) test -run '^$$' -fuzz FuzzFrameAllocOps -fuzztime 10s -fuzzminimizetime 1s ./internal/phys
+	$(GO) test -run '^$$' -fuzz FuzzFlatFSOps -fuzztime 10s -fuzzminimizetime 1s ./internal/fs
+	$(GO) test -run '^$$' -fuzz FuzzReadRecord -fuzztime 10s -fuzzminimizetime 1s ./internal/layout
+	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/layout
+	$(GO) test -run '^$$' -fuzz FuzzFrameSalvage -fuzztime 10s -fuzzminimizetime 1s ./internal/layout
+	$(GO) test -run '^$$' -fuzz FuzzTornWrite -fuzztime 10s -fuzzminimizetime 1s ./internal/disk
+	$(GO) test -run '^$$' -fuzz FuzzSpanBuild -fuzztime 10s -fuzzminimizetime 1s ./internal/spans
 
 # owstat-smoke drives the metrics plane end to end at the CLI surface:
 # owsim emits a snapshot, owstat renders it, and a self-diff must report

@@ -49,13 +49,14 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	return nil
 }
 
-// Frame returns frame f's bytes.
-func (m *Mem) Frame(f int) ([]byte, error) {
+// CopyFrame copies frame f's bytes into buf without counting the read.
+func (m *Mem) CopyFrame(f int, buf []byte) error {
 	base := f * PageSize
 	if base < 0 || base+PageSize > len(m.data) {
-		return nil, ErrOutOfRange
+		return ErrOutOfRange
 	}
-	return m.data[base : base+PageSize], nil
+	copy(buf, m.data[base:base+PageSize])
+	return nil
 }
 
 // SetKind tags frame f.

@@ -24,15 +24,15 @@ func (r *reader) word(addr uint64) (uint64, error) {
 	return r.mem.ReadU64(addr)
 }
 
-// pte mimics layout.PTE: a Frame method on a non-phys type must not trip
-// the analyzer.
-type pte uint64
+// image mimics a crash-side type with a method named like a phys.Mem
+// accessor: calling it must not trip the analyzer.
+type image struct{}
 
-// Frame extracts the frame number.
-func (p pte) Frame() int { return int(p >> 12) }
+// CopyFrame stands in for copying a captured frame.
+func (im *image) CopyFrame(f int, buf []byte) error { return nil }
 
-func frameOfPTE(p pte) int {
-	return p.Frame()
+func copyFromImage(im *image, buf []byte) error {
+	return im.CopyFrame(0, buf)
 }
 
 func parseDirect(m *phys.Mem) error {
@@ -44,8 +44,9 @@ func wordDirect(m *phys.Mem) (uint64, error) {
 	return m.ReadU64(8) // want `direct phys\.Mem\.ReadU64`
 }
 
-func frameDirect(m *phys.Mem) ([]byte, error) {
-	return m.Frame(1) // want `direct phys\.Mem\.Frame`
+func copyFrameDirect(m *phys.Mem) ([]byte, error) {
+	buf := make([]byte, phys.PageSize)
+	return buf, m.CopyFrame(1, buf) // want `direct phys\.Mem\.CopyFrame`
 }
 
 func throughReader(r *reader, addr uint64) (uint64, error) {
@@ -70,9 +71,9 @@ func readerValue(r *reader) func(uint64, []byte) error {
 	return r.ReadAt
 }
 
-// pteFrameValue shows a Frame method value on a non-phys type is fine.
-func pteFrameValue(p pte) func() int {
-	return p.Frame
+// imageCopyValue shows a method value of a non-phys type is fine.
+func imageCopyValue(im *image) func(int, []byte) error {
+	return im.CopyFrame
 }
 
 // indexSalvageDirect mimics discovery salvaging the candidate index by

@@ -342,11 +342,13 @@ func (k *Kernel) SwapOutPages(p *Process, n int) (int, error) {
 		if frame >= k.M.Mem.NumFrames() {
 			return false, k.oopsf(OopsBadPageTable, "swap-out: PTE frame %d invalid", frame)
 		}
-		data, ferr := k.M.Mem.Frame(frame)
-		if ferr != nil {
+		// An uncounted copy into the page buffer, which Alloc copies in
+		// turn; a frame never written gains no storage by being read.
+		page := k.pageBuffer(phys.PageSize)
+		if ferr := k.M.Mem.CopyFrame(frame, page); ferr != nil {
 			return false, ferr
 		}
-		slot, serr := k.swap.Alloc(data)
+		slot, serr := k.swap.Alloc(page)
 		if serr != nil {
 			return true, nil // swap full: stop evicting, not fatal
 		}

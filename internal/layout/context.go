@@ -1,6 +1,10 @@
 package layout
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"otherworld/internal/phys"
+)
 
 // Context is the hardware context of a thread as saved on its kernel stack.
 // On a kernel failure, every CPU receiving the non-maskable interrupt pushes
@@ -73,17 +77,31 @@ func DecodeContext(buf []byte) (c Context, ok bool) {
 }
 
 // WriteContext stores the context at the base of the kernel stack at
-// kstackAddr.
+// kstackAddr. Every system call saves a context twice, so over a *phys.Mem
+// the write is a static call, which lets the encoding stay on the stack;
+// any other accessor is handed a heap copy.
 func WriteContext(m MemoryAccessor, kstackAddr uint64, c *Context) error {
 	var buf [ContextSize]byte
 	EncodeContext(buf[:], c)
-	return m.WriteAt(kstackAddr, buf[:])
+	if pm, ok := m.(*phys.Mem); ok {
+		return pm.WriteAt(kstackAddr, buf[:])
+	}
+	return m.WriteAt(kstackAddr, append([]byte(nil), buf[:]...))
 }
 
-// ReadContext loads the context from the kernel stack at kstackAddr.
+// ReadContext loads the context from the kernel stack at kstackAddr. Like
+// WriteContext it allocates nothing over a *phys.Mem.
 func ReadContext(m MemoryAccessor, kstackAddr uint64) (Context, bool, error) {
 	var buf [ContextSize]byte
-	if err := m.ReadAt(kstackAddr, buf[:]); err != nil {
+	var err error
+	if pm, ok := m.(*phys.Mem); ok {
+		err = pm.ReadAt(kstackAddr, buf[:])
+	} else {
+		b := make([]byte, ContextSize)
+		err = m.ReadAt(kstackAddr, b)
+		copy(buf[:], b)
+	}
+	if err != nil {
 		return Context{}, false, err
 	}
 	c, ok := DecodeContext(buf[:])

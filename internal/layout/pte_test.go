@@ -3,6 +3,8 @@ package layout
 import (
 	"testing"
 	"testing/quick"
+
+	"otherworld/internal/phys"
 )
 
 func TestPTEBits(t *testing.T) {
@@ -76,6 +78,50 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("got %+v, want %+v", got, want)
+	}
+}
+
+// TestContextCodecAllocs requires saving and loading a context over a
+// *phys.Mem, as every system call does twice, to allocate nothing, with
+// the bytes and the counted traffic of one ContextSize write and read.
+func TestContextCodecAllocs(t *testing.T) {
+	m := phys.NewMem(4 * phys.PageSize)
+	const addr = phys.PageSize + 64
+	want := Context{Saved: true, SyscallNo: 3, PC: 77, SP: 0xFFF0, Regs: [4]uint64{9, 8, 7, 6}}
+	var got Context
+	var ok bool
+	var err error
+	if n := testing.AllocsPerRun(100, func() {
+		if err := WriteContext(m, addr, &want); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteContext over a *phys.Mem: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		got, ok, err = ReadContext(m, addr)
+	}); n != 0 {
+		t.Errorf("ReadContext over a *phys.Mem: %v allocs/op, want 0", n)
+	}
+	if err != nil || !ok || got != want {
+		t.Fatalf("ReadContext = %+v, %v, %v; want %+v", got, ok, err, want)
+	}
+	m = phys.NewMem(4 * phys.PageSize)
+	if err := WriteContext(m, addr, &want); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadContext(m, addr); err != nil {
+		t.Fatal(err)
+	}
+	one := phys.Stats{ReadOps: 1, ReadBytes: ContextSize, WriteOps: 1, WriteBytes: ContextSize}
+	if st := m.Stats(); st != one {
+		t.Fatalf("a save and a load counted %+v, want %+v", st, one)
+	}
+	var enc [ContextSize]byte
+	EncodeContext(enc[:], &want)
+	raw := make([]byte, ContextSize)
+	if err := m.ReadAt(addr, raw); err != nil || string(raw) != string(enc[:]) {
+		t.Fatalf("stored bytes % x (%v), want % x", raw, err, enc)
 	}
 }
 

@@ -1,9 +1,13 @@
 // Package phys models the machine's physical memory: fixed-size frames
-// with per-frame write protection and ownership tags. Memory is sparse: a
-// frame gets its storage the first time a write puts a non-zero byte on it
-// or it is aliased, and a frame without storage reads as zeros, so a
-// machine boot costs its frame table rather than its whole RAM, and a page
-// that only ever held zeros costs nothing.
+// with per-frame write protection and ownership tags. Memory is sparse and
+// stores what was written: each frame is eight 512 B sectors, a sector gets
+// storage the first time a write puts a non-zero byte on it, and a sector
+// or frame without storage reads as zeros. A machine boot therefore costs
+// its frame table rather than its whole RAM, a page that only ever held
+// zeros costs nothing, and a page table or a record page costs the sectors
+// its few words landed on. A frame whose first storing write puts a
+// non-zero byte on every sector (kernel text, a kernel stack, a full user
+// page) is stored as one page instead, so bulk copies of it stay single.
 //
 // Everything that matters for Otherworld lives here as raw bytes — the main
 // kernel's heap records, page tables, kernel stacks, user pages, the page
@@ -105,23 +109,108 @@ type Stats struct {
 
 // Mem is the machine's physical memory, or a View of it.
 type Mem struct {
-	// frames holds each frame's storage, allocated by page on the first
-	// write that puts a non-zero byte on the frame, or on its first alias;
-	// a nil entry has only ever been written zeros and reads as zeros.
-	// A View shares all three slices with its parent.
-	frames []*[PageSize]byte
+	// frames holds each frame's storage, nil for a frame that has only
+	// ever been written zeros. A View shares all three slices, and so every
+	// frame's storage, with its parent.
+	frames []*frame
 	prot   []bool
 	kind   []FrameKind
 
 	// stats counts the bytes each call asks for, whether or not its
-	// frames have storage. Frame() aliasing deliberately bypasses it: it
-	// is a kernel-internal fast path, and the counters model the explicit
+	// sectors have storage. CopyFrame deliberately bypasses it: it is a
+	// kernel-internal fast path, and the counters model the explicit
 	// memory bus traffic only. The counters are plain fields with the
 	// frame table's one-writer rule: only the goroutine that owns the
 	// machine, or a resurrection commit holding the pass's mutex, counts
 	// here. Each resurrection scan worker counts in its own View, which
 	// the pass folds back with Absorb in commit order.
 	stats Stats
+}
+
+// sectorSize is the unit of frame storage: the 512 B sector fs.FlatFS
+// stores files in.
+const sectorSize = 512
+
+// sectorsPerFrame is the number of sectors in a frame.
+const sectorsPerFrame = PageSize / sectorSize
+
+// frame is one frame's storage: eight sector pointers, where a nil sector
+// has only ever been written zeros and reads as zeros. A sparse frame
+// (page nil) gets each sector from the first write that puts a non-zero
+// byte on it. A dense frame is one whose first storing write put a
+// non-zero byte on every sector: it has one page, its sectors are the
+// page's eight slices so word accesses take the same path, and bulk copies
+// use the page directly. A frame never changes representation, and its
+// sectors and page are never replaced or dropped.
+//
+// Sectors are added without a lock because a Mem and its views have one
+// writer at a time. During a streamed resurrection pass the scan workers
+// only read, and the commits, the only writers, run one at a time under
+// the pass's mutex. The campaign pool gives each worker its own machine.
+type frame struct {
+	sec  [sectorsPerFrame]*[sectorSize]byte
+	page *[PageSize]byte
+}
+
+// newFrame returns the storage for a frame whose first write puts src at
+// off: dense if src puts a non-zero byte on all eight sectors, an empty
+// sparse table if on only some, and nil if on none.
+func newFrame(off int, src []byte) *frame {
+	// Stop once both a zero and a non-zero sector part have been seen.
+	stored, zero := 0, false
+	for len(src) > 0 && (stored == 0 || !zero) {
+		n := min(len(src), sectorSize-off%sectorSize)
+		if PageIsZero(src[:n]) {
+			zero = true
+		} else {
+			stored++
+		}
+		src, off = src[n:], off+n
+	}
+	switch stored {
+	case 0:
+		return nil
+	case sectorsPerFrame:
+		p := new([PageSize]byte)
+		fr := &frame{page: p}
+		for i := range fr.sec {
+			fr.sec[i] = (*[sectorSize]byte)(p[i*sectorSize:])
+		}
+		return fr
+	}
+	return &frame{}
+}
+
+// unstored returns the bytes from off to the frame's next stored sector, or
+// to its end.
+func (fr *frame) unstored(off int) int {
+	i := off / sectorSize
+	for i < sectorsPerFrame && fr.sec[i] == nil {
+		i++
+	}
+	return i*sectorSize - off
+}
+
+// write copies src onto the frame at off; src must not run past the frame.
+// Only a part of src that holds a non-zero byte gives its sector storage.
+func (fr *frame) write(off int, src []byte) {
+	if fr.page != nil {
+		copy(fr.page[off:], src)
+		return
+	}
+	for len(src) > 0 {
+		i := off / sectorSize
+		n := min(len(src), sectorSize-off%sectorSize)
+		s := fr.sec[i]
+		if s == nil && !PageIsZero(src[:n]) {
+			s = new([sectorSize]byte)
+			fr.sec[i] = s
+		}
+		if s != nil {
+			copy(s[off%sectorSize:], src[:n])
+		}
+		src, off = src[n:], off+n
+	}
 }
 
 // NewMem installs size bytes of physical memory. Size is rounded down to a
@@ -132,7 +221,7 @@ func NewMem(size int) *Mem {
 		frames = 1
 	}
 	return &Mem{
-		frames: make([]*[PageSize]byte, frames),
+		frames: make([]*frame, frames),
 		prot:   make([]bool, frames),
 		kind:   make([]FrameKind, frames),
 	}
@@ -171,27 +260,9 @@ func (m *Mem) Absorb(v *Mem) {
 	v.stats = Stats{}
 }
 
-// page returns frame f's storage, allocating it zeroed on first use. A
-// frame's storage is never replaced or dropped, so the slice Frame returns
-// stays an alias of the frame for the Mem's lifetime.
-//
-// The check-then-set takes no lock because a Mem and its views have one
-// writer at a time. Only writes with a non-zero byte for f, and Frame, reach
-// page; reads never do.
-// During a streamed resurrection pass the scan workers only read, and the
-// commits, the only writers, run one at a time under the pass's mutex. The
-// campaign pool gives each worker its own machine.
-func (m *Mem) page(f int) *[PageSize]byte {
-	p := m.frames[f]
-	if p == nil {
-		p = new([PageSize]byte)
-		m.frames[f] = p
-	}
-	return p
-}
-
 // ReadAt copies len(buf) bytes starting at addr into buf. Bytes of frames
-// without storage read as zeros.
+// and sectors without storage read as zeros; a dense frame is copied in one
+// piece.
 func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -199,12 +270,18 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	m.stats.ReadOps++
 	m.stats.ReadBytes += int64(len(buf))
 	for len(buf) > 0 {
-		f, off := FrameOf(addr), int(addr%PageSize)
 		var n int
-		if p := m.frames[f]; p != nil {
-			n = copy(buf, p[off:])
-		} else {
-			n = min(len(buf), PageSize-off)
+		fr := m.frames[addr/PageSize]
+		switch {
+		case fr == nil:
+			n = min(len(buf), PageSize-int(addr%PageSize))
+			clear(buf[:n])
+		case fr.page != nil:
+			n = copy(buf, fr.page[addr%PageSize:])
+		case fr.sec[addr/sectorSize%sectorsPerFrame] != nil:
+			n = copy(buf, fr.sec[addr/sectorSize%sectorsPerFrame][addr%sectorSize:])
+		default:
+			n = min(len(buf), fr.unstored(int(addr%PageSize)))
 			clear(buf[:n])
 		}
 		buf = buf[n:]
@@ -216,9 +293,9 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 // WriteAt copies buf into memory at addr, honoring write protection: if any
 // touched frame is protected the write is not performed and a
 // *ProtectionFault is returned. A zero-length write touches the frame that
-// holds addr, if there is one. The part of buf that lands on a frame without
-// storage gives it storage only if it holds a non-zero byte; all zeros there
-// change nothing, yet the write counts in full.
+// holds addr, if there is one. The part of buf that lands on a sector
+// without storage gives it storage only if it holds a non-zero byte; all
+// zeros there change nothing, yet the write counts in full.
 func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -236,10 +313,16 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	m.stats.WriteOps++
 	m.stats.WriteBytes += int64(len(buf))
 	for len(buf) > 0 {
-		f, off := FrameOf(addr), int(addr%PageSize)
-		n := min(len(buf), PageSize-off)
-		if m.frames[f] != nil || !PageIsZero(buf[:n]) {
-			copy(m.page(f)[off:], buf[:n])
+		var n int
+		fr := m.frames[addr/PageSize]
+		switch {
+		case fr != nil && fr.page != nil:
+			n = copy(fr.page[addr%PageSize:], buf)
+		case fr != nil && fr.sec[addr/sectorSize%sectorsPerFrame] != nil:
+			n = copy(fr.sec[addr/sectorSize%sectorsPerFrame][addr%sectorSize:], buf)
+		default:
+			n = min(len(buf), PageSize-int(addr%PageSize))
+			m.write(FrameOf(addr), int(addr%PageSize), buf[:n])
 		}
 		buf = buf[n:]
 		addr += uint64(n)
@@ -247,8 +330,21 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	return nil
 }
 
+// write copies src onto frame f at off; src must not run past the frame.
+// A frame without storage gets it only if src holds a non-zero byte.
+func (m *Mem) write(f, off int, src []byte) {
+	fr := m.frames[f]
+	if fr == nil {
+		if fr = newFrame(off, src); fr == nil {
+			return
+		}
+		m.frames[f] = fr
+	}
+	fr.write(off, src)
+}
+
 // ReadU64 reads a little-endian 64-bit word, counted as one 8-byte ReadAt.
-// An aligned word lies in one frame and is read there directly; only an
+// An aligned word lies in one sector and is read there directly; only an
 // unaligned one goes through ReadAt.
 func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 	if addr%8 != 0 {
@@ -258,31 +354,36 @@ func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 		}
 		return binary.LittleEndian.Uint64(b[:]), nil
 	}
-	f := addr / PageSize
-	if f >= uint64(len(m.frames)) {
+	frames, f := m.frames, addr/PageSize
+	if f >= uint64(len(frames)) {
 		return 0, ErrOutOfRange
 	}
 	m.stats.ReadOps++
 	m.stats.ReadBytes += 8
-	p := m.frames[f]
-	if p == nil {
+	fr := frames[f]
+	if fr == nil {
 		return 0, nil
 	}
-	return binary.LittleEndian.Uint64(p[addr%PageSize:]), nil
+	s := fr.sec[addr/sectorSize%sectorsPerFrame]
+	if s == nil {
+		return 0, nil
+	}
+	return binary.LittleEndian.Uint64(s[addr%sectorSize:]), nil
 }
 
 // WriteU64 writes a little-endian 64-bit word, honoring protection and
-// counted as one 8-byte WriteAt. An aligned word lies in one frame and is
-// written there directly; only an unaligned one goes through WriteAt. Like
-// WriteAt, a zero word gives a frame without storage none.
+// counted as one 8-byte WriteAt. An aligned word lies in one sector and,
+// once the sector has storage, is written there directly; only an
+// unaligned one goes through WriteAt. Like WriteAt, a zero word gives a
+// sector without storage none.
 func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	if addr%8 != 0 {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
 		return m.WriteAt(addr, b[:])
 	}
-	f := addr / PageSize
-	if f >= uint64(len(m.frames)) {
+	frames, f := m.frames, addr/PageSize
+	if f >= uint64(len(frames)) {
 		return ErrOutOfRange
 	}
 	if m.prot[f] {
@@ -291,21 +392,29 @@ func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	}
 	m.stats.WriteOps++
 	m.stats.WriteBytes += 8
-	if v != 0 || m.frames[f] != nil {
-		binary.LittleEndian.PutUint64(m.page(int(f))[addr%PageSize:], v)
+	if fr := frames[f]; fr != nil {
+		if s := fr.sec[addr/sectorSize%sectorsPerFrame]; s != nil {
+			binary.LittleEndian.PutUint64(s[addr%sectorSize:], v)
+			return nil
+		}
 	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	m.write(int(f), int(addr%PageSize), b[:])
 	return nil
 }
 
-// Frame returns the memory of frame f as a slice aliasing the underlying
-// storage, allocating that storage if the frame was never written. Mutating
-// the slice bypasses protection; it is intended for kernel-internal fast
-// paths that have already checked ownership.
-func (m *Mem) Frame(f int) ([]byte, error) {
+// CopyFrame copies frame f into buf, as many bytes as fit: the whole frame
+// when buf holds PageSize bytes. Like ReadAt it gives no sector storage,
+// but it counts no traffic; it is intended for kernel-internal fast paths
+// that have already checked ownership, such as handing a page to swap.
+func (m *Mem) CopyFrame(f int, buf []byte) error {
 	if f < 0 || f >= m.NumFrames() {
-		return nil, ErrOutOfRange
+		return ErrOutOfRange
 	}
-	return m.page(f)[:], nil
+	// A throwaway view shares the storage but not m's counters.
+	v := Mem{frames: m.frames}
+	return v.ReadAt(FrameAddr(f), buf[:min(len(buf), PageSize)])
 }
 
 // Protect sets or clears write protection on frame f.
@@ -353,8 +462,8 @@ func (m *Mem) CountKind(k FrameKind) int {
 	return n
 }
 
-// Zero clears frame f, honoring protection. A frame without storage is
-// already zero and keeps none.
+// Zero clears frame f in place, honoring protection. A sector without
+// storage is already zero and keeps none.
 func (m *Mem) Zero(f int) error {
 	if f < 0 || f >= m.NumFrames() {
 		return ErrOutOfRange
@@ -365,8 +474,12 @@ func (m *Mem) Zero(f int) error {
 	}
 	m.stats.WriteOps++
 	m.stats.WriteBytes += PageSize
-	if p := m.frames[f]; p != nil {
-		clear(p[:])
+	if fr := m.frames[f]; fr != nil {
+		for _, s := range fr.sec {
+			if s != nil {
+				clear(s[:])
+			}
+		}
 	}
 	return nil
 }
@@ -375,10 +488,10 @@ func (m *Mem) Zero(f int) error {
 var zeroPage [PageSize]byte
 
 // PageIsZero reports whether every byte of b is zero: the resurrection
-// scan's elision test and WriteAt's no-storage test. It compares PageSize
-// chunks against a static zero page, so the comparison runs at memcmp
-// speed; a partially-zero page (any nonzero byte, even the last one) is not
-// elidable.
+// scan's elision test and WriteAt's no-storage test for each sector. It
+// compares PageSize chunks against a static zero page, so the comparison
+// runs at memcmp speed; a partially-zero page (any nonzero byte, even the
+// last one) is not elidable.
 func PageIsZero(b []byte) bool {
 	for len(b) > 0 {
 		n := min(len(b), PageSize)

@@ -91,8 +91,7 @@ const (
 	opWriteU64
 	opZero
 	opProtect
-	opTakeAlias
-	opAliasWrite
+	opCopyFrame
 	opView   // later ops go through a fresh View of the Mem
 	opAbsorb // the Mem absorbs the newest view; later ops go to the one before
 	numMemOps
@@ -103,8 +102,9 @@ const memOpSize = 8
 
 const (
 	fuzzFrames  = 4
-	aliasSlots  = 4
 	hugeAddrBit = 0x80
+	// sparsePat and the patterns above it fill only some bytes; see fill.
+	sparsePat = 0xf0
 )
 
 // memOp is one decoded op. Addresses reach a frame past the end of memory
@@ -116,7 +116,7 @@ type memOp struct {
 	n    int
 	pat  byte
 	f    int
-	arg  int // alias slot, or the Protect flag in bit 0
+	arg  int // the Protect flag in bit 0
 }
 
 func decodeMemOps(data []byte) []memOp {
@@ -151,10 +151,13 @@ func encodeMemOp(code int, addr uint64, n int, pat byte, f, arg int) []byte {
 	return b
 }
 
-// fill writes a pattern seeded by pat into b; pat 0 writes zeros.
+// fill writes a pattern seeded by pat into b; pat 0 writes zeros, and a
+// pat of sparsePat or above writes the pattern into only the first 256 of
+// every 768 bytes, so a page-sized write puts non-zero bytes on some of a
+// frame's sectors and leaves others all zero.
 func fill(b []byte, pat byte) {
 	for i := range b {
-		if pat != 0 {
+		if pat != 0 && (pat < sparsePat || i%768 < 256) {
 			b[i] = pat ^ byte(i*31)
 		} else {
 			b[i] = 0
@@ -181,9 +184,9 @@ func wordOf(op memOp) uint64 {
 	return uint64(op.pat)*0x0101010101010101 ^ op.addr
 }
 
-// mayGainStorage reports whether a successful op may give frame f
-// storage: only Frame(f), and a write that puts a non-zero byte on f.
-func mayGainStorage(op memOp, f int) bool {
+// nonZeroSectors reports, for each sector of memory, whether op, if it
+// succeeds, puts a non-zero byte on it.
+func nonZeroSectors(op memOp) (out [fuzzFrames * sectorsPerFrame]bool) {
 	var buf []byte
 	switch op.code {
 	case opWriteAt:
@@ -191,27 +194,84 @@ func mayGainStorage(op memOp, f int) bool {
 		fill(buf, op.pat)
 	case opWriteU64:
 		buf = binary.LittleEndian.AppendUint64(nil, wordOf(op))
-	case opTakeAlias:
-		return op.f == f
 	}
-	lo, hi := FrameAddr(f), FrameAddr(f)+PageSize
 	for i, c := range buf {
-		if a := op.addr + uint64(i); c != 0 && a >= lo && a < hi {
-			return true
-		}
-	}
-	return false
-}
-
-// contents returns m's bytes without going through the counted accessors.
-func contents(m *Mem) []byte {
-	out := make([]byte, m.Size())
-	for f, p := range m.frames {
-		if p != nil {
-			copy(out[FrameAddr(f):], p[:])
+		if a := op.addr + uint64(i); c != 0 && a < fuzzFrames*PageSize {
+			out[a/sectorSize] = true
 		}
 	}
 	return out
+}
+
+// contents returns m's bytes without going through the counted accessors,
+// sector by sector (a dense frame's sectors are slices of its page).
+func contents(m *Mem) []byte {
+	out := make([]byte, m.Size())
+	for f, fr := range m.frames {
+		if fr == nil {
+			continue
+		}
+		for i, sec := range fr.sec {
+			if sec != nil {
+				copy(out[FrameAddr(f)+uint64(i*sectorSize):], sec[:])
+			}
+		}
+	}
+	return out
+}
+
+// storage is a copy of one frame's storage pointers.
+type storage struct {
+	fr   *frame
+	page *[PageSize]byte
+	sec  [sectorsPerFrame]*[sectorSize]byte
+}
+
+func storageOf(m *Mem) []storage {
+	out := make([]storage, len(m.frames))
+	for f, fr := range m.frames {
+		if fr != nil {
+			out[f] = storage{fr: fr, page: fr.page, sec: fr.sec}
+		}
+	}
+	return out
+}
+
+// checkStorage fails unless the change from before to after, made by op
+// with error err, keeps the storage rules: no table, page or sector is
+// replaced or dropped; a sector gains storage exactly when a successful
+// write puts a non-zero byte on it; a frame gains a whole page exactly when
+// the write that first gives it storage puts a non-zero byte on every
+// sector, and never later; a dense frame's sectors are its page's slices;
+// and a frame table exists only with a sector stored.
+func checkStorage(t *testing.T, i int, op memOp, err error, before, after []storage) {
+	t.Helper()
+	nonZero := nonZeroSectors(op)
+	for f := range after {
+		b, a := before[f], after[f]
+		if b.fr != nil && (a.fr != b.fr || a.page != b.page) {
+			t.Fatalf("op %d %+v: frame %d's table or page was replaced or dropped", i, op, f)
+		}
+		all, stored := true, false
+		for s := range a.sec {
+			wrote := err == nil && nonZero[f*sectorsPerFrame+s]
+			all, stored = all && wrote, stored || a.sec[s] != nil
+			switch {
+			case b.sec[s] != nil && a.sec[s] != b.sec[s]:
+				t.Fatalf("op %d %+v: frame %d sector %d's storage was replaced or dropped", i, op, f, s)
+			case b.sec[s] == nil && (a.sec[s] != nil) != wrote:
+				t.Fatalf("op %d %+v: frame %d sector %d has storage %v, want %v", i, op, f, s, a.sec[s] != nil, wrote)
+			case a.page != nil && a.sec[s] != (*[sectorSize]byte)(a.page[s*sectorSize:]):
+				t.Fatalf("op %d %+v: dense frame %d's sector %d is not a slice of its page", i, op, f, s)
+			}
+		}
+		if a.fr != nil && !stored {
+			t.Fatalf("op %d %+v: frame %d has a table but no storage", i, op, f)
+		}
+		if b.fr == nil && a.fr != nil && (a.page != nil) != all {
+			t.Fatalf("op %d %+v: frame %d stored dense %v, want %v", i, op, f, a.page != nil, all)
+		}
+	}
 }
 
 // sumStats returns the field-wise sum of ss.
@@ -229,23 +289,21 @@ func sumStats(ss ...Stats) Stats {
 
 // replayMemOps runs ops on a fresh Mem and on the flat reference model and
 // fails at the first op after which their errors, read bytes, memory,
-// protection, aliases or Stats differ. Ops after opView go through a stack
-// of views, which share storage and protection with the Mem both ways, so
-// the Mem and the current view must both show the reference's memory and
+// protection or Stats differ. Ops after opView go through a stack of
+// views, which share storage and protection with the Mem both ways, so the
+// Mem and the current view must both show the reference's memory and
 // protection, and the Mem's Stats plus every unabsorbed view's must sum to
-// the reference's. It also checks the sparse storage itself: no op
-// replaces or drops a frame's storage, and only a Frame call, or a
-// successful write that puts a non-zero byte on a frame, gives it storage.
+// the reference's. It also checks the sector storage itself after every
+// op, with checkStorage.
 func replayMemOps(t *testing.T, ops []memOp) {
 	t.Helper()
 	root, ref := NewMem(fuzzFrames*PageSize), newFlatMem(fuzzFrames)
 	m := root // the Mem or view the next op goes through
 	var views []*Mem
-	var aliases, refAliases [aliasSlots][]byte
 	for i, op := range ops {
 		var got, want error
 		var gotBuf, wantBuf []byte
-		before := append([]*[PageSize]byte(nil), root.frames...)
+		before := storageOf(root)
 		switch op.code {
 		case opReadAt:
 			// Stale bytes in the buffers show a read that skips untouched frames.
@@ -273,23 +331,18 @@ func replayMemOps(t *testing.T, ops []memOp) {
 			got, want = m.Zero(op.f), ref.zero(op.f)
 		case opProtect:
 			got, want = m.Protect(op.f, op.arg&1 == 1), ref.protect(op.f, op.arg&1 == 1)
-		case opTakeAlias:
-			var alias []byte
-			alias, got = m.Frame(op.f)
+		case opCopyFrame:
+			// An uncounted read of as much of the frame as the buffer holds;
+			// the junk past it must survive.
+			gotBuf, wantBuf = make([]byte, op.n), make([]byte, op.n)
+			fill(gotBuf, 0xee)
+			fill(wantBuf, 0xee)
+			got = m.CopyFrame(op.f, gotBuf)
 			if op.f < 0 || op.f >= fuzzFrames {
 				want = ErrOutOfRange
 			} else {
-				aliases[op.arg%aliasSlots], refAliases[op.arg%aliasSlots] = alias, ref.frame(op.f)
+				copy(wantBuf, ref.frame(op.f))
 			}
-		case opAliasWrite:
-			slot := op.arg % aliasSlots
-			if aliases[slot] == nil {
-				continue
-			}
-			off := int(op.addr % PageSize)
-			n := min(op.n, PageSize-off)
-			fill(aliases[slot][off:off+n], op.pat)
-			fill(refAliases[slot][off:off+n], op.pat)
 		case opView:
 			views = append(views, root.View())
 			m = views[len(views)-1]
@@ -320,11 +373,6 @@ func replayMemOps(t *testing.T, ops []memOp) {
 				}
 			}
 		}
-		for s := range aliases {
-			if !bytes.Equal(aliases[s], refAliases[s]) {
-				t.Fatalf("op %d %+v: alias %d no longer shows its frame", i, op, s)
-			}
-		}
 		all := []Stats{root.Stats()}
 		for _, v := range views {
 			all = append(all, v.Stats())
@@ -332,21 +380,15 @@ func replayMemOps(t *testing.T, ops []memOp) {
 		if sumStats(all...) != ref.stats {
 			t.Fatalf("op %d %+v: stats %+v, reference %+v", i, op, all, ref.stats)
 		}
-		for f, p := range root.frames {
-			switch {
-			case before[f] != nil && p != before[f]:
-				t.Fatalf("op %d %+v: frame %d's storage was replaced or dropped", i, op, f)
-			case before[f] == nil && p != nil && (got != nil || !mayGainStorage(op, f)):
-				t.Fatalf("op %d %+v: frame %d gained storage", i, op, f)
-			}
-		}
+		checkStorage(t, i, op, got, before, storageOf(root))
 	}
 }
 
-// FuzzMemOps replays decoded ReadAt/WriteAt/ReadU64/WriteU64/Zero/Protect
-// sequences, writes through Frame aliases and View/Absorb on a four-frame
-// Mem and on a flat byte-array reference model, and requires identical
-// results after every op. The seed corpus runs as a unit test.
+// FuzzMemOps replays decoded ReadAt/WriteAt/ReadU64/WriteU64/Zero/Protect/
+// CopyFrame sequences and View/Absorb on a four-frame Mem and on a flat
+// byte-array reference model, and requires identical results after every
+// op, and sector storage that keeps checkStorage's rules. The seed corpus
+// runs as a unit test.
 func FuzzMemOps(f *testing.F) {
 	const end = fuzzFrames * PageSize
 	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
@@ -401,23 +443,22 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opProtect, 0, 0, 0, 1, 0),
 		encodeMemOp(opWriteAt, PageSize+10, 2*PageSize, 0x55, 0, 0),
 	))
-	// Aliases taken before and after writes keep showing their frame, and
-	// writes through them are seen by reads.
+	// Whole-frame copies, uncounted, of untouched (no storage gained),
+	// sparse, written-then-zeroed and dense frames, into short, exact and
+	// long buffers, and of frames out of range.
 	f.Add(seq(
-		encodeMemOp(opTakeAlias, 0, 0, 0, 3, 0),
-		encodeMemOp(opTakeAlias, 0, 0, 0, 3, 1),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 3, 0),
 		encodeMemOp(opWriteAt, 3*PageSize+100, 50, 0x66, 0, 0),
-		encodeMemOp(opAliasWrite, 200, 300, 0x77, 0, 0),
-		encodeMemOp(opReadAt, 3*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 3, 0),
+		encodeMemOp(opCopyFrame, 0, 120, 0, 3, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize+10, 0, 3, 0),
 		encodeMemOp(opZero, 0, 0, 0, 3, 0),
-		encodeMemOp(opAliasWrite, PageSize-10, 100, 0x78, 0, 1),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 3, 0),
 		encodeMemOp(opWriteAt, 0, 2*PageSize, 0x79, 0, 0),
-		encodeMemOp(opTakeAlias, 0, 0, 0, 1, 2),
-		encodeMemOp(opAliasWrite, 0, PageSize, 0, 0, 2),
-		encodeMemOp(opReadAt, PageSize-5, 10, 0, 0, 0),
-		encodeMemOp(opTakeAlias, 0, 0, 0, -1, 3),
-		encodeMemOp(opTakeAlias, 0, 0, 0, fuzzFrames, 3),
-		encodeMemOp(opAliasWrite, 0, 10, 0x7a, 0, 3),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 1, 0),
+		encodeMemOp(opCopyFrame, 0, 0, 0, 1, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, -1, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, fuzzFrames, 0),
 	))
 	// Aligned words on the one-frame path: the last word of a frame and of
 	// memory, Size() and far past it, a never-written frame (reads 0, gains
@@ -441,7 +482,7 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opWriteU64, PageSize+16, 0, 0x85, 0, 0),
 	))
 	// Views: every counter moves through two stacked views and is absorbed
-	// back; writes, protection and aliases cross between the Mem and its
+	// back; writes, protection and storage cross between the Mem and its
 	// views both ways; an absorb with no view is a no-op.
 	f.Add(seq(
 		encodeMemOp(opAbsorb, 0, 0, 0, 0, 0),
@@ -454,9 +495,9 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opZero, 0, 0, 0, 3, 0),
 		encodeMemOp(opProtect, 0, 0, 0, 2, 1),
 		encodeMemOp(opWriteU64, 2*PageSize+8, 0, 0x94, 0, 0),
-		encodeMemOp(opTakeAlias, 0, 0, 0, 2, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 2, 0),
 		encodeMemOp(opView, 0, 0, 0, 0, 0),
-		encodeMemOp(opAliasWrite, 100, 8, 0x95, 0, 0),
+		encodeMemOp(opWriteAt, 2*PageSize+100, 8, 0x95, 0, 0),
 		encodeMemOp(opReadU64, 2*PageSize+104, 0, 0, 0, 0),
 		encodeMemOp(opZero, 0, 0, 0, 2, 0),
 		encodeMemOp(opWriteAt, 3*PageSize, 8, 0x96, 0, 0),
@@ -471,7 +512,8 @@ func FuzzMemOps(f *testing.F) {
 	// Zero writes give no storage: a zero WriteAt and zero words (aligned
 	// and not) onto never-written frames; a zero write straddling a frame
 	// with storage and one without; a zero write, then a partial non-zero
-	// one; a zero write, then a Frame alias written through.
+	// one; a zero write, then one non-zero word, then a zero word onto its
+	// sector.
 	f.Add(seq(
 		encodeMemOp(opWriteAt, PageSize+100, 300, 0, 0, 0),
 		encodeMemOp(opWriteU64, 0, 0, 0, 0, 0),
@@ -484,10 +526,36 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opWriteAt, 3*PageSize+1000, 10, 0x32, 0, 0),
 		encodeMemOp(opReadAt, 3*PageSize, PageSize, 0, 0, 0),
 		encodeMemOp(opWriteAt, 0, PageSize, 0, 0, 0),
-		encodeMemOp(opTakeAlias, 0, 0, 0, 0, 0),
-		encodeMemOp(opAliasWrite, 8, 8, 0x33, 0, 0),
+		encodeMemOp(opWriteU64, 8, 0, 0x33, 0, 0),
 		encodeMemOp(opReadU64, 8, 0, 0, 0, 0),
 		encodeMemOp(opWriteU64, 16, 0, 0, 0, 0),
+		encodeMemOp(opReadAt, 0, 32, 0, 0, 0),
+	))
+	// Sector storage: a first write that reaches all eight sectors without
+	// covering the frame stores it dense; one that reaches seven, and a
+	// striped page that leaves sectors 2 and 5 zero, store sparse, and a
+	// later full page fills a sparse frame sector by sector; zero writes
+	// onto stored sectors write their zeros; Zero clears a dense frame in
+	// place; words and an unaligned word straddling two sectors give only
+	// their sectors storage; a striped write spans two frames.
+	f.Add(seq(
+		encodeMemOp(opWriteAt, PageSize+100, PageSize-200, 0x12, 0, 0),
+		encodeMemOp(opReadAt, PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opWriteAt, 2*PageSize, 7*sectorSize, 0x13, 0, 0),
+		encodeMemOp(opWriteAt, 2*PageSize, PageSize, 0x14, 0, 0),
+		encodeMemOp(opWriteAt, 3*PageSize, PageSize, 0xf1, 0, 0),
+		encodeMemOp(opReadAt, 3*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opWriteAt, 3*PageSize+256, 2*sectorSize, 0, 0, 0),
+		encodeMemOp(opReadU64, 3*PageSize+2*sectorSize, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 3*PageSize+2*sectorSize+8, 0, 0x21, 0, 0),
+		encodeMemOp(opWriteU64, 3*PageSize+5*sectorSize, 0, 0, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 1, 0),
+		encodeMemOp(opWriteU64, PageSize+3*sectorSize, 0, 0x22, 0, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 1, 0),
+		encodeMemOp(opWriteU64, 7*sectorSize-4, 0, 0x23, 0, 0),
+		encodeMemOp(opReadU64, 7*sectorSize-4, 0, 0, 0, 0),
+		encodeMemOp(opWriteAt, 2000, 3*PageSize, 0xf7, 0, 0),
+		encodeMemOp(opReadAt, 0, 4*PageSize, 0, 0, 0),
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayMemOps(t, decodeMemOps(data))

@@ -427,41 +427,74 @@ func TestUntouchedFramesDoNotAllocate(t *testing.T) {
 	}
 }
 
-// TestFrameAliasSeesWrites takes a Frame alias of a frame never written
-// and requires it to keep aliasing the frame through later writes and
-// Zero, in both directions, without counting as bus traffic.
-func TestFrameAliasSeesWrites(t *testing.T) {
-	m := NewMem(8 * PageSize)
-	alias, err := m.Frame(5)
-	if err != nil {
-		t.Fatal(err)
+// held returns the number of frame f's sectors with storage, and whether
+// the frame stores them as one page.
+func held(m *Mem, f int) (sectors int, dense bool) {
+	fr := m.frames[f]
+	if fr == nil {
+		return 0, false
 	}
-	if len(alias) != PageSize || cap(alias) != PageSize {
-		t.Fatalf("alias len %d cap %d", len(alias), cap(alias))
+	for _, s := range fr.sec {
+		if s != nil {
+			sectors++
+		}
 	}
-	if m.Stats() != (Stats{}) {
-		t.Fatalf("Frame counted as traffic: %+v", m.Stats())
+	return sectors, fr.page != nil
+}
+
+// TestFrameStorageCost writes each shape of page the kernels write into
+// frames never written, 64 frames a shape, and checks what the frames
+// store and what the writes allocate: a PTE-sized word stores one sector;
+// a WAL-shaped page, a header and a trailing CRC at opposite ends, stores
+// its first and last sectors; a full non-zero page stores one page; zero
+// writes store nothing. The allowance over the stored bytes, 256 B a
+// frame, covers its sector table and what the race detector adds; a whole
+// page per frame would exceed it many times over.
+func TestFrameStorageCost(t *testing.T) {
+	const frames, slack = 64, 256
+	wal := make([]byte, PageSize)
+	for i := 0; i < 48; i++ {
+		wal[i] = 0xa5
 	}
-	if err := m.WriteAt(FrameAddr(5)+PageSize-2, []byte{1, 2}); err != nil {
-		t.Fatal(err)
+	copy(wal[PageSize-4:], []byte{1, 2, 3, 4})
+	full := make([]byte, PageSize)
+	for i := range full {
+		full[i] = byte(i) | 1
 	}
-	if alias[PageSize-2] != 1 || alias[PageSize-1] != 2 {
-		t.Fatalf("alias misses WriteAt: % x", alias[PageSize-2:])
-	}
-	if err := m.Zero(5); err != nil {
-		t.Fatal(err)
-	}
-	if !PageIsZero(alias) {
-		t.Fatal("alias misses Zero")
-	}
-	alias[100] = 7
-	var b [1]byte
-	if err := m.ReadAt(FrameAddr(5)+100, b[:]); err != nil || b[0] != 7 {
-		t.Fatalf("ReadAt misses a write through the alias: %d %v", b[0], err)
-	}
-	again, err := m.Frame(5)
-	if err != nil || &again[0] != &alias[0] {
-		t.Fatalf("second Frame(5) is not the same storage: %v", err)
+	for _, tc := range []struct {
+		name    string
+		write   func(m *Mem, f int) error
+		sectors int
+		dense   bool
+	}{
+		{"pte", func(m *Mem, f int) error { return m.WriteU64(FrameAddr(f)+8*100, 7<<12|1) }, 1, false},
+		{"wal-page", func(m *Mem, f int) error { return m.WriteAt(FrameAddr(f), wal) }, 2, false},
+		{"full-page", func(m *Mem, f int) error { return m.WriteAt(FrameAddr(f), full) }, sectorsPerFrame, true},
+		{"zero-page", func(m *Mem, f int) error { return m.WriteAt(FrameAddr(f), make([]byte, PageSize)) }, 0, false},
+		{"zero-word", func(m *Mem, f int) error { return m.WriteU64(FrameAddr(f)+64, 0) }, 0, false},
+	} {
+		m := NewMem(frames * PageSize)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for f := 0; f < frames; f++ {
+			if err := tc.write(m, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		for f := 0; f < frames; f++ {
+			if n, dense := held(m, f); n != tc.sectors || dense != tc.dense {
+				t.Fatalf("%s: frame %d holds %d sectors (dense %v), want %d (dense %v)",
+					tc.name, f, n, dense, tc.sectors, tc.dense)
+			}
+		}
+		want := uint64(frames * tc.sectors * sectorSize)
+		if tc.sectors > 0 {
+			want += frames * slack
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > want {
+			t.Errorf("%s: %d frames allocated %d bytes, want at most %d", tc.name, frames, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package resurrect
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"otherworld/internal/disk"
@@ -402,6 +403,15 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 		if err := s.rd.at(CatPageTable).ReadAt(dirEnt, ptPage); err != nil {
 			return out, fmt.Errorf("page table unreadable: %v", err)
 		}
+		// Each non-zero PTE adds at most one plan: size the slice for the
+		// page-table page once instead of regrowing it PTE by PTE.
+		mapped := 0
+		for t := 0; t < layout.PTEsPerPage; t++ {
+			if leU64(ptPage[t*8:]) != 0 {
+				mapped++
+			}
+		}
+		out = slices.Grow(out, mapped)
 		for t := 0; t < layout.PTEsPerPage; t++ {
 			pte := layout.PTE(leU64(ptPage[t*8:]))
 			if pte == 0 {

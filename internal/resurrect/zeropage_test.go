@@ -215,15 +215,17 @@ func TestShmCommitBufferClearedPerSegment(t *testing.T) {
 	}
 }
 
-// BenchmarkScanCandidate times one warmed MySQL candidate's scan of the dead
-// image, the work each resurrection scan worker does per candidate: the
-// descriptor, files, regions, page tables and every resident page.
-func BenchmarkScanCandidate(b *testing.B) {
+// crashedMySQL boots eight MySQL servers on a 256 MiB machine, loads 128
+// seeded rows into them, runs them warm and crashes the kernel: the input
+// of the per-layer resurrection benchmarks.
+func crashedMySQL(b *testing.B, lazy bool) *core.Machine {
+	b.Helper()
 	const seed = 1
 	opts := core.DefaultOptions()
 	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
 	opts.CrashRegionMB = 16
 	opts.Seed = seed
+	opts.LazyInstall = lazy
 	m, err := core.NewMachine(opts)
 	if err != nil {
 		b.Fatal(err)
@@ -244,6 +246,14 @@ func BenchmarkScanCandidate(b *testing.B) {
 	if err := m.K.InjectOops("bench"); err == nil {
 		b.Fatal("InjectOops returned nil")
 	}
+	return m
+}
+
+// BenchmarkScanCandidate times one warmed MySQL candidate's scan of the dead
+// image, the work each resurrection scan worker does per candidate: the
+// descriptor, files, regions, page tables and every resident page.
+func BenchmarkScanCandidate(b *testing.B) {
+	m := crashedMySQL(b, false)
 	e := resurrect.NewEngine(m.K, kernel.GlobalsAddr, true)
 	cands, err := e.ListCandidates()
 	if err != nil || len(cands) == 0 {
@@ -257,5 +267,52 @@ func BenchmarkScanCandidate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		probe.Scan(cands[0])
+	}
+}
+
+// BenchmarkInstallPerPage times the eager and the lazy install per resident
+// page over crashedMySQL's input: one recovery, HandleFailure, and for the
+// lazy install the sweep that resolves every page it speculated and the
+// crash procedures did not touch, so both sides copy every page once. Building and crashing the machine is outside
+// the timer. ns/page divides the timed work by the resident pages
+// installed, which pages/op reports; B/op and allocs/op are per recovery.
+func BenchmarkInstallPerPage(b *testing.B) {
+	for _, lazy := range []bool{false, true} {
+		name := "eager"
+		if lazy {
+			name = "lazy"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			pages := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := crashedMySQL(b, lazy)
+				b.StartTimer()
+				out, err := m.HandleFailure()
+				if err != nil || out.Result != core.ResultRecovered {
+					b.Fatalf("HandleFailure: %v", err)
+				}
+				speculated := 0
+				for _, pr := range out.Report.Procs {
+					if pr.Outcome == resurrect.OutcomeFailed {
+						b.Fatalf("pid %d failed: %v", pr.Candidate.PID, pr.Err)
+					}
+					pages += pr.PagesCopied
+					speculated += pr.PagesSpeculated
+				}
+				if speculated > 0 {
+					// The crash procedures' touches resolved some already.
+					if _, err := m.K.Spec.SweepSpeculated(speculated); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if lazy != (speculated > 0) {
+					b.Fatalf("lazy %v but %d pages speculated", lazy, speculated)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
+		})
 	}
 }
