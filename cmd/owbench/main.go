@@ -47,7 +47,7 @@ func main() {
 	seed := flag.Int64("seed", 20100413, "seed")
 	showTrace := flag.Bool("trace", false, "print table-5 failure attributions from the flight recorder")
 	traceJSON := flag.String("trace-json", "", "write table-5 failure attributions as JSON to this file")
-	resWorkers := flag.Int("resurrect-workers", 0, "resurrection pipeline workers for campaigns (0 = NumCPU); changes only the modeled interruption time")
+	resWorkers := flag.Int("resurrect-workers", 0, "goroutines that scan resurrection candidates in campaigns (0 = NumCPU); changes host wall time only")
 	campaignWorkers := flag.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = NumCPU); results and published figures are identical at any width")
 	lazyInstall := flag.Bool("lazy-install", false, "run the table campaigns with demand-paged resurrection (the bench snapshot always measures both modes)")
 	benchDiff := flag.String("bench-diff", "", "rebuild the bench snapshot and fail if any modeled-time metric regressed >10% against this baseline BENCH_N.json")
@@ -280,11 +280,9 @@ type benchSnapshot struct {
 	// from the modeled schedule, not the live pool.
 	CampaignWorkers int          `json:"campaign_workers,omitempty"`
 	Benchmarks      []benchEntry `json:"benchmarks"`
-	// Metrics is the bench scenario machine's final metrics snapshot. Its
-	// logical_now_ns is normalized to zero — the one
-	// worker-schedule-dependent field, excluded here for the same reason
-	// Fingerprint excludes it: the file must stay a pure function of the
-	// seed at any -resurrect-workers width.
+	// Metrics is the bench scenario machine's final metrics snapshot,
+	// logical_now_ns included: the machine clock, like every figure here,
+	// is a pure function of the seed at any -resurrect-workers width.
 	Metrics *metrics.Snapshot `json:"metrics,omitempty"`
 }
 
@@ -310,10 +308,11 @@ type benchEntry struct {
 // of the bench scenario: -json (the BENCH_N.json file), -metrics (render
 // the machine's registry), -metrics-json (the owstat-consumable file).
 func benchSnapshotMode(jsonPath string, seed int64, resWorkers, campaignWorkers int, show bool, metricsPath string) error {
-	snap, msnap, err := buildSnapshot(seed, resWorkers, campaignWorkers)
+	snap, err := buildSnapshot(seed, resWorkers, campaignWorkers)
 	if err != nil {
 		return err
 	}
+	msnap := snap.Metrics
 	if show {
 		fmt.Printf("bench scenario metrics (%d series):\n", len(msnap.Points))
 		if err := msnap.RenderTable(os.Stdout); err != nil {
@@ -348,9 +347,8 @@ func benchSnapshotMode(jsonPath string, seed int64, resWorkers, campaignWorkers 
 // ISSUE 3 acceptance scenario, now with the install-phase fast-path
 // counters), the campaign-pool worker sweep (schema /3) and the Table 6
 // boot/interruption rows, plus — since schema /2 — the scenario machine's
-// metrics snapshot. The un-normalized metrics snapshot is returned
-// separately for -metrics.
-func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot, *metrics.Snapshot, error) {
+// metrics snapshot.
+func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot, error) {
 	snap := &benchSnapshot{
 		Schema:           benchSchemaV7,
 		Seed:             seed,
@@ -361,7 +359,7 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 
 	fo, m, err := experiment.MultiMySQLRecovery(seed, resWorkers, false)
 	if err != nil {
-		return nil, nil, fmt.Errorf("resurrect-parallel scenario: %w", err)
+		return nil, fmt.Errorf("resurrect-parallel scenario: %w", err)
 	}
 	rep := fo.Report
 	par := benchEntry{Name: "resurrect-parallel/mysql-x8", Metrics: map[string]float64{
@@ -396,7 +394,7 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 	// deferred its copies instead of finding nothing to speculate.
 	lfo, _, err := experiment.MultiMySQLRecovery(seed, resWorkers, true)
 	if err != nil {
-		return nil, nil, fmt.Errorf("resurrect-lazy scenario: %w", err)
+		return nil, fmt.Errorf("resurrect-lazy scenario: %w", err)
 	}
 	lrep := lfo.Report
 	lazy := benchEntry{Name: "resurrect-lazy/mysql-x8", Metrics: map[string]float64{
@@ -493,7 +491,7 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 	fcfg.Workers = resWorkers
 	fres, err := experiment.FleetRecovery(fcfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fleet-stream scenario: %w", err)
+		return nil, fmt.Errorf("fleet-stream scenario: %w", err)
 	}
 	fleet := benchEntry{Name: "fleet-stream/mixed-256", Metrics: map[string]float64{
 		"population":    float64(fres.Population),
@@ -522,7 +520,7 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 	bcfg.Workers = resWorkers
 	bres, err := experiment.FleetRecovery(bcfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fleet-batch scenario: %w", err)
+		return nil, fmt.Errorf("fleet-batch scenario: %w", err)
 	}
 	batch := benchEntry{Name: "fleet-batch/mixed-256", Metrics: map[string]float64{
 		"population": float64(bres.Population),
@@ -544,7 +542,7 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 
 	rows, err := experiment.RunTable6(seed)
 	if err != nil {
-		return nil, nil, fmt.Errorf("table 6: %w", err)
+		return nil, fmt.Errorf("table 6: %w", err)
 	}
 	for _, r := range rows {
 		m := map[string]float64{
@@ -565,11 +563,8 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 		snap.Benchmarks = append(snap.Benchmarks, benchEntry{Name: "table6/" + r.App, Metrics: m})
 	}
 
-	msnap := m.MetricsSnapshot()
-	embedded := *msnap
-	embedded.LogicalNowNS = 0 // worker-schedule-dependent; see the field doc
-	snap.Metrics = &embedded
-	return snap, msnap, nil
+	snap.Metrics = m.MetricsSnapshot()
+	return snap, nil
 }
 
 // benchDiffMode rebuilds the bench snapshot in-process with the baseline's
@@ -586,7 +581,7 @@ func benchDiffMode(path string, resWorkers, campaignWorkers int) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	cur, _, err := buildSnapshot(base.Seed, resWorkers, campaignWorkers)
+	cur, err := buildSnapshot(base.Seed, resWorkers, campaignWorkers)
 	if err != nil {
 		return err
 	}

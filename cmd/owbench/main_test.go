@@ -18,7 +18,7 @@ func TestReadSnapshotRejectsUnknownSchema(t *testing.T) {
 }
 
 // TestBuildSnapshotV7 runs the real bench scenario once and checks the /7
-// shape: the /2–/6 fields are still there (embedded metrics, normalized
+// shape: the /2–/6 fields are still there (embedded metrics with their
 // logical stamp, fast-path counters, campaign sweep, demand-paged entry with
 // the eager-vs-lazy interruption collapse, WAL data-survival audits, span
 // percentiles), the saved-bytes figure is the actual bytes avoided (bounded
@@ -28,7 +28,7 @@ func TestBuildSnapshotV7(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench scenario in -short mode")
 	}
-	snap, msnap, err := buildSnapshot(20100413, 1, 1)
+	snap, err := buildSnapshot(20100413, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +41,11 @@ func TestBuildSnapshotV7(t *testing.T) {
 	if snap.Metrics == nil || snap.Metrics.Schema != metrics.SchemaVersion {
 		t.Fatalf("embedded metrics = %+v", snap.Metrics)
 	}
-	if snap.Metrics.LogicalNowNS != 0 {
-		t.Fatalf("embedded logical_now_ns = %d, want normalized 0", snap.Metrics.LogicalNowNS)
+	if snap.Metrics.LogicalNowNS == 0 {
+		t.Fatal("embedded metrics snapshot lost its logical stamp")
 	}
 	if p := snap.Metrics.Get("resurrect_runs_total", nil); p == nil || p.Value != 1 {
 		t.Fatalf("resurrect_runs_total = %+v", p)
-	}
-	// The un-normalized snapshot for -metrics keeps the live stamp.
-	if msnap.LogicalNowNS == 0 {
-		t.Fatal("live snapshot lost its logical stamp")
 	}
 	byName := map[string]map[string]float64{}
 	for _, b := range snap.Benchmarks {
@@ -185,22 +181,27 @@ func TestBuildSnapshotV7(t *testing.T) {
 
 // TestBuildSnapshotKnobInvariance pins the /3 contract that the live
 // -campaign-workers and -resurrect-workers knobs change host wall clock
-// only: every recorded figure is a pure function of the seed.
+// only: every recorded figure, the machine clock's stamp included, is a
+// pure function of the seed.
 func TestBuildSnapshotKnobInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench scenario in -short mode")
 	}
-	a, _, err := buildSnapshot(20100413, 1, 1)
+	a, err := buildSnapshot(20100413, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := buildSnapshot(20100413, 4, 8)
+	b, err := buildSnapshot(20100413, 4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Metrics.Fingerprint() != b.Metrics.Fingerprint() {
 		t.Fatalf("metrics fingerprint depends on worker knobs: %s vs %s",
 			a.Metrics.Fingerprint(), b.Metrics.Fingerprint())
+	}
+	if a.Metrics.LogicalNowNS != b.Metrics.LogicalNowNS {
+		t.Fatalf("logical_now_ns depends on worker knobs: %d vs %d",
+			a.Metrics.LogicalNowNS, b.Metrics.LogicalNowNS)
 	}
 	if len(a.Benchmarks) != len(b.Benchmarks) {
 		t.Fatalf("benchmark count depends on worker knobs: %d vs %d",

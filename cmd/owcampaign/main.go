@@ -41,7 +41,7 @@ func main() {
 	nocrc := flag.Bool("nocrc", false, "disable record checksums (Section 4 ablation)")
 	noprotected := flag.Bool("noprotected", false, "skip the protected-mode corruption pass")
 	campaignWorkers := flag.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = NumCPU); the table, attributions and metrics are bit-identical at any width")
-	resWorkers := flag.Int("resurrect-workers", 0, "per-experiment resurrection pipeline workers (0 = NumCPU); changes only the modeled interruption time")
+	resWorkers := flag.Int("resurrect-workers", 0, "per-experiment goroutines that scan resurrection candidates (0 = NumCPU); changes host wall time only")
 	lazyInstall := flag.Bool("lazy-install", false, "demand-paged resurrection in every experiment: resume at context install, CRC-validated copy-on-access pages")
 	stream := flag.Bool("stream", false, "streaming resurrection in every experiment: SLO-tier admission and pipelined install commit instead of the batch pass")
 	indexSlots := flag.Int("index-slots", 0, "size every experiment kernel's candidate index; discovery salvages it instead of walking the full process list (0 = off)")

@@ -31,6 +31,7 @@ import (
 	"otherworld/internal/faultinject"
 	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
+	"otherworld/internal/resurrect"
 	"otherworld/internal/sched"
 	"otherworld/internal/workload"
 
@@ -43,7 +44,7 @@ func main() {
 	faults := flag.Int("faults", 30, "faults per injection burst")
 	protect := flag.Bool("protect", false, "enable user-space protection (Section 4)")
 	noharden := flag.Bool("noharden", false, "disable the Section 6 hardening fixes")
-	resWorkers := flag.Int("resurrect-workers", 0, "resurrection pipeline workers (0 = NumCPU); changes only the modeled interruption time")
+	resWorkers := flag.Int("resurrect-workers", 0, "goroutines that scan resurrection candidates (0 = NumCPU); changes host wall time only")
 	lazyInstall := flag.Bool("lazy-install", false, "demand-paged resurrection: resume at context install, CRC-validated copy-on-access pages, background sweeper")
 	fleet := flag.Int("fleet", 0, "run the fleet-recovery demo at this population instead of the single-app demo (streaming resurrection with index-assisted discovery)")
 	tierSpec := flag.String("tiers", "", "fleet tier overrides merged onto the defaults: program=tier pairs, e.g. sh=1 (default mysqld=0, apache-php=1, volano=1, sh=2)")
@@ -220,9 +221,9 @@ func run(app string, seed int64, faults int, protect, noharden bool, resWorkers 
 	acct := out.Report.Acct
 	fmt.Printf("[%s] crash kernel read %d KB of main-kernel data (%.0f%% page tables)\n",
 		m.HW.Clock, acct.KernelDataBytes()/1024, 100*acct.PageTableFraction())
-	fmt.Printf("[%s] morphed into main kernel; service interruption %.0fs (%d resurrection workers; serial model %.0fs)\n",
+	fmt.Printf("[%s] morphed into main kernel; service interruption %.0fs (modeled at %d resurrection workers; serial model %.0fs)\n",
 		m.HW.Clock, out.Interruption.Seconds(),
-		out.Report.Parallel.Workers, out.SerialInterruption.Seconds())
+		resurrect.CanonicalWorkers, out.SerialInterruption.Seconds())
 
 	if err := d.Reattach(m); err != nil {
 		return err

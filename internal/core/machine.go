@@ -188,14 +188,15 @@ type FailureOutcome struct {
 	Report *resurrect.Report
 	// Interruption is the virtual time from failure to the machine
 	// running again under the new main kernel (Table 6's third column,
-	// before any service restart costs the workload adds). It reflects
-	// the parallel schedule the resurrection engine actually modeled
-	// (Report.Parallel), so it depends on the configured worker count.
+	// before any service restart costs the workload adds). The
+	// resurrection pass inside it is the modeled schedule at
+	// resurrect.CanonicalWorkers over the full installs, so it does not
+	// depend on the configured worker count.
 	Interruption time.Duration
-	// SerialInterruption is Interruption corrected to the serial schedule
-	// model (Report.Duration): what the outage would have been with one
-	// worker. Worker-count-independent, and equal to Interruption when
-	// Workers=1. Zero when recovery did not reach resurrection.
+	// SerialInterruption is Interruption with the resurrection pass
+	// replaced by the serial schedule model (Report.Duration): what the
+	// outage would have been with one worker. Zero when recovery did not
+	// reach resurrection.
 	SerialInterruption time.Duration
 	// Trace is the dead kernel's flight-recorder ring, parsed out of raw
 	// physical memory before any recovery step touched it (nil when
@@ -210,19 +211,24 @@ type FailureOutcome struct {
 	// (nil when the model is off): rollback, tear and orphan-flush
 	// accounting for the attribution and data-survival layers.
 	DiskCrash *disk.CrashReport
+
+	// passSpan is how far the machine clock advanced during the
+	// resurrection pass, the part of Interruption the schedule models
+	// replace.
+	passSpan time.Duration
 }
 
 // InterruptionAt re-evaluates the outage at an arbitrary resurrection
 // worker count: everything outside the resurrection pass (transfer, boot,
-// morph) is serial, so the correction swaps the pass's live schedule for
-// the schedule model at the requested width. It is a pure function of
-// worker-count-independent inputs, letting tables render serial and
-// parallel columns regardless of how wide the live pool was.
+// morph) is serial, so the correction swaps the pass's clock span for the
+// schedule model of the blocked spans at the requested width. It is a pure
+// function of worker-count-independent inputs, letting tables render
+// serial and parallel columns at any width.
 func (fo *FailureOutcome) InterruptionAt(workers int) time.Duration {
 	if fo == nil || fo.Report == nil {
 		return fo.effectiveInterruption()
 	}
-	return fo.Interruption - fo.Report.Parallel.Duration + fo.Report.ScheduleAt(workers)
+	return fo.Interruption - fo.passSpan + fo.Report.ScheduleAt(workers)
 }
 
 func (fo *FailureOutcome) effectiveInterruption() time.Duration {
@@ -561,7 +567,9 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	engine.TraceRegion = ring
 	engine.IndexRegion = index
 	engine.Metrics = m.metrics
+	passStart := m.HW.Clock.Now()
 	out.Report = engine.Run(m.opts.Resurrection)
+	out.passSpan = m.HW.Clock.Since(passStart)
 
 	// Dirty pages resurrection did not flush are orphans: the drive drains
 	// them in its own (seeded) order, or loses them outright.
@@ -605,14 +613,9 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	m.Reboots++
 	out.Result = ResultRecovered
 	out.Interruption = m.HW.Clock.Since(started)
-	if out.Report != nil {
-		// Correct the live (parallel-schedule) outage to the serial model:
-		// only the resurrection pass is parallel, so the difference is
-		// exactly the pass's serial sum minus its live schedule.
-		out.SerialInterruption = out.Interruption - out.Report.Parallel.Duration + out.Report.Duration
-	} else {
-		out.SerialInterruption = out.Interruption
-	}
+	// Only the resurrection pass is parallel, so the serial outage swaps
+	// the pass's clock span for its serial sum.
+	out.SerialInterruption = out.Interruption - out.passSpan + out.Report.Duration
 	m.LastOutcome = out
 	m.FlushMetrics()
 	return out, nil

@@ -121,11 +121,6 @@ func (m *CrashModel) Arm(tear, rollback, orphan bool) {
 	m.armTear, m.armRollback, m.armOrphan = tear, rollback, orphan
 }
 
-// Armed reports the currently scheduled classes.
-func (m *CrashModel) Armed() (tear, rollback, orphan bool) {
-	return m.armTear, m.armRollback, m.armOrphan
-}
-
 // Report returns the accumulated crash report for the last failure.
 func (m *CrashModel) Report() CrashReport { return m.report }
 

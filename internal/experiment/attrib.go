@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"fmt"
 	"regexp"
 	"strings"
 
@@ -143,24 +142,4 @@ func failedPhase(pr resurrect.ProcReport) string {
 		return pr.Timeline.Last().Phase.String()
 	}
 	return ""
-}
-
-// RenderDetail formats one failure attribution for human consumption.
-func RenderDetail(d *FailureDetail) string {
-	if d == nil {
-		return "(no detail)"
-	}
-	s := d.Attribution.String()
-	if d.PanicKind != "" {
-		s += fmt.Sprintf(" [cpu%d pc=%d", d.PanicCPU, d.PanicPC)
-		if d.InSyscall {
-			s += fmt.Sprintf(" syscall=%d", d.SyscallNo)
-		}
-		s += "]"
-	}
-	if d.RingEvents > 0 || d.RingDamaged > 0 {
-		s += fmt.Sprintf(" (ring: %d events, %d damaged, %d injected, %d manifested)",
-			d.RingEvents, d.RingDamaged, d.FaultsInjected, d.Manifests)
-	}
-	return s
 }

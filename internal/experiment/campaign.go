@@ -94,9 +94,9 @@ type CampaignConfig struct {
 	// bit-identical at any width: the pool speculates ahead but commits
 	// strictly in seed order.
 	CampaignWorkers int
-	// ResurrectWorkers is the per-experiment resurrection pipeline width
-	// (0 = NumCPU). It only changes each experiment's modeled parallel
-	// interruption; every tallied outcome is identical at any width.
+	// ResurrectWorkers is how many goroutines scan each experiment's
+	// resurrection candidates (0 = NumCPU). It changes host wall time
+	// only; every tallied outcome is identical at any width.
 	ResurrectWorkers int
 	// LazyInstall runs every experiment with the demand-paged resurrection
 	// install (resume at context install, validated copy-on-access pages).

@@ -107,9 +107,9 @@ type Config struct {
 	Hardening kernel.Hardening
 	// VerifyCRC enables record checksums.
 	VerifyCRC bool
-	// ResurrectWorkers is the resurrection pipeline's worker-pool width
-	// (0 = NumCPU). The pool only changes the modeled interruption time;
-	// every other result field is byte-identical at any width.
+	// ResurrectWorkers is how many goroutines scan the resurrection
+	// candidates (0 = NumCPU). It changes host wall time only; every
+	// result field is byte-identical at any width.
 	ResurrectWorkers int
 	// LazyInstall enables the demand-paged resurrection install: processes
 	// resume as soon as their records parse, with page copies completed
@@ -377,9 +377,8 @@ func runBody(cfg Config, mp **core.Machine) Result {
 		return out
 	}
 	// Recovery happened: record the outage under both schedule models. Both
-	// are worker-count-independent (the serial correction and the canonical
-	// re-evaluation cancel the live pool width), keeping campaign output
-	// replayable from -seed alone.
+	// are worker-count-independent, keeping campaign output replayable from
+	// -seed alone.
 	out.Interruption = fo.SerialInterruption
 	out.ParallelInterruption = fo.InterruptionAt(resurrect.CanonicalWorkers)
 

@@ -14,8 +14,8 @@ import (
 // MultiMySQLRecovery crashes a machine running eight MySQL servers and
 // returns the failure outcome plus the recovered machine (its registry now
 // holds the full crash-and-resurrect trajectory) — the shared scenario
-// behind BenchmarkResurrectParallel, the owbench snapshot entries, the
-// span-plane width goldens and `owstat timeline -mysql-x8`. The servers are
+// behind the owbench snapshot entries, the span-plane width goldens and
+// `owstat timeline -app mysql-x8`. The servers are
 // warmed with real client traffic first; that matters for the fast-path
 // counters, because serving requests demand-faults each server's row arena
 // (~70 pages, almost all still zero), so the resurrection scan sees the

@@ -203,7 +203,7 @@ type Table6Row struct {
 	BootTime time.Duration
 	// Interruption is failure to workload-operational-again under the
 	// serial resurrection schedule (the paper's single-threaded prototype).
-	// Worker-count-independent regardless of the live pool width.
+	// Worker-count-independent, like every column.
 	Interruption time.Duration
 	// ParallelInterruption is the same outage under the parallel schedule
 	// model evaluated at resurrect.CanonicalWorkers.
@@ -276,18 +276,17 @@ func measureTable6Mode(app string, seed int64, lazy bool) (boot, serial, paralle
 			return 0, 0, 0, nil, fmt.Errorf("panic during recovery measurement: %v", res.Panic)
 		}
 	}
-	// The live delta reflects whatever pool width the engine ran with;
-	// correct it to the serial model and re-evaluate at the canonical
-	// width so the rendered row is machine-independent. Under the lazy
-	// install Report.Duration and ScheduleAt sum blocked-to-resume spans,
-	// so the corrected outage is time-to-resume, which is the point.
+	// The measured delta carries the pass's clock span (the full installs
+	// at the canonical width); swap it for the serial model and for the
+	// canonical schedule of the blocked spans. Under the lazy install
+	// Report.Duration and ScheduleAt sum blocked-to-resume spans, so the
+	// corrected outage is time-to-resume, which is the point.
 	measured := m.HW.Clock.Now() - failedAt
 	if fo.Report == nil {
 		return boot, measured, measured, nil, nil
 	}
-	live := fo.Report.Parallel.Duration
-	serial = measured - live + fo.Report.Duration
-	parallel = measured - live + fo.Report.ScheduleAt(resurrect.CanonicalWorkers)
+	serial = measured - fo.Interruption + fo.SerialInterruption
+	parallel = measured - fo.Interruption + fo.InterruptionAt(resurrect.CanonicalWorkers)
 	return boot, serial, parallel, fo.Report.FirstTouch, nil
 }
 

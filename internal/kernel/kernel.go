@@ -179,8 +179,8 @@ type Kernel struct {
 	// cacheRec and cachePage are the page-cache walks' reusable buffers:
 	// the record decode buffer and the frame bytes of one page. Like the
 	// frame table they have one writer at a time (the kernel's goroutine,
-	// or a commit holding the pass's mutex), and each walk copies out what
-	// it needs before the next one starts.
+	// which also runs a resurrection pass's commits), and each walk copies
+	// out what it needs before the next one starts.
 	cacheRec  []byte
 	cachePage []byte
 	// stackBuf is the kernel-stack pattern scratch (stackBuffer), under

@@ -420,10 +420,6 @@ func (k *Kernel) InjectOops(reason string) error {
 	return k.oopsf(OopsExplicit, "%s", reason)
 }
 
-// WildWriteForTest exposes the stray-store model to tests and calibration
-// harnesses.
-func (k *Kernel) WildWriteForTest() bool { return k.wildWrite() }
-
 // RaiseHangForTest wedges the kernel, as a livelock would; exposed for
 // harnesses exercising the watchdog-less stall path.
 func (k *Kernel) RaiseHangForTest() { _ = k.raise(PanicHang, "test-induced stall") }

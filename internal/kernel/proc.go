@@ -299,13 +299,3 @@ func (k *Kernel) SaveContextToStack(p *Process) error {
 	p.Ctx.Saved = true
 	return layout.WriteContext(k.M.Mem, p.D.KStack, &p.Ctx)
 }
-
-// KernelStackFrames lists the kernel-stack frames of live processes, a
-// fault-injection target set.
-func (k *Kernel) KernelStackFrames() []int {
-	var out []int
-	for _, p := range k.Procs() {
-		out = append(out, phys.FrameOf(p.D.KStack))
-	}
-	return out
-}

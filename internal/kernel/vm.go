@@ -133,13 +133,6 @@ func (k *Kernel) allocFrame(kind phys.FrameKind) (int, error) {
 	return 0, k.oopsf(OopsOOM, "out of memory: no frames and nothing to evict")
 }
 
-// AllocUserFrame allocates a user frame through the reclaim-capable path,
-// for the speculation resolver's private copies (it lives outside this
-// package and cannot reach allocFrame directly).
-func (k *Kernel) AllocUserFrame() (int, error) {
-	return k.allocFrame(phys.FrameUser)
-}
-
 // touchPage makes the page at va resident, performing demand-zero fill,
 // file-backed fill or swap-in as needed, and returns its frame.
 func (k *Kernel) touchPage(p *Process, va uint64, write bool) (int, error) {

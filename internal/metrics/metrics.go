@@ -7,8 +7,7 @@
 // The registry is built for the resurrection scan pool: integer adds under
 // one mutex are commutative, so concurrent workers produce bit-identical
 // snapshots at any pool width, the same stable-order/saturating-add
-// discipline as the engine's Accounting shards. Whole registries can also
-// be merged shard-style with Absorb.
+// discipline as the engine's Accounting shards.
 //
 // Snapshots persist across the microreboot boundary: segment.go packs them
 // into page-sized frames of internal/layout's tail codec, the last part of
@@ -121,14 +120,6 @@ type metric struct {
 	overflow int64   // observations above the last bound
 	sum      int64
 	count    int64
-}
-
-func (m *metric) clone() *metric {
-	c := *m
-	c.bounds = append([]int64(nil), m.bounds...)
-	c.buckets = append([]int64(nil), m.buckets...)
-	c.pairs = append([]labelPair(nil), m.pairs...)
-	return &c
 }
 
 // Registry holds a set of metrics under one mutex. A nil *Registry is a
@@ -330,64 +321,6 @@ func satAdd(a, b int64) int64 {
 		return math.MinInt64
 	}
 	return a + b
-}
-
-// Absorb folds a donor registry into r shard-style: counters and histogram
-// cells add (saturating), gauges keep the maximum, the logical clock keeps
-// the later stamp. The donor is read under its own lock first (never
-// nested with r's), and the fold visits donors in sorted-id order; since
-// every combining operator is commutative and associative, any absorb
-// order over disjoint shards produces the same registry. Kind or bound
-// conflicts count on r.conflicts and skip the series.
-func (r *Registry) Absorb(o *Registry) {
-	if r == nil || o == nil || r == o {
-		return
-	}
-	o.mu.Lock()
-	donors := make([]*metric, 0, len(o.by))
-	for _, m := range o.by {
-		donors = append(donors, m.clone())
-	}
-	donorConflicts := o.conflicts
-	donorNow := o.logicalNow
-	o.mu.Unlock()
-	sort.Slice(donors, func(i, j int) bool { return donors[i].id < donors[j].id })
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.conflicts = satAdd(r.conflicts, donorConflicts)
-	if donorNow > r.logicalNow {
-		r.logicalNow = donorNow
-	}
-	for _, d := range donors {
-		m := r.by[d.id]
-		if m == nil {
-			r.by[d.id] = d
-			continue
-		}
-		if m.kind != d.kind || (d.kind == KindHistogram && !equalBounds(m.bounds, d.bounds)) {
-			r.conflicts++
-			continue
-		}
-		switch d.kind {
-		case KindCounter:
-			m.value = satAdd(m.value, d.value)
-		case KindGauge:
-			if d.gauge > m.gauge {
-				m.gauge = d.gauge
-			}
-		case KindHistogram:
-			for i := range m.buckets {
-				m.buckets[i] = satAdd(m.buckets[i], d.buckets[i])
-			}
-			m.overflow = satAdd(m.overflow, d.overflow)
-			m.sum = satAdd(m.sum, d.sum)
-			m.count = satAdd(m.count, d.count)
-		}
-		if m.help == "" {
-			m.help = d.help
-		}
-	}
 }
 
 // Conflicts returns how many mismatched registrations or merges were

@@ -122,67 +122,12 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Gauge("g", "", nil).Set(1)
 	r.Histogram("h", "", []int64{1}, nil).Observe(1)
 	r.SetNow(5)
-	r.Absorb(NewRegistry())
 	if got := r.Conflicts(); got != 0 {
 		t.Fatalf("nil conflicts = %d", got)
 	}
 	s := r.Snapshot()
 	if s == nil || s.Schema != SchemaVersion || len(s.Points) != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
-	}
-}
-
-// shardFill writes a deterministic per-shard slice of work, mimicking the
-// per-worker registries of the resurrection scan pool.
-func shardFill(r *Registry, shard int) {
-	r.SetNow(int64(1000 * (shard + 1)))
-	r.Counter("pages_total", "", Labels{"shard": "all"}).Add(int64(10 * (shard + 1)))
-	r.Gauge("high_water", "", nil).Set(float64(shard))
-	h := r.Histogram("size", "", []int64{10, 100}, nil)
-	h.Observe(int64(shard))
-	h.Observe(int64(shard * 50))
-}
-
-func TestAbsorbOrderIndependent(t *testing.T) {
-	mk := func(order []int) *Snapshot {
-		root := NewRegistry()
-		shards := make([]*Registry, 4)
-		for i := range shards {
-			shards[i] = NewRegistry()
-			shardFill(shards[i], i)
-		}
-		for _, i := range order {
-			root.Absorb(shards[i])
-		}
-		return root.Snapshot()
-	}
-	a := mk([]int{0, 1, 2, 3})
-	b := mk([]int{3, 1, 0, 2})
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("absorb order changed the snapshot:\n%s\nvs\n%s", a.Fingerprint(), b.Fingerprint())
-	}
-	if a.LogicalNowNS != 4000 {
-		t.Fatalf("logical now should keep the max: %d", a.LogicalNowNS)
-	}
-	if g := a.Get("high_water", nil); g.Gauge != 3 {
-		t.Fatalf("gauge should keep the max: %v", g.Gauge)
-	}
-	if c := a.Get("pages_total", Labels{"shard": "all"}); c.Value != 100 {
-		t.Fatalf("counter fold = %d, want 100", c.Value)
-	}
-}
-
-func TestAbsorbConflictSkips(t *testing.T) {
-	root := NewRegistry()
-	root.Counter("m", "", nil).Add(1)
-	donor := NewRegistry()
-	donor.Gauge("m", "", nil).Set(9)
-	root.Absorb(donor)
-	if got := root.Snapshot().Get("m", nil); got.Kind != "counter" || got.Value != 1 {
-		t.Fatalf("conflicting absorb corrupted series: %+v", got)
-	}
-	if got := root.Conflicts(); got != 1 {
-		t.Fatalf("conflicts = %d", got)
 	}
 }
 
@@ -363,7 +308,7 @@ func TestDiff(t *testing.T) {
 func TestFingerprintExcludesLogicalNow(t *testing.T) {
 	a := sampleRegistry()
 	b := sampleRegistry()
-	b.SetNow(999999) // worker-count-dependent clock must not enter the pin
+	b.SetNow(999999) // the snapshot instant must not enter the pin
 	if a.Snapshot().Fingerprint() != b.Snapshot().Fingerprint() {
 		t.Fatal("fingerprint leaked the logical clock")
 	}

@@ -45,11 +45,11 @@ func (p Point) ID() string {
 // Snapshot is a deep, sorted copy of a registry at one logical instant.
 type Snapshot struct {
 	Schema string `json:"schema"`
-	// LogicalNowNS is the virtual clock at snapshot time. It is part of
-	// the snapshot but excluded from Fingerprint: after a recovery the
-	// machine clock reflects the live parallel schedule, which is the one
-	// legitimately worker-count-dependent quantity (exactly like
-	// resurrect.Report excluding ParallelStats from its fingerprint).
+	// LogicalNowNS is the virtual clock at snapshot time. It is the same
+	// at any resurrection pool width, since a pass advances the clock by
+	// its schedule at resurrect.CanonicalWorkers, but Fingerprint leaves it
+	// out: a fingerprint pins the series, and tests that pin the clock
+	// compare the stamp itself.
 	LogicalNowNS int64   `json:"logical_now_ns"`
 	Points       []Point `json:"metrics"`
 }
@@ -140,8 +140,8 @@ func formatGauge(v float64) string {
 
 // Fingerprint renders the snapshot as a stable text form for golden
 // pinning: one line per series in sorted order. LogicalNowNS is excluded —
-// see the field's comment — so the fingerprint is bit-identical at any
-// resurrection pool width.
+// the fingerprint pins what was measured, not the instant of the snapshot;
+// see the field's comment.
 func (s *Snapshot) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schema=%s\n", s.Schema)

@@ -121,7 +121,7 @@ type Mem struct {
 	// kernel-internal fast path, and the counters model the explicit
 	// memory bus traffic only. The counters are plain fields with the
 	// frame table's one-writer rule: only the goroutine that owns the
-	// machine, or a resurrection commit holding the pass's mutex, counts
+	// machine, which also runs a resurrection pass's commits, counts
 	// here. Each resurrection scan worker counts in its own View, which
 	// the pass folds back with Absorb in commit order.
 	stats Stats
@@ -144,9 +144,10 @@ const sectorsPerFrame = PageSize / sectorSize
 // sectors and page are never replaced or dropped.
 //
 // Sectors are added without a lock because a Mem and its views have one
-// writer at a time. During a streamed resurrection pass the scan workers
-// only read, and the commits, the only writers, run one at a time under
-// the pass's mutex. The campaign pool gives each worker its own machine.
+// writer at a time. During a resurrection pass the scan workers only read,
+// and the commits, the only writers, run one at a time on the machine's
+// goroutine once every scan has finished. The campaign pool gives each
+// worker its own machine.
 type frame struct {
 	sec  [sectorsPerFrame]*[sectorSize]byte
 	page *[PageSize]byte

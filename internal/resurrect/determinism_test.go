@@ -54,16 +54,31 @@ func recoverOutcome(t *testing.T, m *core.Machine) *core.FailureOutcome {
 	return out
 }
 
+// requireSameClock fails unless two recoveries of one scenario, at pool
+// widths 1 and 8, left the same outage, machine clock and metrics stamp:
+// the pool width sets how many goroutines scan, never the modeled clock.
+func requireSameClock(t *testing.T, m1, m8 *core.Machine, out1, out8 *core.FailureOutcome) {
+	t.Helper()
+	if out1.Interruption != out8.Interruption {
+		t.Errorf("interruption depends on the pool width: %v at 1, %v at 8", out1.Interruption, out8.Interruption)
+	}
+	if c1, c8 := m1.HW.Clock.Now(), m8.HW.Clock.Now(); c1 != c8 {
+		t.Errorf("machine clock depends on the pool width: %v at 1, %v at 8", c1, c8)
+	}
+	if s1, s8 := m1.MetricsSnapshot().LogicalNowNS, m8.MetricsSnapshot().LogicalNowNS; s1 != s8 {
+		t.Errorf("metrics stamp depends on the pool width: %d at 1, %d at 8", s1, s8)
+	}
+}
+
 // TestDeterminismAcrossWorkers is the tentpole invariant: the entire Report
 // — candidates, per-process timelines, Table 4 accounting, per-candidate
-// durations — must be byte-identical whether the
-// scan ran on one worker or eight. Only Parallel (the live schedule) may
-// differ. The Workers=1 fingerprint is additionally golden-compared so an
-// accidental change to the serial semantics cannot hide behind the
-// 1-vs-8 equality.
+// durations — and the machine clock must be identical whether the scan ran
+// on one worker or eight. The Workers=1 fingerprint is additionally
+// golden-compared so an accidental change to the serial semantics cannot
+// hide behind the 1-vs-8 equality.
 func TestDeterminismAcrossWorkers(t *testing.T) {
-	out1 := recoverOutcome(t, multiMySQLMachine(t, 1))
-	out8 := recoverOutcome(t, multiMySQLMachine(t, 8))
+	m1, m8 := multiMySQLMachine(t, 1), multiMySQLMachine(t, 8)
+	out1, out8 := recoverOutcome(t, m1), recoverOutcome(t, m8)
 	rep1, rep8 := out1.Report, out8.Report
 
 	fp1, fp8 := rep1.Fingerprint(), rep8.Fingerprint()
@@ -74,25 +89,19 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatalf("accounting differs:\nw1: %v\nw8: %v", rep1.Acct.ByCategory, rep8.Acct.ByCategory)
 	}
 
-	// Live-schedule invariants: one worker means serial == parallel; eight
-	// workers must report the width it ran at and a shorter critical path.
-	if rep1.Parallel.Workers != 1 || rep8.Parallel.Workers != 8 {
-		t.Fatalf("pool widths = %d, %d", rep1.Parallel.Workers, rep8.Parallel.Workers)
-	}
-	if rep1.Parallel.Duration != rep1.Duration {
-		t.Fatalf("Workers=1: live schedule %v != serial model %v", rep1.Parallel.Duration, rep1.Duration)
-	}
-	if rep8.Parallel.Duration >= rep1.Parallel.Duration {
-		t.Fatalf("Workers=8 schedule %v not faster than Workers=1 %v", rep8.Parallel.Duration, rep1.Parallel.Duration)
-	}
-
-	// The corrected interruptions are worker-count-independent.
+	// The clock advances by the canonical-width schedule at any pool
+	// width; for an eager pass the installs are the blocked spans, so the
+	// outage is exactly the canonical model.
+	requireSameClock(t, m1, m8, out1, out8)
 	if out1.SerialInterruption != out8.SerialInterruption {
 		t.Fatalf("serial interruption differs: %v vs %v", out1.SerialInterruption, out8.SerialInterruption)
 	}
 	c := resurrect.CanonicalWorkers
 	if out1.InterruptionAt(c) != out8.InterruptionAt(c) {
 		t.Fatalf("canonical interruption differs: %v vs %v", out1.InterruptionAt(c), out8.InterruptionAt(c))
+	}
+	if out1.Interruption != out1.InterruptionAt(c) {
+		t.Fatalf("eager interruption %v is not the canonical model %v", out1.Interruption, out1.InterruptionAt(c))
 	}
 
 	golden := filepath.Join("testdata", "fingerprint_mysql_x8.golden")

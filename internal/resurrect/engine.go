@@ -84,9 +84,6 @@ func (a *Accounting) KernelDataBytes() int64 {
 	return n
 }
 
-// PageTableBytes returns the page-table portion.
-func (a *Accounting) PageTableBytes() int64 { return a.ByCategory[CatPageTable] }
-
 // PageTableFraction returns page-table bytes over kernel-data bytes.
 func (a *Accounting) PageTableFraction() float64 {
 	total := a.KernelDataBytes()
@@ -143,10 +140,10 @@ type Config struct {
 	All bool
 	// Names lists process names to resurrect when All is false.
 	Names []string
-	// Workers is the scan-pool width (0 = NumCPU). Parallelism never
-	// changes the Report, the Accounting, the new kernel's state or any
-	// rendered table — only the live schedule the machine clock models;
-	// see Report.Fingerprint and ScheduleAt.
+	// Workers is how many host goroutines scan candidates (0 = NumCPU).
+	// It changes host wall time only: the Report, the Accounting, the new
+	// kernel's state and the machine clock are the same at any width (see
+	// Report.Fingerprint and CanonicalWorkers).
 	Workers int
 	// Stream enables streaming resurrection: candidates are admitted in
 	// SLO-tier order through a deterministic priority queue (internal/
@@ -155,7 +152,8 @@ type Config struct {
 	// resumes as soon as its own scan and commit are done instead of
 	// waiting for the whole batch's scan barrier. Off (the default) commits
 	// in discovery order and models the classic scan-then-install batch:
-	// round-robin shards, a scan barrier, then serial installs.
+	// round-robin shards, a scan barrier, then serial installs. Either way
+	// the host scans every candidate before the first commit.
 	Stream bool
 	// Tiers maps a program name to its admission tier (0 critical … 2
 	// batch) when streaming; programs not listed get DefaultTier. Lookup
@@ -289,9 +287,8 @@ type Report struct {
 	//owvet:sealed
 	Acct Accounting
 	// Duration is the virtual time of the *serial* schedule: prologue
-	// plus the sum of every candidate's scan+install time. It does not
-	// depend on Config.Workers (the live parallel schedule is in
-	// Parallel), so campaigns stay replayable at any pool width.
+	// plus the sum of every candidate's scan+install time. Like every
+	// field of the report it does not depend on Config.Workers.
 	Duration time.Duration
 	// Prologue is the serial lead-in before candidates fan out: trace
 	// salvage, candidate listing, swap-table resolution.
@@ -306,10 +303,11 @@ type Report struct {
 	// both). Width-independent like PerCandidate.
 	PerScan    []time.Duration
 	PerInstall []time.Duration
-	// Streamed records that this pass ran the streaming (admission-
-	// scheduled, pipelined-commit) path; Tiers is then each candidate's
-	// admission tier, aligned with Procs. Both are fingerprinted only for
-	// streamed passes, so classic-path goldens are untouched.
+	// Streamed records that this pass committed in admission order and is
+	// modeled with pipelined commits (sched.Pipeline); Tiers is then each
+	// candidate's admission tier, aligned with Procs. Both are
+	// fingerprinted only for streamed passes, so classic-path goldens are
+	// untouched.
 	Streamed bool
 	Tiers    []int
 	// IndexUsed / IndexSkipped report index-assisted discovery: entries
@@ -320,10 +318,6 @@ type Report struct {
 	IndexUsed     int
 	IndexSkipped  int
 	IndexFallback string
-	// Parallel is the live schedule this pass actually executed. It is
-	// the only worker-count-dependent block in the report and is
-	// excluded from Fingerprint.
-	Parallel ParallelStats
 	// FirstTouch collects each demand-fault stall a resumed process paid on
 	// first touch of a speculated page (lazy install only), in touch order.
 	// Touches happen on the serial post-resume execution path, so the slice
@@ -482,14 +476,13 @@ func (e *Engine) MainSwapDevice() (devName string, err error) {
 // memory available (AddFreeFrames).
 //
 // After a serial prologue (trace salvage, discovery, swap resolution), the
-// selected candidates run through the one scan/commit loop (stream.go) over
-// cfg.Workers goroutines: in discovery order for a batch pass, which
-// commits only after every scan, and in SLO-tier admission order for a
-// streamed one, which commits as scans finish. The machine clock then
-// advances by the pass's modeled schedule at the live width
+// selected candidates are scanned over cfg.Workers goroutines and then
+// committed one at a time (stream.go): in discovery order for a batch pass
+// and in SLO-tier admission order for a streamed one. The machine clock
+// then advances by the pass's modeled schedule at CanonicalWorkers
 // (Report.ScheduleAt's model, over the full installs) while
-// Report.Duration keeps the serial sum, so every recorded number is
-// identical at any worker count.
+// Report.Duration keeps the serial sum, so the clock and every recorded
+// number are identical at any worker count.
 func (e *Engine) Run(cfg Config) *Report {
 	start := e.K.M.Clock.Now()
 	rep := &Report{Acct: Accounting{ByCategory: e.acct.ByCategory}}
@@ -505,7 +498,6 @@ func (e *Engine) Run(cfg Config) *Report {
 		// Anchor corrupt: every selected process fails.
 		rep.Duration = e.K.M.Clock.Since(start)
 		rep.Prologue = rep.Duration
-		rep.Parallel = ParallelStats{Workers: 1, Duration: rep.Duration}
 		e.publish(rep)
 		return rep
 	}
@@ -529,17 +521,15 @@ func (e *Engine) Run(cfg Config) *Report {
 		order, rep.Tiers = admissionOrder(cfg, selected)
 		rep.Streamed = true
 	}
-	workers := cfg.effectiveWorkers(len(order))
 	rep.Prologue = e.K.M.Clock.Since(start)
-	e.runPass(rep, order, workers, mainSwap)
+	e.runPass(rep, order, cfg.effectiveWorkers(len(order)), mainSwap)
 	// The machine advances by the modeled schedule over the *full* installs
 	// — lazy or not, the install work all happened — while Duration sums
 	// only the blocked spans, the per-process interruption the paper's
 	// tables measure. The serial morph epilogue is charged by core after
 	// Run returns.
-	_, makespan := rep.scheduleAt(workers, rep.PerInstall)
+	_, makespan := rep.scheduleAt(CanonicalWorkers, rep.PerInstall)
 	e.K.M.Clock.Advance(makespan)
-	rep.Parallel = ParallelStats{Workers: workers, Duration: e.K.M.Clock.Since(start)}
 	e.publish(rep)
 	return rep
 }
@@ -563,10 +553,10 @@ func (a *Accounting) absorb(s *Accounting) {
 	}
 }
 
-// Fingerprint renders every worker-count-independent part of the report as
-// a deterministic string: the determinism tests assert it is byte-identical
-// at Workers=1 and Workers=N. Parallel (the live schedule) and Trace (the
-// dead ring, compared separately) are deliberately excluded.
+// Fingerprint renders the report as a deterministic string: the
+// determinism tests assert it is byte-identical at Workers=1 and
+// Workers=N. Trace (the dead ring, compared separately) and the fields
+// whose comments say so are excluded.
 func (r *Report) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "candidates=%d\n", len(r.Candidates))

@@ -112,15 +112,6 @@ func (ls *lazyState) register(pid uint32, pg *pagePlan) {
 	}
 }
 
-// outstanding returns how many speculated pages are still unresolved.
-func (ls *lazyState) outstanding() int {
-	n := 0
-	for _, byVA := range ls.pages {
-		n += len(byVA)
-	}
-	return n
-}
-
 // takeFallback consumes the recorded fallback reason for pid, if any.
 func (ls *lazyState) takeFallback(pid uint32) (string, bool) {
 	reason, ok := ls.fallbacks[pid]

@@ -249,10 +249,11 @@ func lazyMySQLMachine(t *testing.T, workers int) *core.Machine {
 }
 
 // TestLazyDeterminismAcrossWorkers extends the tentpole invariant to the
-// demand-paged install: the Report fingerprint, the Table 4 accounting and
-// the full metrics snapshot must be bit-identical at Workers=1 and
-// Workers=8 with -lazy-install. The Workers=1 fingerprint is
-// golden-pinned separately from the eager one.
+// demand-paged install: the Report fingerprint, the Table 4 accounting, the
+// full metrics snapshot and the machine clock must be identical at
+// Workers=1 and Workers=8 with -lazy-install. The clock counts the full
+// installs, so the outage is not InterruptionAt here. The Workers=1
+// fingerprint is golden-pinned separately from the eager one.
 func TestLazyDeterminismAcrossWorkers(t *testing.T) {
 	m1 := lazyMySQLMachine(t, 1)
 	m8 := lazyMySQLMachine(t, 8)
@@ -278,6 +279,7 @@ func TestLazyDeterminismAcrossWorkers(t *testing.T) {
 	if mfp1, mfp8 := m1.MetricsSnapshot().Fingerprint(), m8.MetricsSnapshot().Fingerprint(); mfp1 != mfp8 {
 		t.Fatalf("metrics fingerprint differs between Workers=1 and Workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s", mfp1, mfp8)
 	}
+	requireSameClock(t, m1, m8, out1, out8)
 
 	golden := filepath.Join("testdata", "fingerprint_mysql_x8_lazy.golden")
 	if *update {

@@ -23,8 +23,8 @@ var (
 // publish records a finished pass into the engine's registry. Everything
 // observed here is worker-count-independent by construction — it is all
 // derived from the Report's fingerprinted fields (Procs, Timeline,
-// PerCandidate, Acct), never from the live parallel schedule — so the
-// snapshot stays bit-identical at any pool width.
+// PerCandidate, Acct), never from the goroutine pool — so the snapshot
+// stays bit-identical at any pool width.
 //
 // This is the ledger's seal point: after it runs, the sealed accounting
 // (Engine.acct, Report.Acct) is part of the published fingerprint and must

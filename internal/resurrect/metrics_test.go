@@ -15,9 +15,9 @@ import (
 // counterpart of TestDeterminismAcrossWorkers: the full machine snapshot —
 // phys bus traffic, kernel perf, trace tallies and every resurrect series
 // the pool wrote concurrently — must be bit-identical at Workers 1/2/4/8.
-// Only LogicalNowNS may differ (the post-recovery clock reflects the live
-// parallel schedule), which is exactly why Fingerprint excludes it. The
-// Workers=1 fingerprint is golden-pinned next to fingerprint_mysql_x8.
+// Fingerprint leaves out LogicalNowNS, which TestDeterminismAcrossWorkers
+// compares itself. The Workers=1 fingerprint is golden-pinned next to
+// fingerprint_mysql_x8.
 func TestMetricsSnapshotDeterministicAcrossWorkers(t *testing.T) {
 	fps := make(map[int]string)
 	for _, w := range []int{1, 2, 4, 8} {

@@ -7,12 +7,13 @@ import (
 	"otherworld/internal/sched"
 )
 
-// CanonicalWorkers is the worker count every *rendered* parallel number is
-// derived at (Table 6's parallel column, the campaign's mean-interruption
-// column, owbench snapshots). The live engine may fan out over any number
-// of goroutines — NumCPU by default — but reported schedules are always
-// re-evaluated at this fixed width through Report.ScheduleAt, so output is
-// identical on a 2-core CI runner and a 64-core workstation.
+// CanonicalWorkers is the modeled scan width: Engine.Run advances the
+// machine clock by the pass's schedule at this width, and every *rendered*
+// parallel number is derived at it (Table 6's parallel column, the
+// campaign's mean-interruption column, owbench snapshots). The engine may
+// scan over any number of host goroutines — NumCPU by default — without
+// moving the clock or any output, so a 2-core CI runner and a 64-core
+// workstation agree.
 const CanonicalWorkers = 4
 
 // effectiveWorkers resolves the configured worker count: 0 (or negative)
@@ -32,23 +33,9 @@ func (c Config) effectiveWorkers(candidates int) int {
 	return w
 }
 
-// ParallelStats describes the live parallel schedule one Run executed: how
-// wide the pool was and what the modeled wall-clock of that schedule is.
-// Everything here depends on Config.Workers, which is why the determinism
-// fingerprint (Report.Fingerprint) excludes this block — the rest of the
-// Report must be byte-identical at Workers=1 and Workers=N.
-type ParallelStats struct {
-	// Workers is the resolved pool width this pass ran with.
-	Workers int
-	// Duration is the virtual time the whole pass consumed at this width:
-	// serial prologue + the modeled schedule's makespan. This is what the
-	// machine clock advanced during Run.
-	Duration time.Duration
-}
-
 // scheduleAt is the pass's modeled schedule at the given width, over each
 // candidate's scan followed by the given install span (the full install for
-// the live clock, the blocked one for ScheduleAt; nil schedules the scans
+// the machine clock, the blocked one for ScheduleAt; nil schedules the scans
 // alone). It is the one place a pass picks its dispatch rule: a streamed
 // pass dispatches scans to the earliest-free worker and commits installs
 // behind the commit cursor (sched.Pipeline); a batch pass runs candidate
@@ -84,7 +71,7 @@ func (r *Report) SlotsAt(workers int) []sched.Slot {
 // count without re-running anything: serial prologue plus the makespan of
 // the stored blocked spans under the pass's dispatch rule. It is a pure
 // function of worker-count-independent inputs, so tables can render a
-// parallel column at CanonicalWorkers no matter how wide the live pool was.
+// parallel column at CanonicalWorkers no matter how many goroutines scanned.
 func (r *Report) ScheduleAt(workers int) time.Duration {
 	_, makespan := r.scheduleAt(workers, r.blockedSpans())
 	return r.Prologue + makespan

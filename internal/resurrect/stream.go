@@ -12,12 +12,14 @@ package resurrect
 //   - The commit order is discovery order for a batch pass. A streamed
 //     pass (Config.Stream) orders candidates by SLO tier, tier-0 critical
 //     first, through the deterministic priority queue in internal/sched.
-//   - Workers claim candidates through a cursor, scan concurrently, then
-//     commit — classify + install — one at a time in commit order: a
-//     streamed pass behind the cursor as scans finish, a batch pass after
-//     its scan barrier. Commits execute in that fixed order with shared
-//     classification state, so the report is bit-identical at any width;
-//     only the modeled schedule (Report.ScheduleAt) depends on it.
+//   - Workers claim candidates through a cursor and scan concurrently.
+//     Once every scan is done, the calling goroutine commits — classify +
+//     install — one candidate at a time in commit order, batch and streamed
+//     passes alike. No scan can read a frame a commit wrote, and the
+//     commits share classification state in a fixed order, so the report
+//     and the new kernel are the same at any width. A streamed pass's
+//     pipelined commit is the schedule model (sched.Pipeline), not the
+//     host's execution order.
 
 import (
 	"sort"
@@ -112,10 +114,10 @@ func admissionOrder(cfg Config, selected []Candidate) ([]Candidate, []int) {
 	return adm, tiers
 }
 
-// runPass scans and commits the candidates in order over a pool of workers
-// and fills rep with everything but the schedule (Run already completed
-// discovery and selection, set rep.Streamed, and advances the clock
-// afterwards).
+// runPass scans the candidates over a pool of workers, then commits them in
+// order, and fills rep with everything but the schedule (Run already
+// completed discovery and selection, set rep.Streamed, and advances the
+// clock afterwards).
 func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *disk.BlockDevice) {
 	n := len(order)
 
@@ -136,43 +138,15 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 
 	// Workers claim candidates in order through the cursor and scan
 	// concurrently (read-only, per-candidate accounting shard and phys.Mem
-	// view). Each plan is then committed — classified and installed — in
-	// strict commit order. The commit is the only serialized section, and
-	// it is serialized *in a fixed order*, so every mutation of the new
-	// kernel and every shared classification decision is a pure function
-	// of the candidate order.
+	// view). Every scan reads the dead image before the first commit writes
+	// into the dead kernel's free frames, which a corrupted page-table entry
+	// may name.
 	plans := make([]*plan, n)
 	accts := make([]*Accounting, n)
 	views := make([]*phys.Mem, n)
-	procs := make([]ProcReport, n)
-	perScan := make([]time.Duration, n)
-	perInstall := make([]time.Duration, n)
-	perCand := make([]time.Duration, n)
-	ctx := e.newClassifyCtx()
-	commitOne := func(i int) {
-		pl := plans[i]
-		e.classifyPlan(pl, ctx)
-		m0 := scratch.Now()
-		pl.resumeClock = -1
-		procs[i] = e.installOne(pl)
-		inst := scratch.Since(m0)
-		perScan[i] = pl.scanDur
-		perInstall[i] = inst
-		perCand[i] = pl.scanDur + inst
-		if pl.resumeClock >= 0 {
-			// Lazy candidate: blocked only until context install.
-			perCand[i] = pl.scanDur + (pl.resumeClock - m0)
-		}
-	}
-	// A streamed pass commits behind the cursor while later scans are still
-	// running. A batch pass keeps its scan barrier: every scan reads the
-	// dead image before the first install writes into the dead kernel's
-	// free frames, which a corrupted page-table entry may name.
 	var (
 		mu     sync.Mutex
-		cond   = sync.NewCond(&mu)
 		cursor int
-		commit int
 	)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -193,26 +167,33 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 				views[i] = e.K.M.Mem.View()
 				sc := e.newScanner(accts[i], views[i], mainSwap)
 				plans[i] = sc.scanOne(order[i])
-				if !rep.Streamed {
-					continue
-				}
-
-				mu.Lock()
-				for commit != i {
-					cond.Wait()
-				}
-				commitOne(i)
-				commit++
-				cond.Broadcast()
-				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if !rep.Streamed {
-		for i := range plans {
-			commitOne(i)
+
+	// Each plan is committed — classified and installed — in strict commit
+	// order, so every mutation of the new kernel and every shared
+	// classification decision is a pure function of the candidate order.
+	procs := make([]ProcReport, n)
+	perScan := make([]time.Duration, n)
+	perInstall := make([]time.Duration, n)
+	perCand := make([]time.Duration, n)
+	ctx := e.newClassifyCtx()
+	for i, pl := range plans {
+		e.classifyPlan(pl, ctx)
+		m0 := scratch.Now()
+		pl.resumeClock = -1
+		procs[i] = e.installOne(pl)
+		inst := scratch.Since(m0)
+		perScan[i] = pl.scanDur
+		perInstall[i] = inst
+		perCand[i] = pl.scanDur + inst
+		if pl.resumeClock >= 0 {
+			// Lazy candidate: blocked only until context install.
+			perCand[i] = pl.scanDur + (pl.resumeClock - m0)
 		}
+		plans[i] = nil // its page data is installed; let it go
 	}
 	e.K.M.Clock = liveClock
 	e.shmBuf = nil // a lazy engine outlives the pass; its commit buffer need not
