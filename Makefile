@@ -100,10 +100,11 @@ bench-test:
 
 # bench-diff re-measures the perf-trajectory scenarios at the checked-in
 # snapshot's seed and fails on any modeled-time metric regressing more
-# than 10% against BENCH_10.json (the fleet streaming baseline — the gate
-# covers the per-tier first-resume and discovery-prologue columns too).
+# than 10% against BENCH_24.json (the one-outage Table 5 and 6 baseline —
+# the gate covers the eager, lazy and fleet columns, the per-tier
+# first-resume and discovery-prologue ones included).
 bench-diff: build
-	$(GO) run ./cmd/owbench -bench-diff BENCH_10.json
+	$(GO) run ./cmd/owbench -bench-diff BENCH_24.json
 
 campaign:
 	$(GO) run ./cmd/owcampaign -n 100

@@ -23,7 +23,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"time"
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
@@ -47,7 +46,7 @@ func main() {
 	seed := flag.Int64("seed", 20100413, "seed")
 	showTrace := flag.Bool("trace", false, "print table-5 failure attributions from the flight recorder")
 	traceJSON := flag.String("trace-json", "", "write table-5 failure attributions as JSON to this file")
-	resWorkers := flag.Int("resurrect-workers", 0, "goroutines that scan resurrection candidates in campaigns (0 = NumCPU); changes host wall time only")
+	resWorkers := flag.Int("resurrect-workers", 0, "goroutines that scan resurrection candidates in the 8xMySQL and fleet scenarios (0 = NumCPU); changes host wall time only")
 	campaignWorkers := flag.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = NumCPU); results and published figures are identical at any width")
 	lazyInstall := flag.Bool("lazy-install", false, "run the table campaigns with demand-paged resurrection (the bench snapshot always measures both modes)")
 	benchDiff := flag.String("bench-diff", "", "rebuild the bench snapshot and fail if any modeled-time metric regressed >10% against this baseline BENCH_N.json")
@@ -141,21 +140,17 @@ func main() {
 	if run(5) {
 		fmt.Printf("== Table 5: resurrection experiments (%d faulted runs/app; paper used 400)\n", *n)
 		cfg := experiment.DefaultCampaign(*n, *seed)
-		cfg.ResurrectWorkers = *resWorkers
 		cfg.CampaignWorkers = *campaignWorkers
 		cfg.LazyInstall = *lazyInstall
-		rows, stats := experiment.RunTable5Campaign(cfg)
+		rows := experiment.RunTable5(cfg)
 		fmt.Print(experiment.RenderTable5(rows))
-		fmt.Printf("campaign schedule: %d experiments, %v of modeled work; %v at %d workers (%.2fx, %.0f%% pool occupancy)\n",
-			stats.Experiments, stats.TotalWork.Round(time.Second),
-			stats.Makespan.Round(time.Second), experiment.CanonicalCampaignWorkers,
-			stats.SpeedupAt(experiment.CanonicalCampaignWorkers), 100*stats.Occupancy)
 		for _, w := range experiment.Shortfalls(rows) {
 			fmt.Fprintln(os.Stderr, "owbench: warning: undershoot:", w)
 		}
 		faulted, discarded, structCorrupt := experiment.Totals(rows)
-		fmt.Printf("\ndiscarded no-fault runs: %d (%.0f%%); kernel-structure corruption: %d of %d\n\n",
-			discarded, 100*float64(discarded)/float64(faulted+discarded), structCorrupt, faulted)
+		fmt.Printf("\ndiscarded no-fault runs: %d (%s); kernel-structure corruption: %d of %d\n\n",
+			discarded, experiment.Percent(float64(discarded)/float64(faulted+discarded), faulted+discarded, 0),
+			structCorrupt, faulted)
 		if *showTrace {
 			fmt.Println("failure attributions (from the crash-surviving flight recorder):")
 			for _, r := range experiment.TopReasons(rows) {
@@ -276,8 +271,8 @@ type benchSnapshot struct {
 	// CanonicalWorkers is the fixed width parallel columns render at.
 	CanonicalWorkers int `json:"canonical_workers"`
 	// CampaignWorkers is the -campaign-workers knob; like ResurrectWorkers
-	// it cannot change any metric below — the campaign sweep is quoted
-	// from the modeled schedule, not the live pool.
+	// it cannot change any metric below — the campaign pool commits in
+	// seed order at any width.
 	CampaignWorkers int          `json:"campaign_workers,omitempty"`
 	Benchmarks      []benchEntry `json:"benchmarks"`
 	// Metrics is the bench scenario machine's final metrics snapshot,
@@ -343,11 +338,10 @@ func benchSnapshotMode(jsonPath string, seed int64, resWorkers, campaignWorkers 
 }
 
 // buildSnapshot measures the perf-trajectory scenarios and assembles the
-// BENCH_N snapshot: the multi-process parallel-resurrection sweep (the
-// ISSUE 3 acceptance scenario, now with the install-phase fast-path
-// counters), the campaign-pool worker sweep (schema /3) and the Table 6
-// boot/interruption rows, plus — since schema /2 — the scenario machine's
-// metrics snapshot.
+// BENCH_N snapshot: the multi-process parallel-resurrection sweep (with the
+// install-phase fast-path counters), a small vi campaign's interruption
+// percentiles, the WAL data-survival audits, the fleet pair and the Table 6
+// boot/interruption rows, plus the scenario machine's metrics snapshot.
 func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot, error) {
 	snap := &benchSnapshot{
 		Schema:           benchSchemaV7,
@@ -424,26 +418,18 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 	}
 	snap.Benchmarks = append(snap.Benchmarks, lazy)
 
-	// The campaign-pool sweep (schema /3): a small real vi campaign, its
-	// committed spans fed through the schedule model at every width. The
-	// figures come from CampaignStats, so the live -campaign-workers value
-	// changes host wall clock only.
+	// A small real vi campaign on the campaign pool: how many experiments
+	// it committed, and (schema /6) the interruption percentiles over its
+	// successful recoveries. The pool commits in seed order, so the live
+	// -campaign-workers value changes host wall clock only.
 	ccfg := experiment.DefaultCampaign(4, seed)
 	ccfg.Apps = []string{"vi"}
 	ccfg.CampaignWorkers = campaignWorkers
-	ccfg.ResurrectWorkers = resWorkers
 	crows, cstats := experiment.RunTable5Campaign(ccfg)
 	camp := benchEntry{Name: "campaign-parallel/vi", Metrics: map[string]float64{
-		"serial-s":     cstats.SerialMakespan.Seconds(),
-		"experiments":  float64(cstats.Experiments),
-		"occupancy-4w": cstats.Occupancy,
+		"experiments": float64(cstats.Experiments),
 	}}
-	for _, w := range []int{1, 2, 4, 8} {
-		camp.Metrics[fmt.Sprintf("sched-%dw-s", w)] = cstats.ScheduleAt(w).Seconds()
-		camp.Metrics[fmt.Sprintf("speedup-%dw-x", w)] = cstats.SpeedupAt(w)
-	}
-	// Schema /6: serial-model interruption percentiles over the campaign's
-	// successful recoveries (the Table5Row percentile columns).
+	// The Table5Row percentile columns.
 	for _, r := range crows {
 		if r.App != "vi" {
 			continue
@@ -466,12 +452,8 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 	wcfg.Baseline = true
 	wcfg.SkipProtected = true
 	wcfg.CampaignWorkers = campaignWorkers
-	wcfg.ResurrectWorkers = resWorkers
-	wrows, wstats := experiment.RunTable5Campaign(wcfg)
-	wal := benchEntry{Name: "wal-survival/walkv", Metrics: map[string]float64{
-		"serial-s": wstats.SerialMakespan.Seconds(),
-	}}
-	for _, r := range wrows {
+	wal := benchEntry{Name: "wal-survival/walkv", Metrics: map[string]float64{}}
+	for _, r := range experiment.RunTable5(wcfg) {
 		suffix := "-fixed"
 		if r.App == "WAL-bug" {
 			suffix = "-buggy"
@@ -546,11 +528,9 @@ func buildSnapshot(seed int64, resWorkers, campaignWorkers int) (*benchSnapshot,
 	}
 	for _, r := range rows {
 		m := map[string]float64{
-			"boot-s":                       r.BootTime.Seconds(),
-			"interruption-serial-s":        r.Interruption.Seconds(),
-			"interruption-parallel-s":      r.ParallelInterruption.Seconds(),
-			"interruption-lazy-serial-s":   r.LazyInterruption.Seconds(),
-			"interruption-lazy-parallel-s": r.LazyParallelInterruption.Seconds(),
+			"boot-s":                     r.BootTime.Seconds(),
+			"interruption-serial-s":      r.Interruption.Seconds(),
+			"interruption-lazy-serial-s": r.LazyInterruption.Seconds(),
 			// Schema /6: the lazy run's first-touch stall percentiles.
 			"first-touch-n": float64(r.FirstTouchSamples),
 		}
@@ -679,8 +659,8 @@ func hardeningAblation(n int, seed int64) error {
 			success += r.Success * float64(r.N)
 			total += float64(r.N)
 		}
-		fmt.Printf("%s: %.1f%% successful resurrection (mean over %d runs)\n",
-			mode.name, 100*success/total, int(total))
+		fmt.Printf("%s: %s successful resurrection (mean over %d runs)\n",
+			mode.name, experiment.Percent(success/total, int(total), 1), int(total))
 	}
 	fmt.Println("(the paper reports 89% before the fixes and 97%+ after)")
 	fmt.Println()

@@ -19,7 +19,7 @@ func TestReadSnapshotRejectsUnknownSchema(t *testing.T) {
 
 // TestBuildSnapshotV7 runs the real bench scenario once and checks the /7
 // shape: the /2–/6 fields are still there (embedded metrics with their
-// logical stamp, fast-path counters, campaign sweep, demand-paged entry with
+// logical stamp, fast-path counters, campaign entry, demand-paged entry with
 // the eager-vs-lazy interruption collapse, WAL data-survival audits, span
 // percentiles), the saved-bytes figure is the actual bytes avoided (bounded
 // by the page-granular estimate), and the new fleet pair reports per-tier
@@ -109,21 +109,11 @@ func TestBuildSnapshotV7(t *testing.T) {
 	if camp == nil {
 		t.Fatal("campaign-parallel/vi entry missing")
 	}
-	if camp["serial-s"] <= 0 || camp["experiments"] <= 0 {
-		t.Fatalf("campaign sweep empty: %+v", camp)
+	if camp["experiments"] <= 0 {
+		t.Fatalf("campaign entry empty: %+v", camp)
 	}
-	// The sweep must be monotone and the 4-worker point meaningfully
-	// parallel — this is the schedule model, so it holds at any knob.
-	if !(camp["sched-8w-s"] <= camp["sched-4w-s"] &&
-		camp["sched-4w-s"] <= camp["sched-2w-s"] &&
-		camp["sched-2w-s"] <= camp["sched-1w-s"]) {
-		t.Fatalf("campaign sweep not monotone: %+v", camp)
-	}
-	if camp["speedup-4w-x"] < 2 {
-		t.Fatalf("speedup-4w-x = %v, want >= 2", camp["speedup-4w-x"])
-	}
-	// Schema /6: campaign interruption percentiles must be populated,
-	// ordered, and consistent with the mean column.
+	// Schema /6: campaign interruption percentiles must be populated and
+	// ordered.
 	if !(camp["interruption-p50-s"] > 0 &&
 		camp["interruption-p50-s"] <= camp["interruption-p95-s"] &&
 		camp["interruption-p95-s"] <= camp["interruption-p99-s"]) {
@@ -138,9 +128,6 @@ func TestBuildSnapshotV7(t *testing.T) {
 	}
 	if wal["violations-fixed"] != 0 {
 		t.Fatalf("fixed WAL protocol lost data in the bench scenario: %+v", wal)
-	}
-	if wal["serial-s"] <= 0 {
-		t.Fatalf("WAL campaign has no modeled work: %+v", wal)
 	}
 	// Schema /7: the fleet pair. The streaming entry must report every
 	// tier, the index discovery must have fed the scanners, and the batch

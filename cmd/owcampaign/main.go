@@ -6,8 +6,8 @@
 //
 //	owcampaign [-n perApp] [-seed n] [-apps csv] [-hardening on|off]
 //	           [-nocrc] [-noprotected] [-campaign-workers n]
-//	           [-resurrect-workers n] [-lazy-install]
-//	           [-stream] [-index-slots n] [-disk-crash] [-baseline]
+//	           [-lazy-install] [-stream] [-index-slots n]
+//	           [-disk-crash] [-baseline]
 //	           [-trace] [-trace-json f] [-metrics] [-metrics-json f]
 //
 // The paper ran 400 faulted experiments per application; -n 400 reproduces
@@ -41,7 +41,6 @@ func main() {
 	nocrc := flag.Bool("nocrc", false, "disable record checksums (Section 4 ablation)")
 	noprotected := flag.Bool("noprotected", false, "skip the protected-mode corruption pass")
 	campaignWorkers := flag.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = NumCPU); the table, attributions and metrics are bit-identical at any width")
-	resWorkers := flag.Int("resurrect-workers", 0, "per-experiment goroutines that scan resurrection candidates (0 = NumCPU); changes host wall time only")
 	lazyInstall := flag.Bool("lazy-install", false, "demand-paged resurrection in every experiment: resume at context install, CRC-validated copy-on-access pages")
 	stream := flag.Bool("stream", false, "streaming resurrection in every experiment: SLO-tier admission and pipelined install commit instead of the batch pass")
 	indexSlots := flag.Int("index-slots", 0, "size every experiment kernel's candidate index; discovery salvages it instead of walking the full process list (0 = off)")
@@ -57,7 +56,6 @@ func main() {
 
 	cfg := experiment.DefaultCampaign(*n, *seed)
 	cfg.CampaignWorkers = *campaignWorkers
-	cfg.ResurrectWorkers = *resWorkers
 	cfg.LazyInstall = *lazyInstall
 	cfg.Stream = *stream
 	cfg.IndexSlots = *indexSlots
@@ -96,37 +94,29 @@ func main() {
 		*n, *seed, *hardening, cfg.VerifyCRC)
 	//owvet:allow nodeterminism: wall-clock stopwatch for the progress report; campaign results depend only on -seed
 	start := time.Now()
-	rows, stats := experiment.RunTable5Campaign(cfg)
+	rows := experiment.RunTable5(cfg)
 	if !*quiet {
 		fmt.Fprint(os.Stderr, "\r\033[K")
 	}
 	fmt.Print(experiment.RenderTable5(rows))
-	fmt.Printf("campaign schedule: %d experiments, %v of modeled work; %v at %d workers (%.2fx, %.0f%% pool occupancy)\n",
-		stats.Experiments, stats.TotalWork.Round(time.Second),
-		stats.Makespan.Round(time.Second), experiment.CanonicalCampaignWorkers,
-		stats.SpeedupAt(experiment.CanonicalCampaignWorkers), 100*stats.Occupancy)
 
 	for _, w := range experiment.Shortfalls(rows) {
 		fmt.Fprintln(os.Stderr, "owcampaign: warning: undershoot:", w)
 	}
 
-	// Interruption distribution per application (serial model and the
-	// parallel schedule at the canonical width), nearest-rank percentiles
+	// Interruption distribution per application, nearest-rank percentiles
 	// over successful recoveries — the span-plane aggregation layer.
-	fmt.Println("\ninterruption percentiles (p50/p95/p99, serial | parallel):")
+	fmt.Println("\ninterruption percentiles (p50/p95/p99):")
 	for _, row := range rows {
 		if row.Success == 0 {
 			fmt.Printf("  %-12s n/a\n", row.App)
 			continue
 		}
-		fmt.Printf("  %-12s %v/%v/%v | %v/%v/%v",
+		fmt.Printf("  %-12s %v/%v/%v",
 			row.App,
 			row.P50Interruption.Round(time.Millisecond),
 			row.P95Interruption.Round(time.Millisecond),
-			row.P99Interruption.Round(time.Millisecond),
-			row.P50ParallelInterruption.Round(time.Millisecond),
-			row.P95ParallelInterruption.Round(time.Millisecond),
-			row.P99ParallelInterruption.Round(time.Millisecond))
+			row.P99Interruption.Round(time.Millisecond))
 		if row.FirstTouchSamples > 0 {
 			fmt.Printf("   first-touch n=%d p50=%v p95=%v p99=%v",
 				row.FirstTouchSamples, row.P50FirstTouch, row.P95FirstTouch, row.P99FirstTouch)
@@ -135,8 +125,8 @@ func main() {
 	}
 
 	faulted, discarded, structCorrupt := experiment.Totals(rows)
-	fmt.Printf("\n%d faulted experiments; %d injections caused no kernel failure and were discarded (%.0f%%)\n",
-		faulted, discarded, 100*float64(discarded)/float64(faulted+discarded))
+	fmt.Printf("\n%d faulted experiments; %d injections caused no kernel failure and were discarded (%s)\n",
+		faulted, discarded, experiment.Percent(float64(discarded)/float64(faulted+discarded), faulted+discarded, 0))
 	fmt.Printf("resurrection failures from detected kernel-structure corruption: %d of %d\n",
 		structCorrupt, faulted)
 	if checked, violations := experiment.DataTotals(rows); checked > 0 {

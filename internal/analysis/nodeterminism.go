@@ -8,11 +8,11 @@ import (
 // NoDeterminism polices the Section 6 replayability requirement: a campaign
 // table must be reproducible bit-for-bit from its seed. In the packages
 // that feed campaign results (experiment, sim, faultinject, trace, core
-// with its campaign pool schedule model, spans with the width-pinned
-// span-tree fingerprints and Perfetto exporter, sched with the admission
-// queue and pipelined-commit schedule model, and layout with the candidate
-// index the discovery prologue salvages) and the command-line front-ends,
-// it bans:
+// with the machine clock the schedule model advances, spans with the
+// width-pinned span-tree fingerprints and Perfetto exporter, sched with the
+// admission queue and pipelined-commit schedule model, and layout with the
+// candidate index the discovery prologue salvages) and the command-line
+// front-ends, it bans:
 //
 //   - wall-clock reads (time.Now and friends) — virtual time comes from
 //     sim.Clock;

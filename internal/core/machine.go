@@ -222,8 +222,8 @@ type FailureOutcome struct {
 // worker count: everything outside the resurrection pass (transfer, boot,
 // morph) is serial, so the correction swaps the pass's clock span for the
 // schedule model of the blocked spans at the requested width. It is a pure
-// function of worker-count-independent inputs, letting tables render
-// serial and parallel columns at any width.
+// function of worker-count-independent inputs, so the span plane and the
+// benchmark quote the outage at the canonical width on any host.
 func (fo *FailureOutcome) InterruptionAt(workers int) time.Duration {
 	if fo == nil || fo.Report == nil {
 		return fo.effectiveInterruption()

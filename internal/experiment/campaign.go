@@ -10,8 +10,6 @@ import (
 
 	"otherworld/internal/kernel"
 	"otherworld/internal/metrics"
-	"otherworld/internal/resurrect"
-	"otherworld/internal/sched"
 	"otherworld/internal/spans"
 )
 
@@ -44,19 +42,13 @@ type Table5Row struct {
 	Shortfall int
 	// ProtShortfall is the protected pass's shortfall.
 	ProtShortfall int
-	// MeanInterruption is the mean serial-model outage over the
-	// unprotected pass's successful recoveries (zero if none succeeded).
+	// MeanInterruption is the mean outage over the unprotected pass's
+	// successful recoveries (zero if none succeeded).
 	MeanInterruption time.Duration
-	// MeanParallelInterruption is the same mean under the parallel
-	// schedule model at resurrect.CanonicalWorkers.
-	MeanParallelInterruption time.Duration
-	// P50/P95/P99 Interruption are nearest-rank percentiles of the
-	// serial-model outage over the same successful recoveries — the
-	// distribution behind MeanInterruption (zero when none succeeded).
+	// P50/P95/P99 Interruption are nearest-rank percentiles of the outage
+	// over the same successful recoveries — the distribution behind
+	// MeanInterruption (zero when none succeeded).
 	P50Interruption, P95Interruption, P99Interruption time.Duration
-	// The same percentiles under the parallel schedule model at
-	// resurrect.CanonicalWorkers.
-	P50ParallelInterruption, P95ParallelInterruption, P99ParallelInterruption time.Duration
 	// FirstTouchSamples counts demand-fault stalls observed across the
 	// unprotected pass's successful recoveries (lazy campaigns only); the
 	// percentiles below summarize them.
@@ -94,9 +86,9 @@ type CampaignConfig struct {
 	// bit-identical at any width: the pool speculates ahead but commits
 	// strictly in seed order.
 	CampaignWorkers int
-	// ResurrectWorkers is how many goroutines scan each experiment's
-	// resurrection candidates (0 = NumCPU). It changes host wall time
-	// only; every tallied outcome is identical at any width.
+	// ResurrectWorkers is forwarded to every experiment's
+	// Config.ResurrectWorkers, where it has no effect: each experiment
+	// resurrects one application.
 	ResurrectWorkers int
 	// LazyInstall runs every experiment with the demand-paged resurrection
 	// install (resume at context install, validated copy-on-access pages).
@@ -156,14 +148,14 @@ type tally struct {
 	structCorrupt                     int
 	dataChecked, dataViolations       int
 	attribs                           map[Attribution]int
-	// interruption sums the serial/parallel-model outages over successful
-	// recoveries, for the Table 5 mean-interruption columns.
-	interruption, parInterruption time.Duration
-	// interruptions / parInterruptions keep the per-recovery samples behind
-	// those sums, in commit order, for the percentile columns; firstTouch
-	// accumulates every demand-fault stall (lazy campaigns only).
-	interruptions, parInterruptions []time.Duration
-	firstTouch                      []time.Duration
+	// interruption sums the outages over successful recoveries, for the
+	// Table 5 mean-interruption column.
+	interruption time.Duration
+	// interruptions keeps the per-recovery samples behind that sum, in
+	// commit order, for the percentile columns; firstTouch accumulates
+	// every demand-fault stall (lazy campaigns only).
+	interruptions []time.Duration
+	firstTouch    []time.Duration
 }
 
 // sortedAttributions flattens the tally's attribution map into a
@@ -202,9 +194,8 @@ func (cfg CampaignConfig) campaignWorkers() int {
 	return w
 }
 
-// runCampaignPass collects `want` faulted experiments for one app. It
-// returns the pass tally plus the modeled duration of every committed
-// attempt, in commit order, for the pool schedule model.
+// runCampaignPass collects `want` faulted experiments for one app and
+// returns the pass tally.
 //
 // Determinism at any width: workers execute seeds speculatively, but a
 // finished experiment parks in its seed-indexed slot until every earlier
@@ -215,7 +206,7 @@ func (cfg CampaignConfig) campaignWorkers() int {
 // therefore a pure function of the seed; speculative runs past the stop
 // point are dropped unobserved. A bounded window keeps workers from racing
 // arbitrarily far ahead of the commit cursor.
-func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, seedSalt int64) (tally, []time.Duration) {
+func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, seedSalt int64) tally {
 	workers := cfg.campaignWorkers()
 	if workers > want {
 		workers = want
@@ -245,14 +236,12 @@ func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, 
 		done bool
 	}
 	var (
-		slots     = make([]slot, attempts)
-		mu        sync.Mutex
-		cond      = sync.NewCond(&mu)
-		next      int // next seed index to hand to a worker
-		commit    int // next seed index to tally
-		attempted int // committed attempts (faulted + discarded)
-		stopped   bool
-		durs      []time.Duration
+		slots   = make([]slot, attempts)
+		mu      sync.Mutex
+		cond    = sync.NewCond(&mu)
+		next    int // next seed index to hand to a worker
+		commit  int // next seed index to tally
+		stopped bool
 	)
 
 	var wg sync.WaitGroup
@@ -291,9 +280,7 @@ func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, 
 					r := slots[commit].res
 					slots[commit] = slot{} // release the run's trace/report memory
 					commit++
-					attempted++
-					durs = append(durs, r.Duration)
-					commitResult(cfg, app, protection, passName, &t, want, attempted, r)
+					commitResult(cfg, app, protection, passName, &t, want, r)
 					if t.n >= want {
 						stopped = true
 					}
@@ -304,20 +291,20 @@ func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, 
 		}()
 	}
 	wg.Wait()
-	return t, durs
+	return t
 }
 
 // commitResult folds one committed experiment into the pass tally. The pass
 // mutex is held: metrics increments and progress ticks happen in commit
 // order, so the registry and the live ticker replay identically at any
 // pool width.
-func commitResult(cfg CampaignConfig, app string, protection bool, passName string, t *tally, want, attempted int, res Result) {
+func commitResult(cfg CampaignConfig, app string, protection bool, passName string, t *tally, want int, res Result) {
 	if res.Outcome == OutcomeNoKernelFault {
 		t.discarded++
 		cfg.Metrics.Counter("campaign_discarded_total",
 			"injections that never caused a kernel failure",
 			metrics.Labels{"app": app, "pass": passName}).Inc()
-		notifyProgress(cfg, app, protection, t, want, attempted)
+		notifyProgress(cfg, app, protection, t, want)
 		return
 	}
 	t.n++
@@ -327,9 +314,7 @@ func commitResult(cfg CampaignConfig, app string, protection bool, passName stri
 	case OutcomeSuccess:
 		t.success++
 		t.interruption += res.Interruption
-		t.parInterruption += res.ParallelInterruption
 		t.interruptions = append(t.interruptions, res.Interruption)
-		t.parInterruptions = append(t.parInterruptions, res.ParallelInterruption)
 		t.firstTouch = append(t.firstTouch, res.FirstTouch...)
 	case OutcomeBootFailure:
 		t.boot++
@@ -360,11 +345,11 @@ func commitResult(cfg CampaignConfig, app string, protection bool, passName stri
 				metrics.Labels{"app": app, "panic": pk}).Inc()
 		}
 	}
-	notifyProgress(cfg, app, protection, t, want, attempted)
+	notifyProgress(cfg, app, protection, t, want)
 }
 
 // notifyProgress fires the live-progress callback; the tally mutex is held.
-func notifyProgress(cfg CampaignConfig, app string, protection bool, t *tally, want, attempted int) {
+func notifyProgress(cfg CampaignConfig, app string, protection bool, t *tally, want int) {
 	if cfg.Progress == nil {
 		return
 	}
@@ -374,64 +359,14 @@ func notifyProgress(cfg CampaignConfig, app string, protection bool, t *tally, w
 		Faulted:   t.n,
 		Want:      want,
 		Discarded: t.discarded,
-		Attempted: attempted,
+		Attempted: t.n + t.discarded,
 	})
 }
 
-// CanonicalCampaignWorkers is the pool width the campaign's published
-// schedule figures are quoted at, so campaign output never depends on the
-// host the campaign happened to run on (the same convention as
-// resurrect.CanonicalWorkers).
-const CanonicalCampaignWorkers = 4
-
-// CampaignStats summarizes the campaign pool's modeled schedule: every
-// committed experiment's virtual duration fed through poolSchedule.
-// All published fields are quoted at CanonicalCampaignWorkers (plus the
-// serial baseline), so they are identical at any live pool width.
+// CampaignStats is what RunTable5Campaign reports beside the rows.
 type CampaignStats struct {
-	// Workers is the live pool width the campaign executed at. It affects
-	// host wall clock only — never any modeled figure.
-	Workers int
 	// Experiments counts committed attempts (faulted + discarded).
 	Experiments int
-	// TotalWork is the summed modeled duration of all committed attempts.
-	TotalWork time.Duration
-	// SerialMakespan is the modeled campaign wall clock on one worker.
-	SerialMakespan time.Duration
-	// Makespan is the modeled wall clock at CanonicalCampaignWorkers.
-	Makespan time.Duration
-	// Occupancy is TotalWork / (CanonicalCampaignWorkers × Makespan).
-	Occupancy float64
-
-	spans []time.Duration
-}
-
-// ScheduleAt models the campaign wall clock at a hypothetical pool width.
-func (s *CampaignStats) ScheduleAt(workers int) time.Duration {
-	makespan, _ := poolSchedule(s.spans, workers)
-	return makespan
-}
-
-// poolSchedule models the campaign worker pool, never wider than the span
-// set: spans in commit order, each to the earliest-free worker
-// (sched.Pipeline with no commit cursor). It returns the makespan and the
-// occupancy; a pure function of its arguments, so campaign timing quotes
-// replay from the seed on any host.
-func poolSchedule(spans []time.Duration, workers int) (time.Duration, float64) {
-	if len(spans) > 0 && workers > len(spans) {
-		workers = len(spans)
-	}
-	_, makespan, busy := sched.Pipeline(spans, nil, workers)
-	return makespan, sched.Occupancy(busy, makespan)
-}
-
-// SpeedupAt is the modeled serial-over-parallel ratio at a width.
-func (s *CampaignStats) SpeedupAt(workers int) float64 {
-	par := s.ScheduleAt(workers)
-	if par <= 0 {
-		return 0
-	}
-	return float64(s.SerialMakespan) / float64(par)
 }
 
 // RunTable5 runs the full Table 5 campaign: an unprotected pass providing
@@ -442,19 +377,18 @@ func RunTable5(cfg CampaignConfig) []Table5Row {
 	return rows
 }
 
-// RunTable5Campaign is RunTable5 plus the pool schedule model: it also
-// returns the campaign's modeled timing statistics and publishes the pool
-// occupancy and makespan gauges to cfg.Metrics.
+// RunTable5Campaign is RunTable5 that also counts the campaign's
+// committed experiments.
 func RunTable5Campaign(cfg CampaignConfig) ([]Table5Row, *CampaignStats) {
 	if len(cfg.Apps) == 0 {
 		cfg.Apps = AppNames
 	}
-	stats := &CampaignStats{Workers: cfg.campaignWorkers()}
+	stats := &CampaignStats{}
 	rows := make([]Table5Row, 0, len(cfg.Apps))
 	const passCount = 2 // unprotected + protected
 	for i, app := range cfg.Apps {
-		base, durs := runCampaignPass(cfg, app, false, cfg.PerApp, passSeedSalt(i, 0, passCount))
-		stats.spans = append(stats.spans, durs...)
+		base := runCampaignPass(cfg, app, false, cfg.PerApp, passSeedSalt(i, 0, passCount))
+		stats.Experiments += base.n + base.discarded
 		row := Table5Row{
 			App:            app,
 			N:              base.n,
@@ -481,13 +415,9 @@ func RunTable5Campaign(cfg CampaignConfig) ([]Table5Row, *CampaignStats) {
 		}
 		if base.success > 0 {
 			row.MeanInterruption = base.interruption / time.Duration(base.success)
-			row.MeanParallelInterruption = base.parInterruption / time.Duration(base.success)
 			row.P50Interruption = pct(base.interruptions, 50)
 			row.P95Interruption = pct(base.interruptions, 95)
 			row.P99Interruption = pct(base.interruptions, 99)
-			row.P50ParallelInterruption = pct(base.parInterruptions, 50)
-			row.P95ParallelInterruption = pct(base.parInterruptions, 95)
-			row.P99ParallelInterruption = pct(base.parInterruptions, 99)
 		}
 		row.FirstTouchSamples = len(base.firstTouch)
 		if row.FirstTouchSamples > 0 {
@@ -496,8 +426,8 @@ func RunTable5Campaign(cfg CampaignConfig) ([]Table5Row, *CampaignStats) {
 			row.P99FirstTouch = pct(base.firstTouch, 99)
 		}
 		if !cfg.SkipProtected {
-			prot, pdurs := runCampaignPass(cfg, app, true, cfg.PerApp, passSeedSalt(i, 1, passCount))
-			stats.spans = append(stats.spans, pdurs...)
+			prot := runCampaignPass(cfg, app, true, cfg.PerApp, passSeedSalt(i, 1, passCount))
+			stats.Experiments += prot.n + prot.discarded
 			row.ProtN = prot.n
 			if prot.n < cfg.PerApp {
 				row.ProtShortfall = cfg.PerApp - prot.n
@@ -508,28 +438,16 @@ func RunTable5Campaign(cfg CampaignConfig) ([]Table5Row, *CampaignStats) {
 		}
 		rows = append(rows, row)
 	}
-	stats.Experiments = len(stats.spans)
-	for _, s := range stats.spans {
-		stats.TotalWork += s
-	}
-	stats.SerialMakespan = stats.ScheduleAt(1)
-	stats.Makespan, stats.Occupancy = poolSchedule(stats.spans, CanonicalCampaignWorkers)
-	canon := metrics.Labels{"workers": fmt.Sprint(CanonicalCampaignWorkers)}
-	cfg.Metrics.Gauge("campaign_pool_occupancy",
-		"fraction of pool worker-time the modeled schedule keeps busy, at the canonical width", canon).
-		Set(stats.Occupancy)
-	cfg.Metrics.Gauge("campaign_pool_makespan_seconds",
-		"modeled campaign wall clock under the pool schedule, at the canonical width", canon).
-		Set(stats.Makespan.Seconds())
 	return rows, stats
 }
 
 // RenderTable5 formats campaign rows like the paper's Table 5, extended
-// with mean-interruption columns (serial schedule and the parallel schedule
-// at the canonical worker count) and the serial-model interruption
-// percentiles over successful recoveries. A "data survived" column appears
-// only when some row actually audited on-disk state, so campaigns over the
-// classic five applications render exactly as before.
+// with a mean-interruption column and the interruption percentiles over
+// successful recoveries. A rate over zero runs (a row whose attempt budget
+// found no faulted run, or a skipped protected pass) reads n/a. A "data
+// survived" column appears only when some row actually audited on-disk
+// state, so campaigns over the classic five applications render exactly as
+// before.
 func RenderTable5(rows []Table5Row) string {
 	withData := false
 	for _, r := range rows {
@@ -546,18 +464,18 @@ func RenderTable5(rows []Table5Row) string {
 	}
 	fmt.Fprintf(&b, "\n%-11s %13s %17s %21s %31s %23s %20s",
 		"", "resurrection", "the crash kernel", "application", "user space protected",
-		fmt.Sprintf("serial / %dw", resurrect.CanonicalWorkers), "p50/p95/p99 serial")
+		"", "p50/p95/p99 serial")
 	if withData {
 		fmt.Fprintf(&b, " %15s", "(disk audit)")
 	}
 	b.WriteString("\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-11s %12.2f%% %16.2f%% %20.2f%% %14.2f%% / %.2f%%",
-			r.App, 100*r.Success, 100*r.BootFailure, 100*r.ResurrectFail,
-			100*r.CorruptProt, 100*r.CorruptNoProt)
+		fmt.Fprintf(&b, "%-11s %13s %17s %21s %15s / %s",
+			r.App, Percent(r.Success, r.N, 2), Percent(r.BootFailure, r.N, 2),
+			Percent(r.ResurrectFail, r.N, 2), Percent(r.CorruptProt, r.ProtN, 2),
+			Percent(r.CorruptNoProt, r.N, 2))
 		if r.Success > 0 {
-			fmt.Fprintf(&b, " %14.0fs / %.0fs %11.0f/%.0f/%.0fs",
-				r.MeanInterruption.Seconds(), r.MeanParallelInterruption.Seconds(),
+			fmt.Fprintf(&b, " %20.0fs %11.0f/%.0f/%.0fs", r.MeanInterruption.Seconds(),
 				r.P50Interruption.Seconds(), r.P95Interruption.Seconds(), r.P99Interruption.Seconds())
 		} else {
 			// No successful recoveries: a mean or percentile over zero
@@ -574,6 +492,16 @@ func RenderTable5(rows []Table5Row) string {
 		b.WriteString("\n")
 	}
 	return b.String()
+}
+
+// Percent formats frac, a fraction of n runs, as a percentage with prec
+// decimals, or n/a when n is zero: a rate over no runs is unknown, not 0%
+// (or NaN%).
+func Percent(frac float64, n, prec int) string {
+	if n == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.*f%%", prec, 100*frac)
 }
 
 // Totals summarizes a campaign: total faulted runs, discarded runs and the

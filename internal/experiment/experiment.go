@@ -107,9 +107,9 @@ type Config struct {
 	Hardening kernel.Hardening
 	// VerifyCRC enables record checksums.
 	VerifyCRC bool
-	// ResurrectWorkers is how many goroutines scan the resurrection
-	// candidates (0 = NumCPU). It changes host wall time only; every
-	// result field is byte-identical at any width.
+	// ResurrectWorkers is forwarded to resurrect.Config.Workers, but it has
+	// no effect: the scan pool is never wider than the candidate set, and
+	// an experiment resurrects one application.
 	ResurrectWorkers int
 	// LazyInstall enables the demand-paged resurrection install: processes
 	// resume as soon as their records parse, with page copies completed
@@ -179,18 +179,10 @@ type Result struct {
 	// when tracing is disabled or no ring was recovered).
 	Trace *trace.Parsed
 	// Interruption is the serial-model outage of the recovery (zero when
-	// the run never reached a recovery). Worker-count-independent.
+	// the run never reached a recovery). The experiment resurrects one
+	// application, and a one-candidate pass has the same schedule at every
+	// worker width, so this is the outage at any width.
 	Interruption time.Duration
-	// ParallelInterruption is the outage under the parallel schedule model
-	// evaluated at resurrect.CanonicalWorkers, so campaign output does not
-	// depend on the machine the campaign ran on.
-	ParallelInterruption time.Duration
-	// Duration is the experiment machine's virtual clock when the
-	// experiment finished: the modeled cost of the whole run (boot, warmup,
-	// failure, recovery, verification). The campaign pool's schedule model
-	// (poolSchedule) consumes these spans; like every other field it
-	// is a pure function of the seed.
-	Duration time.Duration
 	// DataChecked is true when the driver audited the application's on-disk
 	// state against its recovery invariants after the crash; DataErr is the
 	// violation found (nil when the data survived intact).
@@ -221,15 +213,12 @@ type Result struct {
 func Run(cfg Config) Result {
 	var m *core.Machine
 	out := runBody(cfg, &m)
-	if m != nil {
-		out.Duration = m.HW.Clock.Now()
-		if cfg.DiskCrash {
-			if dm := m.DiskModel(); dm != nil && dm.Report().Fired {
-				rep := dm.Report()
-				out.DiskCrash = &rep
-			}
-			out.DiskFingerprint = DiskFingerprint(m.FS)
+	if m != nil && cfg.DiskCrash {
+		if dm := m.DiskModel(); dm != nil && dm.Report().Fired {
+			rep := dm.Report()
+			out.DiskCrash = &rep
 		}
+		out.DiskFingerprint = DiskFingerprint(m.FS)
 	}
 	return out
 }
@@ -376,11 +365,9 @@ func runBody(cfg Config, mp **core.Machine) Result {
 		checkData(m, d, &out)
 		return out
 	}
-	// Recovery happened: record the outage under both schedule models. Both
-	// are worker-count-independent, keeping campaign output replayable from
-	// -seed alone.
+	// Recovery happened: record the outage, which is worker-count-independent
+	// and keeps campaign output replayable from -seed alone.
 	out.Interruption = fo.SerialInterruption
-	out.ParallelInterruption = fo.InterruptionAt(resurrect.CanonicalWorkers)
 
 	// Locate our application's resurrection report.
 	var found bool

@@ -81,23 +81,37 @@ func TestSmallCampaignAggregates(t *testing.T) {
 	}
 }
 
-// TestRenderTable5UnknownIsNotZero: a row with no successful recovery has
-// no interruption samples, so its mean and percentile cells read n/a, never
-// "0s / 0s" or "0/0/0s".
+// TestRenderTable5UnknownIsNotZero: a quantity over zero runs is unknown,
+// so its cell reads n/a, never "0.00%", "0s" or "0/0/0s". A row with no
+// successful recovery has no interruption samples; a row whose attempt
+// budget found no faulted run (N == 0) has no rates at all; a skipped
+// protected pass (ProtN == 0) has no protected corruption rate.
 func TestRenderTable5UnknownIsNotZero(t *testing.T) {
 	rows := []Table5Row{
-		{App: "vi", N: 1, BootFailure: 1},
-		{App: "MySQL", N: 2, Success: 1, MeanInterruption: 53 * time.Second,
-			MeanParallelInterruption: 45 * time.Second, P50Interruption: 53 * time.Second,
-			P95Interruption: 54 * time.Second, P99Interruption: 54 * time.Second},
+		{App: "vi", N: 1, ProtN: 1, BootFailure: 1},
+		{App: "MySQL", N: 2, ProtN: 2, Success: 1, MeanInterruption: 53 * time.Second,
+			P50Interruption: 53 * time.Second, P95Interruption: 54 * time.Second,
+			P99Interruption: 54 * time.Second},
+		{App: "JOE", Discarded: 3, Shortfall: 2, ProtShortfall: 2},
+		{App: "BLCR", N: 2, Success: 0.5, MeanInterruption: 53 * time.Second,
+			P50Interruption: 53 * time.Second, P95Interruption: 53 * time.Second,
+			P99Interruption: 53 * time.Second},
 	}
 	lines := strings.Split(RenderTable5(rows), "\n")
-	vi, mysql := lines[2], lines[3]
+	vi, mysql, joe, blcr := lines[2], lines[3], lines[4], lines[5]
 	if strings.Contains(vi, "0s") || strings.Count(vi, "n/a") != 2 {
-		t.Fatalf("zero-success row %q: want n/a in the mean and percentile cells", vi)
+		t.Fatalf("zero-success row %q: want n/a in the mean and percentile cells only", vi)
 	}
-	if !strings.Contains(mysql, "53s / 45s") || !strings.Contains(mysql, "53/54/54s") {
+	if !strings.Contains(mysql, " 53s ") || !strings.Contains(mysql, "53/54/54s") ||
+		strings.Contains(mysql, "n/a") {
 		t.Fatalf("successful row %q lost its interruption cells", mysql)
+	}
+	if strings.Contains(joe, "%") || strings.Contains(joe, "0s") || strings.Count(joe, "n/a") != 7 {
+		t.Fatalf("no-run row %q: want n/a in all seven cells", joe)
+	}
+	if !strings.Contains(blcr, "50.00%") || !strings.Contains(blcr, "n/a / 0.00%") ||
+		strings.Count(blcr, "n/a") != 1 {
+		t.Fatalf("unprotected-only row %q: want n/a in the protected cell only", blcr)
 	}
 }
 

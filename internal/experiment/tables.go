@@ -201,18 +201,15 @@ type Table6Row struct {
 	App string
 	// BootTime is power-button to workload-operational (virtual time).
 	BootTime time.Duration
-	// Interruption is failure to workload-operational-again under the
-	// serial resurrection schedule (the paper's single-threaded prototype).
-	// Worker-count-independent, like every column.
+	// Interruption is failure to workload-operational-again. The machine
+	// runs one application, so the resurrection pass has one candidate and
+	// the same schedule at every worker width: the paper's single-threaded
+	// prototype and any parallel pool quote this one outage.
 	Interruption time.Duration
-	// ParallelInterruption is the same outage under the parallel schedule
-	// model evaluated at resurrect.CanonicalWorkers.
-	ParallelInterruption time.Duration
-	// LazyInterruption / LazyParallelInterruption are the same two outages
-	// with the lazy install enabled: candidates resume at context install,
-	// so the blocked spans the schedule model sums collapse to parse time.
-	LazyInterruption         time.Duration
-	LazyParallelInterruption time.Duration
+	// LazyInterruption is the same outage with the lazy install enabled:
+	// the candidate resumes at context install, so its blocked span
+	// collapses to parse time.
+	LazyInterruption time.Duration
 	// FirstTouchSamples and the percentile fields summarize the post-resume
 	// demand-fault stalls the lazy run observed (Report.FirstTouch): how long
 	// each first touch of a not-yet-installed page blocked the workload.
@@ -228,8 +225,8 @@ var Table6Workloads = []string{"shell", "MySQL", "Apache/PHP"}
 
 // measureTable6Mode runs the Table 6 protocol — boot to first ack, settle,
 // fail, recover, run to the next ack — on one machine with the given install
-// mode, returning the boot time and both schedule-model outages.
-func measureTable6Mode(app string, seed int64, lazy bool) (boot, serial, parallel time.Duration, firstTouch []time.Duration, err error) {
+// mode, returning the boot time and the outage.
+func measureTable6Mode(app string, seed int64, lazy bool) (boot, outage time.Duration, firstTouch []time.Duration, err error) {
 	opts := core.DefaultOptions()
 	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
 	opts.CrashRegionMB = 16
@@ -237,19 +234,19 @@ func measureTable6Mode(app string, seed int64, lazy bool) (boot, serial, paralle
 	opts.LazyInstall = lazy
 	m, err := core.NewMachine(opts)
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, nil, err
 	}
 	d, err := DriverFor(app, seed+1)
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, nil, err
 	}
 	if err := d.Start(m); err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, nil, err
 	}
 	// Operational = the first operation acknowledged.
 	for d.Acked() == 0 {
 		if res := workload.RunUntilIdle(m, d, 5, 200); res.Panic != nil {
-			return 0, 0, 0, nil, fmt.Errorf("panic during boot measurement: %v", res.Panic)
+			return 0, 0, nil, fmt.Errorf("panic during boot measurement: %v", res.Panic)
 		}
 	}
 	boot = m.HW.Clock.Now()
@@ -258,57 +255,52 @@ func measureTable6Mode(app string, seed int64, lazy bool) (boot, serial, paralle
 	workload.RunUntilIdle(m, d, 100, 4000)
 	failedAt := m.HW.Clock.Now()
 	if err := m.K.InjectOops("table 6 measurement"); err == nil {
-		return 0, 0, 0, nil, fmt.Errorf("InjectOops did not panic")
+		return 0, 0, nil, fmt.Errorf("InjectOops did not panic")
 	}
 	fo, err := m.HandleFailure()
 	if err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, nil, err
 	}
 	if fo.Result != core.ResultRecovered {
-		return 0, 0, 0, nil, fmt.Errorf("transfer failed: %s", fo.Transfer.Reason)
+		return 0, 0, nil, fmt.Errorf("transfer failed: %s", fo.Transfer.Reason)
 	}
 	if err := d.Reattach(m); err != nil {
-		return 0, 0, 0, nil, err
+		return 0, 0, nil, err
 	}
 	before := d.Acked()
 	for d.Acked() <= before {
 		if res := workload.RunUntilIdle(m, d, 5, 200); res.Panic != nil {
-			return 0, 0, 0, nil, fmt.Errorf("panic during recovery measurement: %v", res.Panic)
+			return 0, 0, nil, fmt.Errorf("panic during recovery measurement: %v", res.Panic)
 		}
 	}
-	// The measured delta carries the pass's clock span (the full installs
-	// at the canonical width); swap it for the serial model and for the
-	// canonical schedule of the blocked spans. Under the lazy install
-	// Report.Duration and ScheduleAt sum blocked-to-resume spans, so the
-	// corrected outage is time-to-resume, which is the point.
+	// The measured delta carries the pass's clock span (the full install);
+	// swap it for the serial model. Under the lazy install Report.Duration
+	// sums the blocked-to-resume span, so the corrected outage is
+	// time-to-resume, which is the point.
 	measured := m.HW.Clock.Now() - failedAt
 	if fo.Report == nil {
-		return boot, measured, measured, nil, nil
+		return boot, measured, nil, nil
 	}
-	serial = measured - fo.Interruption + fo.SerialInterruption
-	parallel = measured - fo.Interruption + fo.InterruptionAt(resurrect.CanonicalWorkers)
-	return boot, serial, parallel, fo.Report.FirstTouch, nil
+	return boot, measured - fo.Interruption + fo.SerialInterruption, fo.Report.FirstTouch, nil
 }
 
 // MeasureTable6 measures a workload's cold-boot time and its service
 // interruption across a microreboot, under the eager and the lazy install.
 func MeasureTable6(app string, seed int64) (Table6Row, error) {
-	boot, serial, parallel, _, err := measureTable6Mode(app, seed, false)
+	boot, outage, _, err := measureTable6Mode(app, seed, false)
 	if err != nil {
 		return Table6Row{}, err
 	}
-	_, lazySerial, lazyParallel, firstTouch, err := measureTable6Mode(app, seed, true)
+	_, lazyOutage, firstTouch, err := measureTable6Mode(app, seed, true)
 	if err != nil {
 		return Table6Row{}, fmt.Errorf("lazy install: %w", err)
 	}
 	row := Table6Row{
-		App:                      app,
-		BootTime:                 boot,
-		Interruption:             serial,
-		ParallelInterruption:     parallel,
-		LazyInterruption:         lazySerial,
-		LazyParallelInterruption: lazyParallel,
-		FirstTouchSamples:        len(firstTouch),
+		App:               app,
+		BootTime:          boot,
+		Interruption:      outage,
+		LazyInterruption:  lazyOutage,
+		FirstTouchSamples: len(firstTouch),
 	}
 	// Percentiles only exist when the lazy run recorded stalls; rows with
 	// zero samples keep zero fields and render as n/a.
@@ -334,30 +326,22 @@ func RunTable6(seed int64) ([]Table6Row, error) {
 }
 
 // RenderTable6 formats rows like the paper's Table 6 (seconds), extended
-// with a parallel-resurrection column at the canonical worker count, the
-// two lazy-install columns (millisecond precision: the lazy outage is
-// time-to-resume, far below a second on the measured workloads), and the
-// lazy run's first-touch stall percentiles (n and p50/p95/p99).
+// with the lazy-install interruption (millisecond precision: the lazy
+// outage is time-to-resume, far below a second on the measured workloads)
+// and the lazy run's first-touch stall percentiles (n and p50/p95/p99).
 func RenderTable6(rows []Table6Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-11s %10s %26s %17s %17s %17s %30s\n",
-		"Application", "Boot time", "Interruption (serial)",
-		fmt.Sprintf("(%d workers)", resurrect.CanonicalWorkers),
-		"lazy (serial)",
-		fmt.Sprintf("lazy (%dw)", resurrect.CanonicalWorkers),
+	fmt.Fprintf(&b, "%-11s %10s %13s %17s %30s\n",
+		"Application", "Boot time", "Interruption", "lazy install",
 		"first-touch p50/p95/p99")
 	for _, r := range rows {
 		stalls := "n/a"
 		if r.FirstTouchSamples > 0 {
 			stalls = fmt.Sprintf("%v/%v/%v", r.P50FirstTouch, r.P95FirstTouch, r.P99FirstTouch)
 		}
-		fmt.Fprintf(&b, "%-11s %9.0fs %25.0fs %16.0fs %16.3fs %16.3fs %14s n=%d\n",
+		fmt.Fprintf(&b, "%-11s %9.0fs %12.0fs %16.3fs %14s n=%d\n",
 			r.App, r.BootTime.Seconds(), r.Interruption.Seconds(),
-			r.ParallelInterruption.Seconds(),
-			r.LazyInterruption.Seconds(),
-			r.LazyParallelInterruption.Seconds(),
-			stalls,
-			r.FirstTouchSamples)
+			r.LazyInterruption.Seconds(), stalls, r.FirstTouchSamples)
 	}
 	return b.String()
 }

@@ -16,27 +16,36 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// multiMySQLMachine builds the ISSUE 3 acceptance scenario: eight MySQL
-// servers on one machine, warmed up, with the resurrection pipeline pinned
-// to the given worker count.
-func multiMySQLMachine(t *testing.T, workers int) *core.Machine {
+// mysqlMachine builds n warmed MySQL servers on one machine, with the
+// resurrection pool pinned to the given worker count and the demand-paged
+// install on when lazy is set.
+func mysqlMachine(t *testing.T, n, workers int, lazy bool) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
 	opts.CrashRegionMB = 16
 	opts.Seed = 4242
 	opts.Resurrection.Workers = workers
+	opts.LazyInstall = lazy
 	m, err := core.NewMachine(opts)
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
-	for j := 0; j < 8; j++ {
+	for j := 0; j < n; j++ {
 		if _, err := m.Start(fmt.Sprintf("mysqld-%d", j), apps.ProgMySQL); err != nil {
 			t.Fatalf("start mysqld-%d: %v", j, err)
 		}
 	}
 	m.Run(200)
 	return m
+}
+
+// multiMySQLMachine builds the parallel-resurrection scenario: eight MySQL
+// servers on one machine, warmed up, with the resurrection pipeline pinned
+// to the given worker count.
+func multiMySQLMachine(t *testing.T, workers int) *core.Machine {
+	t.Helper()
+	return mysqlMachine(t, 8, workers, false)
 }
 
 func recoverOutcome(t *testing.T, m *core.Machine) *core.FailureOutcome {
@@ -119,10 +128,30 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestResurrectParallelSpeedup asserts the ISSUE 3 acceptance criterion
-// directly: on the eight-MySQL scenario the modeled interruption speedup at
-// four workers is at least 2x.
+// TestResurrectParallelSpeedup asserts that on the eight-MySQL scenario the
+// modeled interruption speedup at four workers is at least 2x. A single
+// MySQL server, eager or lazy, is the other input: one candidate (every
+// Table 5 and Table 6 experiment) has the same schedule at every width, so
+// its outage has no parallel variant.
 func TestResurrectParallelSpeedup(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		out := recoverOutcome(t, mysqlMachine(t, 1, 0, lazy))
+		rep := out.Report
+		if len(rep.Procs) != 1 {
+			t.Fatalf("lazy=%v: %d candidates, want 1", lazy, len(rep.Procs))
+		}
+		for _, w := range []int{1, 4, 8} {
+			if got := rep.ScheduleAt(w); got != rep.Duration {
+				t.Errorf("lazy=%v: one-candidate schedule at %d workers = %v, want the serial %v",
+					lazy, w, got, rep.Duration)
+			}
+			if got := out.InterruptionAt(w); got != out.SerialInterruption {
+				t.Errorf("lazy=%v: one-candidate outage at %d workers = %v, want the serial %v",
+					lazy, w, got, out.SerialInterruption)
+			}
+		}
+	}
+
 	out := recoverOutcome(t, multiMySQLMachine(t, 0))
 	rep := out.Report
 	if got := rep.SpeedupAt(4); got < 2 {

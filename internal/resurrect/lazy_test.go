@@ -2,14 +2,12 @@ package resurrect_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"otherworld/internal/apps"
 	"otherworld/internal/core"
 	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
@@ -229,23 +227,7 @@ func TestLazyInstallResolvesOnTouchAndSweep(t *testing.T) {
 // lazyMySQLMachine is multiMySQLMachine with the demand-paged install on.
 func lazyMySQLMachine(t *testing.T, workers int) *core.Machine {
 	t.Helper()
-	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
-	opts.Seed = 4242
-	opts.Resurrection.Workers = workers
-	opts.LazyInstall = true
-	m, err := core.NewMachine(opts)
-	if err != nil {
-		t.Fatalf("NewMachine: %v", err)
-	}
-	for j := 0; j < 8; j++ {
-		if _, err := m.Start(fmt.Sprintf("mysqld-%d", j), apps.ProgMySQL); err != nil {
-			t.Fatalf("start mysqld-%d: %v", j, err)
-		}
-	}
-	m.Run(200)
-	return m
+	return mysqlMachine(t, 8, workers, true)
 }
 
 // TestLazyDeterminismAcrossWorkers extends the tentpole invariant to the

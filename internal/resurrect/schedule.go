@@ -9,11 +9,10 @@ import (
 
 // CanonicalWorkers is the modeled scan width: Engine.Run advances the
 // machine clock by the pass's schedule at this width, and every *rendered*
-// parallel number is derived at it (Table 6's parallel column, the
-// campaign's mean-interruption column, owbench snapshots). The engine may
-// scan over any number of host goroutines — NumCPU by default — without
-// moving the clock or any output, so a 2-core CI runner and a 64-core
-// workstation agree.
+// parallel number is derived at it (the span plane's critical path, the
+// fleet tables, owbench snapshots). The engine may scan over any number of
+// host goroutines — NumCPU by default — without moving the clock or any
+// output, so a 2-core CI runner and a 64-core workstation agree.
 const CanonicalWorkers = 4
 
 // effectiveWorkers resolves the configured worker count: 0 (or negative)
@@ -44,19 +43,16 @@ func (c Config) effectiveWorkers(candidates int) int {
 // pass's resume times use another model (sched.Barrier; see ResumeTimesAt).
 func (r *Report) scheduleAt(workers int, installs []time.Duration) ([]sched.Slot, time.Duration) {
 	if !r.hasSplit() {
-		slots, makespan, _ := sched.Schedule(sched.RoundRobin, r.PerCandidate, nil, workers)
-		return slots, makespan
+		return sched.Schedule(sched.RoundRobin, r.PerCandidate, nil, workers)
 	}
 	if r.Streamed {
-		slots, makespan, _ := sched.Pipeline(r.PerScan, installs, workers)
-		return slots, makespan
+		return sched.Pipeline(r.PerScan, installs, workers)
 	}
 	units := append([]time.Duration(nil), r.PerScan...)
 	for i := range installs {
 		units[i] += installs[i]
 	}
-	slots, makespan, _ := sched.Schedule(sched.RoundRobin, units, nil, workers)
-	return slots, makespan
+	return sched.Schedule(sched.RoundRobin, units, nil, workers)
 }
 
 // SlotsAt is the schedule ScheduleAt evaluates, slot by slot in Procs

@@ -3,8 +3,8 @@
 // critical service → tier-2 batch), a priority queue with aging decides
 // the admission order that feeds the scan pool, and a pipelined-commit
 // schedule model evaluates the resulting install timeline at any worker
-// width as a pure function — so campaign- and resurrect-level parallelism
-// compose without perturbing a single observable.
+// width as a pure function — so the scan pool's width never perturbs a
+// single observable.
 //
 // Everything here is deliberately free of wall-clock time, maps iterated
 // for ordering, and other nondeterminism sources: admission order and the
@@ -201,15 +201,14 @@ const (
 // worker stays occupied through the commit it performs. An empty commit
 // list means no cursor: each worker is free again the moment its scan
 // ends. Otherwise commits must be as long as scans. Negative durations
-// count as zero. Returns the per-candidate slots, the makespan (latest
-// commit end), and each worker's summed busy time. A pure function of its
-// arguments: every modeled resurrection and campaign schedule is one call.
-func Schedule(rule Rule, scans, commits []time.Duration, workers int) ([]Slot, time.Duration, []time.Duration) {
+// count as zero. Returns the per-candidate slots and the makespan (latest
+// commit end). A pure function of its arguments: every modeled
+// resurrection schedule is one call.
+func Schedule(rule Rule, scans, commits []time.Duration, workers int) ([]Slot, time.Duration) {
 	if workers < 1 {
 		workers = 1
 	}
 	free := make([]time.Duration, workers)
-	busy := make([]time.Duration, workers)
 	slots := make([]Slot, len(scans))
 	var prevCommitEnd, makespan time.Duration
 	for i := range scans {
@@ -222,29 +221,24 @@ func Schedule(rule Rule, scans, commits []time.Duration, workers int) ([]Slot, t
 				}
 			}
 		}
-		scan := max(scans[i], 0)
 		s := Slot{Worker: w, ScanStart: free[w]}
-		s.ScanEnd = s.ScanStart + scan
+		s.ScanEnd = s.ScanStart + max(scans[i], 0)
 		s.CommitStart, s.CommitEnd = s.ScanEnd, s.ScanEnd
-		busy[w] += scan
 		if len(commits) > 0 {
-			commit := max(commits[i], 0)
 			s.CommitStart = max(s.ScanEnd, prevCommitEnd)
-			s.CommitEnd = s.CommitStart + commit
+			s.CommitEnd = s.CommitStart + max(commits[i], 0)
 			prevCommitEnd = s.CommitEnd
-			busy[w] += commit
 		}
 		free[w] = s.CommitEnd
 		slots[i] = s
 		makespan = max(makespan, s.CommitEnd)
 	}
-	return slots, makespan, busy
+	return slots, makespan
 }
 
 // Pipeline is the EarliestFree schedule: the pipelined-commit model of a
-// streamed resurrection pass, and with nil commits the campaign pool's
-// list schedule.
-func Pipeline(scans, commits []time.Duration, workers int) ([]Slot, time.Duration, []time.Duration) {
+// streamed resurrection pass.
+func Pipeline(scans, commits []time.Duration, workers int) ([]Slot, time.Duration) {
 	return Schedule(EarliestFree, scans, commits, workers)
 }
 
@@ -253,7 +247,7 @@ func Pipeline(scans, commits []time.Duration, workers int) ([]Slot, time.Duratio
 // order. Negative durations count as zero; commits must be as long as
 // scans.
 func Barrier(scans, commits []time.Duration, workers int) []Slot {
-	slots, t, _ := Schedule(RoundRobin, scans, nil, workers)
+	slots, t := Schedule(RoundRobin, scans, nil, workers)
 	for i := range slots {
 		slots[i].CommitStart = t
 		t += max(commits[i], 0)
@@ -313,18 +307,4 @@ func Chain(slots []Slot) []Link {
 		chain[a], chain[b] = chain[b], chain[a]
 	}
 	return chain
-}
-
-// Occupancy is the fraction of a schedule's worker-time its workers are
-// busy: sum(busy) / (len(busy) × makespan). 1.0 means perfectly packed; an
-// empty schedule has zero occupancy.
-func Occupancy(busy []time.Duration, makespan time.Duration) float64 {
-	if makespan <= 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, b := range busy {
-		sum += b
-	}
-	return float64(sum) / (float64(len(busy)) * float64(makespan))
 }

@@ -123,7 +123,7 @@ func TestQueueDeterministicTieBreak(t *testing.T) {
 func TestPipelineSerialEquivalence(t *testing.T) {
 	scans := []time.Duration{3, 1, 2}
 	commits := []time.Duration{2, 2, 2}
-	slots, makespan, busy := Pipeline(scans, commits, 1)
+	slots, makespan := Pipeline(scans, commits, 1)
 	// One worker: strict serial scan+commit chain.
 	var want time.Duration
 	for i := range scans {
@@ -131,9 +131,6 @@ func TestPipelineSerialEquivalence(t *testing.T) {
 	}
 	if makespan != want {
 		t.Fatalf("1-worker makespan = %v, want serial sum %v", makespan, want)
-	}
-	if busy[0] != want {
-		t.Fatalf("1-worker busy = %v, want %v", busy[0], want)
 	}
 	for i := 1; i < len(slots); i++ {
 		if slots[i].ScanStart < slots[i-1].CommitEnd {
@@ -146,7 +143,7 @@ func TestPipelineCommitOrderInvariant(t *testing.T) {
 	scans := []time.Duration{5, 1, 1, 1}
 	commits := []time.Duration{1, 1, 1, 1}
 	for workers := 1; workers <= 4; workers++ {
-		slots, makespan, _ := Pipeline(scans, commits, workers)
+		slots, makespan := Pipeline(scans, commits, workers)
 		for i := 1; i < len(slots); i++ {
 			if slots[i].CommitStart < slots[i-1].CommitEnd {
 				t.Fatalf("w=%d: commit %d starts %v before predecessor ends %v",
@@ -165,9 +162,9 @@ func TestPipelineCommitOrderInvariant(t *testing.T) {
 func TestPipelineWidthMonotone(t *testing.T) {
 	scans := []time.Duration{4, 4, 4, 4, 4, 4, 4, 4}
 	commits := []time.Duration{1, 1, 1, 1, 1, 1, 1, 1}
-	_, m1, _ := Pipeline(scans, commits, 1)
-	_, m4, _ := Pipeline(scans, commits, 4)
-	_, m8, _ := Pipeline(scans, commits, 8)
+	_, m1 := Pipeline(scans, commits, 1)
+	_, m4 := Pipeline(scans, commits, 4)
+	_, m8 := Pipeline(scans, commits, 8)
 	if !(m8 <= m4 && m4 <= m1) {
 		t.Fatalf("makespan not monotone in width: 1w=%v 4w=%v 8w=%v", m1, m4, m8)
 	}
@@ -177,12 +174,9 @@ func TestPipelineWidthMonotone(t *testing.T) {
 }
 
 func TestPipelineEmpty(t *testing.T) {
-	slots, makespan, busy := Pipeline(nil, nil, 4)
+	slots, makespan := Pipeline(nil, nil, 4)
 	if len(slots) != 0 || makespan != 0 {
 		t.Fatalf("empty pipeline: slots=%d makespan=%v", len(slots), makespan)
-	}
-	if len(busy) != 4 {
-		t.Fatalf("busy = %d entries, want workers", len(busy))
 	}
 }
 
@@ -195,8 +189,8 @@ func TestClampTier(t *testing.T) {
 	}
 }
 
-// TestPipelineListSchedule pins the nil-commits list schedule the campaign
-// pool is modeled with: each span goes to the least-loaded worker.
+// TestPipelineListSchedule pins the schedule with no commit cursor under
+// the earliest-free rule: each span goes to the least-loaded worker.
 func TestPipelineListSchedule(t *testing.T) {
 	s := func(secs ...int) []time.Duration {
 		out := make([]time.Duration, len(secs))
@@ -227,36 +221,14 @@ func TestPipelineListSchedule(t *testing.T) {
 		{"straggler-bound", s(10, 1, 1, 1), 4, 10 * time.Second},
 	}
 	for _, c := range cases {
-		if _, got, _ := Pipeline(c.spans, nil, c.workers); got != c.want {
+		if _, got := Pipeline(c.spans, nil, c.workers); got != c.want {
 			t.Errorf("%s: Pipeline(%v, nil, %d) makespan = %v, want %v",
 				c.name, c.spans, c.workers, got, c.want)
 		}
 		// Any empty commit list means no cursor, nil or not.
-		if _, got, _ := Pipeline(c.spans, []time.Duration{}, c.workers); got != c.want {
+		if _, got := Pipeline(c.spans, []time.Duration{}, c.workers); got != c.want {
 			t.Errorf("%s: empty commit list makespan = %v, want %v", c.name, got, c.want)
 		}
-	}
-}
-
-func TestOccupancy(t *testing.T) {
-	occupancy := func(spans []time.Duration, workers int) float64 {
-		_, makespan, busy := Pipeline(spans, nil, workers)
-		return Occupancy(busy, makespan)
-	}
-	spans := []time.Duration{3 * time.Second, 2 * time.Second, 2 * time.Second, time.Second}
-	// Perfectly packed at 2 workers: 8s of work over 2×4s.
-	if got := occupancy(spans, 2); got != 1.0 {
-		t.Fatalf("occupancy = %v, want 1.0", got)
-	}
-	// A straggler leaves the other workers idle.
-	straggle := []time.Duration{10 * time.Second, time.Second, time.Second}
-	got := occupancy(straggle, 3)
-	want := 12.0 / (3 * 10.0)
-	if got < want-1e-9 || got > want+1e-9 {
-		t.Fatalf("occupancy = %v, want %v", got, want)
-	}
-	if occupancy(nil, 4) != 0 {
-		t.Fatal("empty span set should have zero occupancy")
 	}
 }
 
@@ -265,17 +237,17 @@ func TestOccupancy(t *testing.T) {
 // rebalance.
 func TestScheduleRoundRobin(t *testing.T) {
 	scans := []time.Duration{5, 1, 1, 1}
-	slots, makespan, busy := Schedule(RoundRobin, scans, nil, 2)
+	slots, makespan := Schedule(RoundRobin, scans, nil, 2)
 	for i, s := range slots {
 		if s.Worker != i%2 {
 			t.Fatalf("slot %d on worker %d, want %d", i, s.Worker, i%2)
 		}
 	}
-	if makespan != 6 || busy[0] != 6 || busy[1] != 2 {
-		t.Fatalf("makespan %v busy %v, want 6 and [6 2]", makespan, busy)
+	if makespan != 6 {
+		t.Fatalf("makespan %v, want 6", makespan)
 	}
 	// Earliest-free puts all three short scans on the idle worker.
-	if _, m, _ := Pipeline(scans, nil, 2); m != 5 {
+	if _, m := Pipeline(scans, nil, 2); m != 5 {
 		t.Fatalf("earliest-free makespan %v, want 5", m)
 	}
 }
@@ -321,7 +293,7 @@ func TestChain(t *testing.T) {
 		{"empty", EarliestFree, nil, nil, 4, nil},
 	}
 	for _, c := range cases {
-		slots, makespan, _ := Schedule(c.rule, c.scans, c.commits, c.workers)
+		slots, makespan := Schedule(c.rule, c.scans, c.commits, c.workers)
 		chain := Chain(slots)
 		var got []link
 		var at time.Duration
