@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet lint race fuzz-short owstat-smoke wal-check verify bench-test bench-diff campaign
+.PHONY: build fmt test vet lint race fuzz-short owstat-smoke wal-check fleet-smoke examples verify bench-test bench-diff campaign
 
 build:
 	$(GO) build ./...
@@ -80,12 +80,30 @@ wal-check:
 	$(GO) test -run TestWALInvariantCampaign -v ./internal/experiment
 	$(GO) test -run TestWALCrashPointSweep ./internal/workload
 
+# examples builds the six examples/* programs and runs each one: every
+# program must exit 0 and print the line that states its claim. They are
+# the only callers of the whole boot, crash and morph cycle outside the
+# tests, and hot-update the only one that sets FastCrashBoot.
+examples:
+	mkdir -p .artifacts/examples
+	$(GO) build -o .artifacts/examples/ ./examples/...
+	@cd .artifacts/examples && \
+	check() { out=$$(./$$1) || { echo "examples: $$1 failed"; exit 1; }; \
+		echo "$$out" | grep -qF "$$2" || { echo "examples: $$1 did not print \"$$2\""; exit 1; }; \
+		echo "ok	$$1"; } && \
+	check apache-sessions 'no shopping cart was lost' && \
+	check checkpoint-protect 'survived the microreboot (valid: true)' && \
+	check editor-survives 'verified against the keystroke log' && \
+	check hot-update 'no transaction was lost' && \
+	check mysql-inmemory 'nothing was rolled back' && \
+	check quickstart 'state preserved: true'
+
 # verify is the pre-merge gate: build, the gofmt check, vet, owvet lint,
 # full tests, race pass, a short fuzz burst over the crash-kernel decoder
 # surface, the owstat metrics smoke check, the WAL data-survival campaign
 # gate, the fleet-recovery smoke (streaming resurrection over a small
-# population) and the benchmark module's tests.
-verify: build fmt vet lint test race fuzz-short owstat-smoke wal-check fleet-smoke bench-test
+# population), the examples and the benchmark module's tests.
+verify: build fmt vet lint test race fuzz-short owstat-smoke wal-check fleet-smoke examples bench-test
 
 # A small-population fleet recovery end to end: index-assisted discovery,
 # tier admission, pipelined commit, per-tier table.

@@ -31,7 +31,6 @@ import (
 	"otherworld/internal/faultinject"
 	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
-	"otherworld/internal/resurrect"
 	"otherworld/internal/sched"
 	"otherworld/internal/workload"
 
@@ -44,7 +43,7 @@ func main() {
 	faults := flag.Int("faults", 30, "faults per injection burst")
 	protect := flag.Bool("protect", false, "enable user-space protection (Section 4)")
 	noharden := flag.Bool("noharden", false, "disable the Section 6 hardening fixes")
-	resWorkers := flag.Int("resurrect-workers", 0, "goroutines that scan resurrection candidates (0 = NumCPU); changes host wall time only")
+	resWorkers := flag.Int("resurrect-workers", 0, "-fleet only: goroutines that scan the fleet's resurrection candidates (0 = NumCPU); changes host wall time only")
 	lazyInstall := flag.Bool("lazy-install", false, "demand-paged resurrection: resume at context install, CRC-validated copy-on-access pages, background sweeper")
 	fleet := flag.Int("fleet", 0, "run the fleet-recovery demo at this population instead of the single-app demo (streaming resurrection with index-assisted discovery)")
 	tierSpec := flag.String("tiers", "", "fleet tier overrides merged onto the defaults: program=tier pairs, e.g. sh=1 (default mysqld=0, apache-php=1, volano=1, sh=2)")
@@ -59,7 +58,7 @@ func main() {
 	} else if *tierSpec != "" || *fleetBatch {
 		err = fmt.Errorf("-tiers and -fleet-batch only apply to the fleet demo (-fleet N)")
 	} else {
-		err = run(*app, *seed, *faults, *protect, *noharden, *resWorkers, *lazyInstall, *showMetrics, *metricsJSON)
+		err = run(*app, *seed, *faults, *protect, *noharden, *lazyInstall, *showMetrics, *metricsJSON)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "owsim:", err)
@@ -132,13 +131,15 @@ func emitMetrics(m *core.Machine, show bool, jsonFile string) error {
 	return nil
 }
 
-func run(app string, seed int64, faults int, protect, noharden bool, resWorkers int, lazyInstall, showMetrics bool, metricsJSON string) error {
+// run narrates the single-application demo. The application is the one
+// resurrection candidate, so the scan pool is one goroutine wide and the
+// outage has one schedule whatever the worker count.
+func run(app string, seed int64, faults int, protect, noharden bool, lazyInstall, showMetrics bool, metricsJSON string) error {
 	opts := core.DefaultOptions()
 	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
 	opts.CrashRegionMB = 16
 	opts.UserSpaceProtection = protect
 	opts.Seed = seed
-	opts.Resurrection.Workers = resWorkers
 	opts.LazyInstall = lazyInstall
 	if noharden {
 		opts.Hardening = kernel.NoHardening()
@@ -221,9 +222,8 @@ func run(app string, seed int64, faults int, protect, noharden bool, resWorkers 
 	acct := out.Report.Acct
 	fmt.Printf("[%s] crash kernel read %d KB of main-kernel data (%.0f%% page tables)\n",
 		m.HW.Clock, acct.KernelDataBytes()/1024, 100*acct.PageTableFraction())
-	fmt.Printf("[%s] morphed into main kernel; service interruption %.0fs (modeled at %d resurrection workers; serial model %.0fs)\n",
-		m.HW.Clock, out.Interruption.Seconds(),
-		resurrect.CanonicalWorkers, out.SerialInterruption.Seconds())
+	fmt.Printf("[%s] morphed into main kernel; service interruption %.0fs\n",
+		m.HW.Clock, out.Interruption.Seconds())
 
 	if err := d.Reattach(m); err != nil {
 		return err

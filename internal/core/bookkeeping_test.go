@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"otherworld/internal/disk"
+	"otherworld/internal/hw"
 	"otherworld/internal/phys"
 )
 
@@ -72,4 +73,50 @@ func TestBookkeepingScalesWithUse(t *testing.T) {
 			t.Fatalf("an unwritten 16384-block swap partition allocated %d bytes, want at most 1 KiB", got)
 		}
 	})
+}
+
+// benchMachineOptions is the machine the two-clock benchmark's 8-MySQL
+// workloads boot: 256 MiB of memory with 16 MiB crash slots.
+func benchMachineOptions() Options {
+	opts := DefaultOptions()
+	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
+	opts.CrashRegionMB = 16
+	opts.Seed = 1
+	return opts
+}
+
+// TestNewMachineAllocation bounds what booting that machine allocates: the
+// main kernel's boot, the crash image and the planes must come in under
+// 640 KiB, what a flat table of one pointer, one protection flag and one
+// kind a frame took alone. A boot costs the chunks its writes store in and
+// one shared page a kernel-text frame.
+func TestNewMachineAllocation(t *testing.T) {
+	got := leastAllocated(func() func() {
+		return func() {
+			m, err := NewMachine(benchMachineOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			bookkeepingSink = m
+		}
+	})
+	if got >= 640<<10 {
+		t.Fatalf("NewMachine(256 MiB, 16 MiB slots) allocated %d bytes, want under 640 KiB", got)
+	}
+	t.Logf("NewMachine(256 MiB, 16 MiB slots) allocated %d bytes", got)
+}
+
+// BenchmarkNewMachine times booting that machine: memory, the main
+// kernel, the crash image and the planes, as every bench cycle and
+// campaign experiment does.
+func BenchmarkNewMachine(b *testing.B) {
+	opts := benchMachineOptions()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := NewMachine(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bookkeepingSink = m
+	}
 }

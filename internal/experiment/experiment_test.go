@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"otherworld/internal/core"
 	"otherworld/internal/hw"
@@ -78,6 +79,28 @@ func TestSmallCampaignAggregates(t *testing.T) {
 	out := RenderTable5(rows)
 	if !strings.Contains(out, "vi") || !strings.Contains(out, "%") {
 		t.Fatalf("render: %q", out)
+	}
+}
+
+// TestRenderTable6Aligned renders a row with microsecond first-touch
+// stalls and one without samples: every line, the header included, must
+// be as many runes wide, so the first-touch column ends where its header
+// does.
+func TestRenderTable6Aligned(t *testing.T) {
+	out := RenderTable6([]Table6Row{
+		{App: "MySQL", BootTime: 87 * time.Second, Interruption: 53 * time.Second, LazyInterruption: 46 * time.Second,
+			FirstTouchSamples: 12, P50FirstTouch: 6120 * time.Nanosecond, P95FirstTouch: 6120 * time.Nanosecond, P99FirstTouch: 6120 * time.Nanosecond},
+		{App: "Apache/PHP", BootTime: 87 * time.Second, Interruption: 53 * time.Second, LazyInterruption: 53 * time.Second},
+	})
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[1], "µs") || !strings.Contains(lines[2], "n/a n=0") {
+		t.Fatalf("unexpected table:\n%s", out)
+	}
+	width := utf8.RuneCountInString(lines[0])
+	for _, l := range lines[1:] {
+		if n := utf8.RuneCountInString(l); n != width {
+			t.Errorf("line %q is %d runes wide, header %d:\n%s", l, n, width, out)
+		}
 	}
 }
 

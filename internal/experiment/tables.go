@@ -335,13 +335,15 @@ func RenderTable6(rows []Table6Row) string {
 		"Application", "Boot time", "Interruption", "lazy install",
 		"first-touch p50/p95/p99")
 	for _, r := range rows {
+		// The stalls and their count are one field, padded in runes like
+		// the header (fmt counts runes, and µ is two bytes).
 		stalls := "n/a"
 		if r.FirstTouchSamples > 0 {
 			stalls = fmt.Sprintf("%v/%v/%v", r.P50FirstTouch, r.P95FirstTouch, r.P99FirstTouch)
 		}
-		fmt.Fprintf(&b, "%-11s %9.0fs %12.0fs %16.3fs %14s n=%d\n",
+		fmt.Fprintf(&b, "%-11s %9.0fs %12.0fs %16.3fs %30s\n",
 			r.App, r.BootTime.Seconds(), r.Interruption.Seconds(),
-			r.LazyInterruption.Seconds(), stalls, r.FirstTouchSamples)
+			r.LazyInterruption.Seconds(), fmt.Sprintf("%s n=%d", stalls, r.FirstTouchSamples))
 	}
 	return b.String()
 }

@@ -37,7 +37,7 @@ func (k *Kernel) lookupFile(p *Process, fd uint32) (*layout.FileRec, uint64, err
 
 // writeFileRec re-seals a file record in its slot.
 func (k *Kernel) writeFileRec(addr uint64, rec *layout.FileRec) error {
-	return k.writeSlot(addr, fileSlotSize, layout.TypeFile, rec.EncodePayload())
+	return k.writeSlot(addr, fileSlotSize, layout.TypeFile, rec.AppendPayload(k.Heap.recordBuffer()))
 }
 
 // openFile implements the open path: it validates flags, optionally creates

@@ -239,6 +239,39 @@ func cachedChain(t testing.TB, pages int) (*Kernel, *layout.FileRec, uint64) {
 	return k, rec, addr
 }
 
+// TestRecordWritesAllocateNothing: once the kernel has written a record,
+// re-sealing a process descriptor or a file record into its slot builds
+// the record in the heap's one record image, so it allocates nothing, and
+// it writes the bytes layout.Seal makes.
+func TestRecordWritesAllocateNothing(t *testing.T) {
+	k, rec, addr := cachedChain(t, 1)
+	p := k.Procs()[0]
+	for _, w := range []struct {
+		name  string
+		write func() error
+		at    uint64
+		want  []byte
+	}{
+		{"writeProc", func() error { return k.writeProc(p) }, p.Addr, layout.Seal(layout.TypeProc, 0, p.D.EncodePayload())},
+		{"writeFileRec", func() error { return k.writeFileRec(addr, rec) }, addr, layout.Seal(layout.TypeFile, 0, rec.EncodePayload())},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := w.write(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", w.name, n)
+		}
+		got := make([]byte, len(w.want))
+		if err := k.M.Mem.ReadAt(w.at, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w.want) {
+			t.Errorf("%s wrote %x, want %x", w.name, got, w.want)
+		}
+	}
+}
+
 // TestPageCacheWalksAllocateNothing: a clean fsync and a page-cache hit on
 // the chain's last entry walk all 64 entries of a file's chain. Each entry
 // costs exactly two counted reads (the 8-byte header, then payload plus

@@ -27,6 +27,12 @@ type Heap struct {
 	frames []int
 	// AllocatedBytes tracks live record bytes (Table 4 context).
 	AllocatedBytes int64
+
+	// rec is the record image WriteNewRecord and the kernel's slot
+	// rewrites seal into (recordBuffer, seal). Like the kernel's cacheRec
+	// and stackBuf it has one writer at a time, the kernel's goroutine,
+	// and each record is sealed and written before the next is built.
+	rec []byte
 }
 
 // NewHeap creates an empty heap drawing frames from alloc.
@@ -89,8 +95,26 @@ func (h *Heap) WriteNewRecord(t layout.Type, payload []byte) (addr uint64, size 
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := h.mem.WriteAt(addr, layout.Seal(t, 0, payload)); err != nil {
+	if err := h.mem.WriteAt(addr, h.seal(append(h.recordBuffer(), payload...), t)); err != nil {
 		return 0, 0, err
 	}
 	return addr, size, nil
+}
+
+// recordBuffer returns the heap's record image with HeaderSize bytes of
+// room for the header, for a payload to be appended and the record sealed
+// with seal.
+func (h *Heap) recordBuffer() []byte {
+	if cap(h.rec) < layout.HeaderSize {
+		h.rec = make([]byte, 0, procSlotSize)
+	}
+	return h.rec[:layout.HeaderSize]
+}
+
+// seal seals rec, built on recordBuffer, as a record of type t and keeps
+// its storage, grown or not, for the next record.
+func (h *Heap) seal(rec []byte, t layout.Type) []byte {
+	rec = layout.SealInto(rec, t, 0)
+	h.rec = rec[:0]
+	return rec
 }

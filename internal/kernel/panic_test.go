@@ -217,6 +217,9 @@ func TestSettleStopsRepeatedSilentWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if k.Text.decided == nil {
+		k.Text.decided = make(map[uint64]Misbehavior)
+	}
 	k.Text.decided[addr] = BehaveWildWriteSilent
 	before := k.Perf.WildWrites
 	if got := k.executeKernelFunc(FuncSched, p); got != BehaveBenign {

@@ -206,15 +206,17 @@ func (k *Kernel) CreateProcess(name, program string) (*Process, error) {
 
 // writeProc re-seals the descriptor record in its slot.
 func (k *Kernel) writeProc(p *Process) error {
-	return k.writeSlot(p.Addr, procSlotSize, layout.TypeProc, p.D.EncodePayload())
+	return k.writeSlot(p.Addr, procSlotSize, layout.TypeProc, p.D.AppendPayload(k.Heap.recordBuffer()))
 }
 
-// writeSlot seals a record into a fixed-size slot, enforcing the headroom.
-func (k *Kernel) writeSlot(addr uint64, slot int, t layout.Type, payload []byte) error {
-	if layout.RecordSize(len(payload)) > slot {
-		return fmt.Errorf("kernel: %s record (%d bytes) exceeds %d-byte slot", t, layout.RecordSize(len(payload)), slot)
+// writeSlot seals rec, a payload appended to the heap's recordBuffer, into
+// a fixed-size slot, enforcing the headroom.
+func (k *Kernel) writeSlot(addr uint64, slot int, t layout.Type, rec []byte) error {
+	rec = k.Heap.seal(rec, t)
+	if len(rec) > slot {
+		return fmt.Errorf("kernel: %s record (%d bytes) exceeds %d-byte slot", t, len(rec), slot)
 	}
-	return k.M.Mem.WriteAt(addr, layout.Seal(t, 0, payload))
+	return k.M.Mem.WriteAt(addr, rec)
 }
 
 // readProcRecord fetches the descriptor back out of memory, validating it.
@@ -281,7 +283,7 @@ func (k *Kernel) Exit(p *Process, code int) error {
 				if cp, ok := k.procs[d.PID]; ok && cp.Addr == cur {
 					cp.D.Next = d.Next
 				}
-				if err := k.writeSlot(cur, procSlotSize, layout.TypeProc, d.EncodePayload()); err != nil {
+				if err := k.writeSlot(cur, procSlotSize, layout.TypeProc, d.AppendPayload(k.Heap.recordBuffer())); err != nil {
 					return err
 				}
 				break

@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"otherworld/internal/phys"
 )
@@ -27,16 +28,20 @@ type Text struct {
 	size  int
 	seed  int64
 	funcs [funcCount]TextFunc
-	// pristine is the functions' bytes as NewText wrote them, from the
-	// region's start to the end of the last function: CheckExecute
-	// compares the bytes it reads against it.
+	// pristine is the text as NewText wrote it, all TextFrames pages in
+	// one allocation, and pages are its page-sized parts. Each text frame
+	// shares its page (phys.Mem.SharePage) until the frame is written, so
+	// memory and the pristine copy are the same bytes; CheckExecute
+	// compares the bytes it reads against pristine once a frame has been
+	// written.
 	pristine []byte
-	// live receives CheckExecute's read of a function's bytes; it is as
-	// long as the largest function.
+	pages    [TextFrames]*[phys.PageSize]byte
+	// live receives CheckExecute's read of a function's bytes; it is made
+	// on first use, as long as the largest function.
 	live []byte
 	// decided remembers the behaviour assigned to each corrupted byte the
 	// first time it executes: a real clobbered instruction misbehaves the
-	// same way every time it runs.
+	// same way every time it runs. It is made on first use.
 	decided map[uint64]Misbehavior
 }
 
@@ -89,6 +94,9 @@ var funcSizes = [funcCount]int{
 	FuncIPC:          16 << 10,
 }
 
+// longestFunc is the largest function footprint, the length of live.
+var longestFunc = slices.Max(funcSizes[:])
+
 var funcNames = [funcCount]string{
 	"interrupt", "transfer_stub", "panic", "sched", "syscall_entry",
 	"open", "read_write", "clone", "mmap", "page_fault", "swap",
@@ -137,7 +145,8 @@ func (b Misbehavior) String() string {
 }
 
 // NewText claims TextFrames frames inside region (skipping the fixed anchor
-// frames) and fills them with the deterministic pattern.
+// frames) and fills them with the deterministic pattern: each frame shares
+// its page of the pristine copy, written and counted as a WriteAt of it.
 func NewText(mem *phys.Mem, alloc *phys.FrameAllocator, region phys.Region, seed int64) (*Text, error) {
 	start := region.Start
 	if start < 3 {
@@ -147,38 +156,31 @@ func NewText(mem *phys.Mem, alloc *phys.FrameAllocator, region phys.Region, seed
 		return nil, fmt.Errorf("kernel: region %v too small for text", region)
 	}
 	t := &Text{
-		mem:     mem,
-		base:    phys.FrameAddr(start),
-		size:    TextFrames * phys.PageSize,
-		seed:    seed,
-		decided: make(map[uint64]Misbehavior),
+		mem:  mem,
+		base: phys.FrameAddr(start),
+		size: TextFrames * phys.PageSize,
+		seed: seed,
 	}
-	off, longest := 0, 0
+	off := 0
 	for id := FuncID(0); id < funcCount; id++ {
 		t.funcs[id] = TextFunc{Name: funcNames[id], Start: off, Len: funcSizes[id]}
 		off += funcSizes[id]
-		longest = max(longest, funcSizes[id])
 	}
 	if off > t.size {
 		return nil, fmt.Errorf("kernel: text functions exceed region")
 	}
-	// The functions span the start of the region; pristine keeps only
-	// those bytes, and page builds each frame's bytes in turn.
-	t.pristine = make([]byte, off)
-	t.live = make([]byte, longest)
-	page := make([]byte, phys.PageSize)
-	for i := 0; i < TextFrames; i++ {
+	t.pristine = make([]byte, t.size)
+	for i := range t.pages {
 		if err := alloc.Claim(start+i, phys.FrameKernelText); err != nil {
 			return nil, err
 		}
+		page := (*[phys.PageSize]byte)(t.pristine[i*phys.PageSize:])
 		addr := phys.FrameAddr(start + i)
 		for j := range page {
 			page[j] = t.expected(addr + uint64(j))
 		}
-		if lo := i * phys.PageSize; lo < len(t.pristine) {
-			copy(t.pristine[lo:], page)
-		}
-		if err := mem.WriteAt(addr, page); err != nil {
+		t.pages[i] = page
+		if err := mem.SharePage(start+i, page); err != nil {
 			return nil, err
 		}
 	}
@@ -235,7 +237,9 @@ func (t *Text) decideBehavior(roll float64) Misbehavior {
 // (the kernel) keeps everything on one seeded stream.
 //
 // The contract the mid-flight injection model relies on (DESIGN §3, §10):
-//   - one counted Mem.ReadAt of the whole function per call;
+//   - one counted read of the whole function per call: Mem.ReadShared
+//     while every frame of the function still shares its pristine page,
+//     Mem.ReadAt otherwise;
 //   - corrupted bytes are visited in ascending address order, with one
 //     rollFn draw for each not yet in decided, stopping at the first that
 //     does not behave benignly — whose behaviour is returned;
@@ -245,6 +249,15 @@ func (t *Text) decideBehavior(roll float64) Misbehavior {
 func (t *Text) CheckExecute(fn FuncID, rollFn func() float64) Misbehavior {
 	f := t.funcs[fn]
 	lo := t.base + uint64(f.Start)
+	if t.mem.ReadShared(lo, f.Len, t.pages[f.Start/phys.PageSize:]) {
+		// No frame of the function was written since NewText, so no byte
+		// differs: no draw is due, and no decided entry lies in it, since
+		// a frame that stops sharing its page never shares it again.
+		return BehaveBenign
+	}
+	if len(t.live) < f.Len {
+		t.live = make([]byte, longestFunc)
+	}
 	live := t.live[:f.Len]
 	if err := t.mem.ReadAt(lo, live); err != nil {
 		return BehaveFailStop
@@ -256,6 +269,9 @@ func (t *Text) CheckExecute(fn FuncID, rollFn func() float64) Misbehavior {
 		behave, ok := t.decided[addr]
 		if !ok {
 			behave = t.decideBehavior(rollFn())
+			if t.decided == nil {
+				t.decided = make(map[uint64]Misbehavior)
+			}
 			t.decided[addr] = behave
 		}
 		if behave != BehaveBenign {

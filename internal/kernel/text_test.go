@@ -3,6 +3,7 @@ package kernel
 import (
 	"maps"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"otherworld/internal/phys"
@@ -113,6 +114,9 @@ func TestCheckExecuteMatchesReference(t *testing.T) {
 				text.Settle(fn, Misbehavior(rng.Intn(int(BehaveDoubleFault)+1)))
 			default:
 				ref := maps.Clone(text.decided)
+				if ref == nil {
+					ref = make(map[uint64]Misbehavior)
+				}
 				rollSeed := rng.Int63()
 				refRoll, refDraws := countingRoll(rollSeed)
 				roll, draws := countingRoll(rollSeed)
@@ -153,13 +157,23 @@ func TestCheckExecutePristineDoesNotAllocate(t *testing.T) {
 }
 
 // TestNewTextWritesEveryByte requires NewText to write the pattern over
-// all of its text frames while keeping a pristine copy of only the bytes
-// its functions span.
+// all of its text frames, each frame sharing its page of the pristine copy
+// (a shared read of one frame succeeds only while it does), and, on fresh
+// memory, to allocate little more than that copy: one page a text frame.
 func TestNewTextWritesEveryByte(t *testing.T) {
-	text := newTestText(t, 7)
-	last := text.Func(funcCount - 1)
-	if span := last.Start + last.Len; len(text.pristine) != span {
-		t.Fatalf("pristine copy is %d bytes, want the functions' %d", len(text.pristine), span)
+	const slack = 16 << 10
+	mem := phys.NewMem((3 + TextFrames) * phys.PageSize)
+	region := phys.Region{Start: 0, Frames: mem.NumFrames()}
+	alloc := phys.NewFrameAllocator(mem, region)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	text, err := NewText(mem, alloc, region, 7)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(TextFrames*phys.PageSize+slack); got > want {
+		t.Fatalf("NewText on fresh memory allocated %d bytes, want at most %d", got, want)
 	}
 	got := make([]byte, text.Size())
 	if err := text.mem.ReadAt(text.Base(), got); err != nil {
@@ -170,8 +184,14 @@ func TestNewTextWritesEveryByte(t *testing.T) {
 		if want := text.expected(addr); b != want {
 			t.Fatalf("text byte %d reads %#x, want %#x", i, b, want)
 		}
-		if i < len(text.pristine) && text.pristine[i] != b {
+		if text.pristine[i] != b {
 			t.Fatalf("pristine byte %d is %#x, memory holds %#x", i, text.pristine[i], b)
+		}
+	}
+	for i := range text.pages {
+		addr := text.Base() + uint64(i*phys.PageSize)
+		if !text.mem.ReadShared(addr, phys.PageSize, text.pages[i:i+1]) {
+			t.Fatalf("text frame %d does not share its pristine page", i)
 		}
 	}
 }
@@ -183,13 +203,14 @@ var (
 
 // BenchmarkNewText times laying out a kernel's text, as every boot does:
 // claiming the frames, writing the pattern and keeping the pristine copy.
-// The frames already have storage, so only NewText's own bytes count.
+// Each run lays it out on fresh memory, as a boot does, so the storage the
+// text frames take counts with NewText's own bytes.
 func BenchmarkNewText(b *testing.B) {
-	mem := phys.NewMem((3 + TextFrames) * phys.PageSize)
-	region := phys.Region{Start: 0, Frames: mem.NumFrames()}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		mem := phys.NewMem((3 + TextFrames) * phys.PageSize)
+		region := phys.Region{Start: 0, Frames: mem.NumFrames()}
 		alloc := phys.NewFrameAllocator(mem, region)
 		b.StartTimer()
 		text, err := NewText(mem, alloc, region, int64(i))

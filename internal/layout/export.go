@@ -10,11 +10,19 @@ func (g *Globals) EncodePayload() []byte { return g.encode() }
 // EncodePayload returns the record payload for a process descriptor.
 func (p *Proc) EncodePayload() []byte { return p.encode() }
 
+// AppendPayload appends the record payload for a process descriptor to dst,
+// a record image for SealInto.
+func (p *Proc) AppendPayload(dst []byte) []byte { return p.appendTo(dst) }
+
 // EncodePayload returns the record payload for a memory-region descriptor.
 func (v *MemRegion) EncodePayload() []byte { return v.encode() }
 
 // EncodePayload returns the record payload for an open-file record.
 func (f *FileRec) EncodePayload() []byte { return f.encode() }
+
+// AppendPayload appends the record payload for an open-file record to dst,
+// a record image for SealInto.
+func (f *FileRec) AppendPayload(dst []byte) []byte { return f.appendTo(dst) }
 
 // EncodePayload returns the record payload for the swap-area table.
 func (t *SwapTable) EncodePayload() []byte { return t.encode() }

@@ -126,15 +126,21 @@ var CRCTable = crc32.MakeTable(crc32.Castagnoli)
 // Seal frames a payload into a complete record image ready to be written to
 // memory.
 func Seal(t Type, flags uint8, payload []byte) []byte {
-	buf := make([]byte, HeaderSize+len(payload)+TrailerSize)
-	binary.LittleEndian.PutUint16(buf[0:], Magic)
-	buf[2] = uint8(t)
-	buf[3] = flags
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(payload)))
-	copy(buf[HeaderSize:], payload)
-	crc := crc32.Checksum(buf[:HeaderSize+len(payload)], CRCTable)
-	binary.LittleEndian.PutUint32(buf[HeaderSize+len(payload):], crc)
-	return buf
+	buf := make([]byte, HeaderSize, RecordSize(len(payload)))
+	return SealInto(append(buf, payload...), t, flags)
+}
+
+// SealInto is Seal in a record image the caller owns: rec holds HeaderSize
+// bytes of room for the header followed by the payload, typically appended
+// by an AppendPayload method. It writes the header over the room and
+// appends the CRC, growing rec only if its capacity is short, and returns
+// the complete record.
+func SealInto(rec []byte, t Type, flags uint8) []byte {
+	binary.LittleEndian.PutUint16(rec[0:], Magic)
+	rec[2] = uint8(t)
+	rec[3] = flags
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(rec)-HeaderSize))
+	return binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, CRCTable))
 }
 
 // RecordSize returns the full framed size for a payload of n bytes.

@@ -118,8 +118,10 @@ type Proc struct {
 	Next uint64
 }
 
-func (p *Proc) encode() []byte {
-	var w writer
+func (p *Proc) encode() []byte { return p.appendTo(nil) }
+
+func (p *Proc) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u32(p.PID)
 	w.u8(uint8(p.State))
 	w.str(p.Name)
@@ -283,8 +285,10 @@ type FileRec struct {
 	Next uint64
 }
 
-func (f *FileRec) encode() []byte {
-	var w writer
+func (f *FileRec) encode() []byte { return f.appendTo(nil) }
+
+func (f *FileRec) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u32(f.FD)
 	w.str(f.Path)
 	w.u32(f.Flags)

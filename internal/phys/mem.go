@@ -2,12 +2,15 @@
 // with per-frame write protection and ownership tags. Memory is sparse and
 // stores what was written: each frame is eight 512 B sectors, a sector gets
 // storage the first time a write puts a non-zero byte on it, and a sector
-// or frame without storage reads as zeros. A machine boot therefore costs
-// its frame table rather than its whole RAM, a page that only ever held
-// zeros costs nothing, and a page table or a record page costs the sectors
-// its few words landed on. A frame whose first storing write puts a
-// non-zero byte on every sector (kernel text, a kernel stack, a full user
-// page) is stored as one page instead, so bulk copies of it stay single.
+// or frame without storage reads as zeros. Frames keep their storage
+// records in chunks of 16, and a chunk exists only once a write stored a
+// non-zero byte in it. A machine boot therefore costs a table of chunk
+// pointers rather than its whole RAM, a page that only ever held zeros
+// costs nothing, and a page table or a record page costs the sectors its
+// few words landed on. A frame whose first storing write puts a non-zero
+// byte on every sector (a kernel stack, a full user page) is stored as one
+// page instead, so bulk copies of it stay single, and a frame written with
+// SharePage (kernel text) borrows the caller's page until it is written.
 //
 // Everything that matters for Otherworld lives here as raw bytes — the main
 // kernel's heap records, page tables, kernel stacks, user pages, the page
@@ -109,12 +112,16 @@ type Stats struct {
 
 // Mem is the machine's physical memory, or a View of it.
 type Mem struct {
-	// frames holds each frame's storage, nil for a frame that has only
-	// ever been written zeros. A View shares all three slices, and so every
-	// frame's storage, with its parent.
-	frames []*frame
-	prot   []bool
-	kind   []FrameKind
+	// chunks holds the frames' storage records, chunkFrames to a chunk; a
+	// nil chunk stands for chunkFrames frames that have only ever been
+	// written zeros. The table's length is fixed when the Mem is made, so
+	// a View shares it, and through it every frame's storage, with its
+	// parent.
+	chunks []*chunk
+	// prot and kind are one entry a frame; their length is the number of
+	// installed frames.
+	prot []bool
+	kind []FrameKind
 
 	// stats counts the bytes each call asks for, whether or not its
 	// sectors have storage. CopyFrame deliberately bypasses it: it is a
@@ -134,16 +141,41 @@ const sectorSize = 512
 // sectorsPerFrame is the number of sectors in a frame.
 const sectorsPerFrame = PageSize / sectorSize
 
-// frame is one frame's storage: eight sector pointers, where a nil sector
-// has only ever been written zeros and reads as zeros. A sparse frame
-// (page nil) gets each sector from the first write that puts a non-zero
-// byte on it. A dense frame is one whose first storing write put a
-// non-zero byte on every sector: it has one page, its sectors are the
-// page's eight slices so word accesses take the same path, and bulk copies
-// use the page directly. A frame never changes representation, and its
-// sectors and page are never replaced or dropped.
+// chunkFrames is the number of frame records a chunk holds. After a crash,
+// a recovery and a serve, sixteen gave the smallest table and chunks on
+// the 8-MySQL bench machine, 32 on the WAL probe's and eight on the
+// 256-process fleet's, so sixteen is the middle ground.
+const chunkFrames = 16
+
+// chunk is the storage records of chunkFrames consecutive frames, inline,
+// so finding a frame's record costs no load beyond the chunk pointer. A
+// chunk is allocated by the first write that stores a non-zero byte in
+// one of its frames, and is never replaced or dropped.
+type chunk [chunkFrames]frame
+
+// frame is one frame's storage record: eight sector pointers and a page.
+// It is in one of four states.
 //
-// Sectors are added without a lock because a Mem and its views have one
+//   - Empty (the zero record): the frame has only ever been written zeros
+//     and reads as zeros.
+//   - Sparse: no page; a nil sector has only ever been written zeros, and
+//     each sector gets storage from the first write that puts a non-zero
+//     byte on it.
+//   - Dense: the frame's first storing write put a non-zero byte on every
+//     sector, so it got one page, and its sectors are the page's eight
+//     slices: word accesses take the same path, and bulk copies use the
+//     page directly.
+//   - Shared: a dense frame whose page is borrowed from the caller of
+//     SharePage, with no sectors yet. Reads see the page; the first write
+//     gives the frame a private copy of it, which makes it dense, and Zero
+//     empties it instead. So nothing written to memory reaches the page.
+//
+// Owned storage never changes representation, and its sectors and page
+// are never replaced or dropped: a sparse frame that fills up keeps its
+// sectors. Only a shared page is replaced or dropped, at the frame's first
+// write, its Zero or another SharePage.
+//
+// Storage is added without a lock because a Mem and its views have one
 // writer at a time. During a resurrection pass the scan workers only read,
 // and the commits, the only writers, run one at a time on the machine's
 // goroutine once every scan has finished. The campaign pool gives each
@@ -153,11 +185,25 @@ type frame struct {
 	page *[PageSize]byte
 }
 
-// newFrame returns the storage for a frame whose first write puts src at
-// off: dense if src puts a non-zero byte on all eight sectors, an empty
-// sparse table if on only some, and nil if on none.
-func newFrame(off int, src []byte) *frame {
-	// Stop once both a zero and a non-zero sector part have been seen.
+// shared reports whether the frame's page is borrowed: a dense frame's
+// sectors are slices of its page, a shared frame has none.
+func (fr *frame) shared() bool { return fr.page != nil && fr.sec[0] == nil }
+
+// owned reports whether the frame has storage of its own: a sector.
+func (fr *frame) owned() bool { return fr.sec != [sectorsPerFrame]*[sectorSize]byte{} }
+
+// setPage makes p the frame's owned page, its sectors p's slices.
+func (fr *frame) setPage(p *[PageSize]byte) {
+	fr.page = p
+	for i := range fr.sec {
+		fr.sec[i] = (*[sectorSize]byte)(p[i*sectorSize:])
+	}
+}
+
+// storedSectors returns how many of the sectors that src, written at off,
+// lands on get a non-zero byte, counting until both a zero and a non-zero
+// sector part have been seen: 0 if none, sectorsPerFrame if all.
+func storedSectors(off int, src []byte) int {
 	stored, zero := 0, false
 	for len(src) > 0 && (stored == 0 || !zero) {
 		n := min(len(src), sectorSize-off%sectorSize)
@@ -168,18 +214,7 @@ func newFrame(off int, src []byte) *frame {
 		}
 		src, off = src[n:], off+n
 	}
-	switch stored {
-	case 0:
-		return nil
-	case sectorsPerFrame:
-		p := new([PageSize]byte)
-		fr := &frame{page: p}
-		for i := range fr.sec {
-			fr.sec[i] = (*[sectorSize]byte)(p[i*sectorSize:])
-		}
-		return fr
-	}
-	return &frame{}
+	return stored
 }
 
 // unstored returns the bytes from off to the frame's next stored sector, or
@@ -192,8 +227,9 @@ func (fr *frame) unstored(off int) int {
 	return i*sectorSize - off
 }
 
-// write copies src onto the frame at off; src must not run past the frame.
-// Only a part of src that holds a non-zero byte gives its sector storage.
+// write copies src onto the frame's owned storage at off; src must not run
+// past the frame. Only a part of src that holds a non-zero byte gives its
+// sector storage.
 func (fr *frame) write(off int, src []byte) {
 	if fr.page != nil {
 		copy(fr.page[off:], src)
@@ -222,17 +258,17 @@ func NewMem(size int) *Mem {
 		frames = 1
 	}
 	return &Mem{
-		frames: make([]*frame, frames),
+		chunks: make([]*chunk, (frames+chunkFrames-1)/chunkFrames),
 		prot:   make([]bool, frames),
 		kind:   make([]FrameKind, frames),
 	}
 }
 
 // Size returns the installed physical memory in bytes.
-func (m *Mem) Size() int { return len(m.frames) * PageSize }
+func (m *Mem) Size() int { return len(m.prot) * PageSize }
 
 // NumFrames returns the number of installed frames.
-func (m *Mem) NumFrames() int { return len(m.frames) }
+func (m *Mem) NumFrames() int { return len(m.prot) }
 
 // FrameOf returns the frame number containing addr.
 func FrameOf(addr uint64) int { return int(addr / PageSize) }
@@ -240,13 +276,32 @@ func FrameOf(addr uint64) int { return int(addr / PageSize) }
 // FrameAddr returns the physical address of the first byte of frame f.
 func FrameAddr(f int) uint64 { return uint64(f) * PageSize }
 
+// record returns installed frame f's storage record, or nil if its chunk
+// has none.
+func (m *Mem) record(f int) *frame {
+	if c := m.chunks[uint(f)/chunkFrames]; c != nil {
+		return &c[uint(f)%chunkFrames]
+	}
+	return nil
+}
+
+// store returns installed frame f's storage record, allocating its chunk.
+func (m *Mem) store(f int) *frame {
+	c := m.chunks[uint(f)/chunkFrames]
+	if c == nil {
+		c = new(chunk)
+		m.chunks[uint(f)/chunkFrames] = c
+	}
+	return &c[uint(f)%chunkFrames]
+}
+
 // View returns a Mem that shares m's frames, protection and kinds, in both
 // directions, but owns its counters, which start at zero. A resurrection
 // scan worker reads the dead image through a view so that it counts
 // without atomics and without racing the commits; Absorb folds the counts
 // back.
 func (m *Mem) View() *Mem {
-	return &Mem{frames: m.frames, prot: m.prot, kind: m.kind}
+	return &Mem{chunks: m.chunks, prot: m.prot, kind: m.kind}
 }
 
 // Absorb adds v's counters to m's and zeroes v's, so a view absorbed twice
@@ -262,8 +317,8 @@ func (m *Mem) Absorb(v *Mem) {
 }
 
 // ReadAt copies len(buf) bytes starting at addr into buf. Bytes of frames
-// and sectors without storage read as zeros; a dense frame is copied in one
-// piece.
+// and sectors without storage read as zeros; a dense or shared frame is
+// copied in one piece.
 func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -272,7 +327,7 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	m.stats.ReadBytes += int64(len(buf))
 	for len(buf) > 0 {
 		var n int
-		fr := m.frames[addr/PageSize]
+		fr := m.record(FrameOf(addr))
 		switch {
 		case fr == nil:
 			n = min(len(buf), PageSize-int(addr%PageSize))
@@ -291,12 +346,36 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	return nil
 }
 
+// ReadShared counts a read of the n bytes at addr exactly as a ReadAt of
+// them would, and reports true, if every frame those bytes touch still
+// shares the page SharePage gave it from pages: pages[i] for frame
+// FrameOf(addr)+i. The bytes are then the pages' own, so it copies
+// nothing. Otherwise it counts nothing and reports false, and the caller
+// reads the bytes with ReadAt.
+func (m *Mem) ReadShared(addr uint64, n int, pages []*[PageSize]byte) bool {
+	if m.check(addr, n) != nil {
+		return false
+	}
+	for f, i := FrameOf(addr), 0; FrameAddr(f) < addr+uint64(n); f, i = f+1, i+1 {
+		if i >= len(pages) || pages[i] == nil {
+			return false
+		}
+		if fr := m.record(f); fr == nil || fr.page != pages[i] || !fr.shared() {
+			return false
+		}
+	}
+	m.stats.ReadOps++
+	m.stats.ReadBytes += int64(n)
+	return true
+}
+
 // WriteAt copies buf into memory at addr, honoring write protection: if any
 // touched frame is protected the write is not performed and a
 // *ProtectionFault is returned. A zero-length write touches the frame that
 // holds addr, if there is one. The part of buf that lands on a sector
 // without storage gives it storage only if it holds a non-zero byte; all
-// zeros there change nothing, yet the write counts in full.
+// zeros there change nothing, yet the write counts in full. A shared frame
+// the write lands on gets a private copy of its page first.
 func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -315,15 +394,16 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	m.stats.WriteBytes += int64(len(buf))
 	for len(buf) > 0 {
 		var n int
-		fr := m.frames[addr/PageSize]
+		fr := m.record(FrameOf(addr))
 		switch {
-		case fr != nil && fr.page != nil:
-			n = copy(fr.page[addr%PageSize:], buf)
-		case fr != nil && fr.sec[addr/sectorSize%sectorsPerFrame] != nil:
-			n = copy(fr.sec[addr/sectorSize%sectorsPerFrame][addr%sectorSize:], buf)
-		default:
+		case fr == nil || fr.sec[addr/sectorSize%sectorsPerFrame] == nil:
+			// No storage here yet, or a shared frame.
 			n = min(len(buf), PageSize-int(addr%PageSize))
 			m.write(FrameOf(addr), int(addr%PageSize), buf[:n])
+		case fr.page != nil:
+			n = copy(fr.page[addr%PageSize:], buf)
+		default:
+			n = copy(fr.sec[addr/sectorSize%sectorsPerFrame][addr%sectorSize:], buf)
 		}
 		buf = buf[n:]
 		addr += uint64(n)
@@ -332,21 +412,64 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 }
 
 // write copies src onto frame f at off; src must not run past the frame.
-// A frame without storage gets it only if src holds a non-zero byte.
+// A shared frame first gets a private copy of its page. An empty frame
+// gets storage only if src holds a non-zero byte: one page if src puts one
+// on every sector, sectors otherwise.
 func (m *Mem) write(f, off int, src []byte) {
-	fr := m.frames[f]
-	if fr == nil {
-		if fr = newFrame(off, src); fr == nil {
+	fr := m.record(f)
+	switch {
+	case fr != nil && fr.shared():
+		p := new([PageSize]byte)
+		*p = *fr.page
+		fr.setPage(p)
+	case fr == nil || !fr.owned():
+		stored := storedSectors(off, src)
+		if stored == 0 {
 			return
 		}
-		m.frames[f] = fr
+		fr = m.store(f)
+		if stored == sectorsPerFrame {
+			fr.setPage(new([PageSize]byte))
+		}
 	}
 	fr.write(off, src)
 }
 
+// SharePage writes page over frame f with the effect, the counts and the
+// protection check of WriteAt(FrameAddr(f), page[:]), but where the frame
+// has no storage of its own it shares page instead of copying it: the
+// page becomes the frame's storage until the frame's first write, its Zero
+// or the next SharePage. A frame with owned storage is written as WriteAt
+// would write it, and an all-zero page needs no storage, so it only ends a
+// share. The caller must never change page afterwards; memory never
+// writes to it.
+func (m *Mem) SharePage(f int, page *[PageSize]byte) error {
+	if f < 0 || f >= m.NumFrames() {
+		return ErrOutOfRange
+	}
+	if m.prot[f] {
+		m.stats.ProtFaults++
+		return &ProtectionFault{Addr: FrameAddr(f), Frame: f}
+	}
+	m.stats.WriteOps++
+	m.stats.WriteBytes += PageSize
+	fr := m.record(f)
+	switch {
+	case fr != nil && fr.owned():
+		fr.write(0, page[:])
+	case PageIsZero(page[:]):
+		if fr != nil {
+			*fr = frame{}
+		}
+	default:
+		*m.store(f) = frame{page: page}
+	}
+	return nil
+}
+
 // ReadU64 reads a little-endian 64-bit word, counted as one 8-byte ReadAt.
-// An aligned word lies in one sector and is read there directly; only an
-// unaligned one goes through ReadAt.
+// An aligned word lies in one sector and is read there directly, or from a
+// shared page; only an unaligned one goes through ReadAt.
 func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 	if addr%8 != 0 {
 		var b [8]byte
@@ -355,19 +478,23 @@ func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 		}
 		return binary.LittleEndian.Uint64(b[:]), nil
 	}
-	frames, f := m.frames, addr/PageSize
-	if f >= uint64(len(frames)) {
+	f := addr / PageSize
+	if f >= uint64(len(m.prot)) {
 		return 0, ErrOutOfRange
 	}
 	m.stats.ReadOps++
 	m.stats.ReadBytes += 8
-	fr := frames[f]
-	if fr == nil {
+	c := m.chunks[f/chunkFrames]
+	if c == nil {
 		return 0, nil
 	}
+	fr := &c[f%chunkFrames]
 	s := fr.sec[addr/sectorSize%sectorsPerFrame]
 	if s == nil {
-		return 0, nil
+		if fr.page == nil {
+			return 0, nil
+		}
+		return binary.LittleEndian.Uint64(fr.page[addr%PageSize:]), nil
 	}
 	return binary.LittleEndian.Uint64(s[addr%sectorSize:]), nil
 }
@@ -376,15 +503,16 @@ func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 // counted as one 8-byte WriteAt. An aligned word lies in one sector and,
 // once the sector has storage, is written there directly; only an
 // unaligned one goes through WriteAt. Like WriteAt, a zero word gives a
-// sector without storage none.
+// sector without storage none, and a shared frame gets a private copy of
+// its page first.
 func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	if addr%8 != 0 {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], v)
 		return m.WriteAt(addr, b[:])
 	}
-	frames, f := m.frames, addr/PageSize
-	if f >= uint64(len(frames)) {
+	f := addr / PageSize
+	if f >= uint64(len(m.prot)) {
 		return ErrOutOfRange
 	}
 	if m.prot[f] {
@@ -393,8 +521,8 @@ func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	}
 	m.stats.WriteOps++
 	m.stats.WriteBytes += 8
-	if fr := frames[f]; fr != nil {
-		if s := fr.sec[addr/sectorSize%sectorsPerFrame]; s != nil {
+	if c := m.chunks[f/chunkFrames]; c != nil {
+		if s := c[f%chunkFrames].sec[addr/sectorSize%sectorsPerFrame]; s != nil {
 			binary.LittleEndian.PutUint64(s[addr%sectorSize:], v)
 			return nil
 		}
@@ -414,7 +542,7 @@ func (m *Mem) CopyFrame(f int, buf []byte) error {
 		return ErrOutOfRange
 	}
 	// A throwaway view shares the storage but not m's counters.
-	v := Mem{frames: m.frames}
+	v := Mem{chunks: m.chunks, prot: m.prot}
 	return v.ReadAt(FrameAddr(f), buf[:min(len(buf), PageSize)])
 }
 
@@ -463,8 +591,9 @@ func (m *Mem) CountKind(k FrameKind) int {
 	return n
 }
 
-// Zero clears frame f in place, honoring protection. A sector without
-// storage is already zero and keeps none.
+// Zero clears frame f, honoring protection: stored sectors are cleared in
+// place, a sector without storage is already zero and keeps none, and a
+// shared frame stops sharing its page, which stays as it was, and is empty.
 func (m *Mem) Zero(f int) error {
 	if f < 0 || f >= m.NumFrames() {
 		return ErrOutOfRange
@@ -475,7 +604,11 @@ func (m *Mem) Zero(f int) error {
 	}
 	m.stats.WriteOps++
 	m.stats.WriteBytes += PageSize
-	if fr := m.frames[f]; fr != nil {
+	switch fr := m.record(f); {
+	case fr == nil:
+	case fr.shared():
+		*fr = frame{}
+	default:
 		for _, s := range fr.sec {
 			if s != nil {
 				clear(s[:])

@@ -94,6 +94,8 @@ const (
 	opCopyFrame
 	opView   // later ops go through a fresh View of the Mem
 	opAbsorb // the Mem absorbs the newest view; later ops go to the one before
+	opShare  // SharePage of one of sharePages, which the reference writes
+	opReadShared
 	numMemOps
 )
 
@@ -101,11 +103,25 @@ const (
 const memOpSize = 8
 
 const (
-	fuzzFrames  = 4
+	// fuzzFrames spans one whole chunk and part of a second.
+	fuzzFrames  = chunkFrames + 4
 	hugeAddrBit = 0x80
+	// highAddrBit is bit 16 of the op's address.
+	highAddrBit = 0x40
 	// sparsePat and the patterns above it fill only some bytes; see fill.
 	sparsePat = 0xf0
 )
+
+// sharePages are the pages opShare installs and opReadShared names: one
+// with a non-zero byte on every sector, one with some sectors all zero,
+// and one all zero. Nothing may ever change them.
+var sharePages = func() (out [3]*[PageSize]byte) {
+	for i, pat := range []byte{0x3c, sparsePat | 3, 0} {
+		out[i] = new([PageSize]byte)
+		fill(out[i][:], pat)
+	}
+	return out
+}()
 
 // memOp is one decoded op. Addresses reach a frame past the end of memory
 // (or far beyond it), lengths reach three frames, and frame numbers reach
@@ -116,15 +132,19 @@ type memOp struct {
 	n    int
 	pat  byte
 	f    int
-	arg  int // the Protect flag in bit 0
+	arg  int // the Protect flag in bit 0; the share page for opShare and opReadShared
 }
 
 func decodeMemOps(data []byte) []memOp {
 	var ops []memOp
 	for ; len(data) >= memOpSize; data = data[memOpSize:] {
+		addr := uint64(binary.LittleEndian.Uint16(data[1:]))
+		if data[0]&highAddrBit != 0 {
+			addr |= 1 << 16
+		}
 		op := memOp{
-			code: int(data[0]&^hugeAddrBit) % numMemOps,
-			addr: uint64(binary.LittleEndian.Uint16(data[1:])) % (fuzzFrames*PageSize + PageSize + 1),
+			code: int(data[0]&^(hugeAddrBit|highAddrBit)) % numMemOps,
+			addr: addr % (fuzzFrames*PageSize + PageSize + 1),
 			n:    int(binary.LittleEndian.Uint16(data[3:])) % (3*PageSize + 1),
 			pat:  data[5],
 			f:    int(data[6])%(fuzzFrames+2) - 1,
@@ -144,6 +164,9 @@ func encodeMemOp(code int, addr uint64, n int, pat byte, f, arg int) []byte {
 	b[0] = byte(code)
 	if addr >= 1<<63 {
 		b[0] |= hugeAddrBit
+	}
+	if addr&(1<<16) != 0 {
+		b[0] |= highAddrBit
 	}
 	binary.LittleEndian.PutUint16(b[1:], uint16(addr))
 	binary.LittleEndian.PutUint16(b[3:], uint16(n))
@@ -184,92 +207,200 @@ func wordOf(op memOp) uint64 {
 	return uint64(op.pat)*0x0101010101010101 ^ op.addr
 }
 
-// nonZeroSectors reports, for each sector of memory, whether op, if it
-// succeeds, puts a non-zero byte on it.
-func nonZeroSectors(op memOp) (out [fuzzFrames * sectorsPerFrame]bool) {
-	var buf []byte
+// sharePage is the page opShare installs and opReadShared names.
+func sharePage(op memOp) *[PageSize]byte { return sharePages[op.arg%len(sharePages)] }
+
+// sharedRun is the page list opReadShared passes: op.pat%4 copies of its
+// share page, so a read that touches more frames than that must fail.
+func sharedRun(op memOp) []*[PageSize]byte {
+	run := make([]*[PageSize]byte, op.pat%4)
+	for i := range run {
+		run[i] = sharePage(op)
+	}
+	return run
+}
+
+// written returns the address and bytes op writes if it succeeds, and
+// whether it is a write at all: WriteAt's, WriteU64's and SharePage's,
+// which the model treats as a WriteAt of the page.
+func written(op memOp) (addr uint64, buf []byte, ok bool) {
 	switch op.code {
 	case opWriteAt:
 		buf = make([]byte, op.n)
 		fill(buf, op.pat)
+		return op.addr, buf, true
 	case opWriteU64:
-		buf = binary.LittleEndian.AppendUint64(nil, wordOf(op))
+		return op.addr, binary.LittleEndian.AppendUint64(nil, wordOf(op)), true
+	case opShare:
+		return FrameAddr(op.f), sharePage(op)[:], true
 	}
-	for i, c := range buf {
-		if a := op.addr + uint64(i); c != 0 && a < fuzzFrames*PageSize {
-			out[a/sectorSize] = true
-		}
-	}
-	return out
+	return 0, nil, false
 }
 
-// contents returns m's bytes without going through the counted accessors,
-// sector by sector (a dense frame's sectors are slices of its page).
+// effects reports, for each frame and each sector of memory, whether op,
+// if it succeeds, writes a byte on the frame and puts a non-zero byte on
+// the sector.
+func effects(op memOp) (frames [fuzzFrames]bool, nonZero [fuzzFrames * sectorsPerFrame]bool) {
+	addr, buf, _ := written(op)
+	for i, c := range buf {
+		if a := addr + uint64(i); a < fuzzFrames*PageSize {
+			frames[FrameOf(a)] = true
+			nonZero[a/sectorSize] = nonZero[a/sectorSize] || c != 0
+		}
+	}
+	return frames, nonZero
+}
+
+// contents returns m's bytes without going through the counted accessors:
+// a shared frame's page, and otherwise sector by sector (a dense frame's
+// sectors are slices of its page).
 func contents(m *Mem) []byte {
 	out := make([]byte, m.Size())
-	for f, fr := range m.frames {
-		if fr == nil {
-			continue
-		}
-		for i, sec := range fr.sec {
-			if sec != nil {
-				copy(out[FrameAddr(f)+uint64(i*sectorSize):], sec[:])
+	for f := 0; f < m.NumFrames(); f++ {
+		fr := m.record(f)
+		switch {
+		case fr == nil:
+		case fr.shared():
+			copy(out[FrameAddr(f):], fr.page[:])
+		default:
+			for i, sec := range fr.sec {
+				if sec != nil {
+					copy(out[FrameAddr(f)+uint64(i*sectorSize):], sec[:])
+				}
 			}
 		}
 	}
 	return out
 }
 
-// storage is a copy of one frame's storage pointers.
+// storage is a copy of one frame's storage pointers and its chunk's.
 type storage struct {
-	fr   *frame
-	page *[PageSize]byte
-	sec  [sectorsPerFrame]*[sectorSize]byte
+	chunk *chunk
+	page  *[PageSize]byte
+	sec   [sectorsPerFrame]*[sectorSize]byte
 }
 
+// owned reports whether the frame had storage of its own.
+func (s storage) owned() bool { return s.sec != [sectorsPerFrame]*[sectorSize]byte{} }
+
+// shared reports whether the frame shared a page.
+func (s storage) shared() bool { return s.page != nil && !s.owned() }
+
 func storageOf(m *Mem) []storage {
-	out := make([]storage, len(m.frames))
-	for f, fr := range m.frames {
-		if fr != nil {
-			out[f] = storage{fr: fr, page: fr.page, sec: fr.sec}
+	out := make([]storage, m.NumFrames())
+	for f := range out {
+		out[f].chunk = m.chunks[f/chunkFrames]
+		if fr := m.record(f); fr != nil {
+			out[f].page, out[f].sec = fr.page, fr.sec
 		}
 	}
 	return out
+}
+
+// isSharePage reports whether p is one of sharePages.
+func isSharePage(p *[PageSize]byte) bool {
+	for _, q := range sharePages {
+		if p == q {
+			return true
+		}
+	}
+	return false
 }
 
 // checkStorage fails unless the change from before to after, made by op
-// with error err, keeps the storage rules: no table, page or sector is
-// replaced or dropped; a sector gains storage exactly when a successful
-// write puts a non-zero byte on it; a frame gains a whole page exactly when
-// the write that first gives it storage puts a non-zero byte on every
-// sector, and never later; a dense frame's sectors are its page's slices;
-// and a frame table exists only with a sector stored.
+// with error err, keeps the storage rules:
+//   - a chunk appears exactly when a successful op stores a non-zero byte
+//     in one of its frames, and is never replaced or dropped;
+//   - owned storage keeps every page and sector it has, and a sector
+//     gains storage exactly when a successful write puts a non-zero byte
+//     on it;
+//   - a frame without storage gains a whole page exactly when its first
+//     storing write puts a non-zero byte on every sector, and a dense
+//     frame's sectors are its page's slices;
+//   - a successful SharePage makes a frame without owned storage share a
+//     page that holds a non-zero byte, and leaves it empty otherwise;
+//   - a shared frame keeps its page until a successful op writes a byte
+//     on it, which gives it a private page with the same bytes, or Zero
+//     empties it; and a frame only ever shares one of sharePages.
 func checkStorage(t *testing.T, i int, op memOp, err error, before, after []storage) {
 	t.Helper()
-	nonZero := nonZeroSectors(op)
+	wrote, nonZero := effects(op)
+	if err != nil {
+		wrote, nonZero = [fuzzFrames]bool{}, [fuzzFrames * sectorsPerFrame]bool{}
+	}
+	share := err == nil && op.code == opShare
+	zeroed := err == nil && op.code == opZero
+	var stores [fuzzFrames/chunkFrames + 1]bool
 	for f := range after {
 		b, a := before[f], after[f]
-		if b.fr != nil && (a.fr != b.fr || a.page != b.page) {
-			t.Fatalf("op %d %+v: frame %d's table or page was replaced or dropped", i, op, f)
+		sharedNow := share && f == op.f && !b.owned() && !PageIsZero(sharePage(op)[:])
+		stores[f/chunkFrames] = stores[f/chunkFrames] || sharedNow
+		for s := 0; s < sectorsPerFrame; s++ {
+			stores[f/chunkFrames] = stores[f/chunkFrames] || nonZero[f*sectorsPerFrame+s]
 		}
-		all, stored := true, false
-		for s := range a.sec {
-			wrote := err == nil && nonZero[f*sectorsPerFrame+s]
-			all, stored = all && wrote, stored || a.sec[s] != nil
-			switch {
-			case b.sec[s] != nil && a.sec[s] != b.sec[s]:
-				t.Fatalf("op %d %+v: frame %d sector %d's storage was replaced or dropped", i, op, f, s)
-			case b.sec[s] == nil && (a.sec[s] != nil) != wrote:
-				t.Fatalf("op %d %+v: frame %d sector %d has storage %v, want %v", i, op, f, s, a.sec[s] != nil, wrote)
-			case a.page != nil && a.sec[s] != (*[sectorSize]byte)(a.page[s*sectorSize:]):
-				t.Fatalf("op %d %+v: dense frame %d's sector %d is not a slice of its page", i, op, f, s)
+		if b.chunk != nil && a.chunk != b.chunk {
+			t.Fatalf("op %d %+v: frame %d's chunk was replaced or dropped", i, op, f)
+		}
+		if a.page != nil && a.owned() {
+			for s := range a.sec {
+				if a.sec[s] != (*[sectorSize]byte)(a.page[s*sectorSize:]) {
+					t.Fatalf("op %d %+v: dense frame %d's sector %d is not a slice of its page", i, op, f, s)
+				}
 			}
 		}
-		if a.fr != nil && !stored {
-			t.Fatalf("op %d %+v: frame %d has a table but no storage", i, op, f)
+		if a.shared() != isSharePage(a.page) {
+			t.Fatalf("op %d %+v: frame %d shares %v, want one of sharePages", i, op, f, a.shared())
 		}
-		if b.fr == nil && a.fr != nil && (a.page != nil) != all {
-			t.Fatalf("op %d %+v: frame %d stored dense %v, want %v", i, op, f, a.page != nil, all)
+		switch {
+		case b.owned():
+			if a.page != b.page {
+				t.Fatalf("op %d %+v: frame %d's page was replaced or dropped", i, op, f)
+			}
+			for s := range a.sec {
+				want := b.sec[s] != nil || nonZero[f*sectorsPerFrame+s]
+				switch {
+				case b.sec[s] != nil && a.sec[s] != b.sec[s]:
+					t.Fatalf("op %d %+v: frame %d sector %d's storage was replaced or dropped", i, op, f, s)
+				case (a.sec[s] != nil) != want:
+					t.Fatalf("op %d %+v: frame %d sector %d has storage %v, want %v", i, op, f, s, a.sec[s] != nil, want)
+				}
+			}
+		case sharedNow:
+			if a.page != sharePage(op) || !a.shared() {
+				t.Fatalf("op %d %+v: frame %d does not share the page it was given", i, op, f)
+			}
+		case share && f == op.f, b.shared() && zeroed && f == op.f:
+			if a.page != nil || a.owned() {
+				t.Fatalf("op %d %+v: frame %d has storage, want none", i, op, f)
+			}
+		case b.shared() && wrote[f]:
+			if a.page == nil || a.page == b.page || !a.owned() {
+				t.Fatalf("op %d %+v: written shared frame %d has no private page", i, op, f)
+			}
+		case b.shared():
+			if a != b {
+				t.Fatalf("op %d %+v: shared frame %d changed its storage", i, op, f)
+			}
+		default: // no storage before
+			if a.shared() {
+				t.Fatalf("op %d %+v: frame %d shares a page it was not given", i, op, f)
+			}
+			all := true
+			for s := range a.sec {
+				want := nonZero[f*sectorsPerFrame+s]
+				all = all && want
+				if (a.sec[s] != nil) != want {
+					t.Fatalf("op %d %+v: frame %d sector %d has storage %v, want %v", i, op, f, s, a.sec[s] != nil, want)
+				}
+			}
+			if a.owned() && (a.page != nil) != all {
+				t.Fatalf("op %d %+v: frame %d stored dense %v, want %v", i, op, f, a.page != nil, all)
+			}
+		}
+	}
+	for f := 0; f < len(after); f += chunkFrames {
+		if before[f].chunk == nil && (after[f].chunk != nil) != stores[f/chunkFrames] {
+			t.Fatalf("op %d %+v: chunk of frame %d allocated %v, want %v", i, op, f, after[f].chunk != nil, stores[f/chunkFrames])
 		}
 	}
 }
@@ -287,19 +418,39 @@ func sumStats(ss ...Stats) Stats {
 	return out
 }
 
+// readsShared reports whether ReadShared(op.addr, op.n, sharedRun(op))
+// must succeed on memory with storage st: the range is inside memory and
+// every frame it touches shares the page the run names for it.
+func readsShared(op memOp, st []storage) bool {
+	if op.addr > fuzzFrames*PageSize || op.addr+uint64(op.n) > fuzzFrames*PageSize {
+		return false
+	}
+	run := sharedRun(op)
+	for f, i := FrameOf(op.addr), 0; FrameAddr(f) < op.addr+uint64(op.n); f, i = f+1, i+1 {
+		if i >= len(run) || !st[f].shared() || st[f].page != run[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // replayMemOps runs ops on a fresh Mem and on the flat reference model and
 // fails at the first op after which their errors, read bytes, memory,
 // protection or Stats differ. Ops after opView go through a stack of
 // views, which share storage and protection with the Mem both ways, so the
 // Mem and the current view must both show the reference's memory and
 // protection, and the Mem's Stats plus every unabsorbed view's must sum to
-// the reference's. It also checks the sector storage itself after every
-// op, with checkStorage.
+// the reference's. It also checks the storage itself after every op, with
+// checkStorage, and that sharePages never change.
 func replayMemOps(t *testing.T, ops []memOp) {
 	t.Helper()
 	root, ref := NewMem(fuzzFrames*PageSize), newFlatMem(fuzzFrames)
 	m := root // the Mem or view the next op goes through
 	var views []*Mem
+	var pristine [len(sharePages)][PageSize]byte
+	for i, p := range sharePages {
+		pristine[i] = *p
+	}
 	for i, op := range ops {
 		var got, want error
 		var gotBuf, wantBuf []byte
@@ -311,10 +462,14 @@ func replayMemOps(t *testing.T, ops []memOp) {
 			fill(gotBuf, 0xee)
 			fill(wantBuf, 0xee)
 			got, want = m.ReadAt(op.addr, gotBuf), ref.readAt(op.addr, wantBuf)
-		case opWriteAt:
-			buf := make([]byte, op.n)
-			fill(buf, op.pat)
-			got, want = m.WriteAt(op.addr, buf), ref.writeAt(op.addr, buf)
+		case opWriteAt, opShare:
+			addr, buf, _ := written(op)
+			if op.code == opShare {
+				got = m.SharePage(op.f, sharePage(op))
+			} else {
+				got = m.WriteAt(addr, buf)
+			}
+			want = ref.writeAt(addr, buf)
 		case opReadU64:
 			var v uint64
 			v, got = m.ReadU64(op.addr)
@@ -342,6 +497,23 @@ func replayMemOps(t *testing.T, ops []memOp) {
 				want = ErrOutOfRange
 			} else {
 				copy(wantBuf, ref.frame(op.f))
+			}
+		case opReadShared:
+			// A shared read counts as the ReadAt it stands for and holds the
+			// pages' bytes; any other counts nothing.
+			ok := m.ReadShared(op.addr, op.n, sharedRun(op))
+			if ok != readsShared(op, before) {
+				t.Fatalf("op %d %+v: ReadShared = %v", i, op, ok)
+			}
+			if ok {
+				wantBuf = make([]byte, op.n)
+				if want = ref.readAt(op.addr, wantBuf); want != nil {
+					t.Fatalf("op %d %+v: a shared read of bytes outside memory", i, op)
+				}
+				gotBuf = make([]byte, 0, op.n)
+				for a := op.addr; a < op.addr+uint64(op.n); a++ {
+					gotBuf = append(gotBuf, sharePage(op)[a%PageSize])
+				}
 			}
 		case opView:
 			views = append(views, root.View())
@@ -381,14 +553,20 @@ func replayMemOps(t *testing.T, ops []memOp) {
 			t.Fatalf("op %d %+v: stats %+v, reference %+v", i, op, all, ref.stats)
 		}
 		checkStorage(t, i, op, got, before, storageOf(root))
+		for j, p := range sharePages {
+			if *p != pristine[j] {
+				t.Fatalf("op %d %+v: share page %d changed", i, op, j)
+			}
+		}
 	}
 }
 
 // FuzzMemOps replays decoded ReadAt/WriteAt/ReadU64/WriteU64/Zero/Protect/
-// CopyFrame sequences and View/Absorb on a four-frame Mem and on a flat
-// byte-array reference model, and requires identical results after every
-// op, and sector storage that keeps checkStorage's rules. The seed corpus
-// runs as a unit test.
+// CopyFrame/SharePage/ReadShared sequences and View/Absorb on a Mem of a
+// chunk and a part and on a flat byte-array reference model, which takes
+// each SharePage as a WriteAt of the page, and requires identical results
+// after every op, storage that keeps checkStorage's rules, and share pages
+// that never change. The seed corpus runs as a unit test.
 func FuzzMemOps(f *testing.F) {
 	const end = fuzzFrames * PageSize
 	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
@@ -556,6 +734,75 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opReadU64, 7*sectorSize-4, 0, 0, 0, 0),
 		encodeMemOp(opWriteAt, 2000, 3*PageSize, 0xf7, 0, 0),
 		encodeMemOp(opReadAt, 0, 4*PageSize, 0, 0, 0),
+	))
+	// Chunks: a write spanning the boundary between the first chunk and
+	// the second allocates the second; zero writes and zero words into
+	// frames of the second chunk and a Zero of one allocate nothing before
+	// it; the last, partial chunk's last frame and word; a read across the
+	// boundary.
+	f.Add(seq(
+		encodeMemOp(opWriteAt, chunkFrames*PageSize+64, PageSize, 0, 0, 0),
+		encodeMemOp(opWriteU64, (chunkFrames+1)*PageSize, 0, 0, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, chunkFrames+2, 0),
+		encodeMemOp(opWriteAt, chunkFrames*PageSize-100, 200, 0x41, 0, 0),
+		encodeMemOp(opReadAt, chunkFrames*PageSize-300, 2*PageSize, 0, 0, 0),
+		encodeMemOp(opWriteU64, end-8, 0, 0x42, 0, 0),
+		encodeMemOp(opReadU64, end-8, 0, 0, 0, 0),
+		encodeMemOp(opWriteAt, end-PageSize, PageSize, 0xf4, 0, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, fuzzFrames-1, 0),
+	))
+	// Shared frames: SharePage into a missing chunk and an empty frame;
+	// shared reads over two frames that share the named page, with too
+	// short a page list, naming another page, of no bytes and past the end;
+	// reads, words and copies of shared frames; a word and a zero-length
+	// write onto shared frames; Zero of a shared frame; the zero page and a
+	// replacing share; a share onto owned sparse and dense storage; a
+	// refused and out-of-range share; a write through a view onto a shared
+	// frame of the second chunk; an unaligned word across two shared
+	// frames.
+	f.Add(seq(
+		encodeMemOp(opShare, 0, 0, 0, 2, 0),
+		encodeMemOp(opShare, 0, 0, 0, 3, 0),
+		encodeMemOp(opReadShared, 2*PageSize+100, PageSize, 2, 0, 0),
+		encodeMemOp(opReadShared, 2*PageSize+100, PageSize, 1, 0, 0),
+		encodeMemOp(opReadShared, 2*PageSize+100, PageSize, 2, 0, 1),
+		encodeMemOp(opReadShared, 2*PageSize, 0, 0, 0, 0),
+		encodeMemOp(opReadShared, end, 0, 0, 0, 0),
+		encodeMemOp(opReadShared, end-8, 16, 3, 0, 0),
+		encodeMemOp(opReadAt, 2*PageSize-8, PageSize+16, 0, 0, 0),
+		encodeMemOp(opReadU64, 2*PageSize+640, 0, 0, 0, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 2, 0),
+		encodeMemOp(opWriteU64, 4*PageSize-4, 0, 0x51, 0, 0),
+		encodeMemOp(opShare, 0, 0, 0, 3, 0),
+		encodeMemOp(opWriteAt, 3*PageSize+10, 0, 0x52, 0, 0),
+		encodeMemOp(opReadShared, 2*PageSize, 2*PageSize, 2, 0, 0),
+		encodeMemOp(opWriteU64, 3*PageSize+8, 0, 0x53, 0, 0),
+		encodeMemOp(opReadShared, 2*PageSize, 2*PageSize, 2, 0, 0),
+		encodeMemOp(opReadShared, 2*PageSize, PageSize, 1, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 2, 0),
+		encodeMemOp(opReadShared, 2*PageSize, PageSize, 1, 0, 0),
+		encodeMemOp(opShare, 0, 0, 0, 4, 2),
+		encodeMemOp(opShare, 0, 0, 0, 5, 1),
+		encodeMemOp(opShare, 0, 0, 0, 5, 0),
+		encodeMemOp(opWriteAt, 5*PageSize+700, 300, 0, 0, 0),
+		encodeMemOp(opShare, 0, 0, 0, 6, 1),
+		encodeMemOp(opShare, 0, 0, 0, 6, 2),
+		encodeMemOp(opWriteAt, PageSize+100, 40, 0x54, 0, 0),
+		encodeMemOp(opShare, 0, 0, 0, 1, 1),
+		encodeMemOp(opShare, 0, 0, 0, 5, 1),
+		encodeMemOp(opProtect, 0, 0, 0, 7, 1),
+		encodeMemOp(opShare, 0, 0, 0, 7, 0),
+		encodeMemOp(opShare, 0, 0, 0, -1, 0),
+		encodeMemOp(opShare, 0, 0, 0, fuzzFrames, 0),
+		encodeMemOp(opShare, 0, 0, 0, chunkFrames+1, 0),
+		encodeMemOp(opView, 0, 0, 0, 0, 0),
+		encodeMemOp(opReadShared, (chunkFrames+1)*PageSize, PageSize, 1, 0, 0),
+		encodeMemOp(opWriteAt, (chunkFrames+1)*PageSize+4000, 200, 0x55, 0, 0),
+		encodeMemOp(opAbsorb, 0, 0, 0, 0, 0),
+		encodeMemOp(opShare, 0, 0, 0, 8, 0),
+		encodeMemOp(opShare, 0, 0, 0, 9, 0),
+		encodeMemOp(opWriteU64, 9*PageSize-4, 0, 0x56, 0, 0),
+		encodeMemOp(opReadAt, 8*PageSize, 2*PageSize, 0, 0, 0),
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayMemOps(t, decodeMemOps(data))

@@ -365,15 +365,16 @@ func TestAllocatorOutOfRangeFrames(t *testing.T) {
 }
 
 // TestNewMemIsSparse installs 256 MiB and requires the boot to allocate
-// only the frame table, not the memory.
+// only the chunk table (32 KiB) and the protection and kind tables (64 KiB
+// each), not the memory and not a pointer a frame.
 func TestNewMemIsSparse(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m := NewMem(256 << 20)
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(m)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("NewMem(256 MiB) allocated %d bytes, want under 1 MiB", got)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("NewMem(256 MiB) allocated %d bytes, want under 256 KiB", got)
 	}
 	if m.Size() != 256<<20 || m.NumFrames() != 256<<20/PageSize {
 		t.Fatalf("size %d, frames %d", m.Size(), m.NumFrames())
@@ -430,7 +431,7 @@ func TestUntouchedFramesDoNotAllocate(t *testing.T) {
 // held returns the number of frame f's sectors with storage, and whether
 // the frame stores them as one page.
 func held(m *Mem, f int) (sectors int, dense bool) {
-	fr := m.frames[f]
+	fr := m.record(f)
 	if fr == nil {
 		return 0, false
 	}
@@ -448,8 +449,8 @@ func held(m *Mem, f int) (sectors int, dense bool) {
 // a WAL-shaped page, a header and a trailing CRC at opposite ends, stores
 // its first and last sectors; a full non-zero page stores one page; zero
 // writes store nothing. The allowance over the stored bytes, 256 B a
-// frame, covers its sector table and what the race detector adds; a whole
-// page per frame would exceed it many times over.
+// frame, covers its 72 B record in a chunk and what the race detector
+// adds; a whole page per frame would exceed it many times over.
 func TestFrameStorageCost(t *testing.T) {
 	const frames, slack = 64, 256
 	wal := make([]byte, PageSize)
