@@ -5,8 +5,10 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# bench/ is a module of its own, so ./... never reaches it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet .
 
 # fmt fails if any Go file is not gofmt-formatted.
 fmt:

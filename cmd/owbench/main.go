@@ -27,7 +27,6 @@ import (
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
 	"otherworld/internal/experiment"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/metrics"
 	"otherworld/internal/resurrect"
@@ -617,8 +616,6 @@ func benchDiffMode(path string, resWorkers, campaignWorkers int) error {
 // checkpointComparison measures BLCR-style checkpoints to memory and disk.
 func checkpointComparison(seed int64) error {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = seed
 	m, err := core.NewMachine(opts)
 	if err != nil {

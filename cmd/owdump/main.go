@@ -22,7 +22,6 @@ import (
 	"otherworld/internal/core"
 	"otherworld/internal/dump"
 	"otherworld/internal/experiment"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/phys"
@@ -45,8 +44,6 @@ func main() {
 
 func run(app string, seed int64, outFile string, indexSlots int) error {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = seed
 	opts.CandidateIndexSlots = indexSlots
 	m, err := core.NewMachine(opts)

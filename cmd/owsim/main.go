@@ -8,7 +8,7 @@
 //
 //	owsim [-app name] [-seed n] [-faults n] [-protect] [-noharden]
 //	      [-metrics] [-metrics-json file]
-//	owsim -fleet N [-tiers "prog=tier,..."] [-fleet-batch] [-seed n]
+//	owsim -fleet N [-tiers "prog=tier,..."] [-fleet-batch] [-resurrect-workers n] [-seed n]
 //
 // The second form runs the fleet-recovery demo: N mixed server processes
 // crashed at once and recovered through the streaming resurrection pass
@@ -29,7 +29,6 @@ import (
 	"otherworld/internal/core"
 	"otherworld/internal/experiment"
 	"otherworld/internal/faultinject"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/sched"
 	"otherworld/internal/workload"
@@ -55,8 +54,8 @@ func main() {
 	var err error
 	if *fleet > 0 {
 		err = runFleet(*fleet, *seed, *tierSpec, *resWorkers, *lazyInstall, *fleetBatch, *showMetrics, *metricsJSON)
-	} else if *tierSpec != "" || *fleetBatch {
-		err = fmt.Errorf("-tiers and -fleet-batch only apply to the fleet demo (-fleet N)")
+	} else if *tierSpec != "" || *fleetBatch || *resWorkers != 0 {
+		err = fmt.Errorf("-tiers, -fleet-batch and -resurrect-workers only apply to the fleet demo (-fleet N)")
 	} else {
 		err = run(*app, *seed, *faults, *protect, *noharden, *lazyInstall, *showMetrics, *metricsJSON)
 	}
@@ -136,8 +135,6 @@ func emitMetrics(m *core.Machine, show bool, jsonFile string) error {
 // outage has one schedule whatever the worker count.
 func run(app string, seed int64, faults int, protect, noharden bool, lazyInstall, showMetrics bool, metricsJSON string) error {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.UserSpaceProtection = protect
 	opts.Seed = seed
 	opts.LazyInstall = lazyInstall

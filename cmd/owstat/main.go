@@ -164,6 +164,9 @@ func cmdTimeline(args []string, out io.Writer) error {
 	if *tierSpec != "" && *fleet <= 0 {
 		return fmt.Errorf("timeline: -tiers only applies to the fleet scenario (-fleet N)")
 	}
+	if *resWorkers != 0 && *fleet <= 0 && *app != "mysql-x8" {
+		return fmt.Errorf("timeline: -resurrect-workers only applies to the mysql-x8 and fleet scenarios; an experiment resurrects one application")
+	}
 
 	var tree *spans.Tree
 	if *fleet > 0 {
@@ -203,7 +206,7 @@ func cmdTimeline(args []string, out io.Writer) error {
 		}
 	} else {
 		cfg := experiment.DefaultConfig(*app, *seed)
-		cfg.LazyInstall = *lazy
+		cfg.Machine.LazyInstall = *lazy
 		cfg.BuildSpans = true
 		res := experiment.Run(cfg)
 		if res.Spans == nil {

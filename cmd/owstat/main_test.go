@@ -10,7 +10,6 @@ import (
 
 	"otherworld/internal/core"
 	"otherworld/internal/experiment"
-	"otherworld/internal/hw"
 	"otherworld/internal/metrics"
 	"otherworld/internal/phys"
 	"otherworld/internal/workload"
@@ -26,8 +25,7 @@ import (
 func crashDump(t *testing.T, corruptLast bool) string {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 128 << 20
 	opts.Seed = 1234
 	m, err := core.NewMachine(opts)
 	if err != nil {
@@ -205,5 +203,11 @@ func TestBadInputs(t *testing.T) {
 	}
 	if code, _, _ := runOwstat(t, "render", junk); code != 1 {
 		t.Fatalf("wrong schema: exit %d, want 1", code)
+	}
+	// One application is one candidate, so a pool width cannot act: the
+	// flag is refused before the experiment runs.
+	if code, out, errw := runOwstat(t, "timeline", "-app", "vi", "-resurrect-workers", "4"); code != 1 || out != "" ||
+		!strings.Contains(errw, "-resurrect-workers") {
+		t.Fatalf("timeline -app vi -resurrect-workers 4: exit %d stdout %q stderr %q", code, out, errw)
 	}
 }

@@ -12,14 +12,12 @@ import (
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/workload"
 )
 
 func main() {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 128 << 20
 	opts.Seed = 51
 
 	m, err := core.NewMachine(opts)

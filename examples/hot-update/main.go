@@ -13,14 +13,11 @@ import (
 	"log"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/workload"
 )
 
 func run(fastBoot bool) {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = 61
 	opts.FastCrashBoot = fastBoot
 

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 )
@@ -49,8 +48,7 @@ func init() {
 
 func main() {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 128 << 20
 	opts.Seed = 1
 
 	m, err := core.NewMachine(opts)

@@ -6,15 +6,13 @@ import (
 	"time"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 )
 
 func newMachine(t *testing.T, seed int64) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 192 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 192 << 20
 	opts.Seed = seed
 	m, err := core.NewMachine(opts)
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/layout"
 )
 
@@ -15,8 +14,7 @@ import (
 func walMachine(tb testing.TB) *core.Machine {
 	tb.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 192 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 192 << 20
 	opts.Seed = 1
 	m, err := core.NewMachine(opts)
 	if err != nil {

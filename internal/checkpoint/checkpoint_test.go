@@ -5,7 +5,6 @@ import (
 
 	"otherworld/internal/checkpoint"
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 )
@@ -46,8 +45,7 @@ func init() {
 func hostEnv(t *testing.T) (*core.Machine, *kernel.Env) {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 128 << 20
 	opts.Seed = 77
 	m, err := core.NewMachine(opts)
 	if err != nil {

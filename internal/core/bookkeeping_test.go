@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"otherworld/internal/disk"
-	"otherworld/internal/hw"
 	"otherworld/internal/phys"
 )
 
@@ -79,8 +78,6 @@ func TestBookkeepingScalesWithUse(t *testing.T) {
 // workloads boot: 256 MiB of memory with 16 MiB crash slots.
 func benchMachineOptions() Options {
 	opts := DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = 1
 	return opts
 }

@@ -7,7 +7,6 @@ import (
 	_ "otherworld/internal/apps" // register the paper's applications
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/workload"
 )
@@ -16,8 +15,7 @@ import (
 // workload, crash, microreboot, resurrect, verify.
 func Example_microreboot() {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 192 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 192 << 20
 	opts.Seed = 7
 	m, err := core.NewMachine(opts)
 	if err != nil {
@@ -50,8 +48,7 @@ func Example_microreboot() {
 // Example_hotUpdate shows the Section 7 planned-microreboot application.
 func Example_hotUpdate() {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 192 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 192 << 20
 	opts.Seed = 8
 	opts.FastCrashBoot = true
 	m, err := core.NewMachine(opts)

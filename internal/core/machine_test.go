@@ -37,8 +37,6 @@ func init() {
 func newTestMachine(t *testing.T, mutate func(*Options)) *Machine {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.HW.MemoryBytes = 256 << 20
-	opts.CrashRegionMB = 16
 	opts.Seed = 42
 	if mutate != nil {
 		mutate(&opts)

@@ -5,6 +5,7 @@ import (
 
 	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
+	"otherworld/internal/phys"
 )
 
 func TestNewMachineRejectsOversizedCrashRegion(t *testing.T) {
@@ -16,13 +17,20 @@ func TestNewMachineRejectsOversizedCrashRegion(t *testing.T) {
 	}
 }
 
+// TestNewMachineDefaults: zero-valued hardware and crash-slot options boot
+// the DefaultOptions machine: 256 MB, two CPUs, an armed watchdog and two
+// 16 MB slots.
 func TestNewMachineDefaults(t *testing.T) {
 	m, err := NewMachine(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.HW.Mem.Size() != 1<<30 {
-		t.Fatalf("default memory = %d", m.HW.Mem.Size())
+	if m.HW.Mem.Size() != 256<<20 || len(m.HW.CPUs) != 2 || !m.HW.Watchdog {
+		t.Fatalf("default machine: memory %d, %d CPUs, watchdog %v; want 256 MB, 2, true",
+			m.HW.Mem.Size(), len(m.HW.CPUs), m.HW.Watchdog)
+	}
+	if m.slots[0].Frames != 16<<20/phys.PageSize {
+		t.Fatalf("default crash slot = %d frames, want 16 MB", m.slots[0].Frames)
 	}
 	if m.K == nil || m.K.Swap() == nil {
 		t.Fatal("kernel or swap missing")

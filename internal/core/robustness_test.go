@@ -5,40 +5,53 @@ import (
 
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
+	"otherworld/internal/resurrect"
 )
 
 // TestCyclicProcessListTerminates: a wild write that makes a descriptor's
-// Next point back at itself must not hang the crash kernel; the walk is
-// hop-bounded and resurrection degrades instead of spinning.
+// Next point back at itself must not hang the crash kernel or clone the
+// process. The walk stops at the first descriptor it revisits, so each of
+// the two processes is resurrected exactly once.
 func TestCyclicProcessListTerminates(t *testing.T) {
 	m := newTestMachine(t, nil)
-	p, err := m.Start("c", "counter")
+	p, err := m.Start("c1", "counter")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := m.Start("c2", "counter"); err != nil {
+		t.Fatal(err)
+	}
 	m.Run(10)
-	// Rewrite the descriptor so Next forms a self-cycle. The record is
-	// re-sealed with a valid CRC: this models logically-wrong-but-intact
-	// state (a stale pointer store), the nastier corruption class.
+	// The list runs newest first, so c1's descriptor is the tail. Rewrite
+	// it so Next forms a self-cycle. The record is re-sealed with a valid
+	// CRC: this models logically-wrong-but-intact state (a stale pointer
+	// store), the nastier corruption class.
 	d := p.D
 	d.Next = p.Addr
 	if err := m.HW.Mem.WriteAt(p.Addr, layout.Seal(layout.TypeProc, 0, d.EncodePayload())); err != nil {
 		t.Fatal(err)
 	}
 	_ = m.K.InjectOops("x")
-	done := make(chan struct{})
-	var out *FailureOutcome
-	var herr error
-	go func() {
-		out, herr = m.HandleFailure()
-		close(done)
-	}()
-	<-done
-	if herr != nil {
-		t.Fatalf("HandleFailure: %v", herr)
+	out, err := m.HandleFailure()
+	if err != nil {
+		t.Fatalf("HandleFailure: %v", err)
 	}
 	if out.Result != ResultRecovered {
 		t.Fatalf("machine should recover: %s", out.Transfer.Reason)
+	}
+	continued := map[uint32]int{}
+	for _, pr := range out.Report.Procs {
+		if pr.Outcome == resurrect.OutcomeContinued {
+			continued[pr.Candidate.PID]++
+		}
+	}
+	if len(out.Report.Procs) != 2 || len(continued) != 2 {
+		t.Fatalf("%d candidates, %d distinct PIDs continued; want 2 and 2", len(out.Report.Procs), len(continued))
+	}
+	for pid, n := range continued {
+		if n != 1 {
+			t.Fatalf("PID %d resurrected %d times", pid, n)
+		}
 	}
 }
 

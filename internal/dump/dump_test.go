@@ -8,7 +8,6 @@ import (
 
 	"otherworld/internal/core"
 	"otherworld/internal/dump"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/workload"
 )
@@ -16,8 +15,7 @@ import (
 func crashAndDump(t *testing.T) (*core.Machine, *dump.Image) {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 192 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 192 << 20
 	opts.Seed = 17
 	m, err := core.NewMachine(opts)
 	if err != nil {

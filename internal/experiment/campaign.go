@@ -86,8 +86,8 @@ type CampaignConfig struct {
 	// bit-identical at any width: the pool speculates ahead but commits
 	// strictly in seed order.
 	CampaignWorkers int
-	// ResurrectWorkers is forwarded to every experiment's
-	// Config.ResurrectWorkers, where it has no effect: each experiment
+	// ResurrectWorkers is forwarded to every experiment machine's
+	// Resurrection.Workers, where it has no effect: each experiment
 	// resurrects one application.
 	ResurrectWorkers int
 	// LazyInstall runs every experiment with the demand-paged resurrection
@@ -263,14 +263,15 @@ func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, 
 				mu.Unlock()
 
 				ecfg := DefaultConfig(app, cfg.Seed+seedSalt+int64(i)*7919)
-				ecfg.Protection = protection
-				ecfg.Hardening = cfg.Hardening
-				ecfg.VerifyCRC = cfg.VerifyCRC
-				ecfg.ResurrectWorkers = cfg.ResurrectWorkers
-				ecfg.LazyInstall = cfg.LazyInstall
-				ecfg.Stream = cfg.Stream
-				ecfg.IndexSlots = cfg.IndexSlots
-				ecfg.DiskCrash = cfg.DiskCrash
+				o := &ecfg.Machine
+				o.UserSpaceProtection = protection
+				o.Hardening = cfg.Hardening
+				o.VerifyCRC = cfg.VerifyCRC
+				o.Resurrection.Workers = cfg.ResurrectWorkers
+				o.Resurrection.Stream = cfg.Stream
+				o.LazyInstall = cfg.LazyInstall
+				o.CandidateIndexSlots = cfg.IndexSlots
+				o.DiskCrash.Enabled = cfg.DiskCrash
 				ecfg.Baseline = cfg.Baseline
 				res := runOne(ecfg)
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"otherworld/internal/core"
 	"otherworld/internal/kernel"
 )
 
@@ -55,12 +56,12 @@ func TestCampaignSeedsDisjoint(t *testing.T) {
 	cfg.Apps = []string{"vi", "JOE"}
 	cfg.CampaignWorkers = 2
 	cfg.runExperiment = func(ecfg Config) Result {
-		pass := fmt.Sprintf("%s/prot=%v", ecfg.App, ecfg.Protection)
+		pass := fmt.Sprintf("%s/prot=%v", ecfg.App, ecfg.Machine.UserSpaceProtection)
 		mu.Lock()
-		if prev, dup := seen[ecfg.Seed]; dup && prev != pass {
-			t.Errorf("seed %d used by both %s and %s", ecfg.Seed, prev, pass)
+		if prev, dup := seen[ecfg.Machine.Seed]; dup && prev != pass {
+			t.Errorf("seed %d used by both %s and %s", ecfg.Machine.Seed, prev, pass)
 		}
-		seen[ecfg.Seed] = pass
+		seen[ecfg.Machine.Seed] = pass
 		mu.Unlock()
 		return Result{Outcome: OutcomeSuccess}
 	}
@@ -221,8 +222,9 @@ func TestWarmupOpsNonNegativeSeed(t *testing.T) {
 }
 
 // TestCampaignForwardsEveryKnob: every knob the campaign forwards reaches
-// each experiment's Config. Each is set away from its default, so a
-// dropped forward leaves the default behind and the configs differ.
+// the core.Options of each experiment's machine. Each is set away from its
+// default, so a dropped forward leaves the default behind and the options
+// differ.
 func TestCampaignForwardsEveryKnob(t *testing.T) {
 	hard := kernel.Hardening{DoubleFaultMicroreboot: true, NoTrustCurrent: true}
 	cfg := DefaultCampaign(3, 7)
@@ -239,14 +241,21 @@ func TestCampaignForwardsEveryKnob(t *testing.T) {
 	var mu sync.Mutex
 	passes := make(map[string]bool)
 	cfg.runExperiment = func(ecfg Config) Result {
-		want := Config{App: ecfg.App, Seed: ecfg.Seed, Protection: ecfg.Protection,
-			Hardening: hard, ResurrectWorkers: 3, LazyInstall: true, Stream: true,
-			IndexSlots: 64, DiskCrash: true, Baseline: true}
-		if !reflect.DeepEqual(ecfg, want) {
-			t.Errorf("experiment config:\n got %+v\nwant %+v", ecfg, want)
+		want := core.DefaultOptions()
+		want.Seed = ecfg.Machine.Seed
+		want.UserSpaceProtection = ecfg.Machine.UserSpaceProtection
+		want.Hardening = hard
+		want.VerifyCRC = false
+		want.Resurrection.Workers = 3
+		want.Resurrection.Stream = true
+		want.LazyInstall = true
+		want.CandidateIndexSlots = 64
+		want.DiskCrash.Enabled = true
+		if w := (Config{App: ecfg.App, Machine: want, Baseline: true}); !reflect.DeepEqual(ecfg, w) {
+			t.Errorf("experiment config:\n got %+v\nwant %+v", ecfg, w)
 		}
 		mu.Lock()
-		passes[fmt.Sprintf("%s/prot=%v", ecfg.App, ecfg.Protection)] = true
+		passes[fmt.Sprintf("%s/prot=%v", ecfg.App, ecfg.Machine.UserSpaceProtection)] = true
 		mu.Unlock()
 		return Result{Outcome: OutcomeSuccess}
 	}
@@ -268,7 +277,7 @@ func TestCampaignProgressTicks(t *testing.T) {
 	cfg.SkipProtected = true
 	cfg.CampaignWorkers = 2
 	cfg.runExperiment = func(ecfg Config) Result {
-		if ecfg.Seed%2 == 0 {
+		if ecfg.Machine.Seed%2 == 0 {
 			return Result{Outcome: OutcomeNoKernelFault}
 		}
 		return Result{Outcome: OutcomeSuccess}

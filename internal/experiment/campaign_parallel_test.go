@@ -114,7 +114,7 @@ func TestCampaignStubWidthSweep(t *testing.T) {
 		cfg.Apps = []string{"vi", "JOE"}
 		cfg.CampaignWorkers = width
 		cfg.Metrics = metrics.NewRegistry()
-		cfg.runExperiment = func(ecfg Config) Result { return stubResultForSeed(ecfg.Seed) }
+		cfg.runExperiment = func(ecfg Config) Result { return stubResultForSeed(ecfg.Machine.Seed) }
 		rows, stats := RunTable5Campaign(cfg)
 		return rows, stats, cfg.Metrics.Snapshot()
 	}

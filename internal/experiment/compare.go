@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/workload"
 )
 
@@ -52,8 +51,6 @@ func CompareRecoveryModes(app string, seed int64) ([]CompareRow, error) {
 	rows := make([]CompareRow, 0, 3)
 	for _, mode := range []RecoveryMode{ModeReboot, ModeKDump, ModeOtherworld} {
 		opts := core.DefaultOptions()
-		opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-		opts.CrashRegionMB = 16
 		opts.Seed = seed
 		m, err := core.NewMachine(opts)
 		if err != nil {

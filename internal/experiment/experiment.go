@@ -16,7 +16,6 @@ import (
 	"otherworld/internal/disk"
 	"otherworld/internal/faultinject"
 	"otherworld/internal/fs"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/resurrect"
@@ -98,36 +97,10 @@ func DriverFor(app string, seed int64) (workload.Driver, error) {
 type Config struct {
 	// App is the Table 5 application name.
 	App string
-	// Seed makes the experiment replayable.
-	Seed int64
-	// Protection enables user-space protection (Section 4).
-	Protection bool
-	// Hardening selects the Section 6 fixes (FullHardening by default via
-	// DefaultConfig).
-	Hardening kernel.Hardening
-	// VerifyCRC enables record checksums.
-	VerifyCRC bool
-	// ResurrectWorkers is forwarded to resurrect.Config.Workers, but it has
-	// no effect: the scan pool is never wider than the candidate set, and
-	// an experiment resurrects one application.
-	ResurrectWorkers int
-	// LazyInstall enables the demand-paged resurrection install: processes
-	// resume as soon as their records parse, with page copies completed
-	// copy-on-access (CRC-validated) or by the background sweeper.
-	LazyInstall bool
-	// Stream runs resurrection as the streaming pass: SLO-tier admission
-	// ordering and pipelined per-candidate install commit instead of the
-	// classic scan-everything-then-install batch.
-	Stream bool
-	// IndexSlots sizes the main kernel's candidate index in the crash
-	// reservation (0 = none); discovery salvages it to skip the full
-	// process-list walk.
-	IndexSlots int
-	// DiskCrash enables the block-layer crash model: at kernel-crash time
-	// the volatile write cache may roll back, the in-flight sector write may
-	// tear, and dirty page-cache pages that resurrection did not flush drain
-	// to the platter in an undefined-but-seeded order.
-	DiskCrash bool
+	// Machine is the experiment machine; its Seed makes the experiment
+	// replayable, and also seeds the workload, the warm-up and the fault
+	// burst.
+	Machine core.Options
 	// Baseline skips Otherworld entirely: at kernel failure the machine
 	// cold-reboots (the disk takes its crash consequences, every dirty page
 	// orphaned) and the workload restarts the application from disk — the
@@ -143,14 +116,12 @@ type Config struct {
 // per experiment.
 const faultsPerRun = 30
 
-// DefaultConfig returns the paper's experiment parameters.
+// DefaultConfig returns the paper's experiment parameters: app on the
+// core.DefaultOptions machine seeded with seed.
 func DefaultConfig(app string, seed int64) Config {
-	return Config{
-		App:       app,
-		Seed:      seed,
-		Hardening: kernel.FullHardening(),
-		VerifyCRC: true,
-	}
+	opts := core.DefaultOptions()
+	opts.Seed = seed
+	return Config{App: app, Machine: opts}
 }
 
 // Result records one experiment.
@@ -213,7 +184,7 @@ type Result struct {
 func Run(cfg Config) Result {
 	var m *core.Machine
 	out := runBody(cfg, &m)
-	if m != nil && cfg.DiskCrash {
+	if m != nil && cfg.Machine.DiskCrash.Enabled {
 		if dm := m.DiskModel(); dm != nil && dm.Report().Fired {
 			rep := dm.Report()
 			out.DiskCrash = &rep
@@ -253,40 +224,17 @@ func DiskFingerprint(f *fs.FlatFS) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// machineOptions maps the experiment's knobs onto the options of its
-// 256 MB, two-CPU machine.
-func (cfg Config) machineOptions() core.Options {
-	opts := core.DefaultOptions()
-	opts.HW = hw.Config{
-		MemoryBytes:     256 << 20,
-		NumCPUs:         2,
-		TLBEntries:      64,
-		WatchdogEnabled: true,
-	}
-	opts.CrashRegionMB = 16
-	opts.VerifyCRC = cfg.VerifyCRC
-	opts.UserSpaceProtection = cfg.Protection
-	opts.Hardening = cfg.Hardening
-	opts.Seed = cfg.Seed
-	opts.Resurrection.Workers = cfg.ResurrectWorkers
-	opts.Resurrection.Stream = cfg.Stream
-	opts.LazyInstall = cfg.LazyInstall
-	opts.CandidateIndexSlots = cfg.IndexSlots
-	opts.DiskCrash.Enabled = cfg.DiskCrash
-	return opts
-}
-
 // runBody is Run without the duration stamp; it publishes the experiment
 // machine through mp as soon as one exists so Run can read the final
 // virtual clock on every exit path.
 func runBody(cfg Config, mp **core.Machine) Result {
-	m, err := core.NewMachine(cfg.machineOptions())
+	m, err := core.NewMachine(cfg.Machine)
 	if err != nil {
 		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
 			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
 	}
 	*mp = m
-	d, err := DriverFor(cfg.App, cfg.Seed+7777)
+	d, err := DriverFor(cfg.App, cfg.Machine.Seed+7777)
 	if err != nil {
 		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
 			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
@@ -298,11 +246,11 @@ func runBody(cfg Config, mp **core.Machine) Result {
 
 	// Warm up for a seed-dependent amount of work ("we injected faults
 	// after a random amount of time").
-	warm := warmupOps(cfg.Seed)
+	warm := warmupOps(cfg.Machine.Seed)
 	workload.RunUntilIdle(m, d, warm, warm*40)
 
-	inj := faultinject.New(cfg.Seed ^ 0x5EEDFA17)
-	if cfg.DiskCrash {
+	inj := faultinject.New(cfg.Machine.Seed ^ 0x5EEDFA17)
+	if cfg.Machine.DiskCrash.Enabled {
 		// With the block layer modeled, land the burst at a seeded point
 		// INSIDE the application's request cycle instead of at the post-warmup
 		// idle. Corruption manifests at a function's first post-injection
@@ -311,7 +259,7 @@ func runBody(cfg Config, mp **core.Machine) Result {
 		// acknowledged but not yet synced. Queuing work and advancing a seeded
 		// number of quanta first lets the crash land on any write/fsync
 		// boundary, which is the whole point of auditing on-disk state.
-		r := sim.NewRNG(cfg.Seed ^ 0x0B10CF7A)
+		r := sim.NewRNG(cfg.Machine.Seed ^ 0x0B10CF7A)
 		d.Pump(m, 24)
 		m.Run(1 + r.Intn(120))
 	}
@@ -319,7 +267,7 @@ func runBody(cfg Config, mp **core.Machine) Result {
 		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
 			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
 	}
-	if cfg.DiskCrash {
+	if cfg.Machine.DiskCrash.Enabled {
 		// Schedule the crash's block-layer consequences alongside the
 		// memory faults; they fire when the kernel actually goes down.
 		inj.ArmDiskCrash(m.K, m.DiskModel())
@@ -459,42 +407,23 @@ func captureSpanPlane(cfg Config, m *core.Machine, fo *core.FailureOutcome, out 
 	if fo == nil || fo.Report == nil {
 		return
 	}
-	if tr := m.Tracer(); tr != nil {
-		tr.Record(trace.Event{Kind: trace.KindSpanMark, A: trace.SpanMarkResume,
-			B: uint64(fo.Report.Succeeded())})
-		if out.DataChecked {
-			var b uint64
-			if out.DataErr != nil {
-				b = 1
-			}
-			tr.Record(trace.Event{Kind: trace.KindSpanMark, A: trace.SpanMarkAudit, B: b})
+	if tr := markResume(m, fo); tr != nil && out.DataChecked {
+		var b uint64
+		if out.DataErr != nil {
+			b = 1
 		}
+		tr.Record(trace.Event{Kind: trace.KindSpanMark, A: trace.SpanMarkAudit, B: b})
 	}
 	out.FirstTouch = append([]time.Duration(nil), fo.Report.FirstTouch...)
 	if !cfg.BuildSpans {
 		return
 	}
-	var post []trace.Event
-	if reg := m.TraceRegion(); reg.Frames > 0 {
-		if p := trace.Parse(m.HW.Mem, reg); p != nil {
-			post = p.Events
-		}
-	}
 	derr := ""
 	if out.DataErr != nil {
 		derr = out.DataErr.Error()
 	}
-	tree, err := spans.Build(spans.Input{
-		App:          cfg.App,
-		Seed:         cfg.Seed,
-		Lazy:         cfg.LazyInstall,
-		Workers:      resurrect.CanonicalWorkers,
-		Report:       fo.Report,
-		Interruption: fo.SerialInterruption,
-		PostEvents:   post,
-		DataChecked:  out.DataChecked,
-		DataErr:      derr,
-	})
+	tree, err := buildSpanTree(m, fo, spans.Input{App: cfg.App, Seed: cfg.Machine.Seed,
+		Lazy: cfg.Machine.LazyInstall, DataChecked: out.DataChecked, DataErr: derr})
 	if err == nil {
 		out.Spans = tree
 	}

@@ -1,15 +1,11 @@
 package experiment
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 	"unicode/utf8"
 
-	"otherworld/internal/core"
-	"otherworld/internal/hw"
-	"otherworld/internal/kernel"
 	"otherworld/internal/metrics"
 )
 
@@ -23,10 +19,10 @@ func TestSingleExperimentOutcomes(t *testing.T) {
 		case OutcomeNoKernelFault, OutcomeSuccess, OutcomeBootFailure,
 			OutcomeResurrectFailure, OutcomeDataCorruption:
 		default:
-			t.Fatalf("seed %d: undefined outcome %v", cfg.Seed, res.Outcome)
+			t.Fatalf("seed %d: undefined outcome %v", cfg.Machine.Seed, res.Outcome)
 		}
 		if res.Outcome == OutcomeSuccess && res.AckedOps == 0 {
-			t.Fatalf("seed %d: success with no progress", cfg.Seed)
+			t.Fatalf("seed %d: success with no progress", cfg.Machine.Seed)
 		}
 	}
 }
@@ -229,29 +225,5 @@ func TestProtectionNeverFaster(t *testing.T) {
 		if row.TLBMissIncrease <= 0 {
 			t.Fatalf("%s: protection TLB-miss increase %v, want > 0", app, row.TLBMissIncrease)
 		}
-	}
-}
-
-// TestMachineOptionsForwardEveryKnob: every experiment knob that shapes
-// the machine reaches core.Options. Each is set away from its default, so
-// a dropped forward leaves the default behind and the options differ.
-func TestMachineOptionsForwardEveryKnob(t *testing.T) {
-	hard := kernel.Hardening{WatchdogNMI: true, NoStackPrintRecursion: true}
-	cfg := Config{App: "vi", Seed: 77, Protection: true, Hardening: hard,
-		ResurrectWorkers: 3, LazyInstall: true, Stream: true, IndexSlots: 64, DiskCrash: true}
-	want := core.DefaultOptions()
-	want.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	want.CrashRegionMB = 16
-	want.VerifyCRC = false
-	want.UserSpaceProtection = true
-	want.Hardening = hard
-	want.Seed = 77
-	want.Resurrection.Workers = 3
-	want.Resurrection.Stream = true
-	want.LazyInstall = true
-	want.CandidateIndexSlots = 64
-	want.DiskCrash.Enabled = true
-	if got := cfg.machineOptions(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("machine options:\n got %+v\nwant %+v", got, want)
 	}
 }

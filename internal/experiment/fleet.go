@@ -20,7 +20,6 @@ import (
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/phys"
 	"otherworld/internal/resurrect"
 	"otherworld/internal/sched"
@@ -160,12 +159,7 @@ func FleetRecovery(cfg FleetConfig) (*FleetResult, error) {
 	// ~0.5 MB of headroom per process on top of the kernel's base need;
 	// the crash reservation scales with the population so the trace ring,
 	// candidate index and protected image all fit.
-	opts.HW = hw.Config{
-		MemoryBytes:     256<<20 + population*(512<<10),
-		NumCPUs:         2,
-		TLBEntries:      64,
-		WatchdogEnabled: true,
-	}
+	opts.HW.MemoryBytes = 256<<20 + population*(512<<10)
 	opts.CrashRegionMB = 16 + population/32
 	opts.Seed = cfg.Seed
 	tiers := cfg.Tiers

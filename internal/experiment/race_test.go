@@ -16,7 +16,7 @@ func TestParallelExperimentsRaceFree(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			cfg := DefaultConfig("vi", seed)
-			cfg.ResurrectWorkers = 4
+			cfg.Machine.Resurrection.Workers = 4
 			_ = Run(cfg)
 		}(int64(1000 + i))
 	}
@@ -30,7 +30,7 @@ func TestParallelExperimentsRaceFree(t *testing.T) {
 func TestResurrectWorkersDoNotChangeResults(t *testing.T) {
 	run := func(workers int) Result {
 		cfg := DefaultConfig("vi", 1003) // a seed whose run recovers
-		cfg.ResurrectWorkers = workers
+		cfg.Machine.Resurrection.Workers = workers
 		return Run(cfg)
 	}
 	r1, r8 := run(1), run(8)

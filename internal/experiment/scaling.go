@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/phys"
@@ -70,8 +69,7 @@ func MeasureScaling(seed int64) ([]ScalingRow, error) {
 	rows := make([]ScalingRow, 0, len(ScaleSizes))
 	for _, pages := range ScaleSizes {
 		opts := core.DefaultOptions()
-		opts.HW = hw.Config{MemoryBytes: 512 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-		opts.CrashRegionMB = 16
+		opts.HW.MemoryBytes = 512 << 20
 		opts.Seed = seed
 		m, err := core.NewMachine(opts)
 		if err != nil {

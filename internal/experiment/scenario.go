@@ -5,8 +5,6 @@ import (
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
-	"otherworld/internal/resurrect"
 	"otherworld/internal/spans"
 	"otherworld/internal/trace"
 )
@@ -24,8 +22,6 @@ import (
 // instead of the eager full-copy.
 func MultiMySQLRecovery(seed int64, resWorkers int, lazy bool) (*core.FailureOutcome, *core.Machine, error) {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = seed
 	opts.Resurrection.Workers = resWorkers
 	opts.LazyInstall = lazy
@@ -67,26 +63,31 @@ func SpanTreeFor(m *core.Machine, fo *core.FailureOutcome, app string, seed int6
 	if fo == nil || fo.Report == nil {
 		return nil, fmt.Errorf("span tree: no resurrection report")
 	}
-	if workers < 1 {
-		workers = resurrect.CanonicalWorkers
-	}
-	if tr := m.Tracer(); tr != nil {
+	markResume(m, fo)
+	return buildSpanTree(m, fo, spans.Input{App: app, Seed: seed, Lazy: lazy, Workers: workers})
+}
+
+// markResume records the resume span mark on the new kernel's flight
+// recorder and returns the recorder (nil when tracing is off).
+func markResume(m *core.Machine, fo *core.FailureOutcome) *trace.Ring {
+	tr := m.Tracer()
+	if tr != nil {
 		tr.Record(trace.Event{Kind: trace.KindSpanMark, A: trace.SpanMarkResume,
 			B: uint64(fo.Report.Succeeded())})
 	}
-	var post []trace.Event
+	return tr
+}
+
+// buildSpanTree re-parses the new kernel's flight recorder, whose span
+// marks the caller has recorded, and builds the recovery's causal span
+// tree from in plus the failure outcome's report and outage.
+func buildSpanTree(m *core.Machine, fo *core.FailureOutcome, in spans.Input) (*spans.Tree, error) {
 	if reg := m.TraceRegion(); reg.Frames > 0 {
 		if p := trace.Parse(m.HW.Mem, reg); p != nil {
-			post = p.Events
+			in.PostEvents = p.Events
 		}
 	}
-	return spans.Build(spans.Input{
-		App:          app,
-		Seed:         seed,
-		Lazy:         lazy,
-		Workers:      workers,
-		Report:       fo.Report,
-		Interruption: fo.SerialInterruption,
-		PostEvents:   post,
-	})
+	in.Report = fo.Report
+	in.Interruption = fo.SerialInterruption
+	return spans.Build(in)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/resurrect"
 	"otherworld/internal/spans"
 	"otherworld/internal/workload"
@@ -32,8 +31,6 @@ var Table3Benchmarks = []string{"MySQL", "Apache/PHP", "Volano"}
 // returns the cycle and TLB-miss deltas over the measurement window.
 func measureRun(app string, ops int, seed int64, protection bool) (cycles, misses uint64, acked int, err error) {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.UserSpaceProtection = protection
 	opts.Seed = seed
 	m, err := core.NewMachine(opts)
@@ -131,8 +128,6 @@ type Table4Row struct {
 // the crash kernel read while resurrecting the application.
 func MeasureTable4(app string, seed int64) (Table4Row, error) {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = seed
 	m, err := core.NewMachine(opts)
 	if err != nil {
@@ -228,8 +223,6 @@ var Table6Workloads = []string{"shell", "MySQL", "Apache/PHP"}
 // mode, returning the boot time and the outage.
 func measureTable6Mode(app string, seed int64, lazy bool) (boot, outage time.Duration, firstTouch []time.Duration, err error) {
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = seed
 	opts.LazyInstall = lazy
 	m, err := core.NewMachine(opts)

@@ -15,9 +15,9 @@ import (
 // width and install mode.
 func diskRun(app string, seed int64, workers int, lazy bool) Result {
 	cfg := DefaultConfig(app, seed)
-	cfg.DiskCrash = true
-	cfg.ResurrectWorkers = workers
-	cfg.LazyInstall = lazy
+	cfg.Machine.DiskCrash.Enabled = true
+	cfg.Machine.Resurrection.Workers = workers
+	cfg.Machine.LazyInstall = lazy
 	return Run(cfg)
 }
 

@@ -162,20 +162,6 @@ func TestBroadcastHaltNMIFailedAck(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigSanity(t *testing.T) {
-	cfg := DefaultConfig()
-	m := NewMachine(cfg)
-	if m.Mem.Size() != cfg.MemoryBytes {
-		t.Fatalf("memory = %d", m.Mem.Size())
-	}
-	if len(m.CPUs) != 2 {
-		t.Fatalf("cpus = %d", len(m.CPUs))
-	}
-	if !m.Watchdog {
-		t.Fatal("watchdog should default on")
-	}
-}
-
 func TestDeviceProbeCosts(t *testing.T) {
 	devs := DefaultDevices()
 	if ProbeAll(devs).Seconds() != 27 {

@@ -43,17 +43,6 @@ type Config struct {
 	WatchdogEnabled bool
 }
 
-// DefaultConfig matches the paper's fault-injection VM: two virtual CPUs
-// and 1 GB of RAM.
-func DefaultConfig() Config {
-	return Config{
-		MemoryBytes:     1 << 30,
-		NumCPUs:         2,
-		TLBEntries:      64,
-		WatchdogEnabled: true,
-	}
-}
-
 // Machine bundles the hardware: physical memory, the device bus, processors,
 // the TLB and the virtual clock.
 type Machine struct {

@@ -10,7 +10,6 @@ import (
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/resurrect"
 )
 
@@ -22,8 +21,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func mysqlMachine(t *testing.T, n, workers int, lazy bool) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = 4242
 	opts.Resurrection.Workers = workers
 	opts.LazyInstall = lazy

@@ -415,7 +415,9 @@ func (e *Engine) parseTime() {
 
 // ListCandidates walks the dead kernel's process list. A corrupted globals
 // anchor or list produces an error: with nothing to anchor on, no process
-// can be resurrected.
+// can be resurrected. A list that comes back to a descriptor it already
+// visited (a CRC-valid stale Next is enough) ends there, keeping each
+// process it reached once.
 func (e *Engine) ListCandidates() ([]Candidate, error) {
 	g, err := layout.ReadGlobals(e.rd.at(CatGlobals), e.MainGlobals, e.VerifyCRC)
 	if err != nil {
@@ -423,11 +425,12 @@ func (e *Engine) ListCandidates() ([]Candidate, error) {
 	}
 	e.parseTime()
 	var out []Candidate
-	cur := g.ProcListHead
-	for hops := 0; cur != 0; hops++ {
-		if hops > 65536 {
-			return out, errors.New("resurrect: process list loop")
+	visited := make(map[uint64]bool)
+	for cur := g.ProcListHead; cur != 0; {
+		if visited[cur] {
+			return out, fmt.Errorf("resurrect: process list loop at %#x", cur)
 		}
+		visited[cur] = true
 		p, err := layout.ReadProc(e.rd.at(CatProc), cur, e.VerifyCRC)
 		if err != nil {
 			// The rest of the list is unreachable; report what we have.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/resurrect"
@@ -69,8 +68,7 @@ func init() {
 func newMachine(t *testing.T) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 128 << 20
 	opts.Seed = 31
 	m, err := core.NewMachine(opts)
 	if err != nil {
@@ -261,8 +259,7 @@ func TestResurrectionConfigSelectsByName(t *testing.T) {
 	m := newMachine(t)
 	_ = m // the default machine resurrects everything; build one with names
 	m2opts := core.DefaultOptions()
-	m2opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	m2opts.CrashRegionMB = 16
+	m2opts.HW.MemoryBytes = 128 << 20
 	m2opts.Seed = 32
 	m2opts.Resurrection = resurrect.Config{Names: []string{"keep"}}
 	m2, err := core.NewMachine(m2opts)

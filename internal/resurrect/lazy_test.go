@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/metrics"
@@ -111,8 +110,7 @@ func TestSavedBytesPartialTailPage(t *testing.T) {
 func lazyFPMachine(t *testing.T) (*core.Machine, *core.FailureOutcome) {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 128 << 20
 	opts.Seed = 31
 	opts.LazyInstall = true
 	m, err := core.NewMachine(opts)
@@ -314,8 +312,7 @@ func TestLazyInterruptionCollapse(t *testing.T) {
 func TestLazyValidationFallbackMatchesEager(t *testing.T) {
 	build := func(lazyInstall bool) *core.Machine {
 		opts := core.DefaultOptions()
-		opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-		opts.CrashRegionMB = 16
+		opts.HW.MemoryBytes = 128 << 20
 		opts.Seed = 31
 		opts.LazyInstall = lazyInstall
 		m, err := core.NewMachine(opts)
@@ -407,8 +404,7 @@ func TestLazySharedFrameRefusedInEitherPass(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			opts := core.DefaultOptions()
-			opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-			opts.CrashRegionMB = 16
+			opts.HW.MemoryBytes = 128 << 20
 			opts.Seed = 31
 			opts.LazyInstall = true
 			opts.Resurrection.Stream = stream
@@ -534,8 +530,7 @@ func TestLazyMidResumeCRCFallback(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := core.DefaultOptions()
-			opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-			opts.CrashRegionMB = 16
+			opts.HW.MemoryBytes = 128 << 20
 			opts.Seed = 31
 			opts.LazyInstall = true
 			m, err := core.NewMachine(opts)

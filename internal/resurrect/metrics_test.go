@@ -131,7 +131,6 @@ func TestScanPoolWritesRegistryConcurrently(t *testing.T) {
 func TestMetricsDisabled(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.HW.MemoryBytes = 128 << 20
-	opts.CrashRegionMB = 16
 	opts.Seed = 7
 	opts.MetricsPages = 0
 	m, err := core.NewMachine(opts)

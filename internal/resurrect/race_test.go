@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/phys"
@@ -23,8 +22,7 @@ import (
 func raceMachine(t *testing.T, n, workers int) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
+	opts.HW.MemoryBytes = 128 << 20
 	opts.Seed = 77
 	opts.Resurrection.Workers = workers
 	m, err := core.NewMachine(opts)
@@ -100,8 +98,7 @@ func TestScanBarrier(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			crash := func(workers int) (*core.Machine, []*kernel.Process) {
 				opts := core.DefaultOptions()
-				opts.HW = hw.Config{MemoryBytes: 128 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-				opts.CrashRegionMB = 16
+				opts.HW.MemoryBytes = 128 << 20
 				opts.Seed = 31
 				opts.Resurrection.Workers = workers
 				opts.Resurrection.Stream = tc.stream

@@ -7,7 +7,6 @@ import (
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/phys"
@@ -222,8 +221,6 @@ func crashedMySQL(b *testing.B, lazy bool) *core.Machine {
 	b.Helper()
 	const seed = 1
 	opts := core.DefaultOptions()
-	opts.HW = hw.Config{MemoryBytes: 256 << 20, NumCPUs: 2, TLBEntries: 64, WatchdogEnabled: true}
-	opts.CrashRegionMB = 16
 	opts.Seed = seed
 	opts.LazyInstall = lazy
 	m, err := core.NewMachine(opts)

@@ -79,8 +79,6 @@ func TestSelectiveResurrectionDropsTheRest(t *testing.T) {
 	m := testMachine(t, 1001)
 	// Configure via a fresh machine: names only.
 	opts := core.DefaultOptions()
-	opts.HW = testHWConfig()
-	opts.CrashRegionMB = 16
 	opts.Seed = 1001
 	opts.Resurrection = resurrect.Config{Names: []string{"mysqld"}}
 	m, err := core.NewMachine(opts)

@@ -14,8 +14,6 @@ import (
 // fan-out guarantees.
 func TestVolanoSurvivesWithIPCResurrection(t *testing.T) {
 	opts := core.DefaultOptions()
-	opts.HW = testHWConfig()
-	opts.CrashRegionMB = 16
 	opts.Seed = 31
 	opts.ResurrectIPC = true
 	m, err := core.NewMachine(opts)

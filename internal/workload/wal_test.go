@@ -12,8 +12,6 @@ import (
 func walMachine(t *testing.T, seed int64) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = testHWConfig()
-	opts.CrashRegionMB = 16
 	opts.Seed = seed
 	opts.DiskCrash.Enabled = true
 	m, err := core.NewMachine(opts)

@@ -4,25 +4,12 @@ import (
 	"testing"
 
 	"otherworld/internal/core"
-	"otherworld/internal/hw"
 	"otherworld/internal/kernel"
 )
-
-// testHWConfig is the standard small test machine.
-func testHWConfig() hw.Config {
-	return hw.Config{
-		MemoryBytes:     256 << 20,
-		NumCPUs:         2,
-		TLBEntries:      64,
-		WatchdogEnabled: true,
-	}
-}
 
 func testMachine(t *testing.T, seed int64) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
-	opts.HW = testHWConfig()
-	opts.CrashRegionMB = 16
 	opts.Seed = seed
 	m, err := core.NewMachine(opts)
 	if err != nil {
