@@ -10,14 +10,17 @@
 //	-ablation    the 89%→97% hardening ablation
 //	-all         everything above (default)
 //
+// A bad flag, or a -table below 0 or above 6, exits 2 before anything runs.
 // Absolute numbers come from the simulation substrate; EXPERIMENTS.md
 // records them next to the paper's measurements.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -34,28 +37,45 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 0, "print a single table (1-6)")
-	checkpoint := flag.Bool("checkpoint", false, "run the checkpoint comparison")
-	ablation := flag.Bool("ablation", false, "run the hardening ablation")
-	compare := flag.Bool("compare", false, "compare recovery modes (reboot / KDump / Otherworld)")
-	scaling := flag.Bool("scaling", false, "sweep footprints (Section 4 size argument)")
-	all := flag.Bool("all", false, "run everything")
-	n := flag.Int("n", 60, "faulted experiments per app for tables 5/ablation (paper: 400)")
-	ops := flag.Int("ops", 400, "measured operations per benchmark for table 3")
-	seed := flag.Int64("seed", 20100413, "seed")
-	showTrace := flag.Bool("trace", false, "print table-5 failure attributions from the flight recorder")
-	traceJSON := flag.String("trace-json", "", "write table-5 failure attributions as JSON to this file")
-	resWorkers := flag.Int("resurrect-workers", 0, "goroutines that scan resurrection candidates in the 8xMySQL and fleet scenarios (0 = NumCPU); changes host wall time only")
-	campaignWorkers := flag.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = NumCPU); results and published figures are identical at any width")
-	lazyInstall := flag.Bool("lazy-install", false, "run the table campaigns with demand-paged resurrection (the bench snapshot always measures both modes)")
-	benchDiff := flag.String("bench-diff", "", "rebuild the bench snapshot and fail if any modeled-time metric regressed >10% against this baseline BENCH_N.json")
-	fleetPop := flag.Int("fleet", 0, "run the fleet-recovery comparison at this population (streaming vs batch per-tier tables) and exit; the JSON snapshot always measures population 256")
-	jsonOut := flag.String("json", "", "write a perf snapshot (per-benchmark custom metrics, seed, workers, metrics snapshot) as JSON to this file and exit; schema in EXPERIMENTS.md")
-	showMetrics := flag.Bool("metrics", false, "print the bench scenario's final metrics snapshot and exit")
-	metricsJSON := flag.String("metrics-json", "", "write the bench scenario's metrics snapshot (otherworld-metrics/1) to this file and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run parses args and runs the selected mode, returning the process exit
+// code; the tables and reports print to os.Stdout.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("owbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.Int("table", 0, "print a single table (1-6)")
+	checkpoint := fs.Bool("checkpoint", false, "run the checkpoint comparison")
+	ablation := fs.Bool("ablation", false, "run the hardening ablation")
+	compare := fs.Bool("compare", false, "compare recovery modes (reboot / KDump / Otherworld)")
+	scaling := fs.Bool("scaling", false, "sweep footprints (Section 4 size argument)")
+	all := fs.Bool("all", false, "run everything")
+	n := fs.Int("n", 60, "faulted experiments per app for tables 5/ablation (paper: 400)")
+	ops := fs.Int("ops", 400, "measured operations per benchmark for table 3")
+	seed := fs.Int64("seed", 20100413, "seed")
+	showTrace := fs.Bool("trace", false, "print table-5 failure attributions from the flight recorder")
+	traceJSON := fs.String("trace-json", "", "write table-5 failure attributions as JSON to this file")
+	resWorkers := fs.Int("resurrect-workers", 0, "goroutines that scan resurrection candidates in the 8xMySQL and fleet scenarios (0 = NumCPU); changes host wall time only")
+	campaignWorkers := fs.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = NumCPU); results and published figures are identical at any width")
+	lazyInstall := fs.Bool("lazy-install", false, "run the table campaigns with demand-paged resurrection (the bench snapshot always measures both modes)")
+	benchDiff := fs.String("bench-diff", "", "rebuild the bench snapshot and fail if any modeled-time metric regressed >10% against this baseline BENCH_N.json")
+	fleetPop := fs.Int("fleet", 0, "run the fleet-recovery comparison at this population (streaming vs batch per-tier tables) and exit; the JSON snapshot always measures population 256")
+	jsonOut := fs.String("json", "", "write a perf snapshot (per-benchmark custom metrics, seed, workers, metrics snapshot) as JSON to this file and exit; schema in EXPERIMENTS.md")
+	showMetrics := fs.Bool("metrics", false, "print the bench scenario's final metrics snapshot and exit")
+	metricsJSON := fs.String("metrics-json", "", "write the bench scenario's metrics snapshot (otherworld-metrics/1) to this file and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *table < 0 || *table > 6 {
+		fmt.Fprintf(stderr, "owbench: -table %d: the paper's tables are 1-6\n", *table)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -85,30 +105,30 @@ func main() {
 		if err := benchDiffMode(*benchDiff, *resWorkers, *campaignWorkers); err != nil {
 			fatal(err)
 		}
-		return
+		return 0
 	}
 	if *fleetPop > 0 {
 		if err := fleetCompareMode(*fleetPop, *seed, *resWorkers, *lazyInstall); err != nil {
 			fatal(err)
 		}
-		return
+		return 0
 	}
 	if *jsonOut != "" || *showMetrics || *metricsJSON != "" {
 		if err := benchSnapshotMode(*jsonOut, *seed, *resWorkers, *campaignWorkers, *showMetrics, *metricsJSON); err != nil {
 			fatal(err)
 		}
-		return
+		return 0
 	}
 	if !*all && *table == 0 && !*checkpoint && !*ablation && !*compare && !*scaling {
 		*all = true
 	}
-	run := func(t int) bool { return *all || *table == t }
+	show := func(t int) bool { return *all || *table == t }
 
-	if run(1) {
+	if show(1) {
 		fmt.Println("== Table 1: resurrection levels (verified by the resurrect package tests)")
 		fmt.Println(experiment.RenderTable1())
 	}
-	if run(2) {
+	if show(2) {
 		fmt.Println("== Table 2: modifications to the applications to support Otherworld")
 		fmt.Printf("%-12s %-16s %s\n", "Application", "Crash procedure", "Modified lines of code")
 		for _, info := range apps.Table2() {
@@ -120,7 +140,7 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if run(3) {
+	if show(3) {
 		fmt.Println("== Table 3: overhead of user memory space protection")
 		rows, err := experiment.RunTable3(*ops, *seed)
 		if err != nil {
@@ -128,7 +148,7 @@ func main() {
 		}
 		fmt.Println(experiment.RenderTable3(rows))
 	}
-	if run(4) {
+	if show(4) {
 		fmt.Println("== Table 4: data read by the crash kernel during resurrection")
 		rows, err := experiment.RunTable4(*seed)
 		if err != nil {
@@ -136,7 +156,7 @@ func main() {
 		}
 		fmt.Println(experiment.RenderTable4(rows))
 	}
-	if run(5) {
+	if show(5) {
 		fmt.Printf("== Table 5: resurrection experiments (%d faulted runs/app; paper used 400)\n", *n)
 		cfg := experiment.DefaultCampaign(*n, *seed)
 		cfg.CampaignWorkers = *campaignWorkers
@@ -172,7 +192,7 @@ func main() {
 			fmt.Println("failure attributions written to", *traceJSON)
 		}
 	}
-	if run(6) {
+	if show(6) {
 		fmt.Println("== Table 6: service interruption time (seconds)")
 		rows, err := experiment.RunTable6(*seed)
 		if err != nil {
@@ -208,6 +228,7 @@ func main() {
 			fatal(err)
 		}
 	}
+	return 0
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -13,6 +14,19 @@ func TestReadSnapshotRejectsUnknownSchema(t *testing.T) {
 	for _, schema := range []string{"otherworld-bench/99", "otherworld-bench/6", "otherworld-bench/1"} {
 		if _, err := readSnapshot([]byte(`{"schema":"` + schema + `"}`)); err == nil {
 			t.Fatalf("schema %q accepted", schema)
+		}
+	}
+}
+
+// TestBadTableRefused: a -table that names none of the paper's tables is
+// refused with exit 2 before anything runs, not answered with no output
+// and exit 0.
+func TestBadTableRefused(t *testing.T) {
+	for _, table := range []string{"7", "-1"} {
+		var errw bytes.Buffer
+		if code := run([]string{"-table", table}, &errw); code != 2 ||
+			!strings.Contains(errw.String(), "-table "+table) {
+			t.Errorf("-table %s: exit %d, stderr %q; want exit 2", table, code, errw.String())
 		}
 	}
 }

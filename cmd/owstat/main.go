@@ -11,11 +11,13 @@
 //	owstat recover [-prom] [-json file] vmcore
 //
 // diff exits 0 when the snapshots are identical and 1 when they differ,
-// like diff(1). recover never treats corrupted segment pages as fatal:
+// like diff(1). An unknown subcommand or scenario exits 2 before anything
+// runs. recover never treats corrupted segment pages as fatal:
 // they are counted and reported, and every intact page still renders.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,10 +63,17 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	if err != nil {
 		fmt.Fprintln(errw, "owstat:", err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
 		return 1
 	}
 	return 0
 }
+
+// usageError is an invocation refused before anything runs; run exits 2
+// for it, as for an unknown subcommand.
+type usageError struct{ error }
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, `owstat — Otherworld metrics introspection
@@ -166,6 +175,11 @@ func cmdTimeline(args []string, out io.Writer) error {
 	}
 	if *resWorkers != 0 && *fleet <= 0 && *app != "mysql-x8" {
 		return fmt.Errorf("timeline: -resurrect-workers only applies to the mysql-x8 and fleet scenarios; an experiment resurrects one application")
+	}
+	if *fleet <= 0 && *app != "mysql-x8" {
+		if _, err := experiment.DriverFor(*app, *seed); err != nil {
+			return usageError{fmt.Errorf("timeline: -app: %w", err)}
+		}
 	}
 
 	var tree *spans.Tree

@@ -210,4 +210,10 @@ func TestBadInputs(t *testing.T) {
 		!strings.Contains(errw, "-resurrect-workers") {
 		t.Fatalf("timeline -app vi -resurrect-workers 4: exit %d stdout %q stderr %q", code, out, errw)
 	}
+	// An unknown application is refused, not run and reported as a failed
+	// recovery.
+	if code, out, errw := runOwstat(t, "timeline", "-app", "nosuch"); code != 2 || out != "" ||
+		!strings.Contains(errw, `unknown application "nosuch"`) {
+		t.Fatalf("timeline -app nosuch: exit %d stdout %q stderr %q", code, out, errw)
+	}
 }

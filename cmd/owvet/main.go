@@ -8,24 +8,14 @@
 //
 // Usage:
 //
-//	owvet [-C dir] [-json] [-sarif file] [-baseline file]
-//	      [-write-baseline file] [-enable csv] [-disable csv]
-//	      [-workers n] [-timing] [-list]
+//	owvet [-C dir] [-json] [-enable csv] [-disable csv] [-timing] [-list]
 //
 // owvet walks the enclosing module (found from -C or the working
 // directory) itself — no go/packages, no external dependencies — and exits
-// 1 if any non-grandfathered diagnostic is reported, 2 on usage or load
-// errors.
+// 1 if any diagnostic is reported, 2 on usage or load errors. -timing
+// prints where the run spent its time.
 //
-// -sarif writes a SARIF 2.1.0 log of every diagnostic ("-" for stdout), for
-// code-scanning upload. -baseline subtracts a committed baseline file (the
-// -json schema, written with -write-baseline) so only new findings gate the
-// exit code; grandfathered ones are reported with a "(baseline)" marker.
-// Analyzer passes fan out over -workers goroutines (0 = GOMAXPROCS) with
-// byte-identical output at any width; -timing prints where the run spent
-// its time.
-//
-// A diagnostic is suppressed with a comment on, or directly above, the
+// The only way to accept a finding is a comment on, or directly above, the
 // flagged line:
 //
 //	//owvet:allow <analyzer>: <reason>
@@ -52,12 +42,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "directory inside the module to analyze")
 	jsonOut := fs.Bool("json", false, "emit diagnostics as JSON (stable schema)")
-	sarifOut := fs.String("sarif", "", "write a SARIF 2.1.0 log to `file` (\"-\" for stdout)")
-	baselinePath := fs.String("baseline", "", "subtract the baseline `file`; only new findings fail")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to `file` as the new baseline and exit 0")
 	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
-	workers := fs.Int("workers", 0, "concurrent package passes (0 = GOMAXPROCS)")
 	timing := fs.Bool("timing", false, "print per-phase and per-analyzer wall time to stderr")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
@@ -79,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := analysis.Config{
 		Enable:  splitCSV(*enable),
 		Disable: splitCSV(*disable),
-		Workers: *workers,
 	}
 	diags, stats, err := analysis.RunWithStats(root, cfg)
 	if err != nil {
@@ -90,82 +75,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stats.WriteTimings(stderr)
 	}
 
-	// The SARIF log and a written baseline record the full finding set;
-	// the baseline subtraction below only decides reporting and exit code.
-	if *sarifOut != "" {
-		if err := writeTo(*sarifOut, stdout, func(w io.Writer) error {
-			return analysis.WriteSARIF(w, diags)
-		}); err != nil {
-			fmt.Fprintln(stderr, "owvet:", err)
-			return 2
-		}
-	}
-	if *writeBaseline != "" {
-		if err := writeTo(*writeBaseline, stdout, func(w io.Writer) error {
-			return analysis.WriteJSON(w, diags)
-		}); err != nil {
-			fmt.Fprintln(stderr, "owvet:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "owvet: baseline of %d finding(s) written to %s\n",
-			len(diags), *writeBaseline)
-		return 0
-	}
-
-	gating := diags
-	if *baselinePath != "" {
-		base, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "owvet:", err)
-			return 2
-		}
-		gating = analysis.DiffBaseline(diags, base)
-	}
-
 	if *jsonOut {
-		if err := analysis.WriteJSON(stdout, gating); err != nil {
+		if err := analysis.WriteJSON(stdout, diags); err != nil {
 			fmt.Fprintln(stderr, "owvet:", err)
 			return 2
 		}
 	} else {
-		fresh := make(map[int]bool, len(gating))
-		for i, j := 0, 0; i < len(diags) && j < len(gating); i++ {
-			if diags[i] == gating[j] {
-				fresh[i] = true
-				j++
-			}
-		}
-		for i, d := range diags {
-			if fresh[i] || *baselinePath == "" {
-				fmt.Fprintln(stdout, d)
-			} else {
-				fmt.Fprintf(stdout, "%s (baseline)\n", d)
-			}
+		for _, d := range diags {
+			fmt.Fprintln(stdout, d)
 		}
 	}
-	if len(gating) > 0 {
+	if len(diags) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(stderr, "owvet: %d diagnostic(s)\n", len(gating))
+			fmt.Fprintf(stderr, "owvet: %d diagnostic(s)\n", len(diags))
 		}
 		return 1
 	}
 	return 0
-}
-
-// writeTo streams through f into path, with "-" meaning stdout.
-func writeTo(path string, stdout io.Writer, f func(io.Writer) error) error {
-	if path == "-" {
-		return f(stdout)
-	}
-	file, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f(file); err != nil {
-		file.Close()
-		return err
-	}
-	return file.Close()
 }
 
 func splitCSV(s string) []string {

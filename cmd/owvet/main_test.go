@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,87 +44,6 @@ func TestFindingsExitOne(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "[deadtaint]") {
 		t.Errorf("fixture run did not report deadtaint findings:\n%s", stdout)
-	}
-}
-
-// TestBaselineGatesOnlyNewFindings drives the full CI workflow: write a
-// baseline, re-run against it (exit 0, findings marked), then prove a
-// stricter baseline still fails.
-func TestBaselineGatesOnlyNewFindings(t *testing.T) {
-	dir := t.TempDir()
-	basePath := filepath.Join(dir, "owvet.baseline.json")
-
-	code, _, stderr := runOwvet(t, "-C", fixtureModule, "-write-baseline", basePath)
-	if code != 0 {
-		t.Fatalf("write-baseline exit = %d, want 0 (stderr: %s)", code, stderr)
-	}
-
-	code, stdout, _ := runOwvet(t, "-C", fixtureModule, "-baseline", basePath)
-	if code != 0 {
-		t.Errorf("run against own baseline exit = %d, want 0", code)
-	}
-	if !strings.Contains(stdout, "(baseline)") {
-		t.Error("grandfathered findings not marked in text output")
-	}
-
-	// Remove one entry from the baseline: exactly that finding is new again.
-	data, err := os.ReadFile(basePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Version     int               `json:"version"`
-		Count       int               `json:"count"`
-		Diagnostics []json.RawMessage `json:"diagnostics"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Diagnostics) < 2 {
-		t.Fatalf("fixture baseline has %d findings, want >= 2", len(rep.Diagnostics))
-	}
-	rep.Diagnostics = rep.Diagnostics[1:]
-	rep.Count = len(rep.Diagnostics)
-	trimmed, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, basePath, string(trimmed))
-	code, _, _ = runOwvet(t, "-C", fixtureModule, "-baseline", basePath)
-	if code != 1 {
-		t.Errorf("run with a trimmed baseline exit = %d, want 1 (one new finding)", code)
-	}
-}
-
-// TestSARIFFile: -sarif writes a parsable 2.1.0 log with one result per
-// diagnostic, independent of baseline gating.
-func TestSARIFFile(t *testing.T) {
-	dir := t.TempDir()
-	sarifPath := filepath.Join(dir, "owvet.sarif")
-	code, _, _ := runOwvet(t, "-C", fixtureModule, "-sarif", sarifPath)
-	if code != 1 {
-		t.Fatalf("fixture run exit = %d, want 1", code)
-	}
-	data, err := os.ReadFile(sarifPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("SARIF file does not parse: %v", err)
-	}
-	if log.Version != "2.1.0" {
-		t.Errorf("SARIF version = %q, want 2.1.0", log.Version)
-	}
-	if len(log.Runs) != 1 || len(log.Runs[0].Results) == 0 {
-		t.Errorf("SARIF log missing results: %s", data)
 	}
 }
 

@@ -65,17 +65,12 @@ type Analyzer struct {
 	Run   func(*Pass)
 }
 
-// AppliesTo reports whether the analyzer covers a package at rel, given an
-// optional scope override (nil keeps the analyzer's default).
-func (a *Analyzer) AppliesTo(rel string, override []string) bool {
-	scope := a.Scope
-	if override != nil {
-		scope = override
-	}
-	if len(scope) == 0 {
+// AppliesTo reports whether the analyzer covers a package at rel.
+func (a *Analyzer) AppliesTo(rel string) bool {
+	if len(a.Scope) == 0 {
 		return true
 	}
-	for _, s := range scope {
+	for _, s := range a.Scope {
 		if s == "" || rel == s || strings.HasPrefix(rel, s+"/") {
 			return true
 		}
@@ -167,7 +162,7 @@ type Pass struct {
 	Pkg      *Package
 	// Flow is the module-wide dataflow index (call graph + function
 	// summaries), built once per run when any flow analyzer is selected;
-	// nil otherwise. Read-only: passes may run concurrently.
+	// nil otherwise. Read-only.
 	Flow *FlowIndex
 
 	modRoot string

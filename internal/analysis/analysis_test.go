@@ -161,26 +161,6 @@ func TestEnableDisable(t *testing.T) {
 	}
 }
 
-// TestScopeOverride confirms tests can restrict an analyzer to explicit
-// paths, and that scope restriction actually excludes packages.
-func TestScopeOverride(t *testing.T) {
-	diags, err := Run(fixtureRoot, Config{
-		Enable: []string{"crosskernel"},
-		Scopes: map[string][]string{"crosskernel": {"internal/dump"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("scoped crosskernel run reported nothing")
-	}
-	for _, d := range diags {
-		if !strings.HasPrefix(d.File, "internal/dump/") {
-			t.Errorf("scope override leaked diagnostic outside internal/dump: %s", d)
-		}
-	}
-}
-
 // TestJSONSchemaStable pins the machine-readable output schema: tooling
 // parses this format, so any change here is a deliberate version bump.
 func TestJSONSchemaStable(t *testing.T) {

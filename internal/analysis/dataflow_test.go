@@ -2,10 +2,8 @@ package analysis
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -58,25 +56,6 @@ func TestDeadTaintInterprocedural(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterministic pins the parallel driver's output: the
-// diagnostic list must be identical at any worker-pool width.
-func TestWorkersDeterministic(t *testing.T) {
-	serial, _, err := RunWithStats(fixtureRoot, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, stats, err := RunWithStats(fixtureRoot, Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, wide) {
-		t.Errorf("diagnostics differ across worker widths:\nw1: %v\nw8: %v", serial, wide)
-	}
-	if stats.Workers < 1 {
-		t.Errorf("stats.Workers = %d, want >= 1", stats.Workers)
-	}
-}
-
 // TestRunStats checks the -timing plumbing: phases and per-analyzer rows
 // are populated and the timing report renders.
 func TestRunStats(t *testing.T) {
@@ -114,176 +93,5 @@ func TestRunStats(t *testing.T) {
 	}
 	if lean.Flow != 0 {
 		t.Errorf("flow index built for a non-flow run (%v)", lean.Flow)
-	}
-}
-
-// TestSARIFSchemaStable pins the SARIF envelope: tooling uploads this
-// format, so structure changes are deliberate.
-func TestSARIFSchemaStable(t *testing.T) {
-	diags := []Diagnostic{{
-		Analyzer: "deadtaint",
-		File:     "internal/resurrect/lazy.go",
-		Line:     42,
-		Col:      7,
-		Message:  "dead word used as index",
-	}}
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, diags); err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Schema  string `json:"$schema"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Level   string `json:"level"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine   int `json:"startLine"`
-							StartColumn int `json:"startColumn"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("SARIF output does not parse: %v", err)
-	}
-	if log.Version != SARIFVersion {
-		t.Errorf("version = %q, want %q", log.Version, SARIFVersion)
-	}
-	if !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Errorf("$schema = %q", log.Schema)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("got %d runs, want 1", len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "owvet" {
-		t.Errorf("driver name = %q", run.Tool.Driver.Name)
-	}
-	if len(run.Tool.Driver.Rules) != len(All) {
-		t.Errorf("got %d rules, want one per analyzer (%d)", len(run.Tool.Driver.Rules), len(All))
-	}
-	for i, r := range run.Tool.Driver.Rules {
-		if r.ID != All[i].Name {
-			t.Errorf("rule %d is %q, want %q", i, r.ID, All[i].Name)
-		}
-	}
-	if len(run.Results) != 1 {
-		t.Fatalf("got %d results, want 1", len(run.Results))
-	}
-	res := run.Results[0]
-	loc := res.Locations[0].PhysicalLocation
-	if res.RuleID != "deadtaint" || res.Level != "error" ||
-		res.Message.Text != "dead word used as index" ||
-		loc.ArtifactLocation.URI != "internal/resurrect/lazy.go" ||
-		loc.Region.StartLine != 42 || loc.Region.StartColumn != 7 {
-		t.Errorf("result drifted: %+v", res)
-	}
-
-	// Byte stability: two renders of the same input are identical.
-	var again bytes.Buffer
-	if err := WriteSARIF(&again, diags); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Error("SARIF output is not byte-stable")
-	}
-}
-
-// TestBaselineDiff covers the grandfathering semantics: per-key
-// multiplicity, line-drift insensitivity, and new findings surfacing.
-func TestBaselineDiff(t *testing.T) {
-	d := func(an, file string, line int, msg string) Diagnostic {
-		return Diagnostic{Analyzer: an, File: file, Line: line, Col: 1, Message: msg}
-	}
-	old := []Diagnostic{
-		d("deadtaint", "a.go", 10, "dead word used as index"),
-		d("deadtaint", "a.go", 20, "dead word used as index"),
-		d("costaccount", "b.go", 5, "uncharged copy"),
-	}
-	base := NewBaseline(old)
-
-	// Same findings at shifted lines: fully absorbed.
-	shifted := []Diagnostic{
-		d("deadtaint", "a.go", 13, "dead word used as index"),
-		d("deadtaint", "a.go", 23, "dead word used as index"),
-		d("costaccount", "b.go", 8, "uncharged copy"),
-	}
-	if fresh := DiffBaseline(shifted, base); len(fresh) != 0 {
-		t.Errorf("line drift resurrected grandfathered findings: %v", fresh)
-	}
-
-	// A third occurrence of a twice-grandfathered key is new.
-	three := append(append([]Diagnostic(nil), shifted...),
-		d("deadtaint", "a.go", 30, "dead word used as index"))
-	fresh := DiffBaseline(three, base)
-	if len(fresh) != 1 || fresh[0].Line != 30 {
-		t.Errorf("multiplicity overflow not detected: %v", fresh)
-	}
-
-	// A different message is always new.
-	other := []Diagnostic{d("deadtaint", "a.go", 10, "dead pointer dereferenced")}
-	if fresh := DiffBaseline(other, base); len(fresh) != 1 {
-		t.Errorf("new finding absorbed by unrelated baseline entry: %v", fresh)
-	}
-
-	// Empty baseline passes everything through.
-	if fresh := DiffBaseline(old, nil); !reflect.DeepEqual(fresh, old) {
-		t.Errorf("nil baseline altered diagnostics: %v", fresh)
-	}
-}
-
-// TestBaselineFile covers the on-disk round trip and the version guard.
-func TestBaselineFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "owvet.baseline.json")
-	diags := []Diagnostic{{
-		Analyzer: "sealedacct", File: "x.go", Line: 3, Col: 2, Message: "late write",
-	}}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, diags); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := DiffBaseline(diags, base); len(got) != 0 {
-		t.Errorf("round-tripped baseline did not absorb its own findings: %v", got)
-	}
-
-	// A version bump must be an explicit error, not an empty baseline.
-	bumped := strings.Replace(buf.String(), `"version": 1`, `"version": 999`, 1)
-	if err := os.WriteFile(path, []byte(bumped), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(path); err == nil {
-		t.Error("mismatched baseline schema version accepted")
-	}
-
-	if _, err := LoadBaseline(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing baseline file accepted")
 	}
 }

@@ -4,27 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 )
 
-// Config selects which analyzers run and (for tests) where.
+// Config selects which analyzers run.
 type Config struct {
 	// Enable restricts the run to the named analyzers (nil/empty = all).
 	Enable []string
 	// Disable removes analyzers after Enable is applied.
 	Disable []string
-	// Scopes overrides an analyzer's default package scope with explicit
-	// module-relative path prefixes. Used by tests; nil keeps defaults.
-	Scopes map[string][]string
-	// Workers caps how many packages are analyzed concurrently; 0 means
-	// GOMAXPROCS. Loading and the dataflow-index build stay serial (the
-	// loader shares a FileSet and caches); only analyzer passes fan out.
-	// Diagnostics are collected per package and merged in package order
-	// before the final sort, so output is identical at any width.
-	Workers int
 }
 
 // AnalyzerTiming is one analyzer's accumulated wall time across packages.
@@ -39,7 +28,6 @@ type RunStats struct {
 	Load      time.Duration // module discovery, parsing, type-checking
 	Flow      time.Duration // call graph + function summaries (flow analyzers)
 	Total     time.Duration
-	Workers   int
 	Packages  int
 	Analyzers []AnalyzerTiming // suite order, selected analyzers only
 }
@@ -112,65 +100,31 @@ func RunWithStats(root string, cfg Config) ([]Diagnostic, *RunStats, error) {
 		}
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// Passes run in package order on this goroutine: loading and
+	// type-checking take nearly all of a run, the passes about 1%.
+	timing := make([]AnalyzerTiming, len(analyzers))
+	for i, a := range analyzers {
+		timing[i].Name = a.Name
 	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	stats.Workers = workers
-
-	timing := make(map[string]*AnalyzerTiming, len(analyzers))
-	for _, a := range analyzers {
-		timing[a.Name] = &AnalyzerTiming{Name: a.Name}
-	}
-	perPkg := make([][]Diagnostic, len(pkgs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				pkg := pkgs[i]
-				allows := collectAllows(pkg)
-				for _, a := range analyzers {
-					if !a.AppliesTo(pkg.Rel, cfg.Scopes[a.Name]) {
-						continue
-					}
-					passStart := time.Now()
-					a.Run(&Pass{
-						Analyzer: a,
-						Pkg:      pkg,
-						Flow:     flow,
-						modRoot:  mod.Root,
-						allows:   allows,
-						diags:    &perPkg[i],
-					})
-					elapsed := time.Since(passStart)
-					mu.Lock()
-					at := timing[a.Name]
-					at.Wall += elapsed
-					at.Packages++
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := range pkgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
 	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
+	for _, pkg := range pkgs {
+		allows := collectAllows(pkg)
+		for i, a := range analyzers {
+			if !a.AppliesTo(pkg.Rel) {
+				continue
+			}
+			passStart := time.Now()
+			a.Run(&Pass{
+				Analyzer: a,
+				Pkg:      pkg,
+				Flow:     flow,
+				modRoot:  mod.Root,
+				allows:   allows,
+				diags:    &diags,
+			})
+			timing[i].Wall += time.Since(passStart)
+			timing[i].Packages++
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -185,16 +139,14 @@ func RunWithStats(root string, cfg Config) ([]Diagnostic, *RunStats, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	for _, a := range analyzers {
-		stats.Analyzers = append(stats.Analyzers, *timing[a.Name])
-	}
+	stats.Analyzers = timing
 	stats.Total = time.Since(start)
 	return diags, stats, nil
 }
 
 // WriteTimings renders RunStats as the -timing report.
 func (s *RunStats) WriteTimings(w io.Writer) {
-	fmt.Fprintf(w, "owvet timing: %d package(s), %d worker(s)\n", s.Packages, s.Workers)
+	fmt.Fprintf(w, "owvet timing: %d package(s)\n", s.Packages)
 	fmt.Fprintf(w, "  %-16s %12v\n", "load+typecheck", s.Load.Round(time.Microsecond))
 	if s.Flow > 0 {
 		fmt.Fprintf(w, "  %-16s %12v\n", "dataflow index", s.Flow.Round(time.Microsecond))
@@ -210,7 +162,7 @@ func (s *RunStats) WriteTimings(w io.Writer) {
 // incompatible changes; tooling keys off it.
 const JSONVersion = 1
 
-// jsonReport is the owvet -json document (also the baseline-file schema).
+// jsonReport is the owvet -json document.
 type jsonReport struct {
 	Version     int          `json:"version"`
 	Count       int          `json:"count"`

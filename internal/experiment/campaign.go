@@ -207,15 +207,15 @@ func (cfg CampaignConfig) campaignWorkers() int {
 // point are dropped unobserved. A bounded window keeps workers from racing
 // arbitrarily far ahead of the commit cursor.
 func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, seedSalt int64) tally {
+	t := tally{attribs: make(map[Attribution]int)}
+	if want <= 0 {
+		return t // nothing asked for, nothing run: every rate reads n/a
+	}
 	workers := cfg.campaignWorkers()
 	if workers > want {
 		workers = want
 	}
-	if workers < 1 {
-		workers = 1
-	}
 
-	t := tally{attribs: make(map[Attribution]int)}
 	passName := "unprotected"
 	if protection {
 		passName = "protected"

@@ -131,6 +131,31 @@ func TestCampaignUndershootReported(t *testing.T) {
 	}
 }
 
+// TestNegativeCampaignSizeRunsNothing: a pass asked for fewer than one
+// faulted run runs nothing, as a size of 0 does, and its row renders n/a in
+// every cell. A negative size used to panic sizing the attempt slots.
+func TestNegativeCampaignSizeRunsNothing(t *testing.T) {
+	cfg := DefaultCampaign(-1, 7)
+	cfg.Apps = []string{"vi"}
+	cfg.runExperiment = func(Config) Result {
+		t.Error("a campaign of size -1 ran an experiment")
+		return Result{Outcome: OutcomeSuccess}
+	}
+	rows, stats := RunTable5Campaign(cfg)
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want 1", len(rows))
+	}
+	r := rows[0]
+	if r.N != 0 || r.ProtN != 0 || r.Discarded != 0 || r.Shortfall != 0 ||
+		r.ProtShortfall != 0 || stats.Experiments != 0 {
+		t.Fatalf("row %+v, %d experiments: want an empty row and none run", r, stats.Experiments)
+	}
+	row := strings.Split(RenderTable5(rows), "\n")[2]
+	if strings.Count(row, "n/a") != 7 {
+		t.Fatalf("row %q: want n/a in all seven cells", row)
+	}
+}
+
 // TestTopReasonsNumericOrder reproduces the lexicographic-sort bug: with a
 // 10000-count reason and a 9999-count reason, string sorting put " 9999x"
 // above "10000x". The fixed sort is numeric, with deterministic tiebreak.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"otherworld/internal/phys"
 	"otherworld/internal/resurrect"
 	"otherworld/internal/sched"
 )
@@ -40,6 +41,18 @@ func TestFleetRecoverySmoke(t *testing.T) {
 	}
 	if res.Population != 48 {
 		t.Fatalf("population = %d, want 48", res.Population)
+	}
+	// The machine scales with the population: 256 MB plus 0.5 MB a
+	// process, and two crash slots of 16 + population/32 MB. A slot is
+	// the crash image plus the tail the planes occupy above it.
+	m := res.Machine
+	if got := m.HW.Mem.Size(); got != 280<<20 {
+		t.Errorf("fleet machine has %d MB of memory, want 280", got>>20)
+	}
+	slot := m.K.P.CrashRegion.Frames + m.TraceRegion().Frames +
+		m.IndexRegion().Frames + m.MetricsRegion().Frames
+	if got := slot * phys.PageSize; got != 17<<20 {
+		t.Errorf("fleet crash slot is %d KB, want 17 MB", got>>10)
 	}
 	for _, st := range res.Tiers {
 		if st.Procs == 0 {
