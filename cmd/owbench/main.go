@@ -10,7 +10,8 @@
 //	-ablation    the 89%→97% hardening ablation
 //	-all         everything above (default)
 //
-// A bad flag, or a -table below 0 or above 6, exits 2 before anything runs.
+// A bad flag, a -table below 0 or above 6, or a negative -fleet exits 2
+// before anything runs.
 // Absolute numbers come from the simulation substrate; EXPERIMENTS.md
 // records them next to the paper's measurements.
 package main
@@ -74,6 +75,10 @@ func run(args []string, stderr io.Writer) int {
 	}
 	if *table < 0 || *table > 6 {
 		fmt.Fprintf(stderr, "owbench: -table %d: the paper's tables are 1-6\n", *table)
+		return 2
+	}
+	if *fleetPop < 0 {
+		fmt.Fprintf(stderr, "owbench: -fleet %d: a fleet needs at least one process\n", *fleetPop)
 		return 2
 	}
 

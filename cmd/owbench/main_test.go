@@ -31,6 +31,16 @@ func TestBadTableRefused(t *testing.T) {
 	}
 }
 
+// TestNegativeFleetRefused: a negative -fleet population is refused with
+// exit 2 before anything runs. It used to fall through to -all and start
+// regenerating every table.
+func TestNegativeFleetRefused(t *testing.T) {
+	var errw bytes.Buffer
+	if code := run([]string{"-fleet", "-5"}, &errw); code != 2 || !strings.Contains(errw.String(), "-fleet -5") {
+		t.Errorf("-fleet -5: exit %d, stderr %q; want exit 2", code, errw.String())
+	}
+}
+
 // TestBuildSnapshotV7 runs the real bench scenario once and checks the /7
 // shape: the /2–/6 fields are still there (embedded metrics with their
 // logical stamp, fast-path counters, campaign entry, demand-paged entry with

@@ -6,7 +6,7 @@
 //
 //	owcampaign [-n perApp] [-seed n] [-apps csv] [-hardening on|off]
 //	           [-nocrc] [-noprotected] [-campaign-workers n]
-//	           [-lazy-install] [-stream] [-index-slots n]
+//	           [-lazy-install] [-index-slots n]
 //	           [-disk-crash] [-baseline]
 //	           [-trace] [-trace-json f] [-metrics] [-metrics-json f]
 //
@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	noprotected := fs.Bool("noprotected", false, "skip the protected-mode corruption pass")
 	campaignWorkers := fs.Int("campaign-workers", 0, "campaign pool width: whole experiments run concurrently (0 = NumCPU); the table, attributions and metrics are bit-identical at any width")
 	lazyInstall := fs.Bool("lazy-install", false, "demand-paged resurrection in every experiment: resume at context install, CRC-validated copy-on-access pages")
-	stream := fs.Bool("stream", false, "streaming resurrection in every experiment: SLO-tier admission and pipelined install commit instead of the batch pass")
 	indexSlots := fs.Int("index-slots", 0, "size every experiment kernel's candidate index; discovery salvages it instead of walking the full process list (0 = off)")
 	diskCrash := fs.Bool("disk-crash", false, "block-layer crash model: at kernel-crash time the volatile write cache may roll back, the in-flight sector may tear, and unflushed dirty pages drain in seeded order; drivers with a platter audit add a data-survival column")
 	baseline := fs.Bool("baseline", false, "no-Otherworld control: cold-reboot and restart the application from disk instead of resurrecting")
@@ -75,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := experiment.DefaultCampaign(*n, *seed)
 	cfg.CampaignWorkers = *campaignWorkers
 	cfg.LazyInstall = *lazyInstall
-	cfg.Stream = *stream
 	cfg.IndexSlots = *indexSlots
 	cfg.DiskCrash = *diskCrash
 	cfg.Baseline = *baseline
@@ -129,10 +127,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Interruption distribution per application, nearest-rank percentiles
-	// over successful recoveries — the span-plane aggregation layer.
+	// over successful recoveries — the span-plane aggregation layer. A
+	// baseline pass measures no outage.
 	fmt.Fprintln(stdout, "\ninterruption percentiles (p50/p95/p99):")
 	for _, row := range rows {
-		if row.Success == 0 {
+		if row.InterruptionSamples == 0 {
 			fmt.Fprintf(stdout, "  %-12s n/a\n", row.App)
 			continue
 		}

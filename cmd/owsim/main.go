@@ -52,11 +52,14 @@ func main() {
 	flag.Parse()
 
 	var err error
-	if *fleet > 0 {
+	switch {
+	case *fleet < 0:
+		err = fmt.Errorf("-fleet %d: a fleet needs at least one process", *fleet)
+	case *fleet > 0:
 		err = runFleet(*fleet, *seed, *tierSpec, *resWorkers, *lazyInstall, *fleetBatch, *showMetrics, *metricsJSON)
-	} else if *tierSpec != "" || *fleetBatch || *resWorkers != 0 {
+	case *tierSpec != "" || *fleetBatch || *resWorkers != 0:
 		err = fmt.Errorf("-tiers, -fleet-batch and -resurrect-workers only apply to the fleet demo (-fleet N)")
-	} else {
+	default:
 		err = run(*app, *seed, *faults, *protect, *noharden, *lazyInstall, *showMetrics, *metricsJSON)
 	}
 	if err != nil {

@@ -11,8 +11,9 @@
 //	owstat recover [-prom] [-json file] vmcore
 //
 // diff exits 0 when the snapshots are identical and 1 when they differ,
-// like diff(1). An unknown subcommand or scenario exits 2 before anything
-// runs. recover never treats corrupted segment pages as fatal:
+// like diff(1). A bad invocation (an unknown subcommand, flag or scenario,
+// a stray argument, or flags that do not combine) exits 2 before anything
+// runs; -h exits 0. recover never treats corrupted segment pages as fatal:
 // they are counted and reported, and every intact page still renders.
 package main
 
@@ -26,6 +27,7 @@ import (
 	"otherworld/internal/dump"
 	"otherworld/internal/experiment"
 	"otherworld/internal/metrics"
+	"otherworld/internal/resurrect"
 	"otherworld/internal/sched"
 	"otherworld/internal/spans"
 )
@@ -62,6 +64,9 @@ func run(args []string, out, errw io.Writer) int {
 		return 2
 	}
 	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		fmt.Fprintln(errw, "owstat:", err)
 		if errors.As(err, new(usageError)) {
 			return 2
@@ -74,6 +79,16 @@ func run(args []string, out, errw io.Writer) int {
 // usageError is an invocation refused before anything runs; run exits 2
 // for it, as for an unknown subcommand.
 type usageError struct{ error }
+
+// parseFlags parses a subcommand's flags. A bad flag is a usageError; -h
+// returns flag.ErrHelp, which run answers with exit 0.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError{err}
+	}
+	return err
+}
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, `owstat — Otherworld metrics introspection
@@ -107,11 +122,11 @@ func loadSnapshot(path string) (*metrics.Snapshot, error) {
 func cmdRender(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("render", flag.ContinueOnError)
 	prom := fs.Bool("prom", false, "Prometheus text exposition instead of the table")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("render: want exactly one snapshot file, got %d args", fs.NArg())
+		return usageError{fmt.Errorf("render: want exactly one snapshot file, got %d args", fs.NArg())}
 	}
 	s, err := loadSnapshot(fs.Arg(0))
 	if err != nil {
@@ -127,11 +142,11 @@ func cmdRender(args []string, out io.Writer) error {
 
 func cmdDiff(args []string, out io.Writer) (differ bool, err error) {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return false, err
 	}
 	if fs.NArg() != 2 {
-		return false, fmt.Errorf("diff: want old.json new.json, got %d args", fs.NArg())
+		return false, usageError{fmt.Errorf("diff: want old.json new.json, got %d args", fs.NArg())}
 	}
 	a, err := loadSnapshot(fs.Arg(0))
 	if err != nil {
@@ -164,19 +179,23 @@ func cmdTimeline(args []string, out io.Writer) error {
 	perfetto := fs.String("perfetto", "", "also write Chrome trace-event JSON (Perfetto-loadable) to this file")
 	fleet := fs.Int("fleet", 0, "run the fleet-recovery scenario at this population instead of -app (streaming resurrection, index-assisted discovery, per-tier table + tier lanes)")
 	tierSpec := fs.String("tiers", "", "fleet tier overrides merged onto the defaults: comma-separated program=tier pairs, e.g. sh=1 (default mysqld=0, apache-php=1, volano=1, sh=2)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if fs.NArg() != 0 {
-		return fmt.Errorf("timeline: unexpected arguments %v", fs.Args())
+	oneApp := *fleet == 0 && *app != "mysql-x8"
+	switch {
+	case fs.NArg() != 0:
+		return usageError{fmt.Errorf("timeline: unexpected arguments %v", fs.Args())}
+	case *fleet < 0:
+		return usageError{fmt.Errorf("timeline: -fleet %d: a fleet needs at least one process", *fleet)}
+	case *tierSpec != "" && *fleet == 0:
+		return usageError{fmt.Errorf("timeline: -tiers only applies to the fleet scenario (-fleet N)")}
+	case *resWorkers != 0 && oneApp:
+		return usageError{fmt.Errorf("timeline: -resurrect-workers only applies to the mysql-x8 and fleet scenarios; an experiment resurrects one application")}
+	case *analysisWorkers > 0 && *analysisWorkers != resurrect.CanonicalWorkers && oneApp:
+		return usageError{fmt.Errorf("timeline: -analysis-workers applies to the mysql-x8 and fleet scenarios; experiment trees analyze at the canonical width %d", resurrect.CanonicalWorkers)}
 	}
-	if *tierSpec != "" && *fleet <= 0 {
-		return fmt.Errorf("timeline: -tiers only applies to the fleet scenario (-fleet N)")
-	}
-	if *resWorkers != 0 && *fleet <= 0 && *app != "mysql-x8" {
-		return fmt.Errorf("timeline: -resurrect-workers only applies to the mysql-x8 and fleet scenarios; an experiment resurrects one application")
-	}
-	if *fleet <= 0 && *app != "mysql-x8" {
+	if oneApp {
 		if _, err := experiment.DriverFor(*app, *seed); err != nil {
 			return usageError{fmt.Errorf("timeline: -app: %w", err)}
 		}
@@ -190,7 +209,7 @@ func cmdTimeline(args []string, out io.Writer) error {
 		if *tierSpec != "" {
 			overrides, err := sched.ParseTierSpec(*tierSpec)
 			if err != nil {
-				return fmt.Errorf("timeline: %w", err)
+				return usageError{fmt.Errorf("timeline: %w", err)}
 			}
 			tiers := experiment.DefaultFleetTiers()
 			for prog, t := range overrides {
@@ -227,9 +246,6 @@ func cmdTimeline(args []string, out io.Writer) error {
 			return fmt.Errorf("timeline: experiment did not recover (outcome %v); try another -seed", res.Outcome)
 		}
 		tree = res.Spans
-		if *analysisWorkers > 0 && *analysisWorkers != tree.Workers {
-			return fmt.Errorf("timeline: -analysis-workers applies to the mysql-x8 scenario; experiment trees analyze at the canonical width %d", tree.Workers)
-		}
 	}
 
 	if _, err := io.WriteString(out, tree.Render()); err != nil {
@@ -256,11 +272,11 @@ func cmdRecover(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("recover", flag.ContinueOnError)
 	prom := fs.Bool("prom", false, "Prometheus text exposition instead of the table")
 	jsonOut := fs.String("json", "", "also write the recovered snapshot as JSON to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("recover: want exactly one dump file, got %d args", fs.NArg())
+		return usageError{fmt.Errorf("recover: want exactly one dump file, got %d args", fs.NArg())}
 	}
 	data, err := os.ReadFile(fs.Arg(0))
 	if err != nil {

@@ -204,16 +204,31 @@ func TestBadInputs(t *testing.T) {
 	if code, _, _ := runOwstat(t, "render", junk); code != 1 {
 		t.Fatalf("wrong schema: exit %d, want 1", code)
 	}
-	// One application is one candidate, so a pool width cannot act: the
-	// flag is refused before the experiment runs.
-	if code, out, errw := runOwstat(t, "timeline", "-app", "vi", "-resurrect-workers", "4"); code != 1 || out != "" ||
-		!strings.Contains(errw, "-resurrect-workers") {
-		t.Fatalf("timeline -app vi -resurrect-workers 4: exit %d stdout %q stderr %q", code, out, errw)
+	// Each invocation is refused with exit 2 before anything runs; exit 1
+	// is for a command that ran and failed.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		// One application is one candidate, so a pool width cannot act.
+		{[]string{"timeline", "-app", "vi", "-resurrect-workers", "4"}, "-resurrect-workers"},
+		// An unknown application is not run and reported as a failed
+		// recovery.
+		{[]string{"timeline", "-app", "nosuch"}, `unknown application "nosuch"`},
+		// A negative population used to run the default mysql-x8 scenario.
+		{[]string{"timeline", "-fleet", "-3"}, "-fleet -3"},
+		{[]string{"timeline", "-tiers", "sh=1"}, "-tiers"},
+		// An experiment tree analyzes at the canonical width only.
+		{[]string{"timeline", "-app", "vi", "-analysis-workers", "3"}, "-analysis-workers"},
+		{[]string{"timeline", "-bogus"}, "-bogus"},
+		{[]string{"timeline", "extra"}, "extra"},
+		{[]string{"render", "-bogus", "x"}, "-bogus"},
+	} {
+		if code, out, errw := runOwstat(t, tc.args...); code != 2 || out != "" || !strings.Contains(errw, tc.want) {
+			t.Errorf("%v: exit %d stdout %q stderr %q; want exit 2 and %q", tc.args, code, out, errw, tc.want)
+		}
 	}
-	// An unknown application is refused, not run and reported as a failed
-	// recovery.
-	if code, out, errw := runOwstat(t, "timeline", "-app", "nosuch"); code != 2 || out != "" ||
-		!strings.Contains(errw, `unknown application "nosuch"`) {
-		t.Fatalf("timeline -app nosuch: exit %d stdout %q stderr %q", code, out, errw)
+	if code, _, _ := runOwstat(t, "timeline", "-h"); code != 0 {
+		t.Errorf("timeline -h: exit %d, want 0", code)
 	}
 }

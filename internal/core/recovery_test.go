@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/phys"
+	"otherworld/internal/resurrect"
 )
 
 // bigProg touches many pages so some can be swapped out before the crash.
@@ -339,5 +341,92 @@ func TestPseudoTerminalNotResurrected(t *testing.T) {
 	}
 	if pr.Err == nil {
 		t.Fatal("pty holder without crash procedure should fail resurrection")
+	}
+}
+
+// TestSignalHandlersResurrected: signal handlers are among the state
+// Section 3.3 says the crash kernel restores. Handlers set before the crash
+// come back in the resurrected process's table, read under the signals
+// category. A corrupted table degrades to default handlers: the process
+// still continues, and the signals phase records the error.
+func TestSignalHandlersResurrected(t *testing.T) {
+	handlers := []struct {
+		sig int
+		h   uint32
+	}{{2, 0xcafe}, {15, 0xbeef}}
+	for _, corrupt := range []bool{false, true} {
+		t.Run(fmt.Sprintf("corrupt=%v", corrupt), func(t *testing.T) {
+			m := newTestMachine(t, nil)
+			p, err := m.Start("counter", "counter")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Run(10)
+			env := &kernel.Env{K: m.K, P: p}
+			for _, sh := range handlers {
+				if err := env.SigAction(sh.sig, sh.h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if corrupt {
+				addr := p.D.Signals + layout.HeaderSize
+				var b [1]byte
+				if err := m.HW.Mem.ReadAt(addr, b[:]); err != nil {
+					t.Fatal(err)
+				}
+				b[0] ^= 0xff
+				if err := m.HW.Mem.WriteAt(addr, b[:]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := m.K.InjectOops("x"); err == nil {
+				t.Fatal("InjectOops returned nil")
+			}
+			out, err := m.HandleFailure()
+			if err != nil || out.Result != ResultRecovered {
+				t.Fatalf("recover: %v %v", out, err)
+			}
+			pr := out.Report.Procs[0]
+			if pr.Outcome != resurrect.OutcomeContinued {
+				t.Fatalf("outcome %v (%v), want continued", pr.Outcome, pr.Err)
+			}
+			var step *resurrect.PhaseStep
+			for i := range pr.Timeline {
+				if pr.Timeline[i].Phase == resurrect.PhaseSignals {
+					step = &pr.Timeline[i]
+				}
+			}
+			if step == nil {
+				t.Fatalf("timeline %v has no signals phase", pr.Timeline)
+			}
+			if n := out.Report.Acct.ByCategory[resurrect.CatSignals]; n == 0 {
+				t.Error("nothing read under the signals category")
+			}
+			np := m.K.Lookup(pr.NewPID)
+			if np == nil {
+				t.Fatal("resurrected process not found in the new kernel")
+			}
+			if corrupt {
+				if step.Err == "" {
+					t.Error("signals phase recorded no error for a corrupted table")
+				}
+				if np.D.Signals != 0 {
+					t.Errorf("signal table at %#x, want default handlers (none)", np.D.Signals)
+				}
+				return
+			}
+			if step.Err != "" {
+				t.Errorf("signals phase failed: %s", step.Err)
+			}
+			tbl, err := layout.ReadSignals(m.HW.Mem, np.D.Signals, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range handlers {
+				if got := tbl.Handlers[sh.sig]; got != sh.h {
+					t.Errorf("signal %d handler %#x, want %#x", sh.sig, got, sh.h)
+				}
+			}
+		})
 	}
 }

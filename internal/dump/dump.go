@@ -119,67 +119,69 @@ func Inspect(img *Image, globalsAddr uint64) (*Report, error) {
 		return nil, fmt.Errorf("dump: globals anchor: %w", err)
 	}
 	rep.BootCount = g.BootCount
-	cur := g.ProcListHead
-	for hops := 0; cur != 0 && hops < 65536; hops++ {
+	walkList(rep, "process list", g.ProcListHead, func(cur uint64) (uint64, error) {
 		p, err := layout.ReadProc(img, cur, true)
 		if err != nil {
 			rep.Warnings = append(rep.Warnings, fmt.Sprintf("process record at %#x: %v", cur, err))
-			break
+			return 0, err
 		}
-		info := ProcInfo{PID: p.PID, Name: p.Name, Program: p.Program, CrashProc: p.CrashProc}
-		info.HasTerminal = p.Terminal != 0
-
-		//owvet:allow errdrop: the inventory is best-effort; a corrupt context record just leaves the syscall fields blank
-		if ctx, ok, _ := layout.ReadContext(img, p.KStack); ok {
-			info.InSyscall = ctx.InSyscall
-			info.SyscallNo = ctx.SyscallNo
-		}
-
-		// Page tables.
-		if p.PageDir != 0 {
-			resident, swapped := countPages(img, p.PageDir)
-			info.ResidentPages, info.SwappedPages = resident, swapped
-		}
-
-		// Open files.
-		fcur := p.Files
-		for fh := 0; fcur != 0 && fh < 4096; fh++ {
-			rec, err := layout.ReadFileRec(img, fcur, true)
-			if err != nil {
-				rep.Warnings = append(rep.Warnings, fmt.Sprintf("pid %d file record: %v", p.PID, err))
-				break
-			}
-			info.OpenFiles = append(info.OpenFiles, fmt.Sprintf("%s@%d", rec.Path, rec.Offset))
-			fcur = rec.Next
-		}
-		sort.Strings(info.OpenFiles)
-
-		info.Sockets = countList(img, p.Sockets, func(a uint64) (uint64, error) {
-			s, err := layout.ReadSocket(img, a, true)
-			if err != nil {
-				return 0, err
-			}
-			return s.Next, nil
-		})
-		info.Pipes = countList(img, p.Pipes, func(a uint64) (uint64, error) {
-			s, err := layout.ReadPipe(img, a, true)
-			if err != nil {
-				return 0, err
-			}
-			return s.Next, nil
-		})
-		info.ShmSegments = countList(img, p.Shm, func(a uint64) (uint64, error) {
-			s, err := layout.ReadShm(img, a, true)
-			if err != nil {
-				return 0, err
-			}
-			return s.Next, nil
-		})
-
-		rep.Procs = append(rep.Procs, info)
-		cur = p.Next
-	}
+		rep.Procs = append(rep.Procs, inventory(img, rep, p))
+		return p.Next, nil
+	})
 	return rep, nil
+}
+
+// inventory summarizes one process descriptor from the dump.
+func inventory(img *Image, rep *Report, p *layout.Proc) ProcInfo {
+	info := ProcInfo{PID: p.PID, Name: p.Name, Program: p.Program, CrashProc: p.CrashProc}
+	info.HasTerminal = p.Terminal != 0
+
+	//owvet:allow errdrop: the inventory is best-effort; a corrupt context record just leaves the syscall fields blank
+	if ctx, ok, _ := layout.ReadContext(img, p.KStack); ok {
+		info.InSyscall = ctx.InSyscall
+		info.SyscallNo = ctx.SyscallNo
+	}
+
+	// Page tables.
+	if p.PageDir != 0 {
+		resident, swapped := countPages(img, p.PageDir)
+		info.ResidentPages, info.SwappedPages = resident, swapped
+	}
+
+	// Open files.
+	walkList(rep, fmt.Sprintf("pid %d file list", p.PID), p.Files, func(a uint64) (uint64, error) {
+		rec, err := layout.ReadFileRec(img, a, true)
+		if err != nil {
+			rep.Warnings = append(rep.Warnings, fmt.Sprintf("pid %d file record: %v", p.PID, err))
+			return 0, err
+		}
+		info.OpenFiles = append(info.OpenFiles, fmt.Sprintf("%s@%d", rec.Path, rec.Offset))
+		return rec.Next, nil
+	})
+	sort.Strings(info.OpenFiles)
+
+	info.Sockets = walkList(rep, fmt.Sprintf("pid %d socket list", p.PID), p.Sockets, func(a uint64) (uint64, error) {
+		s, err := layout.ReadSocket(img, a, true)
+		if err != nil {
+			return 0, err
+		}
+		return s.Next, nil
+	})
+	info.Pipes = walkList(rep, fmt.Sprintf("pid %d pipe list", p.PID), p.Pipes, func(a uint64) (uint64, error) {
+		s, err := layout.ReadPipe(img, a, true)
+		if err != nil {
+			return 0, err
+		}
+		return s.Next, nil
+	})
+	info.ShmSegments = walkList(rep, fmt.Sprintf("pid %d shm list", p.PID), p.Shm, func(a uint64) (uint64, error) {
+		s, err := layout.ReadShm(img, a, true)
+		if err != nil {
+			return 0, err
+		}
+		return s.Next, nil
+	})
+	return info
 }
 
 // countPages walks a two-level page table in the dump.
@@ -210,17 +212,27 @@ func countPages(img *Image, pageDir uint64) (resident, swapped int) {
 	return resident, swapped
 }
 
-// countList walks a record chain, stopping on corruption.
-func countList(img *Image, head uint64, next func(uint64) (uint64, error)) int {
+// walkList follows a record chain from head: visit decodes the record at
+// an address and returns the next one. The walk stops at the end of the
+// chain, at the first record visit fails on, or at the first record it
+// reaches a second time (a CRC-valid stale Next is enough to close a
+// loop), keeping what came before and reporting the loop in rep's
+// warnings. It returns how many records visit decoded.
+func walkList(rep *Report, list string, head uint64, visit func(uint64) (uint64, error)) int {
 	n := 0
-	cur := head
-	for hops := 0; cur != 0 && hops < 4096; hops++ {
-		nx, err := next(cur)
+	seen := make(map[uint64]bool)
+	for cur := head; cur != 0; {
+		if seen[cur] {
+			rep.Warnings = append(rep.Warnings, fmt.Sprintf("%s loops back to %#x", list, cur))
+			break
+		}
+		seen[cur] = true
+		next, err := visit(cur)
 		if err != nil {
-			return n
+			break
 		}
 		n++
-		cur = nx
+		cur = next
 	}
 	return n
 }

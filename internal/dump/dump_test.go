@@ -4,15 +4,15 @@ import (
 	"strings"
 	"testing"
 
-	_ "otherworld/internal/apps" // register the paper's applications
-
+	"otherworld/internal/apps"
 	"otherworld/internal/core"
 	"otherworld/internal/dump"
 	"otherworld/internal/kernel"
+	"otherworld/internal/layout"
 	"otherworld/internal/workload"
 )
 
-func crashAndDump(t *testing.T) (*core.Machine, *dump.Image) {
+func newMachine(t *testing.T) *core.Machine {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.HW.MemoryBytes = 192 << 20
@@ -21,11 +21,23 @@ func crashAndDump(t *testing.T) (*core.Machine, *dump.Image) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func crashAndDump(t *testing.T) (*core.Machine, *dump.Image) {
+	t.Helper()
+	m := newMachine(t)
 	d := workload.NewMySQLDriver(3)
 	if err := d.Start(m); err != nil {
 		t.Fatal(err)
 	}
 	workload.RunUntilIdle(m, d, 60, 3000)
+	return m, kdump(t, m)
+}
+
+// kdump crashes m's kernel and parses the image its capture kernel writes.
+func kdump(t *testing.T, m *core.Machine) *dump.Image {
+	t.Helper()
 	if err := m.K.InjectOops("x"); err == nil {
 		t.Fatal("no panic")
 	}
@@ -41,7 +53,7 @@ func crashAndDump(t *testing.T) (*core.Machine, *dump.Image) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, img
+	return img
 }
 
 func TestInspectFindsProcesses(t *testing.T) {
@@ -72,6 +84,65 @@ func TestInspectFindsProcesses(t *testing.T) {
 	out := dump.Render(rep)
 	if !strings.Contains(out, "mysqld") || !strings.Contains(out, "sockets=1") {
 		t.Fatalf("render:\n%s", out)
+	}
+}
+
+// TestInspectStopsAtListLoop: a stale Next that points a record back at
+// itself must not make the inventory repeat it. The walks keep each process
+// and each file once and warn about both loops. The records are re-sealed
+// with valid CRCs: logically wrong but intact state, the nastier
+// corruption class.
+func TestInspectStopsAtListLoop(t *testing.T) {
+	m := newMachine(t)
+	tail, err := m.Start("sh-1", apps.ProgShell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, err := m.Start("sh-2", apps.ProgShell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run(10)
+	if err := m.FS.WriteFile("/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&kernel.Env{K: m.K, P: head}).Open("/f", layout.FlagRead); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := layout.ReadFileRec(m.HW.Mem, head.D.Files, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Next = head.D.Files
+	if err := m.HW.Mem.WriteAt(head.D.Files, layout.Seal(layout.TypeFile, 0, rec.EncodePayload())); err != nil {
+		t.Fatal(err)
+	}
+	// The process list runs newest first, so sh-1's descriptor is the tail.
+	d := tail.D
+	d.Next = tail.Addr
+	if err := m.HW.Mem.WriteAt(tail.Addr, layout.Seal(layout.TypeProc, 0, d.EncodePayload())); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := dump.Inspect(kdump(t, m), kernel.GlobalsAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pids := make(map[uint32]bool)
+	for _, p := range rep.Procs {
+		pids[p.PID] = true
+	}
+	if len(rep.Procs) != 2 || len(pids) != 2 {
+		t.Fatalf("%d entries for %d distinct PIDs, want 2 and 2", len(rep.Procs), len(pids))
+	}
+	if files := rep.Procs[0].OpenFiles; len(files) != 1 || files[0] != "/f@0" {
+		t.Fatalf("%s open files = %v, want [/f@0]", rep.Procs[0].Name, files)
+	}
+	warnings := strings.Join(rep.Warnings, "\n")
+	for _, want := range []string{"process list loops back", "file list loops back"} {
+		if !strings.Contains(warnings, want) {
+			t.Errorf("warnings %q lack %q", rep.Warnings, want)
+		}
 	}
 }
 

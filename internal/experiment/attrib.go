@@ -66,26 +66,6 @@ type AttributionCount struct {
 	Count int
 }
 
-// FailureDetail is the per-experiment attribution: the aggregate key plus
-// the panic context salvaged from the dead kernel's flight recorder.
-type FailureDetail struct {
-	Attribution
-	// PanicCPU and PanicPC locate the failing thread (from the ring's
-	// panic event when available).
-	PanicCPU int
-	PanicPC  uint64
-	// InSyscall and SyscallNo say whether a system call was in flight.
-	InSyscall bool
-	SyscallNo uint16
-	// RingEvents and RingDamaged describe the recovered ring itself.
-	RingEvents  int
-	RingDamaged int
-	// FaultsInjected and Manifests count the ring's injection and
-	// manifestation breadcrumbs.
-	FaultsInjected int
-	Manifests      int
-}
-
 var (
 	hexAddrPat = regexp.MustCompile(`0x[0-9a-fA-F]+`)
 	bigNumPat  = regexp.MustCompile(`\b\d{3,}\b`)
@@ -100,41 +80,28 @@ func NormalizeReason(s string) string {
 	return s
 }
 
-// newDetail builds a FailureDetail from the stage/phase/reason and whatever
-// the recovered flight recorder can add. Either trace or the fallback panic
-// event may be nil.
-func newDetail(stage, phase, reason string, tr *trace.Parsed, pe *kernel.PanicEvent) *FailureDetail {
-	d := &FailureDetail{Attribution: Attribution{
-		Stage:  stage,
-		Phase:  phase,
-		Reason: NormalizeReason(reason),
-	}}
-	if tr != nil {
-		d.RingEvents = len(tr.Events)
-		d.RingDamaged = tr.Damaged
-		d.FaultsInjected = tr.CountKind(trace.KindFaultInject)
-		d.Manifests = tr.CountKind(trace.KindFaultManifest)
-		if pev := tr.LastPanic(); pev != nil {
-			pk, _, insc, scno := trace.UnpackPanic(pev.A, pev.B)
-			d.PanicKind = kernel.PanicKind(pk).String()
-			d.PanicCPU = int(pev.CPU)
-			d.PanicPC = pev.PC
-			d.InSyscall = insc
-			d.SyscallNo = scno
+// attribute builds a failure's attribution from its stage, phase and
+// reason. The panic kind comes from the dead kernel's recovered ring when it
+// kept its panic event, else from the live panic; either may be nil.
+func attribute(stage, phase, reason string, dead *trace.Parsed, live *kernel.PanicEvent) Attribution {
+	a := Attribution{Stage: stage, Phase: phase, Reason: NormalizeReason(reason)}
+	if dead != nil {
+		if pev := dead.LastPanic(); pev != nil {
+			pk, _, _, _ := trace.UnpackPanic(pev.A, pev.B)
+			a.PanicKind = kernel.PanicKind(pk).String()
 		}
 	}
 	// The live panic event backstops a ring that was too damaged (or too
 	// small) to retain its panic slot.
-	if d.PanicKind == "" && pe != nil {
-		d.PanicKind = pe.Kind.String()
-		d.PanicCPU = pe.CPU
+	if a.PanicKind == "" && live != nil {
+		a.PanicKind = live.Kind.String()
 	}
-	return d
+	return a
 }
 
 // failedPhase names the resurrection phase where a process report failed,
 // "" when no phase carries an error.
-func failedPhase(pr resurrect.ProcReport) string {
+func failedPhase(pr *resurrect.ProcReport) string {
 	if ph, ok := pr.Timeline.FailedPhase(); ok {
 		return ph.String()
 	}

@@ -42,12 +42,15 @@ type Table5Row struct {
 	Shortfall int
 	// ProtShortfall is the protected pass's shortfall.
 	ProtShortfall int
-	// MeanInterruption is the mean outage over the unprotected pass's
-	// successful recoveries (zero if none succeeded).
+	// InterruptionSamples counts the outages behind the interruption
+	// columns: one per successful recovery of the unprotected pass, none
+	// for a Baseline pass, whose cold reboots model no outage.
+	InterruptionSamples int
+	// MeanInterruption is the mean of those outages (zero without one).
 	MeanInterruption time.Duration
-	// P50/P95/P99 Interruption are nearest-rank percentiles of the outage
-	// over the same successful recoveries — the distribution behind
-	// MeanInterruption (zero when none succeeded).
+	// P50/P95/P99 Interruption are nearest-rank percentiles of the same
+	// outages — the distribution behind MeanInterruption (zero without
+	// one).
 	P50Interruption, P95Interruption, P99Interruption time.Duration
 	// FirstTouchSamples counts demand-fault stalls observed across the
 	// unprotected pass's successful recoveries (lazy campaigns only); the
@@ -93,9 +96,6 @@ type CampaignConfig struct {
 	// LazyInstall runs every experiment with the demand-paged resurrection
 	// install (resume at context install, validated copy-on-access pages).
 	LazyInstall bool
-	// Stream runs every experiment through the streaming resurrection pass
-	// (tier admission + pipelined install commit).
-	Stream bool
 	// IndexSlots sizes every experiment kernel's candidate index (0 = off).
 	IndexSlots int
 	// DiskCrash runs every experiment with the block-layer crash model.
@@ -148,8 +148,8 @@ type tally struct {
 	structCorrupt                     int
 	dataChecked, dataViolations       int
 	attribs                           map[Attribution]int
-	// interruption sums the outages over successful recoveries, for the
-	// Table 5 mean-interruption column.
+	// interruption sums the outages over successful recoveries (none in a
+	// baseline pass), for the Table 5 mean-interruption column.
 	interruption time.Duration
 	// interruptions keeps the per-recovery samples behind that sum, in
 	// commit order, for the percentile columns; firstTouch accumulates
@@ -268,7 +268,6 @@ func runCampaignPass(cfg CampaignConfig, app string, protection bool, want int, 
 				o.Hardening = cfg.Hardening
 				o.VerifyCRC = cfg.VerifyCRC
 				o.Resurrection.Workers = cfg.ResurrectWorkers
-				o.Resurrection.Stream = cfg.Stream
 				o.LazyInstall = cfg.LazyInstall
 				o.CandidateIndexSlots = cfg.IndexSlots
 				o.DiskCrash.Enabled = cfg.DiskCrash
@@ -314,8 +313,10 @@ func commitResult(cfg CampaignConfig, app string, protection bool, passName stri
 	switch res.Outcome {
 	case OutcomeSuccess:
 		t.success++
-		t.interruption += res.Interruption
-		t.interruptions = append(t.interruptions, res.Interruption)
+		if !cfg.Baseline {
+			t.interruption += res.Interruption
+			t.interruptions = append(t.interruptions, res.Interruption)
+		}
 		t.firstTouch = append(t.firstTouch, res.FirstTouch...)
 	case OutcomeBootFailure:
 		t.boot++
@@ -338,9 +339,9 @@ func commitResult(cfg CampaignConfig, app string, protection bool, passName stri
 			"post-crash on-disk recovery-invariant audits by verdict",
 			metrics.Labels{"app": app, "pass": passName, "verdict": verdict}).Inc()
 	}
-	if res.Outcome != OutcomeSuccess && res.Detail != nil {
-		t.attribs[res.Detail.Attribution]++
-		if pk := res.Detail.PanicKind; pk != "" {
+	if res.Outcome != OutcomeSuccess {
+		t.attribs[res.Attribution]++
+		if pk := res.Attribution.PanicKind; pk != "" {
 			cfg.Metrics.Counter("campaign_fault_kinds_total",
 				"non-success runs by dead-kernel panic kind",
 				metrics.Labels{"app": app, "panic": pk}).Inc()
@@ -414,8 +415,9 @@ func RunTable5Campaign(cfg CampaignConfig) ([]Table5Row, *CampaignStats) {
 			d, _ := spans.Percentile(s, p)
 			return d
 		}
-		if base.success > 0 {
-			row.MeanInterruption = base.interruption / time.Duration(base.success)
+		row.InterruptionSamples = len(base.interruptions)
+		if row.InterruptionSamples > 0 {
+			row.MeanInterruption = base.interruption / time.Duration(row.InterruptionSamples)
 			row.P50Interruption = pct(base.interruptions, 50)
 			row.P95Interruption = pct(base.interruptions, 95)
 			row.P99Interruption = pct(base.interruptions, 99)
@@ -445,7 +447,8 @@ func RunTable5Campaign(cfg CampaignConfig) ([]Table5Row, *CampaignStats) {
 // RenderTable5 formats campaign rows like the paper's Table 5, extended
 // with a mean-interruption column and the interruption percentiles over
 // successful recoveries. A rate over zero runs (a row whose attempt budget
-// found no faulted run, or a skipped protected pass) reads n/a. A "data
+// found no faulted run, or a skipped protected pass) reads n/a, and so do
+// interruption cells over no outage (no success, or a baseline pass). A "data
 // survived" column appears only when some row actually audited on-disk
 // state, so campaigns over the classic five applications render exactly as
 // before.
@@ -475,12 +478,12 @@ func RenderTable5(rows []Table5Row) string {
 			r.App, Percent(r.Success, r.N, 2), Percent(r.BootFailure, r.N, 2),
 			Percent(r.ResurrectFail, r.N, 2), Percent(r.CorruptProt, r.ProtN, 2),
 			Percent(r.CorruptNoProt, r.N, 2))
-		if r.Success > 0 {
+		if r.InterruptionSamples > 0 {
 			fmt.Fprintf(&b, " %20.0fs %11.0f/%.0f/%.0fs", r.MeanInterruption.Seconds(),
 				r.P50Interruption.Seconds(), r.P95Interruption.Seconds(), r.P99Interruption.Seconds())
 		} else {
-			// No successful recoveries: a mean or percentile over zero
-			// samples is unknown, not 0s.
+			// No outage measured: a mean or percentile over zero samples
+			// is unknown, not 0s.
 			fmt.Fprintf(&b, " %20s %15s", "n/a", "n/a")
 		}
 		if withData {

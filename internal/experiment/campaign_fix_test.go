@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"otherworld/internal/core"
 	"otherworld/internal/kernel"
@@ -112,7 +113,7 @@ func TestCampaignUndershootReported(t *testing.T) {
 	// Now a campaign where nothing ever manifests.
 	cfg.runExperiment = func(Config) Result {
 		return Result{Outcome: OutcomeNoKernelFault,
-			Detail: newDetail(StageNoFault, "", "injected faults never manifested", nil, nil)}
+			Attribution: attribute(StageNoFault, "", "injected faults never manifested", nil, nil)}
 	}
 	rows = RunTable5(cfg)
 	r = rows[0]
@@ -153,6 +154,37 @@ func TestNegativeCampaignSizeRunsNothing(t *testing.T) {
 	row := strings.Split(RenderTable5(rows), "\n")[2]
 	if strings.Count(row, "n/a") != 7 {
 		t.Fatalf("row %q: want n/a in all seven cells", row)
+	}
+}
+
+// TestBaselineCampaignHasNoOutage: a cold reboot models no outage, so a
+// baseline pass counts no interruption samples and renders n/a in both
+// interruption cells, where an Otherworld pass counts one outage per
+// success. The baseline rows used to average zeros and print 0s.
+func TestBaselineCampaignHasNoOutage(t *testing.T) {
+	for _, baseline := range []bool{false, true} {
+		cfg := DefaultCampaign(4, 7)
+		cfg.Apps = []string{"WAL"}
+		cfg.SkipProtected = true
+		cfg.Baseline = baseline
+		cfg.runExperiment = func(ecfg Config) Result {
+			if ecfg.Baseline {
+				return Result{Outcome: OutcomeSuccess}
+			}
+			return Result{Outcome: OutcomeSuccess, Interruption: 53 * time.Second}
+		}
+		rows := RunTable5(cfg)
+		r := rows[0]
+		cells := strings.Fields(strings.Split(RenderTable5(rows), "\n")[2])
+		outage := strings.Join(cells[len(cells)-2:], " ")
+		want, wantN := "53s 53/53/53s", 4
+		if baseline {
+			want, wantN = "n/a n/a", 0
+		}
+		if r.InterruptionSamples != wantN || outage != want {
+			t.Errorf("baseline=%v: %d outages rendered %q, want %d and %q",
+				baseline, r.InterruptionSamples, outage, wantN, want)
+		}
 	}
 }
 
@@ -207,10 +239,10 @@ func TestCampaignAttributionAggregation(t *testing.T) {
 		mu.Unlock()
 		if n%3 == 0 {
 			return Result{Outcome: OutcomeBootFailure,
-				Detail: newDetail(StageTransfer, "", "no watchdog", nil, nil)}
+				Attribution: attribute(StageTransfer, "", "no watchdog", nil, nil)}
 		}
 		return Result{Outcome: OutcomeResurrectFailure,
-			Detail: newDetail(StageResurrect, "page-copy", "bad frame 0x1a2b", nil, nil)}
+			Attribution: attribute(StageResurrect, "page-copy", "bad frame 0x1a2b", nil, nil)}
 	}
 	rows := RunTable5(cfg)
 	r := rows[0]
@@ -259,7 +291,6 @@ func TestCampaignForwardsEveryKnob(t *testing.T) {
 	cfg.VerifyCRC = false
 	cfg.ResurrectWorkers = 3
 	cfg.LazyInstall = true
-	cfg.Stream = true
 	cfg.IndexSlots = 64
 	cfg.DiskCrash = true
 	cfg.Baseline = true
@@ -272,7 +303,6 @@ func TestCampaignForwardsEveryKnob(t *testing.T) {
 		want.Hardening = hard
 		want.VerifyCRC = false
 		want.Resurrection.Workers = 3
-		want.Resurrection.Stream = true
 		want.LazyInstall = true
 		want.CandidateIndexSlots = 64
 		want.DiskCrash.Enabled = true

@@ -91,16 +91,16 @@ func stubResultForSeed(seed int64) Result {
 			Interruption: time.Duration(1+h%13) * time.Second / 2}
 	case 2:
 		return Result{Outcome: OutcomeNoKernelFault,
-			Detail: newDetail(StageNoFault, "", "injected faults never manifested", nil, nil)}
+			Attribution: attribute(StageNoFault, "", "injected faults never manifested", nil, nil)}
 	case 3:
 		return Result{Outcome: OutcomeBootFailure,
-			Detail: newDetail(StageTransfer, "", "no watchdog", nil, nil)}
+			Attribution: attribute(StageTransfer, "", "no watchdog", nil, nil)}
 	case 4:
 		return Result{Outcome: OutcomeResurrectFailure, StructCorruption: h%14 == 4,
-			Detail: newDetail(StageResurrect, "page-copy", "bad frame 0x1a2b", nil, nil)}
+			Attribution: attribute(StageResurrect, "page-copy", "bad frame 0x1a2b", nil, nil)}
 	default:
 		return Result{Outcome: OutcomeDataCorruption,
-			Detail: newDetail(StageWorkload, "", "payload mismatch", nil, nil)}
+			Attribution: attribute(StageWorkload, "", "payload mismatch", nil, nil)}
 	}
 }
 

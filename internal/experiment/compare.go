@@ -52,15 +52,8 @@ func CompareRecoveryModes(app string, seed int64) ([]CompareRow, error) {
 	for _, mode := range []RecoveryMode{ModeReboot, ModeKDump, ModeOtherworld} {
 		opts := core.DefaultOptions()
 		opts.Seed = seed
-		m, err := core.NewMachine(opts)
+		m, d, err := startApp(opts, app, seed+1)
 		if err != nil {
-			return nil, err
-		}
-		d, err := DriverFor(app, seed+1)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.Start(m); err != nil {
 			return nil, err
 		}
 		workload.RunUntilIdle(m, d, 100, 5000)

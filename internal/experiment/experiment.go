@@ -127,32 +127,20 @@ func DefaultConfig(app string, seed int64) Config {
 // Result records one experiment.
 type Result struct {
 	Outcome Outcome
-	// Panic is the kernel failure, if one manifested.
-	Panic *kernel.PanicEvent
-	// TransferReason explains a failed transfer.
-	TransferReason string
-	// ResurrectErr explains a failed resurrection.
-	ResurrectErr error
-	// VerifyErr explains detected data corruption.
-	VerifyErr error
 	// StructCorruption is set when the resurrection failure was a
 	// detected corruption of main-kernel records (the "3 cases out of
 	// 2000" statistic).
 	StructCorruption bool
 	// AckedOps is the workload progress across the whole experiment.
 	AckedOps int
-	// Detail is the structured failure attribution, set for every
-	// non-success outcome: which pipeline stage failed, the resurrection
-	// phase reached, and the panic context salvaged from the dead
-	// kernel's flight recorder.
-	Detail *FailureDetail
-	// Trace is the dead kernel's recovered flight-recorder ring (nil
-	// when tracing is disabled or no ring was recovered).
-	Trace *trace.Parsed
+	// Attribution is the structured failure key, set for every non-success
+	// outcome: which pipeline stage failed, the resurrection phase reached,
+	// the dead kernel's panic kind and the normalized reason.
+	Attribution Attribution
 	// Interruption is the serial-model outage of the recovery (zero when
-	// the run never reached a recovery). The experiment resurrects one
-	// application, and a one-candidate pass has the same schedule at every
-	// worker width, so this is the outage at any width.
+	// the run never reached a recovery, or cold-rebooted). The experiment
+	// resurrects one application, and a one-candidate pass has the same
+	// schedule at every worker width, so this is the outage at any width.
 	Interruption time.Duration
 	// DataChecked is true when the driver audited the application's on-disk
 	// state against its recovery invariants after the crash; DataErr is the
@@ -179,12 +167,17 @@ type Result struct {
 
 // Run executes one complete fault-injection experiment: boot, warm up the
 // workload, inject a burst of faults, run until a kernel failure manifests
-// (or give up and discard), microreboot, resurrect, reattach the workload,
-// run further, and verify against the remote log.
+// (or give up and discard), recover, reattach the workload, run further,
+// and verify against the remote log. The recovery is a microreboot and
+// resurrection or, for Config.Baseline, a cold reboot.
 func Run(cfg Config) Result {
-	var m *core.Machine
-	out := runBody(cfg, &m)
-	if m != nil && cfg.Machine.DiskCrash.Enabled {
+	m, d, err := startApp(cfg.Machine, cfg.App, cfg.Machine.Seed+7777)
+	if err != nil {
+		return Result{Outcome: OutcomeResurrectFailure,
+			Attribution: attribute(StageSetup, "", err.Error(), nil, nil)}
+	}
+	out := runBody(cfg, m, d)
+	if cfg.Machine.DiskCrash.Enabled {
 		if dm := m.DiskModel(); dm != nil && dm.Report().Fired {
 			rep := dm.Report()
 			out.DiskCrash = &rep
@@ -192,6 +185,39 @@ func Run(cfg Config) Result {
 		out.DiskFingerprint = DiskFingerprint(m.FS)
 	}
 	return out
+}
+
+// startApp boots a machine with opts and starts app's workload on it, the
+// driver seeded with driverSeed.
+func startApp(opts core.Options, app string, driverSeed int64) (*core.Machine, workload.Driver, error) {
+	m, err := core.NewMachine(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := DriverFor(app, driverSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := d.Start(m); err != nil {
+		return nil, nil, err
+	}
+	return m, d, nil
+}
+
+// crashAndRecover oopses m's kernel with reason and recovers it through
+// Otherworld, failing unless control reached the crash kernel.
+func crashAndRecover(m *core.Machine, reason string) (*core.FailureOutcome, error) {
+	if err := m.K.InjectOops(reason); err == nil {
+		return nil, fmt.Errorf("InjectOops did not panic")
+	}
+	fo, err := m.HandleFailure()
+	if err != nil {
+		return nil, err
+	}
+	if fo.Result != core.ResultRecovered {
+		return nil, fmt.Errorf("transfer failed: %s", fo.Transfer.Reason)
+	}
+	return fo, nil
 }
 
 // DiskFingerprint hashes a disk image: every file path, size and content in
@@ -224,26 +250,9 @@ func DiskFingerprint(f *fs.FlatFS) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runBody is Run without the duration stamp; it publishes the experiment
-// machine through mp as soon as one exists so Run can read the final
-// virtual clock on every exit path.
-func runBody(cfg Config, mp **core.Machine) Result {
-	m, err := core.NewMachine(cfg.Machine)
-	if err != nil {
-		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
-			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
-	}
-	*mp = m
-	d, err := DriverFor(cfg.App, cfg.Machine.Seed+7777)
-	if err != nil {
-		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
-			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
-	}
-	if err := d.Start(m); err != nil {
-		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
-			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
-	}
-
+// runBody is Run on the started application d: it injects the fault burst,
+// and once the kernel fails it recovers, verifies and audits the run.
+func runBody(cfg Config, m *core.Machine, d workload.Driver) Result {
 	// Warm up for a seed-dependent amount of work ("we injected faults
 	// after a random amount of time").
 	warm := warmupOps(cfg.Machine.Seed)
@@ -264,8 +273,8 @@ func runBody(cfg Config, mp **core.Machine) Result {
 		m.Run(1 + r.Intn(120))
 	}
 	if _, err := inj.InjectBurst(m.K, faultsPerRun); err != nil {
-		return Result{Outcome: OutcomeResurrectFailure, ResurrectErr: err,
-			Detail: newDetail(StageSetup, "", err.Error(), nil, nil)}
+		return Result{Outcome: OutcomeResurrectFailure,
+			Attribution: attribute(StageSetup, "", err.Error(), nil, nil)}
 	}
 	if cfg.Machine.DiskCrash.Enabled {
 		// Schedule the crash's block-layer consequences alongside the
@@ -282,116 +291,99 @@ func runBody(cfg Config, mp **core.Machine) Result {
 		}
 	}
 	if res.Panic == nil {
-		// Discarded run; the live ring still shows what was injected.
-		var tr *trace.Parsed
-		if reg := m.TraceRegion(); reg.Frames > 0 {
-			tr = trace.Parse(m.HW.Mem, reg)
+		return Result{Outcome: OutcomeNoKernelFault, AckedOps: d.Acked(),
+			Attribution: attribute(StageNoFault, "", "injected faults never manifested", nil, nil)}
+	}
+
+	var (
+		out  Result
+		fo   *core.FailureOutcome
+		dead *trace.Parsed // the dead kernel's recovered flight recorder
+	)
+	// fail is every post-crash failure exit: it records the outcome and its
+	// attribution and audits the platter, which can be checked even when
+	// the process did not survive. A run that reached verification was
+	// audited there already.
+	fail := func(o Outcome, stage, phase, reason string) Result {
+		out.Outcome = o
+		out.Attribution = attribute(stage, phase, reason, dead, res.Panic)
+		if !out.DataChecked {
+			checkData(m, d, &out)
 		}
-		return Result{Outcome: OutcomeNoKernelFault, AckedOps: d.Acked(), Trace: tr,
-			Detail: newDetail(StageNoFault, "", "injected faults never manifested", tr, nil)}
+		return out
 	}
-	out := Result{Panic: res.Panic}
 	if cfg.Baseline {
-		return runBaseline(m, d, out)
-	}
+		// The no-Otherworld control: the disk takes its crash consequences
+		// with every dirty page orphaned, the machine cold-reboots, and the
+		// workload restarts the application from whatever the platter holds.
+		if _, err := m.CrashDiskForReboot(); err != nil {
+			return fail(OutcomeBootFailure, StageTransfer, "", err.Error())
+		}
+		if err := m.ColdReboot(); err != nil {
+			return fail(OutcomeBootFailure, StageTransfer, "", err.Error())
+		}
+	} else {
+		var err error
+		if fo, err = m.HandleFailure(); fo != nil {
+			dead = fo.Trace
+		}
+		if err != nil {
+			return fail(OutcomeBootFailure, StageTransfer, "", err.Error())
+		}
+		if fo.Result != core.ResultRecovered {
+			return fail(OutcomeBootFailure, StageTransfer, "", fo.Transfer.Reason)
+		}
+		// The outage is worker-count-independent, which keeps campaign
+		// output replayable from -seed alone.
+		out.Interruption = fo.SerialInterruption
 
-	fo, err := m.HandleFailure()
-	if fo != nil {
-		out.Trace = fo.Trace
-	}
-	if err != nil {
-		out.Outcome = OutcomeBootFailure
-		out.TransferReason = err.Error()
-		out.Detail = newDetail(StageTransfer, "", err.Error(), out.Trace, res.Panic)
-		checkData(m, d, &out)
-		return out
-	}
-	if fo.Result != core.ResultRecovered {
-		out.Outcome = OutcomeBootFailure
-		out.TransferReason = fo.Transfer.Reason
-		out.Detail = newDetail(StageTransfer, "", fo.Transfer.Reason, out.Trace, res.Panic)
-		checkData(m, d, &out)
-		return out
-	}
-	// Recovery happened: record the outage, which is worker-count-independent
-	// and keeps campaign output replayable from -seed alone.
-	out.Interruption = fo.SerialInterruption
-
-	// Locate our application's resurrection report.
-	var found bool
-	for _, pr := range fo.Report.Procs {
-		if pr.Candidate.Program == d.Program() {
-			found = true
-			if pr.Outcome == resurrect.OutcomeContinued || pr.Outcome == resurrect.OutcomeRestarted {
+		var pr *resurrect.ProcReport
+		for i := range fo.Report.Procs {
+			if fo.Report.Procs[i].Candidate.Program == d.Program() {
+				pr = &fo.Report.Procs[i]
 				break
 			}
-			if pr.Outcome == resurrect.OutcomeGaveUp {
-				// The crash procedure's own integrity check found the
-				// application state damaged — detected data corruption.
-				out.Outcome = OutcomeDataCorruption
-				out.VerifyErr = fmt.Errorf("crash procedure found state corrupted and gave up")
-				out.Detail = newDetail(StageVerify, failedPhase(pr), out.VerifyErr.Error(), out.Trace, res.Panic)
-				checkData(m, d, &out)
-				return out
-			}
-			out.Outcome = OutcomeResurrectFailure
-			out.ResurrectErr = pr.Err
+		}
+		switch {
+		case pr == nil:
+			out.StructCorruption = true
+			return fail(OutcomeResurrectFailure, StageResurrect, resurrect.PhaseParse.String(),
+				"process not found in dead kernel's process list")
+		case pr.Outcome == resurrect.OutcomeGaveUp:
+			// The crash procedure's own integrity check found the
+			// application state damaged — detected data corruption.
+			return fail(OutcomeDataCorruption, StageVerify, failedPhase(pr),
+				"crash procedure found state corrupted and gave up")
+		case pr.Outcome != resurrect.OutcomeContinued && pr.Outcome != resurrect.OutcomeRestarted:
 			out.StructCorruption = pr.Err != nil && layout.IsCorruption(pr.Err)
 			reason := "resurrection failed"
 			if pr.Err != nil {
 				reason = pr.Err.Error()
 			}
-			out.Detail = newDetail(StageResurrect, failedPhase(pr), reason, out.Trace, res.Panic)
-			checkData(m, d, &out)
-			return out
+			return fail(OutcomeResurrectFailure, StageResurrect, failedPhase(pr), reason)
 		}
-	}
-	if !found {
-		out.Outcome = OutcomeResurrectFailure
-		out.ResurrectErr = fmt.Errorf("process not found in dead kernel's process list")
-		out.StructCorruption = true
-		out.Detail = newDetail(StageResurrect, resurrect.PhaseParse.String(),
-			out.ResurrectErr.Error(), out.Trace, res.Panic)
-		checkData(m, d, &out)
-		return out
 	}
 
 	if err := d.Reattach(m); err != nil {
-		out.Outcome = OutcomeResurrectFailure
-		out.ResurrectErr = err
-		out.Detail = newDetail(StageWorkload, "", err.Error(), out.Trace, res.Panic)
-		checkData(m, d, &out)
-		return out
+		return fail(OutcomeResurrectFailure, StageWorkload, "", err.Error())
 	}
-	post := workload.RunUntilIdle(m, d, 60, 2400)
-	if post.Panic != nil {
+	if post := workload.RunUntilIdle(m, d, 60, 2400); post.Panic != nil {
 		// A second, fresh-kernel failure right after recovery: treat as
 		// a resurrection failure (should be vanishingly rare).
-		out.Outcome = OutcomeResurrectFailure
-		out.ResurrectErr = post.Panic
-		out.Detail = newDetail(StageWorkload, "", post.Panic.Error(), out.Trace, res.Panic)
-		checkData(m, d, &out)
-		return out
+		return fail(OutcomeResurrectFailure, StageWorkload, "", post.Panic.Error())
 	}
 	out.AckedOps = d.Acked()
-	if err := d.Verify(m); err != nil {
-		out.Outcome = OutcomeDataCorruption
-		out.VerifyErr = err
-		out.Detail = newDetail(StageVerify, "", err.Error(), out.Trace, res.Panic)
-		checkData(m, d, &out)
-		captureSpanPlane(cfg, m, fo, &out)
-		return out
-	}
+	verr := d.Verify(m)
 	checkData(m, d, &out)
 	captureSpanPlane(cfg, m, fo, &out)
-	if out.DataErr != nil {
-		// The process came back and its in-memory state verified, but the
-		// platter broke a recovery invariant: that is data corruption an
-		// application restart would inherit.
-		out.Outcome = OutcomeDataCorruption
-		out.VerifyErr = out.DataErr
-		out.Detail = newDetail(StageVerify, "", out.DataErr.Error(), out.Trace, res.Panic)
-		return out
+	if verr == nil {
+		// The process may have come back with its in-memory state verified
+		// while the platter broke a recovery invariant: that is data
+		// corruption an application restart would inherit.
+		verr = out.DataErr
+	}
+	if verr != nil {
+		return fail(OutcomeDataCorruption, StageVerify, "", verr.Error())
 	}
 	out.Outcome = OutcomeSuccess
 	return out
@@ -403,6 +395,7 @@ func runBody(cfg Config, mp **core.Machine) Result {
 // plane adds, and it is post-failure — snapshots the first-touch stall
 // sequence onto the result, and, when Config.BuildSpans asks for it,
 // reconstructs the full causal span tree at the canonical analysis width.
+// A cold reboot (fo nil) resurrected nothing and has no span plane.
 func captureSpanPlane(cfg Config, m *core.Machine, fo *core.FailureOutcome, out *Result) {
 	if fo == nil || fo.Report == nil {
 		return
@@ -430,8 +423,7 @@ func captureSpanPlane(cfg Config, m *core.Machine, fo *core.FailureOutcome, out 
 }
 
 // checkData audits the application's on-disk state against its recovery
-// invariants, when the driver supports it. It runs on every post-crash exit
-// path — the platter can be checked even when the process did not survive.
+// invariants, when the driver supports it.
 func checkData(m *core.Machine, d workload.Driver, out *Result) {
 	ck, ok := d.(workload.DataInvariantChecker)
 	if !ok {
@@ -439,58 +431,6 @@ func checkData(m *core.Machine, d workload.Driver, out *Result) {
 	}
 	out.DataChecked = true
 	out.DataErr = ck.CheckDataInvariants(m)
-}
-
-// runBaseline is the no-Otherworld control: the kernel failure cold-reboots
-// the machine (the disk taking its crash consequences with every dirty page
-// orphaned), and the workload restarts the application from whatever the
-// platter holds — comparing "just reboot" recovery against resurrection.
-func runBaseline(m *core.Machine, d workload.Driver, out Result) Result {
-	if _, err := m.CrashDiskForReboot(); err != nil {
-		out.Outcome = OutcomeBootFailure
-		out.TransferReason = err.Error()
-		out.Detail = newDetail(StageTransfer, "", err.Error(), nil, out.Panic)
-		checkData(m, d, &out)
-		return out
-	}
-	if err := m.ColdReboot(); err != nil {
-		out.Outcome = OutcomeBootFailure
-		out.TransferReason = err.Error()
-		out.Detail = newDetail(StageTransfer, "", err.Error(), nil, out.Panic)
-		checkData(m, d, &out)
-		return out
-	}
-	if err := d.Reattach(m); err != nil {
-		out.Outcome = OutcomeResurrectFailure
-		out.ResurrectErr = err
-		out.Detail = newDetail(StageWorkload, "", err.Error(), nil, out.Panic)
-		checkData(m, d, &out)
-		return out
-	}
-	post := workload.RunUntilIdle(m, d, 60, 2400)
-	if post.Panic != nil {
-		out.Outcome = OutcomeResurrectFailure
-		out.ResurrectErr = post.Panic
-		out.Detail = newDetail(StageWorkload, "", post.Panic.Error(), nil, out.Panic)
-		checkData(m, d, &out)
-		return out
-	}
-	out.AckedOps = d.Acked()
-	checkData(m, d, &out)
-	if err := d.Verify(m); err != nil {
-		out.Outcome = OutcomeDataCorruption
-		out.VerifyErr = err
-		out.Detail = newDetail(StageVerify, "", err.Error(), nil, out.Panic)
-		return out
-	}
-	if out.DataErr != nil {
-		out.Outcome = OutcomeDataCorruption
-		out.VerifyErr = out.DataErr
-		out.Detail = newDetail(StageVerify, "", out.DataErr.Error(), nil, out.Panic)
-		return out
-	}
-	out.Outcome = OutcomeSuccess
-	return out
 }
 
 // warmupOps derives the seed-dependent warm-up length. The modulus is

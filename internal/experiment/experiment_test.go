@@ -108,13 +108,13 @@ func TestRenderTable6Aligned(t *testing.T) {
 func TestRenderTable5UnknownIsNotZero(t *testing.T) {
 	rows := []Table5Row{
 		{App: "vi", N: 1, ProtN: 1, BootFailure: 1},
-		{App: "MySQL", N: 2, ProtN: 2, Success: 1, MeanInterruption: 53 * time.Second,
-			P50Interruption: 53 * time.Second, P95Interruption: 54 * time.Second,
-			P99Interruption: 54 * time.Second},
+		{App: "MySQL", N: 2, ProtN: 2, Success: 1, InterruptionSamples: 2,
+			MeanInterruption: 53 * time.Second, P50Interruption: 53 * time.Second,
+			P95Interruption: 54 * time.Second, P99Interruption: 54 * time.Second},
 		{App: "JOE", Discarded: 3, Shortfall: 2, ProtShortfall: 2},
-		{App: "BLCR", N: 2, Success: 0.5, MeanInterruption: 53 * time.Second,
-			P50Interruption: 53 * time.Second, P95Interruption: 53 * time.Second,
-			P99Interruption: 53 * time.Second},
+		{App: "BLCR", N: 2, Success: 0.5, InterruptionSamples: 1,
+			MeanInterruption: 53 * time.Second, P50Interruption: 53 * time.Second,
+			P95Interruption: 53 * time.Second, P99Interruption: 53 * time.Second},
 	}
 	lines := strings.Split(RenderTable5(rows), "\n")
 	vi, mysql, joe, blcr := lines[2], lines[3], lines[4], lines[5]

@@ -45,7 +45,7 @@ type FleetConfig struct {
 	// IndexSlots sizes the main kernel's candidate index (0 = none; the
 	// discovery then always walks the full process list).
 	IndexSlots int
-	// CorruptIndex smashes the salvaged index header before recovery, to
+	// CorruptIndex smashes the index header just before the crash, to
 	// exercise the skip-and-count fallback to the full walk.
 	CorruptIndex bool
 	// Arrivals is each tier's open-loop request rate in requests/sec per
@@ -212,24 +212,20 @@ func FleetRecovery(cfg FleetConfig) (*FleetResult, error) {
 	}
 	m.Run(population*6 + nMySQL*16)
 
-	//owvet:allow errdrop: InjectOops always returns the injected panic; recovery is checked below
-	_ = m.K.InjectOops("fleet crash")
 	if cfg.CorruptIndex {
 		if reg := m.IndexRegion(); reg.Frames > 0 {
-			// Smash the index header record so salvage rejects the whole
-			// index and discovery degrades to the full walk.
+			// Smash the index header record, as a wild write from the
+			// dying kernel would, so salvage rejects the whole index and
+			// discovery degrades to the full walk.
 			garbage := []byte{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef}
 			if err := m.HW.Mem.WriteAt(phys.FrameAddr(reg.Start), garbage); err != nil {
 				return nil, fmt.Errorf("corrupt index: %w", err)
 			}
 		}
 	}
-	out, err := m.HandleFailure()
+	out, err := crashAndRecover(m, "fleet crash")
 	if err != nil {
 		return nil, err
-	}
-	if out.Result != core.ResultRecovered {
-		return nil, fmt.Errorf("transfer failed: %s", out.Transfer.Reason)
 	}
 	rep := out.Report
 	if rep == nil {

@@ -78,15 +78,9 @@ func MeasureScaling(seed int64) ([]ScalingRow, error) {
 		if _, err := m.Start("scale", fmt.Sprintf("scale-%d", pages)); err != nil {
 			return nil, err
 		}
-		if err := m.K.InjectOops("scaling"); err == nil {
-			return nil, fmt.Errorf("no panic")
-		}
-		out, err := m.HandleFailure()
+		out, err := crashAndRecover(m, "scaling")
 		if err != nil {
 			return nil, err
-		}
-		if out.Result != core.ResultRecovered {
-			return nil, fmt.Errorf("transfer failed: %s", out.Transfer.Reason)
 		}
 		pr := out.Report.Procs[0]
 		if pr.Outcome != resurrect.OutcomeContinued {

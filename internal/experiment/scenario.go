@@ -40,14 +40,9 @@ func MultiMySQLRecovery(seed int64, resWorkers int, lazy bool) (*core.FailureOut
 		m.Net.Deliver(apps.MySQLPort, []byte(fmt.Sprintf("I %d warm-%04d", i+1, i)))
 	}
 	m.Run(600)
-	//owvet:allow errdrop: InjectOops always returns the injected panic; recovery is checked below
-	_ = m.K.InjectOops("bench snapshot")
-	out, err := m.HandleFailure()
+	out, err := crashAndRecover(m, "bench snapshot")
 	if err != nil {
 		return nil, nil, err
-	}
-	if out.Result != core.ResultRecovered {
-		return nil, nil, fmt.Errorf("transfer failed: %s", out.Transfer.Reason)
 	}
 	return out, m, nil
 }

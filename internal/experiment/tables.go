@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"otherworld/internal/core"
-	"otherworld/internal/resurrect"
 	"otherworld/internal/spans"
 	"otherworld/internal/workload"
 )
@@ -20,8 +19,6 @@ type Table3Row struct {
 	TLBMissIncrease float64
 	// Overhead is (protected cycles / baseline cycles) - 1.
 	Overhead float64
-	// Ops is the measured operation count (identical in both runs).
-	Ops int
 }
 
 // Table3Benchmarks lists the paper's Table 3 workloads.
@@ -33,15 +30,8 @@ func measureRun(app string, ops int, seed int64, protection bool) (cycles, misse
 	opts := core.DefaultOptions()
 	opts.UserSpaceProtection = protection
 	opts.Seed = seed
-	m, err := core.NewMachine(opts)
+	m, d, err := startApp(opts, app, seed+1)
 	if err != nil {
-		return 0, 0, 0, err
-	}
-	d, err := DriverFor(app, seed+1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if err := d.Start(m); err != nil {
 		return 0, 0, 0, err
 	}
 	// Warm the TLB and caches before the measurement window.
@@ -77,7 +67,7 @@ func MeasureTable3(app string, ops int, seed int64) (Table3Row, error) {
 	pc := float64(protCycles) / float64(n1)
 	bm := float64(baseMisses) / float64(n0)
 	pm := float64(protMisses) / float64(n1)
-	row := Table3Row{Benchmark: app, Ops: n0}
+	row := Table3Row{Benchmark: app}
 	if bm > 0 {
 		row.TLBMissIncrease = pm/bm - 1
 	}
@@ -119,9 +109,6 @@ type Table4Row struct {
 	KernelBytes int64
 	// PageTableFraction is the page-table share of KernelBytes.
 	PageTableFraction float64
-	// UserBytes is the application page data copied (not counted by the
-	// paper's table, reported for context).
-	UserBytes int64
 }
 
 // MeasureTable4 runs the workload, induces a clean panic, and measures what
@@ -129,37 +116,23 @@ type Table4Row struct {
 func MeasureTable4(app string, seed int64) (Table4Row, error) {
 	opts := core.DefaultOptions()
 	opts.Seed = seed
-	m, err := core.NewMachine(opts)
+	m, d, err := startApp(opts, app, seed+1)
 	if err != nil {
-		return Table4Row{}, err
-	}
-	d, err := DriverFor(app, seed+1)
-	if err != nil {
-		return Table4Row{}, err
-	}
-	if err := d.Start(m); err != nil {
 		return Table4Row{}, err
 	}
 	res := workload.RunUntilIdle(m, d, 150, 6000)
 	if res.Panic != nil {
 		return Table4Row{}, fmt.Errorf("panic during workload: %v", res.Panic)
 	}
-	if err := m.K.InjectOops("table 4 measurement"); err == nil {
-		return Table4Row{}, fmt.Errorf("InjectOops did not panic")
-	}
-	fo, err := m.HandleFailure()
+	fo, err := crashAndRecover(m, "table 4 measurement")
 	if err != nil {
 		return Table4Row{}, err
-	}
-	if fo.Result != core.ResultRecovered {
-		return Table4Row{}, fmt.Errorf("transfer failed: %s", fo.Transfer.Reason)
 	}
 	acct := fo.Report.Acct
 	return Table4Row{
 		App:               app,
 		KernelBytes:       acct.KernelDataBytes(),
 		PageTableFraction: acct.PageTableFraction(),
-		UserBytes:         acct.ByCategory[resurrect.CatUserData],
 	}, nil
 }
 
@@ -225,15 +198,8 @@ func measureTable6Mode(app string, seed int64, lazy bool) (boot, outage time.Dur
 	opts := core.DefaultOptions()
 	opts.Seed = seed
 	opts.LazyInstall = lazy
-	m, err := core.NewMachine(opts)
+	m, d, err := startApp(opts, app, seed+1)
 	if err != nil {
-		return 0, 0, nil, err
-	}
-	d, err := DriverFor(app, seed+1)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if err := d.Start(m); err != nil {
 		return 0, 0, nil, err
 	}
 	// Operational = the first operation acknowledged.
@@ -247,15 +213,9 @@ func measureTable6Mode(app string, seed int64, lazy bool) (boot, outage time.Dur
 	// Let the workload settle, then fail the kernel.
 	workload.RunUntilIdle(m, d, 100, 4000)
 	failedAt := m.HW.Clock.Now()
-	if err := m.K.InjectOops("table 6 measurement"); err == nil {
-		return 0, 0, nil, fmt.Errorf("InjectOops did not panic")
-	}
-	fo, err := m.HandleFailure()
+	fo, err := crashAndRecover(m, "table 6 measurement")
 	if err != nil {
 		return 0, 0, nil, err
-	}
-	if fo.Result != core.ResultRecovered {
-		return 0, 0, nil, fmt.Errorf("transfer failed: %s", fo.Transfer.Reason)
 	}
 	if err := d.Reattach(m); err != nil {
 		return 0, 0, nil, err
