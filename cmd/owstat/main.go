@@ -44,17 +44,17 @@ func run(args []string, out, errw io.Writer) int {
 	var err error
 	switch args[0] {
 	case "render":
-		err = cmdRender(args[1:], out)
+		err = cmdRender(args[1:], out, errw)
 	case "diff":
 		var differ bool
-		differ, err = cmdDiff(args[1:], out)
+		differ, err = cmdDiff(args[1:], out, errw)
 		if err == nil && differ {
 			return 1
 		}
 	case "recover":
-		err = cmdRecover(args[1:], out)
+		err = cmdRecover(args[1:], out, errw)
 	case "timeline":
-		err = cmdTimeline(args[1:], out)
+		err = cmdTimeline(args[1:], out, errw)
 	case "-h", "-help", "--help", "help":
 		usage(out)
 		return 0
@@ -80,9 +80,11 @@ func run(args []string, out, errw io.Writer) int {
 // for it, as for an unknown subcommand.
 type usageError struct{ error }
 
-// parseFlags parses a subcommand's flags. A bad flag is a usageError; -h
+// parseFlags parses a subcommand's flags, writing the flag package's
+// complaints and -h's flag list to errw. A bad flag is a usageError; -h
 // returns flag.ErrHelp, which run answers with exit 0.
-func parseFlags(fs *flag.FlagSet, args []string) error {
+func parseFlags(fs *flag.FlagSet, args []string, errw io.Writer) error {
+	fs.SetOutput(errw)
 	err := fs.Parse(args)
 	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		return usageError{err}
@@ -119,10 +121,10 @@ func loadSnapshot(path string) (*metrics.Snapshot, error) {
 	return s, nil
 }
 
-func cmdRender(args []string, out io.Writer) error {
+func cmdRender(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("render", flag.ContinueOnError)
 	prom := fs.Bool("prom", false, "Prometheus text exposition instead of the table")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, errw); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -140,9 +142,9 @@ func cmdRender(args []string, out io.Writer) error {
 	return s.RenderTable(out)
 }
 
-func cmdDiff(args []string, out io.Writer) (differ bool, err error) {
+func cmdDiff(args []string, out, errw io.Writer) (differ bool, err error) {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, errw); err != nil {
 		return false, err
 	}
 	if fs.NArg() != 2 {
@@ -169,7 +171,7 @@ func cmdDiff(args []string, out io.Writer) (differ bool, err error) {
 // measures; -app substitutes any Table 5 application via a single faulted
 // experiment. Both are pure functions of the seed, so the printed tree is
 // bit-identical at any live resurrect-worker width.
-func cmdTimeline(args []string, out io.Writer) error {
+func cmdTimeline(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("timeline", flag.ContinueOnError)
 	app := fs.String("app", "mysql-x8", "scenario: mysql-x8 (warmed 8xMySQL crash) or a Table 5 application name")
 	seed := fs.Int64("seed", 20100413, "seed")
@@ -179,7 +181,7 @@ func cmdTimeline(args []string, out io.Writer) error {
 	perfetto := fs.String("perfetto", "", "also write Chrome trace-event JSON (Perfetto-loadable) to this file")
 	fleet := fs.Int("fleet", 0, "run the fleet-recovery scenario at this population instead of -app (streaming resurrection, index-assisted discovery, per-tier table + tier lanes)")
 	tierSpec := fs.String("tiers", "", "fleet tier overrides merged onto the defaults: comma-separated program=tier pairs, e.g. sh=1 (default mysqld=0, apache-php=1, volano=1, sh=2)")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, errw); err != nil {
 		return err
 	}
 	oneApp := *fleet == 0 && *app != "mysql-x8"
@@ -268,11 +270,11 @@ func cmdTimeline(args []string, out io.Writer) error {
 	return nil
 }
 
-func cmdRecover(args []string, out io.Writer) error {
+func cmdRecover(args []string, out, errw io.Writer) error {
 	fs := flag.NewFlagSet("recover", flag.ContinueOnError)
 	prom := fs.Bool("prom", false, "Prometheus text exposition instead of the table")
 	jsonOut := fs.String("json", "", "also write the recovered snapshot as JSON to this file")
-	if err := parseFlags(fs, args); err != nil {
+	if err := parseFlags(fs, args, errw); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {

@@ -228,7 +228,8 @@ func TestBadInputs(t *testing.T) {
 			t.Errorf("%v: exit %d stdout %q stderr %q; want exit 2 and %q", tc.args, code, out, errw, tc.want)
 		}
 	}
-	if code, _, _ := runOwstat(t, "timeline", "-h"); code != 0 {
-		t.Errorf("timeline -h: exit %d, want 0", code)
+	// The flag package writes -h's flag list to the writer run is given.
+	if code, out, errw := runOwstat(t, "timeline", "-h"); code != 0 || out != "" || !strings.Contains(errw, "-perfetto") {
+		t.Errorf("timeline -h: exit %d stdout %q stderr %q; want exit 0 and the flag list on stderr", code, out, errw)
 	}
 }

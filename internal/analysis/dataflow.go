@@ -590,7 +590,7 @@ func isSimNamed(t types.Type, name string) bool {
 
 // isDeadSource reports whether fn is a sanctioned dead-kernel accessor
 // whose call yields tainted bytes: a method of an //owvet:reader-marked
-// type, or phys.Mem.{ReadAt,ReadU64,CopyFrame,ReadShared}.
+// type, or phys.Mem.{ReadAt,ReadU64,CopyFrame,ReadGenerated}.
 func (fi *FlowIndex) isDeadSource(fn *types.Func) bool {
 	if fn == nil {
 		return false

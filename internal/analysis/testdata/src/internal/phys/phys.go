@@ -59,10 +59,13 @@ func (m *Mem) CopyFrame(f int, buf []byte) error {
 	return nil
 }
 
-// ReadShared reports whether the n bytes at addr still share pages,
-// counting the read when they do.
-func (m *Mem) ReadShared(addr uint64, n int, pages []*[PageSize]byte) bool {
-	return int(addr)+n <= len(m.data) && len(pages) > 0
+// Pattern mimics the real phys.Pattern.
+type Pattern struct{}
+
+// ReadGenerated counts a read of the n bytes at addr and reports whether
+// p still generates them.
+func (m *Mem) ReadGenerated(addr uint64, n int, p *Pattern) bool {
+	return int(addr)+n <= len(m.data) && p != nil
 }
 
 // SetKind tags frame f.

@@ -49,8 +49,8 @@ func copyFrameDirect(m *phys.Mem) ([]byte, error) {
 	return buf, m.CopyFrame(1, buf) // want `direct phys\.Mem\.CopyFrame`
 }
 
-func readSharedDirect(m *phys.Mem, pages []*[phys.PageSize]byte) bool {
-	return m.ReadShared(0, phys.PageSize, pages) // want `direct phys\.Mem\.ReadShared`
+func readGeneratedDirect(m *phys.Mem, p *phys.Pattern) bool {
+	return m.ReadGenerated(0, phys.PageSize, p) // want `direct phys\.Mem\.ReadGenerated`
 }
 
 func throughReader(r *reader, addr uint64) (uint64, error) {

@@ -84,9 +84,9 @@ func benchMachineOptions() Options {
 
 // TestNewMachineAllocation bounds what booting that machine allocates: the
 // main kernel's boot, the crash image and the planes must come in under
-// 640 KiB, what a flat table of one pointer, one protection flag and one
-// kind a frame took alone. A boot costs the chunks its writes store in and
-// one shared page a kernel-text frame.
+// 320 KiB, half what a flat table of one pointer, one protection flag and
+// one kind a frame took alone. A boot costs the chunks its writes store
+// in; kernel text is generated from its seed and stores no page.
 func TestNewMachineAllocation(t *testing.T) {
 	got := leastAllocated(func() func() {
 		return func() {
@@ -97,8 +97,8 @@ func TestNewMachineAllocation(t *testing.T) {
 			bookkeepingSink = m
 		}
 	})
-	if got >= 640<<10 {
-		t.Fatalf("NewMachine(256 MiB, 16 MiB slots) allocated %d bytes, want under 640 KiB", got)
+	if got >= 320<<10 {
+		t.Fatalf("NewMachine(256 MiB, 16 MiB slots) allocated %d bytes, want under 320 KiB", got)
 	}
 	t.Logf("NewMachine(256 MiB, 16 MiB slots) allocated %d bytes", got)
 }

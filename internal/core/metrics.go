@@ -85,9 +85,10 @@ func (m *Machine) MetricsSnapshot() *metrics.Snapshot {
 	return m.metrics.Snapshot()
 }
 
-// FlushMetrics collects and persists a snapshot into the active slot's
-// metrics segment. Like the flight recorder, the tail written since the
-// last flush dies with the kernel — the segment records what made it to
+// FlushMetrics collects and persists the registry into the active slot's
+// metrics segment, encoding its series straight into the segment without
+// a snapshot. Like the flight recorder, the tail written since the last
+// flush dies with the kernel — the segment records what made it to
 // "stable" memory, pstore style. Write errors and dropped points are
 // tallied and surface as metrics on the next collect; they never take the
 // machine down.
@@ -95,8 +96,8 @@ func (m *Machine) FlushMetrics() {
 	if m.metrics == nil {
 		return
 	}
-	snap := m.MetricsSnapshot()
-	_, dropped, err := metrics.WriteSegment(m.HW.Mem, m.MetricsRegion(), uint32(m.kernelSeq), snap)
+	m.collectMetrics()
+	_, dropped, err := m.metrics.WriteSegment(m.HW.Mem, m.MetricsRegion(), uint32(m.kernelSeq))
 	m.metricsDropped += int64(dropped)
 	if err != nil {
 		m.metricsFlushErrs++

@@ -28,16 +28,18 @@ type Text struct {
 	size  int
 	seed  int64
 	funcs [funcCount]TextFunc
-	// pristine is the text as NewText wrote it, all TextFrames pages in
-	// one allocation, and pages are its page-sized parts. Each text frame
-	// shares its page (phys.Mem.SharePage) until the frame is written, so
-	// memory and the pristine copy are the same bytes; CheckExecute
-	// compares the bytes it reads against pristine once a frame has been
-	// written.
-	pristine []byte
-	pages    [TextFrames]*[phys.PageSize]byte
-	// live receives CheckExecute's read of a function's bytes; it is made
-	// on first use, as long as the largest function.
+	// pattern generates every text frame from expected
+	// (phys.Mem.Generate), so memory stores none of the text until
+	// something writes it. Only NewText generates with it, so a frame that
+	// stops being generated by it never is again.
+	pattern *phys.Pattern
+	// pristine holds the expected bytes of each text frame CheckExecute
+	// found written, built the first time it is needed; a frame the
+	// pattern still generates reads as expected and needs none.
+	pristine [TextFrames]*[phys.PageSize]byte
+	// live receives CheckExecute's copies of the written frames of a
+	// function, from the function's first frame on; it is made on first
+	// use, liveLen long.
 	live []byte
 	// decided remembers the behaviour assigned to each corrupted byte the
 	// first time it executes: a real clobbered instruction misbehaves the
@@ -94,8 +96,12 @@ var funcSizes = [funcCount]int{
 	FuncIPC:          16 << 10,
 }
 
-// longestFunc is the largest function footprint, the length of live.
+// longestFunc is the largest function footprint.
 var longestFunc = slices.Max(funcSizes[:])
+
+// liveLen is the length of live: the most frames a function can touch,
+// one more than its length fills when it starts inside a frame.
+var liveLen = ((longestFunc+phys.PageSize-1)/phys.PageSize + 1) * phys.PageSize
 
 var funcNames = [funcCount]string{
 	"interrupt", "transfer_stub", "panic", "sched", "syscall_entry",
@@ -145,8 +151,9 @@ func (b Misbehavior) String() string {
 }
 
 // NewText claims TextFrames frames inside region (skipping the fixed anchor
-// frames) and fills them with the deterministic pattern: each frame shares
-// its page of the pristine copy, written and counted as a WriteAt of it.
+// frames) and fills them with the deterministic pattern: each frame is
+// generated from expected, written and counted as a WriteAt of its bytes
+// but storing none of them.
 func NewText(mem *phys.Mem, alloc *phys.FrameAllocator, region phys.Region, seed int64) (*Text, error) {
 	start := region.Start
 	if start < 3 {
@@ -169,18 +176,12 @@ func NewText(mem *phys.Mem, alloc *phys.FrameAllocator, region phys.Region, seed
 	if off > t.size {
 		return nil, fmt.Errorf("kernel: text functions exceed region")
 	}
-	t.pristine = make([]byte, t.size)
-	for i := range t.pages {
-		if err := alloc.Claim(start+i, phys.FrameKernelText); err != nil {
+	t.pattern = phys.NewPattern(t.expected)
+	for f := start; f < start+TextFrames; f++ {
+		if err := alloc.Claim(f, phys.FrameKernelText); err != nil {
 			return nil, err
 		}
-		page := (*[phys.PageSize]byte)(t.pristine[i*phys.PageSize:])
-		addr := phys.FrameAddr(start + i)
-		for j := range page {
-			page[j] = t.expected(addr + uint64(j))
-		}
-		t.pages[i] = page
-		if err := mem.SharePage(start+i, page); err != nil {
+		if err := mem.Generate(f, t.pattern); err != nil {
 			return nil, err
 		}
 	}
@@ -203,6 +204,21 @@ func (t *Text) expected(addr uint64) byte {
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 32
 	return byte(x)
+}
+
+// pristinePage returns text frame f's expected bytes, building them the
+// first time they are needed.
+func (t *Text) pristinePage(f int) *[phys.PageSize]byte {
+	i := f - phys.FrameOf(t.base)
+	if t.pristine[i] == nil {
+		page := new([phys.PageSize]byte)
+		addr := phys.FrameAddr(f)
+		for j := range page {
+			page[j] = t.expected(addr + uint64(j))
+		}
+		t.pristine[i] = page
+	}
+	return t.pristine[i]
 }
 
 // benignChance is the probability a clobbered, executed byte happens not to
@@ -237,9 +253,10 @@ func (t *Text) decideBehavior(roll float64) Misbehavior {
 // (the kernel) keeps everything on one seeded stream.
 //
 // The contract the mid-flight injection model relies on (DESIGN §3, §10):
-//   - one counted read of the whole function per call: Mem.ReadShared
-//     while every frame of the function still shares its pristine page,
-//     Mem.ReadAt otherwise;
+//   - one counted read of the whole function per call: Mem.ReadGenerated,
+//     which counts it whether or not the text pattern still generates
+//     every frame of the function; the frames that were written are then
+//     copied with the uncounted CopyFrame;
 //   - corrupted bytes are visited in ascending address order, with one
 //     rollFn draw for each not yet in decided, stopping at the first that
 //     does not behave benignly — whose behaviour is returned;
@@ -248,39 +265,50 @@ func (t *Text) decideBehavior(roll float64) Misbehavior {
 //     walk: an early return leaves later repaired entries in place.
 func (t *Text) CheckExecute(fn FuncID, rollFn func() float64) Misbehavior {
 	f := t.funcs[fn]
-	lo := t.base + uint64(f.Start)
-	if t.mem.ReadShared(lo, f.Len, t.pages[f.Start/phys.PageSize:]) {
+	lo, hi := t.base+uint64(f.Start), t.base+uint64(f.Start+f.Len)
+	if t.mem.ReadGenerated(lo, f.Len, t.pattern) {
 		// No frame of the function was written since NewText, so no byte
-		// differs: no draw is due, and no decided entry lies in it, since
-		// a frame that stops sharing its page never shares it again.
+		// differs: no draw is due, and no decided entry lies in it.
 		return BehaveBenign
 	}
-	if len(t.live) < f.Len {
-		t.live = make([]byte, longestFunc)
+	// Only a written frame can differ, and only there can a decided entry
+	// lie. Each is copied into live, which starts at the function's first
+	// frame, and compared with its pristine page.
+	if t.live == nil {
+		t.live = make([]byte, liveLen)
 	}
-	live := t.live[:f.Len]
-	if err := t.mem.ReadAt(lo, live); err != nil {
-		return BehaveFailStop
-	}
-	want := t.pristine[f.Start : f.Start+f.Len]
-	result, stop := BehaveBenign, len(live)
-	for i := nextDiff(live, want, 0); i < len(live); i = nextDiff(live, want, i+1) {
-		addr := lo + uint64(i)
-		behave, ok := t.decided[addr]
-		if !ok {
-			behave = t.decideBehavior(rollFn())
-			if t.decided == nil {
-				t.decided = make(map[uint64]Misbehavior)
-			}
-			t.decided[addr] = behave
+	base := phys.FrameAddr(phys.FrameOf(lo))
+	result, stop := BehaveBenign, hi
+	for fr := phys.FrameOf(lo); phys.FrameAddr(fr) < stop; fr++ {
+		if t.mem.Generated(fr, t.pattern) {
+			continue
 		}
-		if behave != BehaveBenign {
-			result, stop = behave, i
-			break
+		frameAddr := phys.FrameAddr(fr)
+		page := t.live[frameAddr-base:][:phys.PageSize]
+		if err := t.mem.CopyFrame(fr, page); err != nil {
+			return BehaveFailStop
+		}
+		// The function's bytes in this frame run from offset from to to.
+		from, to := max(lo, frameAddr)-frameAddr, min(hi, frameAddr+phys.PageSize)-frameAddr
+		live, want := page[:to], t.pristinePage(fr)[:to]
+		for i := nextDiff(live, want, int(from)); i < len(live); i = nextDiff(live, want, i+1) {
+			addr := frameAddr + uint64(i)
+			behave, ok := t.decided[addr]
+			if !ok {
+				behave = t.decideBehavior(rollFn())
+				if t.decided == nil {
+					t.decided = make(map[uint64]Misbehavior)
+				}
+				t.decided[addr] = behave
+			}
+			if behave != BehaveBenign {
+				result, stop = behave, addr
+				break
+			}
 		}
 	}
 	for addr := range t.decided {
-		if addr >= lo && addr < lo+uint64(stop) && live[addr-lo] == want[addr-lo] {
+		if addr >= lo && addr < stop && t.live[addr-base] == t.expected(addr) {
 			delete(t.decided, addr) // repaired or rolled back
 		}
 	}

@@ -157,11 +157,11 @@ func TestCheckExecutePristineDoesNotAllocate(t *testing.T) {
 }
 
 // TestNewTextWritesEveryByte requires NewText to write the pattern over
-// all of its text frames, each frame sharing its page of the pristine copy
-// (a shared read of one frame succeeds only while it does), and, on fresh
-// memory, to allocate little more than that copy: one page a text frame.
+// all of its text frames, each frame generated by the text's pattern, and,
+// on fresh memory, to allocate at most 16 KiB: the Text and the frames'
+// records, with no page of text stored.
 func TestNewTextWritesEveryByte(t *testing.T) {
-	const slack = 16 << 10
+	const bound = 16 << 10
 	mem := phys.NewMem((3 + TextFrames) * phys.PageSize)
 	region := phys.Region{Start: 0, Frames: mem.NumFrames()}
 	alloc := phys.NewFrameAllocator(mem, region)
@@ -172,7 +172,7 @@ func TestNewTextWritesEveryByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(TextFrames*phys.PageSize+slack); got > want {
+	if got, want := after.TotalAlloc-before.TotalAlloc, uint64(bound); got > want {
 		t.Fatalf("NewText on fresh memory allocated %d bytes, want at most %d", got, want)
 	}
 	got := make([]byte, text.Size())
@@ -184,14 +184,10 @@ func TestNewTextWritesEveryByte(t *testing.T) {
 		if want := text.expected(addr); b != want {
 			t.Fatalf("text byte %d reads %#x, want %#x", i, b, want)
 		}
-		if text.pristine[i] != b {
-			t.Fatalf("pristine byte %d is %#x, memory holds %#x", i, text.pristine[i], b)
-		}
 	}
-	for i := range text.pages {
-		addr := text.Base() + uint64(i*phys.PageSize)
-		if !text.mem.ReadShared(addr, phys.PageSize, text.pages[i:i+1]) {
-			t.Fatalf("text frame %d does not share its pristine page", i)
+	for i := 0; i < TextFrames; i++ {
+		if f := phys.FrameOf(text.Base()) + i; !text.mem.Generated(f, text.pattern) {
+			t.Fatalf("text frame %d is not generated by the text's pattern", i)
 		}
 	}
 }
@@ -202,9 +198,9 @@ var (
 )
 
 // BenchmarkNewText times laying out a kernel's text, as every boot does:
-// claiming the frames, writing the pattern and keeping the pristine copy.
-// Each run lays it out on fresh memory, as a boot does, so the storage the
-// text frames take counts with NewText's own bytes.
+// claiming the frames and generating the pattern over them. Each run lays
+// it out on fresh memory, as a boot does, so the storage the text frames
+// take counts with NewText's own bytes.
 func BenchmarkNewText(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -27,6 +27,12 @@ import (
 	"sync"
 )
 
+// The registry's own series: how many registrations it refused.
+const (
+	conflictsName = "owmetrics_conflicts_total"
+	conflictsHelp = "registrations or merges refused over kind/bucket mismatch"
+)
+
 // Labels attaches dimensions to a metric (e.g. {"phase": "page-copy"}).
 // Label sets are canonicalized by sorted key, so two maps with the same
 // contents always address the same series.
@@ -86,21 +92,24 @@ func canonLabelsInto(buf []labelPair, ls Labels) []labelPair {
 
 // labelSuffix renders sorted pairs as `{k=v,...}` ("" for none).
 func labelSuffix(pairs []labelPair) string {
+	return string(appendLabelSuffix(nil, pairs))
+}
+
+// appendLabelSuffix appends labelSuffix(pairs) to dst.
+func appendLabelSuffix(dst []byte, pairs []labelPair) []byte {
 	if len(pairs) == 0 {
-		return ""
+		return dst
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	dst = append(dst, '{')
 	for i, p := range pairs {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(p.k)
-		b.WriteByte('=')
-		b.WriteString(p.v)
+		dst = append(dst, p.k...)
+		dst = append(dst, '=')
+		dst = append(dst, p.v...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(dst, '}')
 }
 
 // metric is one registered series. All fields are guarded by the owning
@@ -109,8 +118,9 @@ type metric struct {
 	name  string
 	help  string
 	pairs []labelPair
-	id    string // name + labelSuffix: the registry key and sort key
-	kind  Kind
+	// labels is labelSuffix(pairs), what series of one name sort by.
+	labels string
+	kind   Kind
 
 	value int64   // counter
 	gauge float64 // gauge
@@ -122,19 +132,43 @@ type metric struct {
 	count    int64
 }
 
+// compareSeries orders series as sortPoints orders their points: by name,
+// then label string.
+func compareSeries(a, b *metric) int {
+	if c := strings.Compare(a.name, b.name); c != 0 {
+		return c
+	}
+	return strings.Compare(a.labels, b.labels)
+}
+
 // Registry holds a set of metrics under one mutex. A nil *Registry is a
 // valid no-op sink (like a nil *trace.Ring), so instrumented code never
 // checks whether metrics are enabled.
 type Registry struct {
-	mu         sync.Mutex
-	by         map[string]*metric
+	mu sync.Mutex
+	// byName holds the registered series of each name, so that a lookup
+	// compares its label map with theirs and needs no canonical form.
+	byName map[string][]*metric
+	// series holds every registered series in compareSeries order, the
+	// order a snapshot and a flush emit them in. conflicts, the registry's
+	// own counter of refused registrations, is one of them.
+	series     []*metric
+	conflicts  *metric
 	logicalNow int64
-	conflicts  int64
+
+	// Scratch reused under mu, so that a lookup of an existing series and
+	// a flush allocate nothing: a lookup's bounds, sorted when they arrive
+	// unsorted, and a flush's histogram buckets and segment buffers.
+	bounds  []int64
+	buckets []Bucket
+	seg     segWriter
 }
 
-// NewRegistry returns an empty registry.
+// NewRegistry returns a registry holding only its conflicts counter.
 func NewRegistry() *Registry {
-	return &Registry{by: make(map[string]*metric)}
+	r := &Registry{byName: make(map[string][]*metric)}
+	r.conflicts = r.get(conflictsName, conflictsHelp, KindCounter, nil, nil)
+	return r
 }
 
 // SetNow stamps the registry with the simulation's logical clock (virtual
@@ -152,31 +186,70 @@ func (r *Registry) SetNow(ns int64) {
 // get registers or fetches a series under the lock. A kind or bucket-bound
 // conflict with an existing registration returns a detached series (writes
 // vanish) and bumps the conflict counter — mismatched instruments must not
-// corrupt each other, and a registry write path must never panic.
+// corrupt each other, and a registry write path must never panic. A
+// lookup compares label maps and bounds as they come, sorting bounds in
+// the registry's scratch only if they arrive unsorted, so fetching an
+// existing series allocates nothing; registering one canonicalises its
+// labels and copies its bounds.
 func (r *Registry) get(name, help string, kind Kind, bounds []int64, ls Labels) *metric {
-	pairs := canonLabels(ls)
-	id := name + labelSuffix(pairs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := r.by[id]
+	if kind == KindHistogram && !strictlyIncreasing(bounds) {
+		r.bounds = append(r.bounds[:0], bounds...)
+		slices.Sort(r.bounds)
+		bounds = slices.Compact(r.bounds)
+	}
+	m := r.lookup(name, ls)
 	if m == nil {
-		m = &metric{name: name, help: help, pairs: pairs, id: id, kind: kind, bounds: bounds}
-		if kind == KindHistogram {
-			m.buckets = make([]int64, len(bounds))
-		}
-		r.by[id] = m
+		m = newMetric(name, help, kind, bounds, ls)
+		r.byName[name] = append(r.byName[name], m)
+		i, _ := slices.BinarySearchFunc(r.series, m, compareSeries)
+		r.series = slices.Insert(r.series, i, m)
 		return m
 	}
-	if m.kind != kind || (kind == KindHistogram && !equalBounds(m.bounds, bounds)) {
-		r.conflicts++
-		d := &metric{name: name, pairs: pairs, id: id, kind: kind, bounds: bounds}
-		if kind == KindHistogram {
-			d.buckets = make([]int64, len(bounds))
-		}
-		return d
+	if m.kind != kind || (kind == KindHistogram && !slices.Equal(m.bounds, bounds)) {
+		r.conflicts.value++
+		return newMetric(name, "", kind, bounds, ls)
 	}
 	if m.help == "" {
 		m.help = help
+	}
+	return m
+}
+
+// lookup returns the registered series of name whose labels are ls, or
+// nil.
+func (r *Registry) lookup(name string, ls Labels) *metric {
+	for _, m := range r.byName[name] {
+		if sameLabels(m.pairs, ls) {
+			return m
+		}
+	}
+	return nil
+}
+
+// sameLabels reports whether canonical pairs hold exactly the labels ls
+// holds.
+func sameLabels(pairs []labelPair, ls Labels) bool {
+	if len(pairs) != len(ls) {
+		return false
+	}
+	for _, p := range pairs {
+		if v, ok := ls[p.k]; !ok || v != p.v {
+			return false
+		}
+	}
+	return true
+}
+
+// newMetric makes a series, canonicalising its labels and, for a
+// histogram, copying its sorted bounds.
+func newMetric(name, help string, kind Kind, bounds []int64, ls Labels) *metric {
+	pairs := canonLabels(ls)
+	m := &metric{name: name, help: help, pairs: pairs, labels: labelSuffix(pairs), kind: kind}
+	if kind == KindHistogram {
+		m.bounds = append([]int64(nil), bounds...)
+		m.buckets = make([]int64, len(bounds))
 	}
 	return m
 }
@@ -260,7 +333,7 @@ func (r *Registry) Histogram(name, help string, bounds []int64, ls Labels) Histo
 	if r == nil {
 		return Histogram{}
 	}
-	return Histogram{r, r.get(name, help, KindHistogram, sanitizeBounds(bounds), ls)}
+	return Histogram{r, r.get(name, help, KindHistogram, bounds, ls)}
 }
 
 // Observe records one int64 sample.
@@ -281,29 +354,11 @@ func (h Histogram) Observe(v int64) {
 	h.r.mu.Unlock()
 }
 
-// sanitizeBounds returns a sorted, deduplicated copy of bounds.
-func sanitizeBounds(bounds []int64) []int64 {
-	if len(bounds) == 0 {
-		return nil
-	}
-	out := append([]int64(nil), bounds...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
-}
-
-func equalBounds(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+// strictlyIncreasing reports whether bounds are already sorted and
+// deduplicated.
+func strictlyIncreasing(bounds []int64) bool {
+	for i := 1; i < len(bounds); i++ {
+		if bounds[i] <= bounds[i-1] {
 			return false
 		}
 	}
@@ -331,5 +386,5 @@ func (r *Registry) Conflicts() int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.conflicts
+	return r.conflicts.value
 }

@@ -191,62 +191,142 @@ func decodePoints(payload []byte) ([]Point, error) {
 //
 // Records are appended straight to one payload buffer and every page is
 // sealed into one reused image, so a flush allocates the same few buffers
-// however many points and pages it writes.
+// however many points and pages it writes. Registry.WriteSegment packs a
+// live registry the same way without building the snapshot.
 func WriteSegment(mem MemoryWriter, region phys.Region, gen uint32, s *Snapshot) (pages, dropped int, err error) {
-	if region.Frames <= 0 {
-		if s != nil {
-			dropped = len(s.Points)
-		}
-		return 0, dropped, nil
+	if s == nil {
+		s = &Snapshot{}
 	}
-	img := make([]byte, phys.PageSize)
-	// The payload holds a full page's records and the next record, at
-	// most a page long, that did not fit.
-	payload := make([]byte, stampSize, 2*phys.PageSize)
-	binary.LittleEndian.PutUint64(payload, uint64(s.LogicalNowNS))
-	flush := func(n int) error {
-		layout.SealFrameInto(img, layout.KindMetrics, 0, gen, payload[:n])
-		if werr := mem.WriteAt(phys.FrameAddr(region.Start+pages), img); werr != nil {
-			return werr
-		}
-		pages++
-		return nil
-	}
-	pairs := make([]labelPair, 0, 8)
+	var w segWriter
+	w.start(mem, region, gen, s.LogicalNowNS)
 	for _, p := range s.Points {
-		pairs = canonLabelsInto(pairs, p.Labels)
-		rec := len(payload)
-		var ok bool
-		if payload, ok = appendPoint(payload, p, pairs); !ok || len(payload)-rec > SegPayloadCap {
-			payload = payload[:rec]
-			dropped++
-			continue
-		}
-		if len(payload)-stampSize > SegPayloadCap {
-			if pages == region.Frames-1 {
-				// No room for another page; everything else drops.
-				payload = payload[:rec]
-				dropped++
-				continue
-			}
-			if err = flush(rec); err != nil {
-				return pages, dropped, err
-			}
-			payload = payload[:stampSize+copy(payload[stampSize:], payload[rec:])]
+		w.pairs = canonLabelsInto(w.pairs, p.Labels)
+		if !w.add(p, w.pairs) {
+			break
 		}
 	}
-	if len(payload) > stampSize || pages == 0 {
-		if err = flush(len(payload)); err != nil {
-			return pages, dropped, err
+	return w.finish()
+}
+
+// WriteSegment packs the registry's series into region exactly as
+// WriteSegment(mem, region, gen, r.Snapshot()) would, with the same writes
+// and results, but encodes each series straight from the registry into
+// buffers the registry keeps, so a flush builds no snapshot, label map or
+// bucket slice. It holds the registry's lock while it writes.
+func (r *Registry) WriteSegment(mem MemoryWriter, region phys.Region, gen uint32) (pages, dropped int, err error) {
+	if r == nil {
+		return WriteSegment(mem, region, gen, r.Snapshot())
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	w := &r.seg
+	w.start(mem, region, gen, r.logicalNow)
+	for _, m := range r.series {
+		p := m.record(r.buckets)
+		if m.kind == KindHistogram {
+			r.buckets = p.Buckets
+		}
+		if !w.add(p, m.pairs) {
+			break
 		}
 	}
-	clear(img)
-	for f := region.Start + pages; f < region.End(); f++ {
-		if werr := mem.WriteAt(phys.FrameAddr(f), img); werr != nil {
-			return pages, dropped, werr
+	return w.finish()
+}
+
+// segWriter packs point records into the framed pages of one region per
+// flush. Its page image, payload and label scratch are made by its first
+// flush and reused by the next.
+type segWriter struct {
+	img     []byte
+	payload []byte
+	pairs   []labelPair
+
+	// The flush in progress.
+	mem            MemoryWriter
+	region         phys.Region
+	gen            uint32
+	pages, dropped int
+	err            error
+}
+
+// start begins a flush stamped with the logical clock now.
+func (w *segWriter) start(mem MemoryWriter, region phys.Region, gen uint32, now int64) {
+	if w.img == nil {
+		w.img = make([]byte, phys.PageSize)
+		// The payload holds a full page's records and the next record, at
+		// most a page long, that did not fit.
+		w.payload = make([]byte, 0, 2*phys.PageSize)
+	}
+	w.mem, w.region, w.gen = mem, region, gen
+	w.pages, w.dropped, w.err = 0, 0, nil
+	w.payload = binary.LittleEndian.AppendUint64(w.payload[:0], uint64(now))
+}
+
+// add appends p's record, given its labels in canonical order, sealing
+// and writing the page it fills. A point that cannot be encoded, does not
+// fit a page, or finds the region full is dropped. It reports false once a
+// write has failed; the flush is then over.
+func (w *segWriter) add(p Point, pairs []labelPair) bool {
+	if w.region.Frames <= 0 {
+		w.dropped++
+		return true
+	}
+	rec := len(w.payload)
+	var ok bool
+	if w.payload, ok = appendPoint(w.payload, p, pairs); !ok || len(w.payload)-rec > SegPayloadCap {
+		w.payload = w.payload[:rec]
+		w.dropped++
+		return true
+	}
+	if len(w.payload)-stampSize > SegPayloadCap {
+		if w.pages == w.region.Frames-1 {
+			// No room for another page; everything else drops.
+			w.payload = w.payload[:rec]
+			w.dropped++
+			return true
+		}
+		if w.err = w.flush(rec); w.err != nil {
+			return false
+		}
+		w.payload = w.payload[:stampSize+copy(w.payload[stampSize:], w.payload[rec:])]
+	}
+	return true
+}
+
+// flush seals the first n payload bytes into the next page and writes it.
+func (w *segWriter) flush(n int) error {
+	layout.SealFrameInto(w.img, layout.KindMetrics, 0, w.gen, w.payload[:n])
+	if err := w.mem.WriteAt(phys.FrameAddr(w.region.Start+w.pages), w.img); err != nil {
+		return err
+	}
+	w.pages++
+	return nil
+}
+
+// finish writes the last data page, or an empty one if there was none,
+// zero-fills the rest of the region and returns the flush's results.
+func (w *segWriter) finish() (pages, dropped int, err error) {
+	err = w.err
+	if err == nil && w.region.Frames > 0 {
+		err = w.writeTail()
+	}
+	w.mem = nil
+	return w.pages, w.dropped, err
+}
+
+func (w *segWriter) writeTail() error {
+	if len(w.payload) > stampSize || w.pages == 0 {
+		if err := w.flush(len(w.payload)); err != nil {
+			return err
 		}
 	}
-	return pages, dropped, nil
+	clear(w.img)
+	for f := w.region.Start + w.pages; f < w.region.End(); f++ {
+		if err := w.mem.WriteAt(phys.FrameAddr(f), w.img); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ParsedSegment is a metrics segment recovered from raw memory.

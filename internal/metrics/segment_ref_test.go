@@ -1,11 +1,13 @@
 package metrics
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -276,6 +278,194 @@ func BenchmarkWriteSegment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := WriteSegment(m, reg, 1, s); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// randomRegistry draws a registry of about n series: counters, gauges and
+// histograms with 0–3 labels, names shared between series, some
+// histograms with more buckets than a page holds, a name past the record's
+// length field, and registrations the registry refuses over a kind or
+// bound conflict.
+func randomRegistry(rng *rand.Rand, n int) *Registry {
+	r := NewRegistry()
+	r.SetNow(rng.Int63())
+	for i := 0; i < n; i++ {
+		addRandomSeries(rng, r)
+	}
+	return r
+}
+
+// addRandomSeries registers or fetches one seeded series of r and writes it.
+func addRandomSeries(rng *rand.Rand, r *Registry) {
+	word := func(n int) string { return strings.Repeat(string(rune('a'+rng.Intn(26))), 1+rng.Intn(n)) }
+	name := word(3)
+	if rng.Intn(3) == 0 {
+		name = word(30) + itoa(rng.Intn(1000))
+	}
+	var ls Labels
+	if nl := rng.Intn(4); nl > 0 {
+		ls = Labels{}
+		for j := 0; j < nl; j++ {
+			ls[word(3)] = word(20)
+		}
+	}
+	switch k := rng.Intn(40); {
+	case k < 16:
+		r.Counter(name+"_total", "", ls).Add(rng.Int63n(1 << 40))
+	case k < 26:
+		r.Gauge(name, "", ls).Set(rng.NormFloat64())
+	case k < 38:
+		nb := rng.Intn(6)
+		if rng.Intn(10) == 0 {
+			nb = 250 + rng.Intn(50) // 4 KiB of buckets: more than a page
+		}
+		bounds := make([]int64, nb)
+		for b := range bounds {
+			bounds[b] = int64(1 + rng.Intn(3*nb+1)) // unsorted, with repeats
+		}
+		h := r.Histogram(name+"_ns", "", bounds, ls)
+		for o := rng.Intn(4); o > 0; o-- {
+			h.Observe(rng.Int63n(int64(4*nb + 2)))
+		}
+	case k < 39:
+		r.Counter(strings.Repeat("n", math.MaxUint16+1), "", nil).Inc()
+	default:
+		// The same series as another kind: refused and counted.
+		r.Counter(name, "", ls).Inc()
+		r.Gauge(name, "", ls).Set(1)
+	}
+}
+
+// TestRegistryWriteSegmentMatchesSnapshot holds the direct flush to
+// WriteSegment of the registry's snapshot: on seeded registries with
+// labels, histograms and refused registrations, into regions that hold
+// them, that are too small for their points, of one page or of none, and
+// with a protected page in the way, both must write the same pages, leave
+// the same phys Stats and return the same results. Each registry flushes
+// several times and changes between flushes, so bytes a reused buffer kept
+// from an earlier flush would show.
+func TestRegistryWriteSegmentMatchesSnapshot(t *testing.T) {
+	const frames = 12
+	rng := rand.New(rand.NewSource(29))
+	var drops, failures, multiPage, conflicts int
+	for i := 0; i < 40; i++ {
+		r := randomRegistry(rng, rng.Intn(160))
+		direct, viaSnapshot := phys.NewMem(frames*phys.PageSize), phys.NewMem(frames*phys.PageSize)
+		for flush := 0; flush < 4; flush++ {
+			region := phys.Region{Start: 1 + rng.Intn(3), Frames: rng.Intn(9)}
+			protected := -1
+			if rng.Intn(5) == 0 && region.Frames > 0 {
+				protected = region.Start + rng.Intn(region.Frames)
+			}
+			for _, m := range []*phys.Mem{direct, viaSnapshot} {
+				if err := m.Protect(max(protected, 0), protected >= 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gen := uint32(1 + rng.Intn(3))
+			wp, wd, werr := WriteSegment(viaSnapshot, region, gen, r.Snapshot())
+			gp, gd, gerr := r.WriteSegment(direct, region, gen)
+			if gp != wp || gd != wd || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("registry %d flush %d: got (%d, %d, %v), snapshot flush (%d, %d, %v)",
+					i, flush, gp, gd, gerr, wp, wd, werr)
+			}
+			drops += min(wd, 1)
+			multiPage += min(max(wp-1, 0), 1)
+			if werr != nil {
+				failures++
+			}
+			if got, want := direct.Stats(), viaSnapshot.Stats(); got != want {
+				t.Fatalf("registry %d flush %d: stats %+v, snapshot flush %+v", i, flush, got, want)
+			}
+			got, want := make([]byte, phys.PageSize), make([]byte, phys.PageSize)
+			for f := 0; f < frames; f++ {
+				if err := direct.CopyFrame(f, got); err != nil {
+					t.Fatal(err)
+				}
+				if err := viaSnapshot.CopyFrame(f, want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("registry %d flush %d: frame %d differs from the snapshot flush's", i, flush, f)
+				}
+			}
+			for n := rng.Intn(20); n > 0; n-- {
+				addRandomSeries(rng, r)
+			}
+			r.SetNow(rng.Int63())
+		}
+		conflicts += min(int(r.Conflicts()), 1)
+	}
+	// Every case must be well represented for the comparison to mean
+	// anything.
+	if drops < 10 || failures < 5 || multiPage < 10 || conflicts < 10 {
+		t.Fatalf("flushes with drops %d, with a write error %d, of several pages %d; registries with conflicts %d",
+			drops, failures, multiPage, conflicts)
+	}
+	t.Logf("160 flushes: %d with drops, %d with a write error, %d of several pages; %d of 40 registries with conflicts",
+		drops, failures, multiPage, conflicts)
+}
+
+// TestRegistryLookupsAllocateNothing requires a lookup of an existing
+// series, the path an instrumented hot loop takes on every write, to
+// allocate nothing: labelled and unlabelled, and a histogram whose bounds
+// arrive sorted or not.
+func TestRegistryLookupsAllocateNothing(t *testing.T) {
+	r := NewRegistry()
+	ls := Labels{"phase": "page-copy", "stage": "install"}
+	sorted, unsorted := []int64{10, 100, 1000}, []int64{1000, 10, 100, 10}
+	for name, lookup := range map[string]func(){
+		"counter":          func() { r.Counter("ops_total", "", ls).Inc() },
+		"unlabelled gauge": func() { r.Gauge("level", "", nil).Set(2) },
+		"histogram":        func() { r.Histogram("lat_ns", "", sorted, ls).Observe(50) },
+		"unsorted bounds":  func() { r.Histogram("lat_ns", "", unsorted, ls).Observe(50) },
+	} {
+		lookup() // registers the series
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s: a lookup of an existing series allocates %v times", name, n)
+		}
+	}
+	// Each lookup ran once to register and 101 times in AllocsPerRun.
+	s := r.Snapshot()
+	if r.Conflicts() != 0 || s.Get("ops_total", ls).Value != 102 || s.Get("lat_ns", ls).Count != 204 {
+		t.Fatalf("lookups did not reach the registered series: conflicts %d, points %+v", r.Conflicts(), s.Points)
+	}
+}
+
+// referenceSortPoints is sortPoints as it was: a comparison sort that
+// rebuilt both points' label strings in every comparison.
+func referenceSortPoints(pts []Point) {
+	sort.Slice(pts, func(i, j int) bool {
+		if pts[i].Name != pts[j].Name {
+			return pts[i].Name < pts[j].Name
+		}
+		return labelSuffix(canonLabels(pts[i].Labels)) < labelSuffix(canonLabels(pts[j].Labels))
+	})
+}
+
+// TestSortPointsMatchesReference holds sortPoints, which builds each
+// point's label string once, to referenceSortPoints on seeded point sets
+// with shared names, shared label sets and duplicate points: the orders
+// must be identical, ties included, since a torn re-flush can leave one
+// series twice in a salvaged segment.
+func TestSortPointsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 200; i++ {
+		pts := make([]Point, rng.Intn(80))
+		for j := range pts {
+			pts[j] = Point{Name: itoa(rng.Intn(4)), Kind: "counter", Value: int64(j)}
+			if rng.Intn(3) > 0 {
+				pts[j].Labels = Labels{"a": itoa(rng.Intn(3)), itoa(rng.Intn(2)): "v"}
+			}
+		}
+		want := append([]Point(nil), pts...)
+		referenceSortPoints(want)
+		sortPoints(pts)
+		for j := range pts {
+			if pts[j].Value != want[j].Value {
+				t.Fatalf("set %d: position %d holds point %d, reference %d", i, j, pts[j].Value, want[j].Value)
+			}
 		}
 	}
 }

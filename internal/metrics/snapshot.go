@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -54,56 +55,78 @@ type Snapshot struct {
 	Points       []Point `json:"metrics"`
 }
 
-// Snapshot captures every registered series, sorted by series identity,
-// plus the registry's own conflict counter. Safe to call concurrently with
-// writers; a nil registry yields an empty (but well-formed) snapshot.
+// Snapshot captures every registered series, the registry's own conflict
+// counter among them, in sortPoints order, which the registry keeps its
+// series in. Safe to call concurrently with writers; a nil registry yields
+// an empty (but well-formed) snapshot.
 func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{Schema: SchemaVersion}
 	if r == nil {
 		return s
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	s.LogicalNowNS = r.logicalNow
-	ids := make([]string, 0, len(r.by))
-	for id := range r.by {
-		ids = append(ids, id)
+	s.Points = make([]Point, len(r.series))
+	for i, m := range r.series {
+		s.Points[i] = m.point()
 	}
-	sort.Strings(ids)
-	pts := make([]Point, 0, len(ids)+1)
-	for _, id := range ids {
-		pts = append(pts, r.by[id].point())
-	}
-	pts = append(pts, Point{
-		Name:  "owmetrics_conflicts_total",
-		Kind:  KindCounter.String(),
-		Help:  "registrations or merges refused over kind/bucket mismatch",
-		Value: r.conflicts,
-	})
-	r.mu.Unlock()
-	sortPoints(pts)
-	s.Points = pts
 	return s
 }
 
 // sortPoints orders by name, then canonical label string — so every series
-// of one name is contiguous (the Prometheus writer relies on this).
+// of one name is contiguous (the Prometheus writer relies on this). Each
+// point's label string is built once.
 func sortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].Name != pts[j].Name {
-			return pts[i].Name < pts[j].Name
-		}
-		return labelSuffix(canonLabels(pts[i].Labels)) < labelSuffix(canonLabels(pts[j].Labels))
-	})
+	o := pointOrder{pts: pts, labels: make([]string, len(pts))}
+	var pairs []labelPair
+	var buf []byte
+	for i, p := range pts {
+		pairs = canonLabelsInto(pairs, p.Labels)
+		buf = appendLabelSuffix(buf[:0], pairs)
+		o.labels[i] = string(buf)
+	}
+	sort.Sort(o)
 }
 
+// pointOrder sorts points by name, then by their label strings, which move
+// with them.
+type pointOrder struct {
+	pts    []Point
+	labels []string
+}
+
+func (o pointOrder) Len() int { return len(o.pts) }
+
+func (o pointOrder) Less(i, j int) bool {
+	if o.pts[i].Name != o.pts[j].Name {
+		return o.pts[i].Name < o.pts[j].Name
+	}
+	return o.labels[i] < o.labels[j]
+}
+
+func (o pointOrder) Swap(i, j int) {
+	o.pts[i], o.pts[j] = o.pts[j], o.pts[i]
+	o.labels[i], o.labels[j] = o.labels[j], o.labels[i]
+}
+
+// point returns m as a snapshot point.
 func (m *metric) point() Point {
-	p := Point{Name: m.name, Kind: m.kind.String(), Help: m.help}
+	p := m.record(make([]Bucket, 0, len(m.bounds)))
 	if len(m.pairs) > 0 {
 		p.Labels = make(map[string]string, len(m.pairs))
 		for _, lp := range m.pairs {
 			p.Labels[lp.k] = lp.v
 		}
 	}
+	return p
+}
+
+// record returns m as a point without its labels, which the segment
+// encoder takes in canonical order instead, a histogram's buckets appended
+// to buckets[:0].
+func (m *metric) record(buckets []Bucket) Point {
+	p := Point{Name: m.name, Kind: m.kind.String(), Help: m.help}
 	switch m.kind {
 	case KindCounter:
 		p.Value = m.value
@@ -111,9 +134,9 @@ func (m *metric) point() Point {
 		p.Gauge = m.gauge
 	case KindHistogram:
 		p.Sum, p.Count, p.Overflow = m.sum, m.count, m.overflow
-		p.Buckets = make([]Bucket, len(m.bounds))
+		p.Buckets = slices.Grow(buckets[:0], len(m.bounds))
 		for i, le := range m.bounds {
-			p.Buckets[i] = Bucket{Le: le, Count: m.buckets[i]}
+			p.Buckets = append(p.Buckets, Bucket{Le: le, Count: m.buckets[i]})
 		}
 	}
 	return p

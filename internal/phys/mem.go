@@ -9,8 +9,9 @@
 // costs nothing, and a page table or a record page costs the sectors its
 // few words landed on. A frame whose first storing write puts a non-zero
 // byte on every sector (a kernel stack, a full user page) is stored as one
-// page instead, so bulk copies of it stay single, and a frame written with
-// SharePage (kernel text) borrows the caller's page until it is written.
+// page instead, so bulk copies of it stay single, and a frame Generate
+// gives a Pattern (kernel text) stores nothing until it is written: its
+// bytes are computed from their addresses whenever they are read.
 //
 // Everything that matters for Otherworld lives here as raw bytes — the main
 // kernel's heap records, page tables, kernel stacks, user pages, the page
@@ -153,8 +154,8 @@ const chunkFrames = 16
 // one of its frames, and is never replaced or dropped.
 type chunk [chunkFrames]frame
 
-// frame is one frame's storage record: eight sector pointers and a page.
-// It is in one of four states.
+// frame is one frame's storage record: eight sector pointers, a page and a
+// pattern. It is in one of four states.
 //
 //   - Empty (the zero record): the frame has only ever been written zeros
 //     and reads as zeros.
@@ -165,15 +166,15 @@ type chunk [chunkFrames]frame
 //     sector, so it got one page, and its sectors are the page's eight
 //     slices: word accesses take the same path, and bulk copies use the
 //     page directly.
-//   - Shared: a dense frame whose page is borrowed from the caller of
-//     SharePage, with no sectors yet. Reads see the page; the first write
-//     gives the frame a private copy of it, which makes it dense, and Zero
-//     empties it instead. So nothing written to memory reaches the page.
+//   - Generated: no page and no sectors, only the Pattern Generate gave
+//     it. Reads compute the pattern's bytes; the first write gives the
+//     frame a private page filled from the pattern, which makes it dense,
+//     and Zero empties it instead.
 //
 // Owned storage never changes representation, and its sectors and page
 // are never replaced or dropped: a sparse frame that fills up keeps its
-// sectors. Only a shared page is replaced or dropped, at the frame's first
-// write, its Zero or another SharePage.
+// sectors. A generated frame owns nothing to replace; it stops being
+// generated at its first write, its Zero or another Generate.
 //
 // Storage is added without a lock because a Mem and its views have one
 // writer at a time. During a resurrection pass the scan workers only read,
@@ -183,11 +184,8 @@ type chunk [chunkFrames]frame
 type frame struct {
 	sec  [sectorsPerFrame]*[sectorSize]byte
 	page *[PageSize]byte
+	gen  *Pattern
 }
-
-// shared reports whether the frame's page is borrowed: a dense frame's
-// sectors are slices of its page, a shared frame has none.
-func (fr *frame) shared() bool { return fr.page != nil && fr.sec[0] == nil }
 
 // owned reports whether the frame has storage of its own: a sector.
 func (fr *frame) owned() bool { return fr.sec != [sectorsPerFrame]*[sectorSize]byte{} }
@@ -276,6 +274,27 @@ func FrameOf(addr uint64) int { return int(addr / PageSize) }
 // FrameAddr returns the physical address of the first byte of frame f.
 func FrameAddr(f int) uint64 { return uint64(f) * PageSize }
 
+// Pattern is what a generated frame holds: a pure function of the physical
+// address. A frame Generate gives a Pattern reads as the function's bytes
+// until it is written, and memory stores none of them before that.
+// Patterns are told apart by identity, so ReadGenerated and Generated name
+// the very Pattern that Generate was given.
+type Pattern struct {
+	at func(addr uint64) byte
+}
+
+// NewPattern returns the Pattern whose byte at each address is at(addr).
+// at must be pure and safe to call from several goroutines at once: every
+// read of a generated frame, through any View, calls it again.
+func NewPattern(at func(addr uint64) byte) *Pattern { return &Pattern{at: at} }
+
+// fill writes the pattern's bytes for addr onward into dst.
+func (p *Pattern) fill(addr uint64, dst []byte) {
+	for i := range dst {
+		dst[i] = p.at(addr + uint64(i))
+	}
+}
+
 // record returns installed frame f's storage record, or nil if its chunk
 // has none.
 func (m *Mem) record(f int) *frame {
@@ -317,8 +336,8 @@ func (m *Mem) Absorb(v *Mem) {
 }
 
 // ReadAt copies len(buf) bytes starting at addr into buf. Bytes of frames
-// and sectors without storage read as zeros; a dense or shared frame is
-// copied in one piece.
+// and sectors without storage read as zeros, a dense frame is copied in
+// one piece, and a generated frame's bytes are computed into buf.
 func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -336,6 +355,9 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 			n = copy(buf, fr.page[addr%PageSize:])
 		case fr.sec[addr/sectorSize%sectorsPerFrame] != nil:
 			n = copy(buf, fr.sec[addr/sectorSize%sectorsPerFrame][addr%sectorSize:])
+		case fr.gen != nil:
+			n = min(len(buf), PageSize-int(addr%PageSize))
+			fr.gen.fill(addr, buf[:n])
 		default:
 			n = min(len(buf), fr.unstored(int(addr%PageSize)))
 			clear(buf[:n])
@@ -346,27 +368,37 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	return nil
 }
 
-// ReadShared counts a read of the n bytes at addr exactly as a ReadAt of
-// them would, and reports true, if every frame those bytes touch still
-// shares the page SharePage gave it from pages: pages[i] for frame
-// FrameOf(addr)+i. The bytes are then the pages' own, so it copies
-// nothing. Otherwise it counts nothing and reports false, and the caller
-// reads the bytes with ReadAt.
-func (m *Mem) ReadShared(addr uint64, n int, pages []*[PageSize]byte) bool {
+// ReadGenerated counts a read of the n bytes at addr exactly as ReadAt
+// would, copying nothing, and reports whether p still generates every
+// frame those bytes touch, in which case they are p's bytes. It counts the
+// read whatever it reports, so a caller that learns some frame was written
+// copies that frame with CopyFrame, which counts nothing, and its read is
+// still counted once. Out of range it counts nothing and reports false.
+func (m *Mem) ReadGenerated(addr uint64, n int, p *Pattern) bool {
 	if m.check(addr, n) != nil {
 		return false
 	}
-	for f, i := FrameOf(addr), 0; FrameAddr(f) < addr+uint64(n); f, i = f+1, i+1 {
-		if i >= len(pages) || pages[i] == nil {
-			return false
-		}
-		if fr := m.record(f); fr == nil || fr.page != pages[i] || !fr.shared() {
+	m.stats.ReadOps++
+	m.stats.ReadBytes += int64(n)
+	for f := FrameOf(addr); n > 0 && FrameAddr(f) < addr+uint64(n); f++ {
+		if !m.generated(f, p) {
 			return false
 		}
 	}
-	m.stats.ReadOps++
-	m.stats.ReadBytes += int64(n)
 	return true
+}
+
+// Generated reports whether frame f is still generated by p: Generate gave
+// it p, and nothing has written, zeroed or generated it since. Like Kind,
+// it counts nothing.
+func (m *Mem) Generated(f int, p *Pattern) bool {
+	return f >= 0 && f < m.NumFrames() && m.generated(f, p)
+}
+
+// generated is Generated for an installed frame.
+func (m *Mem) generated(f int, p *Pattern) bool {
+	fr := m.record(f)
+	return p != nil && fr != nil && fr.gen == p
 }
 
 // WriteAt copies buf into memory at addr, honoring write protection: if any
@@ -374,8 +406,9 @@ func (m *Mem) ReadShared(addr uint64, n int, pages []*[PageSize]byte) bool {
 // *ProtectionFault is returned. A zero-length write touches the frame that
 // holds addr, if there is one. The part of buf that lands on a sector
 // without storage gives it storage only if it holds a non-zero byte; all
-// zeros there change nothing, yet the write counts in full. A shared frame
-// the write lands on gets a private copy of its page first.
+// zeros there change nothing, yet the write counts in full. A generated
+// frame the write lands on gets a private page filled from its pattern
+// first.
 func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -397,7 +430,7 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 		fr := m.record(FrameOf(addr))
 		switch {
 		case fr == nil || fr.sec[addr/sectorSize%sectorsPerFrame] == nil:
-			// No storage here yet, or a shared frame.
+			// No storage here yet, or a generated frame.
 			n = min(len(buf), PageSize-int(addr%PageSize))
 			m.write(FrameOf(addr), int(addr%PageSize), buf[:n])
 		case fr.page != nil:
@@ -412,15 +445,16 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 }
 
 // write copies src onto frame f at off; src must not run past the frame.
-// A shared frame first gets a private copy of its page. An empty frame
-// gets storage only if src holds a non-zero byte: one page if src puts one
-// on every sector, sectors otherwise.
+// A generated frame first gets a private page filled from its pattern. An
+// empty frame gets storage only if src holds a non-zero byte: one page if
+// src puts one on every sector, sectors otherwise.
 func (m *Mem) write(f, off int, src []byte) {
 	fr := m.record(f)
 	switch {
-	case fr != nil && fr.shared():
+	case fr != nil && fr.gen != nil:
 		p := new([PageSize]byte)
-		*p = *fr.page
+		fr.gen.fill(FrameAddr(f), p[:])
+		fr.gen = nil
 		fr.setPage(p)
 	case fr == nil || !fr.owned():
 		stored := storedSectors(off, src)
@@ -435,15 +469,13 @@ func (m *Mem) write(f, off int, src []byte) {
 	fr.write(off, src)
 }
 
-// SharePage writes page over frame f with the effect, the counts and the
-// protection check of WriteAt(FrameAddr(f), page[:]), but where the frame
-// has no storage of its own it shares page instead of copying it: the
-// page becomes the frame's storage until the frame's first write, its Zero
-// or the next SharePage. A frame with owned storage is written as WriteAt
-// would write it, and an all-zero page needs no storage, so it only ends a
-// share. The caller must never change page afterwards; memory never
-// writes to it.
-func (m *Mem) SharePage(f int, page *[PageSize]byte) error {
+// Generate writes p's bytes over frame f with the effect, the counts and
+// the protection check of a WriteAt of them, but where the frame has no
+// storage of its own it stores none: the frame reads as p until its first
+// write, which gives it a private page filled from p, its Zero, which
+// empties it, or another Generate. A frame with owned storage is written
+// as WriteAt would write it. p must not be nil.
+func (m *Mem) Generate(f int, p *Pattern) error {
 	if f < 0 || f >= m.NumFrames() {
 		return ErrOutOfRange
 	}
@@ -453,23 +485,20 @@ func (m *Mem) SharePage(f int, page *[PageSize]byte) error {
 	}
 	m.stats.WriteOps++
 	m.stats.WriteBytes += PageSize
-	fr := m.record(f)
-	switch {
-	case fr != nil && fr.owned():
+	if fr := m.record(f); fr != nil && fr.owned() {
+		var page [PageSize]byte
+		p.fill(FrameAddr(f), page[:])
 		fr.write(0, page[:])
-	case PageIsZero(page[:]):
-		if fr != nil {
-			*fr = frame{}
-		}
-	default:
-		*m.store(f) = frame{page: page}
+		return nil
 	}
+	*m.store(f) = frame{gen: p}
 	return nil
 }
 
 // ReadU64 reads a little-endian 64-bit word, counted as one 8-byte ReadAt.
-// An aligned word lies in one sector and is read there directly, or from a
-// shared page; only an unaligned one goes through ReadAt.
+// An aligned word lies in one sector and is read there directly, or
+// computed from a generated frame's pattern; only an unaligned one goes
+// through ReadAt.
 func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 	if addr%8 != 0 {
 		var b [8]byte
@@ -491,10 +520,12 @@ func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 	fr := &c[f%chunkFrames]
 	s := fr.sec[addr/sectorSize%sectorsPerFrame]
 	if s == nil {
-		if fr.page == nil {
+		if fr.gen == nil {
 			return 0, nil
 		}
-		return binary.LittleEndian.Uint64(fr.page[addr%PageSize:]), nil
+		var b [8]byte
+		fr.gen.fill(addr, b[:])
+		return binary.LittleEndian.Uint64(b[:]), nil
 	}
 	return binary.LittleEndian.Uint64(s[addr%sectorSize:]), nil
 }
@@ -503,8 +534,8 @@ func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 // counted as one 8-byte WriteAt. An aligned word lies in one sector and,
 // once the sector has storage, is written there directly; only an
 // unaligned one goes through WriteAt. Like WriteAt, a zero word gives a
-// sector without storage none, and a shared frame gets a private copy of
-// its page first.
+// sector without storage none, and a generated frame gets a private page
+// filled from its pattern first.
 func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	if addr%8 != 0 {
 		var b [8]byte
@@ -593,7 +624,7 @@ func (m *Mem) CountKind(k FrameKind) int {
 
 // Zero clears frame f, honoring protection: stored sectors are cleared in
 // place, a sector without storage is already zero and keeps none, and a
-// shared frame stops sharing its page, which stays as it was, and is empty.
+// generated frame stops being generated and is empty.
 func (m *Mem) Zero(f int) error {
 	if f < 0 || f >= m.NumFrames() {
 		return ErrOutOfRange
@@ -606,7 +637,7 @@ func (m *Mem) Zero(f int) error {
 	m.stats.WriteBytes += PageSize
 	switch fr := m.record(f); {
 	case fr == nil:
-	case fr.shared():
+	case fr.gen != nil:
 		*fr = frame{}
 	default:
 		for _, s := range fr.sec {

@@ -92,10 +92,10 @@ const (
 	opZero
 	opProtect
 	opCopyFrame
-	opView   // later ops go through a fresh View of the Mem
-	opAbsorb // the Mem absorbs the newest view; later ops go to the one before
-	opShare  // SharePage of one of sharePages, which the reference writes
-	opReadShared
+	opView     // later ops go through a fresh View of the Mem
+	opAbsorb   // the Mem absorbs the newest view; later ops go to the one before
+	opGenerate // Generate with one of genPatterns, which the reference writes
+	opReadGenerated
 	numMemOps
 )
 
@@ -112,16 +112,21 @@ const (
 	sparsePat = 0xf0
 )
 
-// sharePages are the pages opShare installs and opReadShared names: one
-// with a non-zero byte on every sector, one with some sectors all zero,
-// and one all zero. Nothing may ever change them.
-var sharePages = func() (out [3]*[PageSize]byte) {
-	for i, pat := range []byte{0x3c, sparsePat | 3, 0} {
-		out[i] = new([PageSize]byte)
-		fill(out[i][:], pat)
-	}
-	return out
-}()
+// genPatterns are the patterns opGenerate gives and opReadGenerated names:
+// one with a non-zero byte on every sector, one that is zero on every
+// third sector and on part of the others, and one all zero. Each byte
+// depends on its address, frame number included, so bytes computed for the
+// wrong address show.
+var genPatterns = [...]*Pattern{
+	NewPattern(func(a uint64) byte { return 0x3c ^ byte(a*31) ^ byte(a/PageSize) }),
+	NewPattern(func(a uint64) byte {
+		if a%768 >= 256 {
+			return 0
+		}
+		return 0xf3 ^ byte(a*7) ^ byte(a/PageSize)
+	}),
+	NewPattern(func(uint64) byte { return 0 }),
+}
 
 // memOp is one decoded op. Addresses reach a frame past the end of memory
 // (or far beyond it), lengths reach three frames, and frame numbers reach
@@ -132,7 +137,7 @@ type memOp struct {
 	n    int
 	pat  byte
 	f    int
-	arg  int // the Protect flag in bit 0; the share page for opShare and opReadShared
+	arg  int // the Protect flag in bit 0; the pattern for opGenerate and opReadGenerated
 }
 
 func decodeMemOps(data []byte) []memOp {
@@ -207,22 +212,13 @@ func wordOf(op memOp) uint64 {
 	return uint64(op.pat)*0x0101010101010101 ^ op.addr
 }
 
-// sharePage is the page opShare installs and opReadShared names.
-func sharePage(op memOp) *[PageSize]byte { return sharePages[op.arg%len(sharePages)] }
-
-// sharedRun is the page list opReadShared passes: op.pat%4 copies of its
-// share page, so a read that touches more frames than that must fail.
-func sharedRun(op memOp) []*[PageSize]byte {
-	run := make([]*[PageSize]byte, op.pat%4)
-	for i := range run {
-		run[i] = sharePage(op)
-	}
-	return run
-}
+// genPattern is the pattern opGenerate gives and opReadGenerated names.
+func genPattern(op memOp) *Pattern { return genPatterns[op.arg%len(genPatterns)] }
 
 // written returns the address and bytes op writes if it succeeds, and
-// whether it is a write at all: WriteAt's, WriteU64's and SharePage's,
-// which the model treats as a WriteAt of the page.
+// whether it is a write at all: WriteAt's, WriteU64's and Generate's,
+// which the model treats as a WriteAt of the pattern's bytes for the
+// frame.
 func written(op memOp) (addr uint64, buf []byte, ok bool) {
 	switch op.code {
 	case opWriteAt:
@@ -231,8 +227,10 @@ func written(op memOp) (addr uint64, buf []byte, ok bool) {
 		return op.addr, buf, true
 	case opWriteU64:
 		return op.addr, binary.LittleEndian.AppendUint64(nil, wordOf(op)), true
-	case opShare:
-		return FrameAddr(op.f), sharePage(op)[:], true
+	case opGenerate:
+		buf = make([]byte, PageSize)
+		genPattern(op).fill(FrameAddr(op.f), buf)
+		return FrameAddr(op.f), buf, true
 	}
 	return 0, nil, false
 }
@@ -252,16 +250,16 @@ func effects(op memOp) (frames [fuzzFrames]bool, nonZero [fuzzFrames * sectorsPe
 }
 
 // contents returns m's bytes without going through the counted accessors:
-// a shared frame's page, and otherwise sector by sector (a dense frame's
-// sectors are slices of its page).
+// a generated frame's pattern, and otherwise sector by sector (a dense
+// frame's sectors are slices of its page).
 func contents(m *Mem) []byte {
 	out := make([]byte, m.Size())
 	for f := 0; f < m.NumFrames(); f++ {
 		fr := m.record(f)
 		switch {
 		case fr == nil:
-		case fr.shared():
-			copy(out[FrameAddr(f):], fr.page[:])
+		case fr.gen != nil:
+			fr.gen.fill(FrameAddr(f), out[FrameAddr(f):][:PageSize])
 		default:
 			for i, sec := range fr.sec {
 				if sec != nil {
@@ -273,33 +271,32 @@ func contents(m *Mem) []byte {
 	return out
 }
 
-// storage is a copy of one frame's storage pointers and its chunk's.
+// storage is a copy of one frame's storage pointers, its pattern and its
+// chunk.
 type storage struct {
 	chunk *chunk
 	page  *[PageSize]byte
 	sec   [sectorsPerFrame]*[sectorSize]byte
+	gen   *Pattern
 }
 
 // owned reports whether the frame had storage of its own.
 func (s storage) owned() bool { return s.sec != [sectorsPerFrame]*[sectorSize]byte{} }
-
-// shared reports whether the frame shared a page.
-func (s storage) shared() bool { return s.page != nil && !s.owned() }
 
 func storageOf(m *Mem) []storage {
 	out := make([]storage, m.NumFrames())
 	for f := range out {
 		out[f].chunk = m.chunks[f/chunkFrames]
 		if fr := m.record(f); fr != nil {
-			out[f].page, out[f].sec = fr.page, fr.sec
+			out[f].page, out[f].sec, out[f].gen = fr.page, fr.sec, fr.gen
 		}
 	}
 	return out
 }
 
-// isSharePage reports whether p is one of sharePages.
-func isSharePage(p *[PageSize]byte) bool {
-	for _, q := range sharePages {
+// isGenPattern reports whether p is one of genPatterns.
+func isGenPattern(p *Pattern) bool {
+	for _, q := range genPatterns {
 		if p == q {
 			return true
 		}
@@ -310,31 +307,34 @@ func isSharePage(p *[PageSize]byte) bool {
 // checkStorage fails unless the change from before to after, made by op
 // with error err, keeps the storage rules:
 //   - a chunk appears exactly when a successful op stores a non-zero byte
-//     in one of its frames, and is never replaced or dropped;
+//     in one of its frames or generates one of them, and is never replaced
+//     or dropped;
 //   - owned storage keeps every page and sector it has, and a sector
 //     gains storage exactly when a successful write puts a non-zero byte
 //     on it;
 //   - a frame without storage gains a whole page exactly when its first
 //     storing write puts a non-zero byte on every sector, and a dense
 //     frame's sectors are its page's slices;
-//   - a successful SharePage makes a frame without owned storage share a
-//     page that holds a non-zero byte, and leaves it empty otherwise;
-//   - a shared frame keeps its page until a successful op writes a byte
-//     on it, which gives it a private page with the same bytes, or Zero
-//     empties it; and a frame only ever shares one of sharePages.
+//   - a successful Generate makes a frame without owned storage generated
+//     by the op's pattern, with no storage, whatever the pattern's bytes;
+//   - a generated frame has no storage until a successful op writes a
+//     byte on it, which gives it a private page (the memory check holds
+//     its bytes to the pattern's), or Zero empties it; and a frame is only
+//     ever generated by one of genPatterns, and only through Generate, so
+//     one that stops being generated stays so until the next Generate.
 func checkStorage(t *testing.T, i int, op memOp, err error, before, after []storage) {
 	t.Helper()
 	wrote, nonZero := effects(op)
 	if err != nil {
 		wrote, nonZero = [fuzzFrames]bool{}, [fuzzFrames * sectorsPerFrame]bool{}
 	}
-	share := err == nil && op.code == opShare
+	generate := err == nil && op.code == opGenerate
 	zeroed := err == nil && op.code == opZero
 	var stores [fuzzFrames/chunkFrames + 1]bool
 	for f := range after {
 		b, a := before[f], after[f]
-		sharedNow := share && f == op.f && !b.owned() && !PageIsZero(sharePage(op)[:])
-		stores[f/chunkFrames] = stores[f/chunkFrames] || sharedNow
+		generatedNow := generate && f == op.f && !b.owned()
+		stores[f/chunkFrames] = stores[f/chunkFrames] || generatedNow
 		for s := 0; s < sectorsPerFrame; s++ {
 			stores[f/chunkFrames] = stores[f/chunkFrames] || nonZero[f*sectorsPerFrame+s]
 		}
@@ -348,8 +348,8 @@ func checkStorage(t *testing.T, i int, op memOp, err error, before, after []stor
 				}
 			}
 		}
-		if a.shared() != isSharePage(a.page) {
-			t.Fatalf("op %d %+v: frame %d shares %v, want one of sharePages", i, op, f, a.shared())
+		if a.gen != nil && (a.page != nil || a.owned() || !isGenPattern(a.gen)) {
+			t.Fatalf("op %d %+v: frame %d is generated with storage or by a foreign pattern", i, op, f)
 		}
 		switch {
 		case b.owned():
@@ -365,25 +365,25 @@ func checkStorage(t *testing.T, i int, op memOp, err error, before, after []stor
 					t.Fatalf("op %d %+v: frame %d sector %d has storage %v, want %v", i, op, f, s, a.sec[s] != nil, want)
 				}
 			}
-		case sharedNow:
-			if a.page != sharePage(op) || !a.shared() {
-				t.Fatalf("op %d %+v: frame %d does not share the page it was given", i, op, f)
+		case generatedNow:
+			if a.gen != genPattern(op) {
+				t.Fatalf("op %d %+v: frame %d is not generated by the pattern it was given", i, op, f)
 			}
-		case share && f == op.f, b.shared() && zeroed && f == op.f:
-			if a.page != nil || a.owned() {
-				t.Fatalf("op %d %+v: frame %d has storage, want none", i, op, f)
+		case b.gen != nil && zeroed && f == op.f:
+			if a.page != nil || a.owned() || a.gen != nil {
+				t.Fatalf("op %d %+v: frame %d has storage or a pattern, want none", i, op, f)
 			}
-		case b.shared() && wrote[f]:
-			if a.page == nil || a.page == b.page || !a.owned() {
-				t.Fatalf("op %d %+v: written shared frame %d has no private page", i, op, f)
+		case b.gen != nil && wrote[f]:
+			if a.page == nil || !a.owned() || a.gen != nil {
+				t.Fatalf("op %d %+v: written generated frame %d has no private page", i, op, f)
 			}
-		case b.shared():
+		case b.gen != nil:
 			if a != b {
-				t.Fatalf("op %d %+v: shared frame %d changed its storage", i, op, f)
+				t.Fatalf("op %d %+v: generated frame %d changed its storage", i, op, f)
 			}
 		default: // no storage before
-			if a.shared() {
-				t.Fatalf("op %d %+v: frame %d shares a page it was not given", i, op, f)
+			if a.gen != nil {
+				t.Fatalf("op %d %+v: frame %d is generated without a Generate", i, op, f)
 			}
 			all := true
 			for s := range a.sec {
@@ -418,16 +418,15 @@ func sumStats(ss ...Stats) Stats {
 	return out
 }
 
-// readsShared reports whether ReadShared(op.addr, op.n, sharedRun(op))
-// must succeed on memory with storage st: the range is inside memory and
-// every frame it touches shares the page the run names for it.
-func readsShared(op memOp, st []storage) bool {
+// readsGenerated reports whether ReadGenerated(op.addr, op.n,
+// genPattern(op)) must report true on memory with storage st: the range is
+// inside memory and the op's pattern generates every frame it touches.
+func readsGenerated(op memOp, st []storage) bool {
 	if op.addr > fuzzFrames*PageSize || op.addr+uint64(op.n) > fuzzFrames*PageSize {
 		return false
 	}
-	run := sharedRun(op)
-	for f, i := FrameOf(op.addr), 0; FrameAddr(f) < op.addr+uint64(op.n); f, i = f+1, i+1 {
-		if i >= len(run) || !st[f].shared() || st[f].page != run[i] {
+	for a := op.addr; a < op.addr+uint64(op.n); a++ {
+		if st[FrameOf(a)].gen != genPattern(op) {
 			return false
 		}
 	}
@@ -441,16 +440,13 @@ func readsShared(op memOp, st []storage) bool {
 // Mem and the current view must both show the reference's memory and
 // protection, and the Mem's Stats plus every unabsorbed view's must sum to
 // the reference's. It also checks the storage itself after every op, with
-// checkStorage, and that sharePages never change.
+// checkStorage, and that Generated, through the Mem and the current view,
+// names exactly the frames each pattern generates.
 func replayMemOps(t *testing.T, ops []memOp) {
 	t.Helper()
 	root, ref := NewMem(fuzzFrames*PageSize), newFlatMem(fuzzFrames)
 	m := root // the Mem or view the next op goes through
 	var views []*Mem
-	var pristine [len(sharePages)][PageSize]byte
-	for i, p := range sharePages {
-		pristine[i] = *p
-	}
 	for i, op := range ops {
 		var got, want error
 		var gotBuf, wantBuf []byte
@@ -462,10 +458,10 @@ func replayMemOps(t *testing.T, ops []memOp) {
 			fill(gotBuf, 0xee)
 			fill(wantBuf, 0xee)
 			got, want = m.ReadAt(op.addr, gotBuf), ref.readAt(op.addr, wantBuf)
-		case opWriteAt, opShare:
+		case opWriteAt, opGenerate:
 			addr, buf, _ := written(op)
-			if op.code == opShare {
-				got = m.SharePage(op.f, sharePage(op))
+			if op.code == opGenerate {
+				got = m.Generate(op.f, genPattern(op))
 			} else {
 				got = m.WriteAt(addr, buf)
 			}
@@ -498,23 +494,14 @@ func replayMemOps(t *testing.T, ops []memOp) {
 			} else {
 				copy(wantBuf, ref.frame(op.f))
 			}
-		case opReadShared:
-			// A shared read counts as the ReadAt it stands for and holds the
-			// pages' bytes; any other counts nothing.
-			ok := m.ReadShared(op.addr, op.n, sharedRun(op))
-			if ok != readsShared(op, before) {
-				t.Fatalf("op %d %+v: ReadShared = %v", i, op, ok)
+		case opReadGenerated:
+			// The check counts as the ReadAt it stands for whatever it
+			// reports, and a range outside memory counts nothing.
+			ok := m.ReadGenerated(op.addr, op.n, genPattern(op))
+			if ok != readsGenerated(op, before) {
+				t.Fatalf("op %d %+v: ReadGenerated = %v", i, op, ok)
 			}
-			if ok {
-				wantBuf = make([]byte, op.n)
-				if want = ref.readAt(op.addr, wantBuf); want != nil {
-					t.Fatalf("op %d %+v: a shared read of bytes outside memory", i, op)
-				}
-				gotBuf = make([]byte, 0, op.n)
-				for a := op.addr; a < op.addr+uint64(op.n); a++ {
-					gotBuf = append(gotBuf, sharePage(op)[a%PageSize])
-				}
-			}
+			_ = ref.readAt(op.addr, make([]byte, op.n))
 		case opView:
 			views = append(views, root.View())
 			m = views[len(views)-1]
@@ -552,21 +539,26 @@ func replayMemOps(t *testing.T, ops []memOp) {
 		if sumStats(all...) != ref.stats {
 			t.Fatalf("op %d %+v: stats %+v, reference %+v", i, op, all, ref.stats)
 		}
-		checkStorage(t, i, op, got, before, storageOf(root))
-		for j, p := range sharePages {
-			if *p != pristine[j] {
-				t.Fatalf("op %d %+v: share page %d changed", i, op, j)
+		after := storageOf(root)
+		checkStorage(t, i, op, got, before, after)
+		for _, p := range genPatterns {
+			for f := -1; f <= fuzzFrames; f++ {
+				want := f >= 0 && f < fuzzFrames && after[f].gen == p
+				if root.Generated(f, p) != want || m.Generated(f, p) != want {
+					t.Fatalf("op %d %+v: Generated(%d) = %v, want %v", i, op, f, m.Generated(f, p), want)
+				}
 			}
 		}
 	}
 }
 
 // FuzzMemOps replays decoded ReadAt/WriteAt/ReadU64/WriteU64/Zero/Protect/
-// CopyFrame/SharePage/ReadShared sequences and View/Absorb on a Mem of a
+// CopyFrame/Generate/ReadGenerated sequences and View/Absorb on a Mem of a
 // chunk and a part and on a flat byte-array reference model, which takes
-// each SharePage as a WriteAt of the page, and requires identical results
-// after every op, storage that keeps checkStorage's rules, and share pages
-// that never change. The seed corpus runs as a unit test.
+// each Generate as a WriteAt of the pattern's bytes, and requires
+// identical results after every op, storage that keeps checkStorage's
+// rules, and Generated answers that match the storage. The seed corpus
+// runs as a unit test.
 func FuzzMemOps(f *testing.F) {
 	const end = fuzzFrames * PageSize
 	seq := func(ops ...[]byte) []byte { return bytes.Join(ops, nil) }
@@ -751,58 +743,69 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opWriteAt, end-PageSize, PageSize, 0xf4, 0, 0),
 		encodeMemOp(opCopyFrame, 0, PageSize, 0, fuzzFrames-1, 0),
 	))
-	// Shared frames: SharePage into a missing chunk and an empty frame;
-	// shared reads over two frames that share the named page, with too
-	// short a page list, naming another page, of no bytes and past the end;
-	// reads, words and copies of shared frames; a word and a zero-length
-	// write onto shared frames; Zero of a shared frame; the zero page and a
-	// replacing share; a share onto owned sparse and dense storage; a
-	// refused and out-of-range share; a write through a view onto a shared
-	// frame of the second chunk; an unaligned word across two shared
-	// frames.
+	// Generated frames: Generate into a missing chunk and an empty frame;
+	// still-generated checks over two frames the named pattern generates,
+	// naming another pattern, reaching a frame it does not generate, of no
+	// bytes, at and past the end; reads, aligned and unaligned words and
+	// copies of generated frames; a word straddling a generated frame and a
+	// zero-length write onto one; Zero of a generated frame; the zero
+	// pattern onto owned storage and onto an empty frame; a replacing
+	// Generate; a zero write onto a generated frame; a Generate onto owned
+	// sparse and dense storage; a refused and out-of-range Generate; a
+	// write through a view onto a generated frame of the second chunk; an
+	// unaligned word across two generated frames; Generate again onto a
+	// zeroed generated frame and onto a zeroed dense one.
 	f.Add(seq(
-		encodeMemOp(opShare, 0, 0, 0, 2, 0),
-		encodeMemOp(opShare, 0, 0, 0, 3, 0),
-		encodeMemOp(opReadShared, 2*PageSize+100, PageSize, 2, 0, 0),
-		encodeMemOp(opReadShared, 2*PageSize+100, PageSize, 1, 0, 0),
-		encodeMemOp(opReadShared, 2*PageSize+100, PageSize, 2, 0, 1),
-		encodeMemOp(opReadShared, 2*PageSize, 0, 0, 0, 0),
-		encodeMemOp(opReadShared, end, 0, 0, 0, 0),
-		encodeMemOp(opReadShared, end-8, 16, 3, 0, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 2, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 3, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize+100, PageSize, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize+100, PageSize, 0, 0, 1),
+		encodeMemOp(opReadGenerated, 2*PageSize+100, 2*PageSize, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize+100, 0, 0, 0, 1),
+		encodeMemOp(opReadGenerated, end, 0, 0, 0, 0),
+		encodeMemOp(opReadGenerated, end-8, 16, 0, 0, 0),
 		encodeMemOp(opReadAt, 2*PageSize-8, PageSize+16, 0, 0, 0),
 		encodeMemOp(opReadU64, 2*PageSize+640, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, 3*PageSize-3, 0, 0, 0, 0),
 		encodeMemOp(opCopyFrame, 0, PageSize, 0, 2, 0),
+		encodeMemOp(opCopyFrame, 0, 100, 0, 3, 0),
 		encodeMemOp(opWriteU64, 4*PageSize-4, 0, 0x51, 0, 0),
-		encodeMemOp(opShare, 0, 0, 0, 3, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 3, 0),
 		encodeMemOp(opWriteAt, 3*PageSize+10, 0, 0x52, 0, 0),
-		encodeMemOp(opReadShared, 2*PageSize, 2*PageSize, 2, 0, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize, 2*PageSize, 0, 0, 0),
 		encodeMemOp(opWriteU64, 3*PageSize+8, 0, 0x53, 0, 0),
-		encodeMemOp(opReadShared, 2*PageSize, 2*PageSize, 2, 0, 0),
-		encodeMemOp(opReadShared, 2*PageSize, PageSize, 1, 0, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize, 2*PageSize, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize, PageSize, 0, 0, 0),
 		encodeMemOp(opZero, 0, 0, 0, 2, 0),
-		encodeMemOp(opReadShared, 2*PageSize, PageSize, 1, 0, 0),
-		encodeMemOp(opShare, 0, 0, 0, 4, 2),
-		encodeMemOp(opShare, 0, 0, 0, 5, 1),
-		encodeMemOp(opShare, 0, 0, 0, 5, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 4, 2),
+		encodeMemOp(opGenerate, 0, 0, 0, 5, 1),
+		encodeMemOp(opReadGenerated, 5*PageSize, PageSize, 0, 0, 1),
+		encodeMemOp(opGenerate, 0, 0, 0, 5, 0),
 		encodeMemOp(opWriteAt, 5*PageSize+700, 300, 0, 0, 0),
-		encodeMemOp(opShare, 0, 0, 0, 6, 1),
-		encodeMemOp(opShare, 0, 0, 0, 6, 2),
+		encodeMemOp(opGenerate, 0, 0, 0, 6, 2),
+		encodeMemOp(opReadGenerated, 6*PageSize, PageSize, 0, 0, 2),
 		encodeMemOp(opWriteAt, PageSize+100, 40, 0x54, 0, 0),
-		encodeMemOp(opShare, 0, 0, 0, 1, 1),
-		encodeMemOp(opShare, 0, 0, 0, 5, 1),
+		encodeMemOp(opGenerate, 0, 0, 0, 1, 1),
+		encodeMemOp(opGenerate, 0, 0, 0, 5, 1),
 		encodeMemOp(opProtect, 0, 0, 0, 7, 1),
-		encodeMemOp(opShare, 0, 0, 0, 7, 0),
-		encodeMemOp(opShare, 0, 0, 0, -1, 0),
-		encodeMemOp(opShare, 0, 0, 0, fuzzFrames, 0),
-		encodeMemOp(opShare, 0, 0, 0, chunkFrames+1, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 7, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, -1, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, fuzzFrames, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, chunkFrames+1, 0),
 		encodeMemOp(opView, 0, 0, 0, 0, 0),
-		encodeMemOp(opReadShared, (chunkFrames+1)*PageSize, PageSize, 1, 0, 0),
+		encodeMemOp(opReadGenerated, (chunkFrames+1)*PageSize, PageSize, 0, 0, 0),
 		encodeMemOp(opWriteAt, (chunkFrames+1)*PageSize+4000, 200, 0x55, 0, 0),
 		encodeMemOp(opAbsorb, 0, 0, 0, 0, 0),
-		encodeMemOp(opShare, 0, 0, 0, 8, 0),
-		encodeMemOp(opShare, 0, 0, 0, 9, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 8, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 9, 1),
 		encodeMemOp(opWriteU64, 9*PageSize-4, 0, 0x56, 0, 0),
 		encodeMemOp(opReadAt, 8*PageSize, 2*PageSize, 0, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 6, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 6, 1),
+		encodeMemOp(opZero, 0, 0, 0, 9, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 9, 0),
+		encodeMemOp(opReadAt, 5*PageSize, 5*PageSize/2, 0, 0, 0),
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayMemOps(t, decodeMemOps(data))

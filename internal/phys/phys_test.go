@@ -449,7 +449,7 @@ func held(m *Mem, f int) (sectors int, dense bool) {
 // a WAL-shaped page, a header and a trailing CRC at opposite ends, stores
 // its first and last sectors; a full non-zero page stores one page; zero
 // writes store nothing. The allowance over the stored bytes, 256 B a
-// frame, covers its 72 B record in a chunk and what the race detector
+// frame, covers its 80 B record in a chunk and what the race detector
 // adds; a whole page per frame would exceed it many times over.
 func TestFrameStorageCost(t *testing.T) {
 	const frames, slack = 64, 256
