@@ -80,7 +80,10 @@ type CrashModel struct {
 	rng *sim.RNG
 
 	depth int
-	log   []logEntry
+	// log holds the volatile writes, oldest first. Its backing array
+	// lives as long as the model: aging, barriers and crashes retire
+	// entries in place and clear them, so their preimages can be freed.
+	log []logEntry
 	// pre is the buffer each write's preimage is read into; only a
 	// preimage with a non-zero byte is copied out of it.
 	pre []byte
@@ -153,9 +156,11 @@ func (m *CrashModel) Write(path string, off int64, data []byte) (int, error) {
 		return n, err
 	}
 	m.log = append(m.log, ent)
-	if len(m.log) > m.depth {
+	if aged := len(m.log) - m.depth; aged > 0 {
 		// The oldest write ages out of drive RAM onto the platter: durable.
-		m.log = append([]logEntry(nil), m.log[len(m.log)-m.depth:]...)
+		kept := copy(m.log, m.log[aged:])
+		clear(m.log[kept:])
+		m.log = m.log[:kept]
 	}
 	return n, nil
 }
@@ -187,7 +192,10 @@ func (m *CrashModel) preimage(path string, off int64, n int) ([]byte, error) {
 
 // Barrier drains the volatile cache: everything written so far is durable.
 // This is the block-layer half of fsync.
-func (m *CrashModel) Barrier() { m.log = nil }
+func (m *CrashModel) Barrier() {
+	clear(m.log)
+	m.log = m.log[:0]
+}
 
 // CrashNow applies the crash-time block-layer consequences: roll back a
 // seeded number of the newest volatile writes (restoring their preimages,
@@ -197,7 +205,7 @@ func (m *CrashModel) Barrier() { m.log = nil }
 func (m *CrashModel) CrashNow() (CrashReport, error) {
 	rep := CrashReport{Fired: true}
 	log := m.log
-	m.log = nil
+	defer m.Barrier() // the log empties whatever the crash did
 	if m.armRollback && len(log) > 0 {
 		k := m.rng.Intn(len(log) + 1)
 		for i := len(log) - 1; i >= len(log)-k; i-- {

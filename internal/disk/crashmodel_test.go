@@ -505,3 +505,35 @@ func BenchmarkCrashModel(b *testing.B) {
 		}
 	})
 }
+
+// TestCrashModelLogReusesStorage: the volatile log keeps one backing array.
+// Writes over a hole have all-zero preimages, which share the zero page, so
+// once the log has reached its depth a stream of them, aging the oldest out
+// and drained by barriers, allocates nothing.
+func TestCrashModelLogReusesStorage(t *testing.T) {
+	const page = 4096
+	f := fs.New()
+	if err := f.Create("wal"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate("wal", 64*page); err != nil {
+		t.Fatal(err)
+	}
+	m := NewCrashModel(f, 1, 0)
+	zeros := make([]byte, page)
+	round := func() {
+		for i := 0; i < DefaultCacheDepth+8; i++ {
+			if _, err := m.Write("wal", int64(i)*page, zeros); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if m.PendingWrites() != DefaultCacheDepth {
+			t.Fatalf("%d pending writes, want the depth %d", m.PendingWrites(), DefaultCacheDepth)
+		}
+		m.Barrier()
+	}
+	round()
+	if n := testing.AllocsPerRun(10, round); n != 0 {
+		t.Fatalf("%v allocations a round of %d writes and a barrier, want 0", n, DefaultCacheDepth+8)
+	}
+}

@@ -9,7 +9,7 @@ package disk
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -98,6 +98,9 @@ func (d *BlockDevice) Stats() (reads, writes int64) {
 type Bus struct {
 	mu   sync.Mutex
 	devs map[string]*BlockDevice
+	// names lists devs' names in sorted order. Attach replaces the slice
+	// instead of editing it, so one that Names returned never changes.
+	names []string
 }
 
 // NewBus returns an empty device bus.
@@ -110,6 +113,9 @@ func NewBus() *Bus {
 func (b *Bus) Attach(d *BlockDevice) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if i, found := slices.BinarySearch(b.names, d.Name()); !found {
+		b.names = slices.Insert(slices.Clip(b.names), i, d.Name())
+	}
 	b.devs[d.Name()] = d
 }
 
@@ -124,14 +130,11 @@ func (b *Bus) Open(name string) (*BlockDevice, error) {
 	return d, nil
 }
 
-// Names returns the attached device names in sorted order.
+// Names returns the attached device names in sorted order. The slice is
+// the bus's own and must not be modified; a later Attach leaves it as it
+// is, so reading it needs no lock and no copy.
 func (b *Bus) Names() []string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	names := make([]string, 0, len(b.devs))
-	for n := range b.devs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return b.names
 }

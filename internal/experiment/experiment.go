@@ -6,16 +6,12 @@
 package experiment
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"time"
 
 	"otherworld/internal/core"
 	"otherworld/internal/disk"
 	"otherworld/internal/faultinject"
-	"otherworld/internal/fs"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
 	"otherworld/internal/resurrect"
@@ -150,10 +146,6 @@ type Result struct {
 	// DiskCrash is the block-layer crash model's report (nil when the model
 	// is disabled or no crash fired).
 	DiskCrash *disk.CrashReport
-	// DiskFingerprint hashes the post-experiment disk image (every file's
-	// path and contents) when the crash model is enabled: the replay and
-	// worker-width determinism tests compare it byte for byte.
-	DiskFingerprint string
 	// FirstTouch is the demand-fault stall sequence the resumed processes
 	// paid under the lazy install (empty when eager): the samples behind
 	// the Table 6 first-touch percentiles and the span plane's lazy track.
@@ -171,10 +163,17 @@ type Result struct {
 // and verify against the remote log. The recovery is a microreboot and
 // resurrection or, for Config.Baseline, a cold reboot.
 func Run(cfg Config) Result {
+	out, _ := run(cfg)
+	return out
+}
+
+// run is Run that also returns the experiment's machine (nil when it
+// never started), for tests that inspect what the run left on it.
+func run(cfg Config) (Result, *core.Machine) {
 	m, d, err := startApp(cfg.Machine, cfg.App, cfg.Machine.Seed+7777)
 	if err != nil {
 		return Result{Outcome: OutcomeResurrectFailure,
-			Attribution: attribute(StageSetup, "", err.Error(), nil, nil)}
+			Attribution: attribute(StageSetup, "", err.Error(), nil, nil)}, nil
 	}
 	out := runBody(cfg, m, d)
 	if cfg.Machine.DiskCrash.Enabled {
@@ -182,9 +181,8 @@ func Run(cfg Config) Result {
 			rep := dm.Report()
 			out.DiskCrash = &rep
 		}
-		out.DiskFingerprint = DiskFingerprint(m.FS)
 	}
-	return out
+	return out, m
 }
 
 // startApp boots a machine with opts and starts app's workload on it, the
@@ -218,36 +216,6 @@ func crashAndRecover(m *core.Machine, reason string) (*core.FailureOutcome, erro
 		return nil, fmt.Errorf("transfer failed: %s", fo.Transfer.Reason)
 	}
 	return fo, nil
-}
-
-// DiskFingerprint hashes a disk image: every file path, size and content in
-// the file system's sorted order. Two runs with the same seed must produce
-// identical fingerprints at any campaign or resurrection worker width.
-// Contents stream through one fixed buffer rather than a copy of each
-// file, so f must not change while it runs.
-func DiskFingerprint(f *fs.FlatFS) string {
-	h := sha256.New()
-	var n [8]byte
-	buf := make([]byte, 32<<10)
-	for _, path := range f.List() {
-		size, err := f.Size(path)
-		if err != nil {
-			continue
-		}
-		h.Write([]byte(path))
-		h.Write([]byte{0})
-		binary.LittleEndian.PutUint64(n[:], uint64(size))
-		h.Write(n[:])
-		for off := int64(0); off < size; {
-			k, err := f.ReadAt(path, off, buf[:min(int64(len(buf)), size-off)])
-			if err != nil || k == 0 {
-				break
-			}
-			h.Write(buf[:k])
-			off += int64(k)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // runBody is Run on the started application d: it injects the fault burst,

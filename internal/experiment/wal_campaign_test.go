@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,17 +11,53 @@ import (
 	"strings"
 	"testing"
 
+	"otherworld/internal/fs"
 	"otherworld/internal/metrics"
 )
 
 // diskRun runs one crash-model experiment at the given resurrection pool
-// width and install mode.
-func diskRun(app string, seed int64, workers int, lazy bool) Result {
+// width and install mode, returning its result and the fingerprint of the
+// disk it left ("" when the machine never started).
+func diskRun(app string, seed int64, workers int, lazy bool) (Result, string) {
 	cfg := DefaultConfig(app, seed)
 	cfg.Machine.DiskCrash.Enabled = true
 	cfg.Machine.Resurrection.Workers = workers
 	cfg.Machine.LazyInstall = lazy
-	return Run(cfg)
+	res, m := run(cfg)
+	if m == nil {
+		return res, ""
+	}
+	return res, diskFingerprint(m.FS)
+}
+
+// diskFingerprint hashes a disk image: every file path, size and content in
+// the file system's sorted order. Two runs with the same seed must produce
+// identical fingerprints at any campaign or resurrection worker width.
+// Contents stream through one fixed buffer rather than a copy of each
+// file, so f must not change while it runs.
+func diskFingerprint(f *fs.FlatFS) string {
+	h := sha256.New()
+	var n [8]byte
+	buf := make([]byte, 32<<10)
+	for _, path := range f.List() {
+		size, err := f.Size(path)
+		if err != nil {
+			continue
+		}
+		h.Write([]byte(path))
+		h.Write([]byte{0})
+		binary.LittleEndian.PutUint64(n[:], uint64(size))
+		h.Write(n[:])
+		for off := int64(0); off < size; {
+			k, err := f.ReadAt(path, off, buf[:min(int64(len(buf)), size-off)])
+			if err != nil || k == 0 {
+				break
+			}
+			h.Write(buf[:k])
+			off += int64(k)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestDiskFingerprintDeterminism is the crash model's golden-fingerprint
@@ -52,15 +91,15 @@ func TestDiskFingerprintDeterminism(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, p := range pins {
-		base := diskRun(p.app, p.seed, 1, false)
-		if base.DiskFingerprint == "" {
-			t.Fatalf("%s/%d: no disk fingerprint recorded", p.app, p.seed)
+		base, baseFP := diskRun(p.app, p.seed, 1, false)
+		if baseFP == "" {
+			t.Fatalf("%s/%d: no disk to fingerprint", p.app, p.seed)
 		}
 		for _, v := range variants {
-			got := diskRun(p.app, p.seed, v.workers, v.lazy)
-			if got.DiskFingerprint != base.DiskFingerprint {
+			got, gotFP := diskRun(p.app, p.seed, v.workers, v.lazy)
+			if gotFP != baseFP {
 				t.Errorf("%s/%d: disk image depends on install path (workers=%d lazy=%v):\n%s\nvs base\n%s",
-					p.app, p.seed, v.workers, v.lazy, got.DiskFingerprint, base.DiskFingerprint)
+					p.app, p.seed, v.workers, v.lazy, gotFP, baseFP)
 			}
 			if got.Outcome != base.Outcome {
 				t.Errorf("%s/%d: outcome depends on install path (workers=%d lazy=%v): %v vs %v",
@@ -69,7 +108,7 @@ func TestDiskFingerprintDeterminism(t *testing.T) {
 		}
 		crashed := base.DiskCrash != nil
 		fmt.Fprintf(&b, "%s seed=%d outcome=%s crash=%v fingerprint=%s\n",
-			p.app, p.seed, base.Outcome, crashed, base.DiskFingerprint)
+			p.app, p.seed, base.Outcome, crashed, baseFP)
 	}
 	got := b.String()
 

@@ -21,14 +21,14 @@ func (k *Kernel) DirtyPages() []disk.DirtyPage {
 		off  uint64
 	}
 	seen := make(map[pageKey]struct{})
+	var rec layout.FileRec
 	for _, p := range k.Procs() {
 		cur := p.D.Files
 		for hops := 0; cur != 0; hops++ {
 			if hops > 4096 {
 				break
 			}
-			rec, err := layout.ReadFileRec(k.M.Mem, cur, k.P.VerifyCRC)
-			if err != nil {
+			if err := k.readFileRec(cur, &rec); err != nil {
 				break
 			}
 			var page layout.CachePage

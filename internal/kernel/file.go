@@ -14,25 +14,33 @@ var ErrBadFD = errors.New("kernel: bad file descriptor")
 // maxOpenPath bounds paths so a FileRec always fits its slot.
 const maxOpenPath = 256
 
-// lookupFile walks the process's open-file list for fd, returning the
-// record and its address. The walk re-reads records from memory, so
-// injected corruption of the fd table surfaces here.
-func (k *Kernel) lookupFile(p *Process, fd uint32) (*layout.FileRec, uint64, error) {
+// lookupFile walks the process's open-file list for fd, decoding each
+// record into *rec, and returns the address of fd's. The walk re-reads
+// records from memory, so injected corruption of the fd table surfaces
+// here.
+func (k *Kernel) lookupFile(p *Process, fd uint32, rec *layout.FileRec) (uint64, error) {
 	cur := p.D.Files
 	for hops := 0; cur != 0; hops++ {
 		if hops > 4096 {
-			return nil, 0, k.oopsf(OopsBadStructure, "pid %d fd table loop", p.PID)
+			return 0, k.oopsf(OopsBadStructure, "pid %d fd table loop", p.PID)
 		}
-		rec, err := layout.ReadFileRec(k.M.Mem, cur, k.P.VerifyCRC)
-		if err != nil {
-			return nil, 0, k.oopsf(OopsBadStructure, "pid %d file record: %v", p.PID, err)
+		if err := k.readFileRec(cur, rec); err != nil {
+			return 0, k.oopsf(OopsBadStructure, "pid %d file record: %v", p.PID, err)
 		}
 		if rec.FD == fd {
-			return rec, cur, nil
+			return cur, nil
 		}
 		cur = rec.Next
 	}
-	return nil, 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
+	return 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
+}
+
+// readFileRec decodes the open-file record at addr into *rec through the
+// kernel's record buffer: two counted reads. A sound record's path decodes
+// to the string this kernel wrote there (paths), so nothing is allocated.
+func (k *Kernel) readFileRec(addr uint64, rec *layout.FileRec) error {
+	rec.Path = k.paths[addr]
+	return layout.ReadFileRecInto(k.M.Mem, addr, k.P.VerifyCRC, rec, &k.recBuf)
 }
 
 // writeFileRec re-seals a file record in its slot.
@@ -80,6 +88,7 @@ func (k *Kernel) openFile(p *Process, path string, flags uint32) (uint32, error)
 	if err != nil {
 		return 0, err
 	}
+	k.paths[addr] = path
 	if err := k.writeFileRec(addr, &rec); err != nil {
 		return 0, err
 	}
@@ -92,14 +101,15 @@ func (k *Kernel) openFile(p *Process, path string, flags uint32) (uint32, error)
 
 // closeFile flushes the file's dirty cache pages and unlinks the record.
 func (k *Kernel) closeFile(p *Process, fd uint32) error {
-	rec, addr, err := k.lookupFile(p, fd)
+	var rec layout.FileRec
+	addr, err := k.lookupFile(p, fd, &rec)
 	if err != nil {
 		return err
 	}
-	if err := k.flushFile(rec, addr); err != nil {
+	if err := k.flushFile(&rec, addr); err != nil {
 		return err
 	}
-	if err := k.freeCachePages(rec, addr); err != nil {
+	if err := k.freeCachePages(&rec, addr); err != nil {
 		return err
 	}
 	// Unlink from the fd list.
@@ -109,15 +119,15 @@ func (k *Kernel) closeFile(p *Process, fd uint32) error {
 			return err
 		}
 	} else {
+		var r layout.FileRec
 		cur := p.D.Files
 		for cur != 0 {
-			r, err := layout.ReadFileRec(k.M.Mem, cur, k.P.VerifyCRC)
-			if err != nil {
+			if err := k.readFileRec(cur, &r); err != nil {
 				return k.oopsf(OopsBadStructure, "pid %d file record: %v", p.PID, err)
 			}
 			if r.Next == addr {
 				r.Next = rec.Next
-				if err := k.writeFileRec(cur, r); err != nil {
+				if err := k.writeFileRec(cur, &r); err != nil {
 					return err
 				}
 				break
@@ -125,6 +135,7 @@ func (k *Kernel) closeFile(p *Process, fd uint32) error {
 			cur = r.Next
 		}
 	}
+	delete(k.paths, addr)
 	k.Heap.Free(addr, fileSlotSize)
 	return nil
 }
@@ -132,16 +143,17 @@ func (k *Kernel) closeFile(p *Process, fd uint32) error {
 // readFile serves a read at the current offset, preferring cached pages so
 // buffered writes are visible before they hit the disk.
 func (k *Kernel) readFile(p *Process, fd uint32, buf []byte) (int, error) {
-	rec, addr, err := k.lookupFile(p, fd)
+	var rec layout.FileRec
+	addr, err := k.lookupFile(p, fd, &rec)
 	if err != nil {
 		return 0, err
 	}
-	n, err := k.readFileAt(rec, int64(rec.Offset), buf)
+	n, err := k.readFileAt(&rec, int64(rec.Offset), buf)
 	if err != nil {
 		return 0, err
 	}
 	rec.Offset += uint64(n)
-	if err := k.writeFileRec(addr, rec); err != nil {
+	if err := k.writeFileRec(addr, &rec); err != nil {
 		return 0, err
 	}
 	return n, nil
@@ -193,7 +205,8 @@ func (k *Kernel) readFileAt(rec *layout.FileRec, off int64, buf []byte) (int, er
 // marking pages dirty. Data does not reach the disk until fsync, close or
 // the crash kernel's dirty-buffer flush during resurrection.
 func (k *Kernel) writeFile(p *Process, fd uint32, data []byte) (int, error) {
-	rec, addr, err := k.lookupFile(p, fd)
+	var rec layout.FileRec
+	addr, err := k.lookupFile(p, fd, &rec)
 	if err != nil {
 		return 0, err
 	}
@@ -209,7 +222,7 @@ func (k *Kernel) writeFile(p *Process, fd uint32, data []byte) (int, error) {
 		if n > len(data)-written {
 			n = len(data) - written
 		}
-		cpAddr, cp, cerr := k.cachePageFor(rec, addr, uint64(pageOff))
+		cpAddr, cp, cerr := k.cachePageFor(&rec, addr, uint64(pageOff))
 		if cerr != nil {
 			return written, cerr
 		}
@@ -221,19 +234,18 @@ func (k *Kernel) writeFile(p *Process, fd uint32, data []byte) (int, error) {
 		if uint32(inPage+n) > cp.Bytes {
 			cp.Bytes = uint32(inPage + n)
 		}
-		if werr := layout.WriteCachePage(k.M.Mem, cpAddr, &cp); werr != nil {
+		if werr := k.writeCachePage(cpAddr, &cp); werr != nil {
 			return written, werr
 		}
 		written += n
 	}
-	rec.Offset += uint64(written)
 	// Re-read the record in case cachePageFor updated its head.
-	fresh, ferr := layout.ReadFileRec(k.M.Mem, addr, k.P.VerifyCRC)
-	if ferr != nil {
+	offset := rec.Offset + uint64(written)
+	if ferr := k.readFileRec(addr, &rec); ferr != nil {
 		return written, k.oopsf(OopsBadStructure, "file record reread: %v", ferr)
 	}
-	fresh.Offset = rec.Offset
-	if err := k.writeFileRec(addr, fresh); err != nil {
+	rec.Offset = offset
+	if err := k.writeFileRec(addr, &rec); err != nil {
 		return written, err
 	}
 	return written, nil
@@ -274,7 +286,7 @@ func (k *Kernel) cachePageFor(rec *layout.FileRec, recAddr uint64, fileOff uint6
 		Bytes:   uint32(valid),
 		Next:    rec.CachePages,
 	}
-	cpAddr, _, err := k.Heap.WriteNewRecord(layout.TypeCachePage, cp.EncodePayload())
+	cpAddr, _, err := k.Heap.WriteNewRecord(layout.TypeCachePage, cp.AppendPayload(k.Heap.recordBuffer()))
 	if err != nil {
 		return 0, cp, err
 	}
@@ -292,17 +304,23 @@ var cachePageRecordSize = layout.RecordSize(len((&layout.CachePage{}).EncodePayl
 // readCachePage decodes the page-cache entry at addr into *cp through the
 // kernel's record buffer: two counted reads, no allocation.
 func (k *Kernel) readCachePage(addr uint64, cp *layout.CachePage) error {
-	return layout.ReadCachePageInto(k.M.Mem, addr, k.P.VerifyCRC, cp, &k.cacheRec)
+	return layout.ReadCachePageInto(k.M.Mem, addr, k.P.VerifyCRC, cp, &k.recBuf)
+}
+
+// writeCachePage re-seals the page-cache entry at addr in place.
+func (k *Kernel) writeCachePage(addr uint64, cp *layout.CachePage) error {
+	return k.reseal(addr, layout.TypeCachePage, cp.AppendPayload(k.Heap.recordBuffer()))
 }
 
 // pageBuffer returns n bytes of the kernel's page buffer, growing it when
 // n exceeds its capacity (a corrupt Bytes field under the no-CRC ablation
-// asks for more than a page). The bytes are stale; callers overwrite them.
+// asks for more than a page, a terminal screen up to layout.MaxPayload).
+// The bytes are stale; callers overwrite them.
 func (k *Kernel) pageBuffer(n int) []byte {
-	if cap(k.cachePage) < n {
-		k.cachePage = make([]byte, n)
+	if cap(k.pageBuf) < n {
+		k.pageBuf = make([]byte, n)
 	}
-	return k.cachePage[:n]
+	return k.pageBuf[:n]
 }
 
 // flushFile writes the file's dirty cache pages to disk and clears their
@@ -329,7 +347,7 @@ func (k *Kernel) flushFile(rec *layout.FileRec, recAddr uint64) error {
 			}
 			k.M.Clock.Advance(k.cost.DiskWriteCost(int64(cp.Bytes)))
 			cp.Dirty = false
-			if werr := layout.WriteCachePage(k.M.Mem, cur, &cp); werr != nil {
+			if werr := k.writeCachePage(cur, &cp); werr != nil {
 				return werr
 			}
 		}
@@ -369,10 +387,11 @@ func (k *Kernel) freeCachePages(rec *layout.FileRec, recAddr uint64) error {
 
 // seekFile sets the file offset.
 func (k *Kernel) seekFile(p *Process, fd uint32, off uint64) error {
-	rec, addr, err := k.lookupFile(p, fd)
+	var rec layout.FileRec
+	addr, err := k.lookupFile(p, fd, &rec)
 	if err != nil {
 		return err
 	}
 	rec.Offset = off
-	return k.writeFileRec(addr, rec)
+	return k.writeFileRec(addr, &rec)
 }

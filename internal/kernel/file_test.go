@@ -205,7 +205,8 @@ func TestManyOpenFilesWalk(t *testing.T) {
 		}
 	}
 	for i, fd := range fds {
-		_, _, err := k.lookupFile(env.P, fd)
+		var rec layout.FileRec
+		_, err := k.lookupFile(env.P, fd, &rec)
 		if i%2 == 0 && err == nil {
 			t.Fatalf("closed fd %d still resolves", fd)
 		}
@@ -232,11 +233,12 @@ func cachedChain(t testing.TB, pages int) (*Kernel, *layout.FileRec, uint64) {
 	if err := env.Fsync(fd); err != nil {
 		t.Fatal(err)
 	}
-	rec, addr, err := k.lookupFile(env.P, fd)
+	var rec layout.FileRec
+	addr, err := k.lookupFile(env.P, fd, &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return k, rec, addr
+	return k, &rec, addr
 }
 
 // TestRecordWritesAllocateNothing: once the kernel has written a record,

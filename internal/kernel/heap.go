@@ -28,10 +28,11 @@ type Heap struct {
 	// AllocatedBytes tracks live record bytes (Table 4 context).
 	AllocatedBytes int64
 
-	// rec is the record image WriteNewRecord and the kernel's slot
-	// rewrites seal into (recordBuffer, seal). Like the kernel's cacheRec
-	// and stackBuf it has one writer at a time, the kernel's goroutine,
-	// and each record is sealed and written before the next is built.
+	// rec is the record image every record the kernel writes is sealed
+	// in (recordBuffer, seal): WriteNewRecord, the slot rewrites and the
+	// in-place re-seals. Like the kernel's recBuf and stackBuf it has one
+	// writer at a time, the kernel's goroutine, and each record is sealed
+	// and written before the next is built.
 	rec []byte
 }
 
@@ -87,15 +88,16 @@ func (h *Heap) Free(addr uint64, n int) {
 // Frames returns the heap frame numbers, for fault-injection targeting.
 func (h *Heap) Frames() []int { return h.frames }
 
-// WriteNewRecord seals payload as a record of type t, allocates space for it
-// and writes it, returning the record's physical address and framed size.
-func (h *Heap) WriteNewRecord(t layout.Type, payload []byte) (addr uint64, size int, err error) {
-	size = layout.RecordSize(len(payload))
+// WriteNewRecord seals rec, a payload appended to recordBuffer, as a record
+// of type t, allocates space for it and writes it, returning the record's
+// physical address and framed size.
+func (h *Heap) WriteNewRecord(t layout.Type, rec []byte) (addr uint64, size int, err error) {
+	size = len(rec) + layout.TrailerSize
 	addr, err = h.Alloc(size)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := h.mem.WriteAt(addr, h.seal(append(h.recordBuffer(), payload...), t)); err != nil {
+	if err := h.mem.WriteAt(addr, h.seal(rec, t)); err != nil {
 		return 0, 0, err
 	}
 	return addr, size, nil

@@ -42,7 +42,7 @@ func (k *Kernel) ShmGet(p *Process, key uint64, size uint64, va uint64) error {
 		Frames:     frames,
 		Next:       p.D.Shm,
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeShm, rec.EncodePayload())
+	addr, _, err := k.Heap.WriteNewRecord(layout.TypeShm, rec.AppendPayload(k.Heap.recordBuffer()))
 	if err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (k *Kernel) PipeOpen(p *Process, id uint32, peer uint32) error {
 		PeerPID: peer,
 		Next:    p.D.Pipes,
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypePipe, rec.EncodePayload())
+	addr, _, err := k.Heap.WriteNewRecord(layout.TypePipe, rec.AppendPayload(k.Heap.recordBuffer()))
 	if err != nil {
 		return err
 	}
@@ -92,23 +92,28 @@ func (k *Kernel) PipeOpen(p *Process, id uint32, peer uint32) error {
 	return k.writeProc(p)
 }
 
-// lookupPipe walks the process's pipe list.
-func (k *Kernel) lookupPipe(p *Process, id uint32) (*layout.Pipe, uint64, error) {
+// lookupPipe walks the process's pipe list, decoding each record into
+// *rec, and returns the address of pipe id's.
+func (k *Kernel) lookupPipe(p *Process, id uint32, rec *layout.Pipe) (uint64, error) {
 	cur := p.D.Pipes
 	for hops := 0; cur != 0; hops++ {
 		if hops > 4096 {
-			return nil, 0, k.oopsf(OopsBadStructure, "pid %d pipe list loop", p.PID)
+			return 0, k.oopsf(OopsBadStructure, "pid %d pipe list loop", p.PID)
 		}
-		rec, err := layout.ReadPipe(k.M.Mem, cur, k.P.VerifyCRC)
-		if err != nil {
-			return nil, 0, k.oopsf(OopsBadStructure, "pid %d pipe record: %v", p.PID, err)
+		if err := layout.ReadPipeInto(k.M.Mem, cur, k.P.VerifyCRC, rec, &k.recBuf); err != nil {
+			return 0, k.oopsf(OopsBadStructure, "pid %d pipe record: %v", p.PID, err)
 		}
 		if rec.ID == id {
-			return rec, cur, nil
+			return cur, nil
 		}
 		cur = rec.Next
 	}
-	return nil, 0, fmt.Errorf("kernel: pid %d has no pipe %d", p.PID, id)
+	return 0, fmt.Errorf("kernel: pid %d has no pipe %d", p.PID, id)
+}
+
+// writePipeRec re-seals the pipe record at addr in place.
+func (k *Kernel) writePipeRec(addr uint64, rec *layout.Pipe) error {
+	return k.reseal(addr, layout.TypePipe, rec.AppendPayload(k.Heap.recordBuffer()))
 }
 
 // PipeWrite appends data to the pipe's circular buffer. The record's lock
@@ -116,12 +121,13 @@ func (k *Kernel) lookupPipe(p *Process, id uint32) (*layout.Pipe, uint64, error)
 // the pipe inconsistent, which is why the prototype refuses to resurrect
 // pipes (Section 3.3).
 func (k *Kernel) PipeWrite(p *Process, id uint32, data []byte) (int, error) {
-	rec, addr, err := k.lookupPipe(p, id)
+	var rec layout.Pipe
+	addr, err := k.lookupPipe(p, id, &rec)
 	if err != nil {
 		return 0, err
 	}
 	rec.Locked = true
-	if err := layout.WritePipe(k.M.Mem, addr, rec); err != nil {
+	if err := k.writePipeRec(addr, &rec); err != nil {
 		return 0, err
 	}
 	written := 0
@@ -137,7 +143,7 @@ func (k *Kernel) PipeWrite(p *Process, id uint32, data []byte) (int, error) {
 		written++
 	}
 	rec.Locked = false
-	if err := layout.WritePipe(k.M.Mem, addr, rec); err != nil {
+	if err := k.writePipeRec(addr, &rec); err != nil {
 		return written, err
 	}
 	return written, nil
@@ -145,12 +151,13 @@ func (k *Kernel) PipeWrite(p *Process, id uint32, data []byte) (int, error) {
 
 // PipeRead removes up to len(buf) bytes from the pipe.
 func (k *Kernel) PipeRead(p *Process, id uint32, buf []byte) (int, error) {
-	rec, addr, err := k.lookupPipe(p, id)
+	var rec layout.Pipe
+	addr, err := k.lookupPipe(p, id, &rec)
 	if err != nil {
 		return 0, err
 	}
 	rec.Locked = true
-	if err := layout.WritePipe(k.M.Mem, addr, rec); err != nil {
+	if err := k.writePipeRec(addr, &rec); err != nil {
 		return 0, err
 	}
 	read := 0
@@ -164,7 +171,7 @@ func (k *Kernel) PipeRead(p *Process, id uint32, buf []byte) (int, error) {
 		read++
 	}
 	rec.Locked = false
-	if err := layout.WritePipe(k.M.Mem, addr, rec); err != nil {
+	if err := k.writePipeRec(addr, &rec); err != nil {
 		return read, err
 	}
 	if read == 0 {
@@ -185,7 +192,7 @@ func (k *Kernel) SockOpen(p *Process, id uint32, proto layout.SocketProto, local
 		LocalPort: localPort,
 		Next:      p.D.Sockets,
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSocket, rec.EncodePayload())
+	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSocket, rec.AppendPayload(k.Heap.recordBuffer()))
 	if err != nil {
 		return err
 	}
@@ -193,29 +200,29 @@ func (k *Kernel) SockOpen(p *Process, id uint32, proto layout.SocketProto, local
 	return k.writeProc(p)
 }
 
-// lookupSocket walks the process's socket list.
-func (k *Kernel) lookupSocket(p *Process, id uint32) (*layout.Socket, uint64, error) {
+// lookupSocket walks the process's socket list, decoding each record into
+// *rec, and returns the address of socket id's.
+func (k *Kernel) lookupSocket(p *Process, id uint32, rec *layout.Socket) (uint64, error) {
 	cur := p.D.Sockets
 	for hops := 0; cur != 0; hops++ {
 		if hops > 4096 {
-			return nil, 0, k.oopsf(OopsBadStructure, "pid %d socket list loop", p.PID)
+			return 0, k.oopsf(OopsBadStructure, "pid %d socket list loop", p.PID)
 		}
-		rec, err := layout.ReadSocket(k.M.Mem, cur, k.P.VerifyCRC)
-		if err != nil {
-			return nil, 0, k.oopsf(OopsBadStructure, "pid %d socket record: %v", p.PID, err)
+		if err := layout.ReadSocketInto(k.M.Mem, cur, k.P.VerifyCRC, rec, &k.recBuf); err != nil {
+			return 0, k.oopsf(OopsBadStructure, "pid %d socket record: %v", p.PID, err)
 		}
 		if rec.ID == id {
-			return rec, cur, nil
+			return cur, nil
 		}
 		cur = rec.Next
 	}
-	return nil, 0, fmt.Errorf("kernel: pid %d has no socket %d", p.PID, id)
+	return 0, fmt.Errorf("kernel: pid %d has no socket %d", p.PID, id)
 }
 
 // SockRecv pulls the next inbound message for the socket's port.
 func (k *Kernel) SockRecv(p *Process, id uint32) ([]byte, error) {
-	rec, _, err := k.lookupSocket(p, id)
-	if err != nil {
+	var rec layout.Socket
+	if _, err := k.lookupSocket(p, id, &rec); err != nil {
 		return nil, err
 	}
 	if k.P.Net == nil {
@@ -225,14 +232,13 @@ func (k *Kernel) SockRecv(p *Process, id uint32) ([]byte, error) {
 	if !ok {
 		return nil, ErrWouldBlock
 	}
-	rec.Seq++
 	return payload, nil
 }
 
 // SockSend pushes a payload to the remote peer.
 func (k *Kernel) SockSend(p *Process, id uint32, payload []byte) error {
-	rec, _, err := k.lookupSocket(p, id)
-	if err != nil {
+	var rec layout.Socket
+	if _, err := k.lookupSocket(p, id, &rec); err != nil {
 		return err
 	}
 	if k.P.Net != nil {
@@ -251,16 +257,14 @@ func (k *Kernel) SigAction(p *Process, sig int, handler uint32) error {
 	}
 	var tbl layout.Signals
 	if p.D.Signals != 0 {
-		t, err := layout.ReadSignals(k.M.Mem, p.D.Signals, k.P.VerifyCRC)
-		if err != nil {
+		if err := layout.ReadSignalsInto(k.M.Mem, p.D.Signals, k.P.VerifyCRC, &tbl, &k.recBuf); err != nil {
 			return k.oopsf(OopsBadStructure, "pid %d signal table: %v", p.PID, err)
 		}
-		tbl = *t
 		tbl.Handlers[sig] = handler
-		return layout.WriteSignals(k.M.Mem, p.D.Signals, &tbl)
+		return k.reseal(p.D.Signals, layout.TypeSignals, tbl.AppendPayload(k.Heap.recordBuffer()))
 	}
 	tbl.Handlers[sig] = handler
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSignals, tbl.EncodePayload())
+	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSignals, tbl.AppendPayload(k.Heap.recordBuffer()))
 	if err != nil {
 		return err
 	}

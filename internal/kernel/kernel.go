@@ -176,13 +176,21 @@ type Kernel struct {
 	// isCrashKernel is true from crash-kernel boot until the morph.
 	isCrashKernel bool
 
-	// cacheRec and cachePage are the page-cache walks' reusable buffers:
-	// the record decode buffer and the frame bytes of one page. Like the
-	// frame table they have one writer at a time (the kernel's goroutine,
-	// which also runs a resurrection pass's commits), and each walk copies
-	// out what it needs before the next one starts.
-	cacheRec  []byte
-	cachePage []byte
+	// recBuf is the record buffer every re-read of a kernel record
+	// decodes through (the layout …Into readers), and pageBuf the kernel's
+	// byte scratch: a page of a file, a terminal screen (pageBuffer).
+	// Like the frame table they have one writer at a time (the kernel's
+	// goroutine, which also runs a resurrection pass's commits), and each
+	// decode or copy is done with them before the next one starts.
+	recBuf  []byte
+	pageBuf []byte
+	// paths holds, for each open-file record this kernel wrote, the path
+	// it wrote there, keyed by the record's address: a re-read of the
+	// record decodes its path to that string instead of a copy
+	// (readFileRec). openFile and InstallOpenFile add an entry and
+	// closeFile deletes it, so it never holds more entries than the heap
+	// holds file slots.
+	paths map[uint64]string
 	// stackBuf is the kernel-stack pattern scratch (stackBuffer), under
 	// the same one-writer rule.
 	stackBuf []byte
@@ -249,6 +257,7 @@ func Boot(m *hw.Machine, filesystem *fs.FlatFS, p Params, opt BootOptions) (*Ker
 		P:           p,
 		procs:       make(map[uint32]*Process),
 		terminals:   make(map[uint32]*ttyRuntime),
+		paths:       make(map[uint64]string),
 		rng:         sim.NewRNG(p.Seed),
 		cost:        sim.DefaultCostModel(),
 		globalsAddr: opt.GlobalsAt,
@@ -367,13 +376,13 @@ func (k *Kernel) writeSwapTable() (uint64, error) {
 			Slots:  uint32(k.swap.Slots()),
 		}
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSwapTable, t.EncodePayload())
+	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSwapTable, t.AppendPayload(k.Heap.recordBuffer()))
 	return addr, err
 }
 
 // syncGlobals writes the cached globals through to memory.
 func (k *Kernel) syncGlobals() error {
-	return layout.WriteGlobals(k.M.Mem, k.globalsAddr, &k.Globals)
+	return k.reseal(k.globalsAddr, layout.TypeGlobals, k.Globals.AppendPayload(k.Heap.recordBuffer()))
 }
 
 // GlobalsAnchor returns the physical address of this kernel's globals

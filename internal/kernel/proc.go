@@ -219,6 +219,14 @@ func (k *Kernel) writeSlot(addr uint64, slot int, t layout.Type, rec []byte) err
 	return k.M.Mem.WriteAt(addr, rec)
 }
 
+// reseal seals rec, a payload appended to the heap's recordBuffer, as a
+// record of type t over the record at addr. It is for fixed-width records
+// (page-cache entries, terminals, pipes, sockets, signal tables, the
+// globals anchor), whose size never changes, so they need no slot.
+func (k *Kernel) reseal(addr uint64, t layout.Type, rec []byte) error {
+	return k.M.Mem.WriteAt(addr, k.Heap.seal(rec, t))
+}
+
 // readProcRecord fetches the descriptor back out of memory, validating it.
 // The main kernel re-reads records on critical paths so injected corruption
 // affects it the way it would affect Linux.

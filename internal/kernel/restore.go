@@ -182,6 +182,7 @@ func (k *Kernel) InstallOpenFile(p *Process, old *layout.FileRec) (uint64, error
 	if err != nil {
 		return 0, err
 	}
+	k.paths[addr] = rec.Path
 	if err := k.writeFileRec(addr, &rec); err != nil {
 		return 0, err
 	}
@@ -198,7 +199,8 @@ func (k *Kernel) InstallTerminal(p *Process, old *layout.Terminal, screen []byte
 	if err := k.OpenTerminal(p, old.Index); err != nil {
 		return err
 	}
-	rec, addr, err := k.readTerminalRec(p)
+	var rec layout.Terminal
+	addr, err := k.readTerminalRec(p, &rec)
 	if err != nil {
 		return err
 	}
@@ -214,12 +216,12 @@ func (k *Kernel) InstallTerminal(p *Process, old *layout.Terminal, screen []byte
 	if err := k.M.Mem.WriteAt(rec.Screen, screen[:n]); err != nil {
 		return err
 	}
-	return layout.WriteTerminal(k.M.Mem, addr, rec)
+	return k.writeTerminalRec(addr, &rec)
 }
 
 // InstallSignals recreates the signal-handler table.
 func (k *Kernel) InstallSignals(p *Process, tbl *layout.Signals) error {
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSignals, tbl.EncodePayload())
+	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSignals, tbl.AppendPayload(k.Heap.recordBuffer()))
 	if err != nil {
 		return err
 	}
@@ -247,7 +249,8 @@ func (k *Kernel) InstallPipe(p *Process, old *layout.Pipe, buf []byte) error {
 	if err := k.PipeOpen(p, old.ID, old.PeerPID); err != nil {
 		return err
 	}
-	rec, addr, err := k.lookupPipe(p, old.ID)
+	var rec layout.Pipe
+	addr, err := k.lookupPipe(p, old.ID, &rec)
 	if err != nil {
 		return err
 	}
@@ -260,7 +263,7 @@ func (k *Kernel) InstallPipe(p *Process, old *layout.Pipe, buf []byte) error {
 	}
 	rec.ReadPos = old.ReadPos % pipeBufCapacity
 	rec.WritePos = old.WritePos % pipeBufCapacity
-	return layout.WritePipe(k.M.Mem, addr, rec)
+	return k.writePipeRec(addr, &rec)
 }
 
 // InstallSocket rebinds a socket with its recorded connection parameters —
@@ -272,14 +275,15 @@ func (k *Kernel) InstallSocket(p *Process, old *layout.Socket) error {
 	if err := k.SockOpen(p, old.ID, old.Proto, old.LocalPort); err != nil {
 		return err
 	}
-	rec, addr, err := k.lookupSocket(p, old.ID)
+	var rec layout.Socket
+	addr, err := k.lookupSocket(p, old.ID, &rec)
 	if err != nil {
 		return err
 	}
 	rec.RemotePort = old.RemotePort
 	rec.Seq = old.Seq
 	rec.Window = old.Window
-	return layout.WriteSocket(k.M.Mem, addr, rec)
+	return k.reseal(addr, layout.TypeSocket, rec.AppendPayload(k.Heap.recordBuffer()))
 }
 
 // InstallContext restores the saved hardware context of a resurrected

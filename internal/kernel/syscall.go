@@ -214,11 +214,12 @@ func (e *Env) WriteFile(fd uint32, data []byte) (n int, err error) {
 // exactly the volatile window real drives leave open.)
 func (e *Env) Fsync(fd uint32) error {
 	return e.K.syscall(e.P, SysNoFsync, FuncReadWrite, func() error {
-		rec, addr, err := e.K.lookupFile(e.P, fd)
+		var rec layout.FileRec
+		addr, err := e.K.lookupFile(e.P, fd, &rec)
 		if err != nil {
 			return err
 		}
-		if err := e.K.flushFile(rec, addr); err != nil {
+		if err := e.K.flushFile(&rec, addr); err != nil {
 			return err
 		}
 		if e.K.Disk != nil {
@@ -238,12 +239,13 @@ func (e *Env) Seek(fd uint32, off uint64) error {
 // MmapFile maps a file region at va.
 func (e *Env) MmapFile(fd uint32, va, length, fileOff uint64, prot uint8) error {
 	return e.K.syscall(e.P, SysNoMmap, FuncMmap, func() error {
-		rec, addr, err := e.K.lookupFile(e.P, fd)
+		var rec layout.FileRec
+		addr, err := e.K.lookupFile(e.P, fd, &rec)
 		if err != nil {
 			return err
 		}
 		rec.Mapped = true
-		if err := e.K.writeFileRec(addr, rec); err != nil {
+		if err := e.K.writeFileRec(addr, &rec); err != nil {
 			return err
 		}
 		return e.K.MapRegion(e.P, va, length, prot, layout.RegionFileMap, addr, fileOff)

@@ -62,7 +62,7 @@ func (k *Kernel) openTerminal(p *Process, index uint32, settings uint32) error {
 		Settings: settings,
 		Screen:   phys.FrameAddr(screenFrame),
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeTerminal, rec.EncodePayload())
+	addr, _, err := k.Heap.WriteNewRecord(layout.TypeTerminal, rec.AppendPayload(k.Heap.recordBuffer()))
 	if err != nil {
 		return err
 	}
@@ -74,27 +74,30 @@ func (k *Kernel) openTerminal(p *Process, index uint32, settings uint32) error {
 	return nil
 }
 
-// readTerminalRec loads the process's terminal record.
-func (k *Kernel) readTerminalRec(p *Process) (*layout.Terminal, uint64, error) {
+// readTerminalRec decodes the process's terminal record into *rec and
+// returns its address.
+func (k *Kernel) readTerminalRec(p *Process, rec *layout.Terminal) (uint64, error) {
 	if p.D.Terminal == 0 {
-		return nil, 0, fmt.Errorf("kernel: pid %d has no terminal", p.PID)
+		return 0, fmt.Errorf("kernel: pid %d has no terminal", p.PID)
 	}
-	rec, err := layout.ReadTerminal(k.M.Mem, p.D.Terminal, k.P.VerifyCRC)
-	if err != nil {
-		return nil, 0, k.oopsf(OopsBadStructure, "pid %d terminal record: %v", p.PID, err)
+	if err := layout.ReadTerminalInto(k.M.Mem, p.D.Terminal, k.P.VerifyCRC, rec, &k.recBuf); err != nil {
+		return 0, k.oopsf(OopsBadStructure, "pid %d terminal record: %v", p.PID, err)
 	}
-	return rec, p.D.Terminal, nil
+	return p.D.Terminal, nil
 }
 
 // termWrite renders bytes at the cursor, wrapping lines and scrolling, then
-// persists cursor state. '\n' moves to the next line's start.
+// persists cursor state. '\n' moves to the next line's start. The screen
+// is rendered in the kernel's page buffer: the decoder bounds rows*cols by
+// layout.MaxPayload.
 func (k *Kernel) termWrite(p *Process, data []byte) error {
-	rec, addr, err := k.readTerminalRec(p)
+	var rec layout.Terminal
+	addr, err := k.readTerminalRec(p, &rec)
 	if err != nil {
 		return err
 	}
 	rows, cols := int(rec.Rows), int(rec.Cols)
-	screen := make([]byte, rows*cols)
+	screen := k.pageBuffer(rows * cols)
 	if err := k.M.Mem.ReadAt(rec.Screen, screen); err != nil {
 		return k.oopsf(OopsBadStructure, "pid %d screen buffer: %v", p.PID, err)
 	}
@@ -124,14 +127,19 @@ func (k *Kernel) termWrite(p *Process, data []byte) error {
 		return k.oopsf(OopsBadStructure, "pid %d screen write: %v", p.PID, err)
 	}
 	rec.CursorRow, rec.CursorCol = uint16(r), uint16(c)
-	return layout.WriteTerminal(k.M.Mem, addr, rec)
+	return k.writeTerminalRec(addr, &rec)
+}
+
+// writeTerminalRec re-seals the terminal record at addr in place.
+func (k *Kernel) writeTerminalRec(addr uint64, rec *layout.Terminal) error {
+	return k.reseal(addr, layout.TypeTerminal, rec.AppendPayload(k.Heap.recordBuffer()))
 }
 
 // termRead pulls one keystroke from the console hub for the process's
 // terminal. ok is false when the user has nothing queued.
 func (k *Kernel) termRead(p *Process) (byte, bool, error) {
-	rec, _, err := k.readTerminalRec(p)
-	if err != nil {
+	var rec layout.Terminal
+	if _, err := k.readTerminalRec(p, &rec); err != nil {
 		return 0, false, err
 	}
 	if k.P.Consoles == nil {
@@ -144,8 +152,8 @@ func (k *Kernel) termRead(p *Process) (byte, bool, error) {
 // ScreenContents returns the terminal screen of a process as rows of bytes,
 // for verification and the narrated demo.
 func (k *Kernel) ScreenContents(p *Process) ([][]byte, error) {
-	rec, _, err := k.readTerminalRec(p)
-	if err != nil {
+	var rec layout.Terminal
+	if _, err := k.readTerminalRec(p, &rec); err != nil {
 		return nil, err
 	}
 	rows, cols := int(rec.Rows), int(rec.Cols)

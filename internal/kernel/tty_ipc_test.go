@@ -29,8 +29,8 @@ func TestTerminalEchoAndScreen(t *testing.T) {
 		t.Fatalf("row 1 = %q", rows[1][:10])
 	}
 	// Cursor persisted in the record.
-	rec, _, err := k.readTerminalRec(env.P)
-	if err != nil {
+	var rec layout.Terminal
+	if _, err := k.readTerminalRec(env.P, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.CursorRow != 1 || rec.CursorCol != 5 {
@@ -153,8 +153,8 @@ func TestPipeWriteRead(t *testing.T) {
 		t.Fatalf("empty pipe: %v", err)
 	}
 	// The lock flag is clear between operations (consistent state).
-	rec, _, err := k.lookupPipe(env.P, 1)
-	if err != nil {
+	var rec layout.Pipe
+	if _, err := k.lookupPipe(env.P, 1, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Locked {

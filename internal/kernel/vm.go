@@ -32,7 +32,7 @@ func (k *Kernel) MapRegion(p *Process, start, length uint64, prot uint8, kind la
 		FileOffset: fileOff,
 		Next:       p.D.MemRegions,
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeMemRegion, rec.EncodePayload())
+	addr, _, err := k.Heap.WriteNewRecord(layout.TypeMemRegion, rec.AppendPayload(k.Heap.recordBuffer()))
 	if err != nil {
 		return err
 	}
@@ -41,24 +41,24 @@ func (k *Kernel) MapRegion(p *Process, start, length uint64, prot uint8, kind la
 }
 
 // findRegion walks the process's region list in memory looking for the
-// region containing va. Corrupted region records panic the kernel when CRC
-// checking is on, or propagate garbage when it is off — both faithful.
-func (k *Kernel) findRegion(p *Process, va uint64) (*layout.MemRegion, error) {
+// region containing va, decoding each record into *r. Corrupted region
+// records panic the kernel when CRC checking is on, or propagate garbage
+// when it is off — both faithful.
+func (k *Kernel) findRegion(p *Process, va uint64, r *layout.MemRegion) error {
 	cur := p.D.MemRegions
 	for hops := 0; cur != 0; hops++ {
 		if hops > 4096 {
-			return nil, k.oopsf(OopsBadStructure, "region list loop for pid %d", p.PID)
+			return k.oopsf(OopsBadStructure, "region list loop for pid %d", p.PID)
 		}
-		r, err := layout.ReadMemRegion(k.M.Mem, cur, k.P.VerifyCRC)
-		if err != nil {
-			return nil, k.oopsf(OopsBadStructure, "pid %d region record: %v", p.PID, err)
+		if err := layout.ReadMemRegionInto(k.M.Mem, cur, k.P.VerifyCRC, r, &k.recBuf); err != nil {
+			return k.oopsf(OopsBadStructure, "pid %d region record: %v", p.PID, err)
 		}
 		if va >= r.Start && va < r.End {
-			return r, nil
+			return nil
 		}
 		cur = r.Next
 	}
-	return nil, ErrSegfault
+	return ErrSegfault
 }
 
 // walk resolves va through the two-level page table, optionally allocating
@@ -216,8 +216,8 @@ func (k *Kernel) touchPage(p *Process, va uint64, write bool) (int, error) {
 		if behave := k.executeKernelFunc(FuncPageFault, p); behave != BehaveBenign {
 			return 0, k.manifest(behave, "page-fault")
 		}
-		region, rerr := k.findRegion(p, va)
-		if rerr != nil {
+		var region layout.MemRegion
+		if rerr := k.findRegion(p, va, &region); rerr != nil {
 			return 0, rerr
 		}
 		frame, aerr := k.allocFrame(phys.FrameUser)
@@ -225,8 +225,8 @@ func (k *Kernel) touchPage(p *Process, va uint64, write bool) (int, error) {
 			return 0, aerr
 		}
 		if region.Kind == layout.RegionFileMap && region.File != 0 {
-			frec, ferr := layout.ReadFileRec(k.M.Mem, region.File, k.P.VerifyCRC)
-			if ferr != nil {
+			var frec layout.FileRec
+			if ferr := k.readFileRec(region.File, &frec); ferr != nil {
 				return 0, k.oopsf(OopsBadStructure, "pid %d mmap file record: %v", p.PID, ferr)
 			}
 			pageBase := va &^ uint64(phys.PageSize-1)

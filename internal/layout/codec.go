@@ -98,7 +98,12 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) boolean() bool { return r.u8() != 0 }
 
-func (r *reader) str() string {
+func (r *reader) str() string { return r.strOver("") }
+
+// strOver is str decoding over old, the field's value before the decode:
+// when the string's bytes equal old it returns old and allocates nothing.
+// Strings are immutable, so the result is the same value either way.
+func (r *reader) strOver(old string) string {
 	n := int(r.u16())
 	if r.err != nil {
 		return ""
@@ -110,6 +115,9 @@ func (r *reader) str() string {
 	b := r.take(n)
 	if b == nil {
 		return ""
+	}
+	if string(b) == old {
+		return old
 	}
 	return string(b)
 }

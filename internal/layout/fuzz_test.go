@@ -3,7 +3,9 @@ package layout
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // junkCapacities returns reusable buffers for the buffered record readers,
@@ -93,7 +95,11 @@ func FuzzDecodeContext(f *testing.F) {
 // surface the crash kernel exposes to the dead kernel's bytes — with
 // arbitrary memory images. The resurrection scan walks these concurrently,
 // so a panic here is a crash-kernel crash; decoders must return errors, not
-// panic, for any input. Corpus: one well-formed sealed record per type.
+// panic, for any input. Each decode-into reader must agree with its
+// allocating twin through reused buffers (checkInto), and every record a
+// reader accepts must re-seal through AppendPayload to the bytes Seal makes
+// of its EncodePayload (checkAppend). Corpus: one well-formed sealed record
+// per type.
 func FuzzRecordDecode(f *testing.F) {
 	g := Globals{Version: 1, ProcListHead: 64, NextPID: 2}
 	p := Proc{PID: 3, Name: "mysqld", Program: "mysqld", CrashProc: "cp"}
@@ -127,40 +133,61 @@ func FuzzRecordDecode(f *testing.F) {
 	}
 	f.Add([]byte{}, uint8(TypeProc), true)
 	f.Add(bytes.Repeat([]byte{0xFF}, 96), uint8(TypeShm), false)
-	// Page-cache records that frame correctly but decode wrong, and one
-	// whose checksum no longer matches: the buffered decoder's error paths.
-	body := cp.EncodePayload()
-	f.Add(Seal(TypeCachePage, 0, body[:len(body)-1]), uint8(TypeCachePage), true)
-	f.Add(Seal(TypeCachePage, 0, append(body, 0)), uint8(TypeCachePage), false)
-	flipped := Seal(TypeCachePage, 0, body)
-	flipped[HeaderSize] ^= 1
-	f.Add(flipped, uint8(TypeCachePage), true)
+	// Records that frame correctly but decode wrong, and ones whose
+	// checksum no longer matches: the buffered decoders' error paths.
+	for _, s := range []struct {
+		t    Type
+		body []byte
+	}{
+		{TypeCachePage, cp.EncodePayload()},
+		{TypeFile, fr.EncodePayload()},
+		{TypeTerminal, term.EncodePayload()},
+	} {
+		f.Add(Seal(s.t, 0, s.body[:len(s.body)-1]), uint8(s.t), true)
+		f.Add(Seal(s.t, 0, append(s.body, 0)), uint8(s.t), false)
+		flipped := Seal(s.t, 0, s.body)
+		flipped[HeaderSize] ^= 1
+		f.Add(flipped, uint8(s.t), true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, typeSel uint8, crc bool) {
 		m := &memBuf{data: make([]byte, len(data)+64)}
 		copy(m.data, data)
-		switch Type(typeSel % uint8(typeMax)) {
+		switch typ := Type(typeSel % uint8(typeMax)); typ {
 		case TypeGlobals:
-			_, _ = ReadGlobals(m, 0, crc)
+			r, err := ReadGlobals(m, 0, crc)
+			checkAppend(t, typ, r, err)
 		case TypeProc:
-			_, _ = ReadProc(m, 0, crc)
+			r, err := ReadProc(m, 0, crc)
+			checkAppend(t, typ, r, err)
 		case TypeMemRegion:
-			_, _ = ReadMemRegion(m, 0, crc)
+			checkInto(t, m, data, crc, typ, MemRegion{Start: 0xDEAD, End: 0xBEEF, Prot: 7, Kind: 1, File: 1, FileOffset: 2, Next: 3},
+				ReadMemRegion, ReadMemRegionInto)
 		case TypeFile:
-			_, _ = ReadFileRec(m, 0, crc)
+			checkInto(t, m, data, crc, typ, FileRec{FD: 9, Path: "/junk", Flags: 7, Offset: 5, Mapped: true, CachePages: 1, Next: 2},
+				ReadFileRec, ReadFileRecInto)
+			checkPathKept(t, m, crc)
 		case TypeSwapTable:
-			_, _ = ReadSwapTable(m, 0, crc)
+			r, err := ReadSwapTable(m, 0, crc)
+			checkAppend(t, typ, r, err)
 		case TypeTerminal:
-			_, _ = ReadTerminal(m, 0, crc)
+			checkInto(t, m, data, crc, typ, Terminal{Index: 9, Rows: 1, Cols: 1, CursorRow: 2, CursorCol: 3, Settings: 4, Screen: 5},
+				ReadTerminal, ReadTerminalInto)
 		case TypeSignals:
-			_, _ = ReadSignals(m, 0, crc)
+			junk := Signals{Blocked: 0xFF}
+			junk.Handlers[3] = 0xDEAD
+			checkInto(t, m, data, crc, typ, junk, ReadSignals, ReadSignalsInto)
 		case TypeShm:
-			_, _ = ReadShm(m, 0, crc)
+			r, err := ReadShm(m, 0, crc)
+			checkAppend(t, typ, r, err)
 		case TypePipe:
-			_, _ = ReadPipe(m, 0, crc)
+			checkInto(t, m, data, crc, typ, Pipe{ID: 9, Buf: 1, ReadPos: 2, WritePos: 3, Locked: true, PeerPID: 4, Next: 5},
+				ReadPipe, ReadPipeInto)
 		case TypeSocket:
-			_, _ = ReadSocket(m, 0, crc)
+			checkInto(t, m, data, crc, typ, Socket{ID: 9, Proto: ProtoUDP, LocalPort: 1, RemotePort: 2, Seq: 3, Window: 4, Next: 5},
+				ReadSocket, ReadSocketInto)
 		case TypeCachePage:
-			checkCachePageInto(t, m, data, crc)
+			checkInto(t, m, data, crc, typ, CachePage{FileOff: 0xDEAD, Frame: 0xBEEF, Dirty: true, Bytes: 7, Next: 0xF00D},
+				ReadCachePage, ReadCachePageInto)
 		}
 	})
 }
@@ -177,28 +204,86 @@ func FuzzProcDecode(f *testing.F) {
 	})
 }
 
-// checkCachePageInto decodes the page-cache entry at 0 with ReadCachePage
-// and with ReadCachePageInto through reused junk-filled buffers of every
-// capacity junkCapacities offers: both must give the same entry or the
-// same error, and a failed decode must leave the destination untouched.
-func checkCachePageInto(t *testing.T, m *memBuf, data []byte, crc bool) {
+// otherRecord is a sealed record of a type no reader above asks for, read
+// through each buffer before a decode so the buffer last held a different
+// record.
+var otherRecord = &memBuf{data: Seal(TypeProc, 0, (&Proc{PID: 1, Name: "other", Program: "other-program"}).EncodePayload())}
+
+// checkInto decodes the record at 0 with read, an allocating reader, and
+// with into, its decode-into twin, through reused junk-filled buffers of
+// every capacity junkCapacities offers: fresh, after a different record,
+// and after the same record. Both must give the same value or the same
+// error, and a failed decode must leave the destination, which starts as
+// junk, untouched. A record read accepts must also re-seal (checkAppend).
+func checkInto[T comparable](t *testing.T, m *memBuf, data []byte, crc bool, typ Type, junk T,
+	read func(MemoryAccessor, uint64, bool) (*T, error),
+	into func(MemoryAccessor, uint64, bool, *T, *[]byte) error) {
 	t.Helper()
-	want, werr := ReadCachePage(m, 0, crc)
-	junk := CachePage{FileOff: 0xDEAD, Frame: 0xBEEF, Dirty: true, Bytes: 7, Next: 0xF00D}
+	want, werr := read(m, 0, crc)
+	checkAppend(t, typ, any(want).(payloader), werr)
 	for _, buf := range junkCapacities(data) {
-		for pass := 0; pass < 2; pass++ {
+		for pass, other := range []bool{false, true, false} {
+			if other {
+				if _, _, err := readRecord(otherRecord, 0, TypeProc, true, &buf); err != nil {
+					t.Fatal(err)
+				}
+			}
 			got := junk
-			err := ReadCachePageInto(m, 0, crc, &got, &buf)
+			err := into(m, 0, crc, &got, &buf)
 			switch {
 			case (err == nil) != (werr == nil):
-				t.Fatalf("cap %d pass %d: error %v, ReadCachePage gave %v", cap(buf), pass, err, werr)
+				t.Fatalf("%s cap %d pass %d: error %v, allocating reader gave %v", typ, cap(buf), pass, err, werr)
 			case err != nil && err.Error() != werr.Error():
-				t.Fatalf("cap %d pass %d: error %q, ReadCachePage gave %q", cap(buf), pass, err, werr)
+				t.Fatalf("%s cap %d pass %d: error %q, allocating reader gave %q", typ, cap(buf), pass, err, werr)
 			case err != nil && got != junk:
-				t.Fatalf("cap %d pass %d: failed decode wrote %+v", cap(buf), pass, got)
+				t.Fatalf("%s cap %d pass %d: failed decode wrote %+v", typ, cap(buf), pass, got)
 			case err == nil && got != *want:
-				t.Fatalf("cap %d pass %d: entry %+v, ReadCachePage gave %+v", cap(buf), pass, got, *want)
+				t.Fatalf("%s cap %d pass %d: decoded %+v, allocating reader gave %+v", typ, cap(buf), pass, got, *want)
 			}
 		}
+	}
+}
+
+// payloader is a record's pair of payload encoders.
+type payloader interface {
+	EncodePayload() []byte
+	AppendPayload(dst []byte) []byte
+}
+
+// checkAppend re-seals a record a reader accepted (err == nil) through
+// AppendPayload and SealInto, into a fresh image and into one that held a
+// longer record: both must be the bytes Seal makes of EncodePayload.
+func checkAppend(t *testing.T, typ Type, r payloader, err error) {
+	t.Helper()
+	if err != nil {
+		return
+	}
+	want := Seal(typ, 0, r.EncodePayload())
+	fresh := make([]byte, HeaderSize)
+	reused := bytes.Repeat([]byte{0xA5}, len(want)+64)[:HeaderSize]
+	for _, img := range [][]byte{fresh, reused} {
+		if got := SealInto(r.AppendPayload(img), typ, 0); !bytes.Equal(got, want) {
+			t.Fatalf("%s: AppendPayload sealed to\n%x\nSeal(EncodePayload()) to\n%x", typ, got, want)
+		}
+	}
+}
+
+// checkPathKept decodes the open-file record at 0 into a destination whose
+// Path already holds the path in other storage: a sound decode must keep
+// that string, not copy the bytes again.
+func checkPathKept(t *testing.T, m *memBuf, crc bool) {
+	t.Helper()
+	want, err := ReadFileRec(m, 0, crc)
+	if err != nil || want.Path == "" {
+		return
+	}
+	keep := strings.Clone(want.Path)
+	dst := FileRec{Path: keep}
+	var buf []byte
+	if err := ReadFileRecInto(m, 0, crc, &dst, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.StringData(dst.Path) != unsafe.StringData(keep) || dst != *want {
+		t.Fatalf("decode over an equal path gave %+v, want %+v in the destination's string", dst, *want)
 	}
 }

@@ -25,8 +25,8 @@ type Globals struct {
 	HeapFrames uint64
 }
 
-func (g *Globals) encode() []byte {
-	var w writer
+func (g *Globals) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u32(g.Version)
 	w.u32(g.BootCount)
 	w.u64(g.ProcListHead)
@@ -55,7 +55,7 @@ func (g *Globals) decode(addr uint64, payload []byte) error {
 
 // WriteGlobals stores g at addr.
 func WriteGlobals(m MemoryAccessor, addr uint64, g *Globals) error {
-	return WriteRecord(m, addr, TypeGlobals, 0, g.encode())
+	return WriteRecord(m, addr, TypeGlobals, 0, g.appendTo(nil))
 }
 
 // ReadGlobals loads and validates the globals anchor at addr.
@@ -118,8 +118,6 @@ type Proc struct {
 	Next uint64
 }
 
-func (p *Proc) encode() []byte { return p.appendTo(nil) }
-
 func (p *Proc) appendTo(dst []byte) []byte {
 	w := writer{buf: dst}
 	w.u32(p.PID)
@@ -162,7 +160,7 @@ func (p *Proc) decode(addr uint64, payload []byte) error {
 
 // WriteProc stores p at addr.
 func WriteProc(m MemoryAccessor, addr uint64, p *Proc) error {
-	return WriteRecord(m, addr, TypeProc, 0, p.encode())
+	return WriteRecord(m, addr, TypeProc, 0, p.appendTo(nil))
 }
 
 // ReadProc loads and validates a process descriptor.
@@ -209,8 +207,8 @@ type MemRegion struct {
 	Next uint64
 }
 
-func (v *MemRegion) encode() []byte {
-	var w writer
+func (v *MemRegion) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u64(v.Start)
 	w.u64(v.End)
 	w.u8(v.Prot)
@@ -241,20 +239,33 @@ func (v *MemRegion) decode(addr uint64, payload []byte) error {
 
 // WriteMemRegion stores v at addr.
 func WriteMemRegion(m MemoryAccessor, addr uint64, v *MemRegion) error {
-	return WriteRecord(m, addr, TypeMemRegion, 0, v.encode())
+	return WriteRecord(m, addr, TypeMemRegion, 0, v.appendTo(nil))
 }
 
 // ReadMemRegion loads and validates a memory-region descriptor.
 func ReadMemRegion(m MemoryAccessor, addr uint64, verifyCRC bool) (*MemRegion, error) {
-	payload, _, err := ReadRecord(m, addr, TypeMemRegion, verifyCRC)
-	if err != nil {
-		return nil, err
-	}
 	var v MemRegion
-	if err := v.decode(addr, payload); err != nil {
+	var buf []byte
+	if err := ReadMemRegionInto(m, addr, verifyCRC, &v, &buf); err != nil {
 		return nil, err
 	}
 	return &v, nil
+}
+
+// ReadMemRegionInto is ReadMemRegion decoding into *dst through *buf, the
+// caller's reusable record buffer (see ReadCachePageInto). *dst is written
+// only on success.
+func ReadMemRegionInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *MemRegion, buf *[]byte) error {
+	payload, _, err := readRecord(m, addr, TypeMemRegion, verifyCRC, buf)
+	if err != nil {
+		return err
+	}
+	v := *dst
+	if err := v.decode(addr, payload); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // Open-file flag bits, a subset of POSIX open(2) semantics.
@@ -285,8 +296,6 @@ type FileRec struct {
 	Next uint64
 }
 
-func (f *FileRec) encode() []byte { return f.appendTo(nil) }
-
 func (f *FileRec) appendTo(dst []byte) []byte {
 	w := writer{buf: dst}
 	w.u32(f.FD)
@@ -302,7 +311,7 @@ func (f *FileRec) appendTo(dst []byte) []byte {
 func (f *FileRec) decode(addr uint64, payload []byte) error {
 	r := reader{buf: payload}
 	f.FD = r.u32()
-	f.Path = r.str()
+	f.Path = r.strOver(f.Path)
 	f.Flags = r.u32()
 	f.Offset = r.u64()
 	f.Mapped = r.boolean()
@@ -313,20 +322,36 @@ func (f *FileRec) decode(addr uint64, payload []byte) error {
 
 // WriteFileRec stores f at addr.
 func WriteFileRec(m MemoryAccessor, addr uint64, f *FileRec) error {
-	return WriteRecord(m, addr, TypeFile, 0, f.encode())
+	return WriteRecord(m, addr, TypeFile, 0, f.appendTo(nil))
 }
 
 // ReadFileRec loads and validates an open-file record.
 func ReadFileRec(m MemoryAccessor, addr uint64, verifyCRC bool) (*FileRec, error) {
-	payload, _, err := ReadRecord(m, addr, TypeFile, verifyCRC)
-	if err != nil {
-		return nil, err
-	}
 	var f FileRec
-	if err := f.decode(addr, payload); err != nil {
+	var buf []byte
+	if err := ReadFileRecInto(m, addr, verifyCRC, &f, &buf); err != nil {
 		return nil, err
 	}
 	return &f, nil
+}
+
+// ReadFileRecInto is ReadFileRec decoding into *dst through *buf, the
+// caller's reusable record buffer (see ReadCachePageInto). *dst is written
+// only on success. When dst.Path already holds the decoded path, the
+// decode keeps that string, so a caller that sets dst.Path to the path it
+// wrote at addr decodes a sound record without allocating; any other path
+// decodes to a fresh string.
+func ReadFileRecInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *FileRec, buf *[]byte) error {
+	payload, _, err := readRecord(m, addr, TypeFile, verifyCRC, buf)
+	if err != nil {
+		return err
+	}
+	v := *dst
+	if err := v.decode(addr, payload); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // MaxSwapAreas is the size of the fixed swap-descriptor array (Section 3.3:
@@ -349,8 +374,8 @@ type SwapTable struct {
 	Areas [MaxSwapAreas]SwapArea
 }
 
-func (t *SwapTable) encode() []byte {
-	var w writer
+func (t *SwapTable) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	for i := range t.Areas {
 		w.str(t.Areas[i].Device)
 		w.boolean(t.Areas[i].Active)
@@ -371,7 +396,7 @@ func (t *SwapTable) decode(addr uint64, payload []byte) error {
 
 // WriteSwapTable stores t at addr.
 func WriteSwapTable(m MemoryAccessor, addr uint64, t *SwapTable) error {
-	return WriteRecord(m, addr, TypeSwapTable, 0, t.encode())
+	return WriteRecord(m, addr, TypeSwapTable, 0, t.appendTo(nil))
 }
 
 // ReadSwapTable loads and validates the swap-area table.
@@ -402,8 +427,8 @@ type Terminal struct {
 	Screen uint64
 }
 
-func (t *Terminal) encode() []byte {
-	var w writer
+func (t *Terminal) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u32(t.Index)
 	w.u16(t.Rows)
 	w.u16(t.Cols)
@@ -434,20 +459,33 @@ func (t *Terminal) decode(addr uint64, payload []byte) error {
 
 // WriteTerminal stores t at addr.
 func WriteTerminal(m MemoryAccessor, addr uint64, t *Terminal) error {
-	return WriteRecord(m, addr, TypeTerminal, 0, t.encode())
+	return WriteRecord(m, addr, TypeTerminal, 0, t.appendTo(nil))
 }
 
 // ReadTerminal loads and validates a terminal record.
 func ReadTerminal(m MemoryAccessor, addr uint64, verifyCRC bool) (*Terminal, error) {
-	payload, _, err := ReadRecord(m, addr, TypeTerminal, verifyCRC)
-	if err != nil {
-		return nil, err
-	}
 	var t Terminal
-	if err := t.decode(addr, payload); err != nil {
+	var buf []byte
+	if err := ReadTerminalInto(m, addr, verifyCRC, &t, &buf); err != nil {
 		return nil, err
 	}
 	return &t, nil
+}
+
+// ReadTerminalInto is ReadTerminal decoding into *dst through *buf, the
+// caller's reusable record buffer (see ReadCachePageInto). *dst is written
+// only on success.
+func ReadTerminalInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *Terminal, buf *[]byte) error {
+	payload, _, err := readRecord(m, addr, TypeTerminal, verifyCRC, buf)
+	if err != nil {
+		return err
+	}
+	v := *dst
+	if err := v.decode(addr, payload); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // NumSignals is the size of the per-process signal-handler table.
@@ -461,8 +499,8 @@ type Signals struct {
 	Blocked uint32
 }
 
-func (s *Signals) encode() []byte {
-	var w writer
+func (s *Signals) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	for _, h := range s.Handlers {
 		w.u32(h)
 	}
@@ -481,20 +519,33 @@ func (s *Signals) decode(addr uint64, payload []byte) error {
 
 // WriteSignals stores s at addr.
 func WriteSignals(m MemoryAccessor, addr uint64, s *Signals) error {
-	return WriteRecord(m, addr, TypeSignals, 0, s.encode())
+	return WriteRecord(m, addr, TypeSignals, 0, s.appendTo(nil))
 }
 
 // ReadSignals loads and validates a signal table.
 func ReadSignals(m MemoryAccessor, addr uint64, verifyCRC bool) (*Signals, error) {
-	payload, _, err := ReadRecord(m, addr, TypeSignals, verifyCRC)
-	if err != nil {
-		return nil, err
-	}
 	var s Signals
-	if err := s.decode(addr, payload); err != nil {
+	var buf []byte
+	if err := ReadSignalsInto(m, addr, verifyCRC, &s, &buf); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// ReadSignalsInto is ReadSignals decoding into *dst through *buf, the
+// caller's reusable record buffer (see ReadCachePageInto). *dst is written
+// only on success.
+func ReadSignalsInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *Signals, buf *[]byte) error {
+	payload, _, err := readRecord(m, addr, TypeSignals, verifyCRC, buf)
+	if err != nil {
+		return err
+	}
+	v := *dst
+	if err := v.decode(addr, payload); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // MaxShmFrames bounds a shared-memory segment's frame list so the descriptor
@@ -513,8 +564,8 @@ type Shm struct {
 	Next uint64
 }
 
-func (s *Shm) encode() []byte {
-	var w writer
+func (s *Shm) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u64(s.Key)
 	w.u64(s.Size)
 	w.u64(s.AttachedAt)
@@ -545,7 +596,7 @@ func (s *Shm) decode(addr uint64, payload []byte) error {
 
 // WriteShm stores s at addr.
 func WriteShm(m MemoryAccessor, addr uint64, s *Shm) error {
-	return WriteRecord(m, addr, TypeShm, 0, s.encode())
+	return WriteRecord(m, addr, TypeShm, 0, s.appendTo(nil))
 }
 
 // ReadShm loads and validates a shared-memory descriptor.
@@ -576,8 +627,8 @@ type Pipe struct {
 	Next     uint64
 }
 
-func (p *Pipe) encode() []byte {
-	var w writer
+func (p *Pipe) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u32(p.ID)
 	w.u64(p.Buf)
 	w.u32(p.ReadPos)
@@ -602,20 +653,33 @@ func (p *Pipe) decode(addr uint64, payload []byte) error {
 
 // WritePipe stores p at addr.
 func WritePipe(m MemoryAccessor, addr uint64, p *Pipe) error {
-	return WriteRecord(m, addr, TypePipe, 0, p.encode())
+	return WriteRecord(m, addr, TypePipe, 0, p.appendTo(nil))
 }
 
 // ReadPipe loads and validates a pipe descriptor.
 func ReadPipe(m MemoryAccessor, addr uint64, verifyCRC bool) (*Pipe, error) {
-	payload, _, err := ReadRecord(m, addr, TypePipe, verifyCRC)
-	if err != nil {
-		return nil, err
-	}
 	var p Pipe
-	if err := p.decode(addr, payload); err != nil {
+	var buf []byte
+	if err := ReadPipeInto(m, addr, verifyCRC, &p, &buf); err != nil {
 		return nil, err
 	}
 	return &p, nil
+}
+
+// ReadPipeInto is ReadPipe decoding into *dst through *buf, the
+// caller's reusable record buffer (see ReadCachePageInto). *dst is written
+// only on success.
+func ReadPipeInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *Pipe, buf *[]byte) error {
+	payload, _, err := readRecord(m, addr, TypePipe, verifyCRC, buf)
+	if err != nil {
+		return err
+	}
+	v := *dst
+	if err := v.decode(addr, payload); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // SocketProto is the transport protocol of a socket.
@@ -641,8 +705,8 @@ type Socket struct {
 	Next   uint64
 }
 
-func (s *Socket) encode() []byte {
-	var w writer
+func (s *Socket) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u32(s.ID)
 	w.u8(uint8(s.Proto))
 	w.u16(s.LocalPort)
@@ -667,20 +731,33 @@ func (s *Socket) decode(addr uint64, payload []byte) error {
 
 // WriteSocket stores s at addr.
 func WriteSocket(m MemoryAccessor, addr uint64, s *Socket) error {
-	return WriteRecord(m, addr, TypeSocket, 0, s.encode())
+	return WriteRecord(m, addr, TypeSocket, 0, s.appendTo(nil))
 }
 
 // ReadSocket loads and validates a socket descriptor.
 func ReadSocket(m MemoryAccessor, addr uint64, verifyCRC bool) (*Socket, error) {
-	payload, _, err := ReadRecord(m, addr, TypeSocket, verifyCRC)
-	if err != nil {
-		return nil, err
-	}
 	var s Socket
-	if err := s.decode(addr, payload); err != nil {
+	var buf []byte
+	if err := ReadSocketInto(m, addr, verifyCRC, &s, &buf); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// ReadSocketInto is ReadSocket decoding into *dst through *buf, the
+// caller's reusable record buffer (see ReadCachePageInto). *dst is written
+// only on success.
+func ReadSocketInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *Socket, buf *[]byte) error {
+	payload, _, err := readRecord(m, addr, TypeSocket, verifyCRC, buf)
+	if err != nil {
+		return err
+	}
+	v := *dst
+	if err := v.decode(addr, payload); err != nil {
+		return err
+	}
+	*dst = v
+	return nil
 }
 
 // CachePage is one page-cache entry: a leaf of the paper's file-buffer tree
@@ -695,8 +772,8 @@ type CachePage struct {
 	Next  uint64
 }
 
-func (c *CachePage) encode() []byte {
-	var w writer
+func (c *CachePage) appendTo(dst []byte) []byte {
+	w := writer{buf: dst}
 	w.u64(c.FileOff)
 	w.u64(c.Frame)
 	w.boolean(c.Dirty)
@@ -717,7 +794,7 @@ func (c *CachePage) decode(addr uint64, payload []byte) error {
 
 // WriteCachePage stores c at addr.
 func WriteCachePage(m MemoryAccessor, addr uint64, c *CachePage) error {
-	return WriteRecord(m, addr, TypeCachePage, 0, c.encode())
+	return WriteRecord(m, addr, TypeCachePage, 0, c.appendTo(nil))
 }
 
 // ReadCachePage loads and validates a page-cache entry.
@@ -735,7 +812,10 @@ func ReadCachePage(m MemoryAccessor, addr uint64, verifyCRC bool) (*CachePage, e
 // caller owns and reuses across calls. It grows *buf when a record does
 // not fit; a successful decode through a big enough *buf allocates nothing.
 // The reads, checks and errors are ReadCachePage's; *c is written only on
-// success.
+// success. Every other record the kernel re-reads has a reader of this
+// shape (ReadMemRegionInto, ReadFileRecInto, ReadTerminalInto,
+// ReadSignalsInto, ReadPipeInto, ReadSocketInto), and its allocating
+// twin is a wrapper over it.
 func ReadCachePageInto(m MemoryAccessor, addr uint64, verifyCRC bool, c *CachePage, buf *[]byte) error {
 	payload, _, err := readRecord(m, addr, TypeCachePage, verifyCRC, buf)
 	if err != nil {

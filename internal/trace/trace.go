@@ -215,6 +215,9 @@ type Ring struct {
 	// Dropped counts events whose slot write failed (e.g. the region was
 	// protected by mistake); the recorder must never take the kernel down.
 	Dropped uint64
+	// slot is the frame image Record seals each event in before writing
+	// it; like seq it has one writer, the goroutine recording.
+	slot [SlotSize]byte
 }
 
 // CapacityOf returns how many SlotSize slots fit in region.
@@ -277,7 +280,8 @@ func (r *Ring) Record(ev Event) {
 	addr := phys.FrameAddr(r.region.Start) + uint64(slot*SlotSize)
 	var p [maxPayload]byte
 	n := encodeEvent(&p, ev)
-	if err := r.mem.WriteAt(addr, layout.SealFrame(layout.KindTrace, 0, r.gen, SlotSize, p[:n])); err != nil {
+	layout.SealFrameInto(r.slot[:], layout.KindTrace, 0, r.gen, p[:n])
+	if err := r.mem.WriteAt(addr, r.slot[:]); err != nil {
 		r.Dropped++
 	}
 }

@@ -212,8 +212,7 @@ func (d *WALDriver) CheckDataInvariants(m *core.Machine) error {
 }
 
 // scanPlatterLog scans the log on the platter one slot at a time through a
-// single buffer, as DiskFingerprint streams the disk, so an audit never
-// holds more than one slot of the log. A missing log scans as empty: only
+// single buffer, so an audit never holds more than one slot of the log. A missing log scans as empty: only
 // a problem if anything was acked.
 func scanPlatterLog(f *fs.FlatFS) apps.WALScan {
 	var scan apps.WALScan
