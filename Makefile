@@ -43,8 +43,10 @@ race:
 # and FuzzFrameAllocOps the run-stack frame allocator against the
 # stack-of-ints one it replaced, and FuzzFlatFSOps the sector-table file
 # store against the flat-slice one it replaced.
-# FuzzReadRecord holds the shared record reader to ReadRecord through
-# reused buffers of every capacity.
+# FuzzReadRecord holds the shared record reader, through reused buffers
+# of every capacity, to its answer through a fresh one, and
+# FuzzRecordDecode holds every record type's decoder to the same and to
+# its encoder: an accepted record re-encodes to the bytes it was read from.
 # Each new interesting input is minimized for at most 1 s: Go's default
 # minimization budget is 60 s an input, which left exec counts flat for
 # most of a 10 s run.

@@ -17,12 +17,13 @@ import (
 func lockPipeRecord(t *testing.T, m *Machine) {
 	t.Helper()
 	p := m.K.Procs()[0]
-	rec, err := layout.ReadPipe(m.HW.Mem, p.D.Pipes, true)
-	if err != nil {
+	var rec layout.Pipe
+	var buf []byte
+	if err := rec.Read(m.HW.Mem, p.D.Pipes, true, &buf); err != nil {
 		t.Fatal(err)
 	}
 	rec.Locked = true
-	if err := layout.WritePipe(m.HW.Mem, p.D.Pipes, rec); err != nil {
+	if err := m.HW.Mem.WriteAt(p.D.Pipes, rec.AppendRecord(nil)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -44,10 +44,11 @@ func snapshotAddressSpace(t *testing.T, m *Machine, p *kernel.Process) map[uint6
 func regionsOf(t *testing.T, m *Machine, p *kernel.Process) []*layout.MemRegion {
 	t.Helper()
 	var out []*layout.MemRegion
+	var buf []byte
 	cur := p.D.MemRegions
 	for cur != 0 {
-		r, err := layout.ReadMemRegion(m.HW.Mem, cur, true)
-		if err != nil {
+		r := new(layout.MemRegion)
+		if err := r.Read(m.HW.Mem, cur, true, &buf); err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, r)
@@ -175,11 +176,11 @@ func TestCRCOffAllowsSilentRecordCorruption(t *testing.T) {
 		// Corrupt the FileRec's offset field in kernel memory: find it by
 		// re-reading, flipping, and re-sealing WITHOUT updating the CRC
 		// (a raw byte flip in the payload area).
-		rec, err := layout.ReadFileRec(m.HW.Mem, p.D.Files, false)
-		if err != nil {
+		var rec layout.FileRec
+		var buf []byte
+		if err := rec.Read(m.HW.Mem, p.D.Files, false, &buf); err != nil {
 			t.Fatal(err)
 		}
-		_ = rec
 		// The offset u64 sits after fd(4) + pathlen(2) + path("/f"=2) +
 		// flags(4) = 12 bytes into the payload.
 		offOff := p.D.Files + layout.HeaderSize + 12
@@ -197,11 +198,10 @@ func TestCRCOffAllowsSilentRecordCorruption(t *testing.T) {
 			return 0, pr.Missing, true
 		}
 		np := m.K.Lookup(pr.NewPID)
-		nrec, err := layout.ReadFileRec(m.HW.Mem, np.D.Files, false)
-		if err != nil {
+		if err := rec.Read(m.HW.Mem, np.D.Files, false, &buf); err != nil {
 			return 0, pr.Missing, false
 		}
-		return nrec.Offset, pr.Missing, false
+		return rec.Offset, pr.Missing, false
 	}
 
 	// With CRC: the corruption is detected; the file is reported missing

@@ -418,8 +418,9 @@ func TestSignalHandlersResurrected(t *testing.T) {
 			if step.Err != "" {
 				t.Errorf("signals phase failed: %s", step.Err)
 			}
-			tbl, err := layout.ReadSignals(m.HW.Mem, np.D.Signals, true)
-			if err != nil {
+			var tbl layout.Signals
+			var buf []byte
+			if err := tbl.Read(m.HW.Mem, np.D.Signals, true, &buf); err != nil {
 				t.Fatal(err)
 			}
 			for _, sh := range handlers {

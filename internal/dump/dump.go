@@ -8,6 +8,7 @@ package dump
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -75,11 +76,6 @@ func (img *Image) ReadAt(addr uint64, buf []byte) error {
 	return nil
 }
 
-// WriteAt rejects writes: dumps are immutable evidence.
-func (img *Image) WriteAt(addr uint64, buf []byte) error {
-	return fmt.Errorf("dump: image is read-only")
-}
-
 // ProcInfo summarizes one process found in the dump.
 type ProcInfo struct {
 	PID       uint32
@@ -114,18 +110,19 @@ type Report struct {
 // crash kernel does, and inventories every process.
 func Inspect(img *Image, globalsAddr uint64) (*Report, error) {
 	rep := &Report{}
-	g, err := layout.ReadGlobals(img, globalsAddr, true)
-	if err != nil {
+	var g layout.Globals
+	var buf []byte
+	if err := g.Read(img, globalsAddr, true, &buf); err != nil {
 		return nil, fmt.Errorf("dump: globals anchor: %w", err)
 	}
 	rep.BootCount = g.BootCount
-	walkList(rep, "process list", g.ProcListHead, func(cur uint64) (uint64, error) {
-		p, err := layout.ReadProc(img, cur, true)
-		if err != nil {
+	walkList(rep, "process list", g.ProcListHead, layout.TypeProc, func(cur uint64) (uint64, error) {
+		var p layout.Proc
+		if err := p.Read(img, cur, true, &buf); err != nil {
 			rep.Warnings = append(rep.Warnings, fmt.Sprintf("process record at %#x: %v", cur, err))
 			return 0, err
 		}
-		rep.Procs = append(rep.Procs, inventory(img, rep, p))
+		rep.Procs = append(rep.Procs, inventory(img, rep, &p))
 		return p.Next, nil
 	})
 	return rep, nil
@@ -149,9 +146,10 @@ func inventory(img *Image, rep *Report, p *layout.Proc) ProcInfo {
 	}
 
 	// Open files.
-	walkList(rep, fmt.Sprintf("pid %d file list", p.PID), p.Files, func(a uint64) (uint64, error) {
-		rec, err := layout.ReadFileRec(img, a, true)
-		if err != nil {
+	var buf []byte
+	var rec layout.FileRec
+	walkList(rep, fmt.Sprintf("pid %d file list", p.PID), p.Files, layout.TypeFile, func(a uint64) (uint64, error) {
+		if err := rec.Read(img, a, true, &buf); err != nil {
 			rep.Warnings = append(rep.Warnings, fmt.Sprintf("pid %d file record: %v", p.PID, err))
 			return 0, err
 		}
@@ -160,26 +158,20 @@ func inventory(img *Image, rep *Report, p *layout.Proc) ProcInfo {
 	})
 	sort.Strings(info.OpenFiles)
 
-	info.Sockets = walkList(rep, fmt.Sprintf("pid %d socket list", p.PID), p.Sockets, func(a uint64) (uint64, error) {
-		s, err := layout.ReadSocket(img, a, true)
-		if err != nil {
-			return 0, err
-		}
-		return s.Next, nil
+	var sock layout.Socket
+	info.Sockets = walkList(rep, fmt.Sprintf("pid %d socket list", p.PID), p.Sockets, layout.TypeSocket, func(a uint64) (uint64, error) {
+		err := sock.Read(img, a, true, &buf)
+		return sock.Next, err
 	})
-	info.Pipes = walkList(rep, fmt.Sprintf("pid %d pipe list", p.PID), p.Pipes, func(a uint64) (uint64, error) {
-		s, err := layout.ReadPipe(img, a, true)
-		if err != nil {
-			return 0, err
-		}
-		return s.Next, nil
+	var pipe layout.Pipe
+	info.Pipes = walkList(rep, fmt.Sprintf("pid %d pipe list", p.PID), p.Pipes, layout.TypePipe, func(a uint64) (uint64, error) {
+		err := pipe.Read(img, a, true, &buf)
+		return pipe.Next, err
 	})
-	info.ShmSegments = walkList(rep, fmt.Sprintf("pid %d shm list", p.PID), p.Shm, func(a uint64) (uint64, error) {
-		s, err := layout.ReadShm(img, a, true)
-		if err != nil {
-			return 0, err
-		}
-		return s.Next, nil
+	var shm layout.Shm
+	info.ShmSegments = walkList(rep, fmt.Sprintf("pid %d shm list", p.PID), p.Shm, layout.TypeShm, func(a uint64) (uint64, error) {
+		err := shm.Read(img, a, true, &buf)
+		return shm.Next, err
 	})
 	return info
 }
@@ -212,27 +204,19 @@ func countPages(img *Image, pageDir uint64) (resident, swapped int) {
 	return resident, swapped
 }
 
-// walkList follows a record chain from head: visit decodes the record at
-// an address and returns the next one. The walk stops at the end of the
-// chain, at the first record visit fails on, or at the first record it
-// reaches a second time (a CRC-valid stale Next is enough to close a
-// loop), keeping what came before and reporting the loop in rep's
-// warnings. It returns how many records visit decoded.
-func walkList(rep *Report, list string, head uint64, visit func(uint64) (uint64, error)) int {
-	n := 0
-	seen := make(map[uint64]bool)
-	for cur := head; cur != 0; {
-		if seen[cur] {
-			rep.Warnings = append(rep.Warnings, fmt.Sprintf("%s loops back to %#x", list, cur))
-			break
-		}
-		seen[cur] = true
-		next, err := visit(cur)
-		if err != nil {
-			break
-		}
-		n++
-		cur = next
+// walkList follows a chain of type-t records from head with the crash
+// kernel's walker (layout.Chain): visit decodes the record at an address
+// and returns the next one. The walk stops at the end of the chain, at the
+// first record visit fails on, or at the first record it reaches a second
+// time (a CRC-valid stale Next is enough to close a loop), keeping what
+// came before and reporting the loop in rep's warnings. It returns how many
+// records visit decoded.
+func walkList(rep *Report, list string, head uint64, t layout.Type, visit func(uint64) (uint64, error)) int {
+	var c layout.Chain
+	n, err := c.Walk(head, t, visit)
+	var ce *layout.CorruptionError
+	if errors.As(err, &ce) && ce.Reason == layout.LoopReason {
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf("%s loops back to %#x", list, ce.Addr))
 	}
 	return n
 }

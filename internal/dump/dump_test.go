@@ -109,18 +109,19 @@ func TestInspectStopsAtListLoop(t *testing.T) {
 	if _, err := (&kernel.Env{K: m.K, P: head}).Open("/f", layout.FlagRead); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := layout.ReadFileRec(m.HW.Mem, head.D.Files, true)
-	if err != nil {
+	var rec layout.FileRec
+	var buf []byte
+	if err := rec.Read(m.HW.Mem, head.D.Files, true, &buf); err != nil {
 		t.Fatal(err)
 	}
 	rec.Next = head.D.Files
-	if err := m.HW.Mem.WriteAt(head.D.Files, layout.Seal(layout.TypeFile, 0, rec.EncodePayload())); err != nil {
+	if err := m.HW.Mem.WriteAt(head.D.Files, rec.AppendRecord(nil)); err != nil {
 		t.Fatal(err)
 	}
 	// The process list runs newest first, so sh-1's descriptor is the tail.
 	d := tail.D
 	d.Next = tail.Addr
-	if err := m.HW.Mem.WriteAt(tail.Addr, layout.Seal(layout.TypeProc, 0, d.EncodePayload())); err != nil {
+	if err := m.HW.Mem.WriteAt(tail.Addr, d.AppendRecord(nil)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -160,9 +161,11 @@ func TestParseRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestImageIsReadOnly: a dump is immutable evidence. An Image offers the
+// decoders a layout.Reader and has no write path at all.
 func TestImageIsReadOnly(t *testing.T) {
 	_, img := crashAndDump(t)
-	if err := img.WriteAt(0, []byte{1}); err == nil {
+	if _, ok := any(img).(layout.MemoryAccessor); ok {
 		t.Fatal("dumps must be immutable")
 	}
 }

@@ -160,8 +160,9 @@ func TestDirtyPagesCorruptRecordEndsWalkSilently(t *testing.T) {
 	k, _, _ := dirtySetup(t)
 	// Scribble over process a's first file record header.
 	pa := k.Procs()[0]
-	rec, err := layout.ReadFileRec(k.M.Mem, pa.D.Files, k.P.VerifyCRC)
-	if err != nil {
+	var rec layout.FileRec
+	var buf []byte
+	if err := rec.Read(k.M.Mem, pa.D.Files, k.P.VerifyCRC, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.M.Mem.WriteAt(rec.CachePages, bytes.Repeat([]byte{0xFF}, 32)); err != nil {

@@ -40,12 +40,12 @@ func (k *Kernel) lookupFile(p *Process, fd uint32, rec *layout.FileRec) (uint64,
 // to the string this kernel wrote there (paths), so nothing is allocated.
 func (k *Kernel) readFileRec(addr uint64, rec *layout.FileRec) error {
 	rec.Path = k.paths[addr]
-	return layout.ReadFileRecInto(k.M.Mem, addr, k.P.VerifyCRC, rec, &k.recBuf)
+	return rec.Read(k.M.Mem, addr, k.P.VerifyCRC, &k.recBuf)
 }
 
 // writeFileRec re-seals a file record in its slot.
 func (k *Kernel) writeFileRec(addr uint64, rec *layout.FileRec) error {
-	return k.writeSlot(addr, fileSlotSize, layout.TypeFile, rec.AppendPayload(k.Heap.recordBuffer()))
+	return k.writeSlot(addr, fileSlotSize, k.encode(rec.AppendRecord))
 }
 
 // openFile implements the open path: it validates flags, optionally creates
@@ -286,7 +286,7 @@ func (k *Kernel) cachePageFor(rec *layout.FileRec, recAddr uint64, fileOff uint6
 		Bytes:   uint32(valid),
 		Next:    rec.CachePages,
 	}
-	cpAddr, _, err := k.Heap.WriteNewRecord(layout.TypeCachePage, cp.AppendPayload(k.Heap.recordBuffer()))
+	cpAddr, _, err := k.Heap.WriteNewRecord(k.encode(cp.AppendRecord))
 	if err != nil {
 		return 0, cp, err
 	}
@@ -299,17 +299,17 @@ func (k *Kernel) cachePageFor(rec *layout.FileRec, recAddr uint64, fileOff uint6
 
 // cachePageRecordSize is the framed size of every page-cache record; the
 // payload is fixed-width, so freeing one needs no re-encode.
-var cachePageRecordSize = layout.RecordSize(len((&layout.CachePage{}).EncodePayload()))
+var cachePageRecordSize = len((&layout.CachePage{}).AppendRecord(nil))
 
 // readCachePage decodes the page-cache entry at addr into *cp through the
 // kernel's record buffer: two counted reads, no allocation.
 func (k *Kernel) readCachePage(addr uint64, cp *layout.CachePage) error {
-	return layout.ReadCachePageInto(k.M.Mem, addr, k.P.VerifyCRC, cp, &k.recBuf)
+	return cp.Read(k.M.Mem, addr, k.P.VerifyCRC, &k.recBuf)
 }
 
 // writeCachePage re-seals the page-cache entry at addr in place.
 func (k *Kernel) writeCachePage(addr uint64, cp *layout.CachePage) error {
-	return k.reseal(addr, layout.TypeCachePage, cp.AppendPayload(k.Heap.recordBuffer()))
+	return k.reseal(addr, k.encode(cp.AppendRecord))
 }
 
 // pageBuffer returns n bytes of the kernel's page buffer, growing it when

@@ -243,8 +243,8 @@ func cachedChain(t testing.TB, pages int) (*Kernel, *layout.FileRec, uint64) {
 
 // TestRecordWritesAllocateNothing: once the kernel has written a record,
 // re-sealing a process descriptor or a file record into its slot builds
-// the record in the heap's one record image, so it allocates nothing, and
-// it writes the bytes layout.Seal makes.
+// the record in the kernel's record buffer, so it allocates nothing, and
+// it writes the bytes the record's encoder makes.
 func TestRecordWritesAllocateNothing(t *testing.T) {
 	k, rec, addr := cachedChain(t, 1)
 	p := k.Procs()[0]
@@ -254,8 +254,8 @@ func TestRecordWritesAllocateNothing(t *testing.T) {
 		at    uint64
 		want  []byte
 	}{
-		{"writeProc", func() error { return k.writeProc(p) }, p.Addr, layout.Seal(layout.TypeProc, 0, p.D.EncodePayload())},
-		{"writeFileRec", func() error { return k.writeFileRec(addr, rec) }, addr, layout.Seal(layout.TypeFile, 0, rec.EncodePayload())},
+		{"writeProc", func() error { return k.writeProc(p) }, p.Addr, p.D.AppendRecord(nil)},
+		{"writeFileRec", func() error { return k.writeFileRec(addr, rec) }, addr, rec.AppendRecord(nil)},
 	} {
 		if n := testing.AllocsPerRun(100, func() {
 			if err := w.write(); err != nil {
@@ -281,7 +281,7 @@ func TestRecordWritesAllocateNothing(t *testing.T) {
 func TestPageCacheWalksAllocateNothing(t *testing.T) {
 	const pages = 64
 	k, rec, addr := cachedChain(t, pages)
-	entry := layout.RecordSize(len((&layout.CachePage{}).EncodePayload()))
+	entry := len((&layout.CachePage{}).AppendRecord(nil))
 	walks := []struct {
 		name string
 		op   func() error

@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 
-	"otherworld/internal/layout"
 	"otherworld/internal/phys"
 )
 
@@ -27,13 +26,6 @@ type Heap struct {
 	frames []int
 	// AllocatedBytes tracks live record bytes (Table 4 context).
 	AllocatedBytes int64
-
-	// rec is the record image every record the kernel writes is sealed
-	// in (recordBuffer, seal): WriteNewRecord, the slot rewrites and the
-	// in-place re-seals. Like the kernel's recBuf and stackBuf it has one
-	// writer at a time, the kernel's goroutine, and each record is sealed
-	// and written before the next is built.
-	rec []byte
 }
 
 // NewHeap creates an empty heap drawing frames from alloc.
@@ -88,35 +80,16 @@ func (h *Heap) Free(addr uint64, n int) {
 // Frames returns the heap frame numbers, for fault-injection targeting.
 func (h *Heap) Frames() []int { return h.frames }
 
-// WriteNewRecord seals rec, a payload appended to recordBuffer, as a record
-// of type t, allocates space for it and writes it, returning the record's
-// physical address and framed size.
-func (h *Heap) WriteNewRecord(t layout.Type, rec []byte) (addr uint64, size int, err error) {
-	size = len(rec) + layout.TrailerSize
-	addr, err = h.Alloc(size)
+// WriteNewRecord allocates space for rec, a sealed record image (a record
+// type's AppendRecord), and writes it there, returning the record's
+// physical address and size.
+func (h *Heap) WriteNewRecord(rec []byte) (addr uint64, size int, err error) {
+	addr, err = h.Alloc(len(rec))
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := h.mem.WriteAt(addr, h.seal(rec, t)); err != nil {
+	if err := h.mem.WriteAt(addr, rec); err != nil {
 		return 0, 0, err
 	}
-	return addr, size, nil
-}
-
-// recordBuffer returns the heap's record image with HeaderSize bytes of
-// room for the header, for a payload to be appended and the record sealed
-// with seal.
-func (h *Heap) recordBuffer() []byte {
-	if cap(h.rec) < layout.HeaderSize {
-		h.rec = make([]byte, 0, procSlotSize)
-	}
-	return h.rec[:layout.HeaderSize]
-}
-
-// seal seals rec, built on recordBuffer, as a record of type t and keeps
-// its storage, grown or not, for the next record.
-func (h *Heap) seal(rec []byte, t layout.Type) []byte {
-	rec = layout.SealInto(rec, t, 0)
-	h.rec = rec[:0]
-	return rec
+	return addr, len(rec), nil
 }

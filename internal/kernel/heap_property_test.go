@@ -75,7 +75,7 @@ func TestRecordSlotsFitWorstCase(t *testing.T) {
 		KStack: ^uint64(0), Terminal: ^uint64(0), Signals: ^uint64(0),
 		Shm: ^uint64(0), Pipes: ^uint64(0), Sockets: ^uint64(0), Next: ^uint64(0),
 	}
-	if got := layout.RecordSize(len(worstProc.EncodePayload())); got > procSlotSize {
+	if got := len(worstProc.AppendRecord(nil)); got > procSlotSize {
 		t.Fatalf("worst-case proc record %d > slot %d", got, procSlotSize)
 	}
 	worstFile := layout.FileRec{
@@ -84,7 +84,7 @@ func TestRecordSlotsFitWorstCase(t *testing.T) {
 		Flags: ^uint32(0), Offset: ^uint64(0), Mapped: true,
 		CachePages: ^uint64(0), Next: ^uint64(0),
 	}
-	if got := layout.RecordSize(len(worstFile.EncodePayload())); got > fileSlotSize {
+	if got := len(worstFile.AppendRecord(nil)); got > fileSlotSize {
 		t.Fatalf("worst-case file record %d > slot %d", got, fileSlotSize)
 	}
 	// The largest shm record must fit a heap allocation (one frame).
@@ -92,7 +92,7 @@ func TestRecordSlotsFitWorstCase(t *testing.T) {
 		Key: ^uint64(0), Size: ^uint64(0), AttachedAt: ^uint64(0),
 		Frames: make([]uint64, layout.MaxShmFrames), Next: ^uint64(0),
 	}
-	if got := layout.RecordSize(len(worstShm.EncodePayload())); got > phys.PageSize {
+	if got := len(worstShm.AppendRecord(nil)); got > phys.PageSize {
 		t.Fatalf("worst-case shm record %d > frame", got)
 	}
 }

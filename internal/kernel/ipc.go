@@ -42,7 +42,7 @@ func (k *Kernel) ShmGet(p *Process, key uint64, size uint64, va uint64) error {
 		Frames:     frames,
 		Next:       p.D.Shm,
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeShm, rec.AppendPayload(k.Heap.recordBuffer()))
+	addr, _, err := k.Heap.WriteNewRecord(k.encode(rec.AppendRecord))
 	if err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func (k *Kernel) PipeOpen(p *Process, id uint32, peer uint32) error {
 		PeerPID: peer,
 		Next:    p.D.Pipes,
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypePipe, rec.AppendPayload(k.Heap.recordBuffer()))
+	addr, _, err := k.Heap.WriteNewRecord(k.encode(rec.AppendRecord))
 	if err != nil {
 		return err
 	}
@@ -100,7 +100,7 @@ func (k *Kernel) lookupPipe(p *Process, id uint32, rec *layout.Pipe) (uint64, er
 		if hops > 4096 {
 			return 0, k.oopsf(OopsBadStructure, "pid %d pipe list loop", p.PID)
 		}
-		if err := layout.ReadPipeInto(k.M.Mem, cur, k.P.VerifyCRC, rec, &k.recBuf); err != nil {
+		if err := rec.Read(k.M.Mem, cur, k.P.VerifyCRC, &k.recBuf); err != nil {
 			return 0, k.oopsf(OopsBadStructure, "pid %d pipe record: %v", p.PID, err)
 		}
 		if rec.ID == id {
@@ -113,7 +113,7 @@ func (k *Kernel) lookupPipe(p *Process, id uint32, rec *layout.Pipe) (uint64, er
 
 // writePipeRec re-seals the pipe record at addr in place.
 func (k *Kernel) writePipeRec(addr uint64, rec *layout.Pipe) error {
-	return k.reseal(addr, layout.TypePipe, rec.AppendPayload(k.Heap.recordBuffer()))
+	return k.reseal(addr, k.encode(rec.AppendRecord))
 }
 
 // PipeWrite appends data to the pipe's circular buffer. The record's lock
@@ -192,7 +192,7 @@ func (k *Kernel) SockOpen(p *Process, id uint32, proto layout.SocketProto, local
 		LocalPort: localPort,
 		Next:      p.D.Sockets,
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSocket, rec.AppendPayload(k.Heap.recordBuffer()))
+	addr, _, err := k.Heap.WriteNewRecord(k.encode(rec.AppendRecord))
 	if err != nil {
 		return err
 	}
@@ -208,7 +208,7 @@ func (k *Kernel) lookupSocket(p *Process, id uint32, rec *layout.Socket) (uint64
 		if hops > 4096 {
 			return 0, k.oopsf(OopsBadStructure, "pid %d socket list loop", p.PID)
 		}
-		if err := layout.ReadSocketInto(k.M.Mem, cur, k.P.VerifyCRC, rec, &k.recBuf); err != nil {
+		if err := rec.Read(k.M.Mem, cur, k.P.VerifyCRC, &k.recBuf); err != nil {
 			return 0, k.oopsf(OopsBadStructure, "pid %d socket record: %v", p.PID, err)
 		}
 		if rec.ID == id {
@@ -257,14 +257,14 @@ func (k *Kernel) SigAction(p *Process, sig int, handler uint32) error {
 	}
 	var tbl layout.Signals
 	if p.D.Signals != 0 {
-		if err := layout.ReadSignalsInto(k.M.Mem, p.D.Signals, k.P.VerifyCRC, &tbl, &k.recBuf); err != nil {
+		if err := tbl.Read(k.M.Mem, p.D.Signals, k.P.VerifyCRC, &k.recBuf); err != nil {
 			return k.oopsf(OopsBadStructure, "pid %d signal table: %v", p.PID, err)
 		}
 		tbl.Handlers[sig] = handler
-		return k.reseal(p.D.Signals, layout.TypeSignals, tbl.AppendPayload(k.Heap.recordBuffer()))
+		return k.reseal(p.D.Signals, k.encode(tbl.AppendRecord))
 	}
 	tbl.Handlers[sig] = handler
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSignals, tbl.AppendPayload(k.Heap.recordBuffer()))
+	addr, _, err := k.Heap.WriteNewRecord(k.encode(tbl.AppendRecord))
 	if err != nil {
 		return err
 	}

@@ -176,12 +176,16 @@ type Kernel struct {
 	// isCrashKernel is true from crash-kernel boot until the morph.
 	isCrashKernel bool
 
-	// recBuf is the record buffer every re-read of a kernel record
-	// decodes through (the layout …Into readers), and pageBuf the kernel's
-	// byte scratch: a page of a file, a terminal screen (pageBuffer).
-	// Like the frame table they have one writer at a time (the kernel's
-	// goroutine, which also runs a resurrection pass's commits), and each
-	// decode or copy is done with them before the next one starts.
+	// recBuf is the record buffer every kernel record is decoded through
+	// (a record type's Read) and encoded into (encode): a decoded value
+	// shares nothing with it, and each image is written before the next
+	// record is read or built. Boot sizes it for the largest record slot,
+	// and a decode or encode that outgrows it keeps the grown storage.
+	// pageBuf is the kernel's byte scratch: a page of a file, a
+	// terminal screen (pageBuffer). Like the frame table they have one
+	// writer at a time (the kernel's goroutine, which also runs a
+	// resurrection pass's commits), and each decode, encode or copy is done
+	// with them before the next one starts.
 	recBuf  []byte
 	pageBuf []byte
 	// paths holds, for each open-file record this kernel wrote, the path
@@ -258,6 +262,7 @@ func Boot(m *hw.Machine, filesystem *fs.FlatFS, p Params, opt BootOptions) (*Ker
 		procs:       make(map[uint32]*Process),
 		terminals:   make(map[uint32]*ttyRuntime),
 		paths:       make(map[uint64]string),
+		recBuf:      make([]byte, 0, procSlotSize),
 		rng:         sim.NewRNG(p.Seed),
 		cost:        sim.DefaultCostModel(),
 		globalsAddr: opt.GlobalsAt,
@@ -376,13 +381,13 @@ func (k *Kernel) writeSwapTable() (uint64, error) {
 			Slots:  uint32(k.swap.Slots()),
 		}
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSwapTable, t.AppendPayload(k.Heap.recordBuffer()))
+	addr, _, err := k.Heap.WriteNewRecord(k.encode(t.AppendRecord))
 	return addr, err
 }
 
 // syncGlobals writes the cached globals through to memory.
 func (k *Kernel) syncGlobals() error {
-	return k.reseal(k.globalsAddr, layout.TypeGlobals, k.Globals.AppendPayload(k.Heap.recordBuffer()))
+	return k.reseal(k.globalsAddr, k.encode(k.Globals.AppendRecord))
 }
 
 // GlobalsAnchor returns the physical address of this kernel's globals

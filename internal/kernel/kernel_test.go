@@ -6,6 +6,7 @@ import (
 	"otherworld/internal/disk"
 	"otherworld/internal/fs"
 	"otherworld/internal/hw"
+	"otherworld/internal/layout"
 	"otherworld/internal/phys"
 )
 
@@ -131,8 +132,9 @@ func TestExitUnlinksMiddleOfList(t *testing.T) {
 	if k.Globals.ProcListHead != p3.Addr {
 		t.Fatal("head moved unexpectedly")
 	}
-	d, err := k.readProcRecord(p3.Addr)
-	if err != nil {
+	var d layout.Proc
+	var buf []byte
+	if err := d.Read(k.M.Mem, p3.Addr, true, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if d.Next != p1.Addr {

@@ -341,7 +341,8 @@ func (k *Kernel) AttemptTransfer() TransferOutcome {
 		}
 	}
 	if !h.NoTrustCurrent && cur != nil {
-		if _, err := k.readProcRecord(cur.Addr); err != nil {
+		d := cur.D // primed with the names it should hold: a sound record allocates nothing
+		if err := d.Read(k.M.Mem, cur.Addr, k.P.VerifyCRC, &k.recBuf); err != nil {
 			return TransferOutcome{Reason: "panic path dereferenced corrupted current process descriptor"}
 		}
 	}

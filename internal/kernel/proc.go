@@ -206,32 +206,32 @@ func (k *Kernel) CreateProcess(name, program string) (*Process, error) {
 
 // writeProc re-seals the descriptor record in its slot.
 func (k *Kernel) writeProc(p *Process) error {
-	return k.writeSlot(p.Addr, procSlotSize, layout.TypeProc, p.D.AppendPayload(k.Heap.recordBuffer()))
+	return k.writeSlot(p.Addr, procSlotSize, k.encode(p.D.AppendRecord))
 }
 
-// writeSlot seals rec, a payload appended to the heap's recordBuffer, into
-// a fixed-size slot, enforcing the headroom.
-func (k *Kernel) writeSlot(addr uint64, slot int, t layout.Type, rec []byte) error {
-	rec = k.Heap.seal(rec, t)
+// encode appends one record to the emptied record buffer with
+// appendRecord, a record's AppendRecord, and returns the sealed image. An
+// encode that outgrows the buffer leaves the grown storage in its place.
+func (k *Kernel) encode(appendRecord func(dst []byte) []byte) []byte {
+	k.recBuf = appendRecord(k.recBuf[:0])
+	return k.recBuf
+}
+
+// writeSlot writes rec, a sealed record image, into a fixed-size slot,
+// enforcing the headroom.
+func (k *Kernel) writeSlot(addr uint64, slot int, rec []byte) error {
 	if len(rec) > slot {
-		return fmt.Errorf("kernel: %s record (%d bytes) exceeds %d-byte slot", t, len(rec), slot)
+		return fmt.Errorf("kernel: %d-byte record exceeds %d-byte slot", len(rec), slot)
 	}
 	return k.M.Mem.WriteAt(addr, rec)
 }
 
-// reseal seals rec, a payload appended to the heap's recordBuffer, as a
-// record of type t over the record at addr. It is for fixed-width records
-// (page-cache entries, terminals, pipes, sockets, signal tables, the
-// globals anchor), whose size never changes, so they need no slot.
-func (k *Kernel) reseal(addr uint64, t layout.Type, rec []byte) error {
-	return k.M.Mem.WriteAt(addr, k.Heap.seal(rec, t))
-}
-
-// readProcRecord fetches the descriptor back out of memory, validating it.
-// The main kernel re-reads records on critical paths so injected corruption
-// affects it the way it would affect Linux.
-func (k *Kernel) readProcRecord(addr uint64) (*layout.Proc, error) {
-	return layout.ReadProc(k.M.Mem, addr, k.P.VerifyCRC)
+// reseal writes rec, a sealed record image, over the record at addr. It is
+// for fixed-width records (page-cache entries, terminals, pipes, sockets,
+// signal tables, the globals anchor), whose size never changes, so they
+// need no slot.
+func (k *Kernel) reseal(addr uint64, rec []byte) error {
+	return k.M.Mem.WriteAt(addr, rec)
 }
 
 // RegisterCrashProcedure records the named crash procedure in the process
@@ -280,10 +280,14 @@ func (k *Kernel) Exit(p *Process, code int) error {
 			return err
 		}
 	} else {
+		// The walk re-reads each descriptor, so injected corruption affects
+		// it the way it would affect Linux. It decodes every record into one
+		// descriptor through the record buffer, so a name allocates only
+		// where it differs from the record before it.
+		var d layout.Proc
 		cur := k.Globals.ProcListHead
 		for cur != 0 {
-			d, err := k.readProcRecord(cur)
-			if err != nil {
+			if err := d.Read(k.M.Mem, cur, k.P.VerifyCRC, &k.recBuf); err != nil {
 				return err
 			}
 			if d.Next == p.Addr {
@@ -291,7 +295,7 @@ func (k *Kernel) Exit(p *Process, code int) error {
 				if cp, ok := k.procs[d.PID]; ok && cp.Addr == cur {
 					cp.D.Next = d.Next
 				}
-				if err := k.writeSlot(cur, procSlotSize, layout.TypeProc, d.AppendPayload(k.Heap.recordBuffer())); err != nil {
+				if err := k.writeSlot(cur, procSlotSize, k.encode(d.AppendRecord)); err != nil {
 					return err
 				}
 				break

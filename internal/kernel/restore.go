@@ -221,7 +221,7 @@ func (k *Kernel) InstallTerminal(p *Process, old *layout.Terminal, screen []byte
 
 // InstallSignals recreates the signal-handler table.
 func (k *Kernel) InstallSignals(p *Process, tbl *layout.Signals) error {
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeSignals, tbl.AppendPayload(k.Heap.recordBuffer()))
+	addr, _, err := k.Heap.WriteNewRecord(k.encode(tbl.AppendRecord))
 	if err != nil {
 		return err
 	}
@@ -283,7 +283,7 @@ func (k *Kernel) InstallSocket(p *Process, old *layout.Socket) error {
 	rec.RemotePort = old.RemotePort
 	rec.Seq = old.Seq
 	rec.Window = old.Window
-	return k.reseal(addr, layout.TypeSocket, rec.AppendPayload(k.Heap.recordBuffer()))
+	return k.reseal(addr, k.encode(rec.AppendRecord))
 }
 
 // InstallContext restores the saved hardware context of a resurrected

@@ -62,7 +62,7 @@ func (k *Kernel) openTerminal(p *Process, index uint32, settings uint32) error {
 		Settings: settings,
 		Screen:   phys.FrameAddr(screenFrame),
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeTerminal, rec.AppendPayload(k.Heap.recordBuffer()))
+	addr, _, err := k.Heap.WriteNewRecord(k.encode(rec.AppendRecord))
 	if err != nil {
 		return err
 	}
@@ -80,7 +80,7 @@ func (k *Kernel) readTerminalRec(p *Process, rec *layout.Terminal) (uint64, erro
 	if p.D.Terminal == 0 {
 		return 0, fmt.Errorf("kernel: pid %d has no terminal", p.PID)
 	}
-	if err := layout.ReadTerminalInto(k.M.Mem, p.D.Terminal, k.P.VerifyCRC, rec, &k.recBuf); err != nil {
+	if err := rec.Read(k.M.Mem, p.D.Terminal, k.P.VerifyCRC, &k.recBuf); err != nil {
 		return 0, k.oopsf(OopsBadStructure, "pid %d terminal record: %v", p.PID, err)
 	}
 	return p.D.Terminal, nil
@@ -132,7 +132,7 @@ func (k *Kernel) termWrite(p *Process, data []byte) error {
 
 // writeTerminalRec re-seals the terminal record at addr in place.
 func (k *Kernel) writeTerminalRec(addr uint64, rec *layout.Terminal) error {
-	return k.reseal(addr, layout.TypeTerminal, rec.AppendPayload(k.Heap.recordBuffer()))
+	return k.reseal(addr, k.encode(rec.AppendRecord))
 }
 
 // termRead pulls one keystroke from the console hub for the process's

@@ -125,8 +125,9 @@ func TestShmReadWriteThroughVM(t *testing.T) {
 		t.Fatalf("got %q", buf)
 	}
 	// The descriptor lists exactly the backing frames.
-	rec, err := layout.ReadShm(k.M.Mem, env.P.D.Shm, true)
-	if err != nil {
+	var rec layout.Shm
+	var recBuf []byte
+	if err := rec.Read(k.M.Mem, env.P.D.Shm, true, &recBuf); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Frames) != 3 || rec.AttachedAt != 0x500000 {
@@ -220,8 +221,9 @@ func TestSigAction(t *testing.T) {
 	if err := env.SigAction(40, 1); err == nil {
 		t.Fatal("out-of-range signal should fail")
 	}
-	tbl, err := layout.ReadSignals(k.M.Mem, env.P.D.Signals, true)
-	if err != nil {
+	var tbl layout.Signals
+	var buf []byte
+	if err := tbl.Read(k.M.Mem, env.P.D.Signals, true, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Handlers[2] != 0xCAFE {
@@ -231,8 +233,7 @@ func TestSigAction(t *testing.T) {
 	if err := env.SigAction(2, 0xBEEF); err != nil {
 		t.Fatal(err)
 	}
-	tbl, _ = layout.ReadSignals(k.M.Mem, env.P.D.Signals, true)
-	if tbl.Handlers[2] != 0xBEEF {
+	if err := tbl.Read(k.M.Mem, env.P.D.Signals, true, &buf); err != nil || tbl.Handlers[2] != 0xBEEF {
 		t.Fatalf("handler after update = %#x", tbl.Handlers[2])
 	}
 }

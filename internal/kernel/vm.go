@@ -32,7 +32,7 @@ func (k *Kernel) MapRegion(p *Process, start, length uint64, prot uint8, kind la
 		FileOffset: fileOff,
 		Next:       p.D.MemRegions,
 	}
-	addr, _, err := k.Heap.WriteNewRecord(layout.TypeMemRegion, rec.AppendPayload(k.Heap.recordBuffer()))
+	addr, _, err := k.Heap.WriteNewRecord(k.encode(rec.AppendRecord))
 	if err != nil {
 		return err
 	}
@@ -50,7 +50,7 @@ func (k *Kernel) findRegion(p *Process, va uint64, r *layout.MemRegion) error {
 		if hops > 4096 {
 			return k.oopsf(OopsBadStructure, "region list loop for pid %d", p.PID)
 		}
-		if err := layout.ReadMemRegionInto(k.M.Mem, cur, k.P.VerifyCRC, r, &k.recBuf); err != nil {
+		if err := r.Read(k.M.Mem, cur, k.P.VerifyCRC, &k.recBuf); err != nil {
 			return k.oopsf(OopsBadStructure, "pid %d region record: %v", p.PID, err)
 		}
 		if va >= r.Start && va < r.End {

@@ -10,9 +10,11 @@ import (
 // converted to a CorruptionError by record decoders.
 var errShort = errors.New("layout: payload truncated")
 
-// writer builds little-endian payloads field by field.
+// writer builds a record's little-endian payload field by field after the
+// header room newRecord leaves at start.
 type writer struct {
-	buf []byte
+	buf   []byte
+	start int
 }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
@@ -98,12 +100,11 @@ func (r *reader) u64() uint64 {
 
 func (r *reader) boolean() bool { return r.u8() != 0 }
 
-func (r *reader) str() string { return r.strOver("") }
-
-// strOver is str decoding over old, the field's value before the decode:
-// when the string's bytes equal old it returns old and allocates nothing.
-// Strings are immutable, so the result is the same value either way.
-func (r *reader) strOver(old string) string {
+// str reads a 16-bit length-prefixed string over old, the field's value
+// before the decode: when the string's bytes equal old it returns old and
+// allocates nothing. Strings are immutable, so the result is the same value
+// either way.
+func (r *reader) str(old string) string {
 	n := int(r.u16())
 	if r.err != nil {
 		return ""

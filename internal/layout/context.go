@@ -91,7 +91,7 @@ func WriteContext(m MemoryAccessor, kstackAddr uint64, c *Context) error {
 
 // ReadContext loads the context from the kernel stack at kstackAddr. Like
 // WriteContext it allocates nothing over a *phys.Mem.
-func ReadContext(m MemoryAccessor, kstackAddr uint64) (Context, bool, error) {
+func ReadContext(m Reader, kstackAddr uint64) (Context, bool, error) {
 	var buf [ContextSize]byte
 	var err error
 	if pm, ok := m.(*phys.Mem); ok {

@@ -45,19 +45,10 @@ const (
 	KindMetrics
 )
 
-// SealFrame packs payload into a size-byte frame image: header, payload,
-// CRC-32C and zero padding. The payload must fit: len(payload) <= size -
-// FrameOverhead.
-func SealFrame(kind FrameKind, flags uint8, gen uint32, size int, payload []byte) []byte {
-	buf := make([]byte, size)
-	SealFrameInto(buf, kind, flags, gen, payload)
-	return buf
-}
-
-// SealFrameInto is SealFrame into an image the caller owns, a frame long:
-// every byte of dst is written, so an image reused for the next frame keeps
-// nothing of the last one. The payload must fit: len(payload) <= len(dst) -
-// FrameOverhead.
+// SealFrameInto packs payload into dst, a frame image the caller owns:
+// header, payload, CRC-32C and zero padding. Every byte of dst is written,
+// so an image reused for the next frame keeps nothing of the last one. The
+// payload must fit: len(payload) <= len(dst) - FrameOverhead.
 func SealFrameInto(dst []byte, kind FrameKind, flags uint8, gen uint32, payload []byte) {
 	binary.LittleEndian.PutUint16(dst[0:], FrameMagic)
 	dst[2] = uint8(kind)

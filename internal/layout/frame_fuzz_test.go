@@ -111,7 +111,9 @@ func FuzzFrameSalvage(f *testing.F) {
 				}
 				off := int(fr.Addr - base)
 				n := layout.FrameOverhead + len(fr.Payload)
-				if img := layout.SealFrame(fr.Kind, fr.Flags, fr.Gen, span.Size, fr.Payload); !bytes.Equal(img[:n], raw[off:off+n]) {
+				img := make([]byte, span.Size)
+				layout.SealFrameInto(img, fr.Kind, fr.Flags, fr.Gen, fr.Payload)
+				if !bytes.Equal(img[:n], raw[off:off+n]) {
 					t.Fatalf("kind %d frame at %#x does not re-seal to its own bytes", span.Kind, fr.Addr)
 				}
 			}

@@ -17,6 +17,13 @@ func (m *countingMem) ReadAt(addr uint64, p []byte) error {
 	return m.memBuf.ReadAt(addr, p)
 }
 
+// sealFrame seals payload into a fresh size-byte frame image.
+func sealFrame(kind FrameKind, flags uint8, gen uint32, size int, payload []byte) []byte {
+	img := make([]byte, size)
+	SealFrameInto(img, kind, flags, gen, payload)
+	return img
+}
+
 // keepFrame is a payload decoder that keeps the frame itself.
 func keepFrame(f Frame) (Frame, bool) {
 	f.Payload = append([]byte(nil), f.Payload...)
@@ -27,12 +34,12 @@ func TestSalvageSortsEveryFrame(t *testing.T) {
 	const size = 128
 	m := newMemBuf(6 * size)
 	put := func(i int, img []byte) { copy(m.data[i*size:], img) }
-	put(0, SealFrame(KindTrace, 0, 5, size, []byte("current")))
-	put(1, SealFrame(KindTrace, 0, 4, size, []byte("older")))
+	put(0, sealFrame(KindTrace, 0, 5, size, []byte("current")))
+	put(1, sealFrame(KindTrace, 0, 4, size, []byte("older")))
 	// Frame 2 stays empty.
-	put(3, SealFrame(KindTrace, 0, 5, size, []byte("flipped")))
+	put(3, sealFrame(KindTrace, 0, 5, size, []byte("flipped")))
 	m.data[3*size+FrameHeaderSize] ^= 0xff
-	put(4, SealFrame(KindIndexEntry, 0, 5, size, []byte("foreign")))
+	put(4, sealFrame(KindIndexEntry, 0, 5, size, []byte("foreign")))
 	put(5, []byte("garbage without the magic"))
 
 	span := Span{Count: 6, Size: size, Kind: KindTrace}
@@ -68,7 +75,7 @@ func TestSalvageSortsEveryFrame(t *testing.T) {
 func TestSalvageSparseReadsOnlyFramedBytes(t *testing.T) {
 	m := &countingMem{memBuf: *newMemBuf(3 * IndexSlotSize)}
 	payload := []byte("entry payload")
-	copy(m.data[IndexSlotSize:], SealFrame(KindIndexEntry, 0, 1, IndexSlotSize, payload))
+	copy(m.data[IndexSlotSize:], sealFrame(KindIndexEntry, 0, 1, IndexSlotSize, payload))
 	_, s := SalvageFrames(m, Span{Count: 3, Size: IndexSlotSize, Kind: KindIndexEntry, Sparse: true}, true, keepFrame)
 	if s.Valid != 1 || s.Empty != 2 {
 		t.Fatalf("salvage = %+v", s)
@@ -79,16 +86,16 @@ func TestSalvageSparseReadsOnlyFramedBytes(t *testing.T) {
 }
 
 // TestSealFrameIntoOverwritesEveryByte seals frames of shrinking payloads
-// into one image that starts out all 0xff and requires each to equal
-// SealFrame's fresh image byte for byte: no header, payload, CRC or padding
-// byte of the previous frame may survive.
+// into one image that starts out all 0xff and requires each to equal the
+// frame sealed into a fresh zeroed image byte for byte: no header, payload,
+// CRC or padding byte of the previous frame may survive.
 func TestSealFrameIntoOverwritesEveryByte(t *testing.T) {
 	const size = 64
 	img := bytes.Repeat([]byte{0xff}, size)
 	for _, n := range []int{size - FrameOverhead, 30, 7, 1, 0} {
 		payload := bytes.Repeat([]byte{byte(n)}, n)
 		SealFrameInto(img, KindMetrics, 3, uint32(n), payload)
-		if want := SealFrame(KindMetrics, 3, uint32(n), size, payload); !bytes.Equal(img, want) {
+		if want := sealFrame(KindMetrics, 3, uint32(n), size, payload); !bytes.Equal(img, want) {
 			t.Fatalf("%d-byte payload:\ngot  % x\nwant % x", n, img, want)
 		}
 	}

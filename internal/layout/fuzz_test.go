@@ -3,20 +3,21 @@ package layout
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
 )
 
-// junkCapacities returns reusable buffers for the buffered record readers,
-// filled with junk up to their capacity: empty, one header, exactly the
-// record data's header announces, and larger than that, each once at full
-// length and once resliced to length zero.
+// junkCapacities returns reusable buffers for the record reader, filled
+// with junk up to their capacity: empty, one header, exactly the record
+// data's header announces, and larger than that, each once at full length
+// and once resliced to length zero.
 func junkCapacities(data []byte) [][]byte {
-	exact := RecordSize(0)
+	exact := HeaderSize + TrailerSize
 	if len(data) >= HeaderSize {
 		if n := binary.LittleEndian.Uint32(data[4:]); n <= MaxPayload {
-			exact = RecordSize(int(n))
+			exact += int(n)
 		}
 	}
 	var out [][]byte
@@ -27,48 +28,56 @@ func junkCapacities(data []byte) [][]byte {
 	return out
 }
 
-// FuzzReadRecord drives the record parser with arbitrary bytes; it must
-// never panic, must round-trip records it sealed itself, and must give the
-// same answer through a reused buffer of any capacity and contents.
-// Run the seed corpus with go test, or explore with go test
-// -fuzz=FuzzReadRecord.
+// otherRecord is a sealed record of another type than the one under test,
+// read through each buffer before a decode so the buffer last held a
+// different record.
+var otherRecord = &memBuf{data: (&Proc{PID: 1, Name: "other", Program: "other-program"}).AppendRecord(nil)}
+
+// FuzzReadRecord drives the record framing with arbitrary bytes: it must
+// never panic, must read back any payload the sealer framed, and must give
+// the same answer through a reused buffer of any capacity that last held
+// another record as through a fresh one. Run the seed corpus with go test,
+// or explore with go test -fuzz=FuzzReadRecord.
 func FuzzReadRecord(f *testing.F) {
 	f.Add([]byte{}, uint8(1), true)
-	f.Add(Seal(TypeProc, 0, []byte("payload")), uint8(2), true)
-	f.Add(Seal(TypeFile, 7, bytes.Repeat([]byte{0xAA}, 300)), uint8(4), false)
+	f.Add(sealed(TypeProc, []byte("payload")), uint8(2), true)
+	flagged := sealed(TypeFile, bytes.Repeat([]byte{0xAA}, 300))
+	flagged[3] = 7 // the flags byte is not read
+	f.Add(flagged, uint8(4), false)
 	f.Add([]byte{0x6F, 0x0D, 2, 0, 255, 255, 255, 255}, uint8(2), true)
 	f.Fuzz(func(t *testing.T, data []byte, wantType uint8, crc bool) {
 		m := &memBuf{data: make([]byte, len(data)+64)}
 		copy(m.data, data)
 		want := Type(wantType % uint8(typeMax))
-		payload, flags, err := ReadRecord(m, 0, want, crc)
+		var fresh []byte
+		payload, err := readRecord(m, 0, want, crc, &fresh)
 		if err == nil && payload == nil && len(data) > HeaderSize {
 			// nil payload is only legal for zero-length records.
-			n := int(uint32(data[4]) | uint32(data[5])<<8 | uint32(data[6])<<16 | uint32(data[7])<<24)
-			if n != 0 {
+			if n := binary.LittleEndian.Uint32(data[4:]); n != 0 {
 				t.Fatalf("nil payload for length %d", n)
 			}
 		}
-		if err == nil && crc {
-			if img := Seal(want, flags, payload); !bytes.Equal(img, m.data[:len(img)]) {
-				t.Fatalf("validated record does not re-seal to its bytes:\n%x\n%x", img, m.data[:len(img)])
-			}
-		}
+		payload = bytes.Clone(payload)
 		if len(data) <= MaxPayload {
-			sealed := &memBuf{data: Seal(want, 5, data)}
-			p, fl, e := ReadRecord(sealed, 0, want, true)
-			if e != nil || fl != 5 || !bytes.Equal(p, data) {
-				t.Fatalf("sealed %x read back as %x flags %d: %v", data, p, fl, e)
+			var buf []byte
+			p, e := readRecord(&memBuf{data: sealed(want, data)}, 0, want, true, &buf)
+			if e != nil || !bytes.Equal(p, data) {
+				t.Fatalf("sealed %x read back as %x: %v", data, p, e)
 			}
 		}
 		for _, buf := range junkCapacities(data) {
-			for pass := 0; pass < 2; pass++ {
-				p, fl, e := readRecord(m, 0, want, crc, &buf)
-				if (e == nil) != (err == nil) || (e != nil && e.Error() != err.Error()) {
-					t.Fatalf("cap %d pass %d: error %v, ReadRecord gave %v", cap(buf), pass, e, err)
+			for pass, other := range []bool{false, true, false} {
+				if other {
+					if _, err := readRecord(otherRecord, 0, TypeProc, true, &buf); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if e == nil && (fl != flags || !bytes.Equal(p, payload)) {
-					t.Fatalf("cap %d pass %d: payload %x flags %d, ReadRecord gave %x %d", cap(buf), pass, p, fl, payload, flags)
+				p, e := readRecord(m, 0, want, crc, &buf)
+				if (e == nil) != (err == nil) || (e != nil && e.Error() != err.Error()) {
+					t.Fatalf("cap %d pass %d: error %v, fresh buffer gave %v", cap(buf), pass, e, err)
+				}
+				if e == nil && !bytes.Equal(p, payload) {
+					t.Fatalf("cap %d pass %d: payload %x, fresh buffer gave %x", cap(buf), pass, p, payload)
 				}
 			}
 		}
@@ -91,15 +100,14 @@ func FuzzDecodeContext(f *testing.F) {
 	})
 }
 
-// FuzzRecordDecode drives every typed record reader — the full decoder
+// FuzzRecordDecode drives every record type's decoder — the full decoder
 // surface the crash kernel exposes to the dead kernel's bytes — with
 // arbitrary memory images. The resurrection scan walks these concurrently,
 // so a panic here is a crash-kernel crash; decoders must return errors, not
-// panic, for any input. Each decode-into reader must agree with its
-// allocating twin through reused buffers (checkInto), and every record a
-// reader accepts must re-seal through AppendPayload to the bytes Seal makes
-// of its EncodePayload (checkAppend). Corpus: one well-formed sealed record
-// per type.
+// panic, for any input. checkRecord holds each decoder to its contract
+// through reused buffers and against its encoder. Corpus: one well-formed
+// sealed record per type, with and without the CRC check, and records that
+// frame correctly but decode wrong or fail their checksum.
 func FuzzRecordDecode(f *testing.F) {
 	g := Globals{Version: 1, ProcListHead: 64, NextPID: 2}
 	p := Proc{PID: 3, Name: "mysqld", Program: "mysqld", CrashProc: "cp"}
@@ -113,81 +121,74 @@ func FuzzRecordDecode(f *testing.F) {
 	sk := Socket{ID: 2, LocalPort: 3306}
 	cp := CachePage{FileOff: 4096, Bytes: 4096}
 	for _, s := range []struct {
-		t       Type
-		payload []byte
+		t   Type
+		rec []byte
 	}{
-		{TypeGlobals, g.EncodePayload()},
-		{TypeProc, p.EncodePayload()},
-		{TypeMemRegion, v.EncodePayload()},
-		{TypeFile, fr.EncodePayload()},
-		{TypeSwapTable, st.EncodePayload()},
-		{TypeTerminal, term.EncodePayload()},
-		{TypeSignals, sg.EncodePayload()},
-		{TypeShm, sh.EncodePayload()},
-		{TypePipe, pp.EncodePayload()},
-		{TypeSocket, sk.EncodePayload()},
-		{TypeCachePage, cp.EncodePayload()},
+		{TypeGlobals, g.AppendRecord(nil)},
+		{TypeProc, p.AppendRecord(nil)},
+		{TypeMemRegion, v.AppendRecord(nil)},
+		{TypeFile, fr.AppendRecord(nil)},
+		{TypeSwapTable, st.AppendRecord(nil)},
+		{TypeTerminal, term.AppendRecord(nil)},
+		{TypeSignals, sg.AppendRecord(nil)},
+		{TypeShm, sh.AppendRecord(nil)},
+		{TypePipe, pp.AppendRecord(nil)},
+		{TypeSocket, sk.AppendRecord(nil)},
+		{TypeCachePage, cp.AppendRecord(nil)},
 	} {
-		f.Add(Seal(s.t, 0, s.payload), uint8(s.t), true)
-		f.Add(Seal(s.t, 0, s.payload), uint8(s.t), false)
+		f.Add(s.rec, uint8(s.t), true)
+		f.Add(s.rec, uint8(s.t), false)
 	}
 	f.Add([]byte{}, uint8(TypeProc), true)
 	f.Add(bytes.Repeat([]byte{0xFF}, 96), uint8(TypeShm), false)
 	// Records that frame correctly but decode wrong, and ones whose
-	// checksum no longer matches: the buffered decoders' error paths.
+	// checksum no longer matches: the decoders' error paths.
 	for _, s := range []struct {
-		t    Type
-		body []byte
+		t   Type
+		rec []byte
 	}{
-		{TypeCachePage, cp.EncodePayload()},
-		{TypeFile, fr.EncodePayload()},
-		{TypeTerminal, term.EncodePayload()},
+		{TypeCachePage, cp.AppendRecord(nil)},
+		{TypeFile, fr.AppendRecord(nil)},
+		{TypeTerminal, term.AppendRecord(nil)},
 	} {
-		f.Add(Seal(s.t, 0, s.body[:len(s.body)-1]), uint8(s.t), true)
-		f.Add(Seal(s.t, 0, append(s.body, 0)), uint8(s.t), false)
-		flipped := Seal(s.t, 0, s.body)
+		body := s.rec[HeaderSize : len(s.rec)-TrailerSize]
+		f.Add(sealed(s.t, body[:len(body)-1]), uint8(s.t), true)
+		f.Add(sealed(s.t, append(bytes.Clone(body), 0)), uint8(s.t), false)
+		flipped := bytes.Clone(s.rec)
 		flipped[HeaderSize] ^= 1
 		f.Add(flipped, uint8(s.t), true)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, typeSel uint8, crc bool) {
 		m := &memBuf{data: make([]byte, len(data)+64)}
 		copy(m.data, data)
-		switch typ := Type(typeSel % uint8(typeMax)); typ {
+		switch Type(typeSel % uint8(typeMax)) {
 		case TypeGlobals:
-			r, err := ReadGlobals(m, 0, crc)
-			checkAppend(t, typ, r, err)
+			checkRecord(t, m, data, crc, Globals{Version: 9, BootCount: 8, ProcListHead: 7, NextPID: 6, HeapFrames: 5})
 		case TypeProc:
-			r, err := ReadProc(m, 0, crc)
-			checkAppend(t, typ, r, err)
+			checkRecord(t, m, data, crc, Proc{PID: 9, State: ProcZombie, Name: "junk", Program: "junk-prog", PageDir: 1, Next: 2})
 		case TypeMemRegion:
-			checkInto(t, m, data, crc, typ, MemRegion{Start: 0xDEAD, End: 0xBEEF, Prot: 7, Kind: 1, File: 1, FileOffset: 2, Next: 3},
-				ReadMemRegion, ReadMemRegionInto)
+			checkRecord(t, m, data, crc, MemRegion{Start: 0xDEAD, End: 0xBEEF, Prot: 7, Kind: 1, File: 1, FileOffset: 2, Next: 3})
 		case TypeFile:
-			checkInto(t, m, data, crc, typ, FileRec{FD: 9, Path: "/junk", Flags: 7, Offset: 5, Mapped: true, CachePages: 1, Next: 2},
-				ReadFileRec, ReadFileRecInto)
+			checkRecord(t, m, data, crc, FileRec{FD: 9, Path: "/junk", Flags: 7, Offset: 5, Mapped: true, CachePages: 1, Next: 2})
 			checkPathKept(t, m, crc)
 		case TypeSwapTable:
-			r, err := ReadSwapTable(m, 0, crc)
-			checkAppend(t, typ, r, err)
+			junk := SwapTable{}
+			junk.Areas[1] = SwapArea{Device: "/dev/junk", Active: true, Slots: 3}
+			checkRecord(t, m, data, crc, junk)
 		case TypeTerminal:
-			checkInto(t, m, data, crc, typ, Terminal{Index: 9, Rows: 1, Cols: 1, CursorRow: 2, CursorCol: 3, Settings: 4, Screen: 5},
-				ReadTerminal, ReadTerminalInto)
+			checkRecord(t, m, data, crc, Terminal{Index: 9, Rows: 1, Cols: 1, CursorRow: 2, CursorCol: 3, Settings: 4, Screen: 5})
 		case TypeSignals:
 			junk := Signals{Blocked: 0xFF}
 			junk.Handlers[3] = 0xDEAD
-			checkInto(t, m, data, crc, typ, junk, ReadSignals, ReadSignalsInto)
+			checkRecord(t, m, data, crc, junk)
 		case TypeShm:
-			r, err := ReadShm(m, 0, crc)
-			checkAppend(t, typ, r, err)
+			checkRecord(t, m, data, crc, Shm{Key: 9, Size: 8, AttachedAt: 7, Frames: []uint64{6, 5}, Next: 4})
 		case TypePipe:
-			checkInto(t, m, data, crc, typ, Pipe{ID: 9, Buf: 1, ReadPos: 2, WritePos: 3, Locked: true, PeerPID: 4, Next: 5},
-				ReadPipe, ReadPipeInto)
+			checkRecord(t, m, data, crc, Pipe{ID: 9, Buf: 1, ReadPos: 2, WritePos: 3, Locked: true, PeerPID: 4, Next: 5})
 		case TypeSocket:
-			checkInto(t, m, data, crc, typ, Socket{ID: 9, Proto: ProtoUDP, LocalPort: 1, RemotePort: 2, Seq: 3, Window: 4, Next: 5},
-				ReadSocket, ReadSocketInto)
+			checkRecord(t, m, data, crc, Socket{ID: 9, Proto: ProtoUDP, LocalPort: 1, RemotePort: 2, Seq: 3, Window: 4, Next: 5})
 		case TypeCachePage:
-			checkInto(t, m, data, crc, typ, CachePage{FileOff: 0xDEAD, Frame: 0xBEEF, Dirty: true, Bytes: 7, Next: 0xF00D},
-				ReadCachePage, ReadCachePageInto)
+			checkRecord(t, m, data, crc, CachePage{FileOff: 0xDEAD, Frame: 0xBEEF, Dirty: true, Bytes: 7, Next: 0xF00D})
 		}
 	})
 }
@@ -195,7 +196,8 @@ func FuzzRecordDecode(f *testing.F) {
 // FuzzProcDecode exercises the highest-fan-in record decoder.
 func FuzzProcDecode(f *testing.F) {
 	p := Proc{PID: 1, Name: "a", Program: "b", CrashProc: "c"}
-	f.Add(p.EncodePayload())
+	rec := p.AppendRecord(nil)
+	f.Add(rec[HeaderSize : len(rec)-TrailerSize])
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 200))
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -204,66 +206,52 @@ func FuzzProcDecode(f *testing.F) {
 	})
 }
 
-// otherRecord is a sealed record of a type no reader above asks for, read
-// through each buffer before a decode so the buffer last held a different
-// record.
-var otherRecord = &memBuf{data: Seal(TypeProc, 0, (&Proc{PID: 1, Name: "other", Program: "other-program"}).EncodePayload())}
-
-// checkInto decodes the record at 0 with read, an allocating reader, and
-// with into, its decode-into twin, through reused junk-filled buffers of
-// every capacity junkCapacities offers: fresh, after a different record,
-// and after the same record. Both must give the same value or the same
-// error, and a failed decode must leave the destination, which starts as
-// junk, untouched. A record read accepts must also re-seal (checkAppend).
-func checkInto[T comparable](t *testing.T, m *memBuf, data []byte, crc bool, typ Type, junk T,
-	read func(MemoryAccessor, uint64, bool) (*T, error),
-	into func(MemoryAccessor, uint64, bool, *T, *[]byte) error) {
+// checkRecord holds the decoder of the record at 0 to its contract. The
+// reference decodes through a fresh buffer; the same decode through reused
+// junk-filled buffers of every capacity junkCapacities offers — as they
+// come, after a different record, and again — must give the same value or
+// the same error. Every decode starts from junk, which a failed one must
+// leave untouched. And a record accepted with the CRC check on must
+// re-encode through AppendRecord to exactly the bytes it was read from,
+// whatever the destination held: the kernel writes nothing else, so the
+// checksum vouches that the bytes are the encoder's.
+func checkRecord[T any, P record[T]](t *testing.T, m *memBuf, data []byte, crc bool, junk T) {
 	t.Helper()
-	want, werr := read(m, 0, crc)
-	checkAppend(t, typ, any(want).(payloader), werr)
+	typ := reflect.TypeFor[T]().Name()
+	want := junk
+	var fresh []byte
+	werr := P(&want).Read(m, 0, crc, &fresh)
+	if werr != nil && !reflect.DeepEqual(want, junk) {
+		t.Fatalf("%s: failed decode (%v) wrote %+v", typ, werr, want)
+	}
 	for _, buf := range junkCapacities(data) {
 		for pass, other := range []bool{false, true, false} {
 			if other {
-				if _, _, err := readRecord(otherRecord, 0, TypeProc, true, &buf); err != nil {
+				if err := new(Proc).Read(otherRecord, 0, true, &buf); err != nil {
 					t.Fatal(err)
 				}
 			}
 			got := junk
-			err := into(m, 0, crc, &got, &buf)
+			err := P(&got).Read(m, 0, crc, &buf)
 			switch {
 			case (err == nil) != (werr == nil):
-				t.Fatalf("%s cap %d pass %d: error %v, allocating reader gave %v", typ, cap(buf), pass, err, werr)
+				t.Fatalf("%s cap %d pass %d: error %v, fresh buffer gave %v", typ, cap(buf), pass, err, werr)
 			case err != nil && err.Error() != werr.Error():
-				t.Fatalf("%s cap %d pass %d: error %q, allocating reader gave %q", typ, cap(buf), pass, err, werr)
-			case err != nil && got != junk:
-				t.Fatalf("%s cap %d pass %d: failed decode wrote %+v", typ, cap(buf), pass, got)
-			case err == nil && got != *want:
-				t.Fatalf("%s cap %d pass %d: decoded %+v, allocating reader gave %+v", typ, cap(buf), pass, got, *want)
+				t.Fatalf("%s cap %d pass %d: error %q, fresh buffer gave %q", typ, cap(buf), pass, err, werr)
+			case !reflect.DeepEqual(got, want):
+				t.Fatalf("%s cap %d pass %d: decoded %+v, fresh buffer gave %+v", typ, cap(buf), pass, got, want)
 			}
 		}
 	}
-}
-
-// payloader is a record's pair of payload encoders.
-type payloader interface {
-	EncodePayload() []byte
-	AppendPayload(dst []byte) []byte
-}
-
-// checkAppend re-seals a record a reader accepted (err == nil) through
-// AppendPayload and SealInto, into a fresh image and into one that held a
-// longer record: both must be the bytes Seal makes of EncodePayload.
-func checkAppend(t *testing.T, typ Type, r payloader, err error) {
-	t.Helper()
-	if err != nil {
+	if werr != nil || !crc {
 		return
 	}
-	want := Seal(typ, 0, r.EncodePayload())
-	fresh := make([]byte, HeaderSize)
-	reused := bytes.Repeat([]byte{0xA5}, len(want)+64)[:HeaderSize]
-	for _, img := range [][]byte{fresh, reused} {
-		if got := SealInto(r.AppendPayload(img), typ, 0); !bytes.Equal(got, want) {
-			t.Fatalf("%s: AppendPayload sealed to\n%x\nSeal(EncodePayload()) to\n%x", typ, got, want)
+	read := m.data[:len(P(&want).AppendRecord(nil))]
+	prefix := []byte("held before")
+	for _, dst := range [][]byte{nil, bytes.Repeat([]byte{0xA5}, len(read)+64)[:0], bytes.Clone(prefix)} {
+		got := P(&want).AppendRecord(dst)
+		if !bytes.Equal(got[:len(dst)], dst) || !bytes.Equal(got[len(dst):], read) {
+			t.Fatalf("%s: accepted record re-encodes to\n%x\nafter %x, read from\n%x", typ, got[len(dst):], dst, read)
 		}
 	}
 }
@@ -273,17 +261,17 @@ func checkAppend(t *testing.T, typ Type, r payloader, err error) {
 // that string, not copy the bytes again.
 func checkPathKept(t *testing.T, m *memBuf, crc bool) {
 	t.Helper()
-	want, err := ReadFileRec(m, 0, crc)
-	if err != nil || want.Path == "" {
+	var want FileRec
+	var buf []byte
+	if err := want.Read(m, 0, crc, &buf); err != nil || want.Path == "" {
 		return
 	}
 	keep := strings.Clone(want.Path)
 	dst := FileRec{Path: keep}
-	var buf []byte
-	if err := ReadFileRecInto(m, 0, crc, &dst, &buf); err != nil {
+	if err := dst.Read(m, 0, crc, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if unsafe.StringData(dst.Path) != unsafe.StringData(keep) || dst != *want {
-		t.Fatalf("decode over an equal path gave %+v, want %+v in the destination's string", dst, *want)
+	if unsafe.StringData(dst.Path) != unsafe.StringData(keep) || dst != want {
+		t.Fatalf("decode over an equal path gave %+v, want %+v in the destination's string", dst, want)
 	}
 }

@@ -55,11 +55,9 @@ type IndexEntry struct {
 	CrashProc string
 }
 
-func (h *IndexHeader) encode() []byte {
-	buf := make([]byte, 2+4)
-	binary.LittleEndian.PutUint16(buf[0:], h.Version)
-	binary.LittleEndian.PutUint32(buf[2:], h.Slots)
-	return buf
+func (h *IndexHeader) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, h.Version)
+	return binary.LittleEndian.AppendUint32(dst, h.Slots)
 }
 
 func decodeIndexHeader(f Frame) (IndexHeader, bool) {
@@ -73,15 +71,14 @@ func decodeIndexHeader(f Frame) (IndexHeader, bool) {
 	}, true
 }
 
-func (e *IndexEntry) encode() []byte {
-	buf := make([]byte, 0, 4+8+3*(1+maxIndexString))
-	buf = binary.LittleEndian.AppendUint32(buf, e.PID)
-	buf = binary.LittleEndian.AppendUint64(buf, e.Addr)
-	for _, s := range []string{e.Name, e.Program, e.CrashProc} {
-		buf = append(buf, byte(len(s)))
-		buf = append(buf, s...)
+func (e *IndexEntry) appendTo(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, e.PID)
+	dst = binary.LittleEndian.AppendUint64(dst, e.Addr)
+	for _, s := range [...]string{e.Name, e.Program, e.CrashProc} {
+		dst = append(dst, byte(len(s)))
+		dst = append(dst, s...)
 	}
-	return buf
+	return dst
 }
 
 // indexSlot is one decoded entry slot: an entry or its tombstone.
@@ -124,6 +121,11 @@ type IndexWriter struct {
 	gen   uint32
 	byPID map[uint32]int // pid -> occupied entry slot
 	used  []bool         // slot occupancy; slot 0 is the header
+	// payload and img are the slot payload and the slot image every
+	// write is encoded and sealed in (seal), so an index write allocates
+	// nothing.
+	payload [IndexSlotSize]byte
+	img     [IndexSlotSize]byte
 }
 
 // NewIndexWriter initialises a writer over [base, base+slots*IndexSlotSize)
@@ -135,14 +137,13 @@ func NewIndexWriter(m MemoryAccessor, base uint64, slots int, gen uint32) (*Inde
 	}
 	w := &IndexWriter{mem: m, base: base, slots: slots, gen: gen,
 		byPID: make(map[uint32]int), used: make([]bool, slots)}
-	zero := make([]byte, IndexSlotSize)
 	for i := 1; i < slots; i++ {
-		if err := m.WriteAt(w.slotAddr(i), zero); err != nil {
+		if err := m.WriteAt(w.slotAddr(i), w.img[:]); err != nil { // still all zero
 			return nil, err
 		}
 	}
-	hdr := &IndexHeader{Version: IndexVersion, Slots: uint32(slots)}
-	if err := w.seal(0, KindIndexHeader, 0, hdr.encode()); err != nil {
+	hdr := IndexHeader{Version: IndexVersion, Slots: uint32(slots)}
+	if err := w.seal(0, KindIndexHeader, 0, hdr.appendTo(w.payload[:0])); err != nil {
 		return nil, err
 	}
 	w.used[0] = true
@@ -156,10 +157,11 @@ func (w *IndexWriter) slotAddr(i int) uint64 {
 	return w.base + uint64(i)*IndexSlotSize
 }
 
-// seal writes one slot's frame, trimmed to its framed bytes.
+// seal seals payload into the writer's slot image and writes one slot's
+// frame, trimmed to its framed bytes.
 func (w *IndexWriter) seal(slot int, kind FrameKind, flags uint8, payload []byte) error {
-	img := SealFrame(kind, flags, w.gen, IndexSlotSize, payload)
-	return w.mem.WriteAt(w.slotAddr(slot), img[:FrameOverhead+len(payload)])
+	SealFrameInto(w.img[:], kind, flags, w.gen, payload)
+	return w.mem.WriteAt(w.slotAddr(slot), w.img[:FrameOverhead+len(payload)])
 }
 
 // Put records (or refreshes) the index entry for a process. When the index
@@ -185,8 +187,8 @@ func (w *IndexWriter) Put(pid uint32, addr uint64, name, program, crashProc stri
 			return ErrIndexFull
 		}
 	}
-	e := &IndexEntry{PID: pid, Addr: addr, Name: name, Program: program, CrashProc: crashProc}
-	if err := w.seal(slot, KindIndexEntry, 0, e.encode()); err != nil {
+	e := IndexEntry{PID: pid, Addr: addr, Name: name, Program: program, CrashProc: crashProc}
+	if err := w.seal(slot, KindIndexEntry, 0, e.appendTo(w.payload[:0])); err != nil {
 		return err
 	}
 	w.used[slot] = true
@@ -201,8 +203,8 @@ func (w *IndexWriter) Delete(pid uint32) error {
 	if !ok {
 		return nil
 	}
-	e := &IndexEntry{PID: pid}
-	if err := w.seal(slot, KindIndexEntry, indexFlagDead, e.encode()); err != nil {
+	e := IndexEntry{PID: pid}
+	if err := w.seal(slot, KindIndexEntry, indexFlagDead, e.appendTo(w.payload[:0])); err != nil {
 		return err
 	}
 	delete(w.byPID, pid)

@@ -186,7 +186,7 @@ func TestIndexStaleGenerationSkipped(t *testing.T) {
 	// bump does: reuses the region, re-stamps the header. Entry slots it
 	// never rewrites must parse as stale, skip-and-count.
 	hdr := IndexHeader{Version: IndexVersion, Slots: 4}
-	if err := m.WriteAt(0, SealFrame(KindIndexHeader, 0, 2, IndexSlotSize, hdr.encode())); err != nil {
+	if err := m.WriteAt(0, sealFrame(KindIndexHeader, 0, 2, IndexSlotSize, hdr.appendTo(nil))); err != nil {
 		t.Fatal(err)
 	}
 	sal, err := ParseIndex(m, 0, len(m.b), true)
@@ -211,5 +211,33 @@ func TestIndexWriterNeedsRoom(t *testing.T) {
 	m := newIdxMem(4)
 	if _, err := NewIndexWriter(m, 0, 1, 1); err == nil {
 		t.Fatalf("a header-only index must be rejected")
+	}
+}
+
+// TestIndexWritesAllocateNothing: a process's create, crash-procedure
+// registration and exit each write one index slot, encoded and sealed in
+// the writer's own images, so none allocates once the writer knows the PID.
+func TestIndexWritesAllocateNothing(t *testing.T) {
+	m := newIdxMem(4)
+	w := mustWriter(t, m, 4, 1)
+	if err := w.Put(7, 0x1000, "mysqld", "mysqld", ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := w.Put(7, 0x1000, "mysqld", "mysqld", "mysql-crash"); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Delete(7); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Put(7, 0x1000, "mysqld", "mysqld", ""); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("put, delete and put again: %v allocations, want 0", n)
+	}
+	sal, err := ParseIndex(m, 0, len(m.b), true)
+	if err != nil || len(sal.Entries) != 1 || sal.Entries[0].PID != 7 || sal.Entries[0].CrashProc != "" {
+		t.Fatalf("index after the writes: %+v, %v", sal, err)
 	}
 }

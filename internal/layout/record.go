@@ -9,7 +9,8 @@
 //
 //	magic(2) | type(1) | flags(1) | payload length(4) | payload | crc32(4)
 //
-// with all integers little-endian. The CRC covers the header and payload.
+// with all integers little-endian. The CRC covers the header and payload;
+// the flags byte is written as zero and not read.
 // Integrity checking is the paper's Section 4 hardening: "one could add
 // checksums ... to the most important data structures"; it is togglable so
 // the undetected-corruption ablation can run without it.
@@ -110,9 +111,9 @@ type Reader interface {
 	ReadAt(addr uint64, buf []byte) error
 }
 
-// MemoryAccessor is the slice of physical memory behaviour the codec needs.
-// Both kernels satisfy it with *phys.Mem; the resurrection engine wraps it
-// with a byte-counting accessor to produce Table 4.
+// MemoryAccessor is the writable memory the main kernel's writers need
+// (the saved context, the candidate index). Both kernels satisfy it with
+// *phys.Mem.
 type MemoryAccessor interface {
 	Reader
 	WriteAt(addr uint64, buf []byte) error
@@ -123,50 +124,25 @@ type MemoryAccessor interface {
 // engine's page validation.
 var CRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Seal frames a payload into a complete record image ready to be written to
-// memory.
-func Seal(t Type, flags uint8, payload []byte) []byte {
-	buf := make([]byte, HeaderSize, RecordSize(len(payload)))
-	return SealInto(append(buf, payload...), t, flags)
-}
+// The codec
+//
+// Every record type has one decoder and one encoder, and they share the
+// framing below. The decoder is the type's Read method: it reads the record
+// at an address through a buffer the caller owns (readRecord) and decodes it
+// into the value it is called on, which it writes only on success. The
+// encoder is the type's AppendRecord method: it appends the complete sealed
+// record, header, payload and CRC, under the type's own tag (newRecord,
+// writer.seal). A caller that reuses its buffer reads and writes records
+// without allocating.
 
-// SealInto is Seal in a record image the caller owns: rec holds HeaderSize
-// bytes of room for the header followed by the payload, typically appended
-// by an AppendPayload method. It writes the header over the room and
-// appends the CRC, growing rec only if its capacity is short, and returns
-// the complete record.
-func SealInto(rec []byte, t Type, flags uint8) []byte {
-	binary.LittleEndian.PutUint16(rec[0:], Magic)
-	rec[2] = uint8(t)
-	rec[3] = flags
-	binary.LittleEndian.PutUint32(rec[4:], uint32(len(rec)-HeaderSize))
-	return binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, CRCTable))
-}
-
-// RecordSize returns the full framed size for a payload of n bytes.
-func RecordSize(n int) int { return HeaderSize + n + TrailerSize }
-
-// WriteRecord seals and writes a record at addr.
-func WriteRecord(m MemoryAccessor, addr uint64, t Type, flags uint8, payload []byte) error {
-	return m.WriteAt(addr, Seal(t, flags, payload))
-}
-
-// ReadRecord reads and validates the record at addr, returning its payload
-// and flags. If verifyCRC is false the checksum is not checked — the
-// Section 4 ablation — but structural validation (magic, type, length)
-// still applies, modelling the "data integrity rules" checks that need no
-// checksums. The payload is fresh storage the caller owns.
-func ReadRecord(m MemoryAccessor, addr uint64, want Type, verifyCRC bool) (payload []byte, flags uint8, err error) {
-	var buf []byte
-	return readRecord(m, addr, want, verifyCRC, &buf)
-}
-
-// readRecord is ReadRecord reading through *buf, which it grows when the
-// record does not fit: the header lands in buf[:HeaderSize] and the payload
-// and CRC after it, so the returned payload aliases *buf. It makes exactly
-// two ReadAt calls on a readable record (the header, then payload plus CRC),
-// whatever *buf held before.
-func readRecord(m MemoryAccessor, addr uint64, want Type, verifyCRC bool, buf *[]byte) (payload []byte, flags uint8, err error) {
+// readRecord reads and validates the record of type want at addr through
+// *buf, which it grows when the record does not fit, and returns its
+// payload, which aliases *buf. It makes exactly two ReadAt calls on a
+// readable record (the header, then payload plus CRC), whatever *buf held
+// before. If verifyCRC is false the checksum is not checked, the Section 4
+// ablation, but structural validation (magic, type, length) still applies,
+// modelling the "data integrity rules" checks that need no checksums.
+func readRecord(m Reader, addr uint64, want Type, verifyCRC bool, buf *[]byte) ([]byte, error) {
 	b := *buf
 	if cap(b) < HeaderSize {
 		b = make([]byte, HeaderSize)
@@ -174,20 +150,20 @@ func readRecord(m MemoryAccessor, addr uint64, want Type, verifyCRC bool, buf *[
 	}
 	hdr := b[:HeaderSize]
 	if err := m.ReadAt(addr, hdr); err != nil {
-		return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: "header unreadable: " + err.Error()}
+		return nil, &CorruptionError{Addr: addr, Want: want, Reason: "header unreadable: " + err.Error()}
 	}
 	if binary.LittleEndian.Uint16(hdr[0:]) != Magic {
-		return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: "bad magic"}
+		return nil, &CorruptionError{Addr: addr, Want: want, Reason: "bad magic"}
 	}
 	got := Type(hdr[2])
 	if got != want {
-		return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: fmt.Sprintf("type mismatch: found %s", got)}
+		return nil, &CorruptionError{Addr: addr, Want: want, Reason: fmt.Sprintf("type mismatch: found %s", got)}
 	}
 	n := binary.LittleEndian.Uint32(hdr[4:])
 	if n > MaxPayload {
-		return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: fmt.Sprintf("payload length %d exceeds limit", n)}
+		return nil, &CorruptionError{Addr: addr, Want: want, Reason: fmt.Sprintf("payload length %d exceeds limit", n)}
 	}
-	size := RecordSize(int(n))
+	size := HeaderSize + int(n) + TrailerSize
 	if cap(b) < size {
 		b = make([]byte, size)
 		copy(b, hdr)
@@ -195,31 +171,44 @@ func readRecord(m MemoryAccessor, addr uint64, want Type, verifyCRC bool, buf *[
 	}
 	b = b[:size]
 	if err := m.ReadAt(addr+HeaderSize, b[HeaderSize:]); err != nil {
-		return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: "payload unreadable: " + err.Error()}
+		return nil, &CorruptionError{Addr: addr, Want: want, Reason: "payload unreadable: " + err.Error()}
 	}
-	payload = b[HeaderSize : HeaderSize+n]
 	if verifyCRC {
 		stored := binary.LittleEndian.Uint32(b[HeaderSize+n:])
 		if stored != crc32.Checksum(b[:HeaderSize+n], CRCTable) {
-			return nil, 0, &CorruptionError{Addr: addr, Want: want, Reason: "checksum mismatch"}
+			return nil, &CorruptionError{Addr: addr, Want: want, Reason: "checksum mismatch"}
 		}
 	}
-	return payload, b[3], nil
+	return b[HeaderSize : HeaderSize+n], nil
 }
 
-// PeekType returns the record type stored at addr without validation, used
-// by diagnostic tooling.
-func PeekType(m MemoryAccessor, addr uint64) (Type, error) {
-	var hdr [HeaderSize]byte
-	if err := m.ReadAt(addr, hdr[:]); err != nil {
-		return TypeInvalid, err
+// readInto is the one record reader behind every Read method: it reads the
+// record of type want at addr through *buf and hands its payload to decode.
+// Each Read passes the decode method of a copy of its receiver as a method
+// value and keeps the copy only on success, so the call is static and the
+// copy stays on the caller's stack.
+func readInto(m Reader, addr uint64, want Type, verifyCRC bool, buf *[]byte, decode func(addr uint64, payload []byte) error) error {
+	payload, err := readRecord(m, addr, want, verifyCRC, buf)
+	if err != nil {
+		return err
 	}
-	if binary.LittleEndian.Uint16(hdr[0:]) != Magic {
-		return TypeInvalid, nil
-	}
-	t := Type(hdr[2])
-	if t >= typeMax {
-		return TypeInvalid, nil
-	}
-	return t, nil
+	return decode(addr, payload)
+}
+
+// newRecord starts a record at the end of dst, leaving room for the header
+// that seal writes.
+func newRecord(dst []byte) writer {
+	return writer{buf: append(dst, make([]byte, HeaderSize)...), start: len(dst)}
+}
+
+// seal writes the header of the record w holds, as a record of type t, and
+// appends the CRC over header and payload. It returns the destination with
+// the complete record appended.
+func (w *writer) seal(t Type) []byte {
+	rec := w.buf[w.start:]
+	binary.LittleEndian.PutUint16(rec[0:], Magic)
+	rec[2] = uint8(t)
+	rec[3] = 0
+	binary.LittleEndian.PutUint32(rec[4:], uint32(len(rec)-HeaderSize))
+	return binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(rec, CRCTable))
 }

@@ -29,22 +29,28 @@ func (m *memBuf) WriteAt(addr uint64, buf []byte) error {
 	return nil
 }
 
+// sealed frames an arbitrary payload as a type-t record with the sealer
+// under every AppendRecord, for tests of the framing itself.
+func sealed(t Type, payload []byte) []byte {
+	w := newRecord(nil)
+	w.buf = append(w.buf, payload...)
+	return w.seal(t)
+}
+
 func TestSealRoundTrip(t *testing.T) {
 	payload := []byte("hello kernel records")
-	img := Seal(TypeProc, 3, payload)
-	if len(img) != RecordSize(len(payload)) {
-		t.Fatalf("sealed size %d, want %d", len(img), RecordSize(len(payload)))
+	img := sealed(TypeProc, payload)
+	if len(img) != HeaderSize+len(payload)+TrailerSize {
+		t.Fatalf("sealed size %d, want %d", len(img), HeaderSize+len(payload)+TrailerSize)
 	}
 	m := newMemBuf(4096)
 	if err := m.WriteAt(100, img); err != nil {
 		t.Fatal(err)
 	}
-	got, flags, err := ReadRecord(m, 100, TypeProc, true)
+	var buf []byte
+	got, err := readRecord(m, 100, TypeProc, true, &buf)
 	if err != nil {
-		t.Fatalf("ReadRecord: %v", err)
-	}
-	if flags != 3 {
-		t.Fatalf("flags = %d, want 3", flags)
+		t.Fatalf("readRecord: %v", err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload mismatch: %q", got)
@@ -52,16 +58,21 @@ func TestSealRoundTrip(t *testing.T) {
 }
 
 func TestSealRoundTripProperty(t *testing.T) {
-	f := func(payload []byte, flags uint8) bool {
+	f := func(payload []byte, prefix []byte) bool {
 		if len(payload) > MaxPayload {
 			payload = payload[:MaxPayload]
 		}
-		m := newMemBuf(RecordSize(len(payload)) + 16)
-		if err := WriteRecord(m, 8, TypeFile, flags, payload); err != nil {
+		// The sealer appends: whatever dst held before stays in front.
+		w := newRecord(bytes.Clone(prefix))
+		w.buf = append(w.buf, payload...)
+		img := w.seal(TypeFile)
+		if !bytes.Equal(img[:len(prefix)], prefix) {
 			return false
 		}
-		got, gotFlags, err := ReadRecord(m, 8, TypeFile, true)
-		return err == nil && gotFlags == flags && bytes.Equal(got, payload)
+		m := &memBuf{data: img}
+		var buf []byte
+		got, err := readRecord(m, uint64(len(prefix)), TypeFile, true, &buf)
+		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -69,22 +80,20 @@ func TestSealRoundTripProperty(t *testing.T) {
 }
 
 func TestReadRecordDetectsBadMagic(t *testing.T) {
-	m := newMemBuf(4096)
-	if err := WriteRecord(m, 0, TypeProc, 0, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	m := &memBuf{data: (&Proc{PID: 1}).AppendRecord(nil)}
 	m.data[0] ^= 0xFF
-	if _, _, err := ReadRecord(m, 0, TypeProc, true); !IsCorruption(err) {
+	var p Proc
+	var buf []byte
+	if err := p.Read(m, 0, true, &buf); !IsCorruption(err) {
 		t.Fatalf("want corruption error, got %v", err)
 	}
 }
 
 func TestReadRecordDetectsTypeMismatch(t *testing.T) {
-	m := newMemBuf(4096)
-	if err := WriteRecord(m, 0, TypeProc, 0, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ReadRecord(m, 0, TypeFile, true); !IsCorruption(err) {
+	m := &memBuf{data: (&Proc{PID: 1}).AppendRecord(nil)}
+	var f FileRec
+	var buf []byte
+	if err := f.Read(m, 0, true, &buf); !IsCorruption(err) {
 		t.Fatalf("want corruption error, got %v", err)
 	}
 }
@@ -92,13 +101,13 @@ func TestReadRecordDetectsTypeMismatch(t *testing.T) {
 // TestCRCDetectsSingleByteFlips flips every byte of a sealed record in turn
 // and checks the checksum catches each flip — the Section 4 integrity claim.
 func TestCRCDetectsSingleByteFlips(t *testing.T) {
-	payload := []byte("resurrection-critical bytes")
-	img := Seal(TypeMemRegion, 0, payload)
+	img := (&MemRegion{Start: 0x1000, End: 0x9000, Prot: ProtRead, Next: 0x40}).AppendRecord(nil)
 	for i := range img {
-		m := newMemBuf(len(img))
-		copy(m.data, img)
+		m := &memBuf{data: bytes.Clone(img)}
 		m.data[i] ^= 0x40
-		if _, _, err := ReadRecord(m, 0, TypeMemRegion, true); err == nil {
+		var r MemRegion
+		var buf []byte
+		if err := r.Read(m, 0, true, &buf); err == nil {
 			t.Fatalf("flip at byte %d went undetected", i)
 		}
 	}
@@ -107,49 +116,32 @@ func TestCRCDetectsSingleByteFlips(t *testing.T) {
 // TestNoCRCMissesPayloadFlips shows the ablation: with checksums off, a
 // payload flip that keeps the structure parseable goes through.
 func TestNoCRCMissesPayloadFlips(t *testing.T) {
-	payload := []byte("aaaaaaaaaaaaaaaa")
-	img := Seal(TypeCachePage, 0, payload)
-	m := newMemBuf(len(img))
-	copy(m.data, img)
+	want := CachePage{FileOff: 0x6161, Frame: 0x6161, Bytes: 0x61, Next: 0x6161}
+	m := &memBuf{data: want.AppendRecord(nil)}
 	m.data[HeaderSize] ^= 0x01 // first payload byte
-	got, _, err := ReadRecord(m, 0, TypeCachePage, false)
-	if err != nil {
+	var got CachePage
+	var buf []byte
+	if err := got.Read(m, 0, false, &buf); err != nil {
 		t.Fatalf("structural validation should pass: %v", err)
 	}
-	if bytes.Equal(got, payload) {
-		t.Fatal("payload should differ")
+	if got == want {
+		t.Fatal("decoded page should differ")
 	}
-	if _, _, err := ReadRecord(m, 0, TypeCachePage, true); !IsCorruption(err) {
+	if err := got.Read(m, 0, true, &buf); !IsCorruption(err) {
 		t.Fatal("CRC mode should detect the same flip")
 	}
 }
 
-func TestPeekType(t *testing.T) {
-	m := newMemBuf(4096)
-	if err := WriteRecord(m, 64, TypeTerminal, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := PeekType(m, 64)
-	if err != nil || got != TypeTerminal {
-		t.Fatalf("PeekType = %v, %v", got, err)
-	}
-	got, err = PeekType(m, 0) // zeroes: no magic
-	if err != nil || got != TypeInvalid {
-		t.Fatalf("PeekType on zeroes = %v, %v", got, err)
-	}
-}
-
 func TestReadRecordRejectsHugePayloadLength(t *testing.T) {
-	m := newMemBuf(4096)
-	if err := WriteRecord(m, 0, TypeProc, 0, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+	m := &memBuf{data: (&Proc{PID: 1}).AppendRecord(make([]byte, 0, 4096))[:4096]}
 	// Overwrite the length field with an absurd value.
 	m.data[4] = 0xFF
 	m.data[5] = 0xFF
 	m.data[6] = 0xFF
 	m.data[7] = 0x7F
-	if _, _, err := ReadRecord(m, 0, TypeProc, false); !IsCorruption(err) {
+	var p Proc
+	var buf []byte
+	if err := p.Read(m, 0, false, &buf); !IsCorruption(err) {
 		t.Fatalf("want corruption error, got %v", err)
 	}
 }

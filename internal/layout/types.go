@@ -1,7 +1,8 @@
 package layout
 
 // This file defines the Go-side views of every kernel record together with
-// their payload codecs. The structures deliberately mirror the paper's
+// their codec: one decoder (Read) and one encoder (AppendRecord) per type,
+// over the framing in record.go. The structures deliberately mirror the paper's
 // simplified Linux structures: for example FileRec carries the path, open
 // flags and current offset in one record, the Section 3.1 modification that
 // lets the crash kernel recreate an open file from a single structure.
@@ -25,8 +26,9 @@ type Globals struct {
 	HeapFrames uint64
 }
 
-func (g *Globals) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends the globals anchor to dst as a complete sealed record.
+func (g *Globals) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u32(g.Version)
 	w.u32(g.BootCount)
 	w.u64(g.ProcListHead)
@@ -36,7 +38,7 @@ func (g *Globals) appendTo(dst []byte) []byte {
 	w.u64(g.CrashRegionFrames)
 	w.u64(g.HeapStart)
 	w.u64(g.HeapFrames)
-	return w.buf
+	return w.seal(TypeGlobals)
 }
 
 func (g *Globals) decode(addr uint64, payload []byte) error {
@@ -53,22 +55,15 @@ func (g *Globals) decode(addr uint64, payload []byte) error {
 	return r.finish(addr, TypeGlobals)
 }
 
-// WriteGlobals stores g at addr.
-func WriteGlobals(m MemoryAccessor, addr uint64, g *Globals) error {
-	return WriteRecord(m, addr, TypeGlobals, 0, g.appendTo(nil))
-}
-
-// ReadGlobals loads and validates the globals anchor at addr.
-func ReadGlobals(m MemoryAccessor, addr uint64, verifyCRC bool) (*Globals, error) {
-	payload, _, err := ReadRecord(m, addr, TypeGlobals, verifyCRC)
-	if err != nil {
-		return nil, err
+// Read decodes the globals anchor at addr into *g through *buf, the caller's
+// reusable record buffer (readRecord). *g is written only on success.
+func (g *Globals) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *g
+	if err := readInto(m, addr, TypeGlobals, verifyCRC, buf, got.decode); err != nil {
+		return err
 	}
-	var g Globals
-	if err := g.decode(addr, payload); err != nil {
-		return nil, err
-	}
-	return &g, nil
+	*g = got
+	return nil
 }
 
 // ProcState is a process's scheduling state.
@@ -118,8 +113,9 @@ type Proc struct {
 	Next uint64
 }
 
-func (p *Proc) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends a process descriptor to dst as a complete sealed record.
+func (p *Proc) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u32(p.PID)
 	w.u8(uint8(p.State))
 	w.str(p.Name)
@@ -135,16 +131,16 @@ func (p *Proc) appendTo(dst []byte) []byte {
 	w.u64(p.Pipes)
 	w.u64(p.Sockets)
 	w.u64(p.Next)
-	return w.buf
+	return w.seal(TypeProc)
 }
 
 func (p *Proc) decode(addr uint64, payload []byte) error {
 	r := reader{buf: payload}
 	p.PID = r.u32()
 	p.State = ProcState(r.u8())
-	p.Name = r.str()
-	p.Program = r.str()
-	p.CrashProc = r.str()
+	p.Name = r.str(p.Name)
+	p.Program = r.str(p.Program)
+	p.CrashProc = r.str(p.CrashProc)
 	p.PageDir = r.u64()
 	p.MemRegions = r.u64()
 	p.Files = r.u64()
@@ -158,19 +154,23 @@ func (p *Proc) decode(addr uint64, payload []byte) error {
 	return r.finish(addr, TypeProc)
 }
 
-// WriteProc stores p at addr.
-func WriteProc(m MemoryAccessor, addr uint64, p *Proc) error {
-	return WriteRecord(m, addr, TypeProc, 0, p.appendTo(nil))
+// Read decodes a process descriptor at addr into *p through *buf, the caller's
+// reusable record buffer (readRecord). *p is written only on success.
+func (p *Proc) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *p
+	if err := readInto(m, addr, TypeProc, verifyCRC, buf, got.decode); err != nil {
+		return err
+	}
+	*p = got
+	return nil
 }
 
-// ReadProc loads and validates a process descriptor.
-func ReadProc(m MemoryAccessor, addr uint64, verifyCRC bool) (*Proc, error) {
-	payload, _, err := ReadRecord(m, addr, TypeProc, verifyCRC)
-	if err != nil {
-		return nil, err
-	}
+// ReadProc is Proc.Read into a fresh descriptor through a fresh buffer, for
+// a caller that keeps neither.
+func ReadProc(m Reader, addr uint64, verifyCRC bool) (*Proc, error) {
 	var p Proc
-	if err := p.decode(addr, payload); err != nil {
+	var buf []byte
+	if err := p.Read(m, addr, verifyCRC, &buf); err != nil {
 		return nil, err
 	}
 	return &p, nil
@@ -207,8 +207,9 @@ type MemRegion struct {
 	Next uint64
 }
 
-func (v *MemRegion) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends a memory-region descriptor to dst as a complete sealed record.
+func (v *MemRegion) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u64(v.Start)
 	w.u64(v.End)
 	w.u8(v.Prot)
@@ -216,7 +217,7 @@ func (v *MemRegion) appendTo(dst []byte) []byte {
 	w.u64(v.File)
 	w.u64(v.FileOffset)
 	w.u64(v.Next)
-	return w.buf
+	return w.seal(TypeMemRegion)
 }
 
 func (v *MemRegion) decode(addr uint64, payload []byte) error {
@@ -237,34 +238,14 @@ func (v *MemRegion) decode(addr uint64, payload []byte) error {
 	return nil
 }
 
-// WriteMemRegion stores v at addr.
-func WriteMemRegion(m MemoryAccessor, addr uint64, v *MemRegion) error {
-	return WriteRecord(m, addr, TypeMemRegion, 0, v.appendTo(nil))
-}
-
-// ReadMemRegion loads and validates a memory-region descriptor.
-func ReadMemRegion(m MemoryAccessor, addr uint64, verifyCRC bool) (*MemRegion, error) {
-	var v MemRegion
-	var buf []byte
-	if err := ReadMemRegionInto(m, addr, verifyCRC, &v, &buf); err != nil {
-		return nil, err
-	}
-	return &v, nil
-}
-
-// ReadMemRegionInto is ReadMemRegion decoding into *dst through *buf, the
-// caller's reusable record buffer (see ReadCachePageInto). *dst is written
-// only on success.
-func ReadMemRegionInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *MemRegion, buf *[]byte) error {
-	payload, _, err := readRecord(m, addr, TypeMemRegion, verifyCRC, buf)
-	if err != nil {
+// Read decodes a memory-region descriptor at addr into *v through *buf, the caller's
+// reusable record buffer (readRecord). *v is written only on success.
+func (v *MemRegion) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *v
+	if err := readInto(m, addr, TypeMemRegion, verifyCRC, buf, got.decode); err != nil {
 		return err
 	}
-	v := *dst
-	if err := v.decode(addr, payload); err != nil {
-		return err
-	}
-	*dst = v
+	*v = got
 	return nil
 }
 
@@ -296,8 +277,9 @@ type FileRec struct {
 	Next uint64
 }
 
-func (f *FileRec) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends an open-file record to dst as a complete sealed record.
+func (f *FileRec) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u32(f.FD)
 	w.str(f.Path)
 	w.u32(f.Flags)
@@ -305,13 +287,13 @@ func (f *FileRec) appendTo(dst []byte) []byte {
 	w.boolean(f.Mapped)
 	w.u64(f.CachePages)
 	w.u64(f.Next)
-	return w.buf
+	return w.seal(TypeFile)
 }
 
 func (f *FileRec) decode(addr uint64, payload []byte) error {
 	r := reader{buf: payload}
 	f.FD = r.u32()
-	f.Path = r.strOver(f.Path)
+	f.Path = r.str(f.Path)
 	f.Flags = r.u32()
 	f.Offset = r.u64()
 	f.Mapped = r.boolean()
@@ -320,37 +302,14 @@ func (f *FileRec) decode(addr uint64, payload []byte) error {
 	return r.finish(addr, TypeFile)
 }
 
-// WriteFileRec stores f at addr.
-func WriteFileRec(m MemoryAccessor, addr uint64, f *FileRec) error {
-	return WriteRecord(m, addr, TypeFile, 0, f.appendTo(nil))
-}
-
-// ReadFileRec loads and validates an open-file record.
-func ReadFileRec(m MemoryAccessor, addr uint64, verifyCRC bool) (*FileRec, error) {
-	var f FileRec
-	var buf []byte
-	if err := ReadFileRecInto(m, addr, verifyCRC, &f, &buf); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
-// ReadFileRecInto is ReadFileRec decoding into *dst through *buf, the
-// caller's reusable record buffer (see ReadCachePageInto). *dst is written
-// only on success. When dst.Path already holds the decoded path, the
-// decode keeps that string, so a caller that sets dst.Path to the path it
-// wrote at addr decodes a sound record without allocating; any other path
-// decodes to a fresh string.
-func ReadFileRecInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *FileRec, buf *[]byte) error {
-	payload, _, err := readRecord(m, addr, TypeFile, verifyCRC, buf)
-	if err != nil {
+// Read decodes an open-file record at addr into *f through *buf, the caller's
+// reusable record buffer (readRecord). *f is written only on success.
+func (f *FileRec) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *f
+	if err := readInto(m, addr, TypeFile, verifyCRC, buf, got.decode); err != nil {
 		return err
 	}
-	v := *dst
-	if err := v.decode(addr, payload); err != nil {
-		return err
-	}
-	*dst = v
+	*f = got
 	return nil
 }
 
@@ -374,42 +333,36 @@ type SwapTable struct {
 	Areas [MaxSwapAreas]SwapArea
 }
 
-func (t *SwapTable) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends the swap-area table to dst as a complete sealed record.
+func (t *SwapTable) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	for i := range t.Areas {
 		w.str(t.Areas[i].Device)
 		w.boolean(t.Areas[i].Active)
 		w.u32(t.Areas[i].Slots)
 	}
-	return w.buf
+	return w.seal(TypeSwapTable)
 }
 
 func (t *SwapTable) decode(addr uint64, payload []byte) error {
 	r := reader{buf: payload}
 	for i := range t.Areas {
-		t.Areas[i].Device = r.str()
+		t.Areas[i].Device = r.str(t.Areas[i].Device)
 		t.Areas[i].Active = r.boolean()
 		t.Areas[i].Slots = r.u32()
 	}
 	return r.finish(addr, TypeSwapTable)
 }
 
-// WriteSwapTable stores t at addr.
-func WriteSwapTable(m MemoryAccessor, addr uint64, t *SwapTable) error {
-	return WriteRecord(m, addr, TypeSwapTable, 0, t.appendTo(nil))
-}
-
-// ReadSwapTable loads and validates the swap-area table.
-func ReadSwapTable(m MemoryAccessor, addr uint64, verifyCRC bool) (*SwapTable, error) {
-	payload, _, err := ReadRecord(m, addr, TypeSwapTable, verifyCRC)
-	if err != nil {
-		return nil, err
+// Read decodes the swap-area table at addr into *t through *buf, the caller's
+// reusable record buffer (readRecord). *t is written only on success.
+func (t *SwapTable) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *t
+	if err := readInto(m, addr, TypeSwapTable, verifyCRC, buf, got.decode); err != nil {
+		return err
 	}
-	var t SwapTable
-	if err := t.decode(addr, payload); err != nil {
-		return nil, err
-	}
-	return &t, nil
+	*t = got
+	return nil
 }
 
 // Terminal is a physical terminal's kernel state: geometry, settings and the
@@ -427,8 +380,9 @@ type Terminal struct {
 	Screen uint64
 }
 
-func (t *Terminal) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends a terminal record to dst as a complete sealed record.
+func (t *Terminal) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u32(t.Index)
 	w.u16(t.Rows)
 	w.u16(t.Cols)
@@ -436,7 +390,7 @@ func (t *Terminal) appendTo(dst []byte) []byte {
 	w.u16(t.CursorCol)
 	w.u32(t.Settings)
 	w.u64(t.Screen)
-	return w.buf
+	return w.seal(TypeTerminal)
 }
 
 func (t *Terminal) decode(addr uint64, payload []byte) error {
@@ -457,34 +411,14 @@ func (t *Terminal) decode(addr uint64, payload []byte) error {
 	return nil
 }
 
-// WriteTerminal stores t at addr.
-func WriteTerminal(m MemoryAccessor, addr uint64, t *Terminal) error {
-	return WriteRecord(m, addr, TypeTerminal, 0, t.appendTo(nil))
-}
-
-// ReadTerminal loads and validates a terminal record.
-func ReadTerminal(m MemoryAccessor, addr uint64, verifyCRC bool) (*Terminal, error) {
-	var t Terminal
-	var buf []byte
-	if err := ReadTerminalInto(m, addr, verifyCRC, &t, &buf); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
-
-// ReadTerminalInto is ReadTerminal decoding into *dst through *buf, the
-// caller's reusable record buffer (see ReadCachePageInto). *dst is written
-// only on success.
-func ReadTerminalInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *Terminal, buf *[]byte) error {
-	payload, _, err := readRecord(m, addr, TypeTerminal, verifyCRC, buf)
-	if err != nil {
+// Read decodes a terminal record at addr into *t through *buf, the caller's
+// reusable record buffer (readRecord). *t is written only on success.
+func (t *Terminal) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *t
+	if err := readInto(m, addr, TypeTerminal, verifyCRC, buf, got.decode); err != nil {
 		return err
 	}
-	v := *dst
-	if err := v.decode(addr, payload); err != nil {
-		return err
-	}
-	*dst = v
+	*t = got
 	return nil
 }
 
@@ -499,13 +433,14 @@ type Signals struct {
 	Blocked uint32
 }
 
-func (s *Signals) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends a signal table to dst as a complete sealed record.
+func (s *Signals) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	for _, h := range s.Handlers {
 		w.u32(h)
 	}
 	w.u32(s.Blocked)
-	return w.buf
+	return w.seal(TypeSignals)
 }
 
 func (s *Signals) decode(addr uint64, payload []byte) error {
@@ -517,34 +452,14 @@ func (s *Signals) decode(addr uint64, payload []byte) error {
 	return r.finish(addr, TypeSignals)
 }
 
-// WriteSignals stores s at addr.
-func WriteSignals(m MemoryAccessor, addr uint64, s *Signals) error {
-	return WriteRecord(m, addr, TypeSignals, 0, s.appendTo(nil))
-}
-
-// ReadSignals loads and validates a signal table.
-func ReadSignals(m MemoryAccessor, addr uint64, verifyCRC bool) (*Signals, error) {
-	var s Signals
-	var buf []byte
-	if err := ReadSignalsInto(m, addr, verifyCRC, &s, &buf); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// ReadSignalsInto is ReadSignals decoding into *dst through *buf, the
-// caller's reusable record buffer (see ReadCachePageInto). *dst is written
-// only on success.
-func ReadSignalsInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *Signals, buf *[]byte) error {
-	payload, _, err := readRecord(m, addr, TypeSignals, verifyCRC, buf)
-	if err != nil {
+// Read decodes a signal table at addr into *s through *buf, the caller's
+// reusable record buffer (readRecord). *s is written only on success.
+func (s *Signals) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *s
+	if err := readInto(m, addr, TypeSignals, verifyCRC, buf, got.decode); err != nil {
 		return err
 	}
-	v := *dst
-	if err := v.decode(addr, payload); err != nil {
-		return err
-	}
-	*dst = v
+	*s = got
 	return nil
 }
 
@@ -564,8 +479,9 @@ type Shm struct {
 	Next uint64
 }
 
-func (s *Shm) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends a shared-memory descriptor to dst as a complete sealed record.
+func (s *Shm) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u64(s.Key)
 	w.u64(s.Size)
 	w.u64(s.AttachedAt)
@@ -574,7 +490,7 @@ func (s *Shm) appendTo(dst []byte) []byte {
 		w.u64(f)
 	}
 	w.u64(s.Next)
-	return w.buf
+	return w.seal(TypeShm)
 }
 
 func (s *Shm) decode(addr uint64, payload []byte) error {
@@ -594,22 +510,15 @@ func (s *Shm) decode(addr uint64, payload []byte) error {
 	return r.finish(addr, TypeShm)
 }
 
-// WriteShm stores s at addr.
-func WriteShm(m MemoryAccessor, addr uint64, s *Shm) error {
-	return WriteRecord(m, addr, TypeShm, 0, s.appendTo(nil))
-}
-
-// ReadShm loads and validates a shared-memory descriptor.
-func ReadShm(m MemoryAccessor, addr uint64, verifyCRC bool) (*Shm, error) {
-	payload, _, err := ReadRecord(m, addr, TypeShm, verifyCRC)
-	if err != nil {
-		return nil, err
+// Read decodes a shared-memory descriptor at addr into *s through *buf, the caller's
+// reusable record buffer (readRecord). *s is written only on success.
+func (s *Shm) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *s
+	if err := readInto(m, addr, TypeShm, verifyCRC, buf, got.decode); err != nil {
+		return err
 	}
-	var s Shm
-	if err := s.decode(addr, payload); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	*s = got
+	return nil
 }
 
 // Pipe is a pipe descriptor. The prototype does not resurrect pipes
@@ -627,8 +536,9 @@ type Pipe struct {
 	Next     uint64
 }
 
-func (p *Pipe) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends a pipe descriptor to dst as a complete sealed record.
+func (p *Pipe) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u32(p.ID)
 	w.u64(p.Buf)
 	w.u32(p.ReadPos)
@@ -636,7 +546,7 @@ func (p *Pipe) appendTo(dst []byte) []byte {
 	w.boolean(p.Locked)
 	w.u32(p.PeerPID)
 	w.u64(p.Next)
-	return w.buf
+	return w.seal(TypePipe)
 }
 
 func (p *Pipe) decode(addr uint64, payload []byte) error {
@@ -651,34 +561,14 @@ func (p *Pipe) decode(addr uint64, payload []byte) error {
 	return r.finish(addr, TypePipe)
 }
 
-// WritePipe stores p at addr.
-func WritePipe(m MemoryAccessor, addr uint64, p *Pipe) error {
-	return WriteRecord(m, addr, TypePipe, 0, p.appendTo(nil))
-}
-
-// ReadPipe loads and validates a pipe descriptor.
-func ReadPipe(m MemoryAccessor, addr uint64, verifyCRC bool) (*Pipe, error) {
-	var p Pipe
-	var buf []byte
-	if err := ReadPipeInto(m, addr, verifyCRC, &p, &buf); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-// ReadPipeInto is ReadPipe decoding into *dst through *buf, the
-// caller's reusable record buffer (see ReadCachePageInto). *dst is written
-// only on success.
-func ReadPipeInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *Pipe, buf *[]byte) error {
-	payload, _, err := readRecord(m, addr, TypePipe, verifyCRC, buf)
-	if err != nil {
+// Read decodes a pipe descriptor at addr into *p through *buf, the caller's
+// reusable record buffer (readRecord). *p is written only on success.
+func (p *Pipe) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *p
+	if err := readInto(m, addr, TypePipe, verifyCRC, buf, got.decode); err != nil {
 		return err
 	}
-	v := *dst
-	if err := v.decode(addr, payload); err != nil {
-		return err
-	}
-	*dst = v
+	*p = got
 	return nil
 }
 
@@ -705,8 +595,9 @@ type Socket struct {
 	Next   uint64
 }
 
-func (s *Socket) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends a socket descriptor to dst as a complete sealed record.
+func (s *Socket) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u32(s.ID)
 	w.u8(uint8(s.Proto))
 	w.u16(s.LocalPort)
@@ -714,7 +605,7 @@ func (s *Socket) appendTo(dst []byte) []byte {
 	w.u32(s.Seq)
 	w.u32(s.Window)
 	w.u64(s.Next)
-	return w.buf
+	return w.seal(TypeSocket)
 }
 
 func (s *Socket) decode(addr uint64, payload []byte) error {
@@ -729,34 +620,14 @@ func (s *Socket) decode(addr uint64, payload []byte) error {
 	return r.finish(addr, TypeSocket)
 }
 
-// WriteSocket stores s at addr.
-func WriteSocket(m MemoryAccessor, addr uint64, s *Socket) error {
-	return WriteRecord(m, addr, TypeSocket, 0, s.appendTo(nil))
-}
-
-// ReadSocket loads and validates a socket descriptor.
-func ReadSocket(m MemoryAccessor, addr uint64, verifyCRC bool) (*Socket, error) {
-	var s Socket
-	var buf []byte
-	if err := ReadSocketInto(m, addr, verifyCRC, &s, &buf); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// ReadSocketInto is ReadSocket decoding into *dst through *buf, the
-// caller's reusable record buffer (see ReadCachePageInto). *dst is written
-// only on success.
-func ReadSocketInto(m MemoryAccessor, addr uint64, verifyCRC bool, dst *Socket, buf *[]byte) error {
-	payload, _, err := readRecord(m, addr, TypeSocket, verifyCRC, buf)
-	if err != nil {
+// Read decodes a socket descriptor at addr into *s through *buf, the caller's
+// reusable record buffer (readRecord). *s is written only on success.
+func (s *Socket) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *s
+	if err := readInto(m, addr, TypeSocket, verifyCRC, buf, got.decode); err != nil {
 		return err
 	}
-	v := *dst
-	if err := v.decode(addr, payload); err != nil {
-		return err
-	}
-	*dst = v
+	*s = got
 	return nil
 }
 
@@ -772,14 +643,15 @@ type CachePage struct {
 	Next  uint64
 }
 
-func (c *CachePage) appendTo(dst []byte) []byte {
-	w := writer{buf: dst}
+// AppendRecord appends a page-cache entry to dst as a complete sealed record.
+func (c *CachePage) AppendRecord(dst []byte) []byte {
+	w := newRecord(dst)
 	w.u64(c.FileOff)
 	w.u64(c.Frame)
 	w.boolean(c.Dirty)
 	w.u32(c.Bytes)
 	w.u64(c.Next)
-	return w.buf
+	return w.seal(TypeCachePage)
 }
 
 func (c *CachePage) decode(addr uint64, payload []byte) error {
@@ -792,39 +664,13 @@ func (c *CachePage) decode(addr uint64, payload []byte) error {
 	return r.finish(addr, TypeCachePage)
 }
 
-// WriteCachePage stores c at addr.
-func WriteCachePage(m MemoryAccessor, addr uint64, c *CachePage) error {
-	return WriteRecord(m, addr, TypeCachePage, 0, c.appendTo(nil))
-}
-
-// ReadCachePage loads and validates a page-cache entry.
-func ReadCachePage(m MemoryAccessor, addr uint64, verifyCRC bool) (*CachePage, error) {
-	var c CachePage
-	var buf []byte
-	if err := ReadCachePageInto(m, addr, verifyCRC, &c, &buf); err != nil {
-		return nil, err
-	}
-	return &c, nil
-}
-
-// ReadCachePageInto is ReadCachePage for page-cache walks: it decodes the
-// entry at addr into *c, reading the record through *buf, a buffer the
-// caller owns and reuses across calls. It grows *buf when a record does
-// not fit; a successful decode through a big enough *buf allocates nothing.
-// The reads, checks and errors are ReadCachePage's; *c is written only on
-// success. Every other record the kernel re-reads has a reader of this
-// shape (ReadMemRegionInto, ReadFileRecInto, ReadTerminalInto,
-// ReadSignalsInto, ReadPipeInto, ReadSocketInto), and its allocating
-// twin is a wrapper over it.
-func ReadCachePageInto(m MemoryAccessor, addr uint64, verifyCRC bool, c *CachePage, buf *[]byte) error {
-	payload, _, err := readRecord(m, addr, TypeCachePage, verifyCRC, buf)
-	if err != nil {
+// Read decodes a page-cache entry at addr into *c through *buf, the caller's
+// reusable record buffer (readRecord). *c is written only on success.
+func (c *CachePage) Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error {
+	got := *c
+	if err := readInto(m, addr, TypeCachePage, verifyCRC, buf, got.decode); err != nil {
 		return err
 	}
-	var v CachePage
-	if err := v.decode(addr, payload); err != nil {
-		return err
-	}
-	*c = v
+	*c = got
 	return nil
 }

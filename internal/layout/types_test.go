@@ -9,17 +9,38 @@ import (
 
 // Round-trip tests for every record type: encode, write, read, compare.
 
-func writeRead[T any](t *testing.T, write func(MemoryAccessor, uint64) error, read func(MemoryAccessor, uint64) (T, error)) T {
+// record is the codec every record type has: one encoder, one decoder.
+type record[T any] interface {
+	*T
+	AppendRecord(dst []byte) []byte
+	Read(m Reader, addr uint64, verifyCRC bool, buf *[]byte) error
+}
+
+// roundTrip writes want's record at an offset into fresh memory and
+// decodes it back into a fresh value through a fresh buffer.
+func roundTrip[T any, P record[T]](t *testing.T, want P) *T {
 	t.Helper()
 	m := newMemBuf(64 << 10)
-	if err := write(m, 128); err != nil {
+	if err := m.WriteAt(128, want.AppendRecord(nil)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, err := read(m, 128)
-	if err != nil {
+	got := new(T)
+	var buf []byte
+	if err := P(got).Read(m, 128, true, &buf); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	return got
+}
+
+// decodeOnly writes rec's record at 0 and decodes it back, returning the
+// decode's error.
+func decodeOnly[T any, P record[T]](rec P, crc bool, mutate func([]byte)) error {
+	m := &memBuf{data: rec.AppendRecord(make([]byte, 0, 4096))[:4096]}
+	if mutate != nil {
+		mutate(m.data)
+	}
+	var buf []byte
+	return P(new(T)).Read(m, 0, crc, &buf)
 }
 
 func TestGlobalsRoundTrip(t *testing.T) {
@@ -28,9 +49,7 @@ func TestGlobalsRoundTrip(t *testing.T) {
 		NextPID: 42, CrashRegionStart: 100, CrashRegionFrames: 200,
 		HeapStart: 3, HeapFrames: 999,
 	}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteGlobals(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*Globals, error) { return ReadGlobals(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -43,9 +62,7 @@ func TestProcRoundTrip(t *testing.T) {
 		Files: 0x6000, KStack: 0x7000, Terminal: 0x8000, Signals: 0x9000,
 		Shm: 0xA000, Pipes: 0xB000, Sockets: 0xC000, Next: 0xD000,
 	}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteProc(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*Proc, error) { return ReadProc(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -60,11 +77,7 @@ func TestProcRoundTripProperty(t *testing.T) {
 			prog = prog[:64]
 		}
 		want := Proc{PID: pid, Name: name, Program: prog, PageDir: pd, MemRegions: mr, Next: next}
-		m := newMemBuf(8 << 10)
-		if err := WriteProc(m, 0, &want); err != nil {
-			return false
-		}
-		got, err := ReadProc(m, 0, true)
+		got, err := ReadProc(&memBuf{data: want.AppendRecord(nil)}, 0, true)
 		return err == nil && *got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -77,9 +90,7 @@ func TestMemRegionRoundTrip(t *testing.T) {
 		Start: 0x100000, End: 0x200000, Prot: ProtRead | ProtWrite,
 		Kind: RegionFileMap, File: 0xF00, FileOffset: 8192, Next: 0xE00,
 	}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteMemRegion(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*MemRegion, error) { return ReadMemRegion(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -87,11 +98,7 @@ func TestMemRegionRoundTrip(t *testing.T) {
 
 func TestMemRegionRejectsInvertedBounds(t *testing.T) {
 	bad := MemRegion{Start: 0x2000, End: 0x1000}
-	m := newMemBuf(4096)
-	if err := WriteMemRegion(m, 0, &bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMemRegion(m, 0, true); !IsCorruption(err) {
+	if err := decodeOnly(&bad, true, nil); !IsCorruption(err) {
 		t.Fatalf("want corruption for inverted bounds, got %v", err)
 	}
 }
@@ -101,9 +108,7 @@ func TestFileRecRoundTrip(t *testing.T) {
 		FD: 5, Path: "/var/lib/mysql/recovery.dat", Flags: FlagRead | FlagWrite,
 		Offset: 12345, Mapped: true, CachePages: 0xCC00, Next: 0xDD00,
 	}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteFileRec(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*FileRec, error) { return ReadFileRec(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -113,9 +118,7 @@ func TestSwapTableRoundTrip(t *testing.T) {
 	want := SwapTable{}
 	want.Areas[0] = SwapArea{Device: "/dev/swap0", Active: true, Slots: 16384}
 	want.Areas[2] = SwapArea{Device: "/dev/swap1", Active: false, Slots: 8192}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteSwapTable(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*SwapTable, error) { return ReadSwapTable(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -123,9 +126,7 @@ func TestSwapTableRoundTrip(t *testing.T) {
 
 func TestTerminalRoundTrip(t *testing.T) {
 	want := Terminal{Index: 2, Rows: 25, Cols: 80, CursorRow: 10, CursorCol: 40, Settings: 0x5, Screen: 0x7F000}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteTerminal(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*Terminal, error) { return ReadTerminal(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -133,11 +134,7 @@ func TestTerminalRoundTrip(t *testing.T) {
 
 func TestTerminalRejectsZeroGeometry(t *testing.T) {
 	bad := Terminal{Index: 1, Rows: 0, Cols: 80}
-	m := newMemBuf(4096)
-	if err := WriteTerminal(m, 0, &bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTerminal(m, 0, true); !IsCorruption(err) {
+	if err := decodeOnly(&bad, true, nil); !IsCorruption(err) {
 		t.Fatalf("want corruption for zero rows, got %v", err)
 	}
 }
@@ -146,9 +143,7 @@ func TestSignalsRoundTrip(t *testing.T) {
 	want := Signals{Blocked: 0xF0F0}
 	want.Handlers[2] = 77
 	want.Handlers[31] = 99
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteSignals(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*Signals, error) { return ReadSignals(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -156,33 +151,27 @@ func TestSignalsRoundTrip(t *testing.T) {
 
 func TestShmRoundTrip(t *testing.T) {
 	want := Shm{Key: 0xA9AC4E, Size: 512 << 10, AttachedAt: 0x500000, Frames: []uint64{9, 10, 11}, Next: 0x123}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteShm(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*Shm, error) { return ReadShm(m, a, true) })
+	got := roundTrip(t, &want)
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
 }
 
 func TestShmRejectsHugeFrameCount(t *testing.T) {
-	m := newMemBuf(64 << 10)
 	want := Shm{Key: 1, Size: 4096, Frames: []uint64{1}}
-	if err := WriteShm(m, 0, &want); err != nil {
-		t.Fatal(err)
-	}
 	// Corrupt the frame count field (offset: key 8 + size 8 + attach 8).
-	m.data[HeaderSize+24] = 0xFF
-	m.data[HeaderSize+25] = 0xFF
-	if _, err := ReadShm(m, 0, false); !IsCorruption(err) {
+	err := decodeOnly(&want, false, func(b []byte) {
+		b[HeaderSize+24] = 0xFF
+		b[HeaderSize+25] = 0xFF
+	})
+	if !IsCorruption(err) {
 		t.Fatalf("want corruption for huge frame count, got %v", err)
 	}
 }
 
 func TestPipeRoundTrip(t *testing.T) {
 	want := Pipe{ID: 3, Buf: 0x9000, ReadPos: 10, WritePos: 20, Locked: true, PeerPID: 8, Next: 0x44}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WritePipe(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*Pipe, error) { return ReadPipe(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -190,9 +179,7 @@ func TestPipeRoundTrip(t *testing.T) {
 
 func TestSocketRoundTrip(t *testing.T) {
 	want := Socket{ID: 1, Proto: ProtoTCP, LocalPort: 3306, RemotePort: 54321, Seq: 1000, Window: 65535, Next: 0x99}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteSocket(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*Socket, error) { return ReadSocket(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -200,9 +187,7 @@ func TestSocketRoundTrip(t *testing.T) {
 
 func TestCachePageRoundTrip(t *testing.T) {
 	want := CachePage{FileOff: 8192, Frame: 321, Dirty: true, Bytes: 4096, Next: 0x777}
-	got := writeRead(t,
-		func(m MemoryAccessor, a uint64) error { return WriteCachePage(m, a, &want) },
-		func(m MemoryAccessor, a uint64) (*CachePage, error) { return ReadCachePage(m, a, true) })
+	got := roundTrip(t, &want)
 	if *got != want {
 		t.Fatalf("got %+v, want %+v", *got, want)
 	}
@@ -218,19 +203,21 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 		rng.Read(m.data)
 		// Sometimes plant a valid header so decode proceeds to payload.
 		if trial%2 == 0 {
-			img := Seal(Type(1+rng.Intn(int(typeMax)-1)), 0, m.data[:rng.Intn(256)])
+			img := sealed(Type(1+rng.Intn(int(typeMax)-1)), m.data[:rng.Intn(256)])
 			copy(m.data, img)
 		}
-		_, _ = ReadGlobals(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadProc(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadMemRegion(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadFileRec(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadSwapTable(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadTerminal(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadSignals(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadShm(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadPipe(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadSocket(m, 0, rng.Intn(2) == 0)
-		_, _ = ReadCachePage(m, 0, rng.Intn(2) == 0)
+		var buf []byte
+		crc := func() bool { return rng.Intn(2) == 0 }
+		_ = new(Globals).Read(m, 0, crc(), &buf)
+		_ = new(Proc).Read(m, 0, crc(), &buf)
+		_ = new(MemRegion).Read(m, 0, crc(), &buf)
+		_ = new(FileRec).Read(m, 0, crc(), &buf)
+		_ = new(SwapTable).Read(m, 0, crc(), &buf)
+		_ = new(Terminal).Read(m, 0, crc(), &buf)
+		_ = new(Signals).Read(m, 0, crc(), &buf)
+		_ = new(Shm).Read(m, 0, crc(), &buf)
+		_ = new(Pipe).Read(m, 0, crc(), &buf)
+		_ = new(Socket).Read(m, 0, crc(), &buf)
+		_ = new(CachePage).Read(m, 0, crc(), &buf)
 	}
 }

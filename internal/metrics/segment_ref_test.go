@@ -74,7 +74,8 @@ func referenceEncodePoint(p Point) []byte {
 
 // referenceWriteSegment is WriteSegment as it was before: each point
 // encoded into its own buffer, each page sealed into a fresh image by
-// layout.SealFrame, and the trailing pages written from a fresh zero page.
+// layout.SealFrameInto, and the trailing pages written from a fresh zero
+// page.
 func referenceWriteSegment(mem MemoryWriter, region phys.Region, gen uint32, s *Snapshot) (pages, dropped int, err error) {
 	if region.Frames <= 0 {
 		if s != nil {
@@ -87,7 +88,8 @@ func referenceWriteSegment(mem MemoryWriter, region phys.Region, gen uint32, s *
 		if pages >= region.Frames {
 			return nil
 		}
-		img := layout.SealFrame(layout.KindMetrics, 0, gen, phys.PageSize, payload)
+		img := make([]byte, phys.PageSize)
+		layout.SealFrameInto(img, layout.KindMetrics, 0, gen, payload)
 		if werr := mem.WriteAt(phys.FrameAddr(region.Start+pages), img); werr != nil {
 			return werr
 		}

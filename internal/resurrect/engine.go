@@ -12,7 +12,6 @@
 package resurrect
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -107,12 +106,6 @@ type reader struct {
 func (r *reader) ReadAt(addr uint64, buf []byte) error {
 	r.acct.ByCategory[r.cat] += int64(len(buf))
 	return r.mem.ReadAt(addr, buf)
-}
-
-// WriteAt is required by layout.MemoryAccessor but the engine never writes
-// into the dead kernel's memory.
-func (r *reader) WriteAt(addr uint64, buf []byte) error {
-	return errors.New("resurrect: main kernel memory is read-only during resurrection")
 }
 
 func (r *reader) at(cat string) *reader {
@@ -382,6 +375,9 @@ type Engine struct {
 	Metrics *metrics.Registry
 
 	rd reader
+	// buf is the record buffer the serial prologue's reads decode through
+	// (ListCandidates, MainSwapDevice); each scanner has its own.
+	buf []byte
 	// acct is the working copy of the Table 4 ledger. Sealed at
 	// Engine.publish: post-seal paths (the lazy resolver/sweeper) account
 	// into lazyState's private shard instead.
@@ -415,26 +411,22 @@ func (e *Engine) parseTime() {
 
 // ListCandidates walks the dead kernel's process list. A corrupted globals
 // anchor or list produces an error: with nothing to anchor on, no process
-// can be resurrected. A list that comes back to a descriptor it already
-// visited (a CRC-valid stale Next is enough) ends there, keeping each
-// process it reached once.
+// can be resurrected. A corrupt descriptor, or one the list already
+// visited (a CRC-valid stale Next is enough), ends the walk there: the
+// rest of the list is unreachable, and each process before it is reported
+// once.
 func (e *Engine) ListCandidates() ([]Candidate, error) {
-	g, err := layout.ReadGlobals(e.rd.at(CatGlobals), e.MainGlobals, e.VerifyCRC)
-	if err != nil {
+	var g layout.Globals
+	if err := g.Read(e.rd.at(CatGlobals), e.MainGlobals, e.VerifyCRC, &e.buf); err != nil {
 		return nil, fmt.Errorf("resurrect: main kernel globals: %w", err)
 	}
 	e.parseTime()
 	var out []Candidate
-	visited := make(map[uint64]bool)
-	for cur := g.ProcListHead; cur != 0; {
-		if visited[cur] {
-			return out, fmt.Errorf("resurrect: process list loop at %#x", cur)
-		}
-		visited[cur] = true
-		p, err := layout.ReadProc(e.rd.at(CatProc), cur, e.VerifyCRC)
-		if err != nil {
-			// The rest of the list is unreachable; report what we have.
-			return out, fmt.Errorf("resurrect: process record at %#x: %w", cur, err)
+	var p layout.Proc
+	var list layout.Chain
+	_, err := list.Walk(g.ProcListHead, layout.TypeProc, func(cur uint64) (uint64, error) {
+		if err := p.Read(e.rd.at(CatProc), cur, e.VerifyCRC, &e.buf); err != nil {
+			return 0, err
 		}
 		e.parseTime()
 		if p.State != layout.ProcZombie {
@@ -446,7 +438,10 @@ func (e *Engine) ListCandidates() ([]Candidate, error) {
 				CrashProc: p.CrashProc,
 			})
 		}
-		cur = p.Next
+		return p.Next, nil
+	})
+	if err != nil {
+		return out, fmt.Errorf("resurrect: process list: %w", err)
 	}
 	return out, nil
 }
@@ -454,15 +449,15 @@ func (e *Engine) ListCandidates() ([]Candidate, error) {
 // MainSwapDevice resolves the dead kernel's swap partition by reading its
 // swap-area table and reopening the device by symbolic name (Section 3.3).
 func (e *Engine) MainSwapDevice() (devName string, err error) {
-	g, err := layout.ReadGlobals(e.rd.at(CatGlobals), e.MainGlobals, e.VerifyCRC)
-	if err != nil {
+	var g layout.Globals
+	if err := g.Read(e.rd.at(CatGlobals), e.MainGlobals, e.VerifyCRC, &e.buf); err != nil {
 		return "", err
 	}
 	if g.SwapTable == 0 {
 		return "", nil
 	}
-	t, err := layout.ReadSwapTable(e.rd.at(CatGlobals), g.SwapTable, e.VerifyCRC)
-	if err != nil {
+	var t layout.SwapTable
+	if err := t.Read(e.rd.at(CatGlobals), g.SwapTable, e.VerifyCRC, &e.buf); err != nil {
 		return "", fmt.Errorf("resurrect: swap table: %w", err)
 	}
 	e.parseTime()

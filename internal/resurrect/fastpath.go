@@ -61,7 +61,7 @@ func pageHash(b []byte) uint64 {
 // avoids. An elided tail page of a non-page-multiple region saves only the
 // region's live tail, not a frame-sized 4 KB. A page outside every region
 // conservatively counts the full page: its copy really moves 4 KB.
-func pageLiveBytes(regions []*layout.MemRegion, va uint64) int64 {
+func pageLiveBytes(regions []layout.MemRegion, va uint64) int64 {
 	end := va
 	for _, r := range regions {
 		if va >= r.Start && va < r.End && r.End > end {

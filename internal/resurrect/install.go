@@ -90,8 +90,9 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 		if werr != nil {
 			return werr
 		}
-		for _, fp := range pl.files {
-			newAddr, ierr := e.K.InstallOpenFile(np, fp.rec)
+		for i := range pl.files {
+			fp := &pl.files[i]
+			newAddr, ierr := e.K.InstallOpenFile(np, &fp.rec)
 			if ierr != nil {
 				return ierr
 			}
@@ -118,7 +119,8 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 	if pl.regionsErr != nil {
 		return fail(PhaseRegions, fmt.Errorf("restore regions: %w", pl.regionsErr))
 	}
-	for _, r := range pl.regions {
+	for i := range pl.regions {
+		r := &pl.regions[i]
 		newFile := uint64(0)
 		if r.Kind == layout.RegionFileMap {
 			newFile = fileMap[r.File] // 0 if the file failed to reopen
@@ -208,8 +210,8 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 	if pl.shmErr != nil {
 		return fail(PhaseShm, fmt.Errorf("restore shm: %w", pl.shmErr))
 	}
-	for _, sp := range pl.shm {
-		if err := e.installShm(np, sp); err != nil {
+	for i := range pl.shm {
+		if err := e.installShm(np, &pl.shm[i]); err != nil {
 			return fail(PhaseShm, fmt.Errorf("restore shm: %w", err))
 		}
 	}
@@ -221,7 +223,7 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 	if pl.old.Terminal != 0 {
 		termErr := pl.termErr
 		if termErr == nil {
-			termErr = e.K.InstallTerminal(np, pl.terminal, pl.screen)
+			termErr = e.K.InstallTerminal(np, &pl.terminal, pl.screen)
 		}
 		if termErr != nil {
 			pr.Missing |= kernel.ResTerminal
@@ -233,7 +235,7 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 		// not worth failing the resurrection over.
 		sigErr := pl.sigErr
 		if sigErr == nil {
-			sigErr = e.K.InstallSignals(np, pl.signals)
+			sigErr = e.K.InstallSignals(np, &pl.signals)
 		}
 		step(PhaseSignals, 0, sigErr)
 	}
@@ -245,22 +247,22 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 	var ipcErr error
 	if e.ResurrectIPC {
 		perr := pl.pipesErr
-		for _, pp := range pl.pipes {
+		for i := range pl.pipes {
 			if perr != nil {
 				break
 			}
-			perr = e.K.InstallPipe(np, pp.rec, pp.buf)
+			perr = e.K.InstallPipe(np, &pl.pipes[i].rec, pl.pipes[i].buf)
 		}
 		if perr != nil {
 			pr.Missing |= kernel.ResPipes
 			ipcErr = perr
 		}
 		serr := pl.socketsErr
-		for _, sk := range pl.sockets {
+		for i := range pl.sockets {
 			if serr != nil {
 				break
 			}
-			serr = e.K.InstallSocket(np, sk)
+			serr = e.K.InstallSocket(np, &pl.sockets[i])
 		}
 		if serr != nil {
 			pr.Missing |= kernel.ResSockets
@@ -309,7 +311,7 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 // cleared, then each frame the scan kept copied to its offset (an all-zero
 // frame kept nothing). Commits run one at a time and InstallShm copies out
 // of the buffer, so one buffer serves every segment of the pass.
-func (e *Engine) installShm(np *kernel.Process, sp shmPlan) error {
+func (e *Engine) installShm(np *kernel.Process, sp *shmPlan) error {
 	size := int(sp.seg.Size)
 	if cap(e.shmBuf) < size {
 		e.shmBuf = make([]byte, size)
@@ -319,5 +321,5 @@ func (e *Engine) installShm(np *kernel.Process, sp shmPlan) error {
 	for i, fr := range sp.frames {
 		copy(buf[i*phys.PageSize:], fr)
 	}
-	return e.K.InstallShm(np, sp.seg, buf)
+	return e.K.InstallShm(np, &sp.seg, buf)
 }

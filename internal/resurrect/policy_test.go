@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"otherworld/internal/kernel"
-	"otherworld/internal/layout"
 	"otherworld/internal/resurrect"
 )
 
@@ -139,7 +138,7 @@ func TestKernelThreadLikeCandidateFailsParse(t *testing.T) {
 	// on disk; the record stays well-formed (sealed, CRC-valid).
 	d := kt.D
 	d.Program = "kthread"
-	if err := m.HW.Mem.WriteAt(kt.Addr, layout.Seal(layout.TypeProc, 0, d.EncodePayload())); err != nil {
+	if err := m.HW.Mem.WriteAt(kt.Addr, d.AppendRecord(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.K.InjectOops("x"); err == nil {

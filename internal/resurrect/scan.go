@@ -44,7 +44,7 @@ type dirtyPage struct {
 // filePlan is one decoded open-file record plus its pending flushes.
 type filePlan struct {
 	addr  uint64
-	rec   *layout.FileRec
+	rec   layout.FileRec
 	dirty []dirtyPage
 }
 
@@ -74,31 +74,31 @@ type pagePlan struct {
 // one slice per frame read, nil when the frame was all zero. The commit
 // assembles them into the segment's bytes (Engine.installShm).
 type shmPlan struct {
-	seg    *layout.Shm
+	seg    layout.Shm
 	frames [][]byte
 }
 
 // pipePlan is one decoded pipe with its buffer page.
 type pipePlan struct {
-	rec *layout.Pipe
+	rec layout.Pipe
 	buf []byte
 }
 
 // plan is everything one candidate's install needs, produced by a single
-// scan and never touched by another worker. Scan-side errors are recorded
-// per structure; the install replays the serial engine's exact
-// fatal/degraded branching from them.
+// scan and never touched by another worker. It keeps the decoded records
+// themselves. Scan-side errors are recorded per structure; the install
+// replays the serial engine's exact fatal/degraded branching from them.
 type plan struct {
 	cand Candidate
 
-	old      *layout.Proc
+	old      layout.Proc
 	ctx      layout.Context
 	parseErr error
 
 	files    []filePlan
 	filesErr error
 
-	regions    []*layout.MemRegion
+	regions    []layout.MemRegion
 	regionsErr error
 
 	pages     []pagePlan
@@ -108,16 +108,16 @@ type plan struct {
 	shm    []shmPlan
 	shmErr error
 
-	terminal *layout.Terminal
+	terminal layout.Terminal
 	screen   []byte
 	termErr  error
 
-	signals *layout.Signals
+	signals layout.Signals
 	sigErr  error
 
 	pipes      []pipePlan
 	pipesErr   error
-	sockets    []*layout.Socket
+	sockets    []layout.Socket
 	socketsErr error
 	hasPipes   bool
 	hasSockets bool
@@ -147,6 +147,7 @@ type plan struct {
 // parallel schedule afterwards.
 type scanner struct {
 	rd           reader
+	buf          []byte // the record buffer every record of the scan decodes through
 	acct         *Accounting
 	cost         sim.CostModel
 	memSize      uint64
@@ -224,14 +225,13 @@ func (s *scanner) scanOne(cand Candidate) *plan {
 	}
 
 	// Phase 1: process descriptor, program presence, saved context.
-	old, err := layout.ReadProc(s.rd.at(CatProc), cand.Addr, s.verifyCRC)
-	if err != nil {
+	old := &pl.old
+	if err := old.Read(s.rd.at(CatProc), cand.Addr, s.verifyCRC, &s.buf); err != nil {
 		pl.parseErr = fmt.Errorf("process descriptor: %w", err)
 		rec(PhaseParse, 0)
 		return done()
 	}
 	s.parseTime()
-	pl.old = old
 	if kernel.LookupProgram(old.Program) == nil {
 		pl.parseErr = fmt.Errorf("program %q not on disk", old.Program)
 		rec(PhaseParse, 0)
@@ -291,11 +291,13 @@ func (s *scanner) scanOne(cand Candidate) *plan {
 
 	// Phases 7+8: terminal and signals — peripheral, degrade on error.
 	if old.Terminal != 0 {
-		pl.terminal, pl.screen, pl.termErr = s.scanTerminal(old)
+		pl.screen, pl.termErr = s.scanTerminal(old, &pl.terminal)
 		rec(PhaseTerminal, 0)
 	}
 	if old.Signals != 0 {
-		pl.signals, pl.sigErr = s.scanSignals(old)
+		if pl.sigErr = pl.signals.Read(s.rd.at(CatSignals), old.Signals, s.verifyCRC, &s.buf); pl.sigErr == nil {
+			s.parseTime()
+		}
 		rec(PhaseSignals, 0)
 	}
 
@@ -305,8 +307,8 @@ func (s *scanner) scanOne(cand Candidate) *plan {
 		pl.pipes, pl.pipesErr = s.scanPipes(old)
 		pl.sockets, pl.socketsErr = s.scanSockets(old)
 	} else {
-		pl.hasPipes, _ = s.hasIPC(old.Pipes, layout.TypePipe)
-		pl.hasSockets, _ = s.hasIPC(old.Sockets, layout.TypeSocket)
+		pl.hasPipes = s.probe(old.Pipes, new(layout.Pipe).Read)
+		pl.hasSockets = s.probe(old.Sockets, new(layout.Socket).Read)
 	}
 	rec(PhaseIPC, 0)
 
@@ -314,62 +316,55 @@ func (s *scanner) scanOne(cand Candidate) *plan {
 }
 
 // scanFiles walks the fd list, decoding each record and collecting the
-// dirty page-cache pages that the install must write back to disk.
+// dirty page-cache pages that the install must write back to disk. A file
+// whose page-cache chain fails or loops is not kept.
 func (s *scanner) scanFiles(old *layout.Proc) ([]filePlan, error) {
 	var out []filePlan
-	cur := old.Files
-	for hops := 0; cur != 0; hops++ {
-		if hops > 4096 {
-			return out, &layout.CorruptionError{Addr: cur, Want: layout.TypeFile, Reason: "fd list loop"}
-		}
-		rec, err := layout.ReadFileRec(s.rd.at(CatFile), cur, s.verifyCRC)
-		if err != nil {
-			return out, err
+	var page layout.CachePage
+	var files, pages layout.Chain // pages walks each file's chain inside files' walk
+	_, err := files.Walk(old.Files, layout.TypeFile, func(cur uint64) (uint64, error) {
+		fp := filePlan{addr: cur}
+		if err := fp.rec.Read(s.rd.at(CatFile), cur, s.verifyCRC, &s.buf); err != nil {
+			return 0, err
 		}
 		s.parseTime()
-		fp := filePlan{addr: cur, rec: rec}
-		cp := rec.CachePages
-		for cacheHops := 0; cp != 0; cacheHops++ {
-			if cacheHops > 65536 {
-				return out, &layout.CorruptionError{Addr: cp, Want: layout.TypeCachePage, Reason: "page cache loop"}
-			}
-			page, err := layout.ReadCachePage(s.rd.at(CatCache), cp, s.verifyCRC)
-			if err != nil {
-				return out, err
+		_, err := pages.Walk(fp.rec.CachePages, layout.TypeCachePage, func(cp uint64) (uint64, error) {
+			if err := page.Read(s.rd.at(CatCache), cp, s.verifyCRC, &s.buf); err != nil {
+				return 0, err
 			}
 			s.parseTime()
 			if page.Dirty && page.Bytes > 0 && page.Bytes <= phys.PageSize {
 				buf := make([]byte, page.Bytes)
 				if err := s.rd.at(CatUserData).ReadAt(page.Frame*phys.PageSize, buf); err != nil {
-					return out, &layout.CorruptionError{Addr: cp, Want: layout.TypeCachePage, Reason: "cache frame unreadable"}
+					return 0, &layout.CorruptionError{Addr: cp, Want: layout.TypeCachePage, Reason: "cache frame unreadable"}
 				}
 				fp.dirty = append(fp.dirty, dirtyPage{off: page.FileOff, data: buf})
 			}
-			cp = page.Next
+			return page.Next, nil
+		})
+		if err != nil {
+			return 0, err
 		}
 		out = append(out, fp)
-		cur = rec.Next
-	}
-	return out, nil
+		return fp.rec.Next, nil
+	})
+	return out, err
 }
 
 // scanRegions decodes the memory-region list.
-func (s *scanner) scanRegions(old *layout.Proc) ([]*layout.MemRegion, error) {
-	var out []*layout.MemRegion
-	cur := old.MemRegions
-	for hops := 0; cur != 0; hops++ {
-		if hops > 4096 {
-			return out, &layout.CorruptionError{Addr: cur, Want: layout.TypeMemRegion, Reason: "region list loop"}
-		}
-		r, err := layout.ReadMemRegion(s.rd.at(CatRegion), cur, s.verifyCRC)
-		if err != nil {
-			return out, err
+func (s *scanner) scanRegions(old *layout.Proc) ([]layout.MemRegion, error) {
+	var out []layout.MemRegion
+	var list layout.Chain
+	_, err := list.Walk(old.MemRegions, layout.TypeMemRegion, func(cur uint64) (uint64, error) {
+		var r layout.MemRegion
+		if err := r.Read(s.rd.at(CatRegion), cur, s.verifyCRC, &s.buf); err != nil {
+			return 0, err
 		}
 		s.parseTime()
 		out = append(out, r)
-		cur = r.Next
-	}
-	return out, nil
+		return r.Next, nil
+	})
+	return out, err
 }
 
 // scanPages walks the dead process's hardware page tables and captures every
@@ -471,133 +466,107 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 	var out []shmPlan
 	var buf []byte // the next frame's buffer, nil once a frame kept it
-	cur := old.Shm
-	for hops := 0; cur != 0; hops++ {
-		if hops > 4096 {
-			return out, &layout.CorruptionError{Addr: cur, Want: layout.TypeShm, Reason: "shm list loop"}
-		}
-		seg, err := layout.ReadShm(s.rd.at(CatShm), cur, s.verifyCRC)
-		if err != nil {
-			return out, err
+	var list layout.Chain
+	_, err := list.Walk(old.Shm, layout.TypeShm, func(cur uint64) (uint64, error) {
+		var sp shmPlan
+		if err := sp.seg.Read(s.rd.at(CatShm), cur, s.verifyCRC, &s.buf); err != nil {
+			return 0, err
 		}
 		s.parseTime()
-		var frames [][]byte
-		for i, f := range seg.Frames {
+		for i, f := range sp.seg.Frames {
 			if f >= uint64(s.numFrames) {
-				return out, fmt.Errorf("shm frame %d beyond memory", f)
+				return 0, fmt.Errorf("shm frame %d beyond memory", f)
 			}
 			off := uint64(i) * phys.PageSize
-			if off >= seg.Size {
+			if off >= sp.seg.Size {
 				break
 			}
-			n := min(seg.Size-off, phys.PageSize)
+			n := min(sp.seg.Size-off, phys.PageSize)
 			if buf == nil {
 				buf = make([]byte, phys.PageSize)
 			}
 			if err := s.rd.at(CatUserData).ReadAt(f*phys.PageSize, buf[:n]); err != nil {
-				return out, err
+				return 0, err
 			}
 			var kept []byte
 			if !phys.PageIsZero(buf[:n]) {
 				kept, buf = buf[:n], nil
 			}
-			frames = append(frames, kept)
+			sp.frames = append(sp.frames, kept)
 		}
-		out = append(out, shmPlan{seg: seg, frames: frames})
-		s.charge(s.cost.CopyCost(int64(seg.Size)))
-		cur = seg.Next
-	}
-	return out, nil
+		out = append(out, sp)
+		s.charge(s.cost.CopyCost(int64(sp.seg.Size)))
+		return sp.seg.Next, nil
+	})
+	return out, err
 }
 
-// scanTerminal decodes the terminal record and screen buffer. Pseudo
-// terminals are refused — the prototype "can only restore the state of
-// physical terminals".
-func (s *scanner) scanTerminal(old *layout.Proc) (*layout.Terminal, []byte, error) {
-	rec, err := layout.ReadTerminal(s.rd.at(CatTerminal), old.Terminal, s.verifyCRC)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.parseTime()
-	if rec.Settings&kernel.TermPseudo != 0 {
-		return nil, nil, fmt.Errorf("pseudo terminal %d is not resurrectable", rec.Index)
-	}
-	screen := make([]byte, int(rec.Rows)*int(rec.Cols))
-	if err := s.rd.at(CatTerminal).ReadAt(rec.Screen, screen); err != nil {
-		return nil, nil, err
-	}
-	return rec, screen, nil
-}
-
-// scanSignals decodes the signal-handler table.
-func (s *scanner) scanSignals(old *layout.Proc) (*layout.Signals, error) {
-	tbl, err := layout.ReadSignals(s.rd.at(CatSignals), old.Signals, s.verifyCRC)
-	if err != nil {
+// scanTerminal decodes the terminal record into *rec and reads its screen
+// buffer. Pseudo terminals are refused — the prototype "can only restore
+// the state of physical terminals".
+func (s *scanner) scanTerminal(old *layout.Proc, rec *layout.Terminal) ([]byte, error) {
+	if err := rec.Read(s.rd.at(CatTerminal), old.Terminal, s.verifyCRC, &s.buf); err != nil {
 		return nil, err
 	}
 	s.parseTime()
-	return tbl, nil
+	if rec.Settings&kernel.TermPseudo != 0 {
+		return nil, fmt.Errorf("pseudo terminal %d is not resurrectable", rec.Index)
+	}
+	screen := make([]byte, int(rec.Rows)*int(rec.Cols))
+	if err := s.rd.at(CatTerminal).ReadAt(rec.Screen, screen); err != nil {
+		return nil, err
+	}
+	return screen, nil
 }
 
 // scanPipes decodes the pipe list with each pipe's buffer page.
 func (s *scanner) scanPipes(old *layout.Proc) ([]pipePlan, error) {
 	var out []pipePlan
-	cur := old.Pipes
-	for hops := 0; cur != 0; hops++ {
-		if hops > 4096 {
-			return out, &layout.CorruptionError{Addr: cur, Want: layout.TypePipe, Reason: "pipe list loop"}
-		}
-		rec, err := layout.ReadPipe(s.rd.at(CatIPC), cur, s.verifyCRC)
-		if err != nil {
-			return out, err
+	var list layout.Chain
+	_, err := list.Walk(old.Pipes, layout.TypePipe, func(cur uint64) (uint64, error) {
+		var pp pipePlan
+		if err := pp.rec.Read(s.rd.at(CatIPC), cur, s.verifyCRC, &s.buf); err != nil {
+			return 0, err
 		}
 		s.parseTime()
-		buf := make([]byte, phys.PageSize)
-		if rec.Buf+phys.PageSize <= s.memSize {
-			if err := s.rd.at(CatUserData).ReadAt(rec.Buf, buf); err != nil {
-				return out, err
+		pp.buf = make([]byte, phys.PageSize)
+		if pp.rec.Buf+phys.PageSize <= s.memSize {
+			if err := s.rd.at(CatUserData).ReadAt(pp.rec.Buf, pp.buf); err != nil {
+				return 0, err
 			}
 		}
-		out = append(out, pipePlan{rec: rec, buf: buf})
-		cur = rec.Next
-	}
-	return out, nil
+		out = append(out, pp)
+		return pp.rec.Next, nil
+	})
+	return out, err
 }
 
 // scanSockets decodes the socket list.
-func (s *scanner) scanSockets(old *layout.Proc) ([]*layout.Socket, error) {
-	var out []*layout.Socket
-	cur := old.Sockets
-	for hops := 0; cur != 0; hops++ {
-		if hops > 4096 {
-			return out, &layout.CorruptionError{Addr: cur, Want: layout.TypeSocket, Reason: "socket list loop"}
-		}
-		rec, err := layout.ReadSocket(s.rd.at(CatIPC), cur, s.verifyCRC)
-		if err != nil {
-			return out, err
+func (s *scanner) scanSockets(old *layout.Proc) ([]layout.Socket, error) {
+	var out []layout.Socket
+	var list layout.Chain
+	_, err := list.Walk(old.Sockets, layout.TypeSocket, func(cur uint64) (uint64, error) {
+		var rec layout.Socket
+		if err := rec.Read(s.rd.at(CatIPC), cur, s.verifyCRC, &s.buf); err != nil {
+			return 0, err
 		}
 		s.parseTime()
 		out = append(out, rec)
-		cur = rec.Next
-	}
-	return out, nil
+		return rec.Next, nil
+	})
+	return out, err
 }
 
-// hasIPC reports whether a pipe/socket list is non-empty. A corrupted list
-// head is conservatively treated as present.
-func (s *scanner) hasIPC(head uint64, t layout.Type) (bool, error) {
+// probe reports whether a pipe or socket list is non-empty. It reads the
+// list's head record with read, one record type's decoder, but a list with
+// a head counts as present even when that record is corrupt.
+func (s *scanner) probe(head uint64, read func(layout.Reader, uint64, bool, *[]byte) error) bool {
 	if head == 0 {
-		return false, nil
+		return false
 	}
-	var err error
-	switch t {
-	case layout.TypePipe:
-		_, err = layout.ReadPipe(s.rd.at(CatIPC), head, s.verifyCRC)
-	case layout.TypeSocket:
-		_, err = layout.ReadSocket(s.rd.at(CatIPC), head, s.verifyCRC)
-	}
+	_ = read(s.rd.at(CatIPC), head, s.verifyCRC, &s.buf)
 	s.parseTime()
-	return true, err
+	return true
 }
 
 func leU64(b []byte) uint64 {
