@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet lint race fuzz-short owstat-smoke wal-check fleet-smoke examples verify bench-test bench-diff campaign
+.PHONY: build fmt test vet lint race fuzz-short owstat-smoke examples verify bench-test bench-diff campaign
 
 build:
 	$(GO) build ./...
@@ -72,16 +72,6 @@ owstat-smoke: build
 	$(GO) run ./cmd/owstat render .artifacts/metrics.json >/dev/null
 	$(GO) run ./cmd/owstat diff .artifacts/metrics.json .artifacts/metrics.json | grep -q identical
 
-# wal-check is the WAL recovery-invariant gate: a short seeded campaign over
-# both WAL protocol variants under the block-layer crash model with
-# cold-reboot recovery. The buggy variant (no fsync between the records and
-# the COMMIT) must be caught losing data at least once, and the fixed
-# variant must survive every post-crash disk audit — both deterministically,
-# at any worker width.
-wal-check:
-	$(GO) test -run TestWALInvariantCampaign -v ./internal/experiment
-	$(GO) test -run TestWALCrashPointSweep ./internal/workload
-
 # examples builds the six examples/* programs and runs each one: every
 # program must exit 0 and print the line that states its claim. They are
 # the only callers of the whole boot, crash and morph cycle outside the
@@ -102,15 +92,13 @@ examples:
 
 # verify is the pre-merge gate: build, the gofmt check, vet, owvet lint,
 # full tests, race pass, a short fuzz burst over the crash-kernel decoder
-# surface, the owstat metrics smoke check, the WAL data-survival campaign
-# gate, the fleet-recovery smoke (streaming resurrection over a small
-# population), the examples and the benchmark module's tests.
-verify: build fmt vet lint test race fuzz-short owstat-smoke wal-check fleet-smoke examples bench-test
-
-# A small-population fleet recovery end to end: index-assisted discovery,
-# tier admission, pipelined commit, per-tier table.
-fleet-smoke:
-	$(GO) test -run 'TestFleetRecoverySmoke|TestFleetCorruptIndexFallsBack' ./internal/experiment
+# surface, the owstat metrics smoke check, the examples and the benchmark
+# module's tests. `test` runs every test once, the WAL data-survival gate
+# (TestWALInvariantCampaign, TestWALCrashPointSweep) and the
+# fleet-recovery smoke (TestFleetRecoverySmoke,
+# TestFleetCorruptIndexFallsBack) among them, and `race` runs them again
+# under the race detector.
+verify: build fmt vet lint test race fuzz-short owstat-smoke examples bench-test
 
 # bench-test runs the tests of the two-clock benchmark (bench/, a module of
 # its own that imports core, phys and experiment, so `go test ./...` never

@@ -8,9 +8,9 @@ import (
 )
 
 // LockDiscipline polices the concurrent packages (the campaign worker
-// pool in experiment, the machine core it drives, the trace ring, and the
-// admission scheduler the streaming resurrection pass shares between
-// workers) beyond what go vet's copylocks catches:
+// pool in experiment, the machine core it drives, the trace ring, and
+// sched, whose schedule models the streaming resurrection pass evaluates)
+// beyond what go vet's copylocks catches:
 //
 //   - sync.Mutex/RWMutex (or structs containing one) passed or returned by
 //     value, which silently forks the lock;

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
+	"otherworld/internal/dump"
 	"otherworld/internal/phys"
 )
 
@@ -45,9 +45,6 @@ type KDumpOutcome struct {
 	Interruption time.Duration
 }
 
-// dumpRecordHeader is 12 bytes: frame number (u64) + payload length (u32).
-const dumpRecordHeader = 12
-
 // HandleFailureKDump is the KDump baseline: transfer to the capture kernel,
 // write every in-use physical frame to the dump file, then cold-reboot.
 // Compare with HandleFailure, which resurrects instead of dumping.
@@ -73,21 +70,20 @@ func (m *Machine) HandleFailureKDump(dumpPath string) (*KDumpOutcome, error) {
 
 	// The capture kernel walks physical memory and writes every in-use
 	// frame, sparse-format, to the dump device.
-	buf := make([]byte, dumpRecordHeader+phys.PageSize)
+	var rec []byte
 	var off int64
 	for f := 0; f < m.HW.Mem.NumFrames(); f++ {
 		if m.HW.Mem.Kind(f) == phys.FrameFree {
 			continue
 		}
-		binary.LittleEndian.PutUint64(buf[0:], uint64(f))
-		binary.LittleEndian.PutUint32(buf[8:], phys.PageSize)
-		if err := m.HW.Mem.ReadAt(phys.FrameAddr(f), buf[dumpRecordHeader:]); err != nil {
+		var err error
+		if rec, err = dump.AppendFrame(rec[:0], m.HW.Mem, f); err != nil {
 			return nil, err
 		}
-		if _, err := m.FS.WriteAt(dumpPath, off, buf, true); err != nil {
+		if _, err := m.FS.WriteAt(dumpPath, off, rec, true); err != nil {
 			return nil, err
 		}
-		off += int64(len(buf))
+		off += int64(len(rec))
 	}
 	out.DumpBytes = off
 	m.HW.Clock.Advance(m.cost.DiskWriteCost(off))

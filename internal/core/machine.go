@@ -284,33 +284,41 @@ func NewMachine(opts Options) (*Machine, error) {
 	for _, name := range swapDevNames {
 		m.HW.Bus.Attach(newSwapPartition(name))
 	}
-
-	// The BIOS and boot loader run before the kernel (Table 6 cold-boot
-	// accounting); kernel.Boot charges the rest.
-	m.HW.Clock.Advance(m.cost.BIOS + m.cost.BootLoader)
-
 	if opts.DiskCrash.Enabled {
 		m.diskModel = disk.NewCrashModel(m.FS, opts.Seed^0xD15CC4A5, disk.DefaultCacheDepth)
 	}
+	if err := m.bootMain("cold boot"); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
 
+// bootMain cold-boots the main kernel below the active crash slot: the
+// BIOS and boot loader, kernel.Boot with the disk model and the metrics
+// registry attached, the init scripts, a fresh crash image and the slot's
+// tail, then the first metrics flush. what names a failed kernel.Boot.
+func (m *Machine) bootMain(what string) error {
+	// The BIOS and boot loader run before the kernel (Table 6 cold-boot
+	// accounting); kernel.Boot charges the rest.
+	m.HW.Clock.Advance(m.cost.BIOS + m.cost.BootLoader)
 	k, err := kernel.Boot(m.HW, m.FS, m.kernelParams(), kernel.BootOptions{
 		Region: phys.Region{Start: 0, Frames: m.slots[m.imageSlot].Start},
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: cold boot: %w", err)
+		return fmt.Errorf("core: %s: %w", what, err)
 	}
 	k.Disk = m.diskModel
 	k.Metrics = m.metrics
 	m.K = k
 	m.HW.Clock.Advance(m.cost.InitScripts)
 	if err := k.LoadCrashImage(); err != nil {
-		return nil, fmt.Errorf("core: load crash image: %w", err)
+		return fmt.Errorf("core: load crash image: %w", err)
 	}
 	if err := m.attachTail(k, nil); err != nil {
-		return nil, err
+		return err
 	}
 	m.FlushMetrics()
-	return m, nil
+	return nil
 }
 
 // DiskModel returns the block-layer crash model (nil when disabled).
@@ -697,7 +705,6 @@ func (m *Machine) CrashDiskForReboot() (*disk.CrashReport, error) {
 // paper's baseline world always performs. All volatile state is lost; the
 // file system survives.
 func (m *Machine) ColdReboot() error {
-	m.HW.Clock.Advance(m.cost.BIOS + m.cost.BootLoader)
 	m.HW.ResetCPUs()
 	m.HW.TLB.Flush()
 	// Wipe frame state: a reboot reinitializes memory ownership.
@@ -707,25 +714,8 @@ func (m *Machine) ColdReboot() error {
 	}
 	m.imageSlot = 1
 	m.swapIdx = 0
-	k, err := kernel.Boot(m.HW, m.FS, m.kernelParams(), kernel.BootOptions{
-		Region: phys.Region{Start: 0, Frames: m.slots[m.imageSlot].Start},
-	})
-	if err != nil {
-		return fmt.Errorf("core: cold reboot: %w", err)
-	}
-	k.Disk = m.diskModel
-	k.Metrics = m.metrics
-	m.K = k
-	m.HW.Clock.Advance(m.cost.InitScripts)
 	m.Net.FlushInbound()
-	if err := k.LoadCrashImage(); err != nil {
-		return err
-	}
-	if err := m.attachTail(k, nil); err != nil {
-		return err
-	}
-	m.FlushMetrics()
-	return nil
+	return m.bootMain("cold reboot")
 }
 
 // Cost exposes the virtual-time model for experiment harnesses.

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -26,8 +27,20 @@ type Image struct {
 	MaxFrame uint64
 }
 
-// recordHeader is the sparse-dump framing: frame number + payload length.
+// recordHeader is the sparse-dump framing: frame number (u64) + payload
+// length (u32), then the payload.
 const recordHeader = 12
+
+// AppendFrame appends the sparse-dump record of one physical frame to dst:
+// the header, then the frame's page as read from mem. The capture kernel
+// writes one record per in-use frame; Parse reads them back.
+func AppendFrame(dst []byte, mem layout.Reader, frame int) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(frame))
+	dst = binary.LittleEndian.AppendUint32(dst, phys.PageSize)
+	n := len(dst)
+	dst = slices.Grow(dst, phys.PageSize)[:n+phys.PageSize]
+	return dst, mem.ReadAt(phys.FrameAddr(frame), dst[n:])
+}
 
 // Parse decodes a sparse dump image.
 func Parse(data []byte) (*Image, error) {
@@ -119,7 +132,6 @@ func Inspect(img *Image, globalsAddr uint64) (*Report, error) {
 	walkList(rep, "process list", g.ProcListHead, layout.TypeProc, func(cur uint64) (uint64, error) {
 		var p layout.Proc
 		if err := p.Read(img, cur, true, &buf); err != nil {
-			rep.Warnings = append(rep.Warnings, fmt.Sprintf("process record at %#x: %v", cur, err))
 			return 0, err
 		}
 		rep.Procs = append(rep.Procs, inventory(img, rep, &p))
@@ -150,7 +162,6 @@ func inventory(img *Image, rep *Report, p *layout.Proc) ProcInfo {
 	var rec layout.FileRec
 	walkList(rep, fmt.Sprintf("pid %d file list", p.PID), p.Files, layout.TypeFile, func(a uint64) (uint64, error) {
 		if err := rec.Read(img, a, true, &buf); err != nil {
-			rep.Warnings = append(rep.Warnings, fmt.Sprintf("pid %d file record: %v", p.PID, err))
 			return 0, err
 		}
 		info.OpenFiles = append(info.OpenFiles, fmt.Sprintf("%s@%d", rec.Path, rec.Offset))
@@ -209,14 +220,23 @@ func countPages(img *Image, pageDir uint64) (resident, swapped int) {
 // and returns the next one. The walk stops at the end of the chain, at the
 // first record visit fails on, or at the first record it reaches a second
 // time (a CRC-valid stale Next is enough to close a loop), keeping what
-// came before and reporting the loop in rep's warnings. It returns how many
-// records visit decoded.
+// came before. A failed record or a loop ends the walk with a warning in
+// rep naming the list and the address. It returns how many records visit
+// decoded.
 func walkList(rep *Report, list string, head uint64, t layout.Type, visit func(uint64) (uint64, error)) int {
 	var c layout.Chain
-	n, err := c.Walk(head, t, visit)
+	var at uint64
+	n, err := c.Walk(head, t, func(a uint64) (uint64, error) {
+		at = a
+		return visit(a)
+	})
 	var ce *layout.CorruptionError
-	if errors.As(err, &ce) && ce.Reason == layout.LoopReason {
+	switch {
+	case err == nil:
+	case errors.As(err, &ce) && ce.Reason == layout.LoopReason:
 		rep.Warnings = append(rep.Warnings, fmt.Sprintf("%s loops back to %#x", list, ce.Addr))
+	default:
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf("%s record at %#x: %v", list, at, err))
 	}
 	return n
 }

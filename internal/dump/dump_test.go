@@ -1,6 +1,8 @@
 package dump_test
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"otherworld/internal/dump"
 	"otherworld/internal/kernel"
 	"otherworld/internal/layout"
+	"otherworld/internal/phys"
 	"otherworld/internal/workload"
 )
 
@@ -143,6 +146,112 @@ func TestInspectStopsAtListLoop(t *testing.T) {
 	for _, want := range []string{"process list loops back", "file list loops back"} {
 		if !strings.Contains(warnings, want) {
 			t.Errorf("warnings %q lack %q", rep.Warnings, want)
+		}
+	}
+}
+
+// TestInspectWarnsOnCorruptRecords: a record the inventory cannot decode
+// is reported, not silently dropped. One payload byte of a warmed MySQL
+// socket record and of an Apache shm record is flipped before the dump;
+// each must leave a warning naming its list and the record's address.
+func TestInspectWarnsOnCorruptRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		driver workload.Driver
+		list   string
+		head   func(*kernel.Process) uint64
+	}{
+		{"mysql-socket", workload.NewMySQLDriver(3), "socket list", func(p *kernel.Process) uint64 { return p.D.Sockets }},
+		{"apache-shm", workload.NewApacheDriver(3), "shm list", func(p *kernel.Process) uint64 { return p.D.Shm }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newMachine(t)
+			if err := tc.driver.Start(m); err != nil {
+				t.Fatal(err)
+			}
+			workload.RunUntilIdle(m, tc.driver, 60, 3000)
+			var addr uint64
+			var pid uint32
+			for _, p := range m.K.Procs() {
+				if addr = tc.head(p); addr != 0 {
+					pid = p.PID
+					break
+				}
+			}
+			if addr == 0 {
+				t.Fatalf("no process has a %s", tc.list)
+			}
+			b := make([]byte, 1)
+			at := addr + layout.HeaderSize
+			if err := m.HW.Mem.ReadAt(at, b); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0xFF
+			if err := m.HW.Mem.WriteAt(at, b); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := dump.Inspect(kdump(t, m), kernel.GlobalsAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("pid %d %s record at %#x", pid, tc.list, addr)
+			for _, w := range rep.Warnings {
+				if strings.HasPrefix(w, want) {
+					return
+				}
+			}
+			t.Fatalf("warnings %q lack %q", rep.Warnings, want)
+		})
+	}
+}
+
+// TestSparseDumpRoundTrip: Parse reads back what AppendFrame writes. Each
+// record is the 12-byte header plus one page, each captured frame reads
+// back its page, and a frame left out (3 holds data, but is not captured)
+// reads zero.
+func TestSparseDumpRoundTrip(t *testing.T) {
+	mem := phys.NewMem(8 * phys.PageSize)
+	page := make([]byte, phys.PageSize)
+	for _, f := range []int{2, 3, 5} {
+		for i := range page {
+			page[i] = byte(i*7 + f)
+		}
+		if err := mem.WriteAt(phys.FrameAddr(f), page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var data, rec []byte
+	for _, f := range []int{0, 2, 5} {
+		var err error
+		if rec, err = dump.AppendFrame(rec[:0], mem, f); err != nil {
+			t.Fatal(err)
+		}
+		if len(rec) != 12+phys.PageSize {
+			t.Fatalf("frame %d record is %d bytes, want %d", f, len(rec), 12+phys.PageSize)
+		}
+		data = append(data, rec...)
+	}
+	img, err := dump.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.Frames() != 3 || img.MaxFrame != 5 {
+		t.Fatalf("parsed %d frames up to %d, want 3 up to 5", img.Frames(), img.MaxFrame)
+	}
+	want := make([]byte, phys.PageSize)
+	got := make([]byte, phys.PageSize)
+	for f := 0; f < mem.NumFrames(); f++ {
+		if err := mem.ReadAt(phys.FrameAddr(f), want); err != nil {
+			t.Fatal(err)
+		}
+		if f != 0 && f != 2 && f != 5 {
+			clear(want)
+		}
+		if err := img.ReadAt(phys.FrameAddr(f), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("frame %d reads back differently", f)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"otherworld/internal/apps"
 	"otherworld/internal/phys"
 	"otherworld/internal/resurrect"
 	"otherworld/internal/sched"
@@ -69,19 +70,33 @@ func TestFleetRecoverySmoke(t *testing.T) {
 	if !strings.Contains(tab, "discovery=index") {
 		t.Errorf("table missing index attribution:\n%s", tab)
 	}
-	rep := res.Outcome.Report
+	requireTierOrder(t, res.Outcome.Report)
+	// Shells are the fleet's newest processes, so making them tier-0
+	// puts the most critical tier last in PID order: admission must still
+	// take all of it first.
+	over := DefaultFleet(48, 7)
+	over.Tiers = map[string]int{apps.ProgShell: sched.TierCritical}
+	ores, err := FleetRecovery(over)
+	if err != nil {
+		t.Fatalf("FleetRecovery with sh=0: %v", err)
+	}
+	requireTierOrder(t, ores.Outcome.Report)
+}
+
+// requireTierOrder requires a streamed report whose candidates were
+// admitted tier by tier: Tiers never decreases.
+func requireTierOrder(t *testing.T, rep *resurrect.Report) {
+	t.Helper()
 	if !rep.Streamed {
 		t.Fatalf("report not streamed")
 	}
 	if len(rep.Tiers) != len(rep.PerCandidate) {
 		t.Fatalf("tiers %d != candidates %d", len(rep.Tiers), len(rep.PerCandidate))
 	}
-	// Admission is tier-then-PID: tiers must be non-decreasing up to
-	// aging, and with this small population aging never demotes anyone.
 	for i := 1; i < len(rep.Tiers); i++ {
 		if rep.Tiers[i] < rep.Tiers[i-1] {
-			t.Fatalf("admission order regressed: tier %d after tier %d at %d",
-				rep.Tiers[i], rep.Tiers[i-1], i)
+			t.Fatalf("admission order regressed: tier %d after tier %d at %d of %d",
+				rep.Tiers[i], rep.Tiers[i-1], i, len(rep.Tiers))
 		}
 	}
 }

@@ -77,26 +77,27 @@ func (k *Kernel) openFile(p *Process, path string, flags uint32) (uint32, error)
 	}
 	fd := p.fdNext
 	p.fdNext++
-	rec := layout.FileRec{
-		FD:     fd,
-		Path:   path,
-		Flags:  flags,
-		Offset: offset,
-		Next:   p.D.Files,
+	if _, err := k.linkFile(p, layout.FileRec{FD: fd, Path: path, Flags: flags, Offset: offset}); err != nil {
+		return 0, err
 	}
+	return fd, nil
+}
+
+// linkFile writes rec into a new open-file record at the head of p's fd
+// table and returns the record's address: the fd-table link that open and
+// resurrection's reopen share.
+func (k *Kernel) linkFile(p *Process, rec layout.FileRec) (uint64, error) {
+	rec.Next = p.D.Files
 	addr, err := k.Heap.Alloc(fileSlotSize)
 	if err != nil {
 		return 0, err
 	}
-	k.paths[addr] = path
+	k.paths[addr] = rec.Path
 	if err := k.writeFileRec(addr, &rec); err != nil {
 		return 0, err
 	}
 	p.D.Files = addr
-	if err := k.writeProc(p); err != nil {
-		return 0, err
-	}
-	return fd, nil
+	return addr, k.writeProc(p)
 }
 
 // closeFile flushes the file's dirty cache pages and unlinks the record.

@@ -60,7 +60,7 @@ func (k *Kernel) ShmGet(p *Process, key uint64, size uint64, va uint64) error {
 		if werr != nil {
 			return werr
 		}
-		if err := k.setPTE(pteAddr, layout.MakePresentPTE(int(f), true)); err != nil {
+		if err := k.mapPresent(pteAddr, int(f), true, false); err != nil {
 			return err
 		}
 	}

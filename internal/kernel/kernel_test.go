@@ -152,6 +152,27 @@ func TestExitUnlinksMiddleOfList(t *testing.T) {
 	}
 }
 
+// TestExitOopsesOnListLoop: a CRC-valid process list that loops without
+// reaching the exiting process (c -> b -> c) must oops the unlink walk,
+// not spin in it.
+func TestExitOopsesOnListLoop(t *testing.T) {
+	k := bootTestKernel(t, nil)
+	a, _ := k.CreateProcess("a", "test-prog")
+	b, _ := k.CreateProcess("b", "test-prog")
+	c, _ := k.CreateProcess("c", "test-prog")
+	d := b.D
+	d.Next = c.Addr
+	if err := k.M.Mem.WriteAt(b.Addr, d.AppendRecord(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Exit(a, 0); !IsPanic(err) {
+		t.Fatalf("Exit over a looping list = %v, want an oops", err)
+	}
+	if pe := k.Panicked(); pe == nil || pe.Oops != OopsBadStructure {
+		t.Fatalf("panic = %+v, want an OopsBadStructure oops", pe)
+	}
+}
+
 func TestHeapAllocFreeReuse(t *testing.T) {
 	k := bootTestKernel(t, nil)
 	a1, err := k.Heap.Alloc(100)

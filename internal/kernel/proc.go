@@ -123,13 +123,31 @@ func (k *Kernel) stackRangeIntact(kstack uint64, from, to int) (int, bool) {
 }
 
 // CreateProcess builds a new process running the named registered program.
-// It is the simulation's fork+exec: a kernel stack and page directory are
-// allocated, the descriptor record is written and linked into the process
-// list, and the program's Boot hook lays out the address space.
+// It is the simulation's fork+exec: newProcess is the fork, and the
+// program's Boot hook, the exec, lays out the address space.
 func (k *Kernel) CreateProcess(name, program string) (*Process, error) {
 	if k.panicState != nil {
 		return nil, fmt.Errorf("kernel: panicked: %s", k.panicState.Reason)
 	}
+	p, err := k.newProcess(name, program)
+	if err != nil {
+		return nil, err
+	}
+	env := &Env{K: k, P: p}
+	if err := p.Prog.Boot(env); err != nil {
+		return nil, fmt.Errorf("kernel: boot program %q: %w", program, err)
+	}
+	k.M.Clock.Advance(StartupCost(program))
+	k.logf("created pid %d (%s)", p.PID, name)
+	return p, nil
+}
+
+// newProcess builds a process shell bound to the named registered program,
+// without running the program's Boot: a kernel stack and page directory
+// are allocated, and the descriptor record is written and linked into the
+// process list and the candidate index. Fork and resurrection both build
+// their processes here.
+func (k *Kernel) newProcess(name, program string) (*Process, error) {
 	if len(name) > maxNameLen || len(program) > maxNameLen {
 		return nil, fmt.Errorf("kernel: process/program name too long")
 	}
@@ -193,14 +211,7 @@ func (k *Kernel) CreateProcess(name, program string) (*Process, error) {
 
 	k.procs[pid] = p
 	k.procOrder = append(k.procOrder, pid)
-
 	p.Prog = factory()
-	env := &Env{K: k, P: p}
-	if err := p.Prog.Boot(env); err != nil {
-		return nil, fmt.Errorf("kernel: boot program %q: %w", program, err)
-	}
-	k.M.Clock.Advance(StartupCost(program))
-	k.logf("created pid %d (%s)", pid, name)
 	return p, nil
 }
 
@@ -281,12 +292,17 @@ func (k *Kernel) Exit(p *Process, code int) error {
 		}
 	} else {
 		// The walk re-reads each descriptor, so injected corruption affects
-		// it the way it would affect Linux. It decodes every record into one
-		// descriptor through the record buffer, so a name allocates only
-		// where it differs from the record before it.
+		// it the way it would affect Linux, and a loop that leaves p out
+		// oopses after 4096 hops, as the fd, region, pipe and socket walks
+		// do. It decodes every record into one descriptor through the
+		// record buffer, so a name allocates only where it differs from the
+		// record before it.
 		var d layout.Proc
 		cur := k.Globals.ProcListHead
-		for cur != 0 {
+		for hops := 0; cur != 0; hops++ {
+			if hops > 4096 {
+				return k.oopsf(OopsBadStructure, "process list loop unlinking pid %d", p.PID)
+			}
 			if err := d.Read(k.M.Mem, cur, k.P.VerifyCRC, &k.recBuf); err != nil {
 				return err
 			}

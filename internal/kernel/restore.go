@@ -9,70 +9,21 @@ import (
 )
 
 // Restoration API: the entry points the crash kernel (package resurrect)
-// uses to install reconstructed state into fresh processes. These mirror
-// the paper's reuse of existing kernel paths — "we modified the existing
-// clone() call to handle both operations" (Section 3.7) — so resurrection
-// creates processes through the same code as normal process creation.
+// uses to install reconstructed state into fresh processes. They reuse the
+// existing kernel paths — "we modified the existing clone() call to handle
+// both operations" (Section 3.7) — so resurrection creates processes through
+// the same code as fork (newProcess), links open files through the open
+// path's fd-table link (linkFile), and maps pages through the page fault's
+// present-PTE helper (mapPresent).
 
-// CreateProcessForResurrection is the clone()-derived entry: it builds a
-// process shell (descriptor, kernel stack, page directory, registry-bound
-// program) without running the program's Boot, because the address space
-// will be installed from the dead kernel's image instead.
+// CreateProcessForResurrection is the clone()-derived entry: fork's
+// newProcess builds the process shell (descriptor, kernel stack, page
+// directory, registry-bound program) without running the program's Boot,
+// because the address space will be installed from the dead kernel's image
+// instead. The crash kernel has no candidate index until the morph, so the
+// index write-through does nothing here.
 func (k *Kernel) CreateProcessForResurrection(name, program string) (*Process, error) {
-	if len(name) > maxNameLen || len(program) > maxNameLen {
-		return nil, fmt.Errorf("kernel: process/program name too long")
-	}
-	factory := LookupProgram(program)
-	if factory == nil {
-		return nil, fmt.Errorf("kernel: no program registered as %q", program)
-	}
-	kstackFrame, err := k.Alloc.Alloc(phys.FrameKernelStack)
-	if err != nil {
-		return nil, err
-	}
-	kstack := phys.FrameAddr(kstackFrame)
-	if err := k.fillStackPattern(kstack, kstackNMIStart, phys.PageSize); err != nil {
-		return nil, err
-	}
-	dirFrame, err := k.Alloc.Alloc(phys.FramePageTable)
-	if err != nil {
-		return nil, err
-	}
-	addr, err := k.Heap.Alloc(procSlotSize)
-	if err != nil {
-		return nil, err
-	}
-	pid := k.Globals.NextPID
-	k.Globals.NextPID++
-	p := &Process{
-		PID:  pid,
-		Addr: addr,
-		D: layout.Proc{
-			PID:     pid,
-			State:   layout.ProcRunnable,
-			Name:    name,
-			Program: program,
-			PageDir: phys.FrameAddr(dirFrame),
-			KStack:  kstack,
-			Next:    k.Globals.ProcListHead,
-		},
-		fdNext: 3,
-	}
-	p.Ctx.Saved = true
-	if err := layout.WriteContext(k.M.Mem, kstack, &p.Ctx); err != nil {
-		return nil, err
-	}
-	if err := k.writeProc(p); err != nil {
-		return nil, err
-	}
-	k.Globals.ProcListHead = addr
-	if err := k.syncGlobals(); err != nil {
-		return nil, err
-	}
-	k.procs[pid] = p
-	k.procOrder = append(k.procOrder, pid)
-	p.Prog = factory()
-	return p, nil
+	return k.newProcess(name, program)
 }
 
 // InstallRegion recreates a memory-region descriptor in a resurrected
@@ -82,8 +33,10 @@ func (k *Kernel) InstallRegion(p *Process, r *layout.MemRegion, fileRec uint64) 
 	return k.MapRegion(p, r.Start, length, r.Prot, r.Kind, fileRec, r.FileOffset)
 }
 
-// InstallResidentPage allocates a frame for va and fills it with data from
-// the dead kernel's page.
+// InstallResidentPage allocates a frame for va and fills it with data, the
+// dead kernel's page. Nil data is an all-zero page, the fast path's
+// elision: the scan kept no copy of it, and the frame is zero-filled
+// instead of copied into.
 func (k *Kernel) InstallResidentPage(p *Process, va uint64, data []byte, writable, dirty bool) error {
 	pteAddr, _, err := k.walk(p, va, true)
 	if err != nil {
@@ -93,37 +46,15 @@ func (k *Kernel) InstallResidentPage(p *Process, va uint64, data []byte, writabl
 	if err != nil {
 		return err
 	}
-	if err := k.M.Mem.WriteAt(phys.FrameAddr(frame), data); err != nil {
-		return err
+	if data == nil {
+		err = k.M.Mem.Zero(frame)
+	} else {
+		err = k.M.Mem.WriteAt(phys.FrameAddr(frame), data)
 	}
-	pte := layout.MakePresentPTE(frame, writable)
-	if dirty {
-		pte = pte.WithDirty()
-	}
-	return k.setPTE(pteAddr, pte)
-}
-
-// InstallZeroPage is the fast path's elision case: the dead kernel's page
-// was entirely zero, so instead of copying 4 KB the crash kernel maps a
-// freshly zero-filled frame. The PTE is identical to the one
-// InstallResidentPage would have produced for the same page.
-func (k *Kernel) InstallZeroPage(p *Process, va uint64, writable, dirty bool) error {
-	pteAddr, _, err := k.walk(p, va, true)
 	if err != nil {
 		return err
 	}
-	frame, err := k.allocFrame(phys.FrameUser)
-	if err != nil {
-		return err
-	}
-	if err := k.M.Mem.Zero(frame); err != nil {
-		return err
-	}
-	pte := layout.MakePresentPTE(frame, writable)
-	if dirty {
-		pte = pte.WithDirty()
-	}
-	return k.setPTE(pteAddr, pte)
+	return k.mapPresent(pteAddr, frame, writable, dirty)
 }
 
 // InstallSpeculatedPage is the lazy install's copy-on-access case, the
@@ -170,27 +101,16 @@ func (k *Kernel) InstallOpenFile(p *Process, old *layout.FileRec) (uint64, error
 	if !k.FS.Exists(old.Path) {
 		return 0, fmt.Errorf("kernel: reopen %q: no such file", old.Path)
 	}
-	rec := layout.FileRec{
+	if old.FD >= p.fdNext {
+		p.fdNext = old.FD + 1
+	}
+	return k.linkFile(p, layout.FileRec{
 		FD:     old.FD,
 		Path:   old.Path,
 		Flags:  old.Flags,
 		Offset: old.Offset,
 		Mapped: old.Mapped,
-		Next:   p.D.Files,
-	}
-	addr, err := k.Heap.Alloc(fileSlotSize)
-	if err != nil {
-		return 0, err
-	}
-	k.paths[addr] = rec.Path
-	if err := k.writeFileRec(addr, &rec); err != nil {
-		return 0, err
-	}
-	p.D.Files = addr
-	if rec.FD >= p.fdNext {
-		p.fdNext = rec.FD + 1
-	}
-	return addr, k.writeProc(p)
+	})
 }
 
 // InstallTerminal recreates a physical terminal with the dead kernel's

@@ -100,6 +100,17 @@ func (k *Kernel) walk(p *Process, va uint64, allocate bool) (pteAddr uint64, pte
 	return pteAddr, layout.PTE(raw), nil
 }
 
+// mapPresent maps frame at the PTE slot pteAddr as a present page,
+// writable and dirty as asked. The fault path's swap-in and demand fill,
+// the crash kernel's page installs and shm attach all map frames here.
+func (k *Kernel) mapPresent(pteAddr uint64, frame int, writable, dirty bool) error {
+	pte := layout.MakePresentPTE(frame, writable)
+	if dirty {
+		pte = pte.WithDirty()
+	}
+	return k.setPTE(pteAddr, pte)
+}
+
 // setPTE stores a PTE value.
 func (k *Kernel) setPTE(pteAddr uint64, pte layout.PTE) error {
 	if err := k.M.Mem.WriteU64(pteAddr, uint64(pte)); err != nil {
@@ -200,11 +211,7 @@ func (k *Kernel) touchPage(p *Process, va uint64, write bool) (int, error) {
 			return 0, k.oopsf(OopsBadPageTable, "swap-in copy: %v", werr)
 		}
 		k.swap.Free(pte.SwapSlot())
-		npte := layout.MakePresentPTE(frame, pte.Writable())
-		if write {
-			npte = npte.WithDirty()
-		}
-		if err := k.setPTE(pteAddr, npte); err != nil {
+		if err := k.mapPresent(pteAddr, frame, pte.Writable(), write); err != nil {
 			return 0, err
 		}
 		k.Perf.SwapIns++
@@ -238,12 +245,7 @@ func (k *Kernel) touchPage(p *Process, va uint64, write bool) (int, error) {
 				}
 			}
 		}
-		writable := region.Prot&layout.ProtWrite != 0
-		npte := layout.MakePresentPTE(frame, writable)
-		if write {
-			npte = npte.WithDirty()
-		}
-		if err := k.setPTE(pteAddr, npte); err != nil {
+		if err := k.mapPresent(pteAddr, frame, region.Prot&layout.ProtWrite != 0, write); err != nil {
 			return 0, err
 		}
 		return frame, nil

@@ -139,14 +139,14 @@ type Config struct {
 	// Report.Fingerprint and CanonicalWorkers).
 	Workers int
 	// Stream enables streaming resurrection: candidates are admitted in
-	// SLO-tier order through a deterministic priority queue (internal/
-	// sched) and modeled with the install commit pipelined per candidate
-	// behind a tier-then-PID-order cursor, so the first tier-0 process
-	// resumes as soon as its own scan and commit are done instead of
-	// waiting for the whole batch's scan barrier. Off (the default) commits
-	// in discovery order and models the classic scan-then-install batch:
-	// round-robin shards, a scan barrier, then serial installs. Either way
-	// the host scans every candidate before the first commit.
+	// SLO-tier order, then PID order, and modeled with the install commit
+	// pipelined per candidate behind that order's cursor, so the first
+	// tier-0 process resumes as soon as its own scan and commit are done
+	// instead of waiting for the whole batch's scan barrier. Off (the
+	// default) commits in discovery order and models the classic
+	// scan-then-install batch: round-robin shards, a scan barrier, then
+	// serial installs. Either way the host scans every candidate before the
+	// first commit.
 	Stream bool
 	// Tiers maps a program name to its admission tier (0 critical … 2
 	// batch) when streaming; programs not listed get DefaultTier. Lookup

@@ -17,7 +17,7 @@ import (
 //   - all-zero pages are elided: the scan, which reads every frame, marks
 //     them zero and keeps no copy, and instead of copying 4 KB out of the
 //     dead kernel the install maps a freshly zero-filled frame
-//     (kernel.InstallZeroPage) and pays ZeroFillCost;
+//     (kernel.InstallResidentPage with no data) and pays ZeroFillCost;
 //   - identical page contents shared across candidates (shared libraries,
 //     COW children — the 8×MySQL workload is dominated by these) are
 //     deduplicated through a content-hash cache: the first occurrence pays

@@ -145,8 +145,6 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 		case pg.swapped:
 			swapSeen = true
 			ierr = e.K.InstallSwappedPage(np, pg.va, pg.data, pg.writable)
-		case pg.zero:
-			ierr = e.K.InstallZeroPage(np, pg.va, pg.writable, pg.dirty)
 		case pg.speculated:
 			// Lazy install: adopt the dead frame and map it copy-on-access;
 			// the page materializes on first touch or by the background
@@ -157,9 +155,10 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 				e.lazy.register(np.PID, pg)
 			}
 		default:
-			// Dedup hits pass the cache's canonical buffer here; the
-			// install still fills a private frame from it, so candidates
-			// never share writable memory.
+			// A zero page passes no data and gets a zero-filled frame. Dedup
+			// hits pass the cache's canonical buffer here; the install
+			// still fills a private frame from it, so candidates never
+			// share writable memory.
 			ierr = e.K.InstallResidentPage(np, pg.va, pg.data, pg.writable, pg.dirty)
 		}
 		if ierr != nil {

@@ -10,8 +10,8 @@ package resurrect
 //     degrades to the full process-list walk with "index-salvage: …"
 //     attribution.
 //   - The commit order is discovery order for a batch pass. A streamed
-//     pass (Config.Stream) orders candidates by SLO tier, tier-0 critical
-//     first, through the deterministic priority queue in internal/sched.
+//     pass (Config.Stream) sorts candidates by SLO tier, tier-0 critical
+//     first, then by PID.
 //   - Workers claim candidates through a cursor and scan concurrently.
 //     Once every scan is done, the calling goroutine commits — classify +
 //     install — one candidate at a time in commit order, batch and streamed
@@ -29,7 +29,6 @@ import (
 	"otherworld/internal/disk"
 	"otherworld/internal/layout"
 	"otherworld/internal/phys"
-	"otherworld/internal/sched"
 	"otherworld/internal/sim"
 )
 
@@ -84,32 +83,18 @@ func (e *Engine) listViaIndex() (cands []Candidate, used, skipped int, reason st
 	return cands, len(entries), sal.Skipped, ""
 }
 
-// admissionOrder runs the selected candidates through the priority queue
-// and returns them in admitted order with their tiers. Within a tier,
-// candidates are pushed in PID (creation) order, so admission is
-// tier-then-PID — the commit cursor's ordering contract.
+// admissionOrder returns the selected candidates in admission order with
+// their tiers: by clamped tier, most critical first, and by PID (creation
+// order) within a tier — the commit cursor's ordering contract.
 func admissionOrder(cfg Config, selected []Candidate) ([]Candidate, []int) {
-	byPID := make([]int, len(selected))
-	for i := range selected {
-		byPID[i] = i
-	}
-	sort.Slice(byPID, func(a, b int) bool {
-		return selected[byPID[a]].PID < selected[byPID[b]].PID
+	adm := append([]Candidate(nil), selected...)
+	sort.Slice(adm, func(a, b int) bool { return adm[a].PID < adm[b].PID })
+	sort.SliceStable(adm, func(a, b int) bool {
+		return cfg.TierOf(adm[a].Program) < cfg.TierOf(adm[b].Program)
 	})
-	q := sched.NewQueue(sched.DefaultAging)
-	for _, idx := range byPID {
-		c := selected[idx]
-		q.Push(sched.Item{Tier: cfg.TierOf(c.Program), Key: c.PID, Seq: idx})
-	}
-	adm := make([]Candidate, 0, len(selected))
-	tiers := make([]int, 0, len(selected))
-	for {
-		it, ok := q.Pop()
-		if !ok {
-			break
-		}
-		adm = append(adm, selected[it.Seq])
-		tiers = append(tiers, it.Tier)
+	tiers := make([]int, len(adm))
+	for i, c := range adm {
+		tiers[i] = cfg.TierOf(c.Program)
 	}
 	return adm, tiers
 }

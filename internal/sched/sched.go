@@ -1,15 +1,14 @@
-// Package sched provides the deterministic SLO-priority admission
-// scheduler behind streaming resurrection: candidates carry tiers (tier-0
-// critical service → tier-2 batch), a priority queue with aging decides
-// the admission order that feeds the scan pool, and a pipelined-commit
-// schedule model evaluates the resulting install timeline at any worker
-// width as a pure function — so the scan pool's width never perturbs a
-// single observable.
+// Package sched provides the deterministic SLO-tier vocabulary and the
+// schedule models behind streaming resurrection: candidates carry tiers
+// (tier-0 critical service → tier-2 batch), resurrection admits them by
+// tier and then PID, and a pipelined-commit schedule model evaluates the
+// resulting install timeline at any worker width as a pure function — so
+// the scan pool's width never perturbs a single observable.
 //
 // Everything here is deliberately free of wall-clock time, maps iterated
-// for ordering, and other nondeterminism sources: admission order and the
-// modeled schedule must be bit-identical at any pool width and on any
-// host (the owvet nodeterminism analyzer enforces this package).
+// for ordering, and other nondeterminism sources: the modeled schedule must
+// be bit-identical at any pool width and on any host (the owvet
+// nodeterminism analyzer enforces this package).
 package sched
 
 import (
@@ -31,11 +30,6 @@ const (
 	// NumTiers is the number of admission tiers.
 	NumTiers = 3
 )
-
-// DefaultAging is the default aging interval: after this many pops, a
-// waiting item's effective tier improves by one level, which bounds how
-// long sustained high-tier arrivals can starve a batch item.
-const DefaultAging = 8
 
 // ClampTier forces a tier into the valid [0, NumTiers-1] range.
 func ClampTier(t int) int {
@@ -73,104 +67,6 @@ func ParseTierSpec(spec string) (map[string]int, error) {
 		out[prog] = ClampTier(n)
 	}
 	return out, nil
-}
-
-// Item is one admission candidate.
-type Item struct {
-	// Tier is the SLO tier (0 most critical).
-	Tier int
-	// Key breaks ties within an effective tier deterministically —
-	// resurrection uses the dead kernel's PID, so equal-tier candidates
-	// admit in creation order.
-	Key uint32
-	// Seq is an opaque caller payload (the candidate's slot in the
-	// caller's array); the queue never inspects it.
-	Seq int
-}
-
-type queued struct {
-	it      Item
-	arrival int // push counter, the anti-starvation tie-break
-}
-
-// Queue is a deterministic priority queue with aging. Pop returns the
-// item with the lowest effective tier, where an item's effective tier
-// drops by one for every aging-interval pops it has waited; ties break on
-// earliest arrival, then Key. The aging term is what makes the queue
-// starvation-free: under a sustained stream of tier-0 arrivals, a tier-2
-// item's effective tier reaches 0 after at most NumTiers*aging pops and
-// its earlier arrival then beats every fresher tier-0 item.
-type Queue struct {
-	aging    int
-	pops     int
-	arrivals int
-	items    []queued
-}
-
-// NewQueue builds a queue with the given aging interval (<=0 selects
-// DefaultAging).
-func NewQueue(aging int) *Queue {
-	if aging <= 0 {
-		aging = DefaultAging
-	}
-	return &Queue{aging: aging}
-}
-
-// Len returns the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
-
-// Push enqueues an item.
-func (q *Queue) Push(it Item) {
-	it.Tier = ClampTier(it.Tier)
-	q.items = append(q.items, queued{it: it, arrival: q.arrivals})
-	q.arrivals++
-}
-
-// effective returns the aged tier of a queued item at the current pop
-// count.
-func (q *Queue) effective(e queued) int {
-	waited := q.pops - e.arrival
-	if waited < 0 {
-		waited = 0
-	}
-	eff := e.it.Tier - waited/q.aging
-	if eff < 0 {
-		eff = 0
-	}
-	return eff
-}
-
-// Pop removes and returns the next admitted item. The linear scan is
-// deliberate: admission sets are small, and a scan with a total ordering
-// is trivially deterministic.
-func (q *Queue) Pop() (Item, bool) {
-	if len(q.items) == 0 {
-		return Item{}, false
-	}
-	best := 0
-	for i := 1; i < len(q.items); i++ {
-		a, b := q.items[i], q.items[best]
-		ea, eb := q.effective(a), q.effective(b)
-		if ea != eb {
-			if ea < eb {
-				best = i
-			}
-			continue
-		}
-		if a.arrival != b.arrival {
-			if a.arrival < b.arrival {
-				best = i
-			}
-			continue
-		}
-		if a.it.Key < b.it.Key {
-			best = i
-		}
-	}
-	it := q.items[best].it
-	q.items = append(q.items[:best], q.items[best+1:]...)
-	q.pops++
-	return it, true
 }
 
 // Slot is one candidate's position in a modeled schedule: its scan on a

@@ -5,36 +5,6 @@ import (
 	"time"
 )
 
-func popAll(t *testing.T, q *Queue) []Item {
-	t.Helper()
-	var out []Item
-	for {
-		it, ok := q.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, it)
-	}
-}
-
-func TestQueueTierThenArrivalOrder(t *testing.T) {
-	q := NewQueue(DefaultAging)
-	q.Push(Item{Tier: TierBatch, Key: 1, Seq: 0})
-	q.Push(Item{Tier: TierCritical, Key: 2, Seq: 1})
-	q.Push(Item{Tier: TierStandard, Key: 3, Seq: 2})
-	q.Push(Item{Tier: TierCritical, Key: 4, Seq: 3})
-	got := popAll(t, q)
-	wantSeq := []int{1, 3, 2, 0} // tier-0 in arrival order, then 1, then 2
-	if len(got) != len(wantSeq) {
-		t.Fatalf("popped %d items, want %d", len(got), len(wantSeq))
-	}
-	for i, it := range got {
-		if it.Seq != wantSeq[i] {
-			t.Fatalf("pop %d = seq %d, want %d (order %v)", i, it.Seq, wantSeq[i], got)
-		}
-	}
-}
-
 func TestParseTierSpec(t *testing.T) {
 	got, err := ParseTierSpec("mysqld=0, apache-php=1 ,sh=9")
 	if err != nil {
@@ -56,66 +26,6 @@ func TestParseTierSpec(t *testing.T) {
 	for _, bad := range []string{"mysqld", "=2", "sh=two"} {
 		if _, err := ParseTierSpec(bad); err == nil {
 			t.Fatalf("ParseTierSpec(%q) accepted, want error", bad)
-		}
-	}
-}
-
-func TestQueueClampsTier(t *testing.T) {
-	q := NewQueue(DefaultAging)
-	q.Push(Item{Tier: -3, Key: 1})
-	q.Push(Item{Tier: 99, Key: 2})
-	got := popAll(t, q)
-	if got[0].Tier != TierCritical || got[1].Tier != TierBatch {
-		t.Fatalf("tiers not clamped: %v", got)
-	}
-}
-
-// TestQueueStarvationFreedom is the admission-fairness satellite: under a
-// sustained stream of fresh tier-0 arrivals, a tier-2 candidate must still
-// be admitted within a bounded number of pops — aging walks its effective
-// tier down one level every DefaultAging pops, and arrival order then
-// favors the oldest waiter.
-func TestQueueStarvationFreedom(t *testing.T) {
-	q := NewQueue(DefaultAging)
-	q.Push(Item{Tier: TierBatch, Key: 999, Seq: -1})
-	admittedAt := -1
-	for pop := 0; pop < 10*DefaultAging; pop++ {
-		// Sustained tier-0 load: a fresh critical arrival before every pop.
-		q.Push(Item{Tier: TierCritical, Key: uint32(pop), Seq: pop})
-		it, ok := q.Pop()
-		if !ok {
-			t.Fatalf("queue empty at pop %d", pop)
-		}
-		if it.Seq == -1 {
-			admittedAt = pop
-			break
-		}
-	}
-	if admittedAt < 0 {
-		t.Fatalf("tier-2 candidate starved for %d pops under tier-0 load", 10*DefaultAging)
-	}
-	// It must take aging into account (not jump the fresh criticals
-	// immediately) but be admitted once fully aged: tier distance 2 means
-	// at least 2*aging pops, and arrival-order preference admits it as
-	// soon as its effective tier reaches 0.
-	if admittedAt < 2*DefaultAging || admittedAt > 3*DefaultAging {
-		t.Fatalf("tier-2 admitted at pop %d, want within [%d, %d]",
-			admittedAt, 2*DefaultAging, 3*DefaultAging)
-	}
-}
-
-func TestQueueDeterministicTieBreak(t *testing.T) {
-	// Same tier, same arrival batch ordering: Push order is arrival order,
-	// so pops replay pushes; Key breaks only true ties (never built by
-	// Push, but the contract must hold for direct users).
-	q := NewQueue(DefaultAging)
-	for i := 0; i < 10; i++ {
-		q.Push(Item{Tier: TierStandard, Key: uint32(100 - i), Seq: i})
-	}
-	got := popAll(t, q)
-	for i, it := range got {
-		if it.Seq != i {
-			t.Fatalf("pop %d = seq %d, want arrival order", i, it.Seq)
 		}
 	}
 }
