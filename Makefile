@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt test vet lint race fuzz-short owstat-smoke examples verify bench-test bench-diff campaign
+.PHONY: build fmt test vet lint race gobench fuzz-short owstat-smoke examples verify bench-test bench-diff campaign
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ test:
 # most exercise, but the whole module must be race-clean.
 race:
 	$(GO) test -race ./...
+
+# gobench runs every Go benchmark once, so a benchmark that stops compiling
+# or fails its own checks (BenchmarkInstallPerPage fails when the lazy
+# install stops speculating) fails the gate. Timings from one iteration
+# mean nothing; run a benchmark by hand with -benchtime to measure.
+gobench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # fuzz-short gives each decoder-facing fuzz target a brief budget: the
 # record decoders the resurrection scan aims at the dead kernel's bytes,
@@ -91,14 +98,14 @@ examples:
 	check quickstart 'state preserved: true'
 
 # verify is the pre-merge gate: build, the gofmt check, vet, owvet lint,
-# full tests, race pass, a short fuzz burst over the crash-kernel decoder
-# surface, the owstat metrics smoke check, the examples and the benchmark
-# module's tests. `test` runs every test once, the WAL data-survival gate
+# full tests, race pass, one run of every Go benchmark, a short fuzz burst
+# over the crash-kernel decoder surface, the owstat metrics smoke check,
+# the examples and the benchmark module's tests. `test` runs every test once, the WAL data-survival gate
 # (TestWALInvariantCampaign, TestWALCrashPointSweep) and the
 # fleet-recovery smoke (TestFleetRecoverySmoke,
 # TestFleetCorruptIndexFallsBack) among them, and `race` runs them again
 # under the race detector.
-verify: build fmt vet lint test race fuzz-short owstat-smoke examples bench-test
+verify: build fmt vet lint test race gobench fuzz-short owstat-smoke examples bench-test
 
 # bench-test runs the tests of the two-clock benchmark (bench/, a module of
 # its own that imports core, phys and experiment, so `go test ./...` never

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
+	"otherworld/internal/apps"
 	"otherworld/internal/disk"
 	"otherworld/internal/phys"
 )
@@ -101,6 +103,59 @@ func TestNewMachineAllocation(t *testing.T) {
 		t.Fatalf("NewMachine(256 MiB, 16 MiB slots) allocated %d bytes, want under 320 KiB", got)
 	}
 	t.Logf("NewMachine(256 MiB, 16 MiB slots) allocated %d bytes", got)
+}
+
+// TestHandleFailureAllocation bounds what one eager recovery allocates on
+// the host, at resurrection width 1: four MySQL servers holding rows, an
+// Apache server with its shared-memory session store and four shells with
+// their terminals, crashed and resurrected by HandleFailure, must come in
+// under 512 KiB. The scan keeps the bytes of no page, shared-memory frame
+// or screen that no commit can overwrite, and the commits copy those from
+// the dead frames: the recovery allocates 375,088 B. Staging them on the
+// host, with a 512 KiB shared-memory assembly buffer a pass, took
+// 1,040,912 B.
+func TestHandleFailureAllocation(t *testing.T) {
+	got := leastAllocated(func() func() {
+		opts := benchMachineOptions()
+		opts.Resurrection.Workers = 1
+		m, err := NewMachine(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			for _, prog := range []string{apps.ProgMySQL, apps.ProgShell} {
+				if _, err := m.Start(fmt.Sprintf("%s-%d", prog, i), prog); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := m.Start("apache", apps.ProgApache); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			m.Net.Deliver(apps.MySQLPort, []byte(fmt.Sprintf("I %d row-%d", i+1, i)))
+		}
+		if res := m.Run(400); res.Panic != nil {
+			t.Fatal(res.Panic)
+		}
+		if err := m.K.InjectOops("allocation"); err == nil {
+			t.Fatal("InjectOops returned nil")
+		}
+		return func() {
+			out, err := m.HandleFailure()
+			if err != nil || out.Result != ResultRecovered {
+				t.Fatalf("HandleFailure: %v", err)
+			}
+			if n := out.Report.Succeeded(); n != 9 {
+				t.Fatalf("%d of 9 processes resurrected", n)
+			}
+			bookkeepingSink = out
+		}
+	})
+	if got >= 512<<10 {
+		t.Fatalf("HandleFailure allocated %d bytes, want under 512 KiB", got)
+	}
+	t.Logf("HandleFailure allocated %d bytes", got)
 }
 
 // BenchmarkNewMachine times booting that machine: memory, the main

@@ -54,6 +54,11 @@ func TestKernelEntriesAllocateNothing(t *testing.T) {
 		k.P.Net.Deliver(8001, []byte("ping"))
 	}
 
+	// Fault the first page in: the copies below find it present.
+	if err := env.WriteU64(va, 1); err != nil {
+		t.Fatal(err)
+	}
+
 	// The gate saves the context on entry and on exit (two writes), and
 	// reads the live stack window and the text of the gate and of the
 	// handler (three reads).
@@ -83,6 +88,10 @@ func TestKernelEntriesAllocateNothing(t *testing.T) {
 		// Two socket records each.
 		{"SockSend", func() error { return env.SockSend(1, buf[:4]) }, gateReads + 4, gateWrites},
 		{"SockRecv", func() error { _, err := env.SockRecv(1); return err }, gateReads + 4, gateWrites},
+		// A user-memory copy, no gate: the page-table walk's two entries,
+		// and the bytes read, or the dirty PTE and the bytes written.
+		{"ReadU64", func() error { _, err := env.ReadU64(va); return err }, 3, 0},
+		{"WriteU64", func() error { return env.WriteU64(va+8, 2) }, 2, 2},
 		// The page fault's walk: two region records, no gate.
 		{"findRegion", func() error { return k.findRegion(env.P, va, &region) }, 4, 0},
 	} {

@@ -173,6 +173,35 @@ func TestExitOopsesOnListLoop(t *testing.T) {
 	}
 }
 
+// TestExitOopsesOnCorruptDescriptor flips one payload byte of the
+// descriptor Exit's unlink walk reads first, the list head: the walk cannot
+// decode it and must oops, as its sibling walks do, not return the decode
+// error with the kernel still running.
+func TestExitOopsesOnCorruptDescriptor(t *testing.T) {
+	k := bootTestKernel(t, nil)
+	a, _ := k.CreateProcess("a", "test-prog")
+	k.CreateProcess("b", "test-prog")
+	c, _ := k.CreateProcess("c", "test-prog")
+	if k.Globals.ProcListHead != c.Addr {
+		t.Fatalf("list head %#x, want c at %#x", k.Globals.ProcListHead, c.Addr)
+	}
+	var b [1]byte
+	at := c.Addr + layout.HeaderSize
+	if err := k.M.Mem.ReadAt(at, b[:]); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if err := k.M.Mem.WriteAt(at, b[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Exit(a, 0); !IsPanic(err) {
+		t.Fatalf("Exit over a corrupt descriptor = %v, want an oops", err)
+	}
+	if pe := k.Panicked(); pe == nil || pe.Oops != OopsBadStructure {
+		t.Fatalf("panic = %+v, want an OopsBadStructure oops", pe)
+	}
+}
+
 func TestHeapAllocFreeReuse(t *testing.T) {
 	k := bootTestKernel(t, nil)
 	a1, err := k.Heap.Alloc(100)

@@ -292,11 +292,11 @@ func (k *Kernel) Exit(p *Process, code int) error {
 		}
 	} else {
 		// The walk re-reads each descriptor, so injected corruption affects
-		// it the way it would affect Linux, and a loop that leaves p out
-		// oopses after 4096 hops, as the fd, region, pipe and socket walks
-		// do. It decodes every record into one descriptor through the
-		// record buffer, so a name allocates only where it differs from the
-		// record before it.
+		// it the way it would affect Linux: a descriptor it cannot decode,
+		// or a loop that leaves p out after 4096 hops, oopses, as the fd,
+		// region, pipe and socket walks do. It decodes every record into
+		// one descriptor through the record buffer, so a name allocates
+		// only where it differs from the record before it.
 		var d layout.Proc
 		cur := k.Globals.ProcListHead
 		for hops := 0; cur != 0; hops++ {
@@ -304,7 +304,7 @@ func (k *Kernel) Exit(p *Process, code int) error {
 				return k.oopsf(OopsBadStructure, "process list loop unlinking pid %d", p.PID)
 			}
 			if err := d.Read(k.M.Mem, cur, k.P.VerifyCRC, &k.recBuf); err != nil {
-				return err
+				return k.oopsf(OopsBadStructure, "process list record unlinking pid %d: %v", p.PID, err)
 			}
 			if d.Next == p.Addr {
 				d.Next = p.D.Next

@@ -149,13 +149,33 @@ func (k *Kernel) InstallSignals(p *Process, tbl *layout.Signals) error {
 	return k.writeProc(p)
 }
 
-// InstallShm recreates a shared-memory segment with the given contents,
-// attached at the original address.
-func (k *Kernel) InstallShm(p *Process, old *layout.Shm, contents []byte) error {
+// InstallShm recreates a shared-memory segment attached at the original
+// address and fills it page by page: page(i) returns the segment's i-th
+// page, of which the bytes the segment covers are written (the last page
+// may be partial). Like WriteVM, it charges the copy once for the whole
+// segment and writes every page, all-zero ones too.
+func (k *Kernel) InstallShm(p *Process, old *layout.Shm, page func(i int) ([]byte, error)) error {
 	if err := k.ShmGet(p, old.Key, old.Size, old.AttachedAt); err != nil {
 		return err
 	}
-	return k.WriteVM(p, old.AttachedAt, contents)
+	wasCopy := k.inCopyWindow
+	k.inCopyWindow = true
+	defer func() { k.inCopyWindow = wasCopy }()
+	k.M.Clock.Advance(k.cost.CopyCost(int64(old.Size)))
+	for i := 0; uint64(i)*phys.PageSize < old.Size; i++ {
+		n := min(old.Size-uint64(i)*phys.PageSize, phys.PageSize)
+		b, err := page(i)
+		if err == nil && uint64(len(b)) < n {
+			err = fmt.Errorf("kernel: shm page %d holds %d bytes, want %d", i, len(b), n)
+		}
+		if err != nil {
+			return err
+		}
+		if err := k.accessPage(p, old.AttachedAt+uint64(i)*phys.PageSize, b[:n], true); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // InstallPipe recreates a pipe endpoint with its buffered bytes — the

@@ -273,34 +273,35 @@ func (k *Kernel) accessVM(p *Process, va uint64, buf []byte, write bool) error {
 	// clock that Table 6 and the Section 5.4 comparison read.
 	k.M.Clock.Advance(k.cost.CopyCost(int64(len(buf))))
 
-	off := 0
-	for off < len(buf) {
-		pageVA := (va + uint64(off)) &^ uint64(phys.PageSize-1)
-		inPage := int(va) + off - int(pageVA)
-		n := phys.PageSize - inPage
-		if n > len(buf)-off {
-			n = len(buf) - off
-		}
-		frame, err := k.touchPage(p, va+uint64(off), write)
-		if err != nil {
+	for off := 0; off < len(buf); {
+		n := min(phys.PageSize-int((va+uint64(off))%phys.PageSize), len(buf)-off)
+		if err := k.accessPage(p, va+uint64(off), buf[off:off+n], write); err != nil {
 			return err
 		}
-		k.chargeAccess(pageVA >> 12)
-		pa := phys.FrameAddr(frame) + uint64(inPage)
-		if write {
-			if err := k.M.Mem.WriteAt(pa, buf[off:off+n]); err != nil {
-				var pf *phys.ProtectionFault
-				if errors.As(err, &pf) {
-					return k.oopsf(OopsProtection, "pid %d write hit protected frame %d", p.PID, pf.Frame)
-				}
-				return k.oopsf(OopsBadPageTable, "user write: %v", err)
-			}
-		} else {
-			if err := k.M.Mem.ReadAt(pa, buf[off:off+n]); err != nil {
-				return k.oopsf(OopsBadPageTable, "user read: %v", err)
-			}
-		}
 		off += n
+	}
+	return nil
+}
+
+// accessPage copies b, which does not run past the page, to or from user
+// memory at va, faulting the page in and charging the TLB access.
+func (k *Kernel) accessPage(p *Process, va uint64, b []byte, write bool) error {
+	frame, err := k.touchPage(p, va, write)
+	if err != nil {
+		return err
+	}
+	k.chargeAccess(va >> 12)
+	pa := phys.FrameAddr(frame) + va%phys.PageSize
+	if write {
+		if err := k.M.Mem.WriteAt(pa, b); err != nil {
+			var pf *phys.ProtectionFault
+			if errors.As(err, &pf) {
+				return k.oopsf(OopsProtection, "pid %d write hit protected frame %d", p.PID, pf.Frame)
+			}
+			return k.oopsf(OopsBadPageTable, "user write: %v", err)
+		}
+	} else if err := k.M.Mem.ReadAt(pa, b); err != nil {
+		return k.oopsf(OopsBadPageTable, "user read: %v", err)
 	}
 	return nil
 }

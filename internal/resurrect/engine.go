@@ -108,6 +108,13 @@ func (r *reader) ReadAt(addr uint64, buf []byte) error {
 	return r.mem.ReadAt(addr, buf)
 }
 
+// copyFrame copies frame f into buf without counting it. It serves a commit
+// that installs a frame the scan already read, and counted, through
+// ReadAt: Table 4 counts one read per page.
+func (r *reader) copyFrame(f int, buf []byte) error {
+	return r.mem.CopyFrame(f, buf)
+}
+
 func (r *reader) at(cat string) *reader {
 	r.cat = cat
 	return r
@@ -388,8 +395,11 @@ type Engine struct {
 	// (registered as K.Spec) so post-resume touches and the scheduler's
 	// sweeper can keep resolving pages.
 	lazy *lazyState
-	// shmBuf is the commits' shared-memory assembly buffer (installShm).
-	shmBuf []byte
+	// frameBuf holds the dead frames the commits copy (deadFrame): slot 0
+	// the page, shared-memory frame or screen being installed or compared,
+	// slot 1 the dedup cache's canonical page. It is allocated by the first
+	// copy of a pass.
+	frameBuf *[2][phys.PageSize]byte
 }
 
 // NewEngine prepares an engine over the crash kernel k.

@@ -3,7 +3,6 @@ package resurrect
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"time"
 
 	"otherworld/internal/layout"
@@ -20,41 +19,33 @@ import (
 //     (kernel.InstallResidentPage with no data) and pays ZeroFillCost;
 //   - identical page contents shared across candidates (shared libraries,
 //     COW children — the 8×MySQL workload is dominated by these) are
-//     deduplicated through a content-hash cache: the first occurrence pays
-//     the full CopyCost and becomes the canonical copy, every later hit
-//     pays only DedupHitCost. Installs still fill *private* frames from
-//     the canonical copy, so a page mutated by one resurrected process can
-//     never leak into another candidate's address space.
+//     deduplicated through a cache keyed by the CRC32C the scan took over
+//     each page: the first occurrence pays the full CopyCost and becomes the
+//     canonical page, every later hit pays only DedupHitCost. A hit is
+//     confirmed byte for byte, re-reading from its dead frame each side the
+//     plans do not hold (Engine.deadFrame), so a CRC collision degrades
+//     to an ordinary copy. Installs still fill *private* frames, so a page
+//     mutated by one resurrected process can never leak into another
+//     candidate's address space.
 //
 // With the lazy install enabled (Engine.LazyInstall) the classification
 // additionally decides, per candidate, whether the demand-paged path is
 // safe: a read-only validation checks that every frame the candidate would
 // speculate is an adoptable dead user frame no other speculation has
 // claimed. Candidates that pass keep their non-zero resident pages
-// speculated — mapped copy-on-access, CRC-stamped here so the first touch
-// can validate the frame — while candidates that fail fall back to the
-// eager classification above, with the refusal recorded as structured
-// attribution (plan.fallbackReason → ProcReport.SpecFallback).
+// speculated — mapped copy-on-access, CRC-stamped when the install
+// registers them so the first touch can validate the frame — while
+// candidates that fail fall back to the eager classification above, with
+// the refusal recorded as structured attribution (plan.fallbackReason →
+// ProcReport.SpecFallback).
 //
 // Classification runs inside the serialized commit, in commit order, so
 // which page is canonical, which frame is speculated — and therefore every
 // charged duration and counter — is a pure function of the candidate
 // order, never of the scan pool's width or timing. The scan decides
-// zero-ness where it reads each frame but defers the resident-copy
-// bandwidth charge, and the elision counts, to this step (see scanPages);
-// byte *accounting* stays with the scan's reads.
-
-// pageHash is FNV-1a over the page contents: fast, deterministic and good
-// enough to make collisions (which are then caught by bytes.Equal and
-// treated as ordinary copies) a non-event.
-func pageHash(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
+// zero-ness and takes the CRC where it reads each frame but defers the
+// resident-copy bandwidth charge, and the elision counts, to this step (see
+// scanPages); byte *accounting* stays with the scan's reads.
 
 // pageLiveBytes returns how many bytes of the page at va the candidate's
 // regions actually cover — the real copy volume a zero elision or dedup hit
@@ -78,30 +69,36 @@ func pageLiveBytes(regions []layout.MemRegion, va uint64) int64 {
 }
 
 // classifyCtx is the cross-candidate classification state: the dedup
-// cache's canonical copies and the dead frames already promised to an
+// cache's canonical pages and the dead frames already promised to an
 // earlier candidate's speculation (two page tables referencing one frame
 // — COW sharing — cannot both adopt it, so the later candidate falls
 // back). The pass shares one ctx across its commits, which run in strict
-// commit order, so which copy is canonical stays a pure function of the
+// commit order, so which page is canonical stays a pure function of the
 // candidate order at any worker width.
 type classifyCtx struct {
 	cost     sim.CostModel
-	cache    map[uint64][]byte
+	cache    map[uint32]canonPage
 	proposed map[int]bool
+}
+
+// canonPage is the dedup cache's canonical page for one CRC: the bytes its
+// plan held, or nil and the dead frame that holds them.
+type canonPage struct {
+	data  *[phys.PageSize]byte
+	frame int32
 }
 
 func (e *Engine) newClassifyCtx() *classifyCtx {
 	return &classifyCtx{
 		cost:     e.K.Cost(),
-		cache:    make(map[uint64][]byte),
+		cache:    make(map[uint32]canonPage),
 		proposed: make(map[int]bool),
 	}
 }
 
 // classifyPlan mutates one plan's resident pages in place — marking
-// zero-elided, deduplicated or (lazy install) speculated pages — and
-// charges the deferred page-copy time to the plan's PhasePageCopy duration
-// and scanDur.
+// deduplicated or (lazy install) speculated pages — and charges the
+// deferred page-copy time to the plan's PhasePageCopy duration and scanDur.
 func (e *Engine) classifyPlan(pl *plan, ctx *classifyCtx) {
 	if e.LazyInstall {
 		if reason := e.vetSpeculation(pl, ctx.proposed); reason == "" {
@@ -135,21 +132,22 @@ func (e *Engine) vetSpeculation(pl *plan, proposed map[int]bool) string {
 	var mine []int
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped || pg.zero {
+		if pg.kind != pageCopy {
 			continue
 		}
+		f := int(pg.frame)
 		switch {
-		case pg.frame < 0 || pg.frame >= e.K.M.Mem.NumFrames():
-			return fmt.Sprintf("frame-validation: page %#x references frame %d beyond memory", pg.va, pg.frame)
-		case proposed[pg.frame]:
-			return fmt.Sprintf("frame-validation: page %#x frame %d already speculated by an earlier candidate", pg.va, pg.frame)
-		case e.K.M.Mem.Kind(pg.frame) != phys.FrameUser:
+		case f < 0 || f >= e.K.M.Mem.NumFrames():
+			return fmt.Sprintf("frame-validation: page %#x references frame %d beyond memory", pg.va, f)
+		case proposed[f]:
+			return fmt.Sprintf("frame-validation: page %#x frame %d already speculated by an earlier candidate", pg.va, f)
+		case e.K.M.Mem.Kind(f) != phys.FrameUser:
 			return fmt.Sprintf("frame-validation: page %#x frame %d is %v, not a dead user frame",
-				pg.va, pg.frame, e.K.M.Mem.Kind(pg.frame))
-		case !e.K.Alloc.CanAdopt(pg.frame):
-			return fmt.Sprintf("frame-validation: page %#x frame %d already managed by the crash kernel", pg.va, pg.frame)
+				pg.va, f, e.K.M.Mem.Kind(f))
+		case !e.K.Alloc.CanAdopt(f):
+			return fmt.Sprintf("frame-validation: page %#x frame %d already managed by the crash kernel", pg.va, f)
 		}
-		mine = append(mine, pg.frame)
+		mine = append(mine, f)
 	}
 	for _, f := range mine {
 		proposed[f] = true
@@ -159,63 +157,68 @@ func (e *Engine) vetSpeculation(pl *plan, proposed map[int]bool) string {
 
 // classifyEager is the full-copy classification: zero elision plus
 // cross-candidate dedup, charging CopyCost / DedupHitCost / ZeroFillCost per
-// page and recording each elided or deduplicated page's copy bytes avoided.
-func (e *Engine) classifyEager(pl *plan, cost sim.CostModel, cache map[uint64][]byte) {
+// page.
+func (e *Engine) classifyEager(pl *plan, cost sim.CostModel, cache map[uint32]canonPage) {
 	var dur time.Duration
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped {
-			continue
-		}
-		if pg.zero {
-			pg.saved = pageLiveBytes(pl.regions, pg.va)
+		switch pg.kind {
+		case pageZero:
 			dur += cost.ZeroFillCost
 			continue
-		}
-		h := pageHash(pg.data)
-		if canon, ok := cache[h]; ok {
-			if bytes.Equal(canon, pg.data) {
-				pg.data = canon
-				pg.deduped = true
-				pg.saved = pageLiveBytes(pl.regions, pg.va)
-				dur += cost.DedupHitCost
-				continue
-			}
-			// Hash collision: treat as an ordinary copy; the first
-			// occupant keeps the cache slot.
-			dur += cost.CopyCost(int64(len(pg.data)))
+		case pageSwapped:
 			continue
 		}
-		cache[h] = pg.data
-		dur += cost.CopyCost(int64(len(pg.data)))
+		canon, ok := cache[pg.crc]
+		switch {
+		case !ok:
+			cache[pg.crc] = canonPage{data: pg.data, frame: pg.frame}
+		case e.samePage(canon, pg):
+			pg.kind = pageDeduped
+			dur += cost.DedupHitCost
+			continue
+		}
+		// A first occurrence, or a CRC collision, which is an ordinary
+		// copy: the first occupant keeps the cache slot.
+		dur += cost.CopyCost(pageBytes)
 	}
 	pl.chargePageCopy(dur)
+}
+
+// samePage reports whether pg's bytes equal the canonical page's. Two
+// plans naming one dead frame hold the same bytes; otherwise each side the
+// plans do not hold is re-read from its dead frame.
+func (e *Engine) samePage(canon canonPage, pg *pagePlan) bool {
+	if canon.data == nil && pg.data == nil && canon.frame == pg.frame {
+		return true
+	}
+	a, err := e.pageData(canon.data, canon.frame, 1)
+	if err != nil {
+		return false
+	}
+	b, err := e.pageData(pg.data, pg.frame, 0)
+	return err == nil && bytes.Equal(a, b)
 }
 
 // classifyLazy is the demand-paged classification: all-zero pages still
 // elide (a zero-filled frame is cheaper than any mapping), every other
 // resident page is speculated — the install maps the dead frame
-// copy-on-access and pays only SpecMapCost now, while the CRC stamped here
-// lets the first touch detect a frame that changed after the scan. The
-// scan-time copy is kept as the shadow the fallback installs, so a corrupt
-// speculation degrades to exactly the eager result. Lazy candidates never
-// enter the dedup cache: their frames stay shared-by-mapping until
+// copy-on-access and pays only SpecMapCost now. The scan staged every page
+// of a lazy pass, and that copy is the shadow the fallback installs, so a
+// corrupt speculation degrades to exactly the eager result. Lazy candidates
+// never enter the dedup cache: their frames stay shared-by-mapping until
 // resolution copies them out.
 func (e *Engine) classifyLazy(pl *plan, cost sim.CostModel) {
 	var dur time.Duration
 	for idx := range pl.pages {
 		pg := &pl.pages[idx]
-		if pg.swapped {
-			continue
-		}
-		if pg.zero {
-			pg.saved = pageLiveBytes(pl.regions, pg.va)
+		switch pg.kind {
+		case pageZero:
 			dur += cost.ZeroFillCost
-			continue
+		case pageCopy:
+			pg.kind = pageSpeculated
+			dur += cost.SpecMapCost
 		}
-		pg.speculated = true
-		pg.crc = crc32.Checksum(pg.data, layout.CRCTable)
-		dur += cost.SpecMapCost
 	}
 	pl.chargePageCopy(dur)
 }
@@ -223,8 +226,6 @@ func (e *Engine) classifyLazy(pl *plan, cost sim.CostModel) {
 // chargePageCopy adds the classification's deferred page-install time to the
 // plan's PhasePageCopy duration and total scan time.
 func (pl *plan) chargePageCopy(dur time.Duration) {
-	ps := pl.phase[PhasePageCopy]
-	ps.dur += dur
-	pl.phase[PhasePageCopy] = ps
+	pl.phase[PhasePageCopy].dur += dur
 	pl.scanDur += dur
 }

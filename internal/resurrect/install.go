@@ -2,6 +2,7 @@ package resurrect
 
 import (
 	"fmt"
+	"hash/crc32"
 
 	"otherworld/internal/disk"
 	"otherworld/internal/kernel"
@@ -13,6 +14,13 @@ import (
 // serially, in the pass's commit order, and is the only place the crash
 // kernel is mutated — so PIDs, frame allocation, FS contents and crash
 // procedure effects are identical no matter how many workers scanned.
+//
+// A page, shared-memory frame or screen whose bytes the scan did not stage
+// is copied from its dead frame here, as it installs (Engine.deadFrame),
+// and validated against the CRC the scan stamped: no commit of an eager
+// pass writes a frame the crash kernel's allocator does not manage, so the
+// frame still holds what the scan read and counted. A copy that fails the
+// check fails its install (frameChanged).
 //
 // Failures of memory-critical structures abort resurrection (Table 5's
 // "failure to resurrect application"); failures of peripheral resources set
@@ -141,43 +149,51 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 	for i := range pl.pages {
 		pg := &pl.pages[i]
 		var ierr error
-		switch {
-		case pg.swapped:
+		switch pg.kind {
+		case pageSwapped:
 			swapSeen = true
-			ierr = e.K.InstallSwappedPage(np, pg.va, pg.data, pg.writable)
-		case pg.speculated:
+			ierr = e.K.InstallSwappedPage(np, pg.va, pg.data[:], pg.writable)
+		case pageSpeculated:
 			// Lazy install: adopt the dead frame and map it copy-on-access;
 			// the page materializes on first touch or by the background
 			// sweeper (lazy.go). Classification vetted the adoption, so a
 			// failure here is a real install error.
-			ierr = e.K.InstallSpeculatedPage(np, pg.va, pg.frame, pg.writable, pg.dirty)
+			ierr = e.K.InstallSpeculatedPage(np, pg.va, int(pg.frame), pg.writable, pg.dirty)
 			if ierr == nil {
 				e.lazy.register(np.PID, pg)
 			}
+		case pageZero:
+			// No data: a zero-filled frame.
+			ierr = e.K.InstallResidentPage(np, pg.va, nil, pg.writable, pg.dirty)
 		default:
-			// A zero page passes no data and gets a zero-filled frame. Dedup
-			// hits pass the cache's canonical buffer here; the install
-			// still fills a private frame from it, so candidates never
-			// share writable memory.
-			ierr = e.K.InstallResidentPage(np, pg.va, pg.data, pg.writable, pg.dirty)
+			// A copy or a dedup hit fills a private frame from the page's
+			// bytes, so candidates never share writable memory.
+			var data []byte
+			data, ierr = e.pageData(pg.data, pg.frame, 0)
+			if ierr == nil && pg.data == nil && crc32.Checksum(data, layout.CRCTable) != pg.crc {
+				ierr = frameChanged(int(pg.frame))
+			}
+			if ierr == nil {
+				ierr = e.K.InstallResidentPage(np, pg.va, data, pg.writable, pg.dirty)
+			}
 		}
 		if ierr != nil {
 			pageErr = ierr
 			break
 		}
-		if pg.swapped {
+		if pg.kind == pageSwapped {
 			restaged++
 			continue
 		}
 		copied++
-		switch {
-		case pg.zero:
+		switch pg.kind {
+		case pageZero:
 			elided++
-			saved += pg.saved
-		case pg.deduped:
+			saved += pageLiveBytes(pl.regions, pg.va)
+		case pageDeduped:
 			deduped++
-			saved += pg.saved
-		case pg.speculated:
+			saved += pageLiveBytes(pl.regions, pg.va)
+		case pageSpeculated:
 			speculated++
 		}
 	}
@@ -221,8 +237,15 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 	// are reported through the bitmask.
 	if pl.old.Terminal != 0 {
 		termErr := pl.termErr
+		var screen []byte
 		if termErr == nil {
-			termErr = e.K.InstallTerminal(np, &pl.terminal, pl.screen)
+			screen, termErr = e.screenData(pl)
+		}
+		if termErr == nil && pl.screen == nil && crc32.Checksum(screen, layout.CRCTable) != pl.screenCRC {
+			termErr = frameChanged(phys.FrameOf(pl.terminal.Screen))
+		}
+		if termErr == nil {
+			termErr = e.K.InstallTerminal(np, &pl.terminal, screen)
 		}
 		if termErr != nil {
 			pr.Missing |= kernel.ResTerminal
@@ -305,20 +328,66 @@ func (e *Engine) installOne(pl *plan) ProcReport {
 	return pr
 }
 
-// installShm recreates one scanned segment through a single InstallShm
-// call. It assembles the segment's bytes in the engine's commit buffer:
-// cleared, then each frame the scan kept copied to its offset (an all-zero
-// frame kept nothing). Commits run one at a time and InstallShm copies out
-// of the buffer, so one buffer serves every segment of the pass.
+// installShm recreates one scanned segment, page by page: each frame's
+// bytes are the scan's staged copy or, where the scan staged none, the dead
+// frame's, validated against the CRC the scan stamped. A page past the
+// record's frame list installs as zeros.
 func (e *Engine) installShm(np *kernel.Process, sp *shmPlan) error {
-	size := int(sp.seg.Size)
-	if cap(e.shmBuf) < size {
-		e.shmBuf = make([]byte, size)
+	return e.K.InstallShm(np, &sp.seg, func(i int) ([]byte, error) {
+		if i >= len(sp.crc) {
+			return zeroPage[:], nil
+		}
+		if sp.kept != nil && sp.kept[i] != nil {
+			return sp.kept[i], nil
+		}
+		f := int(sp.seg.Frames[i])
+		page, err := e.deadFrame(f, 0)
+		n := min(sp.seg.Size-uint64(i)*phys.PageSize, phys.PageSize)
+		if err == nil && crc32.Checksum(page[:n], layout.CRCTable) != sp.crc[i] {
+			err = frameChanged(f)
+		}
+		return page, err
+	})
+}
+
+// screenData returns the plan's terminal screen: the scan's staged copy or,
+// where the scan staged none, the screen's bytes copied from the dead frame
+// it lies in.
+func (e *Engine) screenData(pl *plan) ([]byte, error) {
+	if pl.screen != nil {
+		return pl.screen, nil
 	}
-	buf := e.shmBuf[:size]
-	clear(buf)
-	for i, fr := range sp.frames {
-		copy(buf[i*phys.PageSize:], fr)
+	at := pl.terminal.Screen
+	page, err := e.deadFrame(phys.FrameOf(at), 0)
+	if err != nil {
+		return nil, err
 	}
-	return e.K.InstallShm(np, &sp.seg, buf)
+	off := int(at % phys.PageSize)
+	return page[off : off+int(pl.terminal.Rows)*int(pl.terminal.Cols)], nil
+}
+
+// deadFrame copies dead frame f into the engine's frame buffer slot (0 or
+// 1) and returns it. The copy is not counted: the scan read the frame
+// through the counting reader once, and Table 4 counts one read.
+func (e *Engine) deadFrame(f, slot int) ([]byte, error) {
+	if e.frameBuf == nil {
+		e.frameBuf = new([2][phys.PageSize]byte)
+	}
+	buf := e.frameBuf[slot][:]
+	return buf, e.rd.copyFrame(f, buf)
+}
+
+// pageData returns a resident page's bytes: data when the plan holds them,
+// else dead frame f copied into the engine's frame buffer slot.
+func (e *Engine) pageData(data *[phys.PageSize]byte, f int32, slot int) ([]byte, error) {
+	if data != nil {
+		return data[:], nil
+	}
+	return e.deadFrame(int(f), slot)
+}
+
+// frameChanged is the error of a commit whose dead frame no longer holds
+// the bytes its scan read: a commit wrote a frame the scan did not stage.
+func frameChanged(f int) error {
+	return fmt.Errorf("dead frame %d changed after the scan", f)
 }

@@ -104,9 +104,9 @@ func (ls *lazyState) register(pid uint32, pg *pagePlan) {
 	}
 	byVA[pg.va] = &specEntry{
 		va:        pg.va,
-		deadFrame: pg.frame,
+		deadFrame: int(pg.frame),
 		crc:       pg.crc,
-		shadow:    pg.data,
+		shadow:    pg.data[:],
 		writable:  pg.writable,
 		dirty:     pg.dirty,
 	}

@@ -3,6 +3,7 @@ package resurrect_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"otherworld/internal/core"
@@ -78,14 +79,226 @@ func TestWorkerPoolCorruptedPageTable(t *testing.T) {
 	}
 }
 
-// TestScanBarrier aims the second candidate's dead PTE at the frame the
-// first candidate's install allocates for its zero page, with marker bytes
-// in that frame. Every pass, batch or streamed, eager or lazy, finishes
-// every scan before the first install, so the second candidate must come
-// back with the dead frame's marker, not the first install's zero fill, and
-// the report must not depend on the pool width.
+// hoProg lays out what crosses the scan-to-commit hand-off: a page of
+// PID-tagged bytes at hoVA and an all-zero page after it, a one-page
+// shared-memory segment at hoShmVA holding PID-tagged bytes, and a
+// terminal, indexed by the PID, with a line of text on it.
+type hoProg struct{}
+
+const (
+	hoVA    = 0xC0000
+	hoShmVA = 0x600000
+)
+
+// hoBytes is a page of bytes tagged with tag.
+func hoBytes(tag uint32) []byte {
+	b := make([]byte, phys.PageSize)
+	for i := range b {
+		b[i] = (byte(i%241) ^ byte(tag)) | 1
+	}
+	return b
+}
+
+func (hoProg) Boot(env *kernel.Env) error {
+	if err := env.MapAnon(hoVA, 2*phys.PageSize, layout.ProtRead|layout.ProtWrite); err != nil {
+		return err
+	}
+	if err := env.Write(hoVA, hoBytes(env.PID())); err != nil {
+		return err
+	}
+	if err := env.Write(hoVA+phys.PageSize, make([]byte, phys.PageSize)); err != nil {
+		return err
+	}
+	if err := env.ShmGet(0x4800+uint64(env.PID()), phys.PageSize, hoShmVA); err != nil {
+		return err
+	}
+	if err := env.Write(hoShmVA, hoBytes(env.PID()+1)); err != nil {
+		return err
+	}
+	if err := env.TermOpen(env.PID()); err != nil {
+		return err
+	}
+	return env.TermWrite([]byte(fmt.Sprintf("hand-off %d\n", env.PID())))
+}
+
+func (hoProg) Step(env *kernel.Env) error {
+	env.Compute(10)
+	return nil
+}
+
+func (hoProg) Rehydrate(*kernel.Env) error { return nil }
+
+// hoTouch is a crash procedure that reads the process's page at hoVA.
+func hoTouch(env *kernel.Env, _ kernel.ResourceMask) (kernel.CrashAction, error) {
+	if _, err := env.ReadU64(hoVA); err != nil {
+		return 0, err
+	}
+	return kernel.ActionContinue, nil
+}
+
+func init() {
+	kernel.RegisterProgram("ho-prog", func() kernel.Program { return hoProg{} })
+	kernel.RegisterCrashProc("ho-touch", hoTouch)
+}
+
+// hoMachine boots two ho-prog processes, ho-a and then ho-b, registers the
+// crash procedure touch (when not empty) for ho-b, runs them and crashes
+// the kernel.
+func hoMachine(t *testing.T, workers int, stream, lazy bool, touch string) (*core.Machine, [2]*kernel.Process) {
+	t.Helper()
+	opts := core.DefaultOptions()
+	opts.HW.MemoryBytes = 128 << 20
+	opts.Seed = 31
+	opts.Resurrection.Workers = workers
+	opts.Resurrection.Stream = stream
+	opts.LazyInstall = lazy
+	m, err := core.NewMachine(opts)
+	if err != nil {
+		t.Fatalf("NewMachine: %v", err)
+	}
+	var procs [2]*kernel.Process
+	for i, name := range []string{"ho-a", "ho-b"} {
+		if procs[i], err = m.Start(name, "ho-prog"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if touch != "" {
+		if err := m.K.RegisterCrashProcedure(procs[1], touch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Run(20)
+	if err := m.K.InjectOops("hand-off"); err == nil {
+		t.Fatal("InjectOops returned nil")
+	}
+	return m, procs
+}
+
+// hoRecover recovers m and requires both candidates back.
+func hoRecover(t *testing.T, m *core.Machine) *resurrect.Report {
+	t.Helper()
+	out, err := m.HandleFailure()
+	if err != nil {
+		t.Fatalf("HandleFailure: %v", err)
+	}
+	if out.Result != core.ResultRecovered || len(out.Report.Procs) != 2 {
+		t.Fatalf("result %v with %d procs", out.Result, len(out.Report.Procs))
+	}
+	for _, pr := range out.Report.Procs {
+		if pr.Outcome != resurrect.OutcomeContinued {
+			t.Fatalf("pid %d: outcome %v (%v)", pr.Candidate.PID, pr.Outcome, pr.Err)
+		}
+	}
+	return out.Report
+}
+
+// reseal rewrites the record at addr, CRC-valid, with the change edit
+// makes to it.
+func reseal[R any, P interface {
+	*R
+	Read(layout.Reader, uint64, bool, *[]byte) error
+	AppendRecord([]byte) []byte
+}](t *testing.T, m *core.Machine, addr uint64, edit func(P)) {
+	t.Helper()
+	rec := P(new(R))
+	var buf []byte
+	if err := rec.Read(m.HW.Mem, addr, true, &buf); err != nil {
+		t.Fatal(err)
+	}
+	edit(rec)
+	if err := m.HW.Mem.WriteAt(addr, rec.AppendRecord(nil)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// barrierTargets are the three things a scan reads out of a dead frame
+// for its commit to install: a resident page, a shared-memory frame and a
+// terminal screen. For each, written names the frame a clean pass's first
+// commit writes for it, aim points the victim's dead reference at frame f,
+// and got reads back what the resurrected process holds there.
+var barrierTargets = []struct {
+	name    string
+	written func(t *testing.T, m *core.Machine, np *kernel.Process) int
+	aim     func(t *testing.T, m *core.Machine, victim *kernel.Process, f int)
+	got     func(t *testing.T, m *core.Machine, np *kernel.Process) []byte
+}{
+	{
+		name: "page",
+		written: func(t *testing.T, m *core.Machine, np *kernel.Process) int {
+			pte, err := m.HW.Mem.ReadU64(ptePhysAddr(t, m, np, hoVA+phys.PageSize))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return layout.PTE(pte).Frame()
+		},
+		aim: func(t *testing.T, m *core.Machine, victim *kernel.Process, f int) {
+			if err := m.HW.Mem.WriteU64(ptePhysAddr(t, m, victim, hoVA+phys.PageSize),
+				uint64(layout.MakePresentPTE(f, true))); err != nil {
+				t.Fatal(err)
+			}
+		},
+		got: func(t *testing.T, m *core.Machine, np *kernel.Process) []byte {
+			got := make([]byte, phys.PageSize)
+			if err := m.K.ReadVM(np, hoVA+phys.PageSize, got); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		},
+	},
+	{
+		name: "shm",
+		written: func(t *testing.T, m *core.Machine, np *kernel.Process) int {
+			var seg layout.Shm
+			var buf []byte
+			if err := seg.Read(m.HW.Mem, np.D.Shm, true, &buf); err != nil {
+				t.Fatal(err)
+			}
+			return int(seg.Frames[0])
+		},
+		aim: func(t *testing.T, m *core.Machine, victim *kernel.Process, f int) {
+			reseal(t, m, victim.D.Shm, func(seg *layout.Shm) { seg.Frames[0] = uint64(f) })
+		},
+		got: func(t *testing.T, m *core.Machine, np *kernel.Process) []byte {
+			got := make([]byte, phys.PageSize)
+			if err := m.K.ReadVM(np, hoShmVA, got); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		},
+	},
+	{
+		name: "terminal",
+		written: func(t *testing.T, m *core.Machine, np *kernel.Process) int {
+			var term layout.Terminal
+			var buf []byte
+			if err := term.Read(m.HW.Mem, np.D.Terminal, true, &buf); err != nil {
+				t.Fatal(err)
+			}
+			return phys.FrameOf(term.Screen)
+		},
+		aim: func(t *testing.T, m *core.Machine, victim *kernel.Process, f int) {
+			reseal(t, m, victim.D.Terminal, func(term *layout.Terminal) { term.Screen = phys.FrameAddr(f) })
+		},
+		got: func(t *testing.T, m *core.Machine, np *kernel.Process) []byte {
+			rows, err := m.K.ScreenContents(np)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bytes.Join(rows, nil)
+		},
+	},
+}
+
+// TestScanBarrier aims the second candidate's dead page-table entry, shm
+// frame list or terminal screen at the frame the first candidate's commit
+// writes for the same thing, with marker bytes in that frame. The frame is
+// free in the dead kernel, so the crash kernel's allocator manages it and
+// the scan must keep its bytes: every pass, batch or streamed, eager or
+// lazy, finishes every scan before the first commit, so the second
+// candidate must come back with the dead frame's marker, not the first
+// commit's bytes, and the report must not depend on the pool width.
 func TestScanBarrier(t *testing.T) {
-	const zeroVA = fpVA + phys.PageSize
+	marker := bytes.Repeat([]byte("dead"), phys.PageSize/4)
 	for _, tc := range []struct {
 		name         string
 		stream, lazy bool
@@ -96,84 +309,155 @@ func TestScanBarrier(t *testing.T) {
 		{"stream-lazy", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			crash := func(workers int) (*core.Machine, []*kernel.Process) {
-				opts := core.DefaultOptions()
-				opts.HW.MemoryBytes = 128 << 20
-				opts.Seed = 31
-				opts.Resurrection.Workers = workers
-				opts.Resurrection.Stream = tc.stream
-				opts.LazyInstall = tc.lazy
-				m, err := core.NewMachine(opts)
-				if err != nil {
-					t.Fatalf("NewMachine: %v", err)
-				}
-				var procs []*kernel.Process
-				for _, name := range []string{"fp-a", "fp-b"} {
-					p, err := m.Start(name, "fp-prog")
-					if err != nil {
-						t.Fatal(err)
-					}
-					procs = append(procs, p)
-				}
-				m.Run(20)
-				if err := m.K.InjectOops("scan barrier"); err == nil {
-					t.Fatal("InjectOops returned nil")
-				}
-				return m, procs
-			}
-			recoverAll := func(m *core.Machine) *resurrect.Report {
-				out, err := m.HandleFailure()
-				if err != nil {
-					t.Fatalf("HandleFailure: %v", err)
-				}
-				if out.Result != core.ResultRecovered || len(out.Report.Procs) != 2 {
-					t.Fatalf("result %v with %d procs", out.Result, len(out.Report.Procs))
-				}
-				return out.Report
-			}
+			for _, target := range barrierTargets {
+				t.Run(target.name, func(t *testing.T) {
+					// A clean pass names the frame the first commit writes.
+					m, _ := hoMachine(t, 1, tc.stream, tc.lazy, "")
+					first := hoRecover(t, m).Procs[0]
+					frame := target.written(t, m, m.K.Lookup(first.NewPID))
 
-			// A clean pass names the frame the first install zero-fills.
-			m, _ := crash(1)
-			first := recoverAll(m).Procs[0]
-			pte, err := m.HW.Mem.ReadU64(ptePhysAddr(t, m, m.K.Lookup(first.NewPID), zeroVA))
+					run := func(workers int) *resurrect.Report {
+						m, procs := hoMachine(t, workers, tc.stream, tc.lazy, "")
+						victim := procs[0]
+						if victim.PID == first.Candidate.PID {
+							victim = procs[1]
+						}
+						if err := m.HW.Mem.WriteAt(phys.FrameAddr(frame), marker); err != nil {
+							t.Fatal(err)
+						}
+						target.aim(t, m, victim, frame)
+						rep := hoRecover(t, m)
+						second := rep.Procs[1]
+						if second.Candidate.PID != victim.PID {
+							t.Fatalf("workers=%d: second candidate pid %d, want %d", workers, second.Candidate.PID, victim.PID)
+						}
+						got := target.got(t, m, m.K.Lookup(second.NewPID))
+						if !bytes.Equal(got, marker[:len(got)]) {
+							t.Errorf("workers=%d: second candidate's %s reads %q..., want the dead frame's %q...",
+								workers, target.name, got[:8], marker[:8])
+						}
+						return rep
+					}
+					if fp1, fp8 := run(1).Fingerprint(), run(8).Fingerprint(); fp1 != fp8 {
+						t.Fatalf("fingerprint differs between Workers=1 and Workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s", fp1, fp8)
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestScanStagesLazyPass is the hazard that keeps a lazy pass's scan
+// staging every frame. The first candidate speculates its page's dead frame
+// f and its crash procedure touches the page: the resolution copies f out
+// and frees it, and the second candidate's commit allocates it again. The
+// second candidate's dead PTE also names f, so its speculation is refused
+// and it installs eagerly; it must still get f's dead bytes.
+func TestScanStagesLazyPass(t *testing.T) {
+	var dead []byte
+	frame := -1
+	run := func(workers int) *resurrect.Report {
+		m, procs := hoMachine(t, workers, false, true, "ho-touch")
+		// The process list is newest first, so ho-b commits first.
+		a, b := procs[1], procs[0]
+		pte, err := m.HW.Mem.ReadU64(ptePhysAddr(t, m, a, hoVA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.HW.Mem.WriteU64(ptePhysAddr(t, m, b, hoVA), pte); err != nil {
+			t.Fatal(err)
+		}
+		frame = layout.PTE(pte).Frame()
+		dead = deadBytes(t, m, frame, phys.PageSize)
+		rep := hoRecover(t, m)
+		first, second := rep.Procs[0], rep.Procs[1]
+		if first.Candidate.PID != a.PID || first.PagesSpeculated == 0 || !first.CrashProcCalled {
+			t.Fatalf("workers=%d: first pid %d speculated %d pages, crash procedure called %v; want pid %d speculating",
+				workers, first.Candidate.PID, first.PagesSpeculated, first.CrashProcCalled, a.PID)
+		}
+		if !strings.Contains(second.SpecFallback, "already speculated by an earlier candidate") {
+			t.Fatalf("workers=%d: second SpecFallback = %q, want the earlier speculation", workers, second.SpecFallback)
+		}
+		if bytes.Equal(deadBytes(t, m, frame, phys.PageSize), dead) {
+			t.Fatalf("workers=%d: frame %d still holds its dead bytes: nothing reused it", workers, frame)
+		}
+		got := make([]byte, phys.PageSize)
+		if err := m.K.ReadVM(m.K.Lookup(second.NewPID), hoVA, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, dead) {
+			t.Errorf("workers=%d: second candidate's page differs from dead frame %d's bytes", workers, frame)
+		}
+		return rep
+	}
+	if fp1, fp8 := run(1).Fingerprint(), run(8).Fingerprint(); fp1 != fp8 {
+		t.Fatalf("fingerprint differs between Workers=1 and Workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s", fp1, fp8)
+	}
+}
+
+// TestScanSharedUnmanagedFrame points both candidates' dead PTEs for one
+// page at the same dead user frame, which the crash kernel does not manage:
+// neither scan stages it, and both commits copy it from dead memory, the
+// second as a dedup hit. Both processes must come back with its bytes.
+func TestScanSharedUnmanagedFrame(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		run := func(workers int) *resurrect.Report {
+			m, procs := hoMachine(t, workers, stream, false, "")
+			a, b := procs[0], procs[1]
+			pte, err := m.HW.Mem.ReadU64(ptePhysAddr(t, m, a, hoVA))
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := m.HW.Mem.WriteU64(ptePhysAddr(t, m, b, hoVA), pte); err != nil {
+				t.Fatal(err)
+			}
 			frame := layout.PTE(pte).Frame()
+			dead := deadBytes(t, m, frame, phys.PageSize)
+			rep := hoRecover(t, m)
+			if d := rep.Procs[1].PagesDeduped; d == 0 {
+				t.Fatalf("stream=%v workers=%d: second candidate deduplicated no page", stream, workers)
+			}
+			got := make([]byte, phys.PageSize)
+			for _, pr := range rep.Procs {
+				if err := m.K.ReadVM(m.K.Lookup(pr.NewPID), hoVA, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, dead) {
+					t.Errorf("stream=%v workers=%d: pid %d's page differs from dead frame %d's bytes",
+						stream, workers, pr.Candidate.PID, frame)
+				}
+			}
+			return rep
+		}
+		if fp1, fp8 := run(1).Fingerprint(), run(8).Fingerprint(); fp1 != fp8 {
+			t.Fatalf("stream=%v: fingerprint differs between Workers=1 and Workers=8", stream)
+		}
+	}
+}
 
-			marker := bytes.Repeat([]byte("dead"), phys.PageSize/4)
-			run := func(workers int) *resurrect.Report {
-				m, procs := crash(workers)
-				victim := procs[0]
-				if victim.PID == first.Candidate.PID {
-					victim = procs[1]
-				}
-				if err := m.HW.Mem.WriteAt(phys.FrameAddr(frame), marker); err != nil {
-					t.Fatal(err)
-				}
-				wild := uint64(layout.MakePresentPTE(frame, true))
-				if err := m.HW.Mem.WriteU64(ptePhysAddr(t, m, victim, zeroVA), wild); err != nil {
-					t.Fatal(err)
-				}
-				rep := recoverAll(m)
-				second := rep.Procs[1]
-				if second.Candidate.PID != victim.PID {
-					t.Fatalf("workers=%d: second candidate pid %d, want %d", workers, second.Candidate.PID, victim.PID)
-				}
-				got := make([]byte, phys.PageSize)
-				if err := m.K.ReadVM(m.K.Lookup(second.NewPID), zeroVA, got); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, marker) {
-					t.Errorf("workers=%d: second candidate's page reads %q..., want the dead frame's %q...",
-						workers, got[:8], marker[:8])
-				}
-				return rep
+// TestShmSizePastFrames reseals both candidates' shared-memory records,
+// CRC-valid, with a size one page past their frame lists, as a wild write
+// can leave them. Each segment must install two pages, its frame's bytes
+// and a zero tail, eager and lazy.
+func TestShmSizePastFrames(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		m, procs := hoMachine(t, 1, false, lazy, "")
+		for _, p := range procs {
+			reseal(t, m, p.D.Shm, func(seg *layout.Shm) {
+				seg.Size = uint64(len(seg.Frames)+1) * phys.PageSize
+			})
+		}
+		for _, pr := range hoRecover(t, m).Procs {
+			got := make([]byte, 2*phys.PageSize)
+			if err := m.K.ReadVM(m.K.Lookup(pr.NewPID), hoShmVA, got); err != nil {
+				t.Fatal(err)
 			}
-			if fp1, fp8 := run(1).Fingerprint(), run(8).Fingerprint(); fp1 != fp8 {
-				t.Fatalf("fingerprint differs between Workers=1 and Workers=8:\n--- w1 ---\n%s\n--- w8 ---\n%s", fp1, fp8)
+			want := append(hoBytes(pr.Candidate.PID+1), make([]byte, phys.PageSize)...)
+			if !bytes.Equal(got, want) {
+				t.Errorf("lazy=%v: pid %d's segment is not its frame's bytes and a zero page",
+					lazy, pr.Candidate.PID)
 			}
-		})
+		}
 	}
 }
 

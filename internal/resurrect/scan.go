@@ -1,7 +1,9 @@
 package resurrect
 
 import (
+	"bytes"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"time"
 
@@ -18,14 +20,25 @@ import (
 //
 //   - scan (this file): per-candidate, read-only decoding of the dead
 //     kernel's structures into a plan. Scans never touch the crash kernel's
-//     state, so a pool of workers can run them concurrently — each scan
-//     owns its own counting reader, Accounting shard and virtual-time
-//     ledger.
+//     state, so a pool of workers can run them concurrently — each worker
+//     owns its scanner and read buffers, and each candidate its own
+//     Accounting shard, phys.Mem view and virtual-time ledger.
 //   - install (install.go): one candidate at a time, in the pass's commit
 //     order (stream.go), consuming each plan once its scan is done. All
 //     crash-kernel mutation (PID allocation, frame installs, FS writes,
 //     crash procedures) happens here, so the new kernel's state is
 //     byte-identical no matter how many workers scanned.
+//
+// The scan reads every resident page, shared-memory frame and terminal
+// screen through the counting reader, as Table 4 counts them, but keeps
+// their bytes only where a commit could overwrite them before the plan
+// installs (scanner.stage): a frame the crash kernel's allocator manages,
+// which only a corrupted record can name, and every frame of a lazy pass,
+// whose resolutions free dead frames for reuse mid-pass. Any other dead
+// frame stays untouched until the morph, so its plan carries the frame
+// number and the CRC of what the scan read, and the commit copies the
+// frame from dead memory as it installs it, validating the copy against
+// that CRC.
 
 // phaseScan is the scan-side metric bundle for one timeline phase: bytes
 // read from the dead kernel, pages handled, and ledger time spent.
@@ -48,35 +61,60 @@ type filePlan struct {
 	dirty []dirtyPage
 }
 
-// pagePlan is one user page to install: a resident copy or a swapped page read
-// raw off the dead kernel's partition. The scan marks an all-zero resident page
-// zero and keeps no copy of it (the install zero-fills). The fast-path
-// classification (fastpath.go) charges that elision and may mark a non-zero
-// copy deduplicated (data re-pointed at the canonical cached copy); the lazy
-// install's classification may instead mark it speculated (mapped
-// copy-on-access from the dead frame, validated by crc on first touch, with
-// data kept as the scan-time snapshot the fallback installs).
+// pageKind is how a pagePlan installs. The scan marks each page copy, zero
+// or swapped; the commit's classification (fastpath.go) may turn a copy
+// into deduped or speculated.
+type pageKind uint8
+
+const (
+	// pageCopy is a resident page installed as a private copy of its bytes.
+	pageCopy pageKind = iota
+	// pageZero is an all-zero resident page: the install zero-fills a frame
+	// and the plan keeps no bytes.
+	pageZero
+	// pageDeduped is a copy whose bytes the dedup cache's canonical page
+	// already holds; the install still fills a private frame.
+	pageDeduped
+	// pageSpeculated is a lazy-install page mapped copy-on-access from its
+	// dead frame.
+	pageSpeculated
+	// pageSwapped is a page read raw off the dead kernel's swap partition.
+	pageSwapped
+)
+
+// pagePlan is one user page to install: a resident page, held in the dead
+// kernel's frame, or a swapped page. data holds the page's bytes where the
+// plan keeps them: a swapped page's, and a resident non-zero page's that
+// the scan staged (scanner.stage); any other copy is re-read from frame at
+// its commit. For a resident non-zero page the scan also takes crc, the
+// CRC32 of the bytes it read: the dedup cache keys on it, the commit
+// validates a re-read copy against it and a speculated page's first touch
+// its dead frame. A speculated page's data is the shadow the lazy fallback
+// installs.
 type pagePlan struct {
-	va         uint64
-	swapped    bool
-	zero       bool // all-zero page: no data, install a zero-filled frame
-	deduped    bool // data aliases the dedup cache's canonical copy
-	speculated bool // lazy install: map copy-on-access from the dead frame
-	frame      int  // the dead kernel's frame holding the page contents
-	crc        uint32
-	saved      int64 // actual copy bytes avoided (elided/deduped pages)
-	data       []byte
-	writable   bool
-	dirty      bool
+	va       uint64
+	data     *[phys.PageSize]byte
+	frame    int32
+	crc      uint32
+	kind     pageKind
+	writable bool
+	dirty    bool
 }
 
-// shmPlan is one decoded shared-memory segment with its page contents:
-// one slice per frame read, nil when the frame was all zero. The commit
-// assembles them into the segment's bytes (Engine.installShm).
+// shmPlan is one decoded shared-memory segment. crc holds the CRC32 of each
+// frame's bytes as the scan read them, and kept the bytes of each frame the
+// scan staged (scanner.stage), zeroPage's for an all-zero frame. kept is nil
+// when the scan staged no frame, and a frame without kept bytes is copied
+// from dead memory, and validated against its crc, at the commit.
 type shmPlan struct {
-	seg    layout.Shm
-	frames [][]byte
+	seg  layout.Shm
+	crc  []uint32
+	kept [][]byte
 }
+
+// zeroPage is the bytes of a staged all-zero shared-memory frame and of a
+// segment page past its record's frame list. It is only ever read.
+var zeroPage [phys.PageSize]byte
 
 // pipePlan is one decoded pipe with its buffer page.
 type pipePlan struct {
@@ -109,8 +147,12 @@ type plan struct {
 	shmErr error
 
 	terminal layout.Terminal
-	screen   []byte
-	termErr  error
+	// screen is the terminal's screen bytes when the scan staged them; nil
+	// when the commit copies them from the dead frame that holds them and
+	// validates them against screenCRC, the CRC32 of what the scan read.
+	screen    []byte
+	screenCRC uint32
+	termErr   error
 
 	signals layout.Signals
 	sigErr  error
@@ -123,7 +165,7 @@ type plan struct {
 	hasSockets bool
 
 	// phase carries scan-side metrics into the install's timeline.
-	phase map[Phase]phaseScan
+	phase [len(phaseNames)]phaseScan
 	// scanDur is the candidate's total scan-side virtual time.
 	scanDur time.Duration
 
@@ -144,10 +186,13 @@ type plan struct {
 // scanner is one worker's read-only view of the dead kernel. It charges
 // virtual time to a private ledger instead of the shared machine clock, so
 // concurrent scans cannot race on it; the engine folds the ledgers into the
-// parallel schedule afterwards.
+// parallel schedule afterwards. A worker scans its candidates one after
+// another through one scanner, each into its own Accounting shard and
+// phys.Mem view (scanOne).
 type scanner struct {
 	rd           reader
 	buf          []byte // the record buffer every record of the scan decodes through
+	page         [phys.PageSize]byte
 	acct         *Accounting
 	cost         sim.CostModel
 	memSize      uint64
@@ -155,6 +200,11 @@ type scanner struct {
 	verifyCRC    bool
 	resurrectIPC bool
 	mainSwap     *disk.BlockDevice
+	// alloc is the crash kernel's frame allocator and lazy the pass's
+	// install mode: together they decide which dead frames the scan must
+	// stage (stage).
+	alloc *phys.FrameAllocator
+	lazy  bool
 	// metrics is the shared registry; scan-side writes are counter adds
 	// whose values are pure functions of the candidate, so any worker
 	// interleaving folds to the same totals (commutative int adds under
@@ -165,22 +215,29 @@ type scanner struct {
 	led time.Duration
 }
 
-// newScanner builds a worker-local scanner with its own counting reader
-// over view, a phys.Mem view the pass absorbs after the scan, and its own
-// Accounting shard.
-func (e *Engine) newScanner(shard *Accounting, view *phys.Mem, mainSwap *disk.BlockDevice) *scanner {
+// newScanner builds one worker's scanner.
+func (e *Engine) newScanner(mainSwap *disk.BlockDevice) *scanner {
 	return &scanner{
-		rd:           reader{mem: view, acct: shard},
-		acct:         shard,
 		cost:         e.K.Cost(),
-		memSize:      uint64(view.Size()),
-		numFrames:    view.NumFrames(),
+		memSize:      uint64(e.K.M.Mem.Size()),
+		numFrames:    e.K.M.Mem.NumFrames(),
 		verifyCRC:    e.VerifyCRC,
 		resurrectIPC: e.ResurrectIPC,
 		mainSwap:     mainSwap,
+		alloc:        e.K.Alloc,
+		lazy:         e.LazyInstall,
 		metrics:      e.Metrics,
 	}
 }
+
+// stage reports whether the scan must keep the bytes of dead frame f for
+// its commit. In an eager pass a commit writes only frames the crash
+// kernel's allocator manages, and that set stays fixed until the morph:
+// its own region and the free frames AddFreeFrames granted, which only a
+// corrupted record can name. In a lazy pass a resolution frees a dead frame
+// mid-pass, the next allocation reuses it, and a candidate that falls back
+// to the eager install may name it, so every frame is staged.
+func (s *scanner) stage(f int) bool { return s.lazy || s.alloc.Manages(f) }
 
 // charge adds d to the worker's ledger (saturating at zero: the cost model
 // never yields negative durations, but the ledger mirrors sim.Clock).
@@ -194,11 +251,13 @@ func (s *scanner) charge(d time.Duration) {
 // equivalent of Engine.parseTime.
 func (s *scanner) parseTime() { s.charge(s.cost.RecordParseOverhead) }
 
-// scanOne decodes one candidate into a plan, stopping at the first fatal
-// structure (exactly where the serial engine stopped reading) and recording
-// per-phase metrics.
-func (s *scanner) scanOne(cand Candidate) *plan {
-	pl := &plan{cand: cand, phase: make(map[Phase]phaseScan)}
+// scanOne decodes one candidate into a plan, reading through view and
+// counting into shard, stopping at the first fatal structure (exactly where
+// the serial engine stopped reading) and recording per-phase metrics.
+func (s *scanner) scanOne(cand Candidate, shard *Accounting, view *phys.Mem) *plan {
+	s.rd = reader{mem: view, acct: shard}
+	s.acct = shard
+	pl := &plan{cand: cand}
 	start := s.led
 	bytesAtStart := s.acct.total()
 	bytesMark := bytesAtStart
@@ -291,7 +350,7 @@ func (s *scanner) scanOne(cand Candidate) *plan {
 
 	// Phases 7+8: terminal and signals — peripheral, degrade on error.
 	if old.Terminal != 0 {
-		pl.screen, pl.termErr = s.scanTerminal(old, &pl.terminal)
+		pl.screen, pl.screenCRC, pl.termErr = s.scanTerminal(old, &pl.terminal)
 		rec(PhaseTerminal, 0)
 	}
 	if old.Signals != 0 {
@@ -368,12 +427,12 @@ func (s *scanner) scanRegions(old *layout.Proc) ([]layout.MemRegion, error) {
 }
 
 // scanPages walks the dead process's hardware page tables and captures every
-// touched page: resident pages are copied out of the dead frame, swapped pages
-// are read raw off the dead kernel's swap partition. Each resident page is read
-// into a buffer reused until a non-zero page keeps it, so an all-zero page is
-// marked zero and costs no memory. Swap re-stage bandwidth is charged to the
-// worker's ledger here; resident-copy bandwidth is deferred to the serial
-// fast-path classification (fastpath.go), which knows whether each page elides,
+// touched page: resident pages are read out of the dead frame, swapped pages
+// are read raw off the dead kernel's swap partition. Each resident page is
+// read into the scanner's page buffer, where the scan takes its zero test
+// and its CRC; only a staged non-zero page (stage) keeps a copy. Swap re-stage bandwidth is charged to the worker's ledger here;
+// resident-copy bandwidth is deferred to the serial fast-path
+// classification (fastpath.go), which knows whether each page elides,
 // dedups or pays the full copy.
 func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan, error) {
 	if old.PageDir%phys.PageSize != 0 || old.PageDir >= s.memSize {
@@ -386,7 +445,6 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 
 	var out []pagePlan
 	ptPage := make([]byte, phys.PageSize)
-	var buf []byte // the next resident page's buffer, nil once a page kept it
 	for dir := 0; dir < layout.DirEntries; dir++ {
 		dirEnt := leU64(dirPage[dir*8:])
 		if dirEnt == 0 {
@@ -423,17 +481,18 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 				if frame >= s.numFrames {
 					return out, fmt.Errorf("PTE for %#x references frame %d beyond memory", va, frame)
 				}
-				pp := pagePlan{va: va, frame: frame, writable: pte.Writable(), dirty: pte.Dirty()}
-				if buf == nil {
-					buf = make([]byte, phys.PageSize)
-				}
-				if err := s.rd.at(CatUserData).ReadAt(phys.FrameAddr(frame), buf); err != nil {
+				pp := pagePlan{va: va, frame: int32(frame), writable: pte.Writable(), dirty: pte.Dirty()}
+				if err := s.rd.at(CatUserData).ReadAt(phys.FrameAddr(frame), s.page[:]); err != nil {
 					return out, err
 				}
-				if phys.PageIsZero(buf) {
-					pp.zero = true
+				if phys.PageIsZero(s.page[:]) {
+					pp.kind = pageZero
 				} else {
-					pp.data, buf = buf, nil
+					pp.crc = crc32.Checksum(s.page[:], layout.CRCTable)
+					if s.stage(frame) {
+						pp.data = new([phys.PageSize]byte)
+						*pp.data = s.page
+					}
 				}
 				// The copy bandwidth is NOT charged here: the serial
 				// fast-path classification (fastpath.go) charges CopyCost,
@@ -451,7 +510,8 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 					return out, fmt.Errorf("swap slot %d: %v", pte.SwapSlot(), derr)
 				}
 				s.acct.ByCategory[CatSwapData] += int64(len(data))
-				out = append(out, pagePlan{va: va, swapped: true, data: data, writable: pte.Writable()})
+				out = append(out, pagePlan{va: va, kind: pageSwapped,
+					data: (*[phys.PageSize]byte)(data), writable: pte.Writable()})
 				s.charge(s.cost.SwapRestageCost(phys.PageSize))
 				*restaged++
 			}
@@ -460,12 +520,12 @@ func (s *scanner) scanPages(old *layout.Proc, copied, restaged *int) ([]pagePlan
 	return out, nil
 }
 
-// scanShm decodes each shared-memory segment and copies its page contents,
-// frame by frame, through a buffer reused until a non-zero frame keeps it:
-// an all-zero frame costs no memory.
+// scanShm decodes each shared-memory segment and reads its page contents,
+// frame by frame, into the scanner's page buffer, stamping each frame's
+// CRC. A staged frame (stage) keeps a copy of its bytes, or zeroPage's when
+// it is all zero; any other frame is copied from dead memory at its commit.
 func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 	var out []shmPlan
-	var buf []byte // the next frame's buffer, nil once a frame kept it
 	var list layout.Chain
 	_, err := list.Walk(old.Shm, layout.TypeShm, func(cur uint64) (uint64, error) {
 		var sp shmPlan
@@ -482,17 +542,22 @@ func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 				break
 			}
 			n := min(sp.seg.Size-off, phys.PageSize)
-			if buf == nil {
-				buf = make([]byte, phys.PageSize)
-			}
-			if err := s.rd.at(CatUserData).ReadAt(f*phys.PageSize, buf[:n]); err != nil {
+			buf := s.page[:n]
+			if err := s.rd.at(CatUserData).ReadAt(f*phys.PageSize, buf); err != nil {
 				return 0, err
 			}
-			var kept []byte
-			if !phys.PageIsZero(buf[:n]) {
-				kept, buf = buf[:n], nil
+			sp.crc = append(sp.crc, crc32.Checksum(buf, layout.CRCTable))
+			if !s.stage(int(f)) {
+				continue
 			}
-			sp.frames = append(sp.frames, kept)
+			if sp.kept == nil {
+				sp.kept = make([][]byte, len(sp.seg.Frames))
+			}
+			if phys.PageIsZero(buf) {
+				sp.kept[i] = zeroPage[:n]
+			} else {
+				sp.kept[i] = bytes.Clone(buf)
+			}
 		}
 		out = append(out, sp)
 		s.charge(s.cost.CopyCost(int64(sp.seg.Size)))
@@ -502,21 +567,32 @@ func (s *scanner) scanShm(old *layout.Proc) ([]shmPlan, error) {
 }
 
 // scanTerminal decodes the terminal record into *rec and reads its screen
-// buffer. Pseudo terminals are refused — the prototype "can only restore
-// the state of physical terminals".
-func (s *scanner) scanTerminal(old *layout.Proc, rec *layout.Terminal) ([]byte, error) {
+// buffer. It returns a copy of the screen when the scan must stage it: a
+// screen that crosses a frame boundary, or lies in a staged frame (stage).
+// Otherwise it returns nil and the screen's CRC, and the commit copies the
+// screen from its dead frame. Pseudo terminals are refused — the prototype
+// "can only restore the state of physical terminals".
+func (s *scanner) scanTerminal(old *layout.Proc, rec *layout.Terminal) ([]byte, uint32, error) {
 	if err := rec.Read(s.rd.at(CatTerminal), old.Terminal, s.verifyCRC, &s.buf); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	s.parseTime()
 	if rec.Settings&kernel.TermPseudo != 0 {
-		return nil, fmt.Errorf("pseudo terminal %d is not resurrectable", rec.Index)
+		return nil, 0, fmt.Errorf("pseudo terminal %d is not resurrectable", rec.Index)
 	}
-	screen := make([]byte, int(rec.Rows)*int(rec.Cols))
+	n := int(rec.Rows) * int(rec.Cols)
+	if int(rec.Screen%phys.PageSize)+n > phys.PageSize || s.stage(phys.FrameOf(rec.Screen)) {
+		screen := make([]byte, n)
+		if err := s.rd.at(CatTerminal).ReadAt(rec.Screen, screen); err != nil {
+			return nil, 0, err
+		}
+		return screen, 0, nil
+	}
+	screen := s.page[:n]
 	if err := s.rd.at(CatTerminal).ReadAt(rec.Screen, screen); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return screen, nil
+	return nil, crc32.Checksum(screen, layout.CRCTable), nil
 }
 
 // scanPipes decodes the pipe list with each pipe's buffer page.

@@ -12,14 +12,19 @@ package resurrect
 //   - The commit order is discovery order for a batch pass. A streamed
 //     pass (Config.Stream) sorts candidates by SLO tier, tier-0 critical
 //     first, then by PID.
-//   - Workers claim candidates through a cursor and scan concurrently.
-//     Once every scan is done, the calling goroutine commits — classify +
-//     install — one candidate at a time in commit order, batch and streamed
-//     passes alike. No scan can read a frame a commit wrote, and the
-//     commits share classification state in a fixed order, so the report
-//     and the new kernel are the same at any width. A streamed pass's
-//     pipelined commit is the schedule model (sched.Pipeline), not the
-//     host's execution order.
+//   - Workers claim candidates through a cursor and scan concurrently,
+//     each through one scanner of its own. Once every scan is done, the
+//     calling goroutine commits — classify + install — one candidate at a
+//     time in commit order, batch and streamed passes alike. No scan can
+//     read a frame a commit wrote, and the commits share classification
+//     state in a fixed order, so the report and the new kernel are the
+//     same at any width. A streamed pass's pipelined commit is the
+//     schedule model (sched.Pipeline), not the host's execution order.
+//   - What crosses from scan to commit is a plan: the decoded records, the
+//     bytes of each frame a commit could overwrite first (scanner.stage),
+//     and for every other page, shared-memory frame and screen its dead
+//     frame number and CRC, which the commit copies from dead memory and
+//     validates as it installs (install.go).
 
 import (
 	"sort"
@@ -123,9 +128,11 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 
 	// Workers claim candidates in order through the cursor and scan
 	// concurrently (read-only, per-candidate accounting shard and phys.Mem
-	// view). Every scan reads the dead image before the first commit writes
-	// into the dead kernel's free frames, which a corrupted page-table entry
-	// may name.
+	// view), each through one scanner of its own. Every scan reads the dead
+	// image before the first commit writes into the dead kernel's free
+	// frames, which a corrupted page-table entry may name; a frame a commit
+	// may write is staged by its scan (scanner.stage), and any other the
+	// commit copies from dead memory.
 	plans := make([]*plan, n)
 	accts := make([]*Accounting, n)
 	views := make([]*phys.Mem, n)
@@ -138,6 +145,7 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := e.newScanner(mainSwap)
 			for {
 				mu.Lock()
 				i := cursor
@@ -150,8 +158,7 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 
 				accts[i] = &Accounting{ByCategory: make(map[string]int64)}
 				views[i] = e.K.M.Mem.View()
-				sc := e.newScanner(accts[i], views[i], mainSwap)
-				plans[i] = sc.scanOne(order[i])
+				plans[i] = sc.scanOne(order[i], accts[i], views[i])
 			}
 		}()
 	}
@@ -178,10 +185,10 @@ func (e *Engine) runPass(rep *Report, order []Candidate, workers int, mainSwap *
 			// Lazy candidate: blocked only until context install.
 			perCand[i] = pl.scanDur + (pl.resumeClock - m0)
 		}
-		plans[i] = nil // its page data is installed; let it go
+		plans[i] = nil // its staged data is installed; let it go
 	}
 	e.K.M.Clock = liveClock
-	e.shmBuf = nil // a lazy engine outlives the pass; its commit buffer need not
+	e.frameBuf = nil // a lazy engine outlives the pass; its frame buffer need not
 	if e.lazy != nil {
 		e.lazy.installing = false
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -51,34 +52,31 @@ func (d *ApacheDriver) Start(m *core.Machine) error {
 
 func (d *ApacheDriver) connect(m *core.Machine) {
 	m.Net.OnRemote(apps.ApachePort, func(payload []byte) {
-		d.onResponse(m, string(payload))
+		d.onResponse(m, payload)
 	})
 }
 
-func (d *ApacheDriver) onResponse(m *core.Machine, resp string) {
-	fields := strings.SplitN(resp, " ", 3)
-	if len(fields) < 2 || d.pending == "" {
+// onResponse processes a reply, "<status> <seq>[ <data>]", and issues the
+// next request.
+func (d *ApacheDriver) onResponse(m *core.Machine, resp []byte) {
+	status, rest, _ := bytes.Cut(resp, []byte(" "))
+	seq, got, _ := bytes.Cut(rest, []byte(" "))
+	if rest == nil || d.pending == "" {
 		return
 	}
-	if fields[1] != strconv.Itoa(d.seq) {
+	if !isSeq(seq, d.seq) {
 		return // stale duplicate
 	}
-	if fields[0] == "OK" {
-		req := strings.SplitN(d.pending, " ", 4)
-		switch req[0] {
+	if string(status) == "OK" {
+		op, id, val := d.pendingSession()
+		switch op {
 		case "S":
-			id, _ := strconv.ParseUint(req[2], 10, 64)
-			d.sessions[id] = []byte(req[3])
+			d.sessions[id] = []byte(val)
 		case "G":
-			id, _ := strconv.ParseUint(req[2], 10, 64)
 			want, known := d.sessions[id]
-			got := ""
-			if len(fields) == 3 {
-				got = fields[2]
-			}
 			// A retried GET may race its own crash; only score
 			// clean-run reads.
-			if known && !d.pendingRetried && got != string(want) {
+			if known && !d.pendingRetried && !bytes.Equal(got, want) {
 				d.getMismatches++
 			}
 		}
@@ -87,6 +85,16 @@ func (d *ApacheDriver) onResponse(m *core.Machine, resp string) {
 	d.pendingRetried = false
 	d.acked++
 	d.sendNext(m)
+}
+
+// pendingSession splits the in-flight request, "<op> <seq> <sess>[ <data>]",
+// into its operation, session and data.
+func (d *ApacheDriver) pendingSession() (op string, sess uint64, data string) {
+	op, rest, _ := strings.Cut(d.pending, " ")
+	_, rest, _ = strings.Cut(rest, " ")
+	id, data, _ := strings.Cut(rest, " ")
+	sess, _ = strconv.ParseUint(id, 10, 64)
+	return op, sess, data
 }
 
 func (d *ApacheDriver) sendNext(m *core.Machine) {
@@ -142,12 +150,8 @@ func (d *ApacheDriver) Verify(m *core.Machine) error {
 	}
 	pendingSess := uint64(0)
 	pendingVal := ""
-	if d.pending != "" {
-		req := strings.SplitN(d.pending, " ", 4)
-		if req[0] == "S" && len(req) == 4 {
-			pendingSess, _ = strconv.ParseUint(req[2], 10, 64)
-			pendingVal = req[3]
-		}
+	if op, sess, val := d.pendingSession(); op == "S" {
+		pendingSess, pendingVal = sess, val
 	}
 	for id, want := range d.sessions {
 		gotVal, ok := got[id]

@@ -7,7 +7,9 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
 
 	"otherworld/internal/core"
 	"otherworld/internal/kernel"
@@ -70,4 +72,32 @@ func EnvFor(m *core.Machine, program string) (*kernel.Env, error) {
 func RunUntilIdle(m *core.Machine, d Driver, n, maxSteps int) kernel.RunResult {
 	d.Pump(m, n)
 	return m.Run(maxSteps)
+}
+
+// The remote peers parse each reply in place: a reply is a few ASCII
+// fields, and a stale duplicate must cost nothing to discard.
+
+// cutField returns the first whitespace-separated field of b, as
+// strings.Fields splits an ASCII reply, and the bytes after it.
+func cutField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) && asciiSpace(b[i]) {
+		i++
+	}
+	b = b[i:]
+	i = 0
+	for i < len(b) && !asciiSpace(b[i]) {
+		i++
+	}
+	return b[:i], b[i:]
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// isSeq reports whether field is n in decimal, as strconv.Itoa writes it.
+func isSeq(field []byte, n int) bool {
+	var buf [20]byte
+	return bytes.Equal(field, strconv.AppendInt(buf[:0], int64(n), 10))
 }

@@ -61,33 +61,35 @@ func (d *MySQLDriver) Start(m *core.Machine) error {
 // connect installs the client's response handler on the wire.
 func (d *MySQLDriver) connect(m *core.Machine) {
 	m.Net.OnRemote(apps.MySQLPort, func(payload []byte) {
-		d.onResponse(m, string(payload))
+		d.onResponse(m, payload)
 	})
 }
 
-// onResponse processes a server reply and issues the next statement.
-func (d *MySQLDriver) onResponse(m *core.Machine, resp string) {
-	fields := strings.Fields(resp)
-	if len(fields) < 3 {
+// onResponse processes a server reply, "<status> <op> <seq>[ <rowid>]", and
+// issues the next statement.
+func (d *MySQLDriver) onResponse(m *core.Machine, resp []byte) {
+	status, rest := cutField(resp)
+	op, rest := cutField(rest)
+	seq, rest := cutField(rest)
+	if len(seq) == 0 {
 		return
 	}
-	status, op, seqStr := fields[0], fields[1], fields[2]
-	if seqStr != strconv.Itoa(d.seq) || d.pending == "" {
+	if !isSeq(seq, d.seq) || d.pending == "" {
 		return // stale duplicate
 	}
+	rowidField, _ := cutField(rest)
 	switch {
-	case status == "OK" && op == "I" && len(fields) >= 4:
-		rowid, err := strconv.ParseUint(fields[3], 10, 64)
-		if err == nil {
+	case string(status) == "OK" && string(op) == "I" && len(rowidField) > 0:
+		if rowid, err := strconv.ParseUint(string(rowidField), 10, 64); err == nil {
 			d.rows[rowid] = []byte(d.payloadOf(d.pending))
 		}
-	case status == "OK" && op == "U":
+	case string(status) == "OK" && string(op) == "U":
 		rowid, payload := d.updateArgs(d.pending)
 		d.rows[rowid] = []byte(payload)
-	case status == "OK" && op == "D":
+	case string(status) == "OK" && string(op) == "D":
 		rowid, _ := d.updateArgs(d.pending)
 		delete(d.rows, rowid)
-	case status == "ERR" && op == "D" && d.pendingRetried:
+	case string(status) == "ERR" && string(op) == "D" && d.pendingRetried:
 		// The delete was applied before the crash; the retry found no
 		// row. That is success under at-least-once delivery.
 		rowid, _ := d.updateArgs(d.pending)
@@ -102,26 +104,23 @@ func (d *MySQLDriver) onResponse(m *core.Machine, resp string) {
 	d.sendNext(m)
 }
 
-// payloadOf extracts the payload of an insert request.
+// payloadOf extracts the payload of an insert request, "I <seq> <payload>".
 func (d *MySQLDriver) payloadOf(req string) string {
-	parts := strings.SplitN(req, " ", 3)
-	if len(parts) < 3 {
-		return ""
-	}
-	return parts[2]
+	_, rest, _ := strings.Cut(req, " ")
+	_, payload, _ := strings.Cut(rest, " ")
+	return payload
 }
 
-// updateArgs extracts (rowid, payload) from an update/delete request.
+// updateArgs extracts (rowid, payload) from an update or delete request,
+// "<op> <seq> <rowid>[ <payload>]".
 func (d *MySQLDriver) updateArgs(req string) (uint64, string) {
-	parts := strings.SplitN(req, " ", 4)
-	if len(parts) < 3 {
+	_, rest, _ := strings.Cut(req, " ")
+	_, rest, found := strings.Cut(rest, " ")
+	if !found {
 		return 0, ""
 	}
-	rowid, _ := strconv.ParseUint(parts[2], 10, 64)
-	payload := ""
-	if len(parts) == 4 {
-		payload = parts[3]
-	}
+	id, payload, _ := strings.Cut(rest, " ")
+	rowid, _ := strconv.ParseUint(id, 10, 64)
 	return rowid, payload
 }
 

@@ -1,9 +1,8 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
-	"strconv"
-	"strings"
 
 	"otherworld/internal/apps"
 	"otherworld/internal/core"
@@ -46,18 +45,23 @@ func (d *VolanoDriver) Start(m *core.Machine) error {
 
 func (d *VolanoDriver) connect(m *core.Machine) {
 	m.Net.OnRemote(apps.VolanoPort, func(payload []byte) {
-		resp := string(payload)
-		switch {
-		case strings.HasPrefix(resp, "B "):
-			d.broadcasts++
-		case strings.HasPrefix(resp, "OK "):
-			if strings.TrimPrefix(resp, "OK ") == strconv.Itoa(d.seq) && d.pending != "" {
-				d.pending = ""
-				d.acked++
-				d.sendNext(m)
-			}
-		}
+		d.onResponse(m, payload)
 	})
+}
+
+// onResponse counts a broadcast, "B ...", or takes an acknowledgement,
+// "OK <seq>", and issues the next message.
+func (d *VolanoDriver) onResponse(m *core.Machine, resp []byte) {
+	switch {
+	case bytes.HasPrefix(resp, []byte("B ")):
+		d.broadcasts++
+	case bytes.HasPrefix(resp, []byte("OK ")):
+		if isSeq(resp[len("OK "):], d.seq) && d.pending != "" {
+			d.pending = ""
+			d.acked++
+			d.sendNext(m)
+		}
+	}
 }
 
 func (d *VolanoDriver) sendNext(m *core.Machine) {

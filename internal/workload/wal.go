@@ -82,20 +82,24 @@ func (d *WALDriver) Start(m *core.Machine) error {
 // connect installs the client's response handler on the wire.
 func (d *WALDriver) connect(m *core.Machine) {
 	m.Net.OnRemote(apps.WALPort, func(payload []byte) {
-		d.onResponse(m, string(payload))
+		d.onResponse(m, payload)
 	})
 }
 
-// onResponse records an acknowledged transaction and issues the next one.
-func (d *WALDriver) onResponse(m *core.Machine, resp string) {
-	fields := strings.Fields(resp)
-	if len(fields) < 4 || fields[0] != "OK" || fields[1] != "P" {
+// onResponse records an acknowledged transaction, from a reply
+// "OK P <seq> <txn>", and issues the next one.
+func (d *WALDriver) onResponse(m *core.Machine, resp []byte) {
+	status, rest := cutField(resp)
+	op, rest := cutField(rest)
+	seq, rest := cutField(rest)
+	txnField, _ := cutField(rest)
+	if len(txnField) == 0 || string(status) != "OK" || string(op) != "P" {
 		return
 	}
-	if fields[2] != strconv.Itoa(d.pendingSeq) || d.pending == "" {
+	if !isSeq(seq, d.pendingSeq) || d.pending == "" {
 		return // stale duplicate of an already-acknowledged request
 	}
-	txn, err := strconv.ParseUint(fields[3], 10, 64)
+	txn, err := strconv.ParseUint(string(txnField), 10, 64)
 	if err != nil {
 		return
 	}
