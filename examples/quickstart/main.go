@@ -40,8 +40,6 @@ func (counter) Step(env *kernel.Env) error {
 	return env.WriteU64(counterVA, v+1)
 }
 
-func (counter) Rehydrate(env *kernel.Env) error { return nil }
-
 func init() {
 	kernel.RegisterProgram("quickstart-counter", func() kernel.Program { return counter{} })
 }

@@ -96,8 +96,6 @@ func (a *Apache) Boot(env *kernel.Env) error {
 	return env.RegisterCrashProcedure(ApacheCrashProc)
 }
 
-func (a *Apache) Rehydrate(env *kernel.Env) error { return nil }
-
 // Step serves one HTTP request, if any:
 //
 //	S <seq> <sess> <data>  store session data, replies "OK <seq>"

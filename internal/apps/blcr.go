@@ -68,8 +68,6 @@ func (b *BLCR) Boot(env *kernel.Env) error {
 	return nil
 }
 
-func (b *BLCR) Rehydrate(env *kernel.Env) error { return nil }
-
 // Step runs one iteration of the computation: take any due in-memory
 // checkpoint, mutate a stride of pages, then atomically commit the
 // iteration counter. Every phase is re-entrant — a kernel crash anywhere in

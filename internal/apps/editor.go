@@ -121,8 +121,6 @@ func (e *editor) Boot(env *kernel.Env) error {
 	return env.WriteU64(edHdrVA+edFDOff, uint64(fd))
 }
 
-func (e *editor) Rehydrate(env *kernel.Env) error { return nil }
-
 func (e *editor) Step(env *kernel.Env) error {
 	if env.SyscallAborted() && e.kind == editorJoeUnpatched {
 		// Unmodified JOE treats the aborted console read as fatal.

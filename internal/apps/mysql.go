@@ -125,8 +125,6 @@ func (s *MySQL) Boot(env *kernel.Env) error {
 	return env.RegisterCrashProcedure(MySQLCrashProc)
 }
 
-func (s *MySQL) Rehydrate(env *kernel.Env) error { return nil }
-
 // Step serves one client request, if any.
 func (s *MySQL) Step(env *kernel.Env) error {
 	env.SyscallAborted() // the server loop simply reissues its recv

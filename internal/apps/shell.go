@@ -49,8 +49,6 @@ func (s *Shell) Boot(env *kernel.Env) error {
 	return env.WriteU64(shHdrVA+shMagicOff, shMagic)
 }
 
-func (s *Shell) Rehydrate(env *kernel.Env) error { return nil }
-
 // Step reads one keystroke, echoes it and appends it to the history; '\n'
 // counts a completed command and prints a fresh prompt.
 func (s *Shell) Step(env *kernel.Env) error {

@@ -77,8 +77,6 @@ func (v *Volano) Boot(env *kernel.Env) error {
 	return env.SockOpen(volanoSockID, layout.ProtoTCP, VolanoPort)
 }
 
-func (v *Volano) Rehydrate(env *kernel.Env) error { return nil }
-
 // Step serves one chat message: "M <seq> <room> <text>". The text is
 // appended to the room ring and broadcast to VolanoFanout member
 // connections (one send each), plus the acknowledgement to the sender.

@@ -210,10 +210,6 @@ func (s *WALKV) Boot(env *kernel.Env) error {
 	return env.RegisterCrashProcedure(WALCrashProc)
 }
 
-// Rehydrate is a no-op: a resurrected store continues its in-flight
-// transaction from the phase word.
-func (s *WALKV) Rehydrate(env *kernel.Env) error { return nil }
-
 // loadLog streams the log file through a scan and returns it with the
 // log's length (an empty scan and 0 if there is no log yet). Every read asks
 // for one slot; bytes past the last whole slot carry over to the next read,

@@ -35,8 +35,7 @@ func (ckptHost) Boot(env *kernel.Env) error {
 	return nil
 }
 
-func (ckptHost) Step(env *kernel.Env) error      { return kernel.ErrYield }
-func (ckptHost) Rehydrate(env *kernel.Env) error { return nil }
+func (ckptHost) Step(env *kernel.Env) error { return kernel.ErrYield }
 
 func init() {
 	kernel.RegisterProgram("ckpt-host", func() kernel.Program { return ckptHost{} })

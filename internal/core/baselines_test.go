@@ -178,8 +178,7 @@ func (pipeProg) Boot(env *kernel.Env) error {
 	_, err := env.PipeWrite(1, []byte("buffered-in-pipe"))
 	return err
 }
-func (pipeProg) Step(env *kernel.Env) error      { return kernel.ErrYield }
-func (pipeProg) Rehydrate(env *kernel.Env) error { return nil }
+func (pipeProg) Step(env *kernel.Env) error { return kernel.ErrYield }
 
 func init() {
 	kernel.RegisterProgram("pipe-prog", func() kernel.Program { return pipeProg{} })

@@ -106,56 +106,97 @@ func TestNewMachineAllocation(t *testing.T) {
 }
 
 // TestHandleFailureAllocation bounds what one eager recovery allocates on
-// the host, at resurrection width 1: four MySQL servers holding rows, an
-// Apache server with its shared-memory session store and four shells with
-// their terminals, crashed and resurrected by HandleFailure, must come in
-// under 512 KiB. The scan keeps the bytes of no page, shared-memory frame
-// or screen that no commit can overwrite, and the commits copy those from
-// the dead frames: the recovery allocates 375,088 B. Staging them on the
-// host, with a 512 KiB shared-memory assembly buffer a pass, took
-// 1,040,912 B.
+// the host, at resurrection width 1, for two populations crashed and
+// resurrected by HandleFailure: four MySQL servers holding rows, an Apache
+// server with its shared-memory session store and four shells with their
+// terminals; and 32 shells, each with a terminal to restore. Each bound
+// lies between what the recovery allocates and what it allocated while it
+// salvaged the dead ring a second time, through the resurrection engine,
+// and decoded the dead metrics segment that nothing read. With go1.24.0:
+// 351,672 B against 375,088 B for the mixed population (375,080 B against
+// 398,656 B under -race), 520,248 B against 542,376 B for the shells
+// (523,880 B against 546,408 B under -race).
 func TestHandleFailureAllocation(t *testing.T) {
-	got := leastAllocated(func() func() {
-		opts := benchMachineOptions()
-		opts.Resurrection.Workers = 1
-		m, err := NewMachine(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			for _, prog := range []string{apps.ProgMySQL, apps.ProgShell} {
-				if _, err := m.Start(fmt.Sprintf("%s-%d", prog, i), prog); err != nil {
+	for _, tc := range []struct {
+		name  string
+		start func(m *Machine) error
+		procs int
+		// bound is the allocation limit; raceBound replaces it under the
+		// race detector, which allocates more.
+		bound, raceBound uint64
+	}{
+		{"mixed", startMixed, 9, 360 << 10, 380 << 10},
+		{"32 shells", startShells(32), 32, 520 << 10, 520 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := leastAllocated(func() func() {
+				opts := benchMachineOptions()
+				opts.Resurrection.Workers = 1
+				m, err := NewMachine(opts)
+				if err != nil {
 					t.Fatal(err)
 				}
+				if err := tc.start(m); err != nil {
+					t.Fatal(err)
+				}
+				if res := m.Run(400); res.Panic != nil {
+					t.Fatal(res.Panic)
+				}
+				if err := m.K.InjectOops("allocation"); err == nil {
+					t.Fatal("InjectOops returned nil")
+				}
+				return func() {
+					out, err := m.HandleFailure()
+					if err != nil || out.Result != ResultRecovered {
+						t.Fatalf("HandleFailure: %v", err)
+					}
+					if n := out.Report.Succeeded(); n != tc.procs {
+						t.Fatalf("%d of %d processes resurrected", n, tc.procs)
+					}
+					bookkeepingSink = out
+				}
+			})
+			bound := tc.bound
+			if raceEnabled {
+				bound = tc.raceBound
 			}
-		}
-		if _, err := m.Start("apache", apps.ProgApache); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 64; i++ {
-			m.Net.Deliver(apps.MySQLPort, []byte(fmt.Sprintf("I %d row-%d", i+1, i)))
-		}
-		if res := m.Run(400); res.Panic != nil {
-			t.Fatal(res.Panic)
-		}
-		if err := m.K.InjectOops("allocation"); err == nil {
-			t.Fatal("InjectOops returned nil")
-		}
-		return func() {
-			out, err := m.HandleFailure()
-			if err != nil || out.Result != ResultRecovered {
-				t.Fatalf("HandleFailure: %v", err)
+			if got >= bound {
+				t.Fatalf("HandleFailure allocated %d bytes, want under %d", got, bound)
 			}
-			if n := out.Report.Succeeded(); n != 9 {
-				t.Fatalf("%d of 9 processes resurrected", n)
-			}
-			bookkeepingSink = out
-		}
-	})
-	if got >= 512<<10 {
-		t.Fatalf("HandleFailure allocated %d bytes, want under 512 KiB", got)
+			t.Logf("HandleFailure allocated %d bytes", got)
+		})
 	}
-	t.Logf("HandleFailure allocated %d bytes", got)
+}
+
+// startMixed starts four MySQL servers holding rows, four shells and an
+// Apache server.
+func startMixed(m *Machine) error {
+	for i := 0; i < 4; i++ {
+		for _, prog := range []string{apps.ProgMySQL, apps.ProgShell} {
+			if _, err := m.Start(fmt.Sprintf("%s-%d", prog, i), prog); err != nil {
+				return err
+			}
+		}
+	}
+	if _, err := m.Start("apache", apps.ProgApache); err != nil {
+		return err
+	}
+	for i := 0; i < 64; i++ {
+		m.Net.Deliver(apps.MySQLPort, []byte(fmt.Sprintf("I %d row-%d", i+1, i)))
+	}
+	return nil
+}
+
+// startShells returns a start function for n shells.
+func startShells(n int) func(m *Machine) error {
+	return func(m *Machine) error {
+		for i := 0; i < n; i++ {
+			if _, err := m.Start(fmt.Sprintf("sh-%d", i), apps.ProgShell); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // BenchmarkNewMachine times booting that machine: memory, the main

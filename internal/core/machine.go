@@ -57,8 +57,8 @@ type Options struct {
 	FastCrashBoot bool
 	// TraceEvents sizes the flight-recorder ring (in events) carved out of
 	// the tail of each crash slot; 0 disables tracing. The ring survives
-	// the kernel failure and is re-parsed by the crash kernel, pstore
-	// style (see internal/trace).
+	// the kernel failure and HandleFailure parses it once, pstore style
+	// (see internal/trace).
 	TraceEvents int
 	// MetricsPages sizes the crash-surviving metrics segment (in pages)
 	// carved out of each slot's tail after the ring; 0 disables the
@@ -202,13 +202,10 @@ type FailureOutcome struct {
 	SerialInterruption time.Duration
 	// Trace is the dead kernel's flight-recorder ring, parsed out of raw
 	// physical memory before any recovery step touched it (nil when
-	// tracing is disabled). It is populated even when the transfer fails,
-	// so post-mortem context survives system-down outcomes too.
+	// tracing is disabled). It is the failure path's one salvage of the
+	// ring, populated even when the transfer fails, so post-mortem context
+	// survives system-down outcomes too.
 	Trace *trace.Parsed
-	// DeadMetrics is the dead kernel's metrics segment, recovered from the
-	// crash reservation before any recovery step touched it (nil when the
-	// metrics plane is disabled). Corrupted pages are counted, not fatal.
-	DeadMetrics *metrics.ParsedSegment
 	// DiskCrash is the block-layer crash model's report for this failure
 	// (nil when the model is off): rollback, tear and orphan-flush
 	// accounting for the attribution and data-survival layers.
@@ -499,14 +496,11 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	}
 	// Salvage the dead kernel's flight recorder first, before any recovery
 	// step can disturb the bytes; a failed transfer then still leaves
-	// post-mortem context behind.
+	// post-mortem context behind, and the salvage is counted either way.
 	img := m.slots[m.imageSlot]
-	ring, index, seg := m.tailRegion(img, tailRing), m.tailRegion(img, tailIndex), m.tailRegion(img, tailMetrics)
-	if ring.Frames > 0 {
+	if ring := m.tailRegion(img, tailRing); ring.Frames > 0 {
 		out.Trace = trace.Parse(m.HW.Mem, ring)
-	}
-	if seg.Frames > 0 {
-		out.DeadMetrics = metrics.ParseSegment(m.HW.Mem, seg)
+		out.Trace.CollectInto(m.metrics)
 	}
 	out.Transfer = m.K.AttemptTransfer()
 	if !out.Transfer.OK {
@@ -520,9 +514,10 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 
 	// The transfer stub removes the hardware protection from the crash
 	// kernel image and jumps to its entry point (Section 3.2). Only the
-	// image part of the slot is released: the flight-recorder tail keeps
-	// its FrameReserved tag so nothing recycles the dead kernel's ring
-	// before resurrection has read it.
+	// image part of the slot is released: the tail keeps its
+	// FrameReserved tag so nothing recycles the dead kernel's candidate
+	// index before resurrection has read it, or its ring and metrics
+	// segment before the morph.
 	imgPart := m.imageRegion(img)
 	for f := imgPart.Start; f < imgPart.End(); f++ {
 		_ = m.HW.Mem.Protect(f, false)          //owvet:allow errdrop: slot regions are validated at machine construction
@@ -574,8 +569,7 @@ func (m *Machine) HandleFailure() (*FailureOutcome, error) {
 	engine := resurrect.NewEngine(crashK, kernel.GlobalsAddr, m.opts.VerifyCRC)
 	engine.ResurrectIPC = m.opts.ResurrectIPC
 	engine.LazyInstall = m.opts.LazyInstall
-	engine.TraceRegion = ring
-	engine.IndexRegion = index
+	engine.IndexRegion = m.tailRegion(img, tailIndex)
 	engine.Metrics = m.metrics
 	passStart := m.HW.Clock.Now()
 	out.Report = engine.Run(m.opts.Resurrection)

@@ -28,8 +28,6 @@ func (counterProg) Step(env *kernel.Env) error {
 	return env.WriteU64(counterVA, v+1)
 }
 
-func (counterProg) Rehydrate(env *kernel.Env) error { return nil }
-
 func init() {
 	kernel.RegisterProgram("counter", func() kernel.Program { return counterProg{} })
 }

@@ -1,7 +1,7 @@
 // Machine-level wiring of the metrics plane: collectors that publish the
 // hardware and kernel tallies into the registry, and the flush path that
-// persists a snapshot into the crash reservation's metrics segment so the
-// post-microreboot kernel can report what the dead kernel measured.
+// persists a snapshot into the crash reservation's metrics segment, where
+// what the dead kernel measured outlives it.
 package core
 
 import (

@@ -32,8 +32,7 @@ func (bigProg) Boot(env *kernel.Env) error {
 	return nil
 }
 
-func (bigProg) Step(env *kernel.Env) error      { return kernel.ErrYield }
-func (bigProg) Rehydrate(env *kernel.Env) error { return nil }
+func (bigProg) Step(env *kernel.Env) error { return kernel.ErrYield }
 
 // scribeProg writes to a file without ever fsyncing: its data lives only in
 // the page cache until the crash kernel's dirty-buffer flush.
@@ -48,8 +47,7 @@ func (scribeProg) Boot(env *kernel.Env) error {
 	return err
 }
 
-func (scribeProg) Step(env *kernel.Env) error      { return kernel.ErrYield }
-func (scribeProg) Rehydrate(env *kernel.Env) error { return nil }
+func (scribeProg) Step(env *kernel.Env) error { return kernel.ErrYield }
 
 // ttyProg paints its terminal.
 type ttyProg struct{}
@@ -61,8 +59,7 @@ func (ttyProg) Boot(env *kernel.Env) error {
 	return env.TermWrite([]byte("SCREEN STATE"))
 }
 
-func (ttyProg) Step(env *kernel.Env) error      { return kernel.ErrYield }
-func (ttyProg) Rehydrate(env *kernel.Env) error { return nil }
+func (ttyProg) Step(env *kernel.Env) error { return kernel.ErrYield }
 
 func init() {
 	kernel.RegisterProgram("big-prog", func() kernel.Program { return bigProg{} })
@@ -164,6 +161,41 @@ func TestTerminalScreenSurvives(t *testing.T) {
 	}
 	if !bytes.HasPrefix(rows[0], []byte("SCREEN STATE")) {
 		t.Fatalf("screen row 0 = %q", rows[0][:16])
+	}
+}
+
+// TestOversizedTerminalGeometryRefused: a CRC-valid terminal record whose
+// rows×cols screen outgrows the one frame every kernel gives a screen is
+// corrupt. The crash kernel reports the terminal missing (Table 1 then
+// applies: with no crash procedure the process fails) instead of restoring
+// a 100-row terminal whose screen spills into the frame after its own.
+func TestOversizedTerminalGeometryRefused(t *testing.T) {
+	m := newTestMachine(t, nil)
+	p, err := m.Start("tty", "tty-prog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec layout.Terminal
+	var buf []byte
+	if err := rec.Read(m.HW.Mem, p.D.Terminal, true, &buf); err != nil {
+		t.Fatal(err)
+	}
+	rec.Rows = 100
+	if err := m.HW.Mem.WriteAt(p.D.Terminal, rec.AppendRecord(nil)); err != nil {
+		t.Fatal(err)
+	}
+	_ = m.K.InjectOops("x")
+	out, err := m.HandleFailure()
+	if err != nil || out.Result != ResultRecovered {
+		t.Fatalf("recover: %v %v", out, err)
+	}
+	if pr := out.Report.Procs[0]; pr.Missing&kernel.ResTerminal == 0 {
+		t.Fatalf("missing = %v, want the terminal bit", pr.Missing)
+	}
+	for _, q := range m.K.Procs() {
+		if rows, err := m.K.ScreenContents(q); err == nil && len(rows) == 100 {
+			t.Fatalf("pid %d has a restored 100-row terminal", q.PID)
+		}
 	}
 }
 
@@ -315,8 +347,7 @@ func (ptyProg) Boot(env *kernel.Env) error {
 	// saved context on the kernel stack.
 	return env.MapAnon(0x100000, 4096, layout.ProtRead|layout.ProtWrite)
 }
-func (ptyProg) Step(env *kernel.Env) error      { return kernel.ErrYield }
-func (ptyProg) Rehydrate(env *kernel.Env) error { return nil }
+func (ptyProg) Step(env *kernel.Env) error { return kernel.ErrYield }
 
 func init() {
 	kernel.RegisterProgram("pty-prog", func() kernel.Program { return ptyProg{} })

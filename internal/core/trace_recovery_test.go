@@ -10,8 +10,8 @@ import (
 // TestTraceRingSurvivesMicroreboot drives a full crash/resurrect cycle and
 // checks the flight recorder's whole life: events recorded during normal
 // operation, the panic context captured on the way down, the ring parsed
-// out of raw memory by both the core outcome and the resurrection engine,
-// and a fresh ring attached to the morphed kernel over the other slot.
+// out of raw memory once, into the failure outcome, and a fresh ring
+// attached to the morphed kernel over the other slot.
 func TestTraceRingSurvivesMicroreboot(t *testing.T) {
 	m := newTestMachine(t, nil)
 	if m.Tracer() == nil {
@@ -67,16 +67,17 @@ func TestTraceRingSurvivesMicroreboot(t *testing.T) {
 		t.Fatal("no counter snapshot recovered (tracePanic emits one)")
 	}
 
-	// The resurrection engine read the same ring through its byte-counting
-	// accessor, under the trace category (excluded from Table 4 totals).
-	if out.Report.Trace == nil {
-		t.Fatal("resurrection report has no trace")
+	// The machine's salvage is the only one: the resurrection engine reads
+	// no ring byte, and the registry counts one salvage of every event.
+	if n, ok := out.Report.Acct.ByCategory["trace"]; ok {
+		t.Fatalf("resurrection read %d ring bytes after the machine's salvage", n)
 	}
-	if got, want := len(out.Report.Trace.Events), len(out.Trace.Events); got != want {
-		t.Fatalf("engine parsed %d events, core parsed %d", got, want)
+	snap := m.MetricsSnapshot()
+	if p := snap.Get("trace_salvages_total", nil); p == nil || p.Value != 1 {
+		t.Fatalf("trace_salvages_total = %+v, want 1", p)
 	}
-	if out.Report.Acct.ByCategory["trace"] == 0 {
-		t.Fatal("ring bytes not accounted under the trace category")
+	if p := snap.Get("trace_salvaged_events_total", nil); p == nil || p.Value != int64(len(out.Trace.Events)) {
+		t.Fatalf("trace_salvaged_events_total = %+v, want %d", p, len(out.Trace.Events))
 	}
 
 	// Each resurrected process carries a phase timeline.
@@ -156,6 +157,38 @@ func TestTraceRingToleratesCorruption(t *testing.T) {
 	// The panic slot was written after the clobbering, so it must survive.
 	if pe := out.Trace.LastPanic(); pe == nil || pe.Note != "corrupted-ring failure" {
 		t.Fatalf("panic event lost to ring corruption: %v", pe)
+	}
+}
+
+// TestTraceSalvagedWhenSystemDown: a failure whose transfer never reaches
+// the crash kernel still salvages the dead ring into the outcome and counts
+// the salvage on the machine's registry.
+func TestTraceSalvagedWhenSystemDown(t *testing.T) {
+	m := newTestMachine(t, func(o *Options) {
+		o.HW.WatchdogEnabled = false
+		o.Hardening.WatchdogNMI = false
+	})
+	if _, err := m.Start("counter", "counter"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	m.Run(50)
+	m.K.RaiseHangForTest()
+	out, err := m.HandleFailure()
+	if err != nil {
+		t.Fatalf("HandleFailure: %v", err)
+	}
+	if out.Result != ResultSystemDown {
+		t.Fatalf("result = %v, want system-down", out.Result)
+	}
+	if out.Trace == nil || len(out.Trace.Events) == 0 {
+		t.Fatalf("no ring salvaged on a system-down failure: %+v", out.Trace)
+	}
+	snap := m.MetricsSnapshot()
+	if p := snap.Get("trace_salvages_total", nil); p == nil || p.Value != 1 {
+		t.Fatalf("trace_salvages_total = %+v, want 1", p)
+	}
+	if p := snap.Get("trace_salvaged_events_total", nil); p == nil || p.Value != int64(len(out.Trace.Events)) {
+		t.Fatalf("trace_salvaged_events_total = %+v, want %d", p, len(out.Trace.Events))
 	}
 }
 

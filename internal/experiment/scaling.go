@@ -35,8 +35,7 @@ func (s scaleProg) Boot(env *kernel.Env) error {
 	return nil
 }
 
-func (s scaleProg) Step(env *kernel.Env) error      { return kernel.ErrYield }
-func (s scaleProg) Rehydrate(env *kernel.Env) error { return nil }
+func (s scaleProg) Step(env *kernel.Env) error { return kernel.ErrYield }
 
 // ScaleSizes are the footprints swept, in pages.
 var ScaleSizes = []int{256, 1024, 4096, 16384}

@@ -75,13 +75,14 @@ func markResume(m *core.Machine, fo *core.FailureOutcome) *trace.Ring {
 
 // buildSpanTree re-parses the new kernel's flight recorder, whose span
 // marks the caller has recorded, and builds the recovery's causal span
-// tree from in plus the failure outcome's report and outage.
+// tree from in plus the failure outcome's dead ring, report and outage.
 func buildSpanTree(m *core.Machine, fo *core.FailureOutcome, in spans.Input) (*spans.Tree, error) {
 	if reg := m.TraceRegion(); reg.Frames > 0 {
 		if p := trace.Parse(m.HW.Mem, reg); p != nil {
 			in.PostEvents = p.Events
 		}
 	}
+	in.DeadTrace = fo.Trace
 	in.Report = fo.Report
 	in.Interruption = fo.SerialInterruption
 	return spans.Build(in)

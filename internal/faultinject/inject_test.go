@@ -17,8 +17,7 @@ type idleProg struct{}
 func (idleProg) Boot(env *kernel.Env) error {
 	return env.MapAnon(0x100000, 4096, layout.ProtRead|layout.ProtWrite)
 }
-func (idleProg) Step(env *kernel.Env) error      { return kernel.ErrYield }
-func (idleProg) Rehydrate(env *kernel.Env) error { return nil }
+func (idleProg) Step(env *kernel.Env) error { return kernel.ErrYield }
 
 func init() {
 	kernel.RegisterProgram("fi-idle", func() kernel.Program { return idleProg{} })

@@ -315,7 +315,7 @@ func (k *Kernel) writeCachePage(addr uint64, cp *layout.CachePage) error {
 
 // pageBuffer returns n bytes of the kernel's page buffer, growing it when
 // n exceeds its capacity (a corrupt Bytes field under the no-CRC ablation
-// asks for more than a page, a terminal screen up to layout.MaxPayload).
+// asks for more than a page; a terminal screen fits in one).
 // The bytes are stale; callers overwrite them.
 func (k *Kernel) pageBuffer(n int) []byte {
 	if cap(k.pageBuf) < n {

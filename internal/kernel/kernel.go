@@ -201,7 +201,7 @@ type Kernel struct {
 
 	// Tracer is the crash-surviving flight recorder: a ring of binary
 	// events in an unprotected sub-region of the crash reservation that
-	// the crash kernel parses after a failure (package trace). It is
+	// the machine parses after a failure (package trace). It is
 	// attached by core after boot; nil (tracing off) is always safe.
 	Tracer *trace.Ring
 

@@ -13,9 +13,8 @@ import (
 // testProg is a trivial registered program for kernel-level tests.
 type testProg struct{}
 
-func (testProg) Boot(env *Env) error      { return nil }
-func (testProg) Step(env *Env) error      { return ErrYield }
-func (testProg) Rehydrate(env *Env) error { return nil }
+func (testProg) Boot(env *Env) error { return nil }
+func (testProg) Step(env *Env) error { return ErrYield }
 
 func init() {
 	RegisterProgram("test-prog", func() Program { return testProg{} })

@@ -16,20 +16,17 @@ var ErrYield = errors.New("kernel: yield")
 // Program is an application executable. Implementations must keep ALL
 // persistent state inside the process's simulated address space (via Env
 // reads/writes) or in files: after a microreboot the crash kernel rebuilds
-// the process purely from its memory image plus saved context, constructs a
-// fresh Program value from the registry and calls Rehydrate — any state an
-// implementation kept in Go fields is gone, exactly like CPU-register and
-// cache state in a real resurrection.
+// the process purely from its memory image plus saved context and binds a
+// fresh Program value from the registry, whose next Step continues where
+// the dead process stopped — any state an implementation kept in Go fields
+// is gone, exactly like CPU-register and cache state in a real
+// resurrection.
 type Program interface {
 	// Boot lays out the address space and initial state of a freshly
 	// started process.
 	Boot(env *Env) error
 	// Step executes one quantum of the program.
 	Step(env *Env) error
-	// Rehydrate is called instead of Boot when a resurrected process
-	// continues execution: the implementation may rebuild Go-side caches
-	// from the (restored) address space. Most programs need nothing.
-	Rehydrate(env *Env) error
 }
 
 // ResourceMask reports resource types the crash kernel could not resurrect,

@@ -35,8 +35,8 @@ func (k *Kernel) InstallRegion(p *Process, r *layout.MemRegion, fileRec uint64) 
 
 // InstallResidentPage allocates a frame for va and fills it with data, the
 // dead kernel's page. Nil data is an all-zero page, the fast path's
-// elision: the scan kept no copy of it, and the frame is zero-filled
-// instead of copied into.
+// elision: the scan kept no copy of it, and the frame the allocator zeroed
+// is mapped as it is.
 func (k *Kernel) InstallResidentPage(p *Process, va uint64, data []byte, writable, dirty bool) error {
 	pteAddr, _, err := k.walk(p, va, true)
 	if err != nil {
@@ -46,13 +46,10 @@ func (k *Kernel) InstallResidentPage(p *Process, va uint64, data []byte, writabl
 	if err != nil {
 		return err
 	}
-	if data == nil {
-		err = k.M.Mem.Zero(frame)
-	} else {
-		err = k.M.Mem.WriteAt(phys.FrameAddr(frame), data)
-	}
-	if err != nil {
-		return err
+	if data != nil {
+		if err := k.M.Mem.WriteAt(phys.FrameAddr(frame), data); err != nil {
+			return err
+		}
 	}
 	return k.mapPresent(pteAddr, frame, writable, dirty)
 }
@@ -114,29 +111,10 @@ func (k *Kernel) InstallOpenFile(p *Process, old *layout.FileRec) (uint64, error
 }
 
 // InstallTerminal recreates a physical terminal with the dead kernel's
-// geometry, settings, cursor and screen contents (Section 3.3).
+// geometry, settings, cursor and screen contents (Section 3.3), opening it
+// with them in one step.
 func (k *Kernel) InstallTerminal(p *Process, old *layout.Terminal, screen []byte) error {
-	if err := k.OpenTerminal(p, old.Index); err != nil {
-		return err
-	}
-	var rec layout.Terminal
-	addr, err := k.readTerminalRec(p, &rec)
-	if err != nil {
-		return err
-	}
-	rec.Rows = old.Rows
-	rec.Cols = old.Cols
-	rec.CursorRow = old.CursorRow
-	rec.CursorCol = old.CursorCol
-	rec.Settings = old.Settings
-	n := int(old.Rows) * int(old.Cols)
-	if n > len(screen) {
-		n = len(screen)
-	}
-	if err := k.M.Mem.WriteAt(rec.Screen, screen[:n]); err != nil {
-		return err
-	}
-	return k.writeTerminalRec(addr, &rec)
+	return k.openTerminal(p, *old, screen)
 }
 
 // InstallSignals recreates the signal-handler table.

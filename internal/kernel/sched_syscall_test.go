@@ -30,8 +30,6 @@ func (s stepCounter) Step(env *Env) error {
 	return env.WriteU64(scVA, v+1)
 }
 
-func (s stepCounter) Rehydrate(env *Env) error { return nil }
-
 func init() {
 	RegisterProgram("step-counter", func() Program { return stepCounter{} })
 	RegisterProgram("step-counter-fail", func() Program { return stepCounter{failAt: 5} })

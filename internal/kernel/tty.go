@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"fmt"
 
 	"otherworld/internal/layout"
@@ -26,20 +27,30 @@ const (
 // missing-resource bitmask instead.
 const TermPseudo uint32 = 1 << 8
 
+// blankScreen is a fresh terminal's screen: defaultTTYRows×defaultTTYCols
+// spaces, shared by every open and never written.
+var blankScreen = bytes.Repeat([]byte{' '}, defaultTTYRows*defaultTTYCols)
+
 // OpenTerminal attaches a physical terminal to the process, allocating the
 // kernel screen buffer and the terminal record (Section 3.3: screen
 // contents live in a kernel buffer reachable from the process descriptor).
 func (k *Kernel) OpenTerminal(p *Process, index uint32) error {
-	return k.openTerminal(p, index, 0)
+	rec := layout.Terminal{Index: index, Rows: defaultTTYRows, Cols: defaultTTYCols}
+	return k.openTerminal(p, rec, blankScreen)
 }
 
 // OpenPseudoTerminal attaches a pty (as an sshd or terminal emulator
 // would). Pseudo terminals are not resurrectable in the prototype.
 func (k *Kernel) OpenPseudoTerminal(p *Process, index uint32) error {
-	return k.openTerminal(p, index, TermPseudo)
+	rec := layout.Terminal{Index: index, Rows: defaultTTYRows, Cols: defaultTTYCols, Settings: TermPseudo}
+	return k.openTerminal(p, rec, blankScreen)
 }
 
-func (k *Kernel) openTerminal(p *Process, index uint32, settings uint32) error {
+// openTerminal attaches the terminal rec describes (index, geometry, cursor
+// and settings) to the process: it allocates the screen frame, writes the
+// first rows*cols bytes of screen into it, then seals rec, pointed at that
+// frame, as the process's terminal record.
+func (k *Kernel) openTerminal(p *Process, rec layout.Terminal, screen []byte) error {
 	if p.D.Terminal != 0 {
 		return fmt.Errorf("kernel: pid %d already has a terminal", p.PID)
 	}
@@ -47,20 +58,10 @@ func (k *Kernel) openTerminal(p *Process, index uint32, settings uint32) error {
 	if err != nil {
 		return err
 	}
-	// Blank the screen with spaces.
-	blank := make([]byte, defaultTTYRows*defaultTTYCols)
-	for i := range blank {
-		blank[i] = ' '
-	}
-	if err := k.M.Mem.WriteAt(phys.FrameAddr(screenFrame), blank); err != nil {
+	rec.Screen = phys.FrameAddr(screenFrame)
+	n := min(int(rec.Rows)*int(rec.Cols), len(screen))
+	if err := k.M.Mem.WriteAt(rec.Screen, screen[:n]); err != nil {
 		return err
-	}
-	rec := layout.Terminal{
-		Index:    index,
-		Rows:     defaultTTYRows,
-		Cols:     defaultTTYCols,
-		Settings: settings,
-		Screen:   phys.FrameAddr(screenFrame),
 	}
 	addr, _, err := k.Heap.WriteNewRecord(k.encode(rec.AppendRecord))
 	if err != nil {
@@ -70,7 +71,7 @@ func (k *Kernel) openTerminal(p *Process, index uint32, settings uint32) error {
 	if err := k.writeProc(p); err != nil {
 		return err
 	}
-	k.terminals[index] = &ttyRuntime{recAddr: addr}
+	k.terminals[rec.Index] = &ttyRuntime{recAddr: addr}
 	return nil
 }
 
@@ -89,7 +90,7 @@ func (k *Kernel) readTerminalRec(p *Process, rec *layout.Terminal) (uint64, erro
 // termWrite renders bytes at the cursor, wrapping lines and scrolling, then
 // persists cursor state. '\n' moves to the next line's start. The screen
 // is rendered in the kernel's page buffer: the decoder bounds rows*cols by
-// layout.MaxPayload.
+// the one frame the screen lives in.
 func (k *Kernel) termWrite(p *Process, data []byte) error {
 	var rec layout.Terminal
 	addr, err := k.readTerminalRec(p, &rec)

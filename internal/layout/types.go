@@ -7,6 +7,8 @@ package layout
 // flags and current offset in one record, the Section 3.1 modification that
 // lets the crash kernel recreate an open file from a single structure.
 
+import "otherworld/internal/phys"
+
 // Globals is the kernel globals anchor. It lives at a fixed, compile-time
 // physical address (GlobalsAddr), which is how the crash kernel finds the
 // head of the process list and the swap-area table (Section 3.3).
@@ -376,7 +378,8 @@ type Terminal struct {
 	CursorCol uint16
 	// Settings packs termios-style mode bits.
 	Settings uint32
-	// Screen is the physical address of the rows*cols screen bytes.
+	// Screen is the physical address of the rows*cols screen bytes, which
+	// every kernel keeps in one frame.
 	Screen uint64
 }
 
@@ -405,7 +408,7 @@ func (t *Terminal) decode(addr uint64, payload []byte) error {
 	if err := r.finish(addr, TypeTerminal); err != nil {
 		return err
 	}
-	if t.Rows == 0 || t.Cols == 0 || int(t.Rows)*int(t.Cols) > MaxPayload {
+	if t.Rows == 0 || t.Cols == 0 || int(t.Rows)*int(t.Cols) > phys.PageSize {
 		return &CorruptionError{Addr: addr, Want: TypeTerminal, Reason: "implausible geometry"}
 	}
 	return nil

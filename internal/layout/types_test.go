@@ -139,6 +139,20 @@ func TestTerminalRejectsZeroGeometry(t *testing.T) {
 	}
 }
 
+// TestTerminalRejectsScreenPastItsFrame: every kernel keeps a screen in one
+// frame, so a geometry whose screen outgrows it is corrupt, and one that
+// fills it exactly is not.
+func TestTerminalRejectsScreenPastItsFrame(t *testing.T) {
+	bad := Terminal{Index: 1, Rows: 100, Cols: 80}
+	if err := decodeOnly(&bad, true, nil); !IsCorruption(err) {
+		t.Fatalf("want corruption for a 100x80 screen, got %v", err)
+	}
+	full := Terminal{Index: 1, Rows: 64, Cols: 64}
+	if got := roundTrip(t, &full); *got != full {
+		t.Fatalf("got %+v, want %+v", *got, full)
+	}
+}
+
 func TestSignalsRoundTrip(t *testing.T) {
 	want := Signals{Blocked: 0xF0F0}
 	want.Handlers[2] = 77

@@ -11,8 +11,8 @@
 //
 // Snapshots persist across the microreboot boundary: segment.go packs them
 // into page-sized frames of internal/layout's tail codec, the last part of
-// the crash reservation's unprotected tail, so the post-microreboot kernel
-// (or an offline dump reader) can report what the dead kernel measured —
+// the crash reservation's unprotected tail, so a reader of the dead slot's
+// tail (owstat over a dump) can report what the dead kernel measured —
 // the same pstore-style trick as internal/trace, applied to measurements
 // instead of events. The codec does the framing, the skip-and-count and
 // the generation check; this package keeps only the point records. ReHype-style recovery work lives or dies on measuring the

@@ -345,8 +345,8 @@ type ParsedSegment struct {
 	Empty     int
 }
 
-// ParseSegment recovers a segment from a known region of raw memory —
-// the crash kernel reading what the dead kernel measured. Corruption is
+// ParseSegment recovers a segment from a known region of raw memory, such
+// as a dead slot's tail: what the dead kernel measured. Corruption is
 // counted and skipped, never fatal; an unreadable frame counts corrupted.
 func ParseSegment(mem layout.Reader, region phys.Region) *ParsedSegment {
 	return salvageSegment(mem, phys.FrameAddr(region.Start), region.Frames, false)

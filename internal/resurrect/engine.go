@@ -24,7 +24,6 @@ import (
 	"otherworld/internal/metrics"
 	"otherworld/internal/phys"
 	"otherworld/internal/sched"
-	"otherworld/internal/trace"
 )
 
 // Category labels for byte accounting.
@@ -42,10 +41,6 @@ const (
 	CatContext   = "context"
 	CatUserData  = "userdata"
 	CatSwapData  = "swapdata"
-	// CatTrace counts the dead kernel's flight-recorder ring. It is
-	// deliberately not a kernelDataCats member: Table 4 measures the data
-	// needed to rebuild processes, and the ring is diagnostic only.
-	CatTrace = "trace"
 	// CatIndex counts the dead kernel's candidate index — the compact
 	// per-process record extents the index-assisted walker salvages
 	// instead of walking the whole process list. Zero when the index is
@@ -290,8 +285,8 @@ type Report struct {
 	// plus the sum of every candidate's scan+install time. Like every
 	// field of the report it does not depend on Config.Workers.
 	Duration time.Duration
-	// Prologue is the serial lead-in before candidates fan out: trace
-	// salvage, candidate listing, swap-table resolution.
+	// Prologue is the serial lead-in before candidates fan out: candidate
+	// listing and swap-table resolution.
 	Prologue time.Duration
 	// PerCandidate is each selected candidate's scan+install virtual
 	// time, in stable candidate order — the input ScheduleAt replays.
@@ -325,9 +320,6 @@ type Report struct {
 	// the workload faults pages in. Excluded from Fingerprint — the span
 	// plane and Table 6 percentiles pin it through their own goldens.
 	FirstTouch []time.Duration
-	// Trace is the dead kernel's flight recorder, parsed out of the crash
-	// area's ring sub-region (nil when the engine was given no ring).
-	Trace *trace.Parsed
 }
 
 // Succeeded counts processes that continued or restarted.
@@ -365,10 +357,6 @@ type Engine struct {
 	// span) instead of time-to-full-copy; a speculated page that fails
 	// validation falls its whole candidate back to the eager full copy.
 	LazyInstall bool
-	// TraceRegion is the dead kernel's flight-recorder ring (zero region
-	// when tracing is off); Run parses it into Report.Trace through the
-	// counting reader.
-	TraceRegion phys.Region
 	// IndexRegion is the dead kernel's candidate index (zero region when
 	// the index is off); discovery salvages it through the counting
 	// reader and falls back to the full process-list walk when it is
@@ -483,9 +471,9 @@ func (e *Engine) MainSwapDevice() (devName string, err error) {
 // returns the report. The crash kernel must already be booted with working
 // memory available (AddFreeFrames).
 //
-// After a serial prologue (trace salvage, discovery, swap resolution), the
-// selected candidates are scanned over cfg.Workers goroutines and then
-// committed one at a time (stream.go): in discovery order for a batch pass
+// After a serial prologue (discovery, swap resolution), the selected
+// candidates are scanned over cfg.Workers goroutines and then committed
+// one at a time (stream.go): in discovery order for a batch pass
 // and in SLO-tier admission order for a streamed one. The machine clock
 // then advances by the pass's modeled schedule at CanonicalWorkers
 // (Report.ScheduleAt's model, over the full installs) while
@@ -494,12 +482,6 @@ func (e *Engine) MainSwapDevice() (devName string, err error) {
 func (e *Engine) Run(cfg Config) *Report {
 	start := e.K.M.Clock.Now()
 	rep := &Report{Acct: Accounting{ByCategory: e.acct.ByCategory}}
-	if e.TraceRegion.Frames > 0 {
-		// Salvage the dead kernel's flight recorder before touching
-		// anything else: it tells the crash kernel what the main kernel
-		// was doing when it died.
-		rep.Trace = trace.Parse(e.rd.at(CatTrace), e.TraceRegion)
-	}
 	cands, err := e.discoverCandidates(rep)
 	rep.Candidates = cands
 	if err != nil && len(cands) == 0 {
@@ -563,8 +545,7 @@ func (a *Accounting) absorb(s *Accounting) {
 
 // Fingerprint renders the report as a deterministic string: the
 // determinism tests assert it is byte-identical at Workers=1 and
-// Workers=N. Trace (the dead ring, compared separately) and the fields
-// whose comments say so are excluded.
+// Workers=N. The fields whose comments say so are excluded.
 func (r *Report) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "candidates=%d\n", len(r.Candidates))
@@ -617,18 +598,11 @@ func (r *Report) Fingerprint() string {
 // applyPolicy runs the crash procedure (if registered) and decides the
 // final outcome per Table 1.
 func (e *Engine) applyPolicy(np *kernel.Process, cand Candidate, pr ProcReport) ProcReport {
-	env := &kernel.Env{K: e.K, P: np}
 	proc := kernel.LookupCrashProc(cand.CrashProc)
 	if cand.CrashProc == "" || proc == nil {
 		if pr.Missing != 0 {
 			pr.Outcome = OutcomeFailed
 			pr.Err = fmt.Errorf("resources not resurrected (%s) and no crash procedure", pr.Missing)
-			_ = e.K.Exit(np, 1)
-			return pr
-		}
-		if err := np.Prog.Rehydrate(env); err != nil {
-			pr.Outcome = OutcomeFailed
-			pr.Err = fmt.Errorf("rehydrate: %w", err)
 			_ = e.K.Exit(np, 1)
 			return pr
 		}
@@ -638,7 +612,7 @@ func (e *Engine) applyPolicy(np *kernel.Process, cand Candidate, pr ProcReport) 
 
 	pr.CrashProcCalled = true
 	before := e.K.FS.BytesWritten()
-	action, err := proc(env, pr.Missing)
+	action, err := proc(&kernel.Env{K: e.K, P: np}, pr.Missing)
 	// Charge the crash procedure's disk writes to the virtual clock.
 	e.K.M.Clock.Advance(e.K.Cost().DiskWriteCost(e.K.FS.BytesWritten() - before))
 	if err != nil {
@@ -649,12 +623,6 @@ func (e *Engine) applyPolicy(np *kernel.Process, cand Candidate, pr ProcReport) 
 	}
 	switch action {
 	case kernel.ActionContinue:
-		if rerr := np.Prog.Rehydrate(env); rerr != nil {
-			pr.Outcome = OutcomeFailed
-			pr.Err = fmt.Errorf("rehydrate: %w", rerr)
-			_ = e.K.Exit(np, 1)
-			return pr
-		}
 		pr.Outcome = OutcomeContinued
 	case kernel.ActionRestart:
 		_ = e.K.Exit(np, 0)

@@ -32,8 +32,6 @@ func (plainProg) Step(env *kernel.Env) error {
 	return env.WriteU64(plainVA, v+1)
 }
 
-func (plainProg) Rehydrate(env *kernel.Env) error { return nil }
-
 // sockProg additionally holds a socket — an unresurrectable resource.
 type sockProg struct{ plainProg }
 

@@ -49,8 +49,6 @@ func (fpProg) Step(env *kernel.Env) error {
 	return nil
 }
 
-func (fpProg) Rehydrate(env *kernel.Env) error { return nil }
-
 func init() {
 	kernel.RegisterProgram("fp-prog", func() kernel.Program { return fpProg{} })
 }

@@ -65,8 +65,6 @@ func (sbProg) Step(env *kernel.Env) error {
 	return nil
 }
 
-func (sbProg) Rehydrate(env *kernel.Env) error { return nil }
-
 func init() {
 	kernel.RegisterProgram("sb-prog", func() kernel.Program { return sbProg{} })
 }
@@ -487,8 +485,6 @@ func (scProg) Step(env *kernel.Env) error {
 	env.Compute(10)
 	return nil
 }
-
-func (scProg) Rehydrate(env *kernel.Env) error { return nil }
 
 func corruptingCrashProc(env *kernel.Env, missing kernel.ResourceMask) (kernel.CrashAction, error) {
 	mem := specCorrupt.m.HW.Mem

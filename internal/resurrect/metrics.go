@@ -126,5 +126,4 @@ func (e *Engine) publish(rep *Report) {
 			}
 		}
 	}
-	rep.Trace.CollectInto(reg)
 }

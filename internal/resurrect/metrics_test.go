@@ -52,16 +52,17 @@ func TestMetricsSnapshotDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestDeadMetricsSurviveCrash asserts the pstore property end to end: the
-// metrics segment the main kernel flushed before its panic is recoverable
-// by HandleFailure, carries the dead generation's counters, and its
-// logical stamp predates the failure handling.
+// metrics segment the main kernel flushed before its panic survives
+// HandleFailure in the dead slot's tail, carries the dead generation's
+// counters, and its logical stamp predates the failure handling.
 func TestDeadMetricsSurviveCrash(t *testing.T) {
 	m := multiMySQLMachine(t, 4)
 	pre := m.MetricsSnapshot()
-	out := recoverOutcome(t, m)
-	dm := out.DeadMetrics
+	seg := m.MetricsRegion()
+	recoverOutcome(t, m)
+	dm := metrics.ParseSegment(m.HW.Mem, seg)
 	if dm == nil || dm.Valid == 0 {
-		t.Fatalf("DeadMetrics = %+v, want at least one valid page", dm)
+		t.Fatalf("dead segment = %+v, want at least one valid page", dm)
 	}
 	if dm.Corrupted != 0 {
 		t.Fatalf("clean crash produced %d corrupted metrics pages", dm.Corrupted)
@@ -127,7 +128,7 @@ func TestScanPoolWritesRegistryConcurrently(t *testing.T) {
 }
 
 // TestMetricsDisabled pins the off switch: MetricsPages=0 must yield a nil
-// registry, no DeadMetrics, and a recovery that still works.
+// registry, no metrics segment, and a recovery that still works.
 func TestMetricsDisabled(t *testing.T) {
 	opts := core.DefaultOptions()
 	opts.HW.MemoryBytes = 128 << 20
@@ -146,13 +147,12 @@ func TestMetricsDisabled(t *testing.T) {
 		}
 	}
 	m.Run(30)
-	out := recoverOutcome(t, m)
-	if out.DeadMetrics != nil {
-		t.Fatal("disabled plane recovered a DeadMetrics segment")
+	if reg := m.MetricsRegion(); reg.Frames != 0 {
+		t.Fatalf("disabled plane carved a metrics segment: %v", reg)
 	}
+	recoverOutcome(t, m)
 	snap := m.MetricsSnapshot()
 	if snap == nil || len(snap.Points) != 0 {
 		t.Fatalf("disabled snapshot = %+v", snap)
 	}
-	var _ = metrics.SchemaVersion // keep the import honest
 }

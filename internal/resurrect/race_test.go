@@ -126,8 +126,6 @@ func (hoProg) Step(env *kernel.Env) error {
 	return nil
 }
 
-func (hoProg) Rehydrate(*kernel.Env) error { return nil }
-
 // hoTouch is a crash procedure that reads the process's page at hoVA.
 func hoTouch(env *kernel.Env, _ kernel.ResourceMask) (kernel.CrashAction, error) {
 	if _, err := env.ReadU64(hoVA); err != nil {

@@ -66,10 +66,8 @@ func (zpZeroShmProg) Boot(env *kernel.Env) error {
 	return env.ShmGet(0x2e81, zpShmSize, zpShmVA)
 }
 
-func (zpProg) Step(env *kernel.Env) error         { env.Compute(10); return nil }
-func (zpZeroShmProg) Step(env *kernel.Env) error  { env.Compute(10); return nil }
-func (zpProg) Rehydrate(*kernel.Env) error        { return nil }
-func (zpZeroShmProg) Rehydrate(*kernel.Env) error { return nil }
+func (zpProg) Step(env *kernel.Env) error        { env.Compute(10); return nil }
+func (zpZeroShmProg) Step(env *kernel.Env) error { env.Compute(10); return nil }
 
 func init() {
 	kernel.RegisterProgram("zp-prog", func() kernel.Program { return zpProg{} })

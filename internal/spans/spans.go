@@ -61,9 +61,12 @@ type Input struct {
 	// resurrect.CanonicalWorkers. It selects which worker's candidate chain
 	// bounds the interruption — the tree itself is width-independent.
 	Workers int
-	// Report is the resurrection pass (required). Its Trace sub-field, when
-	// present, supplies the pre-failure instants (inject/manifest/panic).
+	// Report is the resurrection pass (required).
 	Report *resurrect.Report
+	// DeadTrace is the dead kernel's salvaged flight recorder
+	// (core.FailureOutcome.Trace); when present it supplies the
+	// pre-failure instants (inject/manifest/panic).
+	DeadTrace *trace.Parsed
 	// Interruption is the experiment's serial-schedule outage
 	// (core.FailureOutcome.SerialInterruption). Zero means "resurrection
 	// only": the microreboot span collapses and the tree covers just the
@@ -141,10 +144,10 @@ func Build(in Input) (*Tree, error) {
 	// logical sequence numbers, not timestamps, so the instants are placed
 	// at synthetic negative offsets — one microsecond apart, in sequence
 	// order — purely to make the causal order visible on a timeline.
-	if rep.Trace != nil {
-		t.Skipped += rep.Trace.Damaged
+	if in.DeadTrace != nil {
+		t.Skipped += in.DeadTrace.Damaged
 		var pre []trace.Event
-		for _, ev := range rep.Trace.Events {
+		for _, ev := range in.DeadTrace.Events {
 			switch ev.Kind {
 			case trace.KindFaultInject, trace.KindFaultManifest, trace.KindPanic:
 				pre = append(pre, ev)
@@ -181,7 +184,7 @@ func Build(in Input) (*Tree, error) {
 	root.Children = append(root.Children, res)
 	res.Children = append(res.Children, &Span{
 		Name: "prologue", Cat: CatRecovery, Start: outside, Dur: rep.Prologue,
-		Note: "trace salvage + candidate listing + swap resolution",
+		Note: "candidate listing + swap resolution",
 	})
 	cum := outside + rep.Prologue
 	// A streamed pass reports each candidate's SLO admission tier; the tree

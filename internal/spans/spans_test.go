@@ -199,10 +199,7 @@ func FuzzSpanBuild(f *testing.F) {
 		streamed bool, scanNS int64, split uint8) {
 		parsed := parseFuzzRing(t, ring)
 
-		rep := &resurrect.Report{
-			Prologue: 10 * time.Microsecond,
-			Trace:    parsed,
-		}
+		rep := &resurrect.Report{Prologue: 10 * time.Microsecond}
 		// Deliberately mismatched candidate/report counts exercise the gap
 		// accounting; spanNS may be negative or huge.
 		for i := 0; i < int(nCand%8); i++ {
@@ -245,7 +242,7 @@ func FuzzSpanBuild(f *testing.F) {
 		}
 
 		tree, err := Build(Input{
-			App: "fuzz", Report: rep,
+			App: "fuzz", Report: rep, DeadTrace: parsed,
 			Interruption: time.Duration(interruptNS),
 			PostEvents:   parsed.Events,
 		})

@@ -4,12 +4,12 @@
 // area during normal operation — the same trick as Linux pstore/ramoops.
 //
 // Because the ring lives in raw physical memory, it survives the kernel
-// failure: after the microreboot the crash kernel re-parses it out of the
-// dead kernel's bytes (the natural extension of the paper's Section 3.3
-// "parse the dead kernel's memory" design) and learns what the main kernel
-// was doing at panic time — the panic context, the faults that had been
-// injected and had manifested, and the most recent scheduler decisions and
-// syscall/pagefault counter snapshots.
+// failure: when the main kernel fails, the machine parses it out of the
+// dead kernel's bytes once, before the transfer (the natural extension of
+// the paper's Section 3.3 "parse the dead kernel's memory" design), and
+// learns what the main kernel was doing at panic time — the panic context,
+// the faults that had been injected and had manifested, and the most recent
+// scheduler decisions and syscall/pagefault counter snapshots.
 //
 // Each event is one tail frame of the crash reservation (internal/layout's
 // frame codec, shared with the candidate index and the metrics segment),
