@@ -49,13 +49,14 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	return nil
 }
 
-// CopyFrame copies frame f's bytes into buf without counting the read.
-func (m *Mem) CopyFrame(f int, buf []byte) error {
+// CopyFrame copies frame f's bytes from offset off into buf without
+// counting the read.
+func (m *Mem) CopyFrame(f, off int, buf []byte) error {
 	base := f * PageSize
-	if base < 0 || base+PageSize > len(m.data) {
+	if base < 0 || base+PageSize > len(m.data) || off < 0 || off > PageSize {
 		return ErrOutOfRange
 	}
-	copy(buf, m.data[base:base+PageSize])
+	copy(buf, m.data[base+off:base+PageSize])
 	return nil
 }
 

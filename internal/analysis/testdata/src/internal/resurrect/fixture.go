@@ -46,7 +46,7 @@ func wordDirect(m *phys.Mem) (uint64, error) {
 
 func copyFrameDirect(m *phys.Mem) ([]byte, error) {
 	buf := make([]byte, phys.PageSize)
-	return buf, m.CopyFrame(1, buf) // want `direct phys\.Mem\.CopyFrame`
+	return buf, m.CopyFrame(1, 0, buf) // want `direct phys\.Mem\.CopyFrame`
 }
 
 func readGeneratedDirect(m *phys.Mem, p *phys.Pattern) bool {

@@ -198,6 +198,9 @@ type Kernel struct {
 	// stackBuf is the kernel-stack pattern scratch (stackBuffer), under
 	// the same one-writer rule.
 	stackBuf []byte
+	// stackPattern generates every kernel stack this kernel builds, past
+	// the saved context (newStackPattern).
+	stackPattern *phys.Pattern
 
 	// Tracer is the crash-surviving flight recorder: a ring of binary
 	// events in an unprotected sub-region of the crash reservation that
@@ -268,6 +271,7 @@ func Boot(m *hw.Machine, filesystem *fs.FlatFS, p Params, opt BootOptions) (*Ker
 		globalsAddr: opt.GlobalsAt,
 	}
 	k.isCrashKernel = opt.IsCrashKernel
+	k.stackPattern = newStackPattern(p.Seed)
 	if k.globalsAddr == 0 {
 		k.globalsAddr = GlobalsAddr
 	}

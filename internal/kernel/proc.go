@@ -29,6 +29,14 @@ const (
 //	                          syscall gate consumes the live window at
 //	                          [512, 640) — a corrupted int there is "read"
 //	                          by kernel code and manifests a failure.
+//
+// Everything past the context holds the kernel's stack pattern. newProcess
+// generates it (phys.Mem.Generate), so a stack on a frame without storage
+// stores only the 512 B sector its context is saved in, and each other
+// sector only once something writes it: a stack fault, or the gate's
+// repair of the live window. A frame that already has storage (one that
+// once held a user page, say) keeps it, and the pattern is written into
+// it.
 const (
 	kstackNMIStart     = layout.ContextSize
 	kstackNMIEnd       = layout.ContextSize + 8
@@ -78,14 +86,22 @@ func (k *Kernel) Procs() []*Process {
 // Lookup returns the process with the given PID, or nil.
 func (k *Kernel) Lookup(pid uint32) *Process { return k.procs[pid] }
 
-// patternByte is the pristine filler for kernel stacks, distinct from the
-// text pattern so the two corruption classes stay distinguishable in dumps.
-func (k *Kernel) patternByte(addr uint64) byte {
-	x := addr*0xD1342543DE82EF95 + uint64(k.P.Seed) + 0x5bf03635
+// patternByte is the pristine filler at addr of the kernel stacks of a
+// kernel booted with seed, distinct from the text pattern so the two
+// corruption classes stay distinguishable in dumps.
+func patternByte(seed int64, addr uint64) byte {
+	x := addr*0xD1342543DE82EF95 + uint64(seed) + 0x5bf03635
 	x ^= x >> 31
 	x *= 0x94D049BB133111EB
 	x ^= x >> 29
 	return byte(x)
+}
+
+// newStackPattern returns the pattern that generates the kernel stacks of
+// a kernel booted with seed. It closes over the seed alone: a dead
+// kernel's stack frames keep their pattern, and must not keep the kernel.
+func newStackPattern(seed int64) *phys.Pattern {
+	return phys.NewPattern(func(addr uint64) byte { return patternByte(seed, addr) })
 }
 
 // stackBuffer returns n bytes of the kernel's stack scratch buffer, which
@@ -102,20 +118,27 @@ func (k *Kernel) stackBuffer(n int) []byte {
 func (k *Kernel) fillStackPattern(kstack uint64, from, to int) error {
 	buf := k.stackBuffer(to - from)
 	for i := range buf {
-		buf[i] = k.patternByte(kstack + uint64(from+i))
+		buf[i] = patternByte(k.P.Seed, kstack+uint64(from+i))
 	}
 	return k.M.Mem.WriteAt(kstack+uint64(from), buf)
 }
 
-// stackRangeIntact compares a kernel-stack range against the pristine
-// pattern, reporting the first corrupted offset.
+// stackRangeIntact compares a range of the kernel stack at frame address
+// kstack against the pristine pattern, reporting the first corrupted
+// offset, with one counted read of the range: Mem.ReadGenerated, which
+// counts it whether or not the stack pattern still generates every sector
+// of the range. A range it generates cannot differ; otherwise the range is
+// copied with the uncounted CopyFrame and compared byte by byte.
 func (k *Kernel) stackRangeIntact(kstack uint64, from, to int) (int, bool) {
+	if k.M.Mem.ReadGenerated(kstack+uint64(from), to-from, k.stackPattern) {
+		return 0, true
+	}
 	buf := k.stackBuffer(to - from)
-	if err := k.M.Mem.ReadAt(kstack+uint64(from), buf); err != nil {
+	if err := k.M.Mem.CopyFrame(phys.FrameOf(kstack), from, buf); err != nil {
 		return from, false
 	}
 	for i, b := range buf {
-		if b != k.patternByte(kstack+uint64(from+i)) {
+		if b != patternByte(k.P.Seed, kstack+uint64(from+i)) {
 			return from + i, false
 		}
 	}
@@ -161,7 +184,7 @@ func (k *Kernel) newProcess(name, program string) (*Process, error) {
 		return nil, err
 	}
 	kstack := phys.FrameAddr(kstackFrame)
-	if err := k.fillStackPattern(kstack, kstackNMIStart, phys.PageSize); err != nil {
+	if err := k.M.Mem.Generate(kstackFrame, kstackNMIStart, k.stackPattern); err != nil {
 		return nil, err
 	}
 

@@ -30,16 +30,17 @@ type Text struct {
 	funcs [funcCount]TextFunc
 	// pattern generates every text frame from expected
 	// (phys.Mem.Generate), so memory stores none of the text until
-	// something writes it. Only NewText generates with it, so a frame that
-	// stops being generated by it never is again.
+	// something writes it, and then only the sectors written. Only NewText
+	// generates with it, so a sector that stops being generated by it
+	// never is again.
 	pattern *phys.Pattern
 	// pristine holds the expected bytes of each text frame CheckExecute
 	// found written, built the first time it is needed; a frame the
-	// pattern still generates reads as expected and needs none.
+	// pattern still generates whole reads as expected and needs none.
 	pristine [TextFrames]*[phys.PageSize]byte
-	// live receives CheckExecute's copies of the written frames of a
-	// function, from the function's first frame on; it is made on first
-	// use, liveLen long.
+	// live receives CheckExecute's copies of the written sectors of a
+	// function, at their offsets from the function's first frame on; it
+	// is made on first use, liveLen long.
 	live []byte
 	// decided remembers the behaviour assigned to each corrupted byte the
 	// first time it executes: a real clobbered instruction misbehaves the
@@ -181,7 +182,7 @@ func NewText(mem *phys.Mem, alloc *phys.FrameAllocator, region phys.Region, seed
 		if err := alloc.Claim(f, phys.FrameKernelText); err != nil {
 			return nil, err
 		}
-		if err := mem.Generate(f, t.pattern); err != nil {
+		if err := mem.Generate(f, 0, t.pattern); err != nil {
 			return nil, err
 		}
 	}
@@ -255,8 +256,8 @@ func (t *Text) decideBehavior(roll float64) Misbehavior {
 // The contract the mid-flight injection model relies on (DESIGN §3, §10):
 //   - one counted read of the whole function per call: Mem.ReadGenerated,
 //     which counts it whether or not the text pattern still generates
-//     every frame of the function; the frames that were written are then
-//     copied with the uncounted CopyFrame;
+//     every sector of the function; the function's bytes in the sectors
+//     that were written are then copied with the uncounted CopyFrame;
 //   - corrupted bytes are visited in ascending address order, with one
 //     rollFn draw for each not yet in decided, stopping at the first that
 //     does not behave benignly — whose behaviour is returned;
@@ -267,43 +268,52 @@ func (t *Text) CheckExecute(fn FuncID, rollFn func() float64) Misbehavior {
 	f := t.funcs[fn]
 	lo, hi := t.base+uint64(f.Start), t.base+uint64(f.Start+f.Len)
 	if t.mem.ReadGenerated(lo, f.Len, t.pattern) {
-		// No frame of the function was written since NewText, so no byte
+		// No sector of the function was written since NewText, so no byte
 		// differs: no draw is due, and no decided entry lies in it.
 		return BehaveBenign
 	}
-	// Only a written frame can differ, and only there can a decided entry
-	// lie. Each is copied into live, which starts at the function's first
-	// frame, and compared with its pristine page.
+	// Only a written sector can differ, and only there can a decided entry
+	// lie. The function's bytes in each are copied into live, which starts
+	// at the function's first frame, and compared with the frame's
+	// pristine page.
 	if t.live == nil {
 		t.live = make([]byte, liveLen)
 	}
 	base := phys.FrameAddr(phys.FrameOf(lo))
 	result, stop := BehaveBenign, hi
 	for fr := phys.FrameOf(lo); phys.FrameAddr(fr) < stop; fr++ {
-		if t.mem.Generated(fr, t.pattern) {
+		generated := t.mem.Generated(fr, t.pattern)
+		if generated == phys.AllSectors {
 			continue
 		}
 		frameAddr := phys.FrameAddr(fr)
-		page := t.live[frameAddr-base:][:phys.PageSize]
-		if err := t.mem.CopyFrame(fr, page); err != nil {
-			return BehaveFailStop
-		}
 		// The function's bytes in this frame run from offset from to to.
-		from, to := max(lo, frameAddr)-frameAddr, min(hi, frameAddr+phys.PageSize)-frameAddr
-		live, want := page[:to], t.pristinePage(fr)[:to]
-		for i := nextDiff(live, want, int(from)); i < len(live); i = nextDiff(live, want, i+1) {
-			addr := frameAddr + uint64(i)
-			behave, ok := t.decided[addr]
-			if !ok {
-				behave = t.decideBehavior(rollFn())
-				if t.decided == nil {
-					t.decided = make(map[uint64]Misbehavior)
-				}
-				t.decided[addr] = behave
+		from, to := int(max(lo, frameAddr)-frameAddr), int(min(hi, frameAddr+phys.PageSize)-frameAddr)
+		page, pristine := t.live[frameAddr-base:][:to], t.pristinePage(fr)[:to]
+		for s := from / phys.SectorSize; s*phys.SectorSize < to && frameAddr+uint64(s*phys.SectorSize) < stop; s++ {
+			if generated&(1<<s) != 0 {
+				continue
 			}
-			if behave != BehaveBenign {
-				result, stop = behave, addr
-				break
+			// The function's bytes in this sector run from a to b.
+			a, b := max(from, s*phys.SectorSize), min(to, (s+1)*phys.SectorSize)
+			if err := t.mem.CopyFrame(fr, a, page[a:b]); err != nil {
+				return BehaveFailStop
+			}
+			live, want := page[:b], pristine[:b]
+			for i := nextDiff(live, want, a); i < b; i = nextDiff(live, want, i+1) {
+				addr := frameAddr + uint64(i)
+				behave, ok := t.decided[addr]
+				if !ok {
+					behave = t.decideBehavior(rollFn())
+					if t.decided == nil {
+						t.decided = make(map[uint64]Misbehavior)
+					}
+					t.decided[addr] = behave
+				}
+				if behave != BehaveBenign {
+					result, stop = behave, addr
+					break
+				}
 			}
 		}
 	}

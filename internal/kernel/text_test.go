@@ -78,17 +78,72 @@ func aimedOffset(rng *rand.Rand, f TextFunc) int {
 // repair, Settle and execution over every kernel function and requires
 // CheckExecute to agree with the byte loop after each execution: the same
 // misbehaviour, the same decided map and the same number of rollFn draws,
-// from one counted read of the function.
+// from one counted read of the function. Seeds 5 and 6 start with two
+// corrupted bytes in the scheduler: on both sides of a sector boundary,
+// and in two sectors of one frame. Each runs the scheduler with both, then
+// with one repaired, before the seeded sequence.
 func TestCheckExecuteMatchesReference(t *testing.T) {
 	steps := 5000
 	if testing.Short() {
 		steps = 1000
 	}
+	sched := newTestText(t, 1).Func(FuncSched)
+	boundary := (sched.Start/phys.PageSize+1)*phys.PageSize + 2*phys.SectorSize
+	oneFrame := (sched.Start/phys.PageSize + 2) * phys.PageSize
+	presets := map[int64][]int{
+		5: {boundary - 1, boundary},
+		6: {oneFrame + 100, oneFrame + 5*phys.SectorSize + 7},
+	}
 	executed, early := 0, 0
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		text := newTestText(t, seed)
+		execute := func(step int, fn FuncID) {
+			t.Helper()
+			f := text.Func(fn)
+			ref := maps.Clone(text.decided)
+			if ref == nil {
+				ref = make(map[uint64]Misbehavior)
+			}
+			rollSeed := rng.Int63()
+			refRoll, refDraws := countingRoll(rollSeed)
+			roll, draws := countingRoll(rollSeed)
+			want := referenceCheckExecute(text, ref, fn, refRoll)
+			before := text.mem.Stats()
+			got := text.CheckExecute(fn, roll)
+			after := text.mem.Stats()
+			if got != want || *draws != *refDraws {
+				t.Fatalf("seed %d step %d %s: got %v after %d draws, reference %v after %d",
+					seed, step, f.Name, got, *draws, want, *refDraws)
+			}
+			if !maps.Equal(text.decided, ref) {
+				t.Fatalf("seed %d step %d %s: decided %v, reference %v", seed, step, f.Name, text.decided, ref)
+			}
+			if ops, n := after.ReadOps-before.ReadOps, after.ReadBytes-before.ReadBytes; ops != 1 || n != int64(f.Len) {
+				t.Fatalf("seed %d step %d %s: %d reads of %d bytes, want 1 of %d", seed, step, f.Name, ops, n, f.Len)
+			}
+			executed++
+			if got != BehaveBenign {
+				early++
+			}
+		}
 		var corrupted []int // offsets written off-pattern and not yet restored
+		if preset := presets[seed]; preset != nil {
+			for _, off := range preset {
+				if _, err := text.CorruptByte(off, byte(1+rng.Intn(255))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				execute(-1, FuncSched)
+			}
+			addr := text.Base() + uint64(preset[1])
+			if err := text.mem.WriteAt(addr, []byte{text.expected(addr)}); err != nil {
+				t.Fatal(err)
+			}
+			execute(-1, FuncSched)
+			corrupted = append(corrupted, preset[0])
+		}
 		for step := 0; step < steps; step++ {
 			fn := FuncID(rng.Intn(int(funcCount)))
 			f := text.Func(fn)
@@ -113,31 +168,7 @@ func TestCheckExecuteMatchesReference(t *testing.T) {
 			case op < 12:
 				text.Settle(fn, Misbehavior(rng.Intn(int(BehaveDoubleFault)+1)))
 			default:
-				ref := maps.Clone(text.decided)
-				if ref == nil {
-					ref = make(map[uint64]Misbehavior)
-				}
-				rollSeed := rng.Int63()
-				refRoll, refDraws := countingRoll(rollSeed)
-				roll, draws := countingRoll(rollSeed)
-				want := referenceCheckExecute(text, ref, fn, refRoll)
-				before := text.mem.Stats()
-				got := text.CheckExecute(fn, roll)
-				after := text.mem.Stats()
-				if got != want || *draws != *refDraws {
-					t.Fatalf("seed %d step %d %s: got %v after %d draws, reference %v after %d",
-						seed, step, f.Name, got, *draws, want, *refDraws)
-				}
-				if !maps.Equal(text.decided, ref) {
-					t.Fatalf("seed %d step %d %s: decided %v, reference %v", seed, step, f.Name, text.decided, ref)
-				}
-				if ops, n := after.ReadOps-before.ReadOps, after.ReadBytes-before.ReadBytes; ops != 1 || n != int64(f.Len) {
-					t.Fatalf("seed %d step %d %s: %d reads of %d bytes, want 1 of %d", seed, step, f.Name, ops, n, f.Len)
-				}
-				executed++
-				if got != BehaveBenign {
-					early++
-				}
+				execute(step, fn)
 			}
 		}
 	}
@@ -186,7 +217,7 @@ func TestNewTextWritesEveryByte(t *testing.T) {
 		}
 	}
 	for i := 0; i < TextFrames; i++ {
-		if f := phys.FrameOf(text.Base()) + i; !text.mem.Generated(f, text.pattern) {
+		if f := phys.FrameOf(text.Base()) + i; text.mem.Generated(f, text.pattern) != phys.AllSectors {
 			t.Fatalf("text frame %d is not generated by the text's pattern", i)
 		}
 	}

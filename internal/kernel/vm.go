@@ -341,7 +341,7 @@ func (k *Kernel) SwapOutPages(p *Process, n int) (int, error) {
 		// An uncounted copy into the page buffer, which Alloc copies in
 		// turn; a frame never written gains no storage by being read.
 		page := k.pageBuffer(phys.PageSize)
-		if ferr := k.M.Mem.CopyFrame(frame, page); ferr != nil {
+		if ferr := k.M.Mem.CopyFrame(frame, 0, page); ferr != nil {
 			return false, ferr
 		}
 		slot, serr := k.swap.Alloc(page)

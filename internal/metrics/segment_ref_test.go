@@ -382,10 +382,10 @@ func TestRegistryWriteSegmentMatchesSnapshot(t *testing.T) {
 			}
 			got, want := make([]byte, phys.PageSize), make([]byte, phys.PageSize)
 			for f := 0; f < frames; f++ {
-				if err := direct.CopyFrame(f, got); err != nil {
+				if err := direct.CopyFrame(f, 0, got); err != nil {
 					t.Fatal(err)
 				}
-				if err := viaSnapshot.CopyFrame(f, want); err != nil {
+				if err := viaSnapshot.CopyFrame(f, 0, want); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got, want) {

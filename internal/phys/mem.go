@@ -7,11 +7,17 @@
 // non-zero byte in it. A machine boot therefore costs a table of chunk
 // pointers rather than its whole RAM, a page that only ever held zeros
 // costs nothing, and a page table or a record page costs the sectors its
-// few words landed on. A frame whose first storing write puts a non-zero
-// byte on every sector (a kernel stack, a full user page) is stored as one
-// page instead, so bulk copies of it stay single, and a frame Generate
-// gives a Pattern (kernel text) stores nothing until it is written: its
-// bytes are computed from their addresses whenever they are read.
+// few words landed on. A frame neither stored nor generated whose first
+// storing write puts a non-zero byte on every sector (a full user page) is
+// stored as one page instead, so bulk copies of it stay single. The
+// sectors Generate gives a Pattern (kernel text, a kernel stack past its
+// saved context) store nothing until they are written: their bytes are
+// computed from their addresses whenever they are read, and a write gives
+// storage only to the sectors it lands on, so a kernel stack on a frame
+// without storage costs the one sector its context is saved in. Zero
+// keeps a frame's owned storage, so a stack on a frame that already has
+// some (one that once held a user page, say) keeps it, and the pattern is
+// written into it.
 //
 // Everything that matters for Otherworld lives here as raw bytes — the main
 // kernel's heap records, page tables, kernel stacks, user pages, the page
@@ -135,12 +141,22 @@ type Mem struct {
 	stats Stats
 }
 
-// sectorSize is the unit of frame storage: the 512 B sector fs.FlatFS
-// stores files in.
-const sectorSize = 512
+// SectorSize is the unit of frame storage and of generation: the 512 B
+// sector fs.FlatFS stores files in.
+const SectorSize = 512
 
 // sectorsPerFrame is the number of sectors in a frame.
-const sectorsPerFrame = PageSize / sectorSize
+const sectorsPerFrame = PageSize / SectorSize
+
+// AllSectors is the sector set of a whole frame, in the answers of
+// Generated: bit i stands for sector i.
+const AllSectors uint8 = 1<<sectorsPerFrame - 1
+
+// sectorsOf returns the set of the sectors that the n > 0 bytes from off,
+// inside one frame, touch.
+func sectorsOf(off, n int) uint8 {
+	return AllSectors << (off / SectorSize) & (AllSectors >> (sectorsPerFrame - 1 - (off+n-1)/SectorSize))
+}
 
 // chunkFrames is the number of frame records a chunk holds. After a crash,
 // a recovery and a serve, sixteen gave the smallest table and chunks on
@@ -151,30 +167,30 @@ const chunkFrames = 16
 // chunk is the storage records of chunkFrames consecutive frames, inline,
 // so finding a frame's record costs no load beyond the chunk pointer. A
 // chunk is allocated by the first write that stores a non-zero byte in
-// one of its frames, and is never replaced or dropped.
+// one of its frames or the first Generate that generates a sector of one,
+// and is never replaced or dropped.
 type chunk [chunkFrames]frame
 
-// frame is one frame's storage record: eight sector pointers, a page and a
-// pattern. It is in one of four states.
+// frame is one frame's storage record: eight sector pointers, a page, a
+// pattern and the set of sectors the pattern generates. Each sector is in
+// one of three states.
 //
-//   - Empty (the zero record): the frame has only ever been written zeros
-//     and reads as zeros.
-//   - Sparse: no page; a nil sector has only ever been written zeros, and
-//     each sector gets storage from the first write that puts a non-zero
-//     byte on it.
-//   - Dense: the frame's first storing write put a non-zero byte on every
-//     sector, so it got one page, and its sectors are the page's eight
-//     slices: word accesses take the same path, and bulk copies use the
-//     page directly.
-//   - Generated: no page and no sectors, only the Pattern Generate gave
-//     it. Reads compute the pattern's bytes; the first write gives the
-//     frame a private page filled from the pattern, which makes it dense,
-//     and Zero empties it instead.
+//   - Empty: no storage and not generated. It has only ever been written
+//     zeros and reads as zeros; the first write that puts a non-zero byte
+//     on it gives it storage.
+//   - Owned: it has storage of its own, a sector or a slice of the page.
+//   - Generated: its bit is set in genMask. It has no storage and reads as
+//     the pattern's bytes; the first write that lands on it gives it
+//     storage filled from the pattern first, and Zero empties it.
 //
-// Owned storage never changes representation, and its sectors and page
-// are never replaced or dropped: a sparse frame that fills up keeps its
-// sectors. A generated frame owns nothing to replace; it stops being
-// generated at its first write, its Zero or another Generate.
+// A frame has one page only if it was empty, with no storage and no
+// generated sector, and its first storing write put a non-zero byte on
+// every sector: it is dense, and its sectors are the page's eight slices,
+// so word accesses take the same path and bulk copies use the page
+// directly. Owned storage never changes representation, and its sectors
+// and page are never replaced or dropped: a sparse frame that fills up,
+// and a generated frame written all over, keep their sectors. A frame
+// holds one pattern: gen is nil exactly when no sector is generated.
 //
 // Storage is added without a lock because a Mem and its views have one
 // writer at a time. During a resurrection pass the scan workers only read,
@@ -182,19 +198,36 @@ type chunk [chunkFrames]frame
 // goroutine once every scan has finished. The campaign pool gives each
 // worker its own machine.
 type frame struct {
-	sec  [sectorsPerFrame]*[sectorSize]byte
-	page *[PageSize]byte
-	gen  *Pattern
+	sec     [sectorsPerFrame]*[SectorSize]byte
+	page    *[PageSize]byte
+	gen     *Pattern
+	genMask uint8
 }
 
 // owned reports whether the frame has storage of its own: a sector.
-func (fr *frame) owned() bool { return fr.sec != [sectorsPerFrame]*[sectorSize]byte{} }
+func (fr *frame) owned() bool { return fr.sec != [sectorsPerFrame]*[SectorSize]byte{} }
+
+// privatize gives each generated sector of touched storage of its own,
+// filled from the pattern, which then no longer generates it.
+func (fr *frame) privatize(base uint64, touched uint8) {
+	touched &= fr.genMask
+	for s := range fr.sec {
+		if touched&(1<<s) != 0 {
+			sec := new([SectorSize]byte)
+			fr.gen.fill(base+uint64(s*SectorSize), sec[:])
+			fr.sec[s] = sec
+		}
+	}
+	if fr.genMask &^= touched; fr.genMask == 0 {
+		fr.gen = nil
+	}
+}
 
 // setPage makes p the frame's owned page, its sectors p's slices.
 func (fr *frame) setPage(p *[PageSize]byte) {
 	fr.page = p
 	for i := range fr.sec {
-		fr.sec[i] = (*[sectorSize]byte)(p[i*sectorSize:])
+		fr.sec[i] = (*[SectorSize]byte)(p[i*SectorSize:])
 	}
 }
 
@@ -204,7 +237,7 @@ func (fr *frame) setPage(p *[PageSize]byte) {
 func storedSectors(off int, src []byte) int {
 	stored, zero := 0, false
 	for len(src) > 0 && (stored == 0 || !zero) {
-		n := min(len(src), sectorSize-off%sectorSize)
+		n := min(len(src), SectorSize-off%SectorSize)
 		if PageIsZero(src[:n]) {
 			zero = true
 		} else {
@@ -215,14 +248,24 @@ func storedSectors(off int, src []byte) int {
 	return stored
 }
 
-// unstored returns the bytes from off to the frame's next stored sector, or
-// to its end.
+// unstored returns the bytes from off to the frame's next sector that is
+// stored or generated, or to its end.
 func (fr *frame) unstored(off int) int {
-	i := off / sectorSize
-	for i < sectorsPerFrame && fr.sec[i] == nil {
+	i := off / SectorSize
+	for i < sectorsPerFrame && fr.sec[i] == nil && fr.genMask&(1<<i) == 0 {
 		i++
 	}
-	return i*sectorSize - off
+	return i*SectorSize - off
+}
+
+// generatedRun returns the bytes from off, in a generated sector, to the
+// end of the run of generated sectors that holds it.
+func (fr *frame) generatedRun(off int) int {
+	i := off/SectorSize + 1
+	for i < sectorsPerFrame && fr.genMask&(1<<i) != 0 {
+		i++
+	}
+	return i*SectorSize - off
 }
 
 // write copies src onto the frame's owned storage at off; src must not run
@@ -234,15 +277,15 @@ func (fr *frame) write(off int, src []byte) {
 		return
 	}
 	for len(src) > 0 {
-		i := off / sectorSize
-		n := min(len(src), sectorSize-off%sectorSize)
+		i := off / SectorSize
+		n := min(len(src), SectorSize-off%SectorSize)
 		s := fr.sec[i]
 		if s == nil && !PageIsZero(src[:n]) {
-			s = new([sectorSize]byte)
+			s = new([SectorSize]byte)
 			fr.sec[i] = s
 		}
 		if s != nil {
-			copy(s[off%sectorSize:], src[:n])
+			copy(s[off%SectorSize:], src[:n])
 		}
 		src, off = src[n:], off+n
 	}
@@ -274,18 +317,18 @@ func FrameOf(addr uint64) int { return int(addr / PageSize) }
 // FrameAddr returns the physical address of the first byte of frame f.
 func FrameAddr(f int) uint64 { return uint64(f) * PageSize }
 
-// Pattern is what a generated frame holds: a pure function of the physical
-// address. A frame Generate gives a Pattern reads as the function's bytes
-// until it is written, and memory stores none of them before that.
-// Patterns are told apart by identity, so ReadGenerated and Generated name
-// the very Pattern that Generate was given.
+// Pattern is what a generated sector holds: a pure function of the
+// physical address. A sector Generate gives a Pattern reads as the
+// function's bytes until it is written, and memory stores none of them
+// before that. Patterns are told apart by identity, so ReadGenerated and
+// Generated name the very Pattern that Generate was given.
 type Pattern struct {
 	at func(addr uint64) byte
 }
 
 // NewPattern returns the Pattern whose byte at each address is at(addr).
 // at must be pure and safe to call from several goroutines at once: every
-// read of a generated frame, through any View, calls it again.
+// read of a generated sector, through any View, calls it again.
 func NewPattern(at func(addr uint64) byte) *Pattern { return &Pattern{at: at} }
 
 // fill writes the pattern's bytes for addr onward into dst.
@@ -337,7 +380,7 @@ func (m *Mem) Absorb(v *Mem) {
 
 // ReadAt copies len(buf) bytes starting at addr into buf. Bytes of frames
 // and sectors without storage read as zeros, a dense frame is copied in
-// one piece, and a generated frame's bytes are computed into buf.
+// one piece, and the bytes of generated sectors are computed into buf.
 func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -346,20 +389,20 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 	m.stats.ReadBytes += int64(len(buf))
 	for len(buf) > 0 {
 		var n int
-		fr := m.record(FrameOf(addr))
-		switch {
+		fr, off := m.record(FrameOf(addr)), int(addr%PageSize)
+		switch s := off / SectorSize; {
 		case fr == nil:
-			n = min(len(buf), PageSize-int(addr%PageSize))
+			n = min(len(buf), PageSize-off)
 			clear(buf[:n])
 		case fr.page != nil:
-			n = copy(buf, fr.page[addr%PageSize:])
-		case fr.sec[addr/sectorSize%sectorsPerFrame] != nil:
-			n = copy(buf, fr.sec[addr/sectorSize%sectorsPerFrame][addr%sectorSize:])
-		case fr.gen != nil:
-			n = min(len(buf), PageSize-int(addr%PageSize))
+			n = copy(buf, fr.page[off:])
+		case fr.sec[s] != nil:
+			n = copy(buf, fr.sec[s][off%SectorSize:])
+		case fr.genMask&(1<<s) != 0:
+			n = min(len(buf), fr.generatedRun(off))
 			fr.gen.fill(addr, buf[:n])
 		default:
-			n = min(len(buf), fr.unstored(int(addr%PageSize)))
+			n = min(len(buf), fr.unstored(off))
 			clear(buf[:n])
 		}
 		buf = buf[n:]
@@ -370,9 +413,9 @@ func (m *Mem) ReadAt(addr uint64, buf []byte) error {
 
 // ReadGenerated counts a read of the n bytes at addr exactly as ReadAt
 // would, copying nothing, and reports whether p still generates every
-// frame those bytes touch, in which case they are p's bytes. It counts the
-// read whatever it reports, so a caller that learns some frame was written
-// copies that frame with CopyFrame, which counts nothing, and its read is
+// sector those bytes touch, in which case they are p's bytes. It counts
+// the read whatever it reports, so a caller that learns some sector was
+// written copies it with CopyFrame, which counts nothing, and its read is
 // still counted once. Out of range it counts nothing and reports false.
 func (m *Mem) ReadGenerated(addr uint64, n int, p *Pattern) bool {
 	if m.check(addr, n) != nil {
@@ -380,25 +423,35 @@ func (m *Mem) ReadGenerated(addr uint64, n int, p *Pattern) bool {
 	}
 	m.stats.ReadOps++
 	m.stats.ReadBytes += int64(n)
-	for f := FrameOf(addr); n > 0 && FrameAddr(f) < addr+uint64(n); f++ {
-		if !m.generated(f, p) {
+	for f, off := FrameOf(addr), int(addr%PageSize); n > 0; f, off = f+1, 0 {
+		k := min(n, PageSize-off)
+		fr := m.record(f)
+		if fr == nil || fr.gen != p {
 			return false
 		}
+		if fr.genMask != AllSectors { // else p generates every sector
+			if want := sectorsOf(off, k); fr.genMask&want != want {
+				return false
+			}
+		}
+		n -= k
 	}
 	return true
 }
 
-// Generated reports whether frame f is still generated by p: Generate gave
-// it p, and nothing has written, zeroed or generated it since. Like Kind,
-// it counts nothing.
-func (m *Mem) Generated(f int, p *Pattern) bool {
-	return f >= 0 && f < m.NumFrames() && m.generated(f, p)
-}
-
-// generated is Generated for an installed frame.
-func (m *Mem) generated(f int, p *Pattern) bool {
-	fr := m.record(f)
-	return p != nil && fr != nil && fr.gen == p
+// Generated returns the set of frame f's sectors that p still generates,
+// bit i for sector i: AllSectors for a frame p generates whole. A sector
+// is generated by p once Generate gave it p, until something writes or
+// zeroes it or generates it with another pattern. Like Kind, it counts
+// nothing, and out of range it returns no sector.
+func (m *Mem) Generated(f int, p *Pattern) uint8 {
+	if f < 0 || f >= m.NumFrames() {
+		return 0
+	}
+	if fr := m.record(f); fr != nil && fr.gen == p {
+		return fr.genMask
+	}
+	return 0
 }
 
 // WriteAt copies buf into memory at addr, honoring write protection: if any
@@ -407,8 +460,7 @@ func (m *Mem) generated(f int, p *Pattern) bool {
 // holds addr, if there is one. The part of buf that lands on a sector
 // without storage gives it storage only if it holds a non-zero byte; all
 // zeros there change nothing, yet the write counts in full. A generated
-// frame the write lands on gets a private page filled from its pattern
-// first.
+// sector the write lands on gets storage filled from its pattern first.
 func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	if err := m.check(addr, len(buf)); err != nil {
 		return err
@@ -429,14 +481,14 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 		var n int
 		fr := m.record(FrameOf(addr))
 		switch {
-		case fr == nil || fr.sec[addr/sectorSize%sectorsPerFrame] == nil:
-			// No storage here yet, or a generated frame.
+		case fr == nil || fr.sec[addr/SectorSize%sectorsPerFrame] == nil:
+			// No storage here yet, or a generated sector.
 			n = min(len(buf), PageSize-int(addr%PageSize))
 			m.write(FrameOf(addr), int(addr%PageSize), buf[:n])
 		case fr.page != nil:
 			n = copy(fr.page[addr%PageSize:], buf)
 		default:
-			n = copy(fr.sec[addr/sectorSize%sectorsPerFrame][addr%sectorSize:], buf)
+			n = copy(fr.sec[addr/SectorSize%sectorsPerFrame][addr%SectorSize:], buf)
 		}
 		buf = buf[n:]
 		addr += uint64(n)
@@ -444,18 +496,16 @@ func (m *Mem) WriteAt(addr uint64, buf []byte) error {
 	return nil
 }
 
-// write copies src onto frame f at off; src must not run past the frame.
-// A generated frame first gets a private page filled from its pattern. An
-// empty frame gets storage only if src holds a non-zero byte: one page if
-// src puts one on every sector, sectors otherwise.
+// write copies src, which is not empty, onto frame f at off; src must not
+// run past the frame. The generated sectors it touches first get storage
+// filled from their pattern. An empty frame gets storage only if src holds
+// a non-zero byte: one page if src puts one on every sector, sectors
+// otherwise.
 func (m *Mem) write(f, off int, src []byte) {
 	fr := m.record(f)
 	switch {
-	case fr != nil && fr.gen != nil:
-		p := new([PageSize]byte)
-		fr.gen.fill(FrameAddr(f), p[:])
-		fr.gen = nil
-		fr.setPage(p)
+	case fr != nil && fr.genMask != 0:
+		fr.privatize(FrameAddr(f), sectorsOf(off, len(src)))
 	case fr == nil || !fr.owned():
 		stored := storedSectors(off, src)
 		if stored == 0 {
@@ -469,35 +519,58 @@ func (m *Mem) write(f, off int, src []byte) {
 	fr.write(off, src)
 }
 
-// Generate writes p's bytes over frame f with the effect, the counts and
-// the protection check of a WriteAt of them, but where the frame has no
-// storage of its own it stores none: the frame reads as p until its first
-// write, which gives it a private page filled from p, its Zero, which
-// empties it, or another Generate. A frame with owned storage is written
-// as WriteAt would write it. p must not be nil.
-func (m *Mem) Generate(f int, p *Pattern) error {
-	if f < 0 || f >= m.NumFrames() {
+// Generate writes p's bytes over frame f from offset off to the frame's
+// end, with the effect, the counts and the protection check of a WriteAt
+// of them, but each sector it covers whole that has no storage of its own
+// stores none: it reads as p until a write lands on it, which gives it
+// storage filled from p, its frame's Zero, which empties it, or another
+// Generate. A sector it covers in part, and one with owned storage, is
+// written as WriteAt would write it. A frame holds one pattern, so a
+// sector that another pattern generates and Generate does not cover gets
+// storage filled from that pattern first. off must lie inside the frame,
+// and p must not be nil.
+func (m *Mem) Generate(f, off int, p *Pattern) error {
+	if f < 0 || f >= m.NumFrames() || off < 0 || off >= PageSize {
 		return ErrOutOfRange
 	}
 	if m.prot[f] {
 		m.stats.ProtFaults++
-		return &ProtectionFault{Addr: FrameAddr(f), Frame: f}
+		return &ProtectionFault{Addr: FrameAddr(f) + uint64(off), Frame: f}
 	}
 	m.stats.WriteOps++
-	m.stats.WriteBytes += PageSize
-	if fr := m.record(f); fr != nil && fr.owned() {
-		var page [PageSize]byte
-		p.fill(FrameAddr(f), page[:])
-		fr.write(0, page[:])
+	m.stats.WriteBytes += int64(PageSize - off)
+	base := FrameAddr(f)
+	whole := (off + SectorSize - 1) / SectorSize // the first sector covered whole
+	if head := whole*SectorSize - off; head > 0 {
+		var b [SectorSize]byte
+		p.fill(base+uint64(off), b[:head])
+		m.write(f, off, b[:head])
+	}
+	if whole == sectorsPerFrame {
 		return nil
 	}
-	*m.store(f) = frame{gen: p}
+	covered := AllSectors << whole
+	fr := m.store(f)
+	for s := whole; s < sectorsPerFrame; s++ {
+		if sec := fr.sec[s]; sec != nil {
+			p.fill(base+uint64(s*SectorSize), sec[:])
+			covered &^= 1 << s
+		}
+	}
+	if covered == 0 {
+		return nil
+	}
+	if rest := fr.genMask &^ covered; rest != 0 && fr.gen != p {
+		fr.privatize(base, rest)
+	}
+	fr.gen = p
+	fr.genMask |= covered
 	return nil
 }
 
 // ReadU64 reads a little-endian 64-bit word, counted as one 8-byte ReadAt.
 // An aligned word lies in one sector and is read there directly, or
-// computed from a generated frame's pattern; only an unaligned one goes
+// computed from a generated sector's pattern; only an unaligned one goes
 // through ReadAt.
 func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 	if addr%8 != 0 {
@@ -518,24 +591,24 @@ func (m *Mem) ReadU64(addr uint64) (uint64, error) {
 		return 0, nil
 	}
 	fr := &c[f%chunkFrames]
-	s := fr.sec[addr/sectorSize%sectorsPerFrame]
-	if s == nil {
-		if fr.gen == nil {
-			return 0, nil
-		}
-		var b [8]byte
-		fr.gen.fill(addr, b[:])
-		return binary.LittleEndian.Uint64(b[:]), nil
+	i := addr / SectorSize % sectorsPerFrame
+	if s := fr.sec[i]; s != nil {
+		return binary.LittleEndian.Uint64(s[addr%SectorSize:]), nil
 	}
-	return binary.LittleEndian.Uint64(s[addr%sectorSize:]), nil
+	if fr.genMask&(1<<i) == 0 {
+		return 0, nil
+	}
+	var b [8]byte
+	fr.gen.fill(addr, b[:])
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian 64-bit word, honoring protection and
 // counted as one 8-byte WriteAt. An aligned word lies in one sector and,
 // once the sector has storage, is written there directly; only an
 // unaligned one goes through WriteAt. Like WriteAt, a zero word gives a
-// sector without storage none, and a generated frame gets a private page
-// filled from its pattern first.
+// sector without storage none, and a generated sector gets storage filled
+// from its pattern first.
 func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	if addr%8 != 0 {
 		var b [8]byte
@@ -553,8 +626,8 @@ func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	m.stats.WriteOps++
 	m.stats.WriteBytes += 8
 	if c := m.chunks[f/chunkFrames]; c != nil {
-		if s := c[f%chunkFrames].sec[addr/sectorSize%sectorsPerFrame]; s != nil {
-			binary.LittleEndian.PutUint64(s[addr%sectorSize:], v)
+		if s := c[f%chunkFrames].sec[addr/SectorSize%sectorsPerFrame]; s != nil {
+			binary.LittleEndian.PutUint64(s[addr%SectorSize:], v)
 			return nil
 		}
 	}
@@ -564,17 +637,18 @@ func (m *Mem) WriteU64(addr uint64, v uint64) error {
 	return nil
 }
 
-// CopyFrame copies frame f into buf, as many bytes as fit: the whole frame
-// when buf holds PageSize bytes. Like ReadAt it gives no sector storage,
-// but it counts no traffic; it is intended for kernel-internal fast paths
-// that have already checked ownership, such as handing a page to swap.
-func (m *Mem) CopyFrame(f int, buf []byte) error {
-	if f < 0 || f >= m.NumFrames() {
+// CopyFrame copies frame f's bytes from offset off into buf, as many as fit
+// before the frame's end: the whole frame when off is 0 and buf holds
+// PageSize bytes. Like ReadAt it gives no sector storage, but it counts no
+// traffic; it is intended for kernel-internal fast paths that have already
+// checked ownership, such as handing a page to swap.
+func (m *Mem) CopyFrame(f, off int, buf []byte) error {
+	if f < 0 || f >= m.NumFrames() || off < 0 || off > PageSize {
 		return ErrOutOfRange
 	}
 	// A throwaway view shares the storage but not m's counters.
 	v := Mem{chunks: m.chunks, prot: m.prot}
-	return v.ReadAt(FrameAddr(f), buf[:min(len(buf), PageSize)])
+	return v.ReadAt(FrameAddr(f)+uint64(off), buf[:min(len(buf), PageSize-off)])
 }
 
 // Protect sets or clears write protection on frame f.
@@ -623,8 +697,8 @@ func (m *Mem) CountKind(k FrameKind) int {
 }
 
 // Zero clears frame f, honoring protection: stored sectors are cleared in
-// place, a sector without storage is already zero and keeps none, and a
-// generated frame stops being generated and is empty.
+// place, a sector without storage is already zero and keeps none, and the
+// frame's generated sectors stop being generated and are empty.
 func (m *Mem) Zero(f int) error {
 	if f < 0 || f >= m.NumFrames() {
 		return ErrOutOfRange
@@ -635,16 +709,13 @@ func (m *Mem) Zero(f int) error {
 	}
 	m.stats.WriteOps++
 	m.stats.WriteBytes += PageSize
-	switch fr := m.record(f); {
-	case fr == nil:
-	case fr.gen != nil:
-		*fr = frame{}
-	default:
+	if fr := m.record(f); fr != nil {
 		for _, s := range fr.sec {
 			if s != nil {
 				clear(s[:])
 			}
 		}
+		fr.gen, fr.genMask = nil, 0
 	}
 	return nil
 }

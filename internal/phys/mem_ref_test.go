@@ -94,7 +94,7 @@ const (
 	opCopyFrame
 	opView     // later ops go through a fresh View of the Mem
 	opAbsorb   // the Mem absorbs the newest view; later ops go to the one before
-	opGenerate // Generate with one of genPatterns, which the reference writes
+	opGenerate // Generate from an offset with one of genPatterns, which the reference writes
 	opReadGenerated
 	numMemOps
 )
@@ -130,7 +130,8 @@ var genPatterns = [...]*Pattern{
 
 // memOp is one decoded op. Addresses reach a frame past the end of memory
 // (or far beyond it), lengths reach three frames, and frame numbers reach
-// one past each end.
+// one past each end. opGenerate takes its offset from the length and
+// opCopyFrame from the address (genOff, copyOff).
 type memOp struct {
 	code int
 	addr uint64
@@ -215,10 +216,18 @@ func wordOf(op memOp) uint64 {
 // genPattern is the pattern opGenerate gives and opReadGenerated names.
 func genPattern(op memOp) *Pattern { return genPatterns[op.arg%len(genPatterns)] }
 
+// genOff is the offset opGenerate generates from; PageSize, past the
+// frame's last byte, is refused.
+func (op memOp) genOff() int { return op.n % (PageSize + 1) }
+
+// copyOff is the offset opCopyFrame copies from; PageSize copies nothing,
+// and PageSize+1 is refused.
+func (op memOp) copyOff() int { return int(op.addr % (PageSize + 2)) }
+
 // written returns the address and bytes op writes if it succeeds, and
 // whether it is a write at all: WriteAt's, WriteU64's and Generate's,
-// which the model treats as a WriteAt of the pattern's bytes for the
-// frame.
+// which the model treats as a WriteAt of the pattern's bytes from the
+// offset to the frame's end.
 func written(op memOp) (addr uint64, buf []byte, ok bool) {
 	switch op.code {
 	case opWriteAt:
@@ -228,70 +237,184 @@ func written(op memOp) (addr uint64, buf []byte, ok bool) {
 	case opWriteU64:
 		return op.addr, binary.LittleEndian.AppendUint64(nil, wordOf(op)), true
 	case opGenerate:
-		buf = make([]byte, PageSize)
-		genPattern(op).fill(FrameAddr(op.f), buf)
-		return FrameAddr(op.f), buf, true
+		off := min(op.genOff(), PageSize)
+		buf = make([]byte, PageSize-off)
+		genPattern(op).fill(FrameAddr(op.f)+uint64(off), buf)
+		return FrameAddr(op.f) + uint64(off), buf, true
 	}
 	return 0, nil, false
 }
 
-// effects reports, for each frame and each sector of memory, whether op,
-// if it succeeds, writes a byte on the frame and puts a non-zero byte on
-// the sector.
-func effects(op memOp) (frames [fuzzFrames]bool, nonZero [fuzzFrames * sectorsPerFrame]bool) {
-	addr, buf, _ := written(op)
-	for i, c := range buf {
-		if a := addr + uint64(i); a < fuzzFrames*PageSize {
-			frames[FrameOf(a)] = true
-			nonZero[a/sectorSize] = nonZero[a/sectorSize] || c != 0
-		}
+// stored returns the address and bytes of op's write that storage takes
+// as written bytes: all of a WriteAt's or WriteU64's, and of a Generate's
+// only the part of the sector it covers in part.
+func stored(op memOp) (addr uint64, buf []byte) {
+	addr, buf, _ = written(op)
+	if op.code == opGenerate {
+		buf = buf[:min(len(buf), (SectorSize-op.genOff()%SectorSize)%SectorSize)]
 	}
-	return frames, nonZero
+	return addr, buf
 }
 
-// contents returns m's bytes without going through the counted accessors:
-// a generated frame's pattern, and otherwise sector by sector (a dense
-// frame's sectors are slices of its page).
+// contents returns m's bytes without going through the counted accessors,
+// sector by sector: a sector's storage (a dense frame's sectors are slices
+// of its page), its pattern's bytes if it is generated, and zeros
+// otherwise.
 func contents(m *Mem) []byte {
 	out := make([]byte, m.Size())
 	for f := 0; f < m.NumFrames(); f++ {
 		fr := m.record(f)
-		switch {
-		case fr == nil:
-		case fr.gen != nil:
-			fr.gen.fill(FrameAddr(f), out[FrameAddr(f):][:PageSize])
-		default:
-			for i, sec := range fr.sec {
-				if sec != nil {
-					copy(out[FrameAddr(f)+uint64(i*sectorSize):], sec[:])
-				}
+		if fr == nil {
+			continue
+		}
+		for i, sec := range fr.sec {
+			a := FrameAddr(f) + uint64(i*SectorSize)
+			switch {
+			case sec != nil:
+				copy(out[a:], sec[:])
+			case fr.genMask&(1<<i) != 0:
+				fr.gen.fill(a, out[a:][:SectorSize])
 			}
 		}
 	}
 	return out
 }
 
-// storage is a copy of one frame's storage pointers, its pattern and its
-// chunk.
+// storage is a copy of one frame's storage pointers, its pattern, its
+// generated sectors and its chunk.
 type storage struct {
-	chunk *chunk
-	page  *[PageSize]byte
-	sec   [sectorsPerFrame]*[sectorSize]byte
-	gen   *Pattern
+	chunk   *chunk
+	page    *[PageSize]byte
+	sec     [sectorsPerFrame]*[SectorSize]byte
+	gen     *Pattern
+	genMask uint8
 }
-
-// owned reports whether the frame had storage of its own.
-func (s storage) owned() bool { return s.sec != [sectorsPerFrame]*[sectorSize]byte{} }
 
 func storageOf(m *Mem) []storage {
 	out := make([]storage, m.NumFrames())
 	for f := range out {
 		out[f].chunk = m.chunks[f/chunkFrames]
 		if fr := m.record(f); fr != nil {
-			out[f].page, out[f].sec, out[f].gen = fr.page, fr.sec, fr.gen
+			out[f].page, out[f].sec, out[f].gen, out[f].genMask = fr.page, fr.sec, fr.gen, fr.genMask
 		}
 	}
 	return out
+}
+
+// The states of a sector's storage.
+const (
+	sectorEmpty = iota
+	sectorOwned
+	sectorGenerated
+)
+
+// shape is a frame's storage as the rules see it: each sector's state, the
+// pattern its generated sectors read as, and whether it is one page.
+type shape struct {
+	state [sectorsPerFrame]int
+	gen   *Pattern
+	dense bool
+}
+
+func shapeOf(s storage) shape {
+	sh := shape{gen: s.gen, dense: s.page != nil}
+	for i := range sh.state {
+		switch {
+		case s.sec[i] != nil:
+			sh.state[i] = sectorOwned
+		case s.genMask&(1<<i) != 0:
+			sh.state[i] = sectorGenerated
+		}
+	}
+	return sh
+}
+
+// all reports whether every sector of sh is in state st.
+func (sh shape) all(st int) bool {
+	for _, s := range sh.state {
+		if s != st {
+			return false
+		}
+	}
+	return true
+}
+
+// wantShapes applies a successful op's storage rules to the frames' shapes
+// before it:
+//   - a write gives storage to every generated sector it touches and to
+//     every empty sector it puts a non-zero byte on; a frame with no
+//     storage and no generated sector gets one page if the write puts a
+//     non-zero byte on every sector;
+//   - Generate first writes the sector it covers in part, as such a write.
+//     Each sector it covers whole that has no storage becomes generated by
+//     its pattern, and if that changes the frame's pattern, the sectors the
+//     old pattern still generates get storage;
+//   - Zero ends the frame's generation.
+func wantShapes(op memOp, before []storage) []shape {
+	want := make([]shape, len(before))
+	for f := range before {
+		want[f] = shapeOf(before[f])
+	}
+	addr, buf := stored(op)
+	var touched, nonZero [fuzzFrames]uint8
+	for i, c := range buf {
+		if a := addr + uint64(i); a < fuzzFrames*PageSize {
+			bit := uint8(1) << (a % PageSize / SectorSize)
+			touched[FrameOf(a)] |= bit
+			if c != 0 {
+				nonZero[FrameOf(a)] |= bit
+			}
+		}
+	}
+	for f := range want {
+		sh := &want[f]
+		if touched[f] == 0 {
+			continue
+		}
+		if sh.all(sectorEmpty) && nonZero[f] == AllSectors {
+			sh.dense = true
+		}
+		for i, st := range sh.state {
+			if bit := uint8(1) << i; st == sectorGenerated && touched[f]&bit != 0 || st == sectorEmpty && nonZero[f]&bit != 0 {
+				sh.state[i] = sectorOwned
+			}
+		}
+	}
+	switch {
+	case op.code == opZero:
+		for i, st := range want[op.f].state {
+			if st == sectorGenerated {
+				want[op.f].state[i] = sectorEmpty
+			}
+		}
+	case op.code == opGenerate:
+		sh, p := &want[op.f], genPattern(op)
+		var fresh [sectorsPerFrame]bool
+		for i := (op.genOff() + SectorSize - 1) / SectorSize; i < sectorsPerFrame; i++ {
+			fresh[i] = sh.state[i] != sectorOwned
+		}
+		if fresh != [sectorsPerFrame]bool{} {
+			for i, st := range sh.state {
+				if st == sectorGenerated && !fresh[i] && sh.gen != p {
+					sh.state[i] = sectorOwned
+				}
+				if fresh[i] {
+					sh.state[i] = sectorGenerated
+				}
+			}
+			sh.gen = p
+		}
+	}
+	for f := range want {
+		hasGen := false
+		for _, st := range want[f].state {
+			hasGen = hasGen || st == sectorGenerated
+		}
+		if !hasGen {
+			want[f].gen = nil
+		}
+	}
+	return want
 }
 
 // isGenPattern reports whether p is one of genPatterns.
@@ -306,95 +429,52 @@ func isGenPattern(p *Pattern) bool {
 
 // checkStorage fails unless the change from before to after, made by op
 // with error err, keeps the storage rules:
-//   - a chunk appears exactly when a successful op stores a non-zero byte
-//     in one of its frames or generates one of them, and is never replaced
-//     or dropped;
-//   - owned storage keeps every page and sector it has, and a sector
-//     gains storage exactly when a successful write puts a non-zero byte
-//     on it;
-//   - a frame without storage gains a whole page exactly when its first
-//     storing write puts a non-zero byte on every sector, and a dense
+//   - every frame has the shape wantShapes gives it (a failed op changes
+//     none), and a frame is only ever generated by one of genPatterns;
+//   - a generated sector has no storage, and a frame has a pattern
+//     exactly when it has a generated sector;
+//   - owned storage keeps every page and sector it has, and a dense
 //     frame's sectors are its page's slices;
-//   - a successful Generate makes a frame without owned storage generated
-//     by the op's pattern, with no storage, whatever the pattern's bytes;
-//   - a generated frame has no storage until a successful op writes a
-//     byte on it, which gives it a private page (the memory check holds
-//     its bytes to the pattern's), or Zero empties it; and a frame is only
-//     ever generated by one of genPatterns, and only through Generate, so
-//     one that stops being generated stays so until the next Generate.
+//   - a chunk appears exactly when a successful op gives storage to a
+//     sector of one of its frames or generates one, and is never replaced
+//     or dropped.
 func checkStorage(t *testing.T, i int, op memOp, err error, before, after []storage) {
 	t.Helper()
-	wrote, nonZero := effects(op)
-	if err != nil {
-		wrote, nonZero = [fuzzFrames]bool{}, [fuzzFrames * sectorsPerFrame]bool{}
+	want := make([]shape, len(before))
+	for f := range before {
+		want[f] = shapeOf(before[f])
 	}
-	generate := err == nil && op.code == opGenerate
-	zeroed := err == nil && op.code == opZero
+	if err == nil {
+		want = wantShapes(op, before)
+	}
 	var stores [fuzzFrames/chunkFrames + 1]bool
 	for f := range after {
 		b, a := before[f], after[f]
-		generatedNow := generate && f == op.f && !b.owned()
-		stores[f/chunkFrames] = stores[f/chunkFrames] || generatedNow
-		for s := 0; s < sectorsPerFrame; s++ {
-			stores[f/chunkFrames] = stores[f/chunkFrames] || nonZero[f*sectorsPerFrame+s]
+		if got := shapeOf(a); got != want[f] {
+			t.Fatalf("op %d %+v: frame %d has shape %+v, want %+v", i, op, f, got, want[f])
 		}
+		stores[f/chunkFrames] = stores[f/chunkFrames] || !want[f].all(sectorEmpty)
 		if b.chunk != nil && a.chunk != b.chunk {
 			t.Fatalf("op %d %+v: frame %d's chunk was replaced or dropped", i, op, f)
 		}
-		if a.page != nil && a.owned() {
-			for s := range a.sec {
-				if a.sec[s] != (*[sectorSize]byte)(a.page[s*sectorSize:]) {
-					t.Fatalf("op %d %+v: dense frame %d's sector %d is not a slice of its page", i, op, f, s)
-				}
-			}
+		if a.gen != nil && !isGenPattern(a.gen) {
+			t.Fatalf("op %d %+v: frame %d is generated by a foreign pattern", i, op, f)
 		}
-		if a.gen != nil && (a.page != nil || a.owned() || !isGenPattern(a.gen)) {
-			t.Fatalf("op %d %+v: frame %d is generated with storage or by a foreign pattern", i, op, f)
+		if (a.gen != nil) != (a.genMask != 0) {
+			t.Fatalf("op %d %+v: frame %d has pattern %v and generated sectors %08b", i, op, f, a.gen != nil, a.genMask)
 		}
-		switch {
-		case b.owned():
-			if a.page != b.page {
-				t.Fatalf("op %d %+v: frame %d's page was replaced or dropped", i, op, f)
+		if b.page != nil && a.page != b.page {
+			t.Fatalf("op %d %+v: frame %d's page was replaced or dropped", i, op, f)
+		}
+		for s := range a.sec {
+			if a.sec[s] != nil && a.genMask&(1<<s) != 0 {
+				t.Fatalf("op %d %+v: frame %d sector %d is generated and has storage", i, op, f, s)
 			}
-			for s := range a.sec {
-				want := b.sec[s] != nil || nonZero[f*sectorsPerFrame+s]
-				switch {
-				case b.sec[s] != nil && a.sec[s] != b.sec[s]:
-					t.Fatalf("op %d %+v: frame %d sector %d's storage was replaced or dropped", i, op, f, s)
-				case (a.sec[s] != nil) != want:
-					t.Fatalf("op %d %+v: frame %d sector %d has storage %v, want %v", i, op, f, s, a.sec[s] != nil, want)
-				}
+			if b.sec[s] != nil && a.sec[s] != b.sec[s] {
+				t.Fatalf("op %d %+v: frame %d sector %d's storage was replaced or dropped", i, op, f, s)
 			}
-		case generatedNow:
-			if a.gen != genPattern(op) {
-				t.Fatalf("op %d %+v: frame %d is not generated by the pattern it was given", i, op, f)
-			}
-		case b.gen != nil && zeroed && f == op.f:
-			if a.page != nil || a.owned() || a.gen != nil {
-				t.Fatalf("op %d %+v: frame %d has storage or a pattern, want none", i, op, f)
-			}
-		case b.gen != nil && wrote[f]:
-			if a.page == nil || !a.owned() || a.gen != nil {
-				t.Fatalf("op %d %+v: written generated frame %d has no private page", i, op, f)
-			}
-		case b.gen != nil:
-			if a != b {
-				t.Fatalf("op %d %+v: generated frame %d changed its storage", i, op, f)
-			}
-		default: // no storage before
-			if a.gen != nil {
-				t.Fatalf("op %d %+v: frame %d is generated without a Generate", i, op, f)
-			}
-			all := true
-			for s := range a.sec {
-				want := nonZero[f*sectorsPerFrame+s]
-				all = all && want
-				if (a.sec[s] != nil) != want {
-					t.Fatalf("op %d %+v: frame %d sector %d has storage %v, want %v", i, op, f, s, a.sec[s] != nil, want)
-				}
-			}
-			if a.owned() && (a.page != nil) != all {
-				t.Fatalf("op %d %+v: frame %d stored dense %v, want %v", i, op, f, a.page != nil, all)
+			if a.page != nil && a.sec[s] != (*[SectorSize]byte)(a.page[s*SectorSize:]) {
+				t.Fatalf("op %d %+v: dense frame %d's sector %d is not a slice of its page", i, op, f, s)
 			}
 		}
 	}
@@ -420,13 +500,13 @@ func sumStats(ss ...Stats) Stats {
 
 // readsGenerated reports whether ReadGenerated(op.addr, op.n,
 // genPattern(op)) must report true on memory with storage st: the range is
-// inside memory and the op's pattern generates every frame it touches.
+// inside memory and the op's pattern generates every sector it touches.
 func readsGenerated(op memOp, st []storage) bool {
 	if op.addr > fuzzFrames*PageSize || op.addr+uint64(op.n) > fuzzFrames*PageSize {
 		return false
 	}
 	for a := op.addr; a < op.addr+uint64(op.n); a++ {
-		if st[FrameOf(a)].gen != genPattern(op) {
+		if s := st[FrameOf(a)]; s.gen != genPattern(op) || s.genMask&(1<<(a%PageSize/SectorSize)) == 0 {
 			return false
 		}
 	}
@@ -441,7 +521,7 @@ func readsGenerated(op memOp, st []storage) bool {
 // protection, and the Mem's Stats plus every unabsorbed view's must sum to
 // the reference's. It also checks the storage itself after every op, with
 // checkStorage, and that Generated, through the Mem and the current view,
-// names exactly the frames each pattern generates.
+// names exactly the sectors each pattern generates.
 func replayMemOps(t *testing.T, ops []memOp) {
 	t.Helper()
 	root, ref := NewMem(fuzzFrames*PageSize), newFlatMem(fuzzFrames)
@@ -458,14 +538,17 @@ func replayMemOps(t *testing.T, ops []memOp) {
 			fill(gotBuf, 0xee)
 			fill(wantBuf, 0xee)
 			got, want = m.ReadAt(op.addr, gotBuf), ref.readAt(op.addr, wantBuf)
-		case opWriteAt, opGenerate:
+		case opWriteAt:
 			addr, buf, _ := written(op)
-			if op.code == opGenerate {
-				got = m.Generate(op.f, genPattern(op))
-			} else {
-				got = m.WriteAt(addr, buf)
+			got, want = m.WriteAt(addr, buf), ref.writeAt(addr, buf)
+		case opGenerate:
+			// A WriteAt of the pattern's bytes from the offset on, refused
+			// outside the frame.
+			addr, buf, _ := written(op)
+			got = m.Generate(op.f, op.genOff(), genPattern(op))
+			if want = ErrOutOfRange; op.f >= 0 && op.f < fuzzFrames && op.genOff() < PageSize {
+				want = ref.writeAt(addr, buf)
 			}
-			want = ref.writeAt(addr, buf)
 		case opReadU64:
 			var v uint64
 			v, got = m.ReadU64(op.addr)
@@ -483,16 +566,16 @@ func replayMemOps(t *testing.T, ops []memOp) {
 		case opProtect:
 			got, want = m.Protect(op.f, op.arg&1 == 1), ref.protect(op.f, op.arg&1 == 1)
 		case opCopyFrame:
-			// An uncounted read of as much of the frame as the buffer holds;
-			// the junk past it must survive.
+			// An uncounted read of as much of the frame from the offset on
+			// as the buffer holds; the junk past it must survive.
 			gotBuf, wantBuf = make([]byte, op.n), make([]byte, op.n)
 			fill(gotBuf, 0xee)
 			fill(wantBuf, 0xee)
-			got = m.CopyFrame(op.f, gotBuf)
-			if op.f < 0 || op.f >= fuzzFrames {
+			got = m.CopyFrame(op.f, op.copyOff(), gotBuf)
+			if op.f < 0 || op.f >= fuzzFrames || op.copyOff() > PageSize {
 				want = ErrOutOfRange
 			} else {
-				copy(wantBuf, ref.frame(op.f))
+				copy(wantBuf, ref.frame(op.f)[op.copyOff():])
 			}
 		case opReadGenerated:
 			// The check counts as the ReadAt it stands for whatever it
@@ -543,9 +626,12 @@ func replayMemOps(t *testing.T, ops []memOp) {
 		checkStorage(t, i, op, got, before, after)
 		for _, p := range genPatterns {
 			for f := -1; f <= fuzzFrames; f++ {
-				want := f >= 0 && f < fuzzFrames && after[f].gen == p
+				var want uint8
+				if f >= 0 && f < fuzzFrames && after[f].gen == p {
+					want = after[f].genMask
+				}
 				if root.Generated(f, p) != want || m.Generated(f, p) != want {
-					t.Fatalf("op %d %+v: Generated(%d) = %v, want %v", i, op, f, m.Generated(f, p), want)
+					t.Fatalf("op %d %+v: Generated(%d) = %08b, want %08b", i, op, f, m.Generated(f, p), want)
 				}
 			}
 		}
@@ -711,19 +797,19 @@ func FuzzMemOps(f *testing.F) {
 	f.Add(seq(
 		encodeMemOp(opWriteAt, PageSize+100, PageSize-200, 0x12, 0, 0),
 		encodeMemOp(opReadAt, PageSize, PageSize, 0, 0, 0),
-		encodeMemOp(opWriteAt, 2*PageSize, 7*sectorSize, 0x13, 0, 0),
+		encodeMemOp(opWriteAt, 2*PageSize, 7*SectorSize, 0x13, 0, 0),
 		encodeMemOp(opWriteAt, 2*PageSize, PageSize, 0x14, 0, 0),
 		encodeMemOp(opWriteAt, 3*PageSize, PageSize, 0xf1, 0, 0),
 		encodeMemOp(opReadAt, 3*PageSize, PageSize, 0, 0, 0),
-		encodeMemOp(opWriteAt, 3*PageSize+256, 2*sectorSize, 0, 0, 0),
-		encodeMemOp(opReadU64, 3*PageSize+2*sectorSize, 0, 0, 0, 0),
-		encodeMemOp(opWriteU64, 3*PageSize+2*sectorSize+8, 0, 0x21, 0, 0),
-		encodeMemOp(opWriteU64, 3*PageSize+5*sectorSize, 0, 0, 0, 0),
+		encodeMemOp(opWriteAt, 3*PageSize+256, 2*SectorSize, 0, 0, 0),
+		encodeMemOp(opReadU64, 3*PageSize+2*SectorSize, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 3*PageSize+2*SectorSize+8, 0, 0x21, 0, 0),
+		encodeMemOp(opWriteU64, 3*PageSize+5*SectorSize, 0, 0, 0, 0),
 		encodeMemOp(opZero, 0, 0, 0, 1, 0),
-		encodeMemOp(opWriteU64, PageSize+3*sectorSize, 0, 0x22, 0, 0),
+		encodeMemOp(opWriteU64, PageSize+3*SectorSize, 0, 0x22, 0, 0),
 		encodeMemOp(opCopyFrame, 0, PageSize, 0, 1, 0),
-		encodeMemOp(opWriteU64, 7*sectorSize-4, 0, 0x23, 0, 0),
-		encodeMemOp(opReadU64, 7*sectorSize-4, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 7*SectorSize-4, 0, 0x23, 0, 0),
+		encodeMemOp(opReadU64, 7*SectorSize-4, 0, 0, 0, 0),
 		encodeMemOp(opWriteAt, 2000, 3*PageSize, 0xf7, 0, 0),
 		encodeMemOp(opReadAt, 0, 4*PageSize, 0, 0, 0),
 	))
@@ -806,6 +892,95 @@ func FuzzMemOps(f *testing.F) {
 		encodeMemOp(opZero, 0, 0, 0, 9, 0),
 		encodeMemOp(opGenerate, 0, 0, 0, 9, 0),
 		encodeMemOp(opReadAt, 5*PageSize, 5*PageSize/2, 0, 0, 0),
+	))
+	// Sector-granular generation: one byte written into a generated frame
+	// gives only its sector storage; reads, a generated check and a ranged
+	// copy across the written sector's boundaries; a write over every
+	// sector of a frame generated whole, and one over a frame generated in
+	// part, give each generated sector storage of its own; a zero byte
+	// written into a sector the zero pattern generates.
+	f.Add(seq(
+		encodeMemOp(opGenerate, 0, 0, 0, 2, 0),
+		encodeMemOp(opWriteAt, 2*PageSize+700, 1, 0x61, 0, 0),
+		encodeMemOp(opReadAt, 2*PageSize+500, 600, 0, 0, 0),
+		encodeMemOp(opReadAt, 2*PageSize+511, 2, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize, SectorSize, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize+1000, 100, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 2*PageSize+1024, PageSize, 0, 0, 0),
+		encodeMemOp(opCopyFrame, 511, 2, 0, 2, 0),
+		encodeMemOp(opCopyFrame, 1000, PageSize, 0, 2, 0),
+		encodeMemOp(opCopyFrame, PageSize, 8, 0, 2, 0),
+		encodeMemOp(opCopyFrame, PageSize+1, 8, 0, 2, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 3, 0),
+		encodeMemOp(opWriteAt, 3*PageSize+100, PageSize-200, 0, 0, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 3, 0),
+		encodeMemOp(opWriteAt, 2*PageSize, PageSize, 0xf2, 0, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 4, 2),
+		encodeMemOp(opWriteAt, 4*PageSize+2000, 1, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 4*PageSize, PageSize, 0, 0, 2),
+	))
+	// Words beside a written sector: aligned words at the last of the
+	// generated sector before it and the first of the one after, the
+	// written word, an unaligned word across the boundary; a zero word
+	// into a generated sector, and an unaligned word that privatizes the
+	// generated sector it reaches.
+	f.Add(seq(
+		encodeMemOp(opGenerate, 0, 0, 0, 4, 1),
+		encodeMemOp(opWriteU64, 4*PageSize+3*SectorSize+8, 0, 0x71, 0, 0),
+		encodeMemOp(opReadU64, 4*PageSize+3*SectorSize-8, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, 4*PageSize+4*SectorSize, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, 4*PageSize+3*SectorSize+8, 0, 0, 0, 0),
+		encodeMemOp(opReadU64, 4*PageSize+3*SectorSize-4, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 4*PageSize+4*SectorSize, 0, 0, 0, 0),
+		encodeMemOp(opWriteU64, 4*PageSize+3*SectorSize-4, 0, 0x72, 0, 0),
+		encodeMemOp(opReadAt, 4*PageSize, PageSize, 0, 0, 0),
+	))
+	// Zero and Generate over a partly written frame: a Generate from 0
+	// with another pattern writes the owned sector and generates the rest;
+	// one from inside an owned sector writes it, generates the sectors
+	// after it, and gives the other pattern's sectors before it storage;
+	// Zero ends the generation; a Generate from mid-sector onto the zeroed
+	// frame; one from a sector boundary onto an empty frame leaves the
+	// sectors before it empty, and a full write then stores those sparse.
+	f.Add(seq(
+		encodeMemOp(opGenerate, 0, 0, 0, 5, 0),
+		encodeMemOp(opWriteAt, 5*PageSize+1024, 10, 0x81, 0, 0),
+		encodeMemOp(opGenerate, 0, 0, 0, 5, 1),
+		encodeMemOp(opReadGenerated, 5*PageSize, PageSize, 0, 0, 1),
+		encodeMemOp(opGenerate, 0, 1500, 0, 5, 0),
+		encodeMemOp(opReadAt, 5*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opZero, 0, 0, 0, 5, 0),
+		encodeMemOp(opReadAt, 5*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opGenerate, 0, 3000, 0, 5, 2),
+		encodeMemOp(opReadGenerated, 5*PageSize+3*SectorSize, 3*SectorSize, 0, 0, 2),
+		encodeMemOp(opGenerate, 0, 2048, 0, 6, 0),
+		encodeMemOp(opReadAt, 6*PageSize, PageSize, 0, 0, 0),
+		encodeMemOp(opWriteAt, 6*PageSize, PageSize, 0x82, 0, 0),
+		encodeMemOp(opGenerate, 0, PageSize, 0, 6, 0),
+		encodeMemOp(opProtect, 0, 0, 0, 6, 1),
+		encodeMemOp(opGenerate, 0, 100, 0, 6, 0),
+	))
+	// The kernel-stack shape: a zeroed frame generated from offset 56,
+	// then its 56-byte context written at offset 0, which lands on the
+	// sector the generate already stored; the NMI word and the live
+	// window read and checked; a stack fault in the window, its repair,
+	// and a check of the scratch area; then the frame is zeroed and built
+	// again.
+	f.Add(seq(
+		encodeMemOp(opZero, 0, 0, 0, 7, 0),
+		encodeMemOp(opGenerate, 0, 56, 0, 7, 0),
+		encodeMemOp(opWriteAt, 7*PageSize, 56, 0x91, 0, 0),
+		encodeMemOp(opReadU64, 7*PageSize+56, 0, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 7*PageSize+56, 8, 0, 0, 0),
+		encodeMemOp(opReadGenerated, 7*PageSize+SectorSize, 128, 0, 0, 0),
+		encodeMemOp(opWriteAt, 7*PageSize+SectorSize+132, 4, 0x92, 0, 0),
+		encodeMemOp(opReadGenerated, 7*PageSize+SectorSize, PageSize-SectorSize, 0, 0, 0),
+		encodeMemOp(opWriteAt, 7*PageSize+SectorSize, 128, 0x93, 0, 0),
+		encodeMemOp(opCopyFrame, 0, PageSize, 0, 7, 0),
+		encodeMemOp(opZero, 0, 0, 0, 7, 0),
+		encodeMemOp(opGenerate, 0, 56, 0, 7, 0),
+		encodeMemOp(opWriteAt, 7*PageSize, 56, 0x94, 0, 0),
+		encodeMemOp(opReadAt, 7*PageSize, PageSize, 0, 0, 0),
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		replayMemOps(t, decodeMemOps(data))

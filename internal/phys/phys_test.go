@@ -1,9 +1,12 @@
 package phys
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -34,6 +37,25 @@ func TestMemBounds(t *testing.T) {
 	}
 	if err := m.ReadAt(0, make([]byte, m.Size())); err != nil {
 		t.Fatalf("full read: %v", err)
+	}
+	// Generate and CopyFrame take an offset inside the frame; CopyFrame
+	// also takes its end, where it copies nothing.
+	p := NewPattern(func(uint64) byte { return 1 })
+	for _, off := range []int{-1, PageSize, PageSize + 1} {
+		if err := m.Generate(0, off, p); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("Generate at offset %d: %v", off, err)
+		}
+	}
+	for _, off := range []int{-1, PageSize + 1} {
+		if err := m.CopyFrame(0, off, buf); !errors.Is(err, ErrOutOfRange) {
+			t.Fatalf("CopyFrame at offset %d: %v", off, err)
+		}
+	}
+	if err := m.CopyFrame(0, PageSize, buf); err != nil {
+		t.Fatalf("CopyFrame at the frame's end: %v", err)
+	}
+	if s := m.Stats(); s.WriteOps != 0 || s.ReadOps != 1 {
+		t.Fatalf("refused offsets counted traffic: %+v", s)
 	}
 }
 
@@ -448,9 +470,12 @@ func held(m *Mem, f int) (sectors int, dense bool) {
 // store and what the writes allocate: a PTE-sized word stores one sector;
 // a WAL-shaped page, a header and a trailing CRC at opposite ends, stores
 // its first and last sectors; a full non-zero page stores one page; zero
-// writes store nothing. The allowance over the stored bytes, 256 B a
-// frame, covers its 80 B record in a chunk and what the race detector
-// adds; a whole page per frame would exceed it many times over.
+// writes store nothing; a kernel stack, generated past its 56-byte context
+// and then given the context, stores the context's sector, and so does one
+// byte written into a generated frame. The allowance over the stored
+// bytes, 256 B a frame, covers its 88 B record in a chunk and what the
+// race detector adds; a whole page per frame would exceed it many times
+// over.
 func TestFrameStorageCost(t *testing.T) {
 	const frames, slack = 64, 256
 	wal := make([]byte, PageSize)
@@ -461,6 +486,16 @@ func TestFrameStorageCost(t *testing.T) {
 	full := make([]byte, PageSize)
 	for i := range full {
 		full[i] = byte(i) | 1
+	}
+	pattern := NewPattern(func(a uint64) byte { return byte(a*7) | 1 })
+	const contextSize = 56
+	generated := func(off int, addr func(f int) uint64, b []byte) func(m *Mem, f int) error {
+		return func(m *Mem, f int) error {
+			if err := m.Generate(f, off, pattern); err != nil {
+				return err
+			}
+			return m.WriteAt(addr(f), b)
+		}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -473,6 +508,8 @@ func TestFrameStorageCost(t *testing.T) {
 		{"full-page", func(m *Mem, f int) error { return m.WriteAt(FrameAddr(f), full) }, sectorsPerFrame, true},
 		{"zero-page", func(m *Mem, f int) error { return m.WriteAt(FrameAddr(f), make([]byte, PageSize)) }, 0, false},
 		{"zero-word", func(m *Mem, f int) error { return m.WriteU64(FrameAddr(f)+64, 0) }, 0, false},
+		{"kernel stack", generated(contextSize, FrameAddr, full[:contextSize]), 1, false},
+		{"one byte into a generated frame", generated(0, func(f int) uint64 { return FrameAddr(f) + 1000 }, []byte{0x5a}), 1, false},
 	} {
 		m := NewMem(frames * PageSize)
 		var before, after runtime.MemStats
@@ -489,12 +526,102 @@ func TestFrameStorageCost(t *testing.T) {
 					tc.name, f, n, dense, tc.sectors, tc.dense)
 			}
 		}
-		want := uint64(frames * tc.sectors * sectorSize)
+		want := uint64(frames * tc.sectors * SectorSize)
 		if tc.sectors > 0 {
 			want += frames * slack
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > want {
 			t.Errorf("%s: %d frames allocated %d bytes, want at most %d", tc.name, frames, got, want)
+		}
+	}
+}
+
+// TestViewsReadGeneratedFramesConcurrently reads generated frames through
+// eight views at once, as a resurrection pass's scan workers do when a
+// corrupted PTE aims them at a kernel stack or at kernel text: a stack
+// (generated from offset 56, then given its context), a frame generated
+// whole and a generated frame with one written byte. The views are the
+// frames' first readers, and every read must return the pattern's bytes
+// and the written ones, store nothing and count in its own view only. No
+// write runs meanwhile, as in a pass, whose commits start once every scan
+// is done; a read that stored a generated sector's bytes would race the
+// other views' reads under -race.
+func TestViewsReadGeneratedFramesConcurrently(t *testing.T) {
+	const workers, first, frames = 8, 2, 3
+	m := NewMem(8 * PageSize)
+	p := NewPattern(func(a uint64) byte { return byte(a*7) | 1 })
+	base := FrameAddr(first)
+	if m.Generate(first, 56, p) != nil || m.WriteAt(base, make([]byte, 56)) != nil ||
+		m.Generate(first+1, 0, p) != nil ||
+		m.Generate(first+2, 0, p) != nil || m.WriteAt(FrameAddr(first+2)+1000, []byte{0x5a}) != nil {
+		t.Fatal("setting up the generated frames failed")
+	}
+	want := make([]byte, frames*PageSize)
+	p.fill(base, want)
+	clear(want[:56])
+	want[2*PageSize+1000] = 0x5a
+	stored, stats := storageOf(m), m.Stats()
+	generated := []struct {
+		addr uint64
+		n    int
+		want bool
+	}{
+		{base + SectorSize, PageSize - SectorSize, true},
+		{base, PageSize, false},
+		{FrameAddr(first + 1), PageSize, true},
+		{FrameAddr(first + 2), PageSize, false},
+	}
+	views := make([]*Mem, workers)
+	var wg sync.WaitGroup
+	for w := range views {
+		views[w] = m.View()
+		wg.Add(1)
+		go func(v *Mem) {
+			defer wg.Done()
+			got := make([]byte, len(want))
+			if err := v.ReadAt(base, got); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("ReadAt through a view: %v, or bytes differ", err)
+			}
+			for off := 0; off < len(want); off += 64 {
+				if w, err := v.ReadU64(base + uint64(off)); err != nil || w != binary.LittleEndian.Uint64(want[off:]) {
+					t.Errorf("ReadU64(%#x) = %#x, %v", base+uint64(off), w, err)
+				}
+			}
+			for _, g := range generated {
+				if v.ReadGenerated(g.addr, g.n, p) != g.want {
+					t.Errorf("ReadGenerated(%#x, %d) = %v", g.addr, g.n, !g.want)
+				}
+			}
+			for f := 0; f < frames; f++ {
+				for _, off := range []int{0, 1000} {
+					buf := make([]byte, PageSize)
+					if err := v.CopyFrame(first+f, off, buf); err != nil ||
+						!bytes.Equal(buf[:PageSize-off], want[f*PageSize+off:(f+1)*PageSize]) {
+						t.Errorf("CopyFrame(%d, %d): %v, or bytes differ", first+f, off, err)
+					}
+				}
+			}
+		}(views[w])
+	}
+	wg.Wait()
+	per := Stats{ReadOps: 1 + int64(len(want)/64) + int64(len(generated)), ReadBytes: int64(len(want) + len(want)/64*8)}
+	for _, g := range generated {
+		per.ReadBytes += int64(g.n)
+	}
+	for _, v := range views {
+		if got := v.Stats(); got != per {
+			t.Errorf("a view counted %+v, want %+v", got, per)
+		}
+		m.Absorb(v)
+	}
+	stats.ReadOps += workers * per.ReadOps
+	stats.ReadBytes += workers * per.ReadBytes
+	if got := m.Stats(); got != stats {
+		t.Errorf("after absorbing the views the memory counts %+v, want %+v", got, stats)
+	}
+	for f, s := range storageOf(m) {
+		if s != stored[f] {
+			t.Errorf("frame %d's storage changed under reads", f)
 		}
 	}
 }

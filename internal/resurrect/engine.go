@@ -107,7 +107,7 @@ func (r *reader) ReadAt(addr uint64, buf []byte) error {
 // that installs a frame the scan already read, and counted, through
 // ReadAt: Table 4 counts one read per page.
 func (r *reader) copyFrame(f int, buf []byte) error {
-	return r.mem.CopyFrame(f, buf)
+	return r.mem.CopyFrame(f, 0, buf)
 }
 
 func (r *reader) at(cat string) *reader {

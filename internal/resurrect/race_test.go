@@ -433,6 +433,73 @@ func TestScanSharedUnmanagedFrame(t *testing.T) {
 	}
 }
 
+// TestScanGeneratedFrames points both candidates' dead PTEs for their
+// first page at a live process's kernel-stack frame, whose context sector
+// is stored and whose other sectors the stack pattern generates, and for
+// their second page at a kernel-text frame the text pattern generates
+// whole, as a corrupted page table can. The scan workers compute those
+// frames' bytes through their views at the same time, batch and streamed,
+// at widths 1 and 8: both candidates must come back with the bytes a
+// ReadAt of each frame returns, or fail alike, and the report must not
+// depend on the width.
+func TestScanGeneratedFrames(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		run := func(workers int) *resurrect.Report {
+			m, procs := hoMachine(t, workers, stream, false, "")
+			frames := []int{phys.FrameOf(procs[0].D.KStack), phys.FrameOf(m.K.Text.Base())}
+			var before [][]byte
+			for i, f := range frames {
+				before = append(before, deadBytes(t, m, f, phys.PageSize))
+				for _, p := range procs {
+					if err := m.HW.Mem.WriteU64(ptePhysAddr(t, m, p, hoVA+uint64(i)*phys.PageSize),
+						uint64(layout.MakePresentPTE(f, true))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			out, err := m.HandleFailure()
+			if err != nil || out.Result != core.ResultRecovered || len(out.Report.Procs) != 2 {
+				t.Fatalf("stream=%v workers=%d: HandleFailure: %v", stream, workers, err)
+			}
+			rep := out.Report
+			// The transfer saves the running thread's context on its
+			// stack, so the stack's bytes are read after the recovery,
+			// which leaves both frames alone: every other byte still
+			// reads as it did before the crash.
+			var dead [][]byte
+			for i, f := range frames {
+				dead = append(dead, deadBytes(t, m, f, phys.PageSize))
+				if !bytes.Equal(dead[i][phys.SectorSize:], before[i][phys.SectorSize:]) {
+					t.Fatalf("stream=%v workers=%d: dead frame %d changed past its first sector", stream, workers, f)
+				}
+			}
+			if a, b := rep.Procs[0], rep.Procs[1]; a.Outcome != b.Outcome || fmt.Sprint(a.Err) != fmt.Sprint(b.Err) {
+				t.Fatalf("stream=%v workers=%d: candidates differ: %v (%v) and %v (%v)",
+					stream, workers, a.Outcome, a.Err, b.Outcome, b.Err)
+			}
+			for _, pr := range rep.Procs {
+				if pr.Outcome != resurrect.OutcomeContinued {
+					continue
+				}
+				got := make([]byte, phys.PageSize)
+				for i := range frames {
+					if err := m.K.ReadVM(m.K.Lookup(pr.NewPID), hoVA+uint64(i)*phys.PageSize, got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, dead[i]) {
+						t.Errorf("stream=%v workers=%d: pid %d's page %d differs from dead frame %d's bytes",
+							stream, workers, pr.Candidate.PID, i, frames[i])
+					}
+				}
+			}
+			return rep
+		}
+		if fp1, fp8 := run(1).Fingerprint(), run(8).Fingerprint(); fp1 != fp8 {
+			t.Fatalf("stream=%v: fingerprint differs between Workers=1 and Workers=8", stream)
+		}
+	}
+}
+
 // TestShmSizePastFrames reseals both candidates' shared-memory records,
 // CRC-valid, with a size one page past their frame lists, as a wild write
 // can leave them. Each segment must install two pages, its frame's bytes
